@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace nrs {
@@ -17,6 +18,13 @@ using BitVector = std::vector<std::uint8_t>;
 /// Appends fixed-width unsigned fields to a BitVector, MSB first.
 class BitWriter {
  public:
+  BitWriter() = default;
+  /// Write into `storage`'s buffer: its contents are dropped and its
+  /// capacity reused (take() hands the buffer back).
+  explicit BitWriter(BitVector storage) : bits_(std::move(storage)) {
+    bits_.clear();
+  }
+
   /// Append the `width` low bits of `value`, most-significant first.
   void write(std::uint64_t value, unsigned width);
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "common/bit_io.h"
 
@@ -13,12 +14,21 @@ namespace nrs {
 
 /// Generates c(n) = (x1(n+Nc) + x2(n+Nc)) mod 2, Nc = 1600,
 /// x1 seeded with 1, x2 seeded with c_init.
+///
+/// Both LFSRs advance 32 bits per step, and the Nc = 1600 fast-forward
+/// costs no stepping at all: x1 after Nc bits is a constant, and x2 after
+/// Nc bits is linear over GF(2) in c_init, so construction XORs one
+/// precomputed word per set bit of c_init.
 class GoldSequence {
  public:
   explicit GoldSequence(std::uint32_t c_init);
 
   /// Next scrambling bit.
   std::uint8_t next();
+
+  /// Next 32 bits; bit k of the result is the k-th bit next() would have
+  /// returned.
+  std::uint32_t next_word();
 
   /// Produce `count` bits starting at the current position.
   BitVector generate(std::size_t count);
@@ -27,14 +37,17 @@ class GoldSequence {
   void advance(std::size_t count);
 
  private:
-  std::uint32_t x1_;
-  std::uint32_t x2_;
+  std::uint32_t x1_;   ///< x1 window of the next unread 32-bit word
+  std::uint32_t x2_;   ///< x2 window of the next unread 32-bit word
+  std::uint32_t out_ = 0;  ///< unread bits of the current word, LSB first
+  unsigned avail_ = 0;     ///< number of unread bits in out_
 
-  std::uint8_t step();
+  /// Output word at the window, then advance both windows by 32 bits.
+  std::uint32_t step_word();
 };
 
 /// XOR `bits` in place with the Gold sequence seeded by `c_init`.
-void scramble(BitVector& bits, std::uint32_t c_init);
+void scramble(std::span<std::uint8_t> bits, std::uint32_t c_init);
 
 /// c_init for PDCCH data scrambling (TS 38.211 7.3.2.3):
 /// (n_RNTI * 2^16 + n_ID) mod 2^31.  For common search spaces n_RNTI = 0.

@@ -127,7 +127,13 @@ unsigned dci_payload_size(DciFormat format, unsigned n_prb) {
 }
 
 BitVector Dci::pack(unsigned n_prb) const {
-  BitWriter writer;
+  BitVector bits;
+  pack(n_prb, bits);
+  return bits;
+}
+
+void Dci::pack(unsigned n_prb, BitVector& out) const {
+  BitWriter writer(std::move(out));
   // Format identifier (TS 38.212): 0 = uplink, 1 = downlink.
   writer.write(is_downlink(format) ? 1 : 0, 1);
   writer.write(freq_alloc_riv, riv_bits(n_prb));
@@ -162,12 +168,11 @@ BitVector Dci::pack(unsigned n_prb) const {
       writer.write(dmrs_id, 1);
       break;
   }
-  BitVector bits = writer.take();
+  out = writer.take();
   const unsigned target = dci_payload_size(format, n_prb);
-  while (bits.size() < target) {
-    bits.push_back(0);  // size-alignment padding
+  if (out.size() < target) {
+    out.resize(target, 0);  // size-alignment padding
   }
-  return bits;
 }
 
 Dci Dci::unpack(DciFormat format, unsigned n_prb,

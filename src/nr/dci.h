@@ -63,6 +63,10 @@ struct Dci {
   /// happen in the PDCCH encoder.
   [[nodiscard]] BitVector pack(unsigned n_prb) const;
 
+  /// Same, into `out` (its capacity is reused, so a warm buffer makes
+  /// packing allocation-free).
+  void pack(unsigned n_prb, BitVector& out) const;
+
   /// Unpack from a payload of dci_payload_size(format, n_prb) bits.
   static Dci unpack(DciFormat format, unsigned n_prb,
                     std::span<const std::uint8_t> bits);

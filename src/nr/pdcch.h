@@ -118,8 +118,25 @@ struct PdcchAllocation {
   unsigned cce_start = 0;
 };
 
+/// Working state for the PDCCH encoder, owned by the transmitter (the gNB
+/// simulator keeps one).  Every buffer is grow-only and the memo tables
+/// (DMRS rows, REG maps, polar codes) warm up once, so an encode in steady
+/// state allocates nothing.
+struct PdcchEncodeScratch {
+  PdcchScratch memo;          ///< DMRS table, REG maps, polar codes
+  BitVector payload;          ///< packed DCI
+  BitVector bits;             ///< payload + RNTI-masked CRC24C
+  BitVector coded;            ///< E polar-coded, scrambled bits
+  std::vector<cf32> symbols;  ///< E / 2 QPSK symbols
+};
+
 /// Encode `dci` for `alloc` into `grid` (data + DMRS).
 /// `n_prb_bwp` sizes the DCI payload; `slot` seeds the DMRS sequence.
+void encode_pdcch(const CoresetConfig& coreset, const PdcchAllocation& alloc,
+                  const Dci& dci, unsigned n_prb_bwp, const SlotPoint& slot,
+                  ResourceGrid& grid, PdcchEncodeScratch& scratch);
+
+/// Same, through a thread-local scratch.
 void encode_pdcch(const CoresetConfig& coreset, const PdcchAllocation& alloc,
                   const Dci& dci, unsigned n_prb_bwp, const SlotPoint& slot,
                   ResourceGrid& grid);
@@ -127,6 +144,11 @@ void encode_pdcch(const CoresetConfig& coreset, const PdcchAllocation& alloc,
 /// Lower-level entry points carrying an arbitrary payload through the same
 /// CRC24C + polar + scramble + QPSK chain; the PBCH (MIB broadcast) rides
 /// on these with RNTI 0.
+void encode_pdcch_payload(const CoresetConfig& coreset,
+                          const PdcchAllocation& alloc,
+                          std::span<const std::uint8_t> payload,
+                          const SlotPoint& slot, ResourceGrid& grid,
+                          PdcchEncodeScratch& scratch);
 void encode_pdcch_payload(const CoresetConfig& coreset,
                           const PdcchAllocation& alloc,
                           std::span<const std::uint8_t> payload,

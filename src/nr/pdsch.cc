@@ -1,5 +1,6 @@
 #include "nr/pdsch.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/crc.h"
@@ -52,30 +53,57 @@ void validate(const PdschAllocation& alloc, const ResourceGrid& grid) {
 }  // namespace
 
 void encode_pdsch(const PdschAllocation& alloc, const SlotPoint& slot,
-                  std::span<const std::uint8_t> payload, ResourceGrid& grid) {
+                  std::span<const std::uint8_t> payload, ResourceGrid& grid,
+                  PdschEncodeScratch& scratch) {
   validate(alloc, grid);
-  // Transport block CRC + FEC + rate matching to the allocation.
-  BitVector tb(payload.begin(), payload.end());
-  kCrc24A.attach(tb);
-  const BitVector coded = ConvolutionalCode::encode(tb);
-  BitVector matched = rate_match(coded, alloc.coded_bits());
-  scramble(matched, pdsch_scrambling_cinit(alloc.rnti, alloc.n_id));
-  const std::vector<cf32> symbols = modulate(matched, alloc.modulation);
-
-  // Front-loaded DMRS symbol.
-  const std::vector<cf32> dmrs = pdsch_dmrs(alloc, slot);
-  const unsigned sc0 = alloc.prb_start * kSubcarriersPerPrb;
-  for (unsigned i = 0; i < dmrs.size(); ++i) {
-    grid.at(alloc.start_symbol, sc0 + i) = dmrs[i];
+  // Transport block CRC + FEC + rate matching to the allocation, each
+  // stage sized up front in the caller's scratch.  An all-zero block (the
+  // gNB's user payloads) has a zero CRC, codeword and rate-matched output,
+  // so it skips straight to scrambling.
+  scratch.matched.resize(alloc.coded_bits());
+  if (std::all_of(payload.begin(), payload.end(),
+                  [](std::uint8_t b) { return (b & 1) == 0; })) {
+    std::fill(scratch.matched.begin(), scratch.matched.end(),
+              std::uint8_t{0});
+  } else {
+    scratch.tb.assign(payload.begin(), payload.end());
+    kCrc24A.attach(scratch.tb);
+    scratch.coded.resize(ConvolutionalCode::coded_size(scratch.tb.size()));
+    ConvolutionalCode::encode(scratch.tb, scratch.coded);
+    rate_match(scratch.coded, scratch.matched);
   }
-  // Data symbols.
-  std::size_t index = 0;
-  for (unsigned sym = alloc.start_symbol + 1;
-       sym < alloc.start_symbol + alloc.n_symbols; ++sym) {
-    for (unsigned i = 0; i < alloc.prb_len * kSubcarriersPerPrb; ++i) {
-      grid.at(sym, sc0 + i) = symbols.at(index++);
+  scramble(scratch.matched, pdsch_scrambling_cinit(alloc.rnti, alloc.n_id));
+  scratch.symbols.resize(alloc.data_res());
+  modulate(scratch.matched, alloc.modulation, scratch.symbols);
+
+  // Front-loaded DMRS symbol, straight from the Gold words.
+  const unsigned sc0 = alloc.prb_start * kSubcarriersPerPrb;
+  const unsigned n_sc = alloc.prb_len * kSubcarriersPerPrb;
+  GoldSequence gold(pdsch_dmrs_cinit(alloc.n_id, slot, alloc.start_symbol));
+  gold.advance(2ull * sc0);
+  cf32* dmrs = grid.symbol(alloc.start_symbol).data() + sc0;
+  for (unsigned i = 0; i < n_sc; i += 16) {
+    const std::uint32_t word = gold.next_word();
+    const unsigned n = std::min(16u, n_sc - i);
+    for (unsigned k = 0; k < n; ++k) {
+      const float re = ((word >> (2 * k)) & 1u) ? -kInvSqrt2 : kInvSqrt2;
+      const float im = ((word >> (2 * k + 1)) & 1u) ? -kInvSqrt2 : kInvSqrt2;
+      dmrs[i + k] = cf32(re, im);
     }
   }
+  // Data symbols.
+  const cf32* symbol = scratch.symbols.data();
+  for (unsigned sym = alloc.start_symbol + 1;
+       sym < alloc.start_symbol + alloc.n_symbols; ++sym) {
+    std::copy(symbol, symbol + n_sc, grid.symbol(sym).data() + sc0);
+    symbol += n_sc;
+  }
+}
+
+void encode_pdsch(const PdschAllocation& alloc, const SlotPoint& slot,
+                  std::span<const std::uint8_t> payload, ResourceGrid& grid) {
+  PdschEncodeScratch scratch;
+  encode_pdsch(alloc, slot, payload, grid, scratch);
 }
 
 std::optional<BitVector> decode_pdsch(const PdschAllocation& alloc,

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <vector>
 
 #include "common/timing.h"
 #include "common/types.h"
@@ -35,7 +36,22 @@ struct PdschAllocation {
   }
 };
 
+/// Encoder working buffers, owned by the transmitter (the gNB simulator
+/// keeps one).  Each stage's output is sized up front and every buffer is
+/// grow-only, so a warm encode allocates nothing.
+struct PdschEncodeScratch {
+  BitVector tb;        ///< payload + CRC24A
+  BitVector coded;     ///< convolutional code output
+  BitVector matched;   ///< rate-matched, scrambled bits
+  std::vector<cf32> symbols;
+};
+
 /// Encode `payload` (exactly `tbs` bits) into the grid.
+void encode_pdsch(const PdschAllocation& alloc, const SlotPoint& slot,
+                  std::span<const std::uint8_t> payload, ResourceGrid& grid,
+                  PdschEncodeScratch& scratch);
+
+/// Same, with a scratch of its own.
 void encode_pdsch(const PdschAllocation& alloc, const SlotPoint& slot,
                   std::span<const std::uint8_t> payload, ResourceGrid& grid);
 

@@ -63,14 +63,18 @@ constexpr AcsTables kAcs = make_acs_tables();
 
 }  // namespace
 
-BitVector ConvolutionalCode::encode(std::span<const std::uint8_t> bits) {
-  BitVector out;
-  out.reserve(coded_size(bits.size()));
+void ConvolutionalCode::encode(std::span<const std::uint8_t> bits,
+                               std::span<std::uint8_t> out) {
+  if (out.size() != coded_size(bits.size())) {
+    throw std::invalid_argument("ConvolutionalCode::encode: output length");
+  }
   unsigned state = 0;
+  std::uint8_t* o = out.data();
   auto push = [&](unsigned b) {
     const Branch br = branch_outputs(state, b);
-    out.push_back(br.out_a);
-    out.push_back(br.out_b);
+    o[0] = br.out_a;
+    o[1] = br.out_b;
+    o += 2;
     state = ((state << 1) | b) & (kNumStates - 1);
   };
   for (std::uint8_t b : bits) {
@@ -79,6 +83,11 @@ BitVector ConvolutionalCode::encode(std::span<const std::uint8_t> bits) {
   for (unsigned i = 0; i < kConstraintLength - 1; ++i) {
     push(0);  // tail: return to the zero state
   }
+}
+
+BitVector ConvolutionalCode::encode(std::span<const std::uint8_t> bits) {
+  BitVector out(coded_size(bits.size()));
+  encode(bits, out);
   return out;
 }
 
@@ -141,21 +150,45 @@ BitVector ConvolutionalCode::decode(std::span<const float> llrs,
   return decoded;
 }
 
+void rate_match(std::span<const std::uint8_t> coded,
+                std::span<std::uint8_t> out) {
+  const std::size_t c = coded.size();
+  const std::size_t e = out.size();
+  if (c == 0 || e == 0) {
+    throw std::invalid_argument("rate_match: empty input");
+  }
+  if (e >= c) {
+    // Repetition: out[i] = coded[i mod C], whole copies then the rest.
+    std::size_t i = 0;
+    for (; i + c <= e; i += c) {
+      std::copy(coded.begin(), coded.end(), out.begin() + i);
+    }
+    std::copy(coded.begin(), coded.begin() + (e - i), out.begin() + i);
+  } else {
+    // Uniform puncturing: keep bit floor(i * C / E), stepped without a
+    // division per bit.
+    const std::size_t q_step = c / e;
+    const std::size_t r_step = c % e;
+    std::size_t q = 0;
+    std::size_t r = 0;
+    for (std::size_t i = 0; i < e; ++i) {
+      out[i] = coded[q];
+      q += q_step;
+      r += r_step;
+      if (r >= e) {
+        r -= e;
+        ++q;
+      }
+    }
+  }
+}
+
 BitVector rate_match(std::span<const std::uint8_t> coded, std::size_t e) {
   if (coded.empty() || e == 0) {
     throw std::invalid_argument("rate_match: empty input");
   }
   BitVector out(e);
-  if (e >= coded.size()) {
-    for (std::size_t i = 0; i < e; ++i) {
-      out[i] = coded[i % coded.size()];
-    }
-  } else {
-    // Uniform puncturing: keep bit floor(i * C / E).
-    for (std::size_t i = 0; i < e; ++i) {
-      out[i] = coded[i * coded.size() / e];
-    }
-  }
+  rate_match(coded, out);
   return out;
 }
 

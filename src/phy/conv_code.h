@@ -38,6 +38,10 @@ class ConvolutionalCode {
   /// Encode with 6 zero tail bits; output size = 2 * (bits + 6).
   [[nodiscard]] static BitVector encode(std::span<const std::uint8_t> bits);
 
+  /// Allocation-free variant: `out.size()` must be coded_size(bits.size()).
+  static void encode(std::span<const std::uint8_t> bits,
+                     std::span<std::uint8_t> out);
+
   /// Number of coded bits produced for `payload_bits` input bits.
   [[nodiscard]] static std::size_t coded_size(std::size_t payload_bits) {
     return 2 * (payload_bits + kConstraintLength - 1);
@@ -63,6 +67,9 @@ class ConvolutionalCode {
 /// combining) on receive.  This emulates LDPC rate matching's role of
 /// fitting one transport block to the scheduled resource allocation.
 BitVector rate_match(std::span<const std::uint8_t> coded, std::size_t e);
+/// Allocation-free variant: fills all of `out` (E = out.size()).
+void rate_match(std::span<const std::uint8_t> coded,
+                std::span<std::uint8_t> out);
 std::vector<float> rate_dematch(std::span<const float> llrs,
                                 std::size_t coded_size);
 

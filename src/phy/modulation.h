@@ -29,8 +29,13 @@ constexpr unsigned bits_per_symbol(Modulation m) {
 const char* to_string(Modulation m);
 
 /// Map bits to unit-average-power constellation symbols.  `bits.size()`
-/// must be a multiple of bits_per_symbol(m).
+/// must be a multiple of bits_per_symbol(m).  QPSK and up map through a
+/// per-scheme table of the 2^Qm constellation points.
 std::vector<cf32> modulate(std::span<const std::uint8_t> bits, Modulation m);
+
+/// Allocation-free variant: `out.size()` must be bits.size() / Qm.
+void modulate(std::span<const std::uint8_t> bits, Modulation m,
+              std::span<cf32> out);
 
 /// Soft demap: per transmitted bit, an LLR with positive = bit 0 (matching
 /// the convention of the decoders in this repo).  `noise_var` is the

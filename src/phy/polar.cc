@@ -85,8 +85,7 @@ PolarCode::PolarCode(unsigned k, unsigned e) : k_(k), e_(e) {
   }
 }
 
-BitVector PolarCode::polar_transform(std::span<const std::uint8_t> u) const {
-  BitVector x(u.begin(), u.end());
+void PolarCode::polar_transform(std::span<std::uint8_t> x) const {
   for (unsigned len = 1; len < n_; len <<= 1) {
     for (unsigned i = 0; i < n_; i += 2 * len) {
       for (unsigned j = 0; j < len; ++j) {
@@ -94,19 +93,26 @@ BitVector PolarCode::polar_transform(std::span<const std::uint8_t> u) const {
       }
     }
   }
-  return x;
 }
 
-BitVector PolarCode::encode(std::span<const std::uint8_t> info) const {
+void PolarCode::encode(std::span<const std::uint8_t> info,
+                       PolarScratch& scratch,
+                       std::span<std::uint8_t> out) const {
   if (info.size() != k_) {
     throw std::invalid_argument("PolarCode::encode: wrong info length");
   }
-  BitVector u(n_, 0);
-  for (unsigned i = 0; i < k_; ++i) {
-    u[info_set_[i]] = info[i] & 1;
+  if (out.size() != e_) {
+    throw std::invalid_argument("PolarCode::encode: wrong output length");
   }
-  const BitVector x = polar_transform(u);
-  BitVector out(e_);
+  if (scratch.u.size() < n_) {
+    scratch.u.resize(n_);
+  }
+  const std::span<std::uint8_t> x(scratch.u.data(), n_);
+  std::fill(x.begin(), x.end(), std::uint8_t{0});
+  for (unsigned i = 0; i < k_; ++i) {
+    x[info_set_[i]] = info[i] & 1;
+  }
+  polar_transform(x);
   if (e_ >= n_) {
     for (unsigned i = 0; i < e_; ++i) {
       out[i] = x[i % n_];  // repetition
@@ -114,6 +120,12 @@ BitVector PolarCode::encode(std::span<const std::uint8_t> info) const {
   } else {
     std::copy(x.begin(), x.begin() + e_, out.begin());  // shortening
   }
+}
+
+BitVector PolarCode::encode(std::span<const std::uint8_t> info) const {
+  PolarScratch scratch;
+  BitVector out(e_);
+  encode(info, scratch, out);
   return out;
 }
 

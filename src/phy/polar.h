@@ -51,6 +51,11 @@ class PolarCode {
   /// Encode `info` (size K) into E transmitted bits.
   [[nodiscard]] BitVector encode(std::span<const std::uint8_t> info) const;
 
+  /// Allocation-free encode into `out` (size exactly E); the N-bit
+  /// transform runs in place in `scratch.u` (grow-only).
+  void encode(std::span<const std::uint8_t> info, PolarScratch& scratch,
+              std::span<std::uint8_t> out) const;
+
   /// Successive-cancellation decode from E channel LLRs
   /// (positive = bit 0).  Always returns K bits; the caller validates them
   /// with the attached CRC — a failed CRC is a "DCI miss" upstream.
@@ -79,8 +84,7 @@ class PolarCode {
   // prune all-frozen (rate-0) subtrees in O(1) per node.
   std::vector<unsigned> info_prefix_;
 
-  [[nodiscard]] BitVector polar_transform(
-      std::span<const std::uint8_t> u) const;
+  void polar_transform(std::span<std::uint8_t> x) const;
 };
 
 }  // namespace nrs
