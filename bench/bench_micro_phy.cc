@@ -111,7 +111,8 @@ std::vector<Case> make_cases() {
   std::vector<Case> cases;
   // Sizes mirror the real call sites: PSS correlation segments (127),
   // one 1024-point FFT stage, a CORESET's worth of pilots/REs, an
-  // aggregation-level-4 candidate's LLRs, a polar node, one Viterbi step.
+  // aggregation-level-4 candidate's LLRs, a polar node, a slice of a
+  // slot's channel noise, one Viterbi step.
   cases.push_back({"corr_energy_real", 127,
                    [](const kernels::KernelTable& kt, Workload& w) {
                      cf32 corr;
@@ -164,6 +165,12 @@ std::vector<Case> make_cases() {
   cases.push_back({"polar_combine", 256,
                    [](const kernels::KernelTable& kt, Workload& w) {
                      kt.polar_combine(w.u8a.data(), w.u8b.data(), 256);
+                   }});
+  cases.push_back({"awgn_add", 2048,
+                   [](const kernels::KernelTable& kt, Workload& w) {
+                     // A slice of the ~15 k samples the channel noises per
+                     // 30 kHz slot; sigma as at 28 dB with a 1024 FFT.
+                     kt.awgn_add(w.a.data(), 2048, 42, 7, 0, 8.8e-4f);
                    }});
   cases.push_back({"viterbi_acs", kernels::kViterbiStates,
                    [](const kernels::KernelTable& kt, Workload& w) {

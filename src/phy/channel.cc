@@ -1,9 +1,12 @@
 #include "phy/channel.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+
+#include "phy/kernels/kernels.h"
 
 namespace nrs {
 
@@ -92,12 +95,31 @@ std::optional<std::string> ChannelConfig::validate() const {
   return std::nullopt;
 }
 
+void apply_multipath(std::span<cf32> samples,
+                     std::span<const FadingTap> taps) {
+  // Blocks are walked from the end of the buffer towards its start, so
+  // every input a block reads (indices up to its own) is still unmodified
+  // when the block is written back.  Within a sample the taps accumulate
+  // from zero in tap order, as a separate-output FIR would.
+  constexpr std::size_t kBlock = 256;
+  std::array<cf32, kBlock> acc;
+  for (std::size_t end = samples.size(); end > 0;) {
+    const std::size_t begin = end > kBlock ? end - kBlock : 0;
+    std::fill(acc.begin(), acc.begin() + (end - begin), cf32{});
+    for (const auto& tap : taps) {
+      const std::size_t d = tap.delay_samples;
+      for (std::size_t i = std::max(begin, d); i < end; ++i) {
+        acc[i - begin] += tap.gain * samples[i - d];
+      }
+    }
+    std::copy(acc.begin(), acc.begin() + (end - begin),
+              samples.begin() + static_cast<std::ptrdiff_t>(begin));
+    end = begin;
+  }
+}
+
 ChannelModel::ChannelModel(const ChannelConfig& config)
-    : config_(config), rng_(config.seed),
-      // Distinct stream so noise draws never perturb the fading walk:
-      // step_slot() (UE CQI path) and apply() (sniffer IQ path) must
-      // produce the same per-slot gain trajectory for the same seed.
-      noise_rng_(config.seed ^ 0x9E3779B97F4A7C15ULL) {
+    : config_(config), rng_(config.seed) {
   if (auto error = config_.validate()) {
     throw std::invalid_argument("ChannelConfig: " + *error);
   }
@@ -108,7 +130,7 @@ ChannelModel::ChannelModel(const ChannelConfig& config)
   }
   taps_.reserve(profile.size());
   for (const auto& [delay_ns, power_db] : profile) {
-    Tap tap;
+    FadingTap tap;
     tap.delay_samples = static_cast<unsigned>(
         std::lround(delay_ns * 1e-9 * config_.sample_rate));
     tap.power = std::pow(10.0, power_db / 10.0) / total;
@@ -170,21 +192,15 @@ void ChannelModel::step_slot() {
 
 void ChannelModel::apply(IqBuffer& samples) {
   // Fading evolves block-wise, once per slot.
-  if (slots_++ > 0) {
+  const std::uint64_t slot = slots_++;
+  if (slot > 0) {
     evolve_taps();
   }
 
-  // Multipath FIR with the current tap gains.
+  // Multipath FIR with the current tap gains, in place.
   if (taps_.size() > 1 || taps_[0].delay_samples != 0 ||
       taps_[0].gain != cf32(1.0f, 0.0f)) {
-    IqBuffer faded(samples.size(), cf32{});
-    for (const auto& tap : taps_) {
-      const unsigned d = tap.delay_samples;
-      for (std::size_t i = d; i < samples.size(); ++i) {
-        faded[i] += tap.gain * samples[i - d];
-      }
-    }
-    samples.swap(faded);
+    apply_multipath(samples, taps_);
   }
 
   // Residual carrier frequency offset.
@@ -202,14 +218,15 @@ void ChannelModel::apply(IqBuffer& samples) {
   }
 
   // AWGN sized so that the post-FFT per-RE SNR equals the set-point for a
-  // unit-power RE: time-domain noise variance = 1 / (fft_size * SNR).
+  // unit-power RE: time-domain noise variance = 1 / (fft_size * SNR).  The
+  // draws come from the stateless counter-based generator keyed by the
+  // seed and indexed by (slot, sample), so they never touch the fading
+  // stream.
   const double snr = std::pow(10.0, config_.snr_db / 10.0);
   const double nv = 1.0 / (static_cast<double>(config_.fft_size) * snr);
-  const double s = std::sqrt(nv / 2.0);
-  for (auto& v : samples) {
-    v += cf32(static_cast<float>(noise_rng_.gaussian(0.0, s)),
-              static_cast<float>(noise_rng_.gaussian(0.0, s)));
-  }
+  const auto sigma = static_cast<float>(std::sqrt(nv / 2.0));
+  kernels::active().awgn_add(samples.data(), samples.size(), config_.seed,
+                             slot, 0, sigma);
 }
 
 }  // namespace nrs

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,19 +49,36 @@ struct ChannelConfig {
   [[nodiscard]] std::optional<std::string> validate() const;
 };
 
+/// One tap of a tapped-delay-line channel.
+struct FadingTap {
+  unsigned delay_samples = 0;
+  double power = 0.0;  ///< linear; a profile's taps sum to 1
+  cf32 gain;           ///< current complex gain
+};
+
+/// Multipath FIR in place: x[i] <- sum over taps, in the given order, of
+/// gain * x[i - delay] (terms with i < delay omitted).  Allocation-free;
+/// the result is bit-identical to accumulating into a separate zeroed
+/// output buffer.
+void apply_multipath(std::span<cf32> samples,
+                     std::span<const FadingTap> taps);
+
 /// Stateful channel: call apply() on consecutive slot buffers; fading
 /// evolves across calls.
 class ChannelModel {
  public:
   explicit ChannelModel(const ChannelConfig& config);
 
-  /// Apply fading + CFO + AWGN to one slot of samples, in place.
+  /// Apply fading + CFO + AWGN to one slot of samples, in place and
+  /// without allocating.  The noise of sample i in the n-th call (n from
+  /// 0) is a pure function of (seed, n, i): Philox4x32-10 through the
+  /// kernel layer's awgn_add, bit-identical across SIMD backends.
   void apply(IqBuffer& samples);
 
   /// Advance the fading state by one slot without touching samples.  UE
   /// emulators use this: their link quality evolves even though we never
   /// synthesize their IQ (only the sniffer's samples are materialized).
-  /// The fading and noise generators are independent streams, so for the
+  /// The noise is a stateless function of (seed, slot, sample), so for the
   /// same seed step_slot() and apply() walk through identical per-slot
   /// gain trajectories (the UE CQI path and the sniffer path agree).
   void step_slot();
@@ -77,18 +95,11 @@ class ChannelModel {
   [[nodiscard]] const ChannelConfig& config() const { return config_; }
 
  private:
-  struct Tap {
-    unsigned delay_samples;
-    double power;   // linear, taps sum to 1
-    cf32 gain;      // current complex gain
-  };
-
   void evolve_taps();
 
   ChannelConfig config_;
-  Rng rng_;        ///< fading evolution only (keeps step_slot == apply)
-  Rng noise_rng_;  ///< AWGN draws, independent of the fading stream
-  std::vector<Tap> taps_;
+  Rng rng_;  ///< fading evolution only; noise comes from the awgn_add kernel
+  std::vector<FadingTap> taps_;
   double rho_ = 1.0;        // AR(1) fading coefficient per slot
   double phase_ = 0.0;      // CFO phase accumulator
   std::uint64_t slots_ = 0;

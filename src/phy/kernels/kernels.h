@@ -3,7 +3,8 @@
 // Every hot loop in the decode path — FFT butterflies, PSS/SSS correlation,
 // LS channel estimation, ZF-equalize + QAM soft demap, descrambling, polar
 // SC node operations and Viterbi add-compare-select — funnels through the
-// function-pointer table below.  One implementation table exists per ISA
+// function-pointer table below, as does the simulated channel's noise
+// (counter-based AWGN).  One implementation table exists per ISA
 // (scalar always; AVX2 on x86 when compiled in; NEON on ARM) and the active
 // table is chosen exactly once at startup from CPUID, overridable with the
 // `NRS_SIMD=off|avx2|neon|auto` environment variable and the `select()`
@@ -19,7 +20,9 @@
 //   - elementwise kernels use the exact same operation sequence with FMA
 //     contraction disabled (-ffp-contract=off on every backend TU);
 //   - sign manipulation (min-sum, descrambling) is done with IEEE sign-bit
-//     arithmetic in all backends, so ±0 behaves identically.
+//     arithmetic in all backends, so ±0 behaves identically;
+//   - the AWGN kernel's log, sine and cosine are the same polynomial
+//     sequence in every backend and its sqrt is IEEE-rounded.
 #pragma once
 
 #include <cstddef>
@@ -105,6 +108,17 @@ struct KernelTable {
   /// Partial-sum combine: x[i] ^= c[i]; x[n+i] = c[i] for i < n.
   void (*polar_combine)(std::uint8_t* x, const std::uint8_t* c,
                         std::size_t n);
+
+  // --- noise -------------------------------------------------------------
+
+  /// Counter-based complex AWGN for the simulated channel:
+  /// x[i] += sigma * (g_re, g_im), where (g_re, g_im) is the Box-Muller pair
+  /// of sample index first + i of `slot` under `key`, drawn from
+  /// Philox4x32-10 (key and counter layout in kernels_detail.h).  A
+  /// sample's noise depends only on (key, slot, first + i), so the result
+  /// does not depend on how a slot is split across calls.
+  void (*awgn_add)(cf32* x, std::size_t n, std::uint64_t key,
+                   std::uint64_t slot, std::uint64_t first, float sigma);
 
   // --- Viterbi add-compare-select (64 states) --------------------------
 

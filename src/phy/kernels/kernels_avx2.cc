@@ -265,6 +265,169 @@ void polar_combine_avx2(std::uint8_t* x, const std::uint8_t* c,
   }
 }
 
+// --- counter-based AWGN: eight Philox blocks (sixteen samples) per step,
+// each operation a lane-wise copy of the shared scalar sequence.
+
+/// lo/hi 32-bit halves of m * c for all eight lanes.
+void mulhilo8(__m256i c, __m256i m, __m256i& lo, __m256i& hi) {
+  const __m256i even = _mm256_mul_epu32(c, m);
+  const __m256i odd = _mm256_mul_epu32(_mm256_srli_epi64(c, 32), m);
+  lo = _mm256_blend_epi32(even, _mm256_slli_epi64(odd, 32), 0xAA);
+  hi = _mm256_blend_epi32(_mm256_srli_epi64(even, 32), odd, 0xAA);
+}
+
+__m256 awgn_uniform8(__m256i w) {
+  return _mm256_mul_ps(
+      _mm256_add_ps(_mm256_cvtepi32_ps(_mm256_srli_epi32(w, 1)),
+                    _mm256_set1_ps(0.5f)),
+      _mm256_set1_ps(0x1p-31f));
+}
+
+__m256 awgn_log8(__m256 u) {
+  const __m256i bits = _mm256_castps_si256(u);
+  __m256i e = _mm256_sub_epi32(_mm256_srli_epi32(bits, 23),
+                               _mm256_set1_epi32(126));
+  __m256 m = _mm256_castsi256_ps(_mm256_or_si256(
+      _mm256_and_si256(bits, _mm256_set1_epi32(0x007FFFFF)),
+      _mm256_set1_epi32(0x3F000000)));
+  const __m256 below =
+      _mm256_cmp_ps(m, _mm256_set1_ps(d::kLogSqrtHalf), _CMP_LT_OQ);
+  const __m256 tmp = _mm256_and_ps(below, m);
+  e = _mm256_add_epi32(e, _mm256_castps_si256(below));  // mask is -1
+  m = _mm256_sub_ps(m, _mm256_set1_ps(1.0f));
+  m = _mm256_add_ps(m, tmp);
+  const __m256 z = _mm256_mul_ps(m, m);
+  __m256 y = _mm256_set1_ps(d::kLogP[0]);
+  for (int k = 1; k < 9; ++k) {
+    y = _mm256_add_ps(_mm256_mul_ps(y, m), _mm256_set1_ps(d::kLogP[k]));
+  }
+  y = _mm256_mul_ps(y, m);
+  y = _mm256_mul_ps(y, z);
+  const __m256 fe = _mm256_cvtepi32_ps(e);
+  y = _mm256_add_ps(y, _mm256_mul_ps(fe, _mm256_set1_ps(d::kLogQ1)));
+  y = _mm256_add_ps(y, _mm256_mul_ps(z, _mm256_set1_ps(-0.5f)));
+  __m256 x = _mm256_add_ps(m, y);
+  x = _mm256_add_ps(x, _mm256_mul_ps(fe, _mm256_set1_ps(d::kLogQ2)));
+  return x;
+}
+
+void awgn_direction8(__m256i w, __m256& c, __m256& s) {
+  const __m256i m = _mm256_srli_epi32(w, 8);
+  const __m256i q = _mm256_srli_epi32(m, 22);
+  const __m256 x = _mm256_add_ps(
+      _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_and_si256(
+                        m, _mm256_set1_epi32(0x3FFFFF))),
+                    _mm256_set1_ps(d::kAngleStep)),
+      _mm256_set1_ps(d::kAngleOffset));
+  const __m256 z = _mm256_mul_ps(x, x);
+  __m256 sp = _mm256_set1_ps(d::kSinP[0]);
+  sp = _mm256_add_ps(_mm256_mul_ps(sp, z), _mm256_set1_ps(d::kSinP[1]));
+  sp = _mm256_add_ps(_mm256_mul_ps(sp, z), _mm256_set1_ps(d::kSinP[2]));
+  sp = _mm256_mul_ps(sp, z);
+  sp = _mm256_mul_ps(sp, x);
+  sp = _mm256_add_ps(sp, x);
+  __m256 cp = _mm256_set1_ps(d::kCosP[0]);
+  cp = _mm256_add_ps(_mm256_mul_ps(cp, z), _mm256_set1_ps(d::kCosP[1]));
+  cp = _mm256_add_ps(_mm256_mul_ps(cp, z), _mm256_set1_ps(d::kCosP[2]));
+  cp = _mm256_mul_ps(cp, z);
+  cp = _mm256_mul_ps(cp, z);
+  cp = _mm256_sub_ps(cp, _mm256_mul_ps(z, _mm256_set1_ps(0.5f)));
+  cp = _mm256_add_ps(cp, _mm256_set1_ps(1.0f));
+  const __m256 swap = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+      _mm256_and_si256(q, _mm256_set1_epi32(1)), _mm256_set1_epi32(1)));
+  const __m256 a = _mm256_blendv_ps(cp, sp, swap);
+  const __m256 b = _mm256_blendv_ps(sp, cp, swap);
+  const __m256i flip_c =
+      _mm256_slli_epi32(_mm256_xor_si256(q, _mm256_srli_epi32(q, 1)), 31);
+  const __m256i flip_s = _mm256_slli_epi32(_mm256_srli_epi32(q, 1), 31);
+  c = _mm256_xor_ps(a, _mm256_castsi256_ps(flip_c));
+  s = _mm256_xor_ps(b, _mm256_castsi256_ps(flip_s));
+}
+
+/// sigma * Box-Muller pairs for eight samples: (re, im) in SoA lanes.
+void awgn_pairs8(__m256i w_radius, __m256i w_angle, __m256 sigma,
+                 __m256& re, __m256& im) {
+  const __m256 l = awgn_log8(awgn_uniform8(w_radius));
+  const __m256 r = _mm256_mul_ps(
+      _mm256_sqrt_ps(_mm256_mul_ps(_mm256_set1_ps(-2.0f), l)), sigma);
+  __m256 c;
+  __m256 s;
+  awgn_direction8(w_angle, c, s);
+  re = _mm256_mul_ps(r, c);
+  im = _mm256_mul_ps(r, s);
+}
+
+void awgn_add_avx2(cf32* x, std::size_t n, std::uint64_t key,
+                   std::uint64_t slot, std::uint64_t first, float sigma) {
+  std::size_t i = 0;
+  if (n > 0 && (first & 1) != 0) {
+    d::awgn_add_range(x, 1, key, slot, first, sigma);  // odd start
+    i = 1;
+  }
+  const __m256i m0 = _mm256_set1_epi32(static_cast<int>(d::kPhiloxM0));
+  const __m256i m1 = _mm256_set1_epi32(static_cast<int>(d::kPhiloxM1));
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256 sv = _mm256_set1_ps(sigma);
+  for (; i + 16 <= n; i += 16) {
+    const auto pair = static_cast<std::uint32_t>((first + i) >> 1);
+    __m256i c0 = _mm256_add_epi32(
+        _mm256_set1_epi32(static_cast<int>(pair)), lane);
+    __m256i c1 = _mm256_set1_epi32(static_cast<int>(slot));
+    __m256i c2 = _mm256_set1_epi32(static_cast<int>(slot >> 32));
+    __m256i c3 = _mm256_setzero_si256();
+    auto k0 = static_cast<std::uint32_t>(key);
+    auto k1 = static_cast<std::uint32_t>(key >> 32);
+    for (int round = 0; round < d::kPhiloxRounds; ++round) {
+      if (round > 0) {
+        k0 += d::kPhiloxW0;
+        k1 += d::kPhiloxW1;
+      }
+      __m256i lo0;
+      __m256i hi0;
+      __m256i lo1;
+      __m256i hi1;
+      mulhilo8(c0, m0, lo0, hi0);
+      mulhilo8(c2, m1, lo1, hi1);
+      const __m256i n0 = _mm256_xor_si256(
+          _mm256_xor_si256(hi1, c1), _mm256_set1_epi32(static_cast<int>(k0)));
+      const __m256i n2 = _mm256_xor_si256(
+          _mm256_xor_si256(hi0, c3), _mm256_set1_epi32(static_cast<int>(k1)));
+      c0 = n0;
+      c1 = lo1;
+      c2 = n2;
+      c3 = lo0;
+    }
+    // Lane k is pair `pair + k`: the even sample takes words 0-1, the odd
+    // one words 2-3.
+    __m256 even_re;
+    __m256 even_im;
+    __m256 odd_re;
+    __m256 odd_im;
+    awgn_pairs8(c0, c1, sv, even_re, even_im);
+    awgn_pairs8(c2, c3, sv, odd_re, odd_im);
+    // SoA -> interleaved complex in sample order E0 O0 E1 O1 ... E7 O7.
+    const __m256d a = _mm256_castps_pd(_mm256_unpacklo_ps(even_re, even_im));
+    const __m256d b = _mm256_castps_pd(_mm256_unpackhi_ps(even_re, even_im));
+    const __m256d c = _mm256_castps_pd(_mm256_unpacklo_ps(odd_re, odd_im));
+    const __m256d dd = _mm256_castps_pd(_mm256_unpackhi_ps(odd_re, odd_im));
+    const __m256d p0 = _mm256_unpacklo_pd(a, c);   // E0 O0 | E4 O4
+    const __m256d p1 = _mm256_unpackhi_pd(a, c);   // E1 O1 | E5 O5
+    const __m256d p2 = _mm256_unpacklo_pd(b, dd);  // E2 O2 | E6 O6
+    const __m256d p3 = _mm256_unpackhi_pd(b, dd);  // E3 O3 | E7 O7
+    const __m256 noise[4] = {
+        _mm256_castpd_ps(_mm256_permute2f128_pd(p0, p1, 0x20)),
+        _mm256_castpd_ps(_mm256_permute2f128_pd(p2, p3, 0x20)),
+        _mm256_castpd_ps(_mm256_permute2f128_pd(p0, p1, 0x31)),
+        _mm256_castpd_ps(_mm256_permute2f128_pd(p2, p3, 0x31))};
+    float* out = fp(x + i);
+    for (int k = 0; k < 4; ++k) {
+      _mm256_storeu_ps(out + 8 * k,
+                       _mm256_add_ps(_mm256_loadu_ps(out + 8 * k), noise[k]));
+    }
+  }
+  d::awgn_add_range(x + i, n - i, key, slot, first + i, sigma);
+}
+
 void viterbi_acs_avx2(const float* metric, float la, float lb,
                       const float* ca0, const float* cb0, const float* ca1,
                       const float* cb1, const std::int32_t* sv0,
@@ -316,6 +479,7 @@ const KernelTable kAvx2Table = {
     .polar_f = polar_f_avx2,
     .polar_g = polar_g_avx2,
     .polar_combine = polar_combine_avx2,
+    .awgn_add = awgn_add_avx2,
     .viterbi_acs = viterbi_acs_avx2,
 };
 

@@ -138,4 +138,170 @@ inline void viterbi_acs_one(const float* metric, float la, float lb,
   surv[ns] = take1 ? sv1[ns] : sv0[ns];
 }
 
+// --- counter-based AWGN (Philox4x32-10 + Box-Muller) -------------------
+//
+// Noise for sample s of slot t under key k comes from the Philox4x32-10
+// block (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
+// SC'11) with key (k_lo, k_hi) and counter (s >> 1, t_lo, t_hi, 0).  The
+// block's four words serve two samples: the even one takes words 0-1, the
+// odd one words 2-3.  A sample's first word sets the Box-Muller radius,
+// its second the angle.  Nothing is carried between calls, so any split
+// of a slot into calls yields the same bytes.
+//
+// Every backend runs exactly the operation sequence below (no FMA, the
+// same polynomial evaluation order, IEEE sqrt), so the outputs are
+// bit-identical across ISAs.
+
+inline constexpr std::uint32_t kPhiloxM0 = 0xD2511F53u;
+inline constexpr std::uint32_t kPhiloxM1 = 0xCD9E8D57u;
+inline constexpr std::uint32_t kPhiloxW0 = 0x9E3779B9u;  ///< key bumps
+inline constexpr std::uint32_t kPhiloxW1 = 0xBB67AE85u;
+inline constexpr int kPhiloxRounds = 10;
+
+struct PhiloxBlock {
+  std::uint32_t v[4];
+};
+
+/// Philox4x32-10 of `ctr` under key (k0, k1).
+inline PhiloxBlock philox4x32_10(PhiloxBlock ctr, std::uint32_t k0,
+                                 std::uint32_t k1) {
+  for (int round = 0; round < kPhiloxRounds; ++round) {
+    if (round > 0) {
+      k0 += kPhiloxW0;
+      k1 += kPhiloxW1;
+    }
+    const std::uint64_t p0 = std::uint64_t{kPhiloxM0} * ctr.v[0];
+    const std::uint64_t p1 = std::uint64_t{kPhiloxM1} * ctr.v[2];
+    ctr = {{static_cast<std::uint32_t>(p1 >> 32) ^ ctr.v[1] ^ k0,
+            static_cast<std::uint32_t>(p1),
+            static_cast<std::uint32_t>(p0 >> 32) ^ ctr.v[3] ^ k1,
+            static_cast<std::uint32_t>(p0)}};
+  }
+  return ctr;
+}
+
+/// The block holding samples 2*pair and 2*pair + 1 of `slot`.
+inline PhiloxBlock awgn_block(std::uint64_t key, std::uint64_t slot,
+                              std::uint64_t pair) {
+  return philox4x32_10({{static_cast<std::uint32_t>(pair),
+                         static_cast<std::uint32_t>(slot),
+                         static_cast<std::uint32_t>(slot >> 32), 0u}},
+                       static_cast<std::uint32_t>(key),
+                       static_cast<std::uint32_t>(key >> 32));
+}
+
+/// Uniform on (0, 1] from the top 31 bits of `w`: (w/2 + 1/2) * 2^-31.
+/// Never 0, so the log below stays finite; the smallest value, 2^-32,
+/// puts the radius tail at sqrt(64 ln 2) = 6.66 sigma.
+inline float awgn_uniform(std::uint32_t w) {
+  return (static_cast<float>(static_cast<std::int32_t>(w >> 1)) + 0.5f) *
+         0x1p-31f;
+}
+
+// Natural log on (0, 1] (Cephes logf): u = 2^e * m, m in [sqrt(1/2),
+// sqrt(2)), then a degree-9 polynomial in m - 1.
+inline constexpr float kLogSqrtHalf = 0.707106781186547524f;
+inline constexpr float kLogP[9] = {
+    7.0376836292E-2f, -1.1514610310E-1f, 1.1676998740E-1f,
+    -1.2420140846E-1f, 1.4249322787E-1f, -1.6668057665E-1f,
+    2.0000714765E-1f, -2.4999993993E-1f, 3.3333331174E-1f};
+inline constexpr float kLogQ1 = -2.12194440E-4f;  ///< ln 2, low part
+inline constexpr float kLogQ2 = 0.693359375f;     ///< ln 2, high part
+
+inline float awgn_log(float u) {
+  const auto bits = std::bit_cast<std::uint32_t>(u);
+  auto e = static_cast<std::int32_t>(bits >> 23) - 126;
+  float m = std::bit_cast<float>((bits & 0x007FFFFFu) | 0x3F000000u);
+  const bool below = m < kLogSqrtHalf;
+  const float tmp = below ? m : 0.0f;
+  e -= below ? 1 : 0;
+  m = m - 1.0f;
+  m = m + tmp;
+  const float z = m * m;
+  float y = kLogP[0];
+  for (int k = 1; k < 9; ++k) {
+    y = y * m + kLogP[k];
+  }
+  y = y * m;
+  y = y * z;
+  const float fe = static_cast<float>(e);
+  y = y + fe * kLogQ1;
+  y = y + z * -0.5f;
+  float x = m + y;
+  x = x + fe * kLogQ2;
+  return x;
+}
+
+// Angle from the top 24 bits of w: 2 bits pick the quadrant q, 22 bits a
+// uniform x in (-pi/4, pi/4); the direction is x + q * pi/2.  Sine and
+// cosine of x use the Cephes sinf/cosf polynomials for |x| <= pi/4.
+inline constexpr float kAngleStep = 0x1.921fb6p-22f;    ///< (pi/2) / 2^22
+inline constexpr float kAngleOffset = -0x1.921faep-1f;  ///< step/2 - pi/4
+inline constexpr float kSinP[3] = {-1.9515295891E-4f, 8.3321608736E-3f,
+                                   -1.6666654611E-1f};
+inline constexpr float kCosP[3] = {2.443315711809948E-5f,
+                                   -1.388731625493765E-3f,
+                                   4.166664568298827E-2f};
+
+/// (cos, sin) of the angle encoded in `w`.
+inline void awgn_direction(std::uint32_t w, float& c, float& s) {
+  const std::uint32_t m = w >> 8;
+  const std::uint32_t q = m >> 22;
+  const float x =
+      static_cast<float>(static_cast<std::int32_t>(m & 0x3FFFFFu)) *
+          kAngleStep +
+      kAngleOffset;
+  const float z = x * x;
+  float sp = kSinP[0];
+  sp = sp * z + kSinP[1];
+  sp = sp * z + kSinP[2];
+  sp = sp * z;
+  sp = sp * x;
+  sp = sp + x;
+  float cp = kCosP[0];
+  cp = cp * z + kCosP[1];
+  cp = cp * z + kCosP[2];
+  cp = cp * z;
+  cp = cp * z;
+  cp = cp - z * 0.5f;
+  cp = cp + 1.0f;
+  // Rotate by q quarter turns: swap for odd q, then flip signs.
+  const bool swap = (q & 1u) != 0;
+  const float a = swap ? sp : cp;
+  const float b = swap ? cp : sp;
+  c = std::bit_cast<float>(std::bit_cast<std::uint32_t>(a) ^
+                           (((q ^ (q >> 1)) & 1u) << 31));
+  s = std::bit_cast<float>(std::bit_cast<std::uint32_t>(b) ^
+                           (((q >> 1) & 1u) << 31));
+}
+
+/// x += sigma * (Box-Muller pair of words (w_radius, w_angle)).
+inline void awgn_add_one(cf32& x, std::uint32_t w_radius,
+                         std::uint32_t w_angle, float sigma) {
+  const float r = std::sqrt(-2.0f * awgn_log(awgn_uniform(w_radius))) * sigma;
+  float c = 0.0f;
+  float s = 0.0f;
+  awgn_direction(w_angle, c, s);
+  x = cf32(x.real() + r * c, x.imag() + r * s);
+}
+
+/// Reference loop over samples [first, first + n) of `slot`, one Philox
+/// block per sample pair (half a block at an odd start or even end).
+inline void awgn_add_range(cf32* x, std::size_t n, std::uint64_t key,
+                           std::uint64_t slot, std::uint64_t first,
+                           float sigma) {
+  std::size_t i = 0;
+  while (i < n) {
+    const std::uint64_t index = first + i;
+    const PhiloxBlock b = awgn_block(key, slot, index >> 1);
+    if ((index & 1) == 0) {
+      awgn_add_one(x[i++], b.v[0], b.v[1], sigma);
+      if (i == n) {
+        break;
+      }
+    }
+    awgn_add_one(x[i++], b.v[2], b.v[3], sigma);
+  }
+}
+
 }  // namespace nrs::kernels::detail

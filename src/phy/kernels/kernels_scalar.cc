@@ -102,6 +102,11 @@ void polar_combine_scalar(std::uint8_t* x, const std::uint8_t* c,
   }
 }
 
+void awgn_add_scalar(cf32* x, std::size_t n, std::uint64_t key,
+                     std::uint64_t slot, std::uint64_t first, float sigma) {
+  d::awgn_add_range(x, n, key, slot, first, sigma);
+}
+
 void viterbi_acs_scalar(const float* metric, float la, float lb,
                         const float* ca0, const float* cb0, const float* ca1,
                         const float* cb1, const std::int32_t* sv0,
@@ -132,6 +137,7 @@ constexpr KernelTable kScalarTable = {
     .polar_f = polar_f_scalar,
     .polar_g = polar_g_scalar,
     .polar_combine = polar_combine_scalar,
+    .awgn_add = awgn_add_scalar,
     .viterbi_acs = viterbi_acs_scalar,
 };
 

@@ -7,6 +7,7 @@
 #include "gnb/presets.h"
 #include "nr/mib.h"
 #include "nr/sib1.h"
+#include "phy/pss.h"
 
 namespace nrs {
 namespace {
@@ -178,6 +179,45 @@ TEST(GnbSim, CoresetMustFitBwp) {
   CellConfig cell = srsran_cell();
   cell.coreset.n_prb = 60;  // > 51-PRB BWP
   EXPECT_THROW(GnbSim{config_with_cell(cell)}, std::invalid_argument);
+}
+
+TEST(GnbSim, SsbSlotsCarryExactPssWithManyUes) {
+  // With many UEs the uplink scheduler also runs in SSB slots; its DCIs
+  // must stay off the SS/PBCH block (TS 38.213 10.1), so every SSB slot
+  // carries the exact PSS and a decodable PBCH.
+  const CellConfig cell = amarisoft_cell();
+  GnbSim gnb(config_with_cell(cell));
+  for (unsigned i = 0; i < 16; ++i) {
+    gnb.add_ue(simple_ue(i + 1));
+  }
+  const auto pss = pss_sequence(cell.pci % 3);
+  // PSS starts (144 - 127) / 2 subcarriers into the 12-PRB SSB window.
+  const unsigned sc0 = cell.ssb_prb_start * kSubcarriersPerPrb +
+                       (SsbLocation::kNPrb * kSubcarriersPerPrb -
+                        kPssLength) / 2;
+  unsigned ssb_slots = 0;
+  std::size_t ssb_slot_dcis = 0;
+  for (unsigned s = 0; s < 3000; ++s) {
+    const SlotPoint now = gnb.clock().now();
+    const ResourceGrid& grid = gnb.step();
+    const SlotTruth& truth = gnb.truth().slots().back();
+    if (!truth.has_ssb) {
+      continue;
+    }
+    ++ssb_slots;
+    ssb_slot_dcis += truth.dcis.size();
+    for (unsigned n = 0; n < kPssLength; ++n) {
+      ASSERT_EQ(grid.at(SsbLocation::kPssSymbol, sc0 + n), cf32(pss[n], 0.0f))
+          << "slot " << s << " PSS element " << n;
+    }
+    ASSERT_TRUE(decode_mib(cell.pci, SsbLocation{cell.ssb_prb_start}, now,
+                           grid)
+                    .has_value())
+        << "slot " << s;
+  }
+  EXPECT_GE(ssb_slots, 140u);
+  // Uplink grants still go out in SSB slots, on the CCEs clear of the SSB.
+  EXPECT_GT(ssb_slot_dcis, 0u);
 }
 
 }  // namespace

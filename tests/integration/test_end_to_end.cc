@@ -215,5 +215,28 @@ TEST(EndToEnd, TmobileFddCellWorksToo) {
   EXPECT_EQ(h.scope.known_ues().size(), 1u);
 }
 
+TEST(EndToEnd, SixteenUesOnCleanAwgnLinkNeverDegrade) {
+  // With 16 UEs the gNB schedules uplink DCIs in SSB slots.  They must not
+  // corrupt the PSS/PBCH, or the sync monitor's SSB quality collapses and
+  // a clean 28 dB link reads as degraded.
+  const CellConfig cell = amarisoft_cell();
+  Harness h(cell, 28.0, default_scope_config(cell));
+  for (unsigned i = 0; i < 16; ++i) {
+    h.gnb.add_ue(make_ue(i + 1, 24.0, 2e6));
+  }
+  bool locked = false;
+  unsigned degraded = 0;
+  for (unsigned i = 0; i < 3000; ++i) {
+    const SlotResult result =
+        h.scope.process_slot(h.radio.capture(h.gnb.step()));
+    locked = locked || h.scope.state() == NrScope::State::kTracking;
+    if (locked && result.degraded) {
+      ++degraded;
+    }
+  }
+  ASSERT_TRUE(locked);
+  EXPECT_EQ(degraded, 0u);
+}
+
 }  // namespace
 }  // namespace nrs

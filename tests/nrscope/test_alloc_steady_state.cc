@@ -1,6 +1,9 @@
 // Steady-state zero-allocation test (DESIGN.md "Hot-path memory
 // discipline"): after warm-up, the tracking slot path — engine and full
-// pipeline, 4 UEs, dedupe on — must not touch the heap at all.
+// pipeline, 4 UEs, dedupe on — must not touch the heap at all.  The
+// simulated substrate is held to the same rule: the virtual radio's
+// capture allocates nothing, and the gNB's slot build allocates only for
+// its ground-truth log.
 //
 // This test lives in its own binary because it includes the counting
 // operator new/delete shim, which may appear in exactly one translation
@@ -341,6 +344,74 @@ TEST(AllocSteadyState, PipelineWithPredictionSinkIsAllocationFree) {
   pipeline.stop();
   EXPECT_EQ(pipeline.buffers_in_flight(), 0u)
       << "pooled sample/grid handles leaked across out-of-order completion";
+}
+
+/// Heap allocations made inside `fn` (single-threaded callers only).
+template <class Fn>
+std::uint64_t allocs_during(Fn&& fn) {
+  const std::uint64_t before = nrs::alloc::totals().allocs;
+  fn();
+  return nrs::alloc::totals().allocs - before;
+}
+
+GnbSim make_busy_gnb(unsigned n_ues) {
+  GnbConfig gnb_cfg;
+  gnb_cfg.cell = amarisoft_cell();
+  gnb_cfg.seed = 9;
+  GnbSim gnb(std::move(gnb_cfg));
+  for (unsigned i = 0; i < n_ues; ++i) {
+    UeConfig ue;
+    ue.channel.snr_db = 24.0;
+    ue.channel.seed = 100 + i;
+    ue.dl_traffic = std::make_unique<CbrSource>(2e6);
+    ue.ul_traffic = std::make_unique<CbrSource>(0.5e6);
+    ue.seed = i + 1;
+    gnb.add_ue(std::move(ue));
+  }
+  return gnb;
+}
+
+// The channel (fading FIR in place, counter-based AWGN), OFDM modulator
+// and AGC reuse the caller's buffer: 0 allocations per capture, with and
+// without multipath.
+TEST(AllocSteadyState, VirtualRadioCaptureIsAllocationFree) {
+  for (ChannelProfile profile :
+       {ChannelProfile::kAwgn, ChannelProfile::kPedestrian}) {
+    GnbSim gnb = make_busy_gnb(4);
+    VirtualRadioConfig radio_cfg;
+    radio_cfg.n_prb = gnb.cell().n_prb;
+    radio_cfg.channel.profile = profile;
+    radio_cfg.channel.snr_db = 28.0;
+    VirtualRadio radio(radio_cfg);
+    IqBuffer samples;
+    for (unsigned i = 0; i < 100; ++i) {
+      radio.capture_into(gnb.step(), samples);
+    }
+    std::uint64_t allocs = 0;
+    for (unsigned i = 0; i < 1000; ++i) {
+      const ResourceGrid& grid = gnb.step();
+      allocs += allocs_during([&] { radio.capture_into(grid, samples); });
+    }
+    EXPECT_EQ(allocs, 0u) << to_string(profile) << ": over 1000 captures";
+  }
+}
+
+// The gNB's encoders write into scratch it owns; what remains per slot is
+// the ground-truth log (one SlotTruth plus its DCI vector growth).
+TEST(AllocSteadyState, GnbStepAllocatesOnlyForItsTruthLog) {
+  GnbSim gnb = make_busy_gnb(16);
+  for (unsigned i = 0; i < 2000; ++i) {
+    (void)gnb.step();
+  }
+  ASSERT_EQ(gnb.connected_rntis().size(), 16u);
+  constexpr unsigned kSlots = 1000;
+  const std::uint64_t allocs = allocs_during([&] {
+    for (unsigned i = 0; i < kSlots; ++i) {
+      (void)gnb.step();
+    }
+  });
+  EXPECT_LE(static_cast<double>(allocs) / kSlots, 10.0)
+      << allocs << " allocations over " << kSlots << " slots";
 }
 
 }  // namespace

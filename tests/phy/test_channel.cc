@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -205,6 +208,62 @@ TEST(Channel, MultipathSpreadsEnergyInTime) {
     delayed += std::norm(impulse[i]);
   }
   EXPECT_GT(delayed, 0.0f);
+}
+
+TEST(Channel, InPlaceMultipathMatchesSeparateOutputFir) {
+  // The in-place FIR must reproduce, bit for bit, the FIR that
+  // accumulates every tap into a separate zeroed output buffer.
+  Rng rng(17);
+  for (int rep = 0; rep < 40; ++rep) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 2000));
+    std::vector<FadingTap> taps(
+        static_cast<std::size_t>(rng.uniform_int(1, 9)));
+    for (auto& tap : taps) {
+      // Delays cross the internal block size and sometimes the buffer.
+      tap.delay_samples = static_cast<unsigned>(rng.uniform_int(0, 600));
+      tap.gain = cf32(static_cast<float>(rng.gaussian()),
+                      static_cast<float>(rng.gaussian()));
+    }
+    IqBuffer input(n);
+    for (auto& v : input) {
+      v = cf32(static_cast<float>(rng.gaussian()),
+               static_cast<float>(rng.gaussian()));
+    }
+    IqBuffer expected(n, cf32{});
+    for (const auto& tap : taps) {
+      for (std::size_t i = tap.delay_samples; i < n; ++i) {
+        expected[i] += tap.gain * input[i - tap.delay_samples];
+      }
+    }
+    IqBuffer got = input;
+    apply_multipath(got, taps);
+    ASSERT_EQ(std::memcmp(got.data(), expected.data(), n * sizeof(cf32)), 0)
+        << "rep " << rep;
+  }
+}
+
+TEST(Channel, NoiseIsAFunctionOfSeedSlotAndSample) {
+  // AWGN depends only on (seed, slot index, sample index): re-running a
+  // slot count reproduces it, and the n-th slot differs from the first.
+  ChannelConfig cfg;
+  cfg.profile = ChannelProfile::kAwgn;
+  cfg.snr_db = 10.0;
+  cfg.seed = 99;
+  ChannelModel a(cfg);
+  ChannelModel b(cfg);
+  IqBuffer first_a(1000, cf32{});
+  a.apply(first_a);
+  IqBuffer second_a(1000, cf32{});
+  a.apply(second_a);
+  IqBuffer first_b(1000, cf32{});
+  b.apply(first_b);
+  EXPECT_EQ(first_a, first_b);
+  EXPECT_NE(first_a, second_a);
+  // A shorter buffer in the same slot is a prefix of the longer one.
+  ChannelModel c(cfg);
+  IqBuffer prefix(333, cf32{});
+  c.apply(prefix);
+  EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), first_a.begin()));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -16,6 +17,7 @@
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "phy/kernels/kernels_detail.h"
 
 namespace nrs {
 namespace {
@@ -319,6 +321,175 @@ TEST(Kernels, ViterbiAcsBitExact) {
       }
     }
   }
+}
+
+// --- counter-based AWGN -------------------------------------------------
+
+TEST(Kernels, PhiloxMatchesPublishedKnownAnswers) {
+  // Philox4x32-10 known-answer vectors from the Random123 distribution
+  // (Salmon et al., SC'11): {counter, key} -> output.
+  struct Kat {
+    kernels::detail::PhiloxBlock ctr;
+    std::uint32_t k0, k1;
+    std::uint32_t out[4];
+  };
+  const Kat kats[] = {
+      {{{0, 0, 0, 0}}, 0, 0, {0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}},
+      {{{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff}},
+       0xffffffff,
+       0xffffffff,
+       {0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}},
+      {{{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344}},
+       0xa4093822,
+       0x299f31d0,
+       {0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}},
+  };
+  for (const Kat& kat : kats) {
+    const auto got = kernels::detail::philox4x32_10(kat.ctr, kat.k0, kat.k1);
+    for (int w = 0; w < 4; ++w) {
+      EXPECT_EQ(got.v[w], kat.out[w]) << "word " << w;
+    }
+  }
+}
+
+TEST(Kernels, AwgnAddBitExact) {
+  Rng rng(808);
+  for (const auto* simd : simd_tables()) {
+    for (int rep = 0; rep < 40; ++rep) {
+      // Lengths around and off the 16-sample vector step, odd and even
+      // starting indices, keys and slots spanning the full 64 bits.
+      const auto n = static_cast<std::size_t>(rng.uniform_int(0, 300));
+      const std::uint64_t key = rng.engine()();
+      const std::uint64_t slot = rep % 4 == 0 ? rng.engine()()
+                                              : static_cast<std::uint64_t>(
+                                                    rng.uniform_int(0, 5000));
+      const auto first = static_cast<std::uint64_t>(rng.uniform_int(0, 20000));
+      const auto sigma = static_cast<float>(rng.uniform(1e-4, 3.0));
+      std::vector<cf32> x0(n);
+      for (auto& v : x0) {
+        v = random_cf32(rng);
+      }
+      std::vector<cf32> x1 = x0;
+      scalar().awgn_add(x0.data(), n, key, slot, first, sigma);
+      simd->awgn_add(x1.data(), n, key, slot, first, sigma);
+      expect_bits_equal(reinterpret_cast<const float*>(x0.data()),
+                        reinterpret_cast<const float*>(x1.data()), 2 * n,
+                        "awgn_add");
+    }
+  }
+}
+
+TEST(Kernels, AwgnAddDependsOnlyOnSeedSlotAndIndex) {
+  // Splitting a buffer into calls at arbitrary points gives the same bytes:
+  // sample i's noise is a function of (key, slot, i) alone.
+  Rng rng(909);
+  std::vector<const kernels::KernelTable*> tables = simd_tables();
+  tables.push_back(&scalar());
+  for (const auto* table : tables) {
+    for (int rep = 0; rep < 20; ++rep) {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 1000));
+      const std::uint64_t key = rng.engine()();
+      const auto slot = static_cast<std::uint64_t>(rng.uniform_int(0, 1u << 20));
+      std::vector<cf32> whole(n, cf32{});
+      table->awgn_add(whole.data(), n, key, slot, 0, 1.0f);
+      std::vector<cf32> split(n, cf32{});
+      std::size_t at = 0;
+      while (at < n) {
+        const auto len = std::min<std::size_t>(
+            n - at, static_cast<std::size_t>(rng.uniform_int(1, 45)));
+        table->awgn_add(split.data() + at, len, key, slot, at, 1.0f);
+        at += len;
+      }
+      expect_bits_equal(reinterpret_cast<const float*>(whole.data()),
+                        reinterpret_cast<const float*>(split.data()), 2 * n,
+                        "awgn_add split");
+      // A different slot or key gives different noise.
+      std::vector<cf32> other(n, cf32{});
+      table->awgn_add(other.data(), n, key, slot + 1, 0, 1.0f);
+      EXPECT_NE(std::memcmp(whole.data(), other.data(), n * sizeof(cf32)), 0);
+    }
+  }
+}
+
+TEST(Kernels, AwgnAddIsStandardGaussian) {
+  // 2^21 complex samples = 2^22 unit-variance draws over 64 slots, for
+  // every backend (bit-exactness alone would let a shared flaw through).
+  constexpr std::size_t kPerSlot = 1u << 15;
+  constexpr int kSlots = 64;
+  std::vector<const kernels::KernelTable*> tables = simd_tables();
+  tables.push_back(&scalar());
+  for (const auto* table : tables) {
+    SCOPED_TRACE(kernels::to_string(table->isa));
+    std::vector<cf32> x(kPerSlot);
+    double sum = 0.0;
+    double sum2 = 0.0;
+    double sum4 = 0.0;
+    double cross = 0.0;
+    double sum_re = 0.0;
+    double sum_im = 0.0;
+    double sum2_re = 0.0;
+    double sum2_im = 0.0;
+    std::uint64_t beyond3 = 0;
+    for (int slot = 0; slot < kSlots; ++slot) {
+      std::fill(x.begin(), x.end(), cf32{});
+      table->awgn_add(x.data(), x.size(), 0x5EED5EED1234ull,
+                      static_cast<std::uint64_t>(slot), 0, 1.0f);
+      for (const cf32& v : x) {
+        for (const double g : {static_cast<double>(v.real()),
+                               static_cast<double>(v.imag())}) {
+          sum += g;
+          sum2 += g * g;
+          sum4 += g * g * g * g;
+          beyond3 += std::abs(g) > 3.0 ? 1 : 0;
+        }
+        cross += static_cast<double>(v.real()) * v.imag();
+        sum_re += v.real();
+        sum_im += v.imag();
+        sum2_re += static_cast<double>(v.real()) * v.real();
+        sum2_im += static_cast<double>(v.imag()) * v.imag();
+      }
+    }
+    const double n = 2.0 * kPerSlot * kSlots;
+    const double mean = sum / n;
+    const double var = sum2 / n - mean * mean;
+    EXPECT_LT(std::abs(mean), 4.0 / std::sqrt(n));
+    EXPECT_LT(std::abs(var - 1.0), 4.0 * std::sqrt(2.0 / n));
+    EXPECT_NEAR(sum4 / n / (var * var), 3.0, 0.02);
+    EXPECT_NEAR(static_cast<double>(beyond3) / n / 0.0026998, 1.0, 0.10);
+    const double m = n / 2.0;
+    const double mean_re = sum_re / m;
+    const double mean_im = sum_im / m;
+    // Each component on its own, too: a flaw that biases one axis can
+    // cancel in the pooled mean.
+    EXPECT_LT(std::abs(mean_re), 4.0 / std::sqrt(m));
+    EXPECT_LT(std::abs(mean_im), 4.0 / std::sqrt(m));
+    const double cov = cross / m - mean_re * mean_im;
+    const double corr = cov / std::sqrt((sum2_re / m - mean_re * mean_re) *
+                                        (sum2_im / m - mean_im * mean_im));
+    EXPECT_LT(std::abs(corr), 0.005);
+  }
+}
+
+TEST(Kernels, AwgnUniformNeverZeroAndTailReachesSixSigma) {
+  namespace d = kernels::detail;
+  // The smallest and largest uniforms the radius word can produce.
+  EXPECT_GT(d::awgn_uniform(0u), 0.0f);
+  EXPECT_GT(d::awgn_uniform(1u), 0.0f);
+  EXPECT_LE(d::awgn_uniform(0xFFFFFFFFu), 1.0f);
+  EXPECT_TRUE(std::isfinite(d::awgn_log(d::awgn_uniform(0u))));
+  // The radius word 0 is the deepest tail: at least 6 sigma in every
+  // direction the angle word can pick.
+  Rng rng(1010);
+  for (int rep = 0; rep < 64; ++rep) {
+    cf32 v{};
+    d::awgn_add_one(v, 0u, static_cast<std::uint32_t>(rng.engine()()), 1.0f);
+    EXPECT_GE(std::abs(v), 6.0f);
+  }
+  // Zero radius (u = 1) adds nothing rather than a NaN.
+  cf32 v{};
+  d::awgn_add_one(v, 0xFFFFFFFFu, 12345u, 1.0f);
+  EXPECT_TRUE(std::isfinite(v.real()) && std::isfinite(v.imag()));
+  EXPECT_LT(std::abs(v), 1e-3f);
 }
 
 }  // namespace
