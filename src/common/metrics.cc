@@ -54,10 +54,17 @@ void Histogram::observe(double value) {
   const auto bucket =
       static_cast<std::size_t>(std::distance(bounds_.begin(), it));
   counts_[bucket].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
   atomic_add(sum_, value);
   atomic_min(min_, value);
   atomic_max(max_, value);
+}
+
+std::uint64_t Histogram::count() const {
+  std::uint64_t total = 0;
+  for (const auto& c : counts_) {
+    total += c.load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 std::vector<double> Histogram::latency_buckets_us() {
@@ -272,10 +279,11 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     hs.name = name;
     hs.bounds = h->bounds();
     hs.counts.resize(hs.bounds.size() + 1);
+    hs.count = 0;
     for (std::size_t i = 0; i < hs.counts.size(); ++i) {
       hs.counts[i] = h->bucket_count(i);
+      hs.count += hs.counts[i];
     }
-    hs.count = h->count();
     hs.sum = h->sum();
     hs.min = h->min();
     hs.max = h->max();

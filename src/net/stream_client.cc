@@ -170,13 +170,15 @@ void TelemetryStreamClient::run() {
   int failed_attempts = 0;
   bool first_attempt = true;
   while (!stopping_.load()) {
+    // Every dial but the first is a reconnect attempt, whether it
+    // succeeds or not.
+    if (!first_attempt) {
+      m_reconnect_attempts_->inc();
+    }
+    first_attempt = false;
     const int fd = connect_once();
     if (fd < 0) {
       ++failed_attempts;
-      if (!first_attempt) {
-        m_reconnect_attempts_->inc();
-      }
-      first_attempt = false;
       if (config_.max_reconnect_attempts >= 0 &&
           failed_attempts > config_.max_reconnect_attempts) {
         break;
@@ -194,7 +196,6 @@ void TelemetryStreamClient::run() {
       continue;
     }
     failed_attempts = 0;
-    first_attempt = false;
     consecutive_failures = 0;
     live_fd_.store(fd);
     connected_.store(true);

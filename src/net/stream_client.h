@@ -80,8 +80,9 @@ struct StreamClientHandlers {
 class TelemetryStreamClient {
  public:
   /// Starts the reader thread immediately.  `registry` (optional) receives
-  /// the net.client.* metrics: connects, reconnect attempts, frames/bytes
-  /// received, disconnects.
+  /// the net.client.* metrics: connects, reconnect attempts (every dial
+  /// after the first, successful or not), frames/bytes received,
+  /// disconnects.
   TelemetryStreamClient(const StreamClientConfig& config,
                         StreamClientHandlers handlers,
                         MetricsRegistry* registry = nullptr);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.h"
 #include "common/types.h"
 
@@ -100,21 +102,32 @@ TEST(Crc, DifferentPolynomialsDisagree) {
   EXPECT_FALSE(kCrc24A.check(c));
 }
 
-class CrcLengthTest
-    : public ::testing::TestWithParam<std::pair<const CrcGenerator*, unsigned>> {};
+struct CrcLengthCase {
+  const char* name;
+  const CrcGenerator* crc;
+  unsigned length;
+};
+
+// Test IDs embed the printed parameter, so print the polynomial's name:
+// its address changes with every process under ASLR.
+void PrintTo(const CrcLengthCase& c, std::ostream* os) {
+  *os << '(' << c.name << ", " << c.length << ')';
+}
+
+class CrcLengthTest : public ::testing::TestWithParam<CrcLengthCase> {};
 
 TEST_P(CrcLengthTest, LengthsMatch) {
-  EXPECT_EQ(GetParam().first->length(), GetParam().second);
+  EXPECT_EQ(GetParam().crc->length(), GetParam().length);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolys, CrcLengthTest,
-    ::testing::Values(std::make_pair(&kCrc24A, 24u),
-                      std::make_pair(&kCrc24B, 24u),
-                      std::make_pair(&kCrc24C, 24u),
-                      std::make_pair(&kCrc16, 16u),
-                      std::make_pair(&kCrc11, 11u),
-                      std::make_pair(&kCrc6, 6u)));
+    ::testing::Values(CrcLengthCase{"CRC24A", &kCrc24A, 24u},
+                      CrcLengthCase{"CRC24B", &kCrc24B, 24u},
+                      CrcLengthCase{"CRC24C", &kCrc24C, 24u},
+                      CrcLengthCase{"CRC16", &kCrc16, 16u},
+                      CrcLengthCase{"CRC11", &kCrc11, 11u},
+                      CrcLengthCase{"CRC6", &kCrc6, 6u}));
 
 }  // namespace
 }  // namespace nrs

@@ -232,6 +232,10 @@ TEST(Stream, ClientSurvivesFullServerRestart) {
   ASSERT_TRUE(wait_until([&] { return collector.hello_count() >= 1; }));
   server->on_slot(synthetic_slot(7));
   ASSERT_TRUE(wait_until([&] { return collector.slot_count() >= 1; }));
+  // The first dial is a connect, not a reconnect.
+  EXPECT_EQ(client_registry.snapshot().counter_value(
+                "net.client.reconnect_attempts"),
+            0u);
 
   // Kill the server entirely; the client keeps retrying with backoff.
   server.reset();
