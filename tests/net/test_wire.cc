@@ -1306,5 +1306,365 @@ TEST(Wire, BadMagicIsNotAVersionReject) {
   EXPECT_FALSE(parser.rejected_version().has_value());
 }
 
+// ---- Golden samples ----------------------------------------------------
+//
+// One fixed value per payload type.  In each, every field differs from its
+// default (epoch included), every vector is non-empty and the SlotResult
+// carries a MIB, so a field the codec skipped or reordered changes the
+// bytes.
+
+template <class T>
+T sample();
+
+template <>
+HelloInfo sample<HelloInfo>() {
+  return HelloInfo{3, 987654321};
+}
+
+template <>
+SlotResult sample<SlotResult>() {
+  SlotResult r;
+  r.slot = 123456789;
+  r.processing_time_us = 321.5;
+  r.sib1_decoded = true;
+  r.degraded = true;
+  r.sync_state = SyncState::kTracking;
+  r.mib = Mib{517, Scs::kHz60, 3, 5, 3, 9, true};
+  DecodedDci d;
+  d.slot = 123456788;
+  d.rnti = 0x4601;
+  d.dci.format = DciFormat::kUl0_1;
+  d.dci.freq_alloc_riv = 0x12345;
+  d.dci.time_alloc = 3;
+  d.dci.mcs = 17;
+  d.dci.ndi = 1;
+  d.dci.rv = 2;
+  d.dci.harq_id = 11;
+  d.dci.dai = 3;
+  d.dci.tpc = 1;
+  d.dci.pucch_resource = 5;
+  d.dci.harq_feedback = 6;
+  d.dci.ports = 2;
+  d.dci.srs_request = 1;
+  d.dci.dmrs_id = 1;
+  d.grant.rnti = 0x4601;
+  d.grant.format = DciFormat::kDl1_1;
+  d.grant.prb_start = 12;
+  d.grant.prb_len = 40;
+  d.grant.start_symbol = 2;
+  d.grant.n_symbols = 12;
+  d.grant.mcs = 17;
+  d.grant.modulation = Modulation::kQam64;
+  d.grant.code_rate = 0.55;
+  d.grant.n_layers = 2;
+  d.grant.tbs = 24576;
+  d.grant.ndi = 1;
+  d.grant.rv = 2;
+  d.grant.harq_id = 11;
+  d.agg_level = 4;
+  d.cce_start = 8;
+  d.is_retx = true;
+  r.dcis.push_back(d);
+  d.rnti = 0x4602;
+  d.grant.modulation = Modulation::kQam256;
+  r.dcis.push_back(d);
+  NewUe ue;
+  ue.c_rnti = 0x4603;
+  ue.slot = 123456700;
+  ue.verified = true;
+  ue.config.ue_ss.ue_specific = false;
+  ue.config.ue_ss.agg_levels = {2, 8};
+  ue.config.ue_ss.candidates_per_level = 5;
+  ue.config.dl_format = DciFormat::kDl1_0;
+  ue.config.mcs_table = McsTable::kQam256;
+  ue.config.max_mimo_layers = 2;
+  ue.config.n_harq_processes = 8;
+  r.new_ues.push_back(ue);
+  return r;
+}
+
+template <>
+MetricsSnapshot sample<MetricsSnapshot>() {
+  MetricsSnapshot s;
+  s.counters = {{"net.frames_sent", 123}, {"pipeline.slots_pushed", 456789}};
+  s.gauges = {{"net.clients", -3}};
+  HistogramSnapshot h;
+  h.name = "pipeline.demod_us";
+  h.count = 5;
+  h.sum = 1912.5;
+  h.min = 12.5;
+  h.max = 900.0;
+  h.bounds = {10.0, 100.0, 1000.0};
+  h.counts = {1, 1, 2, 1};
+  s.histograms.push_back(h);
+  s.sorted_by_name = true;
+  return s;
+}
+
+template <>
+FleetSummary sample<FleetSummary>() {
+  FleetSummary f;
+  f.slot = 48000;
+  f.dcis_total = 9123;
+  f.restarts_total = 3;
+  f.dl_mbps_total = 87.25;
+  f.ul_mbps_total = 12.5;
+  f.retx_rate = 0.04;
+  f.spare_ranking = {2, 1};
+  for (std::uint32_t i = 1; i <= 2; ++i) {
+    f.cells.push_back(CellSummary{i, "cell" + std::to_string(i),
+                                  static_cast<std::uint8_t>(i), 16000 + i,
+                                  3000 + i, i, 4 + i, 30.0 - i, 4.0 + i,
+                                  0.01 * i, 0.25 * i});
+  }
+  return f;
+}
+
+template <>
+QueryRequest sample<QueryRequest>() {
+  return QueryRequest{0x1122334455667788ull, QueryKind::kAggregate, 3,
+                      0x4601, 7, 1000, 9000, 500, 4, AggregateOp::kMax};
+}
+
+template <>
+QueryResponse sample<QueryResponse>() {
+  QueryResponse q;
+  q.correlation_id = 0xCAFEBABEull;
+  q.status = QueryStatus::kBadRequest;
+  q.kind = QueryKind::kTopK;
+  q.error = "bucket too small";
+  q.rows = {{100, 1.5}, {101, -2.25}};
+  q.buckets = {{500, 10, 55.0, 5.5, 9.0}};
+  q.ranking = {{2, 0xFFFD, 44.5, 4000}, {3, 0x4601, 12.25, 3999}};
+  return q;
+}
+
+template <>
+VersionReject sample<VersionReject>() {
+  return VersionReject{4, 1, 9, "unsupported protocol version 4"};
+}
+
+template <>
+WorkerHello sample<WorkerHello>() {
+  return WorkerHello{"rack3-sniffer", 12, 3, 6, 7};
+}
+
+WireCellSpec golden_cell_spec() {
+  return WireCellSpec{5,   "cell5", "mosolab", 311, 7, 3.5e6, 14.5, 31.0,
+                      0xDEADBEEFCAFEull, 3};
+}
+
+template <>
+LeaseGrant sample<LeaseGrant>() {
+  return LeaseGrant{77, 1500, 98765, 4, golden_cell_spec()};
+}
+
+template <>
+LeaseAck sample<LeaseAck>() {
+  return LeaseAck{77, 5, true, "started", 4};
+}
+
+template <>
+WorkerHeartbeat sample<WorkerHeartbeat>() {
+  return WorkerHeartbeat{991, 4, {{11, 3, 4000, 2}, {12, 6, 250, 1}}};
+}
+
+template <>
+LeaseRevoke sample<LeaseRevoke>() {
+  return LeaseRevoke{13, 4, "rebalance", 4};
+}
+
+CellReport golden_cell_report(std::uint32_t cell_index) {
+  CellReport c;
+  c.lease_id = 40 + cell_index;
+  c.epoch = 4;
+  c.cell_index = cell_index;
+  c.cell_state = 2;
+  c.slots = 12345;
+  c.dcis = 6789;
+  c.retx_dcis = 321;
+  c.restarts = 1;
+  c.active_ues = 4;
+  c.dl_mbps = 17.25;
+  c.ul_mbps = 4.5;
+  c.retx_rate = 0.0625;
+  c.utilization = 0.55;
+  c.spare_prb_rate = 22.5;
+  c.rows = {{0xFFFD, 5, 100, 3.0}, {0x4601, 1, 101, 8424.0}};
+  return c;
+}
+
+template <>
+CellReportBatch sample<CellReportBatch>() {
+  return CellReportBatch{{golden_cell_report(2), golden_cell_report(5)}};
+}
+
+template <>
+PredictionSet sample<PredictionSet>() {
+  PredictionSet p;
+  p.cell_index = 3;
+  p.slot = 123456;
+  p.horizon_slots = 200;
+  p.model_version = 7;
+  p.entries = {{0x4601, true, true, 5.5e6, 4.75e6, 0.75e6},
+               {0x4602, true, true, 2.5e6, 2.0e6, 0.5e6}};
+  return p;
+}
+
+template <>
+StandbyHello sample<StandbyHello>() {
+  return StandbyHello{"standby:9201", 3};
+}
+
+template <>
+NotPrimary sample<NotPrimary>() {
+  return NotPrimary{4, "standby"};
+}
+
+template <>
+ReplicaSnapshot sample<ReplicaSnapshot>() {
+  ReplicaSnapshot s;
+  s.epoch = 3;
+  s.next_lease_id = 92;
+  s.workers = {{7, "rack1", 8}, {9, "rack2", 4}};
+  ReplicaCell c;
+  c.spec = golden_cell_spec();
+  c.lease_state = 2;
+  c.lease_id = 91;
+  c.worker_id = 7;
+  c.handoffs = 2;
+  c.committed_slots = 40000;
+  c.committed_dcis = 9000;
+  c.committed_retx = 300;
+  c.committed_restarts = 1;
+  c.lease_base_slot = 32000;
+  c.has_report = true;
+  c.live = golden_cell_report(5);
+  s.cells.push_back(c);
+  return s;
+}
+
+template <>
+ReplicaEvent sample<ReplicaEvent>() {
+  ReplicaEvent e;
+  e.kind = ReplicaEventKind::kCellTotals;
+  e.epoch = 3;
+  e.cell_index = 5;
+  e.lease_id = 91;
+  e.worker_id = 7;
+  e.lease_state = 2;
+  e.handoffs = 2;
+  e.worker_name = "rack1";
+  e.capacity = 8;
+  e.committed_slots = 41000;
+  e.committed_dcis = 9100;
+  e.committed_retx = 305;
+  e.committed_restarts = 1;
+  e.lease_base_slot = 32000;
+  e.has_report = true;
+  e.live = golden_cell_report(5);
+  e.rows = {{0xFFFD, 5, 41000, 3.0}, {0x4601, 2, 41001, 8424.0}};
+  return e;
+}
+
+// Frame encoder for each golden sample, in terms of the per-type builders.
+std::vector<std::uint8_t> encode_frame(const HelloInfo& v) {
+  return hello_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const SlotResult& v) {
+  return slot_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const MetricsSnapshot& v) {
+  return metrics_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const FleetSummary& v) {
+  return fleet_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const QueryRequest& v) {
+  return query_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const QueryResponse& v) {
+  return query_result_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const VersionReject& v) {
+  return version_reject_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const WorkerHello& v) {
+  return worker_hello_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const LeaseGrant& v) {
+  return lease_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const LeaseAck& v) {
+  return lease_ack_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const WorkerHeartbeat& v) {
+  return worker_heartbeat_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const LeaseRevoke& v) {
+  return lease_revoke_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const CellReportBatch& v) {
+  return cell_report_batch_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const PredictionSet& v) {
+  return prediction_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const StandbyHello& v) {
+  return standby_hello_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const NotPrimary& v) {
+  return not_primary_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const ReplicaSnapshot& v) {
+  return replica_snapshot_frame(v);
+}
+std::vector<std::uint8_t> encode_frame(const ReplicaEvent& v) {
+  return replica_event_frame(v);
+}
+
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (const std::uint8_t b : bytes) {
+    hash = (hash ^ b) * 0x100000001B3ull;
+  }
+  return hash;
+}
+
+template <class T>
+void expect_golden(const char* name, std::size_t size, std::uint64_t fnv) {
+  const std::vector<std::uint8_t> frame = encode_frame(sample<T>());
+  EXPECT_EQ(frame.size(), size) << name;
+  EXPECT_EQ(fnv1a64(frame), fnv)
+      << name << ": got 0x" << std::hex << fnv1a64(frame);
+}
+
+// Pins every frame's exact bytes (length + FNV-1a 64 of header and
+// payload).  A round trip cannot see a layout change made the same way on
+// both sides of the codec; this can.
+TEST(Wire, GoldenBytes) {
+  expect_golden<HelloInfo>("hello", 22, 0xDC713B9CBD6390BBull);
+  expect_golden<SlotResult>("slot", 186, 0xB1A5CF4FFD7AEC9Eull);
+  expect_golden<MetricsSnapshot>("metrics", 212, 0x52015C018D468AF6ull);
+  expect_golden<FleetSummary>("fleet", 220, 0x8AAD7D438E8CF2C5ull);
+  expect_golden<QueryRequest>("query", 57, 0xAE73954CF4EE572Full);
+  expect_golden<QueryResponse>("query_result", 168, 0x0FD73B43E2F882E4ull);
+  expect_golden<VersionReject>("unsupported_version", 50,
+                               0xA5C3A0689B44C79Cull);
+  expect_golden<WorkerHello>("worker_hello", 45, 0x5DDAFC0E3A3290A1ull);
+  expect_golden<LeaseGrant>("lease", 102, 0x47C1A68CB23DC15Eull);
+  expect_golden<LeaseAck>("lease_ack", 42, 0x60D549D7ED4A7086ull);
+  expect_golden<WorkerHeartbeat>("worker_heartbeat", 74, 0x002891F48300DFDCull);
+  expect_golden<LeaseRevoke>("lease_revoke", 43, 0xC09D5B955519B796ull);
+  expect_golden<CellReportBatch>("cell_report_batch", 294,
+                                 0x55C1658E15A5D350ull);
+  expect_golden<PredictionSet>("prediction", 90, 0x472656ED3B880E49ull);
+  expect_golden<StandbyHello>("standby_hello", 28, 0x0FC84EE6F50E4386ull);
+  expect_golden<NotPrimary>("not_primary", 29, 0x17332783F94F3FA2ull);
+  expect_golden<ReplicaSnapshot>("replica_snapshot", 337,
+                                 0x381DEB9833303938ull);
+  expect_golden<ReplicaEvent>("replica_event", 279, 0x9246B539613B6DB9ull);
+}
+
 }  // namespace
 }  // namespace nrs
