@@ -5,7 +5,7 @@
 //                   the table reports aggregate slots/sec observed at the
 //                   coordinator (committed + live lease totals), i.e. the
 //                   end-to-end rate through lease grant -> worker runtime
-//                   -> kCellReport aggregation.
+//                   -> kCellReportBatch aggregation.
 //   reassignment  — kill() one of the workers (the in-process stand-in
 //                   for `kill -9`: the socket slams shut, no goodbye) and
 //                   measure how long until every cell is active on the

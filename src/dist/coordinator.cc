@@ -302,7 +302,7 @@ void FleetCoordinator::read_connection(Connection& conn) {
       VersionReject reject;
       reject.rejected = *rejected;
       reject.message = conn.parser.error_message();
-      const std::vector<std::uint8_t> reply = version_reject_frame(reject);
+      const std::vector<std::uint8_t> reply = encode_frame(reject);
       send_all(conn.fd, reply.data(), reply.size());
     }
     const std::uint64_t worker = conn.worker_id;
@@ -316,39 +316,33 @@ void FleetCoordinator::read_connection(Connection& conn) {
 void FleetCoordinator::handle_frame(Connection& conn, const Frame& frame) {
   switch (frame.type) {
     case FrameType::kWorkerHello: {
-      if (auto hello = decode_worker_hello(frame.payload)) {
+      if (auto hello = decode_payload<WorkerHello>(frame.payload)) {
         handle_worker_hello(conn, *hello);
       }
       return;
     }
     case FrameType::kStandbyHello: {
-      if (auto hello = decode_standby_hello(frame.payload)) {
+      if (auto hello = decode_payload<StandbyHello>(frame.payload)) {
         handle_standby_hello(conn, *hello);
       }
       return;
     }
     case FrameType::kLeaseAck: {
-      if (auto ack = decode_lease_ack(frame.payload)) {
+      if (auto ack = decode_payload<LeaseAck>(frame.payload)) {
         handle_lease_ack(conn, *ack);
       }
       return;
     }
     case FrameType::kWorkerHeartbeat: {
-      if (auto hb = decode_worker_heartbeat(frame.payload)) {
+      if (auto hb = decode_payload<WorkerHeartbeat>(frame.payload)) {
         handle_heartbeat(conn, *hb);
       }
       return;
     }
-    case FrameType::kCellReport: {
-      if (auto report = decode_cell_report(frame.payload)) {
-        handle_cell_report(conn, *report);
-      }
-      return;
-    }
     case FrameType::kCellReportBatch: {
-      // v4 workers fold all their leases' reports into one frame; each
+      // Workers fold all their leases' reports into one frame; each
       // element goes through the same per-report path.
-      if (auto batch = decode_cell_report_batch(frame.payload)) {
+      if (auto batch = decode_payload<CellReportBatch>(frame.payload)) {
         for (const CellReport& report : batch->reports) {
           handle_cell_report(conn, report);
         }
@@ -356,7 +350,7 @@ void FleetCoordinator::handle_frame(Connection& conn, const Frame& frame) {
       return;
     }
     case FrameType::kPrediction: {
-      if (auto set = decode_prediction(frame.payload)) {
+      if (auto set = decode_payload<PredictionSet>(frame.payload)) {
         handle_prediction(conn, *set);
       }
       return;
@@ -378,7 +372,7 @@ void FleetCoordinator::handle_worker_hello(Connection& conn,
     info.epoch = epoch_;
     info.message =
         role_ == CoordinatorRole::kStandby ? "standby" : "deposed";
-    const std::vector<std::uint8_t> reply = not_primary_frame(info);
+    const std::vector<std::uint8_t> reply = encode_frame(info);
     send_all(conn.fd, reply.data(), reply.size());
     close_connection(conn);
     return;
@@ -413,14 +407,14 @@ void FleetCoordinator::handle_standby_hello(Connection& conn,
     info.epoch = epoch_;
     info.message =
         role_ == CoordinatorRole::kStandby ? "standby" : "deposed";
-    const std::vector<std::uint8_t> reply = not_primary_frame(info);
+    const std::vector<std::uint8_t> reply = encode_frame(info);
     send_all(conn.fd, reply.data(), reply.size());
     close_connection(conn);
     return;
   }
   conn.is_replica = true;
   const std::vector<std::uint8_t> frame =
-      replica_snapshot_frame(build_snapshot());
+      encode_frame(build_snapshot());
   if (!send_all(conn.fd, frame.data(), frame.size())) {
     close_connection(conn);
     return;
@@ -525,7 +519,7 @@ void FleetCoordinator::handle_heartbeat(Connection& conn,
     grant.base_slot = records_[lease->cell_index].lease_base_slot;
     grant.epoch = epoch_;
     grant.spec = wire_spec(lease->cell_index, lease->handoffs);
-    send_to_worker(conn.worker_id, lease_frame(grant));
+    send_to_worker(conn.worker_id, encode_frame(grant));
   }
 }
 
@@ -664,7 +658,7 @@ void FleetCoordinator::run_timers(Clock::time_point now) {
       revoke.cell_index = cell;
       revoke.reason = "lease expired";
       revoke.epoch = epoch_;
-      send_to_worker(holder, lease_revoke_frame(revoke));
+      send_to_worker(holder, encode_frame(revoke));
     }
     // Assignment scan: place unassigned cells whose backoff has elapsed.
     for (const std::uint32_t cell : leases_.assignable(now)) {
@@ -675,7 +669,8 @@ void FleetCoordinator::run_timers(Clock::time_point now) {
     if (now >= next_replica_heartbeat_) {
       next_replica_heartbeat_ =
           now + to_duration(config_.replication_heartbeat_s);
-      const std::vector<std::uint8_t> beat = heartbeat_frame();
+      const std::vector<std::uint8_t> beat =
+          encode_frame(FrameType::kHeartbeat, {});
       for (auto& conn : connections_) {
         if (conn->is_replica && conn->fd >= 0 &&
             !send_all(conn->fd, beat.data(), beat.size())) {
@@ -771,7 +766,7 @@ void FleetCoordinator::try_assign(std::uint32_t cell_index,
   grant.base_slot = record.lease_base_slot;
   grant.epoch = epoch_;
   grant.spec = wire_spec(cell_index, incarnation);
-  send_to_worker(*worker_id, lease_frame(grant));
+  send_to_worker(*worker_id, encode_frame(grant));
 }
 
 void FleetCoordinator::rebalance(Clock::time_point now) {
@@ -811,7 +806,7 @@ void FleetCoordinator::rebalance(Clock::time_point now) {
       revoke.cell_index = cell;
       revoke.reason = "rebalance";
       revoke.epoch = epoch_;
-      if (!send_to_worker(id, lease_revoke_frame(revoke))) {
+      if (!send_to_worker(id, encode_frame(revoke))) {
         break;  // worker died mid-shed; its leases are already released
       }
     }
@@ -870,7 +865,7 @@ void FleetCoordinator::replicate(ReplicaEvent event) {
       continue;
     }
     if (frame.empty()) {
-      frame = replica_event_frame(event);
+      frame = encode_frame(event);
     }
     if (!send_all(conn->fd, frame.data(), frame.size())) {
       // Drop the tail; the standby redials and re-snapshots.
@@ -966,7 +961,7 @@ void FleetCoordinator::maybe_connect_upstream() {
                sizeof(send_timeout));
   StandbyHello hello;
   hello.name = "standby:" + std::to_string(port_);
-  const std::vector<std::uint8_t> frame = standby_hello_frame(hello);
+  const std::vector<std::uint8_t> frame = encode_frame(hello);
   if (!send_all(fd, frame.data(), frame.size())) {
     ::close(fd);
     return;
@@ -1008,7 +1003,7 @@ void FleetCoordinator::read_upstream() {
 void FleetCoordinator::handle_replication_frame(const Frame& frame) {
   switch (frame.type) {
     case FrameType::kReplicaSnapshot: {
-      if (auto snapshot = decode_replica_snapshot(frame.payload)) {
+      if (auto snapshot = decode_payload<ReplicaSnapshot>(frame.payload)) {
         m_replica_snapshots_rx_->inc();
         apply_snapshot(*snapshot, Clock::now());
       } else {
@@ -1017,7 +1012,7 @@ void FleetCoordinator::handle_replication_frame(const Frame& frame) {
       return;
     }
     case FrameType::kReplicaEvent: {
-      if (auto event = decode_replica_event(frame.payload)) {
+      if (auto event = decode_payload<ReplicaEvent>(frame.payload)) {
         m_replica_events_rx_->inc();
         apply_event(*event, Clock::now());
       } else {

@@ -3,7 +3,7 @@
 // listening socket; FleetWorker processes connect, announce capacity with
 // kWorkerHello, and are granted per-cell leases (kLease) with TTLs.
 // Workers renew their leases with kWorkerHeartbeat, stream telemetry back
-// as kCellReport frames, and can be told to drop a cell with kLeaseRevoke
+// as kCellReportBatch frames, and can be told to drop a cell with kLeaseRevoke
 // (rebalancing toward a newly joined worker).
 //
 // Failure model: a worker that disappears (socket EOF, send failure) or

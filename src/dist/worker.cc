@@ -63,7 +63,7 @@ std::uint64_t derive_jitter_seed(const void* self) {
 }  // namespace
 
 // Buffers the three cell-level store rows per tracking slot for the next
-// kCellReport.  The slot counter counts EVERY delivered slot (tracking or
+// cell report.  The slot counter counts EVERY delivered slot (tracking or
 // not), mirroring the aggregator's lifetime slot axis, and survives the
 // cell's pipeline incarnations (worker-local restarts) because the
 // collector itself is owned by the lease, not the pipeline.
@@ -261,7 +261,7 @@ bool FleetWorker::connect_once() {
   hello.capacity = config_.capacity;
   hello.pool_threads = config_.pool_threads;
   hello.epoch = epoch_.load();
-  if (!send_frame(worker_hello_frame(hello))) {
+  if (!send_frame(encode_frame(hello))) {
     disconnect();
     return false;
   }
@@ -335,26 +335,26 @@ void FleetWorker::drain_socket() {
 void FleetWorker::handle_frame(const Frame& frame) {
   switch (frame.type) {
     case FrameType::kLease: {
-      if (auto grant = decode_lease(frame.payload)) {
+      if (auto grant = decode_payload<LeaseGrant>(frame.payload)) {
         handle_lease(*grant);
       }
       return;
     }
     case FrameType::kLeaseRevoke: {
-      if (auto revoke = decode_lease_revoke(frame.payload)) {
+      if (auto revoke = decode_payload<LeaseRevoke>(frame.payload)) {
         handle_revoke(*revoke);
       }
       return;
     }
     case FrameType::kNotPrimary: {
-      if (auto info = decode_not_primary(frame.payload)) {
+      if (auto info = decode_payload<NotPrimary>(frame.payload)) {
         handle_not_primary(*info);
       }
       return;
     }
     case FrameType::kUnsupportedVersion: {
       std::string message = "coordinator rejected our protocol version";
-      if (auto reject = decode_version_reject(frame.payload)) {
+      if (auto reject = decode_payload<VersionReject>(frame.payload)) {
         message = "coordinator rejected protocol version " +
                   std::to_string(reject->rejected) + " (supports " +
                   std::to_string(reject->min_version) + ".." +
@@ -392,7 +392,7 @@ void FleetWorker::handle_lease(const LeaseGrant& grant) {
     ack.accepted = false;
     ack.message = "stale epoch";
     ack.epoch = epoch_.load();
-    send_frame(lease_ack_frame(ack));
+    send_frame(encode_frame(ack));
     disconnect();  // go find the real primary
     return;
   }
@@ -423,7 +423,7 @@ void FleetWorker::handle_lease(const LeaseGrant& grant) {
     ack.accepted = false;
     ack.message = "over capacity";
     m_leases_refused_->inc();
-    if (!send_frame(lease_ack_frame(ack))) {
+    if (!send_frame(encode_frame(ack))) {
       disconnect();
     }
     return;
@@ -433,7 +433,7 @@ void FleetWorker::handle_lease(const LeaseGrant& grant) {
     ack.accepted = false;
     ack.message = "unknown preset '" + grant.spec.preset + "'";
     m_leases_refused_->inc();
-    if (!send_frame(lease_ack_frame(ack))) {
+    if (!send_frame(encode_frame(ack))) {
       disconnect();
     }
     return;
@@ -484,7 +484,7 @@ void FleetWorker::handle_lease(const LeaseGrant& grant) {
   m_leases_accepted_->inc();
 
   ack.accepted = true;
-  if (!send_frame(lease_ack_frame(ack))) {
+  if (!send_frame(encode_frame(ack))) {
     disconnect();
   }
 }
@@ -544,7 +544,7 @@ void FleetWorker::send_heartbeat() {
         static_cast<std::uint8_t>(orch_->cell_state(lease.local_index));
     hb.leases.push_back(status);
   }
-  if (send_frame(worker_heartbeat_frame(hb))) {
+  if (send_frame(encode_frame(hb))) {
     m_heartbeats_->inc();
   } else {
     disconnect();
@@ -591,7 +591,7 @@ void FleetWorker::send_reports() {
   // WAN bound: shed oldest rows (largest report first) until the encoded
   // frame fits max_report_bytes.  Fresh rows and the scalar telemetry
   // always survive — only history backlog is thinned.
-  std::vector<std::uint8_t> frame = cell_report_batch_frame(batch);
+  std::vector<std::uint8_t> frame = encode_frame(batch);
   while (frame.size() > config_.max_report_bytes) {
     CellReport* largest = nullptr;
     for (CellReport& report : batch.reports) {
@@ -609,7 +609,7 @@ void FleetWorker::send_reports() {
     largest->rows.erase(largest->rows.begin(),
                         largest->rows.begin() +
                             static_cast<std::ptrdiff_t>(drop));
-    frame = cell_report_batch_frame(batch);
+    frame = encode_frame(batch);
   }
   const std::size_t n_reports = batch.reports.size();
   const std::size_t frame_bytes = frame.size();
@@ -636,7 +636,7 @@ void FleetWorker::send_reports() {
       set = lease.prediction_buffer->latest;
       lease.prediction_buffer->fresh = false;
     }
-    if (!send_frame(prediction_frame(set))) {
+    if (!send_frame(encode_frame(set))) {
       disconnect();
       return;
     }

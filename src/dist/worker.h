@@ -3,8 +3,9 @@
 // cells it is leased (kLease) on an embedded FleetOrchestrator — the same
 // supervised multi-cell runtime the single-host fleet_monitor uses, grown
 // and shrunk at runtime as leases arrive and go.  For every held lease it
-// sends kWorkerHeartbeat (liveness + lease renewal) and kCellReport
-// (lease-local telemetry totals plus forwarded history-store rows).
+// sends kWorkerHeartbeat (liveness + lease renewal) and a CellReport
+// (lease-local telemetry totals plus forwarded history-store rows), all
+// leases' reports folded into one kCellReportBatch per interval.
 //
 // Lease discipline: a lease the coordinator stops renewing expires
 // locally too — the worker tears the cell down rather than keep running a
@@ -155,7 +156,7 @@ class FleetWorker {
 
   /// SlotSink that buffers cell-level store rows (kCellDcis /
   /// kCellUsedPrbs / kCellSparePrbs, tracking slots only) for the next
-  /// kCellReport.  One per leased cell; it outlives the cell's pipeline
+  /// cell report.  One per leased cell; it outlives the cell's pipeline
   /// incarnations, so its slot counter is monotonic across worker-local
   /// restarts.  Defined in worker.cc.
   class RowCollector;

@@ -462,7 +462,7 @@ void FleetOrchestrator::tick() {
   ++tick_count_;
   if (config_.stream != nullptr && config_.aggregate_period_ticks > 0 &&
       tick_count_ % config_.aggregate_period_ticks == 0) {
-    config_.stream->broadcast_frame(fleet_frame(summary()));
+    config_.stream->broadcast_frame(encode_frame(summary()));
   }
 }
 

@@ -76,7 +76,7 @@ std::optional<QueryResponse> TelemetryStreamClient::query(
     std::lock_guard lock(pending_mutex_);
     future = pending_[id].get_future();
   }
-  const std::vector<std::uint8_t> frame = query_frame(request);
+  const std::vector<std::uint8_t> frame = encode_frame(request);
   bool sent = false;
   {
     std::lock_guard lock(send_mutex_);
@@ -263,6 +263,19 @@ bool TelemetryStreamClient::serve_connection(int fd) {
   return true;
 }
 
+template <class T,
+          std::function<void(const T&)> StreamClientHandlers::*Handler>
+bool TelemetryStreamClient::deliver(const Frame& frame) {
+  if (auto value = decode_payload<T>(frame.payload)) {
+    if (handlers_.*Handler) {
+      (handlers_.*Handler)(*value);
+    }
+  } else {
+    m_decode_errors_->inc();
+  }
+  return false;
+}
+
 bool TelemetryStreamClient::dispatch_frame(const Frame& frame) {
   using Handler = bool (TelemetryStreamClient::*)(const Frame&);
   // One row per inbound frame type; the heartbeat is the trivial liveness
@@ -273,11 +286,21 @@ bool TelemetryStreamClient::dispatch_frame(const Frame& frame) {
     FrameType type;
     Handler handler;
   } kTable[] = {
-      {FrameType::kHello, &TelemetryStreamClient::handle_hello},
-      {FrameType::kSlot, &TelemetryStreamClient::handle_slot},
-      {FrameType::kMetrics, &TelemetryStreamClient::handle_metrics},
-      {FrameType::kFleet, &TelemetryStreamClient::handle_fleet},
-      {FrameType::kPrediction, &TelemetryStreamClient::handle_prediction},
+      {FrameType::kHello,
+       &TelemetryStreamClient::deliver<HelloInfo,
+                                       &StreamClientHandlers::on_connected>},
+      {FrameType::kSlot,
+       &TelemetryStreamClient::deliver<SlotResult,
+                                       &StreamClientHandlers::on_slot>},
+      {FrameType::kMetrics,
+       &TelemetryStreamClient::deliver<MetricsSnapshot,
+                                       &StreamClientHandlers::on_metrics>},
+      {FrameType::kFleet,
+       &TelemetryStreamClient::deliver<FleetSummary,
+                                       &StreamClientHandlers::on_fleet>},
+      {FrameType::kPrediction,
+       &TelemetryStreamClient::deliver<PredictionSet,
+                                       &StreamClientHandlers::on_prediction>},
       {FrameType::kHeartbeat, &TelemetryStreamClient::handle_heartbeat},
       {FrameType::kEnd, &TelemetryStreamClient::handle_end},
       {FrameType::kQueryResult,
@@ -289,61 +312,6 @@ bool TelemetryStreamClient::dispatch_frame(const Frame& frame) {
     if (row.type == frame.type) {
       return (this->*row.handler)(frame);
     }
-  }
-  return false;
-}
-
-bool TelemetryStreamClient::handle_hello(const Frame& frame) {
-  if (auto hello = decode_hello(frame.payload)) {
-    if (handlers_.on_connected) {
-      handlers_.on_connected(*hello);
-    }
-  } else {
-    m_decode_errors_->inc();
-  }
-  return false;
-}
-
-bool TelemetryStreamClient::handle_slot(const Frame& frame) {
-  if (auto slot = decode_slot(frame.payload)) {
-    if (handlers_.on_slot) {
-      handlers_.on_slot(*slot);
-    }
-  } else {
-    m_decode_errors_->inc();
-  }
-  return false;
-}
-
-bool TelemetryStreamClient::handle_metrics(const Frame& frame) {
-  if (auto metrics = decode_metrics(frame.payload)) {
-    if (handlers_.on_metrics) {
-      handlers_.on_metrics(*metrics);
-    }
-  } else {
-    m_decode_errors_->inc();
-  }
-  return false;
-}
-
-bool TelemetryStreamClient::handle_fleet(const Frame& frame) {
-  if (auto fleet = decode_fleet(frame.payload)) {
-    if (handlers_.on_fleet) {
-      handlers_.on_fleet(*fleet);
-    }
-  } else {
-    m_decode_errors_->inc();
-  }
-  return false;
-}
-
-bool TelemetryStreamClient::handle_prediction(const Frame& frame) {
-  if (auto set = decode_prediction(frame.payload)) {
-    if (handlers_.on_prediction) {
-      handlers_.on_prediction(*set);
-    }
-  } else {
-    m_decode_errors_->inc();
   }
   return false;
 }
@@ -363,7 +331,7 @@ bool TelemetryStreamClient::handle_end(const Frame&) {
 
 bool TelemetryStreamClient::handle_version_reject(const Frame& frame) {
   VersionReject reject;
-  if (auto decoded = decode_version_reject(frame.payload)) {
+  if (auto decoded = decode_payload<VersionReject>(frame.payload)) {
     reject = std::move(*decoded);
   } else {
     m_decode_errors_->inc();
@@ -388,7 +356,7 @@ bool TelemetryStreamClient::handle_version_reject(const Frame& frame) {
 }
 
 bool TelemetryStreamClient::handle_query_result(const Frame& frame) {
-  auto response = decode_query_result(frame.payload);
+  auto response = decode_payload<QueryResponse>(frame.payload);
   if (!response) {
     m_decode_errors_->inc();
     return false;

@@ -132,11 +132,11 @@ class TelemetryStreamClient {
   /// Route one well-framed inbound frame through the dispatch table;
   /// returns true when the client should stop (end-of-stream row).
   bool dispatch_frame(const Frame& frame);
-  bool handle_hello(const Frame& frame);
-  bool handle_slot(const Frame& frame);
-  bool handle_metrics(const Frame& frame);
-  bool handle_fleet(const Frame& frame);
-  bool handle_prediction(const Frame& frame);
+  /// Decodes the frame's T payload and passes it to handlers_.*Handler
+  /// (counting a decode error when the payload is malformed).
+  template <class T, std::function<void(const T&)> StreamClientHandlers::*
+                         Handler>
+  bool deliver(const Frame& frame);
   bool handle_heartbeat(const Frame& frame);
   bool handle_end(const Frame& frame);
   bool handle_query_result(const Frame& frame);

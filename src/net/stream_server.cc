@@ -198,7 +198,7 @@ void TelemetryStreamServer::accept_loop() {
     hello.next_slot = next_slot_.load();
     client->queue.try_push(
         std::make_shared<const std::vector<std::uint8_t>>(
-            hello_frame(hello)));
+            encode_frame(hello)));
     Client& ref = *client;
     client->sender = std::thread([this, &ref] { sender_loop(ref); });
     clients_.push_back(std::move(client));
@@ -244,7 +244,7 @@ void TelemetryStreamServer::read_client(
     if (frame->type != FrameType::kQuery) {
       continue;  // clients only speak queries upstream; ignore the rest
     }
-    if (auto request = decode_query(frame->payload)) {
+    if (auto request = decode_payload<QueryRequest>(frame->payload)) {
       dispatch_query(client, *request);
     } else {
       m_query_errors_->inc();
@@ -252,7 +252,7 @@ void TelemetryStreamServer::read_client(
   }
   if (client->parser.error()) {
     if (const auto rejected = client->parser.rejected_version()) {
-      // The peer speaks a protocol version outside our window.  Tell it so
+      // The peer speaks a protocol version other than ours.  Tell it so
       // with a structured reject frame (best effort, synchronous — the
       // send mutex keeps the sender thread from interleaving a frame)
       // before dropping the connection, so old clients see a clear error
@@ -261,7 +261,7 @@ void TelemetryStreamServer::read_client(
       VersionReject reject;
       reject.rejected = *rejected;
       reject.message = client->parser.error_message();
-      const std::vector<std::uint8_t> frame = version_reject_frame(reject);
+      const std::vector<std::uint8_t> frame = encode_frame(reject);
       std::lock_guard lock(client->send_mutex);
       send_all(client->fd, frame.data(), frame.size());
     } else {
@@ -285,7 +285,7 @@ void TelemetryStreamServer::dispatch_query(
     response.status = QueryStatus::kUnavailable;
     response.error = "no query handler attached";
     const auto frame = std::make_shared<const std::vector<std::uint8_t>>(
-        query_result_frame(response));
+        encode_frame(response));
     std::lock_guard lock(clients_mutex_);
     if (!client->dead.load()) {
       enqueue(*client, frame);
@@ -314,7 +314,7 @@ void TelemetryStreamServer::dispatch_query(
     response.correlation_id = request.correlation_id;
     response.kind = request.kind;
     const auto frame = std::make_shared<const std::vector<std::uint8_t>>(
-        query_result_frame(response));
+        encode_frame(response));
     {
       // Same lock as broadcast(): the client object outlives a reap via
       // the shared_ptr, and `dead` gates enqueueing onto a closed queue.
@@ -337,7 +337,8 @@ void TelemetryStreamServer::sender_loop(Client& client) {
         break;
       }
       // Idle: keep the connection observably alive.
-      const std::vector<std::uint8_t> beat = heartbeat_frame();
+      const std::vector<std::uint8_t> beat =
+          encode_frame(FrameType::kHeartbeat, {});
       bool sent = false;
       {
         std::lock_guard lock(client.send_mutex);
@@ -423,15 +424,16 @@ void TelemetryStreamServer::on_slot(const SlotResult& result) {
     }
   }
   broadcast(std::make_shared<const std::vector<std::uint8_t>>(
-      slot_frame(result)));
+      encode_frame(result)));
   if (metrics_due) {
     broadcast(std::make_shared<const std::vector<std::uint8_t>>(
-        metrics_frame(registry_->snapshot())));
+        encode_frame(registry_->snapshot())));
   }
 }
 
 void TelemetryStreamServer::on_finish() {
-  broadcast(std::make_shared<const std::vector<std::uint8_t>>(end_frame()));
+  broadcast(std::make_shared<const std::vector<std::uint8_t>>(
+      encode_frame(FrameType::kEnd, {})));
 }
 
 }  // namespace nrs

@@ -1,9 +1,5 @@
 #include "net/wire.h"
 
-#include <algorithm>
-#include <bit>
-#include <cstring>
-
 namespace nrs {
 
 const char* to_string(FrameType type) {
@@ -20,7 +16,6 @@ const char* to_string(FrameType type) {
     case FrameType::kLease: return "lease";
     case FrameType::kLeaseAck: return "lease_ack";
     case FrameType::kWorkerHeartbeat: return "worker_heartbeat";
-    case FrameType::kCellReport: return "cell_report";
     case FrameType::kLeaseRevoke: return "lease_revoke";
     case FrameType::kUnsupportedVersion: return "unsupported_version";
     case FrameType::kPrediction: return "prediction";
@@ -65,117 +60,30 @@ const char* to_string(QueryStatus status) {
   return "unknown";
 }
 
-// ---- WireWriter ------------------------------------------------------
-
-void WireWriter::u16(std::uint16_t v) {
-  out_.push_back(static_cast<std::uint8_t>(v));
-  out_.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void WireWriter::u32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void WireWriter::u64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void WireWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-void WireWriter::str(const std::string& s) {
-  u16(static_cast<std::uint16_t>(s.size()));
-  out_.insert(out_.end(), s.begin(), s.end());
-}
+// ---- Framing ---------------------------------------------------------
 
 void WireWriter::bytes(std::span<const std::uint8_t> data) {
   out_.insert(out_.end(), data.begin(), data.end());
 }
 
-// ---- WireReader ------------------------------------------------------
-
-std::uint8_t WireReader::u8() {
-  if (pos_ + 1 > data_.size()) {
-    ok_ = false;
-    return 0;
-  }
-  return data_[pos_++];
+void WireWriter::begin_frame(FrameType type) {
+  (*this)(kWireMagic, kWireVersion, type, std::uint32_t{0});
 }
 
-std::uint16_t WireReader::u16() {
-  if (pos_ + 2 > data_.size()) {
-    ok_ = false;
-    pos_ = data_.size();
-    return 0;
+std::vector<std::uint8_t> WireWriter::take_frame() {
+  const auto len = static_cast<std::uint32_t>(out_.size() - kWireHeaderSize);
+  for (std::size_t i = 0; i < 4; ++i) {
+    out_[kWireHeaderSize - 4 + i] = static_cast<std::uint8_t>(len >> (8 * i));
   }
-  const auto v = static_cast<std::uint16_t>(
-      data_[pos_] | (static_cast<std::uint16_t>(data_[pos_ + 1]) << 8));
-  pos_ += 2;
-  return v;
+  return take();
 }
-
-std::uint32_t WireReader::u32() {
-  if (pos_ + 4 > data_.size()) {
-    ok_ = false;
-    pos_ = data_.size();
-    return 0;
-  }
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  }
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t WireReader::u64() {
-  if (pos_ + 8 > data_.size()) {
-    ok_ = false;
-    pos_ = data_.size();
-    return 0;
-  }
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  }
-  pos_ += 8;
-  return v;
-}
-
-double WireReader::f64() { return std::bit_cast<double>(u64()); }
-
-std::string WireReader::str() {
-  const std::uint16_t len = u16();
-  if (!ok_ || pos_ + len > data_.size()) {
-    ok_ = false;
-    pos_ = data_.size();
-    return {};
-  }
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
-  pos_ += len;
-  return s;
-}
-
-// ---- Framing ---------------------------------------------------------
 
 std::vector<std::uint8_t> encode_frame(
     FrameType type, std::span<const std::uint8_t> payload) {
-  return encode_frame_with_version(kWireVersion, type, payload);
-}
-
-std::vector<std::uint8_t> encode_frame_with_version(
-    std::uint16_t version, FrameType type,
-    std::span<const std::uint8_t> payload) {
   WireWriter w;
-  w.u32(kWireMagic);
-  w.u16(version);
-  w.u16(static_cast<std::uint16_t>(type));
-  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.begin_frame(type);
   w.bytes(payload);
-  return w.take();
+  return w.take_frame();
 }
 
 void FrameParser::feed(std::span<const std::uint8_t> data) {
@@ -201,18 +109,18 @@ std::optional<Frame> FrameParser::next() {
   }
   WireReader header(std::span<const std::uint8_t>(
       buffer_.data() + consumed_, kWireHeaderSize));
-  const std::uint32_t magic = header.u32();
-  const std::uint16_t version = header.u16();
-  const std::uint16_t type = header.u16();
-  const std::uint32_t len = header.u32();
+  std::uint32_t magic = 0;
+  std::uint16_t version = 0;
+  std::uint16_t type = 0;
+  std::uint32_t len = 0;
+  header(magic, version, type, len);
   if (magic != kWireMagic) {
     error_ = "bad magic";
     return std::nullopt;
   }
-  if (version < kWireMinVersion || version > kWireVersion) {
+  if (version != kWireVersion) {
     error_ = "unsupported protocol version " + std::to_string(version) +
-             " (supported " + std::to_string(kWireMinVersion) + ".." +
-             std::to_string(kWireVersion) + ")";
+             " (this peer speaks " + std::to_string(kWireVersion) + ")";
     rejected_version_ = version;
     return std::nullopt;
   }
@@ -229,1210 +137,6 @@ std::optional<Frame> FrameParser::next() {
   frame.payload.assign(begin, begin + len);
   consumed_ += kWireHeaderSize + len;
   return frame;
-}
-
-// ---- Payload codecs --------------------------------------------------
-
-void encode_hello(const HelloInfo& hello, WireWriter& w) {
-  w.u16(hello.version);
-  w.u64(hello.next_slot);
-}
-
-std::optional<HelloInfo> decode_hello(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  HelloInfo hello;
-  hello.version = r.u16();
-  hello.next_slot = r.u64();
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return hello;
-}
-
-namespace {
-
-void encode_dci_fields(const Dci& dci, WireWriter& w) {
-  w.u8(static_cast<std::uint8_t>(dci.format));
-  w.u32(dci.freq_alloc_riv);
-  w.u8(dci.time_alloc);
-  w.u8(dci.mcs);
-  w.u8(dci.ndi);
-  w.u8(dci.rv);
-  w.u8(dci.harq_id);
-  w.u8(dci.dai);
-  w.u8(dci.tpc);
-  w.u8(dci.pucch_resource);
-  w.u8(dci.harq_feedback);
-  w.u8(dci.ports);
-  w.u8(dci.srs_request);
-  w.u8(dci.dmrs_id);
-}
-
-bool decode_dci_fields(WireReader& r, Dci& dci) {
-  const std::uint8_t format = r.u8();
-  if (format > static_cast<std::uint8_t>(DciFormat::kDl1_1)) {
-    return false;
-  }
-  dci.format = static_cast<DciFormat>(format);
-  dci.freq_alloc_riv = r.u32();
-  dci.time_alloc = r.u8();
-  dci.mcs = r.u8();
-  dci.ndi = r.u8();
-  dci.rv = r.u8();
-  dci.harq_id = r.u8();
-  dci.dai = r.u8();
-  dci.tpc = r.u8();
-  dci.pucch_resource = r.u8();
-  dci.harq_feedback = r.u8();
-  dci.ports = r.u8();
-  dci.srs_request = r.u8();
-  dci.dmrs_id = r.u8();
-  return r.ok();
-}
-
-bool valid_modulation(std::uint8_t m) {
-  switch (static_cast<Modulation>(m)) {
-    case Modulation::kBpsk:
-    case Modulation::kQpsk:
-    case Modulation::kQam16:
-    case Modulation::kQam64:
-    case Modulation::kQam256:
-      return true;
-  }
-  return false;
-}
-
-void encode_grant_fields(const Grant& grant, WireWriter& w) {
-  w.u16(grant.rnti);
-  w.u8(static_cast<std::uint8_t>(grant.format));
-  w.u16(static_cast<std::uint16_t>(grant.prb_start));
-  w.u16(static_cast<std::uint16_t>(grant.prb_len));
-  w.u8(static_cast<std::uint8_t>(grant.start_symbol));
-  w.u8(static_cast<std::uint8_t>(grant.n_symbols));
-  w.u8(static_cast<std::uint8_t>(grant.mcs));
-  w.u8(static_cast<std::uint8_t>(grant.modulation));
-  w.f64(grant.code_rate);
-  w.u8(static_cast<std::uint8_t>(grant.n_layers));
-  w.u32(grant.tbs);
-  w.u8(grant.ndi);
-  w.u8(grant.rv);
-  w.u8(grant.harq_id);
-}
-
-bool decode_grant_fields(WireReader& r, Grant& grant) {
-  grant.rnti = r.u16();
-  const std::uint8_t format = r.u8();
-  if (format > static_cast<std::uint8_t>(DciFormat::kDl1_1)) {
-    return false;
-  }
-  grant.format = static_cast<DciFormat>(format);
-  grant.prb_start = r.u16();
-  grant.prb_len = r.u16();
-  grant.start_symbol = r.u8();
-  grant.n_symbols = r.u8();
-  grant.mcs = r.u8();
-  const std::uint8_t modulation = r.u8();
-  if (!r.ok() || !valid_modulation(modulation)) {
-    return false;
-  }
-  grant.modulation = static_cast<Modulation>(modulation);
-  grant.code_rate = r.f64();
-  grant.n_layers = r.u8();
-  grant.tbs = r.u32();
-  grant.ndi = r.u8();
-  grant.rv = r.u8();
-  grant.harq_id = r.u8();
-  return r.ok();
-}
-
-void encode_rrc_setup(const RrcSetup& rrc, WireWriter& w) {
-  w.u8(rrc.ue_ss.ue_specific ? 1 : 0);
-  w.u8(static_cast<std::uint8_t>(rrc.ue_ss.agg_levels.size()));
-  for (const unsigned level : rrc.ue_ss.agg_levels) {
-    w.u16(static_cast<std::uint16_t>(level));
-  }
-  w.u16(static_cast<std::uint16_t>(rrc.ue_ss.candidates_per_level));
-  w.u8(static_cast<std::uint8_t>(rrc.dl_format));
-  w.u8(static_cast<std::uint8_t>(rrc.mcs_table));
-  w.u8(static_cast<std::uint8_t>(rrc.max_mimo_layers));
-  w.u8(static_cast<std::uint8_t>(rrc.n_harq_processes));
-}
-
-bool decode_rrc_setup(WireReader& r, RrcSetup& rrc) {
-  rrc.ue_ss.ue_specific = r.u8() != 0;
-  const std::uint8_t n_levels = r.u8();
-  rrc.ue_ss.agg_levels.clear();
-  for (std::uint8_t i = 0; r.ok() && i < n_levels; ++i) {
-    rrc.ue_ss.agg_levels.push_back(r.u16());
-  }
-  rrc.ue_ss.candidates_per_level = r.u16();
-  const std::uint8_t format = r.u8();
-  const std::uint8_t table = r.u8();
-  if (!r.ok() || format > static_cast<std::uint8_t>(DciFormat::kDl1_1) ||
-      table < static_cast<std::uint8_t>(McsTable::kQam64) ||
-      table > static_cast<std::uint8_t>(McsTable::kQam64LowSe)) {
-    return false;
-  }
-  rrc.dl_format = static_cast<DciFormat>(format);
-  rrc.mcs_table = static_cast<McsTable>(table);
-  rrc.max_mimo_layers = r.u8();
-  rrc.n_harq_processes = r.u8();
-  return r.ok();
-}
-
-}  // namespace
-
-void encode_slot(const SlotResult& result, WireWriter& w) {
-  w.u64(result.slot);
-  w.f64(result.processing_time_us);
-  std::uint8_t flags = 0;
-  flags |= result.mib.has_value() ? 0x1 : 0;
-  flags |= result.sib1_decoded ? 0x2 : 0;
-  flags |= result.degraded ? 0x4 : 0;
-  // Sync state rides in bits 4-5 (kSearching is 0, so pre-robustness
-  // frames decode as a cold engine).
-  flags |= static_cast<std::uint8_t>(
-      (static_cast<std::uint8_t>(result.sync_state) & 0x3) << 4);
-  w.u8(flags);
-  if (result.mib) {
-    w.u16(result.mib->sfn);
-    w.u8(static_cast<std::uint8_t>(result.mib->scs_common));
-    w.u8(result.mib->coreset0_rb_start);
-    w.u8(result.mib->coreset0_n_prb6);
-    w.u8(result.mib->coreset0_duration);
-    w.u8(result.mib->searchspace0);
-    w.u8(result.mib->cell_barred ? 1 : 0);
-  }
-  w.u32(static_cast<std::uint32_t>(result.dcis.size()));
-  for (const DecodedDci& dci : result.dcis) {
-    w.u64(dci.slot);
-    w.u16(dci.rnti);
-    encode_dci_fields(dci.dci, w);
-    encode_grant_fields(dci.grant, w);
-    w.u16(static_cast<std::uint16_t>(dci.agg_level));
-    w.u16(static_cast<std::uint16_t>(dci.cce_start));
-    w.u8(dci.is_retx ? 1 : 0);
-  }
-  w.u32(static_cast<std::uint32_t>(result.new_ues.size()));
-  for (const NewUe& ue : result.new_ues) {
-    w.u16(ue.c_rnti);
-    w.u64(ue.slot);
-    w.u8(ue.verified ? 1 : 0);
-    encode_rrc_setup(ue.config, w);
-  }
-}
-
-std::optional<SlotResult> decode_slot(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  SlotResult result;
-  result.slot = r.u64();
-  result.processing_time_us = r.f64();
-  const std::uint8_t flags = r.u8();
-  result.sib1_decoded = (flags & 0x2) != 0;
-  result.degraded = (flags & 0x4) != 0;
-  result.sync_state = static_cast<SyncState>((flags >> 4) & 0x3);
-  if ((flags & 0x1) != 0) {
-    Mib mib;
-    mib.sfn = r.u16();
-    const std::uint8_t scs = r.u8();
-    if (!r.ok() || scs > static_cast<std::uint8_t>(Scs::kHz60)) {
-      return std::nullopt;
-    }
-    mib.scs_common = static_cast<Scs>(scs);
-    mib.coreset0_rb_start = r.u8();
-    mib.coreset0_n_prb6 = r.u8();
-    mib.coreset0_duration = r.u8();
-    mib.searchspace0 = r.u8();
-    mib.cell_barred = r.u8() != 0;
-    result.mib = mib;
-  }
-  const std::uint32_t n_dcis = r.u32();
-  if (!r.ok() || n_dcis > r.remaining()) {  // every DCI is > 1 byte
-    return std::nullopt;
-  }
-  result.dcis.reserve(n_dcis);
-  for (std::uint32_t i = 0; i < n_dcis; ++i) {
-    DecodedDci dci;
-    dci.slot = r.u64();
-    dci.rnti = r.u16();
-    if (!decode_dci_fields(r, dci.dci) ||
-        !decode_grant_fields(r, dci.grant)) {
-      return std::nullopt;
-    }
-    dci.agg_level = r.u16();
-    dci.cce_start = r.u16();
-    dci.is_retx = r.u8() != 0;
-    result.dcis.push_back(dci);
-  }
-  const std::uint32_t n_ues = r.u32();
-  if (!r.ok() || n_ues > r.remaining()) {
-    return std::nullopt;
-  }
-  result.new_ues.reserve(n_ues);
-  for (std::uint32_t i = 0; i < n_ues; ++i) {
-    NewUe ue;
-    ue.c_rnti = r.u16();
-    ue.slot = r.u64();
-    ue.verified = r.u8() != 0;
-    if (!decode_rrc_setup(r, ue.config)) {
-      return std::nullopt;
-    }
-    result.new_ues.push_back(std::move(ue));
-  }
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return result;
-}
-
-void encode_metrics(const MetricsSnapshot& snapshot, WireWriter& w) {
-  w.u32(static_cast<std::uint32_t>(snapshot.counters.size()));
-  for (const CounterSnapshot& c : snapshot.counters) {
-    w.str(c.name);
-    w.u64(c.value);
-  }
-  w.u32(static_cast<std::uint32_t>(snapshot.gauges.size()));
-  for (const GaugeSnapshot& g : snapshot.gauges) {
-    w.str(g.name);
-    w.i64(g.value);
-  }
-  w.u32(static_cast<std::uint32_t>(snapshot.histograms.size()));
-  for (const HistogramSnapshot& h : snapshot.histograms) {
-    w.str(h.name);
-    w.u64(h.count);
-    w.f64(h.sum);
-    w.f64(h.min);
-    w.f64(h.max);
-    w.u32(static_cast<std::uint32_t>(h.bounds.size()));
-    for (const double b : h.bounds) {
-      w.f64(b);
-    }
-    for (const std::uint64_t c : h.counts) {
-      w.u64(c);
-    }
-  }
-}
-
-std::optional<MetricsSnapshot> decode_metrics(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  MetricsSnapshot snapshot;
-  const std::uint32_t n_counters = r.u32();
-  if (!r.ok() || n_counters > r.remaining()) {
-    return std::nullopt;
-  }
-  snapshot.counters.reserve(n_counters);
-  for (std::uint32_t i = 0; i < n_counters; ++i) {
-    CounterSnapshot c;
-    c.name = r.str();
-    c.value = r.u64();
-    snapshot.counters.push_back(std::move(c));
-  }
-  const std::uint32_t n_gauges = r.u32();
-  if (!r.ok() || n_gauges > r.remaining()) {
-    return std::nullopt;
-  }
-  snapshot.gauges.reserve(n_gauges);
-  for (std::uint32_t i = 0; i < n_gauges; ++i) {
-    GaugeSnapshot g;
-    g.name = r.str();
-    g.value = r.i64();
-    snapshot.gauges.push_back(std::move(g));
-  }
-  const std::uint32_t n_hists = r.u32();
-  if (!r.ok() || n_hists > r.remaining()) {
-    return std::nullopt;
-  }
-  snapshot.histograms.reserve(n_hists);
-  for (std::uint32_t i = 0; i < n_hists; ++i) {
-    HistogramSnapshot h;
-    h.name = r.str();
-    h.count = r.u64();
-    h.sum = r.f64();
-    h.min = r.f64();
-    h.max = r.f64();
-    const std::uint32_t n_bounds = r.u32();
-    if (!r.ok() || n_bounds > r.remaining()) {
-      return std::nullopt;
-    }
-    h.bounds.reserve(n_bounds);
-    for (std::uint32_t b = 0; b < n_bounds; ++b) {
-      h.bounds.push_back(r.f64());
-    }
-    h.counts.reserve(n_bounds + 1);
-    for (std::uint32_t b = 0; b < n_bounds + 1; ++b) {
-      h.counts.push_back(r.u64());
-    }
-    snapshot.histograms.push_back(std::move(h));
-  }
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  // Re-derive the fast-lookup flag rather than trusting the wire: the
-  // peer's snapshot is registry-sorted in practice, but a hand-built one
-  // must not get binary-searched.
-  const auto by_name = [](const auto& a, const auto& b) {
-    return a.name < b.name;
-  };
-  snapshot.sorted_by_name =
-      std::is_sorted(snapshot.counters.begin(), snapshot.counters.end(),
-                     by_name) &&
-      std::is_sorted(snapshot.gauges.begin(), snapshot.gauges.end(),
-                     by_name) &&
-      std::is_sorted(snapshot.histograms.begin(), snapshot.histograms.end(),
-                     by_name);
-  return snapshot;
-}
-
-std::vector<std::uint8_t> hello_frame(const HelloInfo& hello) {
-  WireWriter w;
-  encode_hello(hello, w);
-  return encode_frame(FrameType::kHello, w.data());
-}
-
-std::vector<std::uint8_t> slot_frame(const SlotResult& result) {
-  WireWriter w;
-  encode_slot(result, w);
-  return encode_frame(FrameType::kSlot, w.data());
-}
-
-std::vector<std::uint8_t> metrics_frame(const MetricsSnapshot& snapshot) {
-  WireWriter w;
-  encode_metrics(snapshot, w);
-  return encode_frame(FrameType::kMetrics, w.data());
-}
-
-void encode_fleet(const FleetSummary& summary, WireWriter& w) {
-  w.u64(summary.slot);
-  w.u64(summary.dcis_total);
-  w.u64(summary.restarts_total);
-  w.f64(summary.dl_mbps_total);
-  w.f64(summary.ul_mbps_total);
-  w.f64(summary.retx_rate);
-  w.u32(static_cast<std::uint32_t>(summary.spare_ranking.size()));
-  for (const std::uint32_t index : summary.spare_ranking) {
-    w.u32(index);
-  }
-  w.u32(static_cast<std::uint32_t>(summary.cells.size()));
-  for (const CellSummary& cell : summary.cells) {
-    w.u32(cell.cell_index);
-    w.str(cell.name);
-    w.u8(cell.state);
-    w.u64(cell.slots);
-    w.u64(cell.dcis);
-    w.u64(cell.restarts);
-    w.u32(cell.active_ues);
-    w.f64(cell.dl_mbps);
-    w.f64(cell.ul_mbps);
-    w.f64(cell.retx_rate);
-    w.f64(cell.utilization);
-  }
-}
-
-std::optional<FleetSummary> decode_fleet(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  FleetSummary summary;
-  summary.slot = r.u64();
-  summary.dcis_total = r.u64();
-  summary.restarts_total = r.u64();
-  summary.dl_mbps_total = r.f64();
-  summary.ul_mbps_total = r.f64();
-  summary.retx_rate = r.f64();
-  const std::uint32_t n_ranked = r.u32();
-  if (!r.ok() || n_ranked > r.remaining()) {
-    return std::nullopt;
-  }
-  summary.spare_ranking.reserve(n_ranked);
-  for (std::uint32_t i = 0; i < n_ranked; ++i) {
-    summary.spare_ranking.push_back(r.u32());
-  }
-  const std::uint32_t n_cells = r.u32();
-  if (!r.ok() || n_cells > r.remaining()) {
-    return std::nullopt;
-  }
-  summary.cells.reserve(n_cells);
-  for (std::uint32_t i = 0; i < n_cells; ++i) {
-    CellSummary cell;
-    cell.cell_index = r.u32();
-    cell.name = r.str();
-    cell.state = r.u8();
-    cell.slots = r.u64();
-    cell.dcis = r.u64();
-    cell.restarts = r.u64();
-    cell.active_ues = r.u32();
-    cell.dl_mbps = r.f64();
-    cell.ul_mbps = r.f64();
-    cell.retx_rate = r.f64();
-    cell.utilization = r.f64();
-    summary.cells.push_back(std::move(cell));
-  }
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return summary;
-}
-
-void encode_query(const QueryRequest& request, WireWriter& w) {
-  w.u64(request.correlation_id);
-  w.u8(static_cast<std::uint8_t>(request.kind));
-  w.u32(request.cell);
-  w.u16(request.rnti);
-  w.u8(request.metric);
-  w.u64(request.slot_from);
-  w.u64(request.slot_to);
-  w.u64(request.bucket_slots);
-  w.u32(request.k);
-  w.u8(static_cast<std::uint8_t>(request.op));
-}
-
-std::optional<QueryRequest> decode_query(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  QueryRequest request;
-  request.correlation_id = r.u64();
-  const std::uint8_t kind = r.u8();
-  if (!r.ok() || kind > static_cast<std::uint8_t>(QueryKind::kTopK)) {
-    return std::nullopt;
-  }
-  request.kind = static_cast<QueryKind>(kind);
-  request.cell = r.u32();
-  request.rnti = r.u16();
-  request.metric = r.u8();
-  request.slot_from = r.u64();
-  request.slot_to = r.u64();
-  request.bucket_slots = r.u64();
-  request.k = r.u32();
-  const std::uint8_t op = r.u8();
-  if (!r.ok() || op > static_cast<std::uint8_t>(AggregateOp::kMax)) {
-    return std::nullopt;
-  }
-  request.op = static_cast<AggregateOp>(op);
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return request;
-}
-
-void encode_query_result(const QueryResponse& response, WireWriter& w) {
-  w.u64(response.correlation_id);
-  w.u8(static_cast<std::uint8_t>(response.status));
-  w.u8(static_cast<std::uint8_t>(response.kind));
-  w.str(response.error);
-  w.u32(static_cast<std::uint32_t>(response.rows.size()));
-  for (const QueryRowWire& row : response.rows) {
-    w.u64(row.slot);
-    w.f64(row.value);
-  }
-  w.u32(static_cast<std::uint32_t>(response.buckets.size()));
-  for (const QueryBucket& bucket : response.buckets) {
-    w.u64(bucket.slot_start);
-    w.u64(bucket.count);
-    w.f64(bucket.sum);
-    w.f64(bucket.avg);
-    w.f64(bucket.max);
-  }
-  w.u32(static_cast<std::uint32_t>(response.ranking.size()));
-  for (const TopKEntry& entry : response.ranking) {
-    w.u32(entry.cell);
-    w.u16(entry.rnti);
-    w.f64(entry.score);
-    w.u64(entry.rows);
-  }
-}
-
-std::optional<QueryResponse> decode_query_result(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  QueryResponse response;
-  response.correlation_id = r.u64();
-  const std::uint8_t status = r.u8();
-  const std::uint8_t kind = r.u8();
-  if (!r.ok() ||
-      status > static_cast<std::uint8_t>(QueryStatus::kUnavailable) ||
-      kind > static_cast<std::uint8_t>(QueryKind::kTopK)) {
-    return std::nullopt;
-  }
-  response.status = static_cast<QueryStatus>(status);
-  response.kind = static_cast<QueryKind>(kind);
-  response.error = r.str();
-  const std::uint32_t n_rows = r.u32();
-  if (!r.ok() || n_rows > r.remaining()) {
-    return std::nullopt;
-  }
-  response.rows.reserve(n_rows);
-  for (std::uint32_t i = 0; i < n_rows; ++i) {
-    QueryRowWire row;
-    row.slot = r.u64();
-    row.value = r.f64();
-    response.rows.push_back(row);
-  }
-  const std::uint32_t n_buckets = r.u32();
-  if (!r.ok() || n_buckets > r.remaining()) {
-    return std::nullopt;
-  }
-  response.buckets.reserve(n_buckets);
-  for (std::uint32_t i = 0; i < n_buckets; ++i) {
-    QueryBucket bucket;
-    bucket.slot_start = r.u64();
-    bucket.count = r.u64();
-    bucket.sum = r.f64();
-    bucket.avg = r.f64();
-    bucket.max = r.f64();
-    response.buckets.push_back(bucket);
-  }
-  const std::uint32_t n_ranked = r.u32();
-  if (!r.ok() || n_ranked > r.remaining()) {
-    return std::nullopt;
-  }
-  response.ranking.reserve(n_ranked);
-  for (std::uint32_t i = 0; i < n_ranked; ++i) {
-    TopKEntry entry;
-    entry.cell = r.u32();
-    entry.rnti = r.u16();
-    entry.score = r.f64();
-    entry.rows = r.u64();
-    response.ranking.push_back(entry);
-  }
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return response;
-}
-
-std::vector<std::uint8_t> query_frame(const QueryRequest& request) {
-  WireWriter w;
-  encode_query(request, w);
-  return encode_frame(FrameType::kQuery, w.data());
-}
-
-std::vector<std::uint8_t> query_result_frame(const QueryResponse& response) {
-  WireWriter w;
-  encode_query_result(response, w);
-  return encode_frame(FrameType::kQueryResult, w.data());
-}
-
-std::vector<std::uint8_t> fleet_frame(const FleetSummary& summary) {
-  WireWriter w;
-  encode_fleet(summary, w);
-  return encode_frame(FrameType::kFleet, w.data());
-}
-
-// ---- Distributed fleet codecs ----------------------------------------
-
-void encode_version_reject(const VersionReject& reject, WireWriter& w) {
-  w.u16(reject.rejected);
-  w.u16(reject.min_version);
-  w.u16(reject.max_version);
-  w.str(reject.message);
-}
-
-std::optional<VersionReject> decode_version_reject(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  VersionReject reject;
-  reject.rejected = r.u16();
-  reject.min_version = r.u16();
-  reject.max_version = r.u16();
-  reject.message = r.str();
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return reject;
-}
-
-void encode_worker_hello(const WorkerHello& hello, WireWriter& w) {
-  w.str(hello.name);
-  w.u32(hello.capacity);
-  w.u16(hello.version);
-  w.u32(hello.pool_threads);
-  w.u64(hello.epoch);
-}
-
-std::optional<WorkerHello> decode_worker_hello(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  WorkerHello hello;
-  hello.name = r.str();
-  hello.capacity = r.u32();
-  hello.version = r.u16();
-  hello.pool_threads = r.u32();
-  hello.epoch = r.u64();
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return hello;
-}
-
-namespace {
-
-void encode_cell_spec(const WireCellSpec& spec, WireWriter& w) {
-  w.u32(spec.cell_index);
-  w.str(spec.name);
-  w.str(spec.preset);
-  w.u16(spec.pci);
-  w.u32(spec.n_ues);
-  w.f64(spec.ue_rate_bps);
-  w.f64(spec.ue_snr_db);
-  w.f64(spec.sniffer_snr_db);
-  w.u64(spec.seed);
-  w.u32(spec.incarnation);
-}
-
-bool decode_cell_spec(WireReader& r, WireCellSpec& spec) {
-  spec.cell_index = r.u32();
-  spec.name = r.str();
-  spec.preset = r.str();
-  spec.pci = r.u16();
-  spec.n_ues = r.u32();
-  spec.ue_rate_bps = r.f64();
-  spec.ue_snr_db = r.f64();
-  spec.sniffer_snr_db = r.f64();
-  spec.seed = r.u64();
-  spec.incarnation = r.u32();
-  return r.ok();
-}
-
-}  // namespace
-
-void encode_lease(const LeaseGrant& lease, WireWriter& w) {
-  w.u64(lease.lease_id);
-  w.u32(lease.ttl_ms);
-  w.u64(lease.base_slot);
-  w.u64(lease.epoch);
-  encode_cell_spec(lease.spec, w);
-}
-
-std::optional<LeaseGrant> decode_lease(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  LeaseGrant lease;
-  lease.lease_id = r.u64();
-  lease.ttl_ms = r.u32();
-  lease.base_slot = r.u64();
-  lease.epoch = r.u64();
-  if (!decode_cell_spec(r, lease.spec) || !r.done()) {
-    return std::nullopt;
-  }
-  return lease;
-}
-
-void encode_lease_ack(const LeaseAck& ack, WireWriter& w) {
-  w.u64(ack.lease_id);
-  w.u32(ack.cell_index);
-  w.u8(ack.accepted ? 1 : 0);
-  w.str(ack.message);
-  w.u64(ack.epoch);
-}
-
-std::optional<LeaseAck> decode_lease_ack(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  LeaseAck ack;
-  ack.lease_id = r.u64();
-  ack.cell_index = r.u32();
-  ack.accepted = r.u8() != 0;
-  ack.message = r.str();
-  ack.epoch = r.u64();
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return ack;
-}
-
-void encode_worker_heartbeat(const WorkerHeartbeat& hb, WireWriter& w) {
-  w.u64(hb.seq);
-  w.u64(hb.epoch);
-  w.u32(static_cast<std::uint32_t>(hb.leases.size()));
-  for (const LeaseStatus& lease : hb.leases) {
-    w.u64(lease.lease_id);
-    w.u32(lease.cell_index);
-    w.u64(lease.slots);
-    w.u8(lease.cell_state);
-  }
-}
-
-std::optional<WorkerHeartbeat> decode_worker_heartbeat(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  WorkerHeartbeat hb;
-  hb.seq = r.u64();
-  hb.epoch = r.u64();
-  const std::uint32_t n_leases = r.u32();
-  if (!r.ok() || n_leases > r.remaining()) {
-    return std::nullopt;
-  }
-  hb.leases.reserve(n_leases);
-  for (std::uint32_t i = 0; i < n_leases; ++i) {
-    LeaseStatus lease;
-    lease.lease_id = r.u64();
-    lease.cell_index = r.u32();
-    lease.slots = r.u64();
-    lease.cell_state = r.u8();
-    hb.leases.push_back(lease);
-  }
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return hb;
-}
-
-void encode_cell_report(const CellReport& report, WireWriter& w) {
-  w.u64(report.lease_id);
-  w.u64(report.epoch);
-  w.u32(report.cell_index);
-  w.u8(report.cell_state);
-  w.u64(report.slots);
-  w.u64(report.dcis);
-  w.u64(report.retx_dcis);
-  w.u64(report.restarts);
-  w.u32(report.active_ues);
-  w.f64(report.dl_mbps);
-  w.f64(report.ul_mbps);
-  w.f64(report.retx_rate);
-  w.f64(report.utilization);
-  w.f64(report.spare_prb_rate);
-  w.u32(static_cast<std::uint32_t>(report.rows.size()));
-  for (const StoreRowUpdate& row : report.rows) {
-    w.u16(row.rnti);
-    w.u8(row.metric);
-    w.u64(row.slot);
-    w.f64(row.value);
-  }
-}
-
-namespace {
-
-// Reads one CellReport's fields from `r` without requiring the reader to
-// be exhausted, so the same body serves both the single-report frame and
-// each element of a kCellReportBatch.
-bool read_cell_report_body(WireReader& r, CellReport& report) {
-  report.lease_id = r.u64();
-  report.epoch = r.u64();
-  report.cell_index = r.u32();
-  report.cell_state = r.u8();
-  report.slots = r.u64();
-  report.dcis = r.u64();
-  report.retx_dcis = r.u64();
-  report.restarts = r.u64();
-  report.active_ues = r.u32();
-  report.dl_mbps = r.f64();
-  report.ul_mbps = r.f64();
-  report.retx_rate = r.f64();
-  report.utilization = r.f64();
-  report.spare_prb_rate = r.f64();
-  const std::uint32_t n_rows = r.u32();
-  if (!r.ok() || n_rows > r.remaining()) {
-    return false;
-  }
-  report.rows.reserve(n_rows);
-  for (std::uint32_t i = 0; i < n_rows; ++i) {
-    StoreRowUpdate row;
-    row.rnti = r.u16();
-    row.metric = r.u8();
-    row.slot = r.u64();
-    row.value = r.f64();
-    report.rows.push_back(row);
-  }
-  return r.ok();
-}
-
-}  // namespace
-
-std::optional<CellReport> decode_cell_report(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  CellReport report;
-  if (!read_cell_report_body(r, report) || !r.done()) {
-    return std::nullopt;
-  }
-  return report;
-}
-
-void encode_lease_revoke(const LeaseRevoke& revoke, WireWriter& w) {
-  w.u64(revoke.lease_id);
-  w.u32(revoke.cell_index);
-  w.str(revoke.reason);
-  w.u64(revoke.epoch);
-}
-
-std::optional<LeaseRevoke> decode_lease_revoke(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  LeaseRevoke revoke;
-  revoke.lease_id = r.u64();
-  revoke.cell_index = r.u32();
-  revoke.reason = r.str();
-  revoke.epoch = r.u64();
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return revoke;
-}
-
-void encode_cell_report_batch(const CellReportBatch& batch, WireWriter& w) {
-  w.u32(static_cast<std::uint32_t>(batch.reports.size()));
-  for (const CellReport& report : batch.reports) {
-    encode_cell_report(report, w);
-  }
-}
-
-std::optional<CellReportBatch> decode_cell_report_batch(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  CellReportBatch batch;
-  const std::uint32_t n_reports = r.u32();
-  if (!r.ok() || n_reports > r.remaining()) {
-    return std::nullopt;
-  }
-  batch.reports.reserve(n_reports);
-  for (std::uint32_t i = 0; i < n_reports; ++i) {
-    CellReport report;
-    if (!read_cell_report_body(r, report)) {
-      return std::nullopt;
-    }
-    batch.reports.push_back(std::move(report));
-  }
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return batch;
-}
-
-void encode_prediction(const PredictionSet& set, WireWriter& w) {
-  w.u32(set.cell_index);
-  w.u64(set.slot);
-  w.u32(set.horizon_slots);
-  w.u32(set.model_version);
-  w.u32(static_cast<std::uint32_t>(set.entries.size()));
-  for (const PredictionEntry& e : set.entries) {
-    w.u16(e.rnti);
-    std::uint8_t flags = 0;
-    if (e.has_actual) {
-      flags |= 0x01;
-    }
-    if (e.degraded) {
-      flags |= 0x02;
-    }
-    w.u8(flags);
-    w.f64(e.predicted_bps);
-    w.f64(e.actual_bps);
-    w.f64(e.abs_error_bps);
-  }
-}
-
-std::optional<PredictionSet> decode_prediction(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  PredictionSet set;
-  set.cell_index = r.u32();
-  set.slot = r.u64();
-  set.horizon_slots = r.u32();
-  set.model_version = r.u32();
-  const std::uint32_t n_entries = r.u32();
-  if (!r.ok() || n_entries > r.remaining()) {
-    return std::nullopt;
-  }
-  set.entries.reserve(n_entries);
-  for (std::uint32_t i = 0; i < n_entries; ++i) {
-    PredictionEntry e;
-    e.rnti = r.u16();
-    const std::uint8_t flags = r.u8();
-    e.has_actual = (flags & 0x01) != 0;
-    e.degraded = (flags & 0x02) != 0;
-    e.predicted_bps = r.f64();
-    e.actual_bps = r.f64();
-    e.abs_error_bps = r.f64();
-    set.entries.push_back(e);
-  }
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return set;
-}
-
-// ---- Coordinator replication codecs (v5) -----------------------------
-
-void encode_standby_hello(const StandbyHello& hello, WireWriter& w) {
-  w.str(hello.name);
-  w.u16(hello.version);
-}
-
-std::optional<StandbyHello> decode_standby_hello(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  StandbyHello hello;
-  hello.name = r.str();
-  hello.version = r.u16();
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return hello;
-}
-
-void encode_not_primary(const NotPrimary& info, WireWriter& w) {
-  w.u64(info.epoch);
-  w.str(info.message);
-}
-
-std::optional<NotPrimary> decode_not_primary(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  NotPrimary info;
-  info.epoch = r.u64();
-  info.message = r.str();
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return info;
-}
-
-namespace {
-
-void write_replica_cell(const ReplicaCell& cell, WireWriter& w) {
-  encode_cell_spec(cell.spec, w);
-  w.u8(cell.lease_state);
-  w.u64(cell.lease_id);
-  w.u64(cell.worker_id);
-  w.u32(cell.handoffs);
-  w.u64(cell.committed_slots);
-  w.u64(cell.committed_dcis);
-  w.u64(cell.committed_retx);
-  w.u64(cell.committed_restarts);
-  w.u64(cell.lease_base_slot);
-  w.u8(cell.has_report ? 1 : 0);
-  encode_cell_report(cell.live, w);
-}
-
-bool read_replica_cell(WireReader& r, ReplicaCell& cell) {
-  if (!decode_cell_spec(r, cell.spec)) {
-    return false;
-  }
-  cell.lease_state = r.u8();
-  cell.lease_id = r.u64();
-  cell.worker_id = r.u64();
-  cell.handoffs = r.u32();
-  cell.committed_slots = r.u64();
-  cell.committed_dcis = r.u64();
-  cell.committed_retx = r.u64();
-  cell.committed_restarts = r.u64();
-  cell.lease_base_slot = r.u64();
-  cell.has_report = r.u8() != 0;
-  return read_cell_report_body(r, cell.live);
-}
-
-}  // namespace
-
-void encode_replica_snapshot(const ReplicaSnapshot& snapshot, WireWriter& w) {
-  w.u64(snapshot.epoch);
-  w.u64(snapshot.next_lease_id);
-  w.u32(static_cast<std::uint32_t>(snapshot.workers.size()));
-  for (const ReplicaWorker& worker : snapshot.workers) {
-    w.u64(worker.worker_id);
-    w.str(worker.name);
-    w.u32(worker.capacity);
-  }
-  w.u32(static_cast<std::uint32_t>(snapshot.cells.size()));
-  for (const ReplicaCell& cell : snapshot.cells) {
-    write_replica_cell(cell, w);
-  }
-}
-
-std::optional<ReplicaSnapshot> decode_replica_snapshot(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  ReplicaSnapshot snapshot;
-  snapshot.epoch = r.u64();
-  snapshot.next_lease_id = r.u64();
-  const std::uint32_t n_workers = r.u32();
-  if (!r.ok() || n_workers > r.remaining()) {
-    return std::nullopt;
-  }
-  snapshot.workers.reserve(n_workers);
-  for (std::uint32_t i = 0; i < n_workers; ++i) {
-    ReplicaWorker worker;
-    worker.worker_id = r.u64();
-    worker.name = r.str();
-    worker.capacity = r.u32();
-    snapshot.workers.push_back(std::move(worker));
-  }
-  const std::uint32_t n_cells = r.u32();
-  if (!r.ok() || n_cells > r.remaining()) {
-    return std::nullopt;
-  }
-  snapshot.cells.reserve(n_cells);
-  for (std::uint32_t i = 0; i < n_cells; ++i) {
-    ReplicaCell cell;
-    if (!read_replica_cell(r, cell)) {
-      return std::nullopt;
-    }
-    snapshot.cells.push_back(std::move(cell));
-  }
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return snapshot;
-}
-
-void encode_replica_event(const ReplicaEvent& event, WireWriter& w) {
-  w.u8(static_cast<std::uint8_t>(event.kind));
-  w.u64(event.epoch);
-  w.u32(event.cell_index);
-  w.u64(event.lease_id);
-  w.u64(event.worker_id);
-  w.u8(event.lease_state);
-  w.u32(event.handoffs);
-  w.str(event.worker_name);
-  w.u32(event.capacity);
-  w.u64(event.committed_slots);
-  w.u64(event.committed_dcis);
-  w.u64(event.committed_retx);
-  w.u64(event.committed_restarts);
-  w.u64(event.lease_base_slot);
-  w.u8(event.has_report ? 1 : 0);
-  encode_cell_report(event.live, w);
-  w.u32(static_cast<std::uint32_t>(event.rows.size()));
-  for (const StoreRowUpdate& row : event.rows) {
-    w.u16(row.rnti);
-    w.u8(row.metric);
-    w.u64(row.slot);
-    w.f64(row.value);
-  }
-}
-
-std::optional<ReplicaEvent> decode_replica_event(
-    std::span<const std::uint8_t> payload) {
-  WireReader r(payload);
-  ReplicaEvent event;
-  const std::uint8_t kind = r.u8();
-  if (!r.ok() || kind > static_cast<std::uint8_t>(ReplicaEventKind::kStoreRows)) {
-    return std::nullopt;
-  }
-  event.kind = static_cast<ReplicaEventKind>(kind);
-  event.epoch = r.u64();
-  event.cell_index = r.u32();
-  event.lease_id = r.u64();
-  event.worker_id = r.u64();
-  event.lease_state = r.u8();
-  event.handoffs = r.u32();
-  event.worker_name = r.str();
-  event.capacity = r.u32();
-  event.committed_slots = r.u64();
-  event.committed_dcis = r.u64();
-  event.committed_retx = r.u64();
-  event.committed_restarts = r.u64();
-  event.lease_base_slot = r.u64();
-  event.has_report = r.u8() != 0;
-  if (!read_cell_report_body(r, event.live)) {
-    return std::nullopt;
-  }
-  const std::uint32_t n_rows = r.u32();
-  if (!r.ok() || n_rows > r.remaining()) {
-    return std::nullopt;
-  }
-  event.rows.reserve(n_rows);
-  for (std::uint32_t i = 0; i < n_rows; ++i) {
-    StoreRowUpdate row;
-    row.rnti = r.u16();
-    row.metric = r.u8();
-    row.slot = r.u64();
-    row.value = r.f64();
-    event.rows.push_back(row);
-  }
-  if (!r.done()) {
-    return std::nullopt;
-  }
-  return event;
-}
-
-std::vector<std::uint8_t> version_reject_frame(const VersionReject& reject) {
-  WireWriter w;
-  encode_version_reject(reject, w);
-  return encode_frame(FrameType::kUnsupportedVersion, w.data());
-}
-
-std::vector<std::uint8_t> worker_hello_frame(const WorkerHello& hello) {
-  WireWriter w;
-  encode_worker_hello(hello, w);
-  return encode_frame(FrameType::kWorkerHello, w.data());
-}
-
-std::vector<std::uint8_t> lease_frame(const LeaseGrant& lease) {
-  WireWriter w;
-  encode_lease(lease, w);
-  return encode_frame(FrameType::kLease, w.data());
-}
-
-std::vector<std::uint8_t> lease_ack_frame(const LeaseAck& ack) {
-  WireWriter w;
-  encode_lease_ack(ack, w);
-  return encode_frame(FrameType::kLeaseAck, w.data());
-}
-
-std::vector<std::uint8_t> worker_heartbeat_frame(const WorkerHeartbeat& hb) {
-  WireWriter w;
-  encode_worker_heartbeat(hb, w);
-  return encode_frame(FrameType::kWorkerHeartbeat, w.data());
-}
-
-std::vector<std::uint8_t> cell_report_frame(const CellReport& report) {
-  WireWriter w;
-  encode_cell_report(report, w);
-  return encode_frame(FrameType::kCellReport, w.data());
-}
-
-std::vector<std::uint8_t> lease_revoke_frame(const LeaseRevoke& revoke) {
-  WireWriter w;
-  encode_lease_revoke(revoke, w);
-  return encode_frame(FrameType::kLeaseRevoke, w.data());
-}
-
-std::vector<std::uint8_t> cell_report_batch_frame(
-    const CellReportBatch& batch) {
-  WireWriter w;
-  encode_cell_report_batch(batch, w);
-  return encode_frame(FrameType::kCellReportBatch, w.data());
-}
-
-std::vector<std::uint8_t> prediction_frame(const PredictionSet& set) {
-  WireWriter w;
-  encode_prediction(set, w);
-  return encode_frame(FrameType::kPrediction, w.data());
-}
-
-std::vector<std::uint8_t> standby_hello_frame(const StandbyHello& hello) {
-  WireWriter w;
-  encode_standby_hello(hello, w);
-  return encode_frame(FrameType::kStandbyHello, w.data());
-}
-
-std::vector<std::uint8_t> not_primary_frame(const NotPrimary& info) {
-  WireWriter w;
-  encode_not_primary(info, w);
-  return encode_frame(FrameType::kNotPrimary, w.data());
-}
-
-std::vector<std::uint8_t> replica_snapshot_frame(
-    const ReplicaSnapshot& snapshot) {
-  WireWriter w;
-  encode_replica_snapshot(snapshot, w);
-  return encode_frame(FrameType::kReplicaSnapshot, w.data());
-}
-
-std::vector<std::uint8_t> replica_event_frame(const ReplicaEvent& event) {
-  WireWriter w;
-  encode_replica_event(event, w);
-  return encode_frame(FrameType::kReplicaEvent, w.data());
-}
-
-std::vector<std::uint8_t> heartbeat_frame() {
-  return encode_frame(FrameType::kHeartbeat, {});
-}
-
-std::vector<std::uint8_t> end_frame() {
-  return encode_frame(FrameType::kEnd, {});
 }
 
 }  // namespace nrs

@@ -10,16 +10,22 @@
 //
 //   | magic u32 | version u16 | type u16 | payload_len u32 | payload ... |
 //
-// Decoding never throws and never reads past the buffer: truncated or
-// corrupt input yields std::nullopt (WireReader carries a sticky error
-// flag), which is what the round-trip/truncation fuzz tests in
-// tests/net/test_wire.cc lock down.
+// Each payload struct is described once, by a field visitor (see "Field
+// descriptions" below), and the generic encode_frame() / decode_payload()
+// pair drives every frame type through that one description.  Decoding
+// never throws and never reads past the buffer: truncated or corrupt input
+// yields std::nullopt (WireReader carries a sticky error flag), which the
+// typed round-trip/truncation/garbage tests in tests/net/test_wire.cc lock
+// down.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/metrics.h"
@@ -28,6 +34,11 @@
 namespace nrs {
 
 inline constexpr std::uint32_t kWireMagic = 0x4E525357;  // "NRSW"
+/// The one protocol version this build speaks and accepts.  A header with
+/// any other version is answered with a kUnsupportedVersion frame and the
+/// connection is dropped: payload layouts change between versions, so an
+/// older peer's frames could pass the header check and still not decode.
+///
 /// v2 added the request/response query frames (kQuery / kQueryResult);
 /// v3 added the distributed-fleet work-assignment frames (worker hello,
 /// leases, heartbeats, cell reports) and the structured version-reject
@@ -38,10 +49,6 @@ inline constexpr std::uint32_t kWireMagic = 0x4E525357;  // "NRSW"
 /// `epoch` term on every lease, heartbeat and report so a deposed
 /// primary is fenced after failover.
 inline constexpr std::uint16_t kWireVersion = 5;
-/// Oldest peer version still accepted.  v1 predates the query frames and
-/// the correlation-ID discipline, so it is no longer interoperable; a v1
-/// peer is answered with a kUnsupportedVersion frame and disconnected.
-inline constexpr std::uint16_t kWireMinVersion = 2;
 /// Upper bound on a sane payload; a bigger announced length means the
 /// stream is corrupt (or hostile) and the connection should be dropped.
 inline constexpr std::uint32_t kWireMaxPayload = 64u * 1024u * 1024u;
@@ -62,12 +69,13 @@ enum class FrameType : std::uint16_t {
   kLease = 10,            ///< coordinator -> worker: grant/renew one cell
   kLeaseAck = 11,         ///< worker -> coordinator: accept/refuse a lease
   kWorkerHeartbeat = 12,  ///< worker -> coordinator: liveness + lease state
-  kCellReport = 13,       ///< worker -> coordinator: per-cell telemetry
+  // 13 was the single-report kCellReport; kCellReportBatch replaced it and
+  // the value is not reused.
   kLeaseRevoke = 14,      ///< coordinator -> worker: stop running a cell
   /// Structured protocol-mismatch error: sent (best effort) to a peer whose
-  /// frames carry a version outside [kWireMinVersion, kWireVersion] right
-  /// before the connection is dropped, so old clients see a clear error
-  /// instead of a silent disconnect.
+  /// frames carry a version other than kWireVersion right before the
+  /// connection is dropped, so old clients see a clear error instead of a
+  /// silent disconnect.
   kUnsupportedVersion = 15,
   // Online prediction + WAN batching, v4.
   kPrediction = 16,       ///< one serialized PredictionSet (analysis sink)
@@ -218,10 +226,12 @@ struct QueryResponse {
 // ends of the protocol link the preset table, and an unknown preset is a
 // lease refusal, not a decode error.
 
-/// Payload of FrameType::kUnsupportedVersion.
+/// Payload of FrameType::kUnsupportedVersion.  The accepted range is a
+/// single version, so `min_version` and `max_version` both carry
+/// kWireVersion; the two fields keep the payload layout unchanged.
 struct VersionReject {
   std::uint16_t rejected = 0;  ///< the version the peer spoke
-  std::uint16_t min_version = kWireMinVersion;
+  std::uint16_t min_version = kWireVersion;
   std::uint16_t max_version = kWireVersion;
   std::string message;
   [[nodiscard]] bool operator==(const VersionReject&) const = default;
@@ -316,10 +326,11 @@ struct StoreRowUpdate {
   [[nodiscard]] bool operator==(const StoreRowUpdate&) const = default;
 };
 
-/// Worker -> coordinator: one cell's telemetry under one lease.  Counters
-/// are lease-local lifetime totals (monotonic within the lease); the
-/// coordinator adds them to the totals committed by earlier leases, which
-/// is what keeps the fleet view monotonic across a reassignment.
+/// Worker -> coordinator: one cell's telemetry under one lease, sent as
+/// an element of a CellReportBatch.  Counters are lease-local lifetime
+/// totals (monotonic within the lease); the coordinator adds them to the
+/// totals committed by earlier leases, which is what keeps the fleet view
+/// monotonic across a reassignment.
 struct CellReport {
   std::uint64_t lease_id = 0;
   std::uint64_t epoch = 0;  ///< coordinator term the lease was granted under
@@ -493,20 +504,61 @@ struct ReplicaEvent {
   [[nodiscard]] bool operator==(const ReplicaEvent&) const = default;
 };
 
-// ---- Byte-level primitives -------------------------------------------
+// ---- Field descriptions ----------------------------------------------
+//
+// Each payload struct, and each struct nested in one, is described once by
+//
+//   template <class Io> void fields(Io& io, T& value);
+//
+// which lists its fields in wire order as io(a, b, c).  WireWriter and
+// WireReader are the two Io types, so one description drives both encode
+// and decode and the two sides cannot drift apart.  How a field travels
+// follows from its C++ type:
+//   - an integer: its own width, little-endian; a bool: one byte, 0 or 1
+//   - an enum: its underlying integer; the reader rejects a value for
+//     which valid_on_wire() is false
+//   - a double: its IEEE-754 bits as a u64
+//   - a std::string: u16 length + raw bytes
+//   - a std::vector: u32 count + the elements
+//   - as<W>(x): x travels as the integer type W (an `unsigned` PRB index
+//     sent as a u16)
+//   - any other struct: its own fields()
+// A field that packs bits into one byte, or whose count is implied, is
+// unpacked in an `if constexpr (Io::kReading)` block beside its write.
+
+/// Field proxy: `ref` travels as the wire integer type W.
+template <class W, class T>
+struct As {
+  using wire_type = W;
+  T& ref;
+};
+
+template <class W, class T>
+As<W, T> as(T& ref) {
+  return {ref};
+}
+
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T, class A>
+inline constexpr bool kIsVector<std::vector<T, A>> = true;
 
 /// Appends little-endian fields to a byte buffer.
 class WireWriter {
  public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  /// u16 length prefix + raw bytes.
-  void str(const std::string& s);
+  static constexpr bool kReading = false;
+
+  /// Appends each field by the "Field descriptions" rules.
+  template <class... Ts>
+  void operator()(const Ts&... fields) {
+    (put(fields), ...);
+  }
   void bytes(std::span<const std::uint8_t> data);
+
+  /// Starts a frame: writes the header, leaving the payload length for
+  /// take_frame() to fill in once the payload has been written.
+  void begin_frame(FrameType type);
+  [[nodiscard]] std::vector<std::uint8_t> take_frame();
 
   [[nodiscard]] const std::vector<std::uint8_t>& data() const {
     return out_;
@@ -514,23 +566,55 @@ class WireWriter {
   [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(out_); }
 
  private:
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      out_.push_back(v ? 1 : 0);
+    } else if constexpr (std::is_enum_v<T>) {
+      put(static_cast<std::underlying_type_t<T>>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      const auto u = static_cast<std::make_unsigned_t<T>>(v);
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        out_.push_back(static_cast<std::uint8_t>(u >> (8 * i)));
+      }
+    } else if constexpr (std::is_same_v<T, double>) {
+      put(std::bit_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      put(static_cast<std::uint16_t>(v.size()));
+      out_.insert(out_.end(), v.begin(), v.end());
+    } else if constexpr (kIsVector<T>) {
+      put(static_cast<std::uint32_t>(v.size()));
+      for (const auto& item : v) {
+        put(item);
+      }
+    } else if constexpr (requires { typename T::wire_type; }) {
+      put(static_cast<typename T::wire_type>(v.ref));
+    } else {
+      // Descriptions take a mutable reference so that one function serves
+      // both directions; the writer only ever reads through it.
+      fields(*this, const_cast<T&>(v));
+    }
+  }
+
   std::vector<std::uint8_t> out_;
 };
 
-/// Reads little-endian fields from a byte buffer.  Reading past the end
-/// sets a sticky error flag and returns zeros; callers check ok() once at
-/// the end instead of guarding every field.
+/// Reads little-endian fields from a byte buffer.  Reading past the end,
+/// or an enum value outside its range, sets a sticky error flag and skips
+/// to the end, so later reads fail fast and leave their fields as they
+/// were; callers check ok() once at the end instead of guarding every
+/// field.
 class WireReader {
  public:
+  static constexpr bool kReading = true;
+
   explicit WireReader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64();
-  std::string str();
+  /// Reads each field by the "Field descriptions" rules.
+  template <class... Ts>
+  void operator()(Ts&&... fields) {
+    (get(fields), ...);
+  }
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
@@ -539,12 +623,420 @@ class WireReader {
   [[nodiscard]] bool done() const { return ok_ && remaining() == 0; }
 
  private:
+  void fail() {
+    ok_ = false;
+    pos_ = data_.size();
+  }
+
+  template <class T>
+  void get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      std::uint8_t byte = 0;
+      get(byte);
+      v = byte != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> raw = 0;
+      get(raw);
+      v = static_cast<T>(raw);
+      if (!valid_on_wire(v)) {
+        fail();
+      }
+    } else if constexpr (std::is_integral_v<T>) {
+      if (remaining() < sizeof(T)) {
+        fail();
+        return;
+      }
+      std::make_unsigned_t<T> u = 0;
+      for (std::size_t i = sizeof(T); i-- > 0;) {
+        u = static_cast<std::make_unsigned_t<T>>((u << 8) | data_[pos_ + i]);
+      }
+      pos_ += sizeof(T);
+      v = static_cast<T>(u);
+    } else if constexpr (std::is_same_v<T, double>) {
+      std::uint64_t bits = 0;
+      get(bits);
+      v = std::bit_cast<double>(bits);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      std::uint16_t len = 0;
+      get(len);
+      if (remaining() < len) {
+        fail();
+        return;
+      }
+      v.assign(reinterpret_cast<const char*>(data_.data() + pos_), len);
+      pos_ += len;
+    } else if constexpr (kIsVector<T>) {
+      std::uint32_t n = 0;
+      get(n);
+      // The count is untrusted.  Capacity is reserved only for what the
+      // bytes left could hold, and every element takes at least one byte,
+      // so a count larger than the bytes left is rejected as soon as it
+      // becomes one.
+      v.clear();
+      v.reserve(std::min<std::size_t>(
+          n, remaining() / sizeof(typename T::value_type)));
+      for (std::uint32_t i = 0; i < n && ok_; ++i) {
+        if (remaining() < n - i) {
+          fail();
+          return;
+        }
+        get(v.emplace_back());
+      }
+    } else if constexpr (requires { typename T::wire_type; }) {
+      typename T::wire_type raw = 0;
+      get(raw);
+      v.ref = static_cast<std::remove_reference_t<decltype(v.ref)>>(raw);
+    } else {
+      fields(*this, v);
+    }
+  }
+
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
 
+// Enum ranges the reader accepts.
+constexpr bool valid_on_wire(DciFormat f) { return f <= DciFormat::kDl1_1; }
+constexpr bool valid_on_wire(Scs s) { return s <= Scs::kHz60; }
+constexpr bool valid_on_wire(McsTable t) {
+  return t >= McsTable::kQam64 && t <= McsTable::kQam64LowSe;
+}
+constexpr bool valid_on_wire(Modulation m) {
+  switch (m) {
+    case Modulation::kBpsk:
+    case Modulation::kQpsk:
+    case Modulation::kQam16:
+    case Modulation::kQam64:
+    case Modulation::kQam256:
+      return true;
+  }
+  return false;
+}
+constexpr bool valid_on_wire(QueryKind k) { return k <= QueryKind::kTopK; }
+constexpr bool valid_on_wire(AggregateOp op) {
+  return op <= AggregateOp::kMax;
+}
+constexpr bool valid_on_wire(QueryStatus s) {
+  return s <= QueryStatus::kUnavailable;
+}
+constexpr bool valid_on_wire(ReplicaEventKind k) {
+  return k <= ReplicaEventKind::kStoreRows;
+}
+
+template <class Io>
+void fields(Io& io, HelloInfo& h) {
+  io(h.version, h.next_slot);
+}
+
+template <class Io>
+void fields(Io& io, Mib& m) {
+  io(m.sfn, m.scs_common, m.coreset0_rb_start, m.coreset0_n_prb6,
+     m.coreset0_duration, m.searchspace0, m.cell_barred);
+}
+
+template <class Io>
+void fields(Io& io, Dci& d) {
+  io(d.format, d.freq_alloc_riv, d.time_alloc, d.mcs, d.ndi, d.rv, d.harq_id,
+     d.dai, d.tpc, d.pucch_resource, d.harq_feedback, d.ports, d.srs_request,
+     d.dmrs_id);
+}
+
+template <class Io>
+void fields(Io& io, Grant& g) {
+  io(g.rnti, g.format, as<std::uint16_t>(g.prb_start),
+     as<std::uint16_t>(g.prb_len), as<std::uint8_t>(g.start_symbol),
+     as<std::uint8_t>(g.n_symbols), as<std::uint8_t>(g.mcs), g.modulation,
+     g.code_rate, as<std::uint8_t>(g.n_layers), as<std::uint32_t>(g.tbs),
+     g.ndi, g.rv, g.harq_id);
+}
+
+template <class Io>
+void fields(Io& io, DecodedDci& d) {
+  io(d.slot, d.rnti, d.dci, d.grant, as<std::uint16_t>(d.agg_level),
+     as<std::uint16_t>(d.cce_start), d.is_retx);
+}
+
+template <class Io>
+void fields(Io& io, RrcSetup& rrc) {
+  // The aggregation levels travel as a u8 count and u16 levels.
+  std::vector<unsigned>& levels = rrc.ue_ss.agg_levels;
+  auto n_levels = static_cast<std::uint8_t>(levels.size());
+  io(rrc.ue_ss.ue_specific, n_levels);
+  if constexpr (Io::kReading) {
+    levels.resize(n_levels);
+  }
+  for (unsigned& level : levels) {
+    io(as<std::uint16_t>(level));
+  }
+  io(as<std::uint16_t>(rrc.ue_ss.candidates_per_level), rrc.dl_format,
+     rrc.mcs_table, as<std::uint8_t>(rrc.max_mimo_layers),
+     as<std::uint8_t>(rrc.n_harq_processes));
+}
+
+template <class Io>
+void fields(Io& io, NewUe& ue) {
+  io(ue.c_rnti, ue.slot, ue.verified, ue.config);
+}
+
+template <class Io>
+void fields(Io& io, SlotResult& r) {
+  // One flags byte: bit 0 = a MIB follows, bit 1 = SIB1 decoded, bit 2 =
+  // degraded, bits 4-5 = sync state.
+  auto flags = static_cast<std::uint8_t>(
+      (r.mib ? 0x1 : 0) | (r.sib1_decoded ? 0x2 : 0) |
+      (r.degraded ? 0x4 : 0) |
+      ((static_cast<unsigned>(r.sync_state) & 0x3) << 4));
+  io(r.slot, r.processing_time_us, flags);
+  if constexpr (Io::kReading) {
+    r.sib1_decoded = (flags & 0x2) != 0;
+    r.degraded = (flags & 0x4) != 0;
+    r.sync_state = static_cast<SyncState>((flags >> 4) & 0x3);
+    if ((flags & 0x1) != 0) {
+      r.mib.emplace();
+    }
+  }
+  if (r.mib) {
+    io(*r.mib);
+  }
+  io(r.dcis, r.new_ues);
+}
+
+template <class Io>
+void fields(Io& io, CounterSnapshot& c) {
+  io(c.name, c.value);
+}
+
+template <class Io>
+void fields(Io& io, GaugeSnapshot& g) {
+  io(g.name, g.value);
+}
+
+template <class Io>
+void fields(Io& io, HistogramSnapshot& h) {
+  io(h.name, h.count, h.sum, h.min, h.max, h.bounds);
+  // One count per bucket, bounds.size() + 1 of them, with no count prefix.
+  if constexpr (Io::kReading) {
+    h.counts.resize(h.bounds.size() + 1);
+  }
+  for (std::uint64_t& count : h.counts) {
+    io(count);
+  }
+}
+
+template <class Io>
+void fields(Io& io, MetricsSnapshot& s) {
+  io(s.counters, s.gauges, s.histograms);
+  if constexpr (Io::kReading) {
+    // Re-derive the fast-lookup flag rather than trusting the wire: the
+    // peer's snapshot is registry-sorted in practice, but a hand-built one
+    // must not get binary-searched.
+    const auto by_name = [](const auto& a, const auto& b) {
+      return a.name < b.name;
+    };
+    s.sorted_by_name =
+        std::is_sorted(s.counters.begin(), s.counters.end(), by_name) &&
+        std::is_sorted(s.gauges.begin(), s.gauges.end(), by_name) &&
+        std::is_sorted(s.histograms.begin(), s.histograms.end(), by_name);
+  }
+}
+
+template <class Io>
+void fields(Io& io, CellSummary& c) {
+  io(c.cell_index, c.name, c.state, c.slots, c.dcis, c.restarts,
+     c.active_ues, c.dl_mbps, c.ul_mbps, c.retx_rate, c.utilization);
+}
+
+template <class Io>
+void fields(Io& io, FleetSummary& f) {
+  io(f.slot, f.dcis_total, f.restarts_total, f.dl_mbps_total,
+     f.ul_mbps_total, f.retx_rate, f.spare_ranking, f.cells);
+}
+
+template <class Io>
+void fields(Io& io, QueryRequest& q) {
+  io(q.correlation_id, q.kind, q.cell, q.rnti, q.metric, q.slot_from,
+     q.slot_to, q.bucket_slots, q.k, q.op);
+}
+
+template <class Io>
+void fields(Io& io, QueryRowWire& r) {
+  io(r.slot, r.value);
+}
+
+template <class Io>
+void fields(Io& io, QueryBucket& b) {
+  io(b.slot_start, b.count, b.sum, b.avg, b.max);
+}
+
+template <class Io>
+void fields(Io& io, TopKEntry& e) {
+  io(e.cell, e.rnti, e.score, e.rows);
+}
+
+template <class Io>
+void fields(Io& io, QueryResponse& q) {
+  io(q.correlation_id, q.status, q.kind, q.error, q.rows, q.buckets,
+     q.ranking);
+}
+
+template <class Io>
+void fields(Io& io, VersionReject& v) {
+  io(v.rejected, v.min_version, v.max_version, v.message);
+}
+
+template <class Io>
+void fields(Io& io, WorkerHello& h) {
+  io(h.name, h.capacity, h.version, h.pool_threads, h.epoch);
+}
+
+template <class Io>
+void fields(Io& io, WireCellSpec& s) {
+  io(s.cell_index, s.name, s.preset, s.pci, s.n_ues, s.ue_rate_bps,
+     s.ue_snr_db, s.sniffer_snr_db, s.seed, s.incarnation);
+}
+
+template <class Io>
+void fields(Io& io, LeaseGrant& l) {
+  io(l.lease_id, l.ttl_ms, l.base_slot, l.epoch, l.spec);
+}
+
+template <class Io>
+void fields(Io& io, LeaseAck& a) {
+  io(a.lease_id, a.cell_index, a.accepted, a.message, a.epoch);
+}
+
+template <class Io>
+void fields(Io& io, LeaseStatus& s) {
+  io(s.lease_id, s.cell_index, s.slots, s.cell_state);
+}
+
+template <class Io>
+void fields(Io& io, WorkerHeartbeat& h) {
+  io(h.seq, h.epoch, h.leases);
+}
+
+template <class Io>
+void fields(Io& io, StoreRowUpdate& r) {
+  io(r.rnti, r.metric, r.slot, r.value);
+}
+
+template <class Io>
+void fields(Io& io, CellReport& c) {
+  io(c.lease_id, c.epoch, c.cell_index, c.cell_state, c.slots, c.dcis,
+     c.retx_dcis, c.restarts, c.active_ues, c.dl_mbps, c.ul_mbps,
+     c.retx_rate, c.utilization, c.spare_prb_rate, c.rows);
+}
+
+template <class Io>
+void fields(Io& io, CellReportBatch& b) {
+  io(b.reports);
+}
+
+template <class Io>
+void fields(Io& io, PredictionEntry& e) {
+  // One flags byte: bit 0 = has_actual, bit 1 = degraded.
+  auto flags = static_cast<std::uint8_t>((e.has_actual ? 0x1 : 0) |
+                                         (e.degraded ? 0x2 : 0));
+  io(e.rnti, flags, e.predicted_bps, e.actual_bps, e.abs_error_bps);
+  if constexpr (Io::kReading) {
+    e.has_actual = (flags & 0x1) != 0;
+    e.degraded = (flags & 0x2) != 0;
+  }
+}
+
+template <class Io>
+void fields(Io& io, PredictionSet& p) {
+  io(p.cell_index, p.slot, p.horizon_slots, p.model_version, p.entries);
+}
+
+template <class Io>
+void fields(Io& io, LeaseRevoke& r) {
+  io(r.lease_id, r.cell_index, r.reason, r.epoch);
+}
+
+template <class Io>
+void fields(Io& io, StandbyHello& h) {
+  io(h.name, h.version);
+}
+
+template <class Io>
+void fields(Io& io, NotPrimary& n) {
+  io(n.epoch, n.message);
+}
+
+template <class Io>
+void fields(Io& io, ReplicaWorker& w) {
+  io(w.worker_id, w.name, w.capacity);
+}
+
+template <class Io>
+void fields(Io& io, ReplicaCell& c) {
+  io(c.spec, c.lease_state, c.lease_id, c.worker_id, c.handoffs,
+     c.committed_slots, c.committed_dcis, c.committed_retx,
+     c.committed_restarts, c.lease_base_slot, c.has_report, c.live);
+}
+
+template <class Io>
+void fields(Io& io, ReplicaSnapshot& s) {
+  io(s.epoch, s.next_lease_id, s.workers, s.cells);
+}
+
+template <class Io>
+void fields(Io& io, ReplicaEvent& e) {
+  io(e.kind, e.epoch, e.cell_index, e.lease_id, e.worker_id, e.lease_state,
+     e.handoffs, e.worker_name, e.capacity, e.committed_slots,
+     e.committed_dcis, e.committed_retx, e.committed_restarts,
+     e.lease_base_slot, e.has_report, e.live, e.rows);
+}
+
 // ---- Frames ----------------------------------------------------------
+
+/// The frame type that carries payload type T: the one place a payload is
+/// bound to its FrameType.  FrameType{0} marks a type that is not a frame
+/// payload (a nested struct such as CellReport).
+template <class T>
+inline constexpr FrameType kFrameOf = FrameType{0};
+template <>
+inline constexpr FrameType kFrameOf<HelloInfo> = FrameType::kHello;
+template <>
+inline constexpr FrameType kFrameOf<SlotResult> = FrameType::kSlot;
+template <>
+inline constexpr FrameType kFrameOf<MetricsSnapshot> = FrameType::kMetrics;
+template <>
+inline constexpr FrameType kFrameOf<FleetSummary> = FrameType::kFleet;
+template <>
+inline constexpr FrameType kFrameOf<QueryRequest> = FrameType::kQuery;
+template <>
+inline constexpr FrameType kFrameOf<QueryResponse> = FrameType::kQueryResult;
+template <>
+inline constexpr FrameType kFrameOf<WorkerHello> = FrameType::kWorkerHello;
+template <>
+inline constexpr FrameType kFrameOf<LeaseGrant> = FrameType::kLease;
+template <>
+inline constexpr FrameType kFrameOf<LeaseAck> = FrameType::kLeaseAck;
+template <>
+inline constexpr FrameType kFrameOf<WorkerHeartbeat> =
+    FrameType::kWorkerHeartbeat;
+template <>
+inline constexpr FrameType kFrameOf<LeaseRevoke> = FrameType::kLeaseRevoke;
+template <>
+inline constexpr FrameType kFrameOf<VersionReject> =
+    FrameType::kUnsupportedVersion;
+template <>
+inline constexpr FrameType kFrameOf<PredictionSet> = FrameType::kPrediction;
+template <>
+inline constexpr FrameType kFrameOf<CellReportBatch> =
+    FrameType::kCellReportBatch;
+template <>
+inline constexpr FrameType kFrameOf<StandbyHello> = FrameType::kStandbyHello;
+template <>
+inline constexpr FrameType kFrameOf<ReplicaSnapshot> =
+    FrameType::kReplicaSnapshot;
+template <>
+inline constexpr FrameType kFrameOf<ReplicaEvent> = FrameType::kReplicaEvent;
+template <>
+inline constexpr FrameType kFrameOf<NotPrimary> = FrameType::kNotPrimary;
 
 /// One parsed frame; `payload` is a copy, safe to keep after the parser
 /// buffer changes.
@@ -553,25 +1045,48 @@ struct Frame {
   std::vector<std::uint8_t> payload;
 };
 
-/// Wrap a payload in a framed header.
+/// Frames `payload` under the frame type bound to its type.
+template <class T>
+std::vector<std::uint8_t> encode_frame(const T& payload) {
+  static_assert(kFrameOf<T> != FrameType{0}, "not a frame payload type");
+  WireWriter w;
+  w.begin_frame(kFrameOf<T>);
+  w(payload);
+  return w.take_frame();
+}
+
+/// Wraps raw payload bytes in a header (the empty kHeartbeat and kEnd
+/// frames use this).
 std::vector<std::uint8_t> encode_frame(FrameType type,
                                        std::span<const std::uint8_t> payload);
 
-/// Like encode_frame but stamping an explicit protocol version into the
-/// header.  Exists for mixed-version interop tests (impersonating an old
-/// peer); production senders always use encode_frame.
-std::vector<std::uint8_t> encode_frame_with_version(
-    std::uint16_t version, FrameType type,
-    std::span<const std::uint8_t> payload);
+/// Decodes one T from a payload.  std::nullopt unless the whole payload is
+/// consumed without error: a truncated, corrupt or over-long payload is
+/// never half-decoded.
+template <class T>
+std::optional<T> decode_payload(std::span<const std::uint8_t> payload) {
+  WireReader r(payload);
+  T value{};
+  r(value);
+  if (!r.done()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// Named alias of encode_frame(set), which the whole-chain benchmark calls.
+inline std::vector<std::uint8_t> prediction_frame(const PredictionSet& set) {
+  return encode_frame(set);
+}
 
 /// Incremental frame parser for a TCP byte stream: feed() arbitrary chunks,
 /// pop complete frames with next().  A malformed header (bad magic, a
-/// version outside [kWireMinVersion, kWireVersion], oversized payload) puts
-/// the parser in a sticky error state — on a reliable transport that means
-/// protocol mismatch, and the right response is to drop the connection.
-/// When the failure was specifically a version mismatch, the offending
-/// version is recorded so the owner can answer with a structured
-/// kUnsupportedVersion frame before disconnecting.
+/// version other than kWireVersion, oversized payload) puts the parser in
+/// a sticky error state — on a reliable transport that means protocol
+/// mismatch, and the right response is to drop the connection.  When the
+/// failure was specifically a version mismatch, the offending version is
+/// recorded so the owner can answer with a structured kUnsupportedVersion
+/// frame before disconnecting.
 class FrameParser {
  public:
   void feed(std::span<const std::uint8_t> data);
@@ -591,104 +1106,5 @@ class FrameParser {
   std::string error_;
   std::optional<std::uint16_t> rejected_version_;
 };
-
-// ---- Payload codecs --------------------------------------------------
-
-void encode_hello(const HelloInfo& hello, WireWriter& w);
-std::optional<HelloInfo> decode_hello(std::span<const std::uint8_t> payload);
-
-void encode_slot(const SlotResult& result, WireWriter& w);
-std::optional<SlotResult> decode_slot(std::span<const std::uint8_t> payload);
-
-void encode_metrics(const MetricsSnapshot& snapshot, WireWriter& w);
-std::optional<MetricsSnapshot> decode_metrics(
-    std::span<const std::uint8_t> payload);
-
-void encode_fleet(const FleetSummary& summary, WireWriter& w);
-std::optional<FleetSummary> decode_fleet(
-    std::span<const std::uint8_t> payload);
-
-void encode_query(const QueryRequest& request, WireWriter& w);
-std::optional<QueryRequest> decode_query(
-    std::span<const std::uint8_t> payload);
-
-void encode_query_result(const QueryResponse& response, WireWriter& w);
-std::optional<QueryResponse> decode_query_result(
-    std::span<const std::uint8_t> payload);
-
-void encode_version_reject(const VersionReject& reject, WireWriter& w);
-std::optional<VersionReject> decode_version_reject(
-    std::span<const std::uint8_t> payload);
-
-void encode_worker_hello(const WorkerHello& hello, WireWriter& w);
-std::optional<WorkerHello> decode_worker_hello(
-    std::span<const std::uint8_t> payload);
-
-void encode_lease(const LeaseGrant& lease, WireWriter& w);
-std::optional<LeaseGrant> decode_lease(std::span<const std::uint8_t> payload);
-
-void encode_lease_ack(const LeaseAck& ack, WireWriter& w);
-std::optional<LeaseAck> decode_lease_ack(
-    std::span<const std::uint8_t> payload);
-
-void encode_worker_heartbeat(const WorkerHeartbeat& hb, WireWriter& w);
-std::optional<WorkerHeartbeat> decode_worker_heartbeat(
-    std::span<const std::uint8_t> payload);
-
-void encode_cell_report(const CellReport& report, WireWriter& w);
-std::optional<CellReport> decode_cell_report(
-    std::span<const std::uint8_t> payload);
-
-void encode_lease_revoke(const LeaseRevoke& revoke, WireWriter& w);
-std::optional<LeaseRevoke> decode_lease_revoke(
-    std::span<const std::uint8_t> payload);
-
-void encode_cell_report_batch(const CellReportBatch& batch, WireWriter& w);
-std::optional<CellReportBatch> decode_cell_report_batch(
-    std::span<const std::uint8_t> payload);
-
-void encode_prediction(const PredictionSet& set, WireWriter& w);
-std::optional<PredictionSet> decode_prediction(
-    std::span<const std::uint8_t> payload);
-
-void encode_standby_hello(const StandbyHello& hello, WireWriter& w);
-std::optional<StandbyHello> decode_standby_hello(
-    std::span<const std::uint8_t> payload);
-
-void encode_not_primary(const NotPrimary& info, WireWriter& w);
-std::optional<NotPrimary> decode_not_primary(
-    std::span<const std::uint8_t> payload);
-
-void encode_replica_snapshot(const ReplicaSnapshot& snapshot, WireWriter& w);
-std::optional<ReplicaSnapshot> decode_replica_snapshot(
-    std::span<const std::uint8_t> payload);
-
-void encode_replica_event(const ReplicaEvent& event, WireWriter& w);
-std::optional<ReplicaEvent> decode_replica_event(
-    std::span<const std::uint8_t> payload);
-
-//// Convenience: payload codec + framing in one call.
-std::vector<std::uint8_t> hello_frame(const HelloInfo& hello);
-std::vector<std::uint8_t> slot_frame(const SlotResult& result);
-std::vector<std::uint8_t> metrics_frame(const MetricsSnapshot& snapshot);
-std::vector<std::uint8_t> fleet_frame(const FleetSummary& summary);
-std::vector<std::uint8_t> query_frame(const QueryRequest& request);
-std::vector<std::uint8_t> query_result_frame(const QueryResponse& response);
-std::vector<std::uint8_t> version_reject_frame(const VersionReject& reject);
-std::vector<std::uint8_t> worker_hello_frame(const WorkerHello& hello);
-std::vector<std::uint8_t> lease_frame(const LeaseGrant& lease);
-std::vector<std::uint8_t> lease_ack_frame(const LeaseAck& ack);
-std::vector<std::uint8_t> worker_heartbeat_frame(const WorkerHeartbeat& hb);
-std::vector<std::uint8_t> cell_report_frame(const CellReport& report);
-std::vector<std::uint8_t> lease_revoke_frame(const LeaseRevoke& revoke);
-std::vector<std::uint8_t> cell_report_batch_frame(const CellReportBatch& batch);
-std::vector<std::uint8_t> prediction_frame(const PredictionSet& set);
-std::vector<std::uint8_t> standby_hello_frame(const StandbyHello& hello);
-std::vector<std::uint8_t> not_primary_frame(const NotPrimary& info);
-std::vector<std::uint8_t> replica_snapshot_frame(
-    const ReplicaSnapshot& snapshot);
-std::vector<std::uint8_t> replica_event_frame(const ReplicaEvent& event);
-std::vector<std::uint8_t> heartbeat_frame();
-std::vector<std::uint8_t> end_frame();
 
 }  // namespace nrs

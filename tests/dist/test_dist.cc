@@ -677,24 +677,33 @@ TEST(DistE2E, WorkerSkipsStandbyViaNotPrimary) {
   primary.stop();
 }
 
+/// A raw TCP connection to 127.0.0.1:`port`, or -1.
+int dial_loopback(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (fd >= 0 &&
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
 TEST(DistE2E, DeposedPrimaryFencesItselfOnHigherEpochHello) {
   // A worker that has already served a higher term dials an old primary:
   // the hello's epoch deposes it on the spot (double-primary guard).
   FleetCoordinator coordinator(coordinator_config(1));
   ASSERT_EQ(coordinator.epoch(), 1u);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = dial_loopback(coordinator.port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(coordinator.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   WorkerHello hello;
   hello.name = "from-the-future";
   hello.epoch = 99;
-  const auto frame = worker_hello_frame(hello);
+  const auto frame = encode_frame(hello);
   ASSERT_TRUE(send_all(fd, frame.data(), frame.size()));
 
   ASSERT_TRUE(wait_until([&] { return coordinator.deposed(); }, 10.0))
@@ -711,7 +720,7 @@ TEST(DistE2E, DeposedPrimaryFencesItselfOnHigherEpochHello) {
       parser.feed({buf, static_cast<std::size_t>(n)});
       if (const auto got = parser.next();
           got.has_value() && got->type == FrameType::kNotPrimary) {
-        const auto info = decode_not_primary(got->payload);
+        const auto info = decode_payload<NotPrimary>(got->payload);
         ASSERT_TRUE(info.has_value());
         EXPECT_EQ(info->message, "deposed");
         saw_not_primary = true;
@@ -724,6 +733,53 @@ TEST(DistE2E, DeposedPrimaryFencesItselfOnHigherEpochHello) {
     }
   }
   EXPECT_TRUE(saw_not_primary);
+  ::close(fd);
+  coordinator.stop();
+}
+
+TEST(DistE2E, OlderVersionWorkerHelloGetsStructuredReject) {
+  // A v4 worker's hello carries no epoch, so this build cannot decode it.
+  // The coordinator must answer the header's version with the structured
+  // reject and hang up, not drop the frame and leave the peer waiting.
+  MetricsRegistry registry;
+  FleetCoordinator coordinator(coordinator_config(1), &registry);
+
+  const int fd = dial_loopback(coordinator.port());
+  ASSERT_GE(fd, 0);
+  WireWriter v4_hello;  // name, capacity, version, pool_threads: no epoch
+  v4_hello(std::string("v4-worker"), std::uint32_t{2}, std::uint16_t{4},
+           std::uint32_t{1});
+  std::vector<std::uint8_t> frame =
+      encode_frame(FrameType::kWorkerHello, v4_hello.data());
+  frame[4] = 4;  // header version, little-endian u16 at bytes 4-5
+  frame[5] = 0;
+  ASSERT_TRUE(send_all(fd, frame.data(), frame.size()));
+
+  FrameParser parser;
+  std::optional<VersionReject> reject;
+  bool eof = false;
+  std::uint8_t buf[4096];
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (!eof && Clock::now() < deadline) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n > 0) {
+      parser.feed({buf, static_cast<std::size_t>(n)});
+      while (const auto got = parser.next()) {
+        if (got->type == FrameType::kUnsupportedVersion) {
+          reject = decode_payload<VersionReject>(got->payload);
+        }
+      }
+    } else if (n == 0) {
+      eof = true;
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  ASSERT_TRUE(reject.has_value()) << "no kUnsupportedVersion reply";
+  EXPECT_EQ(reject->rejected, 4);
+  EXPECT_EQ(reject->max_version, kWireVersion);
+  EXPECT_TRUE(eof) << "the coordinator kept the connection open";
+  EXPECT_EQ(registry.snapshot().counter_value("dist.version_rejects"), 1u);
   ::close(fd);
   coordinator.stop();
 }
@@ -821,11 +877,11 @@ TEST(DistE2E, StaleEpochLeaseGrantIsRejectedAndCounted) {
   fresh.spec.name = "cell0";
   fresh.spec.preset = "srsran";
   fresh.spec.n_ues = 1;
-  ASSERT_TRUE(fake.send(lease_frame(fresh)));
+  ASSERT_TRUE(fake.send(encode_frame(fresh)));
   {
     const auto frame = fake.read_frame(FrameType::kLeaseAck);
     ASSERT_TRUE(frame.has_value());
-    const auto ack = decode_lease_ack(frame->payload);
+    const auto ack = decode_payload<LeaseAck>(frame->payload);
     ASSERT_TRUE(ack.has_value());
     EXPECT_TRUE(ack->accepted);
     EXPECT_EQ(ack->epoch, 5u);
@@ -838,11 +894,11 @@ TEST(DistE2E, StaleEpochLeaseGrantIsRejectedAndCounted) {
   stale.lease_id = 2;
   stale.epoch = 3;
   stale.spec.cell_index = 1;
-  ASSERT_TRUE(fake.send(lease_frame(stale)));
+  ASSERT_TRUE(fake.send(encode_frame(stale)));
   {
     const auto frame = fake.read_frame(FrameType::kLeaseAck);
     ASSERT_TRUE(frame.has_value());
-    const auto ack = decode_lease_ack(frame->payload);
+    const auto ack = decode_payload<LeaseAck>(frame->payload);
     ASSERT_TRUE(ack.has_value());
     EXPECT_FALSE(ack->accepted);
     EXPECT_EQ(ack->message, "stale epoch");
@@ -875,7 +931,7 @@ TEST(DistE2E, StaleEpochRevokeIsIgnored) {
   grant.spec.cell_index = 0;
   grant.spec.preset = "srsran";
   grant.spec.n_ues = 1;
-  ASSERT_TRUE(fake.send(lease_frame(grant)));
+  ASSERT_TRUE(fake.send(encode_frame(grant)));
   ASSERT_TRUE(fake.read_frame(FrameType::kLeaseAck).has_value());
   ASSERT_TRUE(wait_until([&] { return worker.n_cells() == 1; }, 10.0));
 
@@ -885,14 +941,14 @@ TEST(DistE2E, StaleEpochRevokeIsIgnored) {
   stale.cell_index = 0;
   stale.reason = "imposter";
   stale.epoch = 3;
-  ASSERT_TRUE(fake.send(lease_revoke_frame(stale)));
+  ASSERT_TRUE(fake.send(encode_frame(stale)));
   ASSERT_TRUE(wait_until([&] { return worker.stale_epoch_rejected() == 1; },
                          10.0));
   EXPECT_EQ(worker.n_cells(), 1u);
 
   // ...but the same revoke at the current term does.
   stale.epoch = 5;
-  ASSERT_TRUE(fake.send(lease_revoke_frame(stale)));
+  ASSERT_TRUE(fake.send(encode_frame(stale)));
   ASSERT_TRUE(wait_until([&] { return worker.n_cells() == 0; }, 10.0));
 
   worker.stop();

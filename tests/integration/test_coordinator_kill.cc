@@ -308,7 +308,7 @@ TEST(CoordinatorKill, StandbyPromotesReconfirmsAndFencesTheGhost) {
     WorkerHello hello;
     hello.name = "epoch-probe";
     hello.epoch = promoted_epoch;
-    const auto frame = worker_hello_frame(hello);
+    const auto frame = encode_frame(hello);
     if (!send_all(fd, frame.data(), frame.size())) {
       ::close(fd);
       return false;
@@ -322,7 +322,7 @@ TEST(CoordinatorKill, StandbyPromotesReconfirmsAndFencesTheGhost) {
         parser.feed({buf, static_cast<std::size_t>(n)});
         while (const auto got = parser.next()) {
           if (got->type == FrameType::kNotPrimary) {
-            const auto info = decode_not_primary(got->payload);
+            const auto info = decode_payload<NotPrimary>(got->payload);
             if (info.has_value() && info->message == "deposed") {
               fenced = true;
             }

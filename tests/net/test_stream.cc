@@ -186,7 +186,7 @@ TEST(Stream, DeliversPredictionFrames) {
   entry.actual_bps = 3.1e6;
   entry.abs_error_bps = 0.4e6;
   set.entries.push_back(entry);
-  server.broadcast_frame(prediction_frame(set));
+  server.broadcast_frame(encode_frame(set));
 
   ASSERT_TRUE(wait_until([&] {
     std::lock_guard lock(mutex);
@@ -748,6 +748,15 @@ TEST(StreamQuery, EightClientsQueryWhilePipelineIngests) {
 
 // ---- Version negotiation ---------------------------------------------
 
+/// `frame` re-stamped with a foreign protocol version (header bytes 4-5),
+/// the way an older or newer peer would send it.
+std::vector<std::uint8_t> with_version(std::vector<std::uint8_t> frame,
+                                       std::uint16_t version) {
+  frame[4] = static_cast<std::uint8_t>(version);
+  frame[5] = static_cast<std::uint8_t>(version >> 8);
+  return frame;
+}
+
 /// Raw loopback socket speaking an explicit wire version.
 class RawPeer {
  public:
@@ -827,35 +836,40 @@ class RawPeer {
   FrameParser parser_;
 };
 
-TEST(StreamVersion, OlderClientWithinWindowIsServed) {
-  // A peer speaking the oldest still-supported version (v2) gets its query
-  // answered normally — the version window is backward-compatible.
+TEST(StreamVersion, AdjacentVersionsGetStructuredReject) {
+  // Only kWireVersion is served: a query from one version back or one
+  // ahead is answered with the structured reject, then a hang-up — never
+  // with service a mismatched payload layout could not support.
+  MetricsRegistry registry;
   StreamServerConfig cfg;
   cfg.query_handler = [](const QueryRequest& request) {
     QueryResponse response;
     response.correlation_id = request.correlation_id;
-    response.status = QueryStatus::kOk;
-    response.kind = request.kind;
     return response;
   };
-  TelemetryStreamServer server(cfg);
+  TelemetryStreamServer server(cfg, &registry);
 
-  RawPeer peer(server.port());
-  ASSERT_TRUE(peer.connected());
-  QueryRequest request;
-  request.correlation_id = 7777;
-  WireWriter w;
-  encode_query(request, w);
-  peer.send_frame(encode_frame_with_version(
-      kWireMinVersion, FrameType::kQuery,
-      std::span<const std::uint8_t>(w.data())));
+  for (const int version : {kWireVersion - 1, kWireVersion + 1}) {
+    RawPeer peer(server.port());
+    ASSERT_TRUE(peer.connected());
+    QueryRequest request;
+    request.correlation_id = 7777;
+    peer.send_frame(with_version(encode_frame(request),
+                                 static_cast<std::uint16_t>(version)));
 
-  Frame result;
-  ASSERT_TRUE(peer.read_until(FrameType::kQueryResult, result));
-  const auto response = decode_query_result(result.payload);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->correlation_id, 7777u);
-  EXPECT_EQ(response->status, QueryStatus::kOk);
+    Frame reject_frame;
+    ASSERT_TRUE(peer.read_until(FrameType::kUnsupportedVersion, reject_frame))
+        << "version " << version;
+    const auto reject = decode_payload<VersionReject>(reject_frame.payload);
+    ASSERT_TRUE(reject.has_value());
+    EXPECT_EQ(reject->rejected, version);
+    EXPECT_EQ(reject->min_version, kWireVersion);
+    EXPECT_EQ(reject->max_version, kWireVersion);
+    EXPECT_TRUE(peer.wait_eof()) << "version " << version;
+  }
+  const MetricsSnapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.counter_value("net.version_rejects"), 2u);
+  EXPECT_EQ(snap.counter_value("query.requests"), 0u);
 }
 
 TEST(StreamVersion, TooOldClientGetsStructuredRejectThenDisconnect) {
@@ -864,17 +878,15 @@ TEST(StreamVersion, TooOldClientGetsStructuredRejectThenDisconnect) {
 
   RawPeer peer(server.port());
   ASSERT_TRUE(peer.connected());
-  // Speak v1: one version below the supported window.
-  peer.send_frame(encode_frame_with_version(
-      static_cast<std::uint16_t>(kWireMinVersion - 1), FrameType::kHeartbeat,
-      {}));
+  // Speak v1, which predates the query frames.
+  peer.send_frame(with_version(encode_frame(FrameType::kHeartbeat, {}), 1));
 
   Frame reject_frame;
   ASSERT_TRUE(peer.read_until(FrameType::kUnsupportedVersion, reject_frame));
-  const auto reject = decode_version_reject(reject_frame.payload);
+  const auto reject = decode_payload<VersionReject>(reject_frame.payload);
   ASSERT_TRUE(reject.has_value());
-  EXPECT_EQ(reject->rejected, kWireMinVersion - 1);
-  EXPECT_EQ(reject->min_version, kWireMinVersion);
+  EXPECT_EQ(reject->rejected, 1);
+  EXPECT_EQ(reject->min_version, kWireVersion);
   EXPECT_EQ(reject->max_version, kWireVersion);
   EXPECT_FALSE(reject->message.empty());
   // The reject is a goodbye, not a negotiation: the server hangs up.
@@ -921,7 +933,7 @@ TEST(StreamVersion, ClientRecordsProtocolErrorAndStopsReconnecting) {
       VersionReject reject;
       reject.rejected = kWireVersion;
       reject.message = "speak version 99";
-      const auto frame = version_reject_frame(reject);
+      const auto frame = encode_frame(reject);
       (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       ::close(fd);
     }

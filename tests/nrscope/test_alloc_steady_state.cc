@@ -3,13 +3,15 @@
 // pipeline, 4 UEs, dedupe on — must not touch the heap at all.  The
 // simulated substrate is held to the same rule: the virtual radio's
 // capture allocates nothing, and the gNB's slot build allocates only for
-// its ground-truth log.
+// its ground-truth log.  And the wire decoder's memory is bounded by the
+// bytes it is given, not by a count a peer announces.
 //
 // This test lives in its own binary because it includes the counting
 // operator new/delete shim, which may appear in exactly one translation
 // unit per executable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "common/alloc_shim.h"
 #include "gnb/gnb_sim.h"
 #include "gnb/presets.h"
+#include "net/wire.h"
 #include "nrscope/pipeline.h"
 #include "radio/virtual_radio.h"
 #include "store/history_store.h"
@@ -346,6 +349,14 @@ TEST(AllocSteadyState, PipelineWithPredictionSinkIsAllocationFree) {
       << "pooled sample/grid handles leaked across out-of-order completion";
 }
 
+/// The payload bytes of `value` (no frame header).
+template <class T>
+std::vector<std::uint8_t> payload_bytes(const T& value) {
+  WireWriter w;
+  w(value);
+  return w.take();
+}
+
 /// Heap allocations made inside `fn` (single-threaded callers only).
 template <class Fn>
 std::uint64_t allocs_during(Fn&& fn) {
@@ -412,6 +423,84 @@ TEST(AllocSteadyState, GnbStepAllocatesOnlyForItsTruthLog) {
   });
   EXPECT_LE(static_cast<double>(allocs) / kSlots, 10.0)
       << allocs << " allocations over " << kSlots << " slots";
+}
+
+// Re-encodes `T` with the count of its vector `member` claiming 2^20
+// elements, followed by 1 MiB of zero filler, and checks that decoding it
+// fails having allocated at most 2 MiB in total.
+template <class T, class E>
+void expect_count_cannot_force_allocation(std::vector<E> T::*member,
+                                          const E& element, const char* what) {
+  T value{};
+  (value.*member).assign(2, element);
+  const std::vector<std::uint8_t> two = payload_bytes(value);
+  (value.*member).assign(1, element);
+  std::vector<std::uint8_t> bytes = payload_bytes(value);
+  ASSERT_TRUE(decode_payload<T>(bytes).has_value()) << what;
+  // The two encodings first differ at the count's low byte.
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(bytes.begin(), bytes.end(), two.begin()).first -
+      bytes.begin());
+  ASSERT_EQ(bytes.at(at), 1) << what;
+  constexpr std::uint32_t kClaimed = 1u << 20;
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes.at(at + i) = static_cast<std::uint8_t>(kClaimed >> (8 * i));
+  }
+  bytes.resize(bytes.size() + (1u << 20));
+
+  const std::uint64_t before = nrs::alloc::totals().bytes;
+  const bool decoded = decode_payload<T>(bytes).has_value();
+  const std::uint64_t allocated = nrs::alloc::totals().bytes - before;
+  EXPECT_FALSE(decoded) << what;
+  EXPECT_LE(allocated, 2u << 20) << what;
+}
+
+// A decoder reserves no more than the bytes left could hold, so a hostile
+// count costs at most about the payload's own size, whatever it claims.
+TEST(AllocSteadyState, WireCountCannotForceAllocation) {
+  ASSERT_TRUE(nrs::alloc::hooks_active());
+  expect_count_cannot_force_allocation(&SlotResult::dcis, DecodedDci{},
+                                       "SlotResult::dcis");
+  expect_count_cannot_force_allocation(&SlotResult::new_ues, NewUe{},
+                                       "SlotResult::new_ues");
+  expect_count_cannot_force_allocation(&MetricsSnapshot::counters,
+                                       CounterSnapshot{},
+                                       "MetricsSnapshot::counters");
+  expect_count_cannot_force_allocation(&MetricsSnapshot::gauges,
+                                       GaugeSnapshot{},
+                                       "MetricsSnapshot::gauges");
+  HistogramSnapshot histogram;
+  histogram.counts = {0};  // one bucket per bound, plus the overflow
+  expect_count_cannot_force_allocation(&MetricsSnapshot::histograms,
+                                       histogram,
+                                       "MetricsSnapshot::histograms");
+  expect_count_cannot_force_allocation(&FleetSummary::spare_ranking,
+                                       std::uint32_t{0},
+                                       "FleetSummary::spare_ranking");
+  expect_count_cannot_force_allocation(&FleetSummary::cells, CellSummary{},
+                                       "FleetSummary::cells");
+  expect_count_cannot_force_allocation(&QueryResponse::rows, QueryRowWire{},
+                                       "QueryResponse::rows");
+  expect_count_cannot_force_allocation(&QueryResponse::buckets,
+                                       QueryBucket{}, "QueryResponse::buckets");
+  expect_count_cannot_force_allocation(&QueryResponse::ranking, TopKEntry{},
+                                       "QueryResponse::ranking");
+  expect_count_cannot_force_allocation(&WorkerHeartbeat::leases,
+                                       LeaseStatus{},
+                                       "WorkerHeartbeat::leases");
+  expect_count_cannot_force_allocation(&CellReportBatch::reports,
+                                       CellReport{},
+                                       "CellReportBatch::reports");
+  expect_count_cannot_force_allocation(&PredictionSet::entries,
+                                       PredictionEntry{},
+                                       "PredictionSet::entries");
+  expect_count_cannot_force_allocation(&ReplicaSnapshot::workers,
+                                       ReplicaWorker{},
+                                       "ReplicaSnapshot::workers");
+  expect_count_cannot_force_allocation(&ReplicaSnapshot::cells, ReplicaCell{},
+                                       "ReplicaSnapshot::cells");
+  expect_count_cannot_force_allocation(&ReplicaEvent::rows, StoreRowUpdate{},
+                                       "ReplicaEvent::rows");
 }
 
 }  // namespace
