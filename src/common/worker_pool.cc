@@ -43,6 +43,7 @@ void WorkerPool::work_on_batch(std::unique_lock<std::mutex>& lock) {
   // Snapshot the descriptor; mutex_ is held by the caller.
   const auto* task = batch_task_;
   const std::size_t count = batch_count_;
+  ++batch_workers_;
   std::size_t done_here = 0;
   std::exception_ptr error;
   lock.unlock();
@@ -66,7 +67,8 @@ void WorkerPool::work_on_batch(std::unique_lock<std::mutex>& lock) {
     batch_error_ = error;
   }
   batch_completed_ += done_here;
-  if (batch_completed_ == count) {
+  --batch_workers_;
+  if (batch_completed_ == count && batch_workers_ == 0) {
     batch_done_.notify_all();
   }
 }
@@ -151,7 +153,9 @@ void WorkerPool::run_batch(std::size_t count,
     wake_.notify_all();
     // The caller pulls shards too (work_on_batch unlocks while working).
     work_on_batch(lock);
-    batch_done_.wait(lock, [this] { return batch_completed_ == batch_count_; });
+    batch_done_.wait(lock, [this] {
+      return batch_completed_ == batch_count_ && batch_workers_ == 0;
+    });
     batch_task_ = nullptr;
     first_error = batch_error_;
     batch_error_ = nullptr;

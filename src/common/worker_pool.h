@@ -88,6 +88,10 @@ class WorkerPool {
   std::size_t batch_count_ = 0;
   std::atomic<std::size_t> batch_next_{0};  ///< shard dispenser (lock-free)
   std::size_t batch_completed_ = 0;
+  /// Threads inside work_on_batch() for the live batch.  run_batch()
+  /// returns only once this is 0: a thread still holding the batch's
+  /// snapshot must not reach into the dispenser of the next batch.
+  std::size_t batch_workers_ = 0;
   std::exception_ptr batch_error_;
 
   std::vector<std::thread> threads_;

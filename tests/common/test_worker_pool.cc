@@ -31,6 +31,34 @@ TEST(WorkerPool, RunBatchCoversAllIndices) {
   }
 }
 
+// Back-to-back batches of different sizes: a thread still inside the
+// previous batch must not take shards of the next one under the old size.
+// Before run_batch waited for every participant to leave, this ran
+// out-of-range shards or left the caller waiting forever.
+TEST(WorkerPool, BackToBackBatchesRunEveryShardExactlyOnce) {
+  WorkerPool pool(2);
+  constexpr std::size_t kSizes[] = {2, 7, 3, 5, 2, 9};
+  std::vector<std::atomic<int>> hits(9);
+  std::atomic<int> out_of_range{0};
+  for (int b = 0; b < 100000; ++b) {
+    const std::size_t n = kSizes[b % 6];
+    for (auto& h : hits) {
+      h.store(0, std::memory_order_relaxed);
+    }
+    pool.run_batch(n, [&hits, &out_of_range, n](std::size_t i) {
+      if (i < n) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      } else {
+        out_of_range.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "batch " << b << " shard " << i;
+    }
+    ASSERT_EQ(out_of_range.load(), 0) << "batch " << b;
+  }
+}
+
 TEST(WorkerPool, SingleThreadPoolIsSequential) {
   // With one thread run_batch degenerates to an in-order loop — the
   // paper's "one thread" baseline in Fig. 12.
