@@ -16,7 +16,6 @@ int main() {
   cfg.sniffer_snr_db = 26.0;
   cfg.n_slots = 9000;
   cfg.warmup_slots = 600;
-  cfg.scope.n_dci_threads = 2;
   std::vector<UeConfig> ues;
   ues.push_back(make_ue(1, 24.0, TrafficKind::kVideo, 5e6));
   RunResult result = run_experiment(std::move(cfg), std::move(ues));

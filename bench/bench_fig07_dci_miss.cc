@@ -21,7 +21,6 @@ void run_srsran() {
     cfg.sniffer_profile = ChannelProfile::kPedestrian;
     cfg.n_slots = 2400;  // 1.2 s of air time
     cfg.warmup_slots = 300;
-    cfg.scope.n_dci_threads = 4;
     std::vector<UeConfig> ues;
     for (unsigned i = 0; i < n_ues; ++i) {
       ues.push_back(make_ue(i + 1, 24.0 - 2.0 * i, TrafficKind::kCbr,
@@ -49,7 +48,6 @@ void run_amarisoft() {
     cfg.sniffer_profile = ChannelProfile::kPedestrian;
     cfg.n_slots = 1500;
     cfg.warmup_slots = 500;  // many UEs take longer to RACH in
-    cfg.scope.n_dci_threads = 4;
     std::vector<UeConfig> ues;
     for (unsigned i = 0; i < n_ues; ++i) {
       ues.push_back(make_ue(i + 1, 26.0 - (i % 12), TrafficKind::kPoisson,

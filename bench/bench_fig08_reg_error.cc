@@ -21,7 +21,6 @@ void run_network(const char* figure, const CellConfig& cell,
     cfg.sniffer_profile = ChannelProfile::kPedestrian;
     cfg.n_slots = n_slots;
     cfg.warmup_slots = 400;
-    cfg.scope.n_dci_threads = 4;
     std::vector<UeConfig> ues;
     for (unsigned i = 0; i < n_ues; ++i) {
       ues.push_back(make_ue(i + 1, 25.0 - (i % 10), kind,

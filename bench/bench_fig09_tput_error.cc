@@ -24,7 +24,6 @@ void run_mosolab() {
     cfg.sniffer_profile = ChannelProfile::kPedestrian;
     cfg.n_slots = 6000;  // 3 s
     cfg.warmup_slots = 600;
-    cfg.scope.n_dci_threads = 4;
     std::vector<UeConfig> ues;
     for (unsigned i = 0; i < n_ues; ++i) {
       ues.push_back(make_ue(i + 1, 24.0 - 2.0 * i, TrafficKind::kVideo,
@@ -61,7 +60,6 @@ void run_amarisoft() {
     cfg.sniffer_profile = ChannelProfile::kPedestrian;
     cfg.n_slots = 3000;
     cfg.warmup_slots = 600;
-    cfg.scope.n_dci_threads = 4;
     std::vector<UeConfig> ues;
     for (unsigned i = 0; i < n_ues; ++i) {
       ues.push_back(make_ue(i + 1, 26.0 - (i % 10), TrafficKind::kPoisson,
@@ -131,7 +129,6 @@ void run_tmobile() {
     cfg.sniffer_profile = ChannelProfile::kPedestrian;
     cfg.n_slots = 3000;  // 15 kHz SCS -> 3 s
     cfg.warmup_slots = 400;
-    cfg.scope.n_dci_threads = 4;
     std::vector<UeConfig> ues;
     ues.push_back(
         make_ue(1, s.ue_snr, TrafficKind::kVideo, 5e6, s.ue_profile));

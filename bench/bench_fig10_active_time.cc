@@ -69,7 +69,6 @@ void run_sniffer_validation() {
   cfg.n_slots = static_cast<unsigned>(churn.duration_s /
                                       slot_duration_s(cfg.cell.scs));
   cfg.warmup_slots = 0;
-  cfg.scope.n_dci_threads = 4;
   cfg.scope.ue_inactivity_slots = 2000;  // 2 s idle -> gone
 
   GnbConfig gnb_cfg;
@@ -87,6 +86,7 @@ void run_sniffer_validation() {
   const double slot_s = slot_duration_s(cfg.cell.scs);
   std::size_t next_arrival = 0;
   std::vector<std::pair<double, unsigned>> departures;  // time, ue id
+  SlotResult result;
   for (unsigned slot = 0; slot < cfg.n_slots; ++slot) {
     const double now = slot * slot_s;
     while (next_arrival < sessions.size() &&
@@ -105,7 +105,7 @@ void run_sniffer_validation() {
     }
     const ResourceGrid& grid = gnb.step();
     const IqBuffer samples = radio.capture(grid);
-    (void)scope.process_slot(samples);
+    scope.process_slot(samples, result);
   }
 
   SampleSet measured;

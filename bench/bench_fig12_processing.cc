@@ -1,11 +1,17 @@
-// Reproduces paper Fig. 12: per-slot processing time vs. number of UEs,
-// with one or four DCI threads, on a 20 MHz cell (Amarisoft) and a 10 MHz
-// cell (T-Mobile).  Paper: linear growth with the UE count (O(n log n + m)),
-// with the four-thread configuration keeping up at 195/285 UEs.
+// Reproduces paper Fig. 12: per-slot processing time vs. number of UEs on
+// a 20 MHz cell (Amarisoft) and a 10 MHz cell (T-Mobile).  Paper: linear
+// growth with the UE count (O(n log n + m)) for its per-UE decode loop,
+// with four DCI threads keeping up at 195/285 UEs.  This engine decodes
+// each candidate location once for all UEs on one thread; the paper's
+// per-UE loop is timed against it in bench_ablation_dedupe.
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <thread>
 
 #include "bench/bench_util.h"
 #include "nrscope/pipeline.h"
+#include "nrscope/slot_sink.h"
 
 namespace nrs::bench {
 namespace {
@@ -16,7 +22,7 @@ struct Fixture {
   std::unique_ptr<NrScope> scope;
   std::vector<IqBuffer> slots;
 
-  Fixture(const CellConfig& cell, unsigned n_ues, unsigned n_threads) {
+  Fixture(const CellConfig& cell, unsigned n_ues) {
     GnbConfig gnb_cfg;
     gnb_cfg.cell = cell;
     gnb_cfg.seed = 5;
@@ -28,7 +34,6 @@ struct Fixture {
     NrScopeConfig scope_cfg;
     scope_cfg.n_prb = cell.n_prb;
     scope_cfg.scs = cell.scs;
-    scope_cfg.n_dci_threads = n_threads;
     scope_cfg.ue_inactivity_slots = 1u << 30;  // keep every UE
     scope = std::make_unique<NrScope>(scope_cfg);
 
@@ -39,10 +44,11 @@ struct Fixture {
       gnb->add_ue(make_ue(i + 1, 24.0, TrafficKind::kCbr, 2e6));
     }
     // Drive until the sniffer is tracking.
+    SlotResult result;
     for (unsigned i = 0; i < 400 &&
                          scope->state() != NrScope::State::kTracking;
          ++i) {
-      (void)scope->process_slot(radio->capture(gnb->step()));
+      scope->process_slot(radio->capture(gnb->step()), result);
     }
     for (unsigned i = 0; i < n_ues; ++i) {
       scope->add_ue(static_cast<Rnti>(0x5000 + i), RrcSetup{});
@@ -56,16 +62,16 @@ struct Fixture {
 
 void bm_processing(benchmark::State& state, const CellConfig& cell) {
   const auto n_ues = static_cast<unsigned>(state.range(0));
-  const auto n_threads = static_cast<unsigned>(state.range(1));
-  Fixture fixture(cell, n_ues, n_threads);
+  Fixture fixture(cell, n_ues);
+  SlotResult result;
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fixture.scope->process_slot(fixture.slots[i % fixture.slots.size()]));
+    fixture.scope->process_slot(fixture.slots[i % fixture.slots.size()],
+                                result);
+    benchmark::DoNotOptimize(result);
     ++i;
   }
   state.counters["ues"] = n_ues;
-  state.counters["threads"] = n_threads;
   // Per-stage breakdown from the metrics subsystem: where the slot budget
   // goes (FFT demodulation vs. PDCCH blind decoding), paper section 5.3.2.
   const MetricsSnapshot snap = fixture.scope->metrics();
@@ -78,18 +84,40 @@ void bm_processing(benchmark::State& state, const CellConfig& cell) {
   }
 }
 
+/// Counts delivered slots; the benchmark thread waits on the count.
+class SlotCounter : public SlotSink {
+ public:
+  void on_slot(const SlotResult&) override {
+    slots_.fetch_add(1, std::memory_order_release);
+  }
+  void on_finish() override {}
+
+  /// Block until `n` slots have been delivered.
+  void wait_for(std::uint64_t n) const {
+    while (slots_.load(std::memory_order_acquire) < n) {
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  std::atomic<std::uint64_t> slots_{0};
+};
+
 /// The full Fig.-4 asynchronous pipeline in steady state: push one slot,
 /// wait for its result.  Reports the demod / blind-decode / collector
 /// split from the pipeline.* stage metrics.
 void bm_pipeline_breakdown(benchmark::State& state, const CellConfig& cell) {
   const auto n_ues = static_cast<unsigned>(state.range(0));
   const auto n_workers = static_cast<unsigned>(state.range(1));
-  Fixture fixture(cell, n_ues, /*n_threads=*/1);
+  Fixture fixture(cell, n_ues);
   NrScopeConfig cfg;
   cfg.n_prb = cell.n_prb;
   cfg.scs = cell.scs;
   cfg.ue_inactivity_slots = 1u << 30;
   NrScopePipeline pipeline(cfg, n_workers);
+  auto counter = std::make_shared<SlotCounter>();
+  pipeline.add_sink("counter", counter);
+  std::uint64_t pushed = 0;
   // Warm up on live slots until the pipeline's engine is tracking, so the
   // steady-state loop exercises the blind-decode stage too.
   for (unsigned w = 0; w < 400 && pipeline.engine().state() !=
@@ -97,18 +125,16 @@ void bm_pipeline_breakdown(benchmark::State& state, const CellConfig& cell) {
        ++w) {
     while (!pipeline.push_slot(fixture.radio->capture(fixture.gnb->step()))) {
     }
-    (void)pipeline.poll_result();
+    counter->wait_for(++pushed);
   }
   std::size_t i = 0;
   for (auto _ : state) {
     while (!pipeline.push_slot(fixture.slots[i % fixture.slots.size()])) {
     }
-    benchmark::DoNotOptimize(pipeline.poll_result());
+    counter->wait_for(++pushed);
     ++i;
   }
-  pipeline.finish();
-  while (pipeline.poll_result()) {
-  }
+  pipeline.stop();
   state.counters["ues"] = n_ues;
   state.counters["workers"] = n_workers;
   const MetricsSnapshot snap = pipeline.metrics();
@@ -143,10 +169,10 @@ void amarisoft_20mhz_pipeline(benchmark::State& state) {
 
 BENCHMARK(nrs::bench::amarisoft_20mhz)
     ->Unit(benchmark::kMicrosecond)
-    ->ArgsProduct({{1, 2, 4, 8, 16, 32, 64, 128}, {1, 4}});
+    ->ArgsProduct({{1, 2, 4, 8, 16, 32, 64, 128}});
 BENCHMARK(nrs::bench::tmobile_10mhz)
     ->Unit(benchmark::kMicrosecond)
-    ->ArgsProduct({{64, 195, 285}, {1, 4}});
+    ->ArgsProduct({{64, 195, 285}});
 BENCHMARK(nrs::bench::amarisoft_20mhz_pipeline)
     ->Unit(benchmark::kMicrosecond)
     ->ArgsProduct({{4}, {1, 2, 4}});

@@ -39,7 +39,6 @@ int main() {
       cfg.sniffer_profile = ChannelProfile::kPedestrian;
       cfg.n_slots = 1200;
       cfg.warmup_slots = 400;
-      cfg.scope.n_dci_threads = 4;
       std::vector<UeConfig> ues;
       for (unsigned i = 0; i < 16; ++i) {
         ues.push_back(make_ue(i + 1, 26.0 - (i % 10), TrafficKind::kPoisson,

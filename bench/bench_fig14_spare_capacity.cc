@@ -17,7 +17,6 @@ int main() {
   cfg.sniffer_snr_db = 26.0;
   cfg.n_slots = 8000;  // 4 s
   cfg.warmup_slots = 500;
-  cfg.scope.n_dci_threads = 2;
   cfg.scope.keep_capacity_history = true;
   cfg.scope.rate_window_slots = 600;
 

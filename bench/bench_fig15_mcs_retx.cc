@@ -37,7 +37,6 @@ int main() {
     cfg.sniffer_snr_db = 26.0;
     cfg.n_slots = 2500;
     cfg.warmup_slots = 600;
-    cfg.scope.n_dci_threads = 4;
     std::vector<UeConfig> ues;
     for (unsigned i = 0; i < 16; ++i) {
       ues.push_back(make_ue(i + 1, s.snr_db + (i % 5) - 2.0,

@@ -30,7 +30,6 @@ int main() {
       cfg.sniffer_snr_db = 26.0;
       cfg.n_slots = 5000;
       cfg.warmup_slots = 600;
-      cfg.scope.n_dci_threads = 4;
       std::vector<UeConfig> ues;
       for (unsigned i = 0; i < n_ues; ++i) {
         ues.push_back(make_ue(i + 1, s.snr_db - i, TrafficKind::kVideo,

@@ -16,7 +16,6 @@ SampleSet packets_per_tti(unsigned n_competitors) {
   cfg.sniffer_snr_db = 26.0;
   cfg.n_slots = 5000;
   cfg.warmup_slots = 500;
-  cfg.scope.n_dci_threads = 2;
   std::vector<UeConfig> ues;
   // Observed UE: bursty video traffic with distinct packets.
   ues.push_back(make_ue(1, 24.0, TrafficKind::kVideo, 5e6));

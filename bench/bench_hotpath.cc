@@ -46,7 +46,6 @@ NrScopeConfig make_scope_config(const CellConfig& cell) {
   NrScopeConfig cfg;
   cfg.n_prb = cell.n_prb;
   cfg.scs = cell.scs;
-  cfg.dedupe_candidates = true;
   cfg.rach.mode = RachTrackMode::kMsg2Assisted;
   cfg.ue_inactivity_slots = 1u << 30;
   return cfg;
@@ -73,9 +72,10 @@ Feed build_feed() {
     gnb.add_ue(make_ue(i + 1, 24.0, TrafficKind::kCbr, 2e6));
   }
   const unsigned spf = slots_per_frame(gnb.cell().scs);
+  SlotResult result;
   for (unsigned i = 0; i < 4000; ++i) {
     feed.history.push_back(radio.capture(gnb.step()));
-    (void)probe.process_slot(feed.history.back());
+    probe.process_slot(feed.history.back(), result);
     if (probe.state() == NrScope::State::kTracking &&
         probe.known_ues().size() >= kUes &&
         feed.history.size() % spf == 0) {
@@ -238,7 +238,7 @@ int run(int argc, char** argv) {
 
   print_header("Hotpath",
                "Steady-state slot throughput, latency and heap traffic");
-  std::printf("(4 UEs, dedupe on, MSG2-assisted RACH, %u measured slots)\n\n",
+  std::printf("(4 UEs, MSG2-assisted RACH, %u measured slots)\n\n",
               n_slots);
   const Feed feed = build_feed();
   const PhaseStats engine = run_engine(feed, n_slots);

@@ -55,7 +55,6 @@ NrScopeConfig make_scope_config(const CellConfig& cell) {
   NrScopeConfig cfg;
   cfg.n_prb = cell.n_prb;
   cfg.scs = cell.scs;
-  cfg.dedupe_candidates = true;
   cfg.rach.mode = RachTrackMode::kMsg2Assisted;
   cfg.ue_inactivity_slots = 1u << 30;
   // The blind-decode trigger dominates the SIB1-change scenario; the
@@ -103,8 +102,9 @@ Outcome run_scenario(const Scenario& scenario, std::uint64_t horizon) {
   warm_cfg.channel.snr_db = 28.0;
   VirtualRadio warm_radio(warm_cfg);
   std::uint64_t warmup = 0;
+  SlotResult warm_result;
   for (; warmup < 20000; ++warmup) {
-    (void)scope.process_slot(warm_radio.capture(gnb->step()));
+    scope.process_slot(warm_radio.capture(gnb->step()), warm_result);
     if (scope.state() == NrScope::State::kTracking &&
         scope.known_ues().size() >= kUes) {
       break;

@@ -48,7 +48,6 @@ NrScopeConfig make_scope_config(const CellConfig& cell) {
   NrScopeConfig cfg;
   cfg.n_prb = cell.n_prb;
   cfg.scs = cell.scs;
-  cfg.dedupe_candidates = true;
   cfg.rach.mode = RachTrackMode::kMsg2Assisted;
   cfg.ue_inactivity_slots = 1u << 30;
   return cfg;
@@ -72,9 +71,10 @@ Feed build_feed() {
     gnb.add_ue(make_ue(i + 1, 24.0, TrafficKind::kCbr, 2e6));
   }
   const unsigned spf = slots_per_frame(gnb.cell().scs);
+  SlotResult result;
   for (unsigned i = 0; i < 4000; ++i) {
     feed.history.push_back(radio.capture(gnb.step()));
-    (void)probe.process_slot(feed.history.back());
+    probe.process_slot(feed.history.back(), result);
     if (probe.state() == NrScope::State::kTracking &&
         probe.known_ues().size() >= kUes &&
         feed.history.size() % spf == 0) {

@@ -65,17 +65,18 @@ RunResult run_experiment(
     result.ue_ids.push_back(result.gnb->add_ue(std::move(ue)));
   }
 
+  SlotResult slot_result;
   for (unsigned i = 0; i < config.n_slots; ++i) {
     const ResourceGrid& grid = result.gnb->step();
     const IqBuffer samples = radio.capture(grid);
-    SlotResult slot_result = result.scope->process_slot(samples);
+    result.scope->process_slot(samples, slot_result);
     result.dcis.insert(result.dcis.end(), slot_result.dcis.begin(),
                        slot_result.dcis.end());
     if (per_slot) {
       per_slot(i, slot_result);
     }
     if (keep_slot_results) {
-      result.slot_results.push_back(std::move(slot_result));
+      result.slot_results.push_back(slot_result);
     }
   }
   return result;

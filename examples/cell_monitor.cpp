@@ -183,7 +183,6 @@ int main(int argc, char** argv) {
   NrScopeConfig scope_config;
   scope_config.n_prb = monitored_cell.n_prb;
   scope_config.scs = monitored_cell.scs;
-  scope_config.n_dci_threads = 2;
   scope_config.ue_inactivity_slots = 1500;  // 1.5 s idle -> departed
   NrScopePipeline pipeline(scope_config, /*n_demod_workers=*/2);
 
@@ -279,10 +278,7 @@ int main(int argc, char** argv) {
     // slot, and the reason lands in the pipeline.slots_dropped.* metrics.
     (void)pipeline.push_slot(radio.capture(grid));
   }
-  pipeline.finish();
-  // Sinks consume the results, so this returns once the run has drained.
-  while (pipeline.poll_result()) {
-  }
+  pipeline.stop();  // drains the queued slots through the sinks
 
   std::printf("saw %zu distinct UEs; churn truth started %zu sessions\n",
               monitor->distinct_ues(), next_arrival);

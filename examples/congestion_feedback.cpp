@@ -68,6 +68,7 @@ int main() {
 
   bool competitors_added = false;
   std::vector<unsigned> competitor_ids;
+  SlotResult result;  // reused every slot
   for (unsigned slot = 0; slot < 12000; ++slot) {
     // Mid-run load change: three full-buffer UEs join at t = 3 s and leave
     // at t = 4.5 s.
@@ -90,7 +91,7 @@ int main() {
     }
 
     const ResourceGrid& grid = gnb.step();
-    (void)scope.process_slot(radio.capture(grid));
+    scope.process_slot(radio.capture(grid), result);
 
     // Feedback every 100 ms (200 slots), faster than a WAN RTT.
     if (slot > 1000 && slot % 200 == 0) {

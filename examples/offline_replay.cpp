@@ -2,8 +2,8 @@
 // "asynchronous, on-demand slot data processing" when real-time output is
 // not needed).  Record 2 seconds of IQ from the virtual radio — like a
 // USRP capture to disk — then post-process it through the asynchronous
-// Fig. 4 pipeline (demodulation workers + in-order collector + result
-// queue) faster than real time.  The capture is fed to the recorder as a
+// Fig. 4 pipeline (demodulation workers + in-order collector + a counting
+// sink) faster than real time.  The capture is fed to the recorder as a
 // raw sample stream (IqRecorder::append) and is cut short mid-slot — the
 // way a real SDR capture dies when the disk fills or the process is
 // killed — so finalize() demonstrates the truncated-tail handling: the
@@ -13,11 +13,31 @@
 #include <chrono>
 #include <cstdio>
 #include <span>
+#include <thread>
 
 #include "gnb/gnb_sim.h"
 #include "gnb/presets.h"
 #include "nrscope/pipeline.h"
+#include "nrscope/slot_sink.h"
 #include "radio/virtual_radio.h"
+
+namespace {
+
+/// Counts replayed slots and decoded DCIs on the collector thread; read
+/// the totals after NrScopePipeline::stop().
+class ReplayCounter : public nrs::SlotSink {
+ public:
+  void on_slot(const nrs::SlotResult& result) override {
+    ++slots;
+    dcis += result.dcis.size();
+  }
+  void on_finish() override {}
+
+  std::uint64_t slots = 0;
+  std::uint64_t dcis = 0;
+};
+
+}  // namespace
 
 int main() {
   using namespace nrs;
@@ -66,25 +86,19 @@ int main() {
   NrScopeConfig scope_config;
   scope_config.n_prb = gnb.cell().n_prb;
   scope_config.scs = gnb.cell().scs;
-  scope_config.n_dci_threads = 2;
   NrScopePipeline pipeline(scope_config, /*n_demod_workers=*/2);
+  auto counter = std::make_shared<ReplayCounter>();
+  pipeline.add_sink("counter", counter);
 
   const auto start = std::chrono::steady_clock::now();
-  std::thread feeder([&] {
-    for (std::size_t i = 0; i < recorder.n_slots(); ++i) {
-      while (!pipeline.push_slot(recorder.slot(i))) {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
+  for (std::size_t i = 0; i < recorder.n_slots(); ++i) {
+    while (!pipeline.push_slot(recorder.slot(i))) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
-    pipeline.finish();
-  });
-  std::uint64_t slots_done = 0;
-  std::uint64_t dcis = 0;
-  while (auto result = pipeline.poll_result()) {
-    ++slots_done;
-    dcis += result->dcis.size();
   }
-  feeder.join();
+  pipeline.stop();  // drains every queued slot through the sink
+  const std::uint64_t slots_done = counter->slots;
+  const std::uint64_t dcis = counter->dcis;
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -41,7 +41,6 @@ int main() {
   NrScopeConfig scope_config;
   scope_config.n_prb = gnb.cell().n_prb;
   scope_config.scs = gnb.cell().scs;
-  scope_config.n_dci_threads = 2;
   NrScope scope(scope_config);
 
   TelemetryLogWriter log("quickstart_telemetry.csv");
@@ -50,10 +49,11 @@ int main() {
   std::printf("observing %s: %u PRB, %s SCS, PCI %u\n",
               gnb.cell().name.c_str(), gnb.cell().n_prb,
               to_string(gnb.cell().scs), gnb.cell().pci);
+  SlotResult result;  // reused every slot
   for (unsigned slot = 0; slot < 6000; ++slot) {
     const ResourceGrid& grid = gnb.step();
     const IqBuffer samples = radio.capture(grid);
-    const SlotResult result = scope.process_slot(samples);
+    scope.process_slot(samples, result);
     log.write(result);
 
     if (result.mib) {

@@ -311,9 +311,7 @@ int run_demo() {
     }
   }
 
-  pipeline.finish();
-  while (pipeline.poll_result()) {
-  }
+  pipeline.stop();
   if (!client.wait_end_of_stream(10.0)) {
     std::fprintf(stderr, "no end-of-stream frame\n");
     return 1;
@@ -455,9 +453,7 @@ int run_predictions_demo(const std::string& weights_path) {
       std::this_thread::yield();
     }
   }
-  pipeline.finish();
-  while (pipeline.poll_result()) {
-  }
+  pipeline.stop();
   if (!client.wait_end_of_stream(10.0)) {
     std::fprintf(stderr, "no end-of-stream frame\n");
     return 1;

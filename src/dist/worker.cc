@@ -446,7 +446,6 @@ void FleetWorker::handle_lease(const LeaseGrant& grant) {
   spec.ue_snr_db = grant.spec.ue_snr_db;
   spec.sniffer_snr_db = grant.spec.sniffer_snr_db;
   spec.n_demod_workers = config_.n_demod_workers;
-  spec.n_dci_threads = config_.n_dci_threads;
   spec.seed = grant.spec.seed;
 
   HeldLease lease;

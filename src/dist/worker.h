@@ -69,7 +69,6 @@ struct WorkerConfig {
   unsigned pool_threads = 2;   ///< orchestrator advance pool
   std::uint64_t slots_per_tick = 20;
   unsigned n_demod_workers = 1;
-  unsigned n_dci_threads = 1;
 
   double heartbeat_period_s = 0.1;
   double report_period_s = 0.25;

@@ -245,7 +245,6 @@ void FleetOrchestrator::start_cell(CellRunner& runner) {
   NrScopeConfig scope;
   scope.n_prb = runner.spec.cell.n_prb;
   scope.scs = runner.spec.cell.scs;
-  scope.n_dci_threads = runner.spec.n_dci_threads;
   runner.pipeline = std::make_unique<NrScopePipeline>(
       scope, runner.spec.n_demod_workers, runner.spec.queue_depth);
 

@@ -81,7 +81,6 @@ struct FleetCellSpec {
   double ue_snr_db = 18.0;
   double sniffer_snr_db = 28.0;
   unsigned n_demod_workers = 1;  ///< pipeline demod threads for this cell
-  unsigned n_dci_threads = 1;
   std::size_t queue_depth = 64;  ///< pipeline input queue bound
   FleetFaultHook fault_hook;     ///< optional injection (tests/demos)
   /// Scripted impairments, indexed by the feed slot within the current

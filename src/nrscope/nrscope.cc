@@ -64,10 +64,6 @@ std::optional<std::string> NrScopeConfig::validate() const {
            " leaves no room for the 12-PRB SSB window in " +
            std::to_string(n_prb) + " PRBs";
   }
-  if (n_dci_threads < 1) {
-    return "n_dci_threads must be >= 1, got " +
-           std::to_string(n_dci_threads);
-  }
   if (rate_window_slots == 0) {
     return "rate_window_slots must be > 0";
   }
@@ -87,16 +83,6 @@ NrScope::NrScope(const NrScopeConfig& config)
       sync_(config.sync, metrics_registry_), rx_grid_(config.n_prb) {
   cell_.n_prb = config_.n_prb;
   cell_.scs = config_.scs;
-  if (config_.n_dci_threads > 1) {
-    dci_pool_ = std::make_unique<WorkerPool>(config_.n_dci_threads);
-  }
-  // One PDCCH scratch per possible batch participant: the calling thread
-  // plus every DCI worker (see worker_scratch()).
-  pdcch_scratch_.resize(1 + (dci_pool_ ? dci_pool_->size() : 0));
-  // Capture-only-`this` trampolines: small enough for std::function's
-  // inline storage, built once so the per-slot batches never allocate.
-  decode_ue_fn_ = [this](std::size_t i) { decode_ue_shard(i); };
-  decode_location_fn_ = [this](std::size_t w) { decode_location_shard(w); };
   rach_.bind_metrics(metrics_registry_);
   m_slots_searching_ = &metrics_registry_.counter("nrscope.slots_searching");
   m_slots_wait_sib1_ = &metrics_registry_.counter("nrscope.slots_wait_sib1");
@@ -108,17 +94,12 @@ NrScope::NrScope(const NrScopeConfig& config)
   m_stale_evictions_ =
       &metrics_registry_.counter("nrscope.stale_ue_evictions");
   m_rnti_evictions_ = &metrics_registry_.counter("nrscope.rnti_evictions");
-  m_dedupe_candidates_ =
-      &metrics_registry_.counter("nrscope.dedupe_candidates");
-  m_dedupe_locations_ =
+  m_candidates_ = &metrics_registry_.counter("nrscope.dedupe_candidates");
+  m_candidate_locations_ =
       &metrics_registry_.counter("nrscope.dedupe_locations");
   m_demod_us_ = &metrics_registry_.histogram("nrscope.demod_us");
   m_blind_decode_us_ =
       &metrics_registry_.histogram("nrscope.blind_decode_us");
-  for (unsigned level : {1u, 2u, 4u, 8u, 16u}) {
-    m_agg_level_us_[agg_level_index(level)] = &metrics_registry_.histogram(
-        "nrscope.blind_decode_us.al" + std::to_string(level));
-  }
 }
 
 NrScope::~NrScope() = default;
@@ -412,11 +393,6 @@ void NrScope::resync(const ResourceGrid& grid, SlotResult& result) {
   }
 }
 
-void NrScope::decode_ue_shard(std::size_t i) {
-  decode_ue_dcis(*batch_grid_, batch_now_, slot_index_, cell_, ues_[i],
-                 worker_scratch(), scratch_.per_ue[i], &m_agg_level_us_);
-}
-
 void NrScope::track(const ResourceGrid& grid, SlotResult& result) {
   const SlotPoint now = slot_point();
 
@@ -428,14 +404,14 @@ void NrScope::track(const ResourceGrid& grid, SlotResult& result) {
     sync_.observe_ssb(measure_ssb_quality(grid));
   }
 
-  // RACH thread's work: new-UE discovery in the common search space.
+  // RACH: new-UE discovery in the common search space.
   rach_.process_slot(grid, now, slot_index_, air_slot_index(),
-                     pdcch_scratch_[0], result.dcis, result.new_ues);
+                     pdcch_scratch_, result.dcis, result.new_ues);
   for (const auto& ue : result.new_ues) {
     bind_rach_ue(ue.c_rnti, ue.config);
   }
 
-  // DCI threads: the UE list is sharded across the pool (paper section 4).
+  // Blind decoding of every tracked UE's search space.
   auto& per_ue = scratch_.per_ue;
   if (per_ue.size() < ues_.size()) {
     per_ue.resize(ues_.size());  // grow-only: keeps per-UE capacities
@@ -443,21 +419,10 @@ void NrScope::track(const ResourceGrid& grid, SlotResult& result) {
   for (std::size_t i = 0; i < ues_.size(); ++i) {
     per_ue[i].clear();
   }
-  batch_grid_ = &grid;
-  batch_now_ = now;
   {
     ScopedTimer blind_timer(*m_blind_decode_us_);
-    if (config_.dedupe_candidates) {
-      decode_dcis_deduped(grid, now);
-    } else if (dci_pool_ && ues_.size() > 1) {
-      dci_pool_->run_batch(ues_.size(), decode_ue_fn_);
-    } else {
-      for (std::size_t i = 0; i < ues_.size(); ++i) {
-        decode_ue_shard(i);
-      }
-    }
+    blind_decode(grid, now);
   }
-  batch_grid_ = nullptr;
   for (std::size_t i = 0; i < ues_.size(); ++i) {
     if (!per_ue[i].empty()) {
       ue_last_seen_[i] = slot_index_;
@@ -522,47 +487,7 @@ void NrScope::track(const ResourceGrid& grid, SlotResult& result) {
   }
 }
 
-void NrScope::decode_location_shard(std::size_t w) {
-  // Each shard owns its LocationSlot outright (results/result_ue are
-  // location-local), so no merge lock is needed; track() folds the slots
-  // into per_ue serially after the batch.
-  SlotScratch::LocationSlot& loc = scratch_.locations[w];
-  std::optional<ScopedTimer> timer;
-  if (Histogram* hist = m_agg_level_us_[agg_level_index(loc.level)]) {
-    timer.emplace(*hist);
-  }
-  PdcchScratch& ps = worker_scratch();
-  if (!decode_pdcch_soft_bits(cell_.coreset, loc.level, loc.cce,
-                              loc.payload_bits, batch_now_, *batch_grid_,
-                              ps)) {
-    return;
-  }
-  for (std::size_t c = loc.first; c < loc.first + loc.count; ++c) {
-    const std::size_t i = scratch_.cands[c].ue_index;
-    const auto& ue = ues_[i];
-    if (!check_pdcch_crc(ps.bits, ue.rnti)) {
-      continue;
-    }
-    const DciFormat hint = ue.config.dl_format == DciFormat::kDl1_1
-                               ? DciFormat::kDl1_1
-                               : DciFormat::kDl1_0;
-    DecodedDci dci;
-    dci.slot = slot_index_;
-    dci.rnti = ue.rnti;
-    dci.dci = Dci::unpack(hint, cell_.n_prb,
-                          std::span(ps.bits.data(), loc.payload_bits));
-    dci.grant = translate_dci(dci.dci, ue.rnti, cell_.n_prb, cell_.pdsch,
-                              ue.config.mcs_table,
-                              ue.config.max_mimo_layers);
-    dci.agg_level = loc.level;
-    dci.cce_start = loc.cce;
-    loc.results.push_back(dci);
-    loc.result_ue.push_back(i);
-  }
-}
-
-void NrScope::decode_dcis_deduped(const ResourceGrid& /*grid*/,
-                                  const SlotPoint& now) {
+void NrScope::blind_decode(const ResourceGrid& grid, const SlotPoint& now) {
   // Group candidate locations across UEs: the polar decode of a location
   // is RNTI-independent, so one channel decode serves every UE that
   // monitors it (only the CRC mask differs per UE).  The grouping runs
@@ -570,7 +495,6 @@ void NrScope::decode_dcis_deduped(const ResourceGrid& /*grid*/,
   // per-slot setup reuses the scratch buffers allocation-free.
   auto& cands = scratch_.cands;
   cands.clear();
-  PdcchScratch& ps = pdcch_scratch_[0];
   for (std::size_t i = 0; i < ues_.size(); ++i) {
     const auto& ue = ues_[i];
     const DciFormat hint = ue.config.dl_format == DciFormat::kDl1_1
@@ -579,118 +503,82 @@ void NrScope::decode_dcis_deduped(const ResourceGrid& /*grid*/,
     const unsigned payload_bits = dci_payload_size(hint, cell_.n_prb);
     for (unsigned level : ue.config.ue_ss.agg_levels) {
       pdcch_candidates(cell_.coreset, ue.config.ue_ss, level, now, ue.rnti,
-                       ps.cand_cces);
-      for (unsigned cce : ps.cand_cces) {
+                       pdcch_scratch_.cand_cces);
+      for (unsigned cce : pdcch_scratch_.cand_cces) {
         cands.push_back(
             SlotScratch::CandidateRef{level, cce, payload_bits, i});
       }
     }
   }
   // Payload-major order keeps every location of one payload size
-  // contiguous, so the serial path below can hand each run to a single
-  // structure-of-arrays batch decode.
+  // contiguous, so each run channel-decodes as one structure-of-arrays
+  // batch.
   std::sort(cands.begin(), cands.end(),
             [](const SlotScratch::CandidateRef& a,
                const SlotScratch::CandidateRef& b) {
               return std::tie(a.payload_bits, a.level, a.cce, a.ue_index) <
                      std::tie(b.payload_bits, b.level, b.cce, b.ue_index);
             });
+  m_candidates_->inc(cands.size());
 
-  // Carve the sorted list into per-location watcher ranges.  `locations`
-  // is grow-only: entries past n_locs keep their buffers for later slots.
-  auto& locations = scratch_.locations;
-  std::size_t n_locs = 0;
-  for (std::size_t c = 0; c < cands.size(); ++c) {
-    const auto& cand = cands[c];
-    const bool new_loc =
-        c == 0 || cand.level != cands[c - 1].level ||
-        cand.cce != cands[c - 1].cce ||
-        cand.payload_bits != cands[c - 1].payload_bits;
-    if (new_loc) {
-      if (locations.size() < n_locs + 1) {
-        locations.resize(n_locs + 1);
+  auto& locs = scratch_.batch_locs;
+  auto& first = scratch_.batch_first;
+  std::size_t c0 = 0;
+  while (c0 < cands.size()) {
+    // Carve one payload run into distinct (level, cce) locations, each
+    // with its watcher range [first[j], first[j + 1]) in `cands`.
+    const unsigned payload_bits = cands[c0].payload_bits;
+    locs.clear();
+    first.clear();
+    std::size_t c1 = c0;
+    for (; c1 < cands.size() && cands[c1].payload_bits == payload_bits;
+         ++c1) {
+      if (c1 == c0 || cands[c1].level != cands[c1 - 1].level ||
+          cands[c1].cce != cands[c1 - 1].cce) {
+        locs.push_back({cands[c1].level, cands[c1].cce});
+        first.push_back(c1);
       }
-      auto& loc = locations[n_locs++];
-      loc.level = cand.level;
-      loc.cce = cand.cce;
-      loc.payload_bits = cand.payload_bits;
-      loc.first = c;
-      loc.count = 1;
-      loc.results.clear();
-      loc.result_ue.clear();
-    } else {
-      ++locations[n_locs - 1].count;
     }
-  }
+    first.push_back(c1);
+    // Hit rate of the shared-location decode: 1 - locations/candidates
+    // (every watcher beyond the first reuses an already-decoded location).
+    m_candidate_locations_->inc(locs.size());
 
-  // Hit rate of the shared-location optimization: 1 - locations/candidates
-  // (every watcher beyond the first reuses an already-decoded location).
-  m_dedupe_candidates_->inc(cands.size());
-  m_dedupe_locations_->inc(n_locs);
-
-  if (dci_pool_ && n_locs > 1) {
-    dci_pool_->run_batch(n_locs, decode_location_fn_);
-  } else {
-    // Serial path: the locations are payload-major, so each contiguous
-    // run shares a payload size and channel-decodes as one SoA batch —
-    // every aggregation level's candidates demapped and rate-recovered in
+    // Every aggregation level's candidates demapped and rate-recovered in
     // a single batched pass, then each UE's CRC tested against the shared
     // bits.
-    PdcchScratch& ps = pdcch_scratch_[0];
-    auto& locs = scratch_.batch_locs;
-    std::size_t w0 = 0;
-    while (w0 < n_locs) {
-      const unsigned payload_bits = locations[w0].payload_bits;
-      std::size_t w1 = w0;
-      locs.clear();
-      while (w1 < n_locs && locations[w1].payload_bits == payload_bits) {
-        locs.push_back({locations[w1].level, locations[w1].cce});
-        ++w1;
+    decode_pdcch_batch(cell_.coreset, locs, payload_bits, now, grid,
+                       pdcch_scratch_);
+    const auto& b = pdcch_scratch_.batch;
+    const unsigned k_bits = payload_bits + kCrc24C.length();
+    for (std::size_t j = 0; j < locs.size(); ++j) {
+      if (!b.ok[j]) {
+        continue;
       }
-      decode_pdcch_batch(cell_.coreset, locs, payload_bits, batch_now_,
-                         *batch_grid_, ps);
-      const auto& b = ps.batch;
-      const unsigned k_bits = payload_bits + kCrc24C.length();
-      for (std::size_t j = 0; j < locs.size(); ++j) {
-        if (!b.ok[j]) {
+      const std::span<const std::uint8_t> bits(b.bits.data() + j * k_bits,
+                                               k_bits);
+      for (std::size_t c = first[j]; c < first[j + 1]; ++c) {
+        const std::size_t i = cands[c].ue_index;
+        const auto& ue = ues_[i];
+        if (!check_pdcch_crc(bits, ue.rnti)) {
           continue;
         }
-        auto& loc = locations[w0 + j];
-        const std::span<const std::uint8_t> bits(
-            b.bits.data() + j * k_bits, k_bits);
-        for (std::size_t c = loc.first; c < loc.first + loc.count; ++c) {
-          const std::size_t i = scratch_.cands[c].ue_index;
-          const auto& ue = ues_[i];
-          if (!check_pdcch_crc(bits, ue.rnti)) {
-            continue;
-          }
-          const DciFormat hint = ue.config.dl_format == DciFormat::kDl1_1
-                                     ? DciFormat::kDl1_1
-                                     : DciFormat::kDl1_0;
-          DecodedDci dci;
-          dci.slot = slot_index_;
-          dci.rnti = ue.rnti;
-          dci.dci = Dci::unpack(hint, cell_.n_prb,
-                                bits.first(loc.payload_bits));
-          dci.grant = translate_dci(dci.dci, ue.rnti, cell_.n_prb,
-                                    cell_.pdsch, ue.config.mcs_table,
-                                    ue.config.max_mimo_layers);
-          dci.agg_level = loc.level;
-          dci.cce_start = loc.cce;
-          loc.results.push_back(dci);
-          loc.result_ue.push_back(i);
-        }
+        const DciFormat hint = ue.config.dl_format == DciFormat::kDl1_1
+                                   ? DciFormat::kDl1_1
+                                   : DciFormat::kDl1_0;
+        DecodedDci dci;
+        dci.slot = slot_index_;
+        dci.rnti = ue.rnti;
+        dci.dci = Dci::unpack(hint, cell_.n_prb, bits.first(payload_bits));
+        dci.grant = translate_dci(dci.dci, ue.rnti, cell_.n_prb, cell_.pdsch,
+                                  ue.config.mcs_table,
+                                  ue.config.max_mimo_layers);
+        dci.agg_level = locs[j].agg_level;
+        dci.cce_start = locs[j].cce_start;
+        scratch_.per_ue[i].push_back(dci);
       }
-      w0 = w1;
     }
-  }
-
-  // Serial merge: fold the per-location results into per_ue.
-  for (std::size_t w = 0; w < n_locs; ++w) {
-    const auto& loc = scratch_.locations[w];
-    for (std::size_t r = 0; r < loc.results.size(); ++r) {
-      scratch_.per_ue[loc.result_ue[r]].push_back(loc.results[r]);
-    }
+    c0 = c1;
   }
 }
 
@@ -731,12 +619,6 @@ void NrScope::process_grid(const ResourceGrid& grid, SlotResult& result) {
   ++slot_index_;
 }
 
-SlotResult NrScope::process_grid(const ResourceGrid& grid) {
-  SlotResult result;
-  process_grid(grid, result);
-  return result;
-}
-
 void NrScope::process_slot(std::span<const cf32> samples,
                            SlotResult& result) {
   const auto start = std::chrono::steady_clock::now();
@@ -748,12 +630,6 @@ void NrScope::process_slot(std::span<const cf32> samples,
   const auto end = std::chrono::steady_clock::now();
   result.processing_time_us =
       std::chrono::duration<double, std::micro>(end - start).count();
-}
-
-SlotResult NrScope::process_slot(std::span<const cf32> samples) {
-  SlotResult result;
-  process_slot(samples, result);
-  return result;
 }
 
 }  // namespace nrs

@@ -2,12 +2,11 @@
 // Feed it one slot of IQ samples at a time; it synchronizes to the cell
 // (PSS/SSS -> MIB), learns the configuration (SIB1), tracks UE
 // associations through the RACH, blind-decodes every known UE's DCIs each
-// TTI — sharding the UE list across a worker pool — and maintains per-UE
-// and cell-wide telemetry.
+// TTI — one channel decode per PDCCH candidate location, shared by every
+// UE that monitors it — and maintains per-UE and cell-wide telemetry.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -15,10 +14,10 @@
 #include "common/metrics.h"
 #include "common/timing.h"
 #include "common/types.h"
-#include "common/worker_pool.h"
 #include "nr/cell_config.h"
 #include "nr/mib.h"
-#include "nrscope/dci_decoder.h"
+#include "nr/pdcch.h"
+#include "nr/rrc.h"
 #include "nrscope/rach_tracker.h"
 #include "nrscope/sync_monitor.h"
 #include "nrscope/telemetry.h"
@@ -39,14 +38,16 @@ enum class SyncState : std::uint8_t {
 
 const char* to_string(SyncState state);
 
+/// What the sniffer tracks per known UE.
+struct UeSearchContext {
+  Rnti rnti = kInvalidRnti;
+  RrcSetup config;
+};
+
 struct NrScopeConfig {
   unsigned n_prb = 51;        ///< carrier bandwidth to demodulate
   Scs scs = Scs::kHz30;
-  unsigned n_dci_threads = 1; ///< DCI worker threads (paper Fig. 12)
-  /// Decode each PDCCH candidate location once per slot and test every
-  /// tracked RNTI against the result, instead of the paper's per-UE
-  /// decode loop.  Sub-linear in the UE count once search spaces overlap;
-  /// benchmarked against the paper's design in bench_ablation_dedupe.
+  /// Inert: nothing reads it.  Kept because perfbench/src/chain.cc sets it.
   bool dedupe_candidates = false;
   RachTrackerConfig rach;
   /// Drop UEs with no DCI for this long (ghost/idle cleanup).
@@ -94,19 +95,15 @@ class NrScope {
   NrScope& operator=(const NrScope&) = delete;
 
   /// Process one slot of IQ samples (exactly one slot's worth at the
-  /// nominal rate).  Returns the decode results for this slot.
-  SlotResult process_slot(std::span<const cf32> samples);
+  /// nominal rate) into `result`.  The caller owns and reuses the result:
+  /// its vectors are cleared, keeping their capacity, so in the steady
+  /// tracking state the whole slot path — demodulation, blind decoding,
+  /// telemetry — performs zero heap allocations after warm-up (hot-path
+  /// memory discipline, DESIGN.md; verified by test_alloc_steady_state).
+  void process_slot(std::span<const cf32> samples, SlotResult& result);
 
   /// Same, starting from an already-demodulated grid (used by the
-  /// pipeline workers which demodulate on their own threads).
-  SlotResult process_grid(const ResourceGrid& grid);
-
-  /// Allocation-free variants reusing a caller-owned result (its vectors
-  /// are cleared, keeping their capacity): in the steady tracking state the
-  /// whole slot path — demodulation, blind decoding, telemetry — performs
-  /// zero heap allocations after warm-up (hot-path memory discipline,
-  /// DESIGN.md; verified by test_alloc_steady_state).
-  void process_slot(std::span<const cf32> samples, SlotResult& result);
+  /// pipeline, whose workers demodulate on their own threads).
   void process_grid(const ResourceGrid& grid, SlotResult& result);
 
   [[nodiscard]] State state() const { return state_; }
@@ -168,34 +165,23 @@ class NrScope {
   /// allocation-free after warm-up.  Every vector is cleared (capacity
   /// kept) or grown-only at the top of each slot.
   struct SlotScratch {
-    /// One candidate a UE monitors this slot (dedupe mode).
+    /// One candidate a UE monitors this slot.
     struct CandidateRef {
       unsigned level;
       unsigned cce;
       unsigned payload_bits;
       std::size_t ue_index;
     };
-    /// One distinct (level, cce, payload_bits) location with its watcher
-    /// range in `cands` and per-location decode results.  Workers own
-    /// disjoint locations, so no merge lock is needed; the results are
-    /// folded into `per_ue` serially after the batch.
-    struct LocationSlot {
-      unsigned level = 0;
-      unsigned cce = 0;
-      unsigned payload_bits = 0;
-      std::size_t first = 0;  ///< range into `cands`
-      std::size_t count = 0;
-      std::vector<DecodedDci> results;
-      std::vector<std::size_t> result_ue;  ///< watcher index per result
-    };
 
     std::vector<std::vector<DecodedDci>> per_ue;
     std::vector<DecodedDci> user_dcis;
     std::vector<std::size_t> user_dci_index;  ///< into SlotResult::dcis
     std::vector<CandidateRef> cands;
-    std::vector<LocationSlot> locations;  ///< grow-only; first n are live
-    /// Location list handed to decode_pdcch_batch (serial dedupe path).
+    /// Distinct locations of one payload size, handed to
+    /// decode_pdcch_batch, and where each one's watchers start in `cands`
+    /// (plus one past the last).
     std::vector<PdcchCandidateLoc> batch_locs;
+    std::vector<std::size_t> batch_first;
   };
 
   /// A successful PSS/SSS + MIB detection, before any state is mutated
@@ -217,7 +203,7 @@ class NrScope {
   void flush_tracked_state();
   [[nodiscard]] float measure_ssb_quality(const ResourceGrid& grid) const;
   [[nodiscard]] bool ssb_expected(const SlotPoint& now) const;
-  void decode_dcis_deduped(const ResourceGrid& grid, const SlotPoint& now);
+  void blind_decode(const ResourceGrid& grid, const SlotPoint& now);
   void cleanup_stale_ues();
   [[nodiscard]] SlotPoint slot_point() const;
   /// The cell's own slot clock, reconstructed from the locked frame phase
@@ -226,22 +212,9 @@ class NrScope {
   [[nodiscard]] std::uint64_t air_slot_index() const;
   [[nodiscard]] unsigned data_res_total() const;
 
-  /// PDCCH scratch for the current thread during a DCI batch: slot 0 for
-  /// the caller thread, slot i+1 for DCI-pool worker i.  Workers of other
-  /// pools (e.g. the pipeline's demod workers) report -1 from
-  /// index_in_pool() and land on slot 0, which is safe because NrScope is
-  /// single-caller: only one external thread runs a slot at a time.
-  [[nodiscard]] PdcchScratch& worker_scratch() {
-    const int idx = dci_pool_ ? dci_pool_->index_in_pool() : -1;
-    return pdcch_scratch_[static_cast<std::size_t>(idx + 1)];
-  }
-  void decode_ue_shard(std::size_t i);
-  void decode_location_shard(std::size_t w);
-
   NrScopeConfig config_;
   MetricsRegistry metrics_registry_;  ///< before the members that cache into it
   OfdmDemodulator demodulator_;
-  std::unique_ptr<WorkerPool> dci_pool_;
   State state_ = State::kSearching;
   CellConfig cell_;
   std::optional<Mib> mib_;
@@ -261,26 +234,16 @@ class NrScope {
   Counter* m_stream_gap_slots_ = nullptr;
   Counter* m_stale_evictions_ = nullptr;
   Counter* m_rnti_evictions_ = nullptr;
-  Counter* m_dedupe_candidates_ = nullptr;
-  Counter* m_dedupe_locations_ = nullptr;
+  Counter* m_candidates_ = nullptr;
+  Counter* m_candidate_locations_ = nullptr;
   Histogram* m_demod_us_ = nullptr;
   Histogram* m_blind_decode_us_ = nullptr;
-  AggLevelHistograms m_agg_level_us_{};
   std::vector<UeSearchContext> ues_;
   std::vector<std::uint64_t> ue_last_seen_;
   SlotScratch scratch_;
-  /// One PDCCH scratch per batch participant (see worker_scratch()).
-  std::vector<PdcchScratch> pdcch_scratch_;
+  PdcchScratch pdcch_scratch_;
   /// Persistent demodulation target for process_slot.
   ResourceGrid rx_grid_;
-  /// Context for the batch shard functions (set before each run_batch).
-  const ResourceGrid* batch_grid_ = nullptr;
-  SlotPoint batch_now_;
-  /// Shard trampolines built once in the constructor: they capture only
-  /// `this`, so neither std::function ever heap-allocates, and run_batch
-  /// takes them by reference slot after slot.
-  std::function<void(std::size_t)> decode_ue_fn_;
-  std::function<void(std::size_t)> decode_location_fn_;
   std::uint64_t slot_index_ = 0;
   /// Frame phase: slot-in-frame of feed index 0, learned from the SSB.
   std::int64_t frame_phase_ = 0;

@@ -12,7 +12,7 @@ NrScopePipeline::NrScopePipeline(const NrScopeConfig& config,
                                  std::size_t queue_depth)
     : engine_(std::make_unique<NrScope>(config)),
       ofdm_config_(make_ofdm_config(config.n_prb)), n_prb_(config.n_prb),
-      input_(queue_depth), output_(queue_depth),
+      input_(queue_depth),
       sinks_(&engine_->metrics_registry(), "pipeline.") {
   if (queue_depth == 0) {
     throw std::invalid_argument("NrScopePipeline: queue_depth must be > 0");
@@ -27,7 +27,6 @@ NrScopePipeline::NrScopePipeline(const NrScopeConfig& config,
   m_demod_us_ = &registry.histogram("pipeline.demod_us");
   m_collector_wait_us_ = &registry.histogram("pipeline.collector_wait_us");
   m_collect_us_ = &registry.histogram("pipeline.collect_us");
-  m_output_wait_us_ = &registry.histogram("pipeline.output_wait_us");
   m_stream_gaps_ = &registry.counter("pipeline.stream_gaps");
   m_skipped_slots_ = &registry.counter("pipeline.slots_skipped");
   m_alloc_allocs_ = &registry.gauge("alloc.allocs");
@@ -67,9 +66,6 @@ NrScopePipeline::~NrScopePipeline() { stop(); }
 
 void NrScopePipeline::stop() {
   input_.close();
-  // Unblock a collector stuck delivering into a full, unpolled result
-  // queue; deliver() then drops the remaining pull-mode results.
-  output_.close();
   for (auto& t : demod_workers_) {
     if (t.joinable()) {
       t.join();
@@ -118,8 +114,6 @@ bool NrScopePipeline::push_slot(IqBuffer samples) {
   *handle = std::move(samples);
   return push_slot(std::move(handle));
 }
-
-void NrScopePipeline::finish() { input_.close(); }
 
 void NrScopePipeline::skip_slots(std::uint64_t n) {
   if (n == 0) {
@@ -177,30 +171,6 @@ void NrScopePipeline::demod_loop(unsigned worker_index) {
     }
   }
   reorder_cv_.notify_all();
-}
-
-void NrScopePipeline::deliver(const SlotResult& result) {
-  if (sinks_.empty()) {
-    ScopedTimer wait_timer(*m_output_wait_us_);
-    // Pull mode copies into the queue; the allocation-free path is push
-    // mode, where sinks see the collector's reused result by reference.
-    // A full queue must never stall the collector (that back-pressure
-    // would propagate through the bounded ring all the way to
-    // push_slot()): older results drain first, the rest park in
-    // pull_overflow_ until the next slot or end of stream.
-    while (!pull_overflow_.empty() &&
-           output_.try_push(SlotResult(pull_overflow_.front()))) {
-      pull_overflow_.pop_front();
-    }
-    if (pull_overflow_.empty() && output_.try_push(SlotResult(result))) {
-      return;
-    }
-    pull_overflow_.emplace_back(result);
-    return;
-  }
-  // Fault isolation is the chain's: a throwing sink is counted and (once
-  // its error budget is spent) detached, and the run continues.
-  sinks_.deliver_slot(result);
 }
 
 void NrScopePipeline::collect_loop() {
@@ -268,7 +238,9 @@ void NrScopePipeline::collect_loop() {
       }
       grid.release();
       result.slot = expected;
-      deliver(result);
+      // Fault isolation is the chain's: a throwing sink is counted and
+      // (once its error budget is spent) detached, and the run continues.
+      sinks_.deliver_slot(result);
       ++expected;
       if (alloc::hooks_active()) {
         const alloc::Totals t = alloc::totals();
@@ -281,20 +253,7 @@ void NrScopePipeline::collect_loop() {
       }
     }
   }
-  // Flush parked pull-mode results to a live consumer; a closed queue
-  // (stop() before everything was polled) discards them, matching the
-  // documented stop() semantics.
-  while (!pull_overflow_.empty() &&
-         output_.push(std::move(pull_overflow_.front()))) {
-    pull_overflow_.pop_front();
-  }
-  pull_overflow_.clear();
   sinks_.deliver_finish();
-  output_.close();
-}
-
-std::optional<SlotResult> NrScopePipeline::poll_result() {
-  return output_.pop();
 }
 
 }  // namespace nrs

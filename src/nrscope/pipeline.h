@@ -1,24 +1,20 @@
 // The asynchronous processing pipeline of paper Fig. 4: radio samples
 // flow through a bounded queue to a pool of demodulation workers (the
-// per-slot FFT is the dominant signal-processing cost, section 5.3.2), an
-// in-order collector runs the tracking engine — which itself shards DCI
-// decoding across its own DCI threads — and results come out of a result
-// queue.  A full input queue drops slots, which is the paper's "on-demand
-// slot data processing" load-shedding behaviour.
+// per-slot FFT is the dominant signal-processing cost, section 5.3.2), and
+// an in-order collector runs the tracking engine and hands each result to
+// the attached SlotSinks.  A full input queue drops slots, which is the
+// paper's "on-demand slot data processing" load-shedding behaviour.
 //
 // Hot-path memory discipline (DESIGN.md): sample buffers and resource
 // grids are pooled, the reorder stage is a fixed ring of pool handles, and
-// the collector reuses one SlotResult — in push mode the steady state
-// performs zero heap allocations per slot after warm-up.  Feeders that
-// care about this use acquire_samples() + push_slot(handle); the legacy
-// push_slot(IqBuffer) copy-in overload still works.
+// the collector reuses one SlotResult — the steady state performs zero
+// heap allocations per slot after warm-up.  Feeders that care about this
+// use acquire_samples() + push_slot(handle); the push_slot(IqBuffer)
+// copy-in overload still works.
 //
-// Two output modes:
-//  - pull: poll_result() pops in-order SlotResults (the original API;
-//    each delivery copies the collector's result into the queue);
-//  - push: attach SlotSinks before feeding input and the collector thread
-//    delivers each result to every sink by const reference instead of the
-//    result queue, calling on_finish() once after the last slot.
+// Output: the collector thread delivers each result, in slot order, to
+// every attached SlotSink by const reference, and calls on_finish() once
+// after the last slot.  stop() ends a run.
 // Every stage reports into a shared MetricsRegistry (the engine's):
 // queue depth/drop reasons, per-worker FFT time, reorder-buffer occupancy,
 // collector wait and back-pressure, and — when the allocation shim is
@@ -26,12 +22,13 @@
 // metrics() snapshots all of it.
 #pragma once
 
+// perfbench/src/chain.cc calls std::find and relies on this include.
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -52,10 +49,9 @@ class NrScopePipeline {
   NrScopePipeline(const NrScopePipeline&) = delete;
   NrScopePipeline& operator=(const NrScopePipeline&) = delete;
 
-  /// Attach a push-mode result consumer under `name`.  Attach sinks before
-  /// the first push_slot(): once any sink is attached, completed slots go
-  /// to the sinks (in slot order, on the collector thread) instead of the
-  /// poll_result() queue.  Fault isolation is the SinkChain's: a sink
+  /// Attach a result consumer under `name`.  Attach sinks before the first
+  /// push_slot(): a slot completed while no sink is attached reaches
+  /// nobody (the engine's telemetry still sees it).  Fault isolation is the SinkChain's: a sink
   /// whose on_slot()/on_finish() throws is counted (pipeline.sink_errors
   /// and pipeline.sink.<name>.errors) and detached once its error budget
   /// — `error_limit` throws, default 1 — is spent, and the run continues.
@@ -85,7 +81,7 @@ class NrScopePipeline {
 
   /// Enqueue one slot of samples held in a pooled buffer (the
   /// allocation-free feed path); returns false when the pipeline is
-  /// saturated (or already finished) and the slot was dropped — the buffer
+  /// saturated (or already stopped) and the slot was dropped — the buffer
   /// goes straight back to the pool either way.  The drop reason is
   /// recorded in pipeline.slots_dropped.{queue_full,finished}.
   bool push_slot(BufferPool<IqBuffer>::Handle samples);
@@ -102,22 +98,12 @@ class NrScopePipeline {
   /// every slot pushed before the gap has been collected.
   void skip_slots(std::uint64_t n);
 
-  /// Next completed slot result, in slot order.  Blocks up to the queue;
-  /// returns nullopt once finish() has been called and everything drained
-  /// (immediately so when sinks consume the results instead).
-  std::optional<SlotResult> poll_result();
-
-  /// No more input; workers drain and exit.
-  void finish();
-
-  /// Full teardown: close the input, unblock an unpolled result queue
-  /// (undelivered pull-mode results are discarded), and join every worker
-  /// thread.  Queued slots still drain through the engine and the sinks'
-  /// on_finish() fires, so stop() is a prompt-but-graceful shutdown.  After
-  /// stop() returns, no pipeline thread is running and the engine is safe
-  /// to inspect from any thread; a fresh pipeline can then be started on
-  /// the same feed (the fleet supervisor's restart path).  Idempotent, but
-  /// not safe to call concurrently from two threads.
+  /// End the run: close the input, let every queued slot drain through
+  /// the engine and the sinks, fire the sinks' on_finish() once, and join
+  /// every pipeline thread.  After stop() returns the engine is safe to
+  /// inspect from any thread, and a fresh pipeline can be started on the
+  /// same feed (the fleet supervisor's restart path).  Idempotent, but not
+  /// safe to call concurrently from two threads.
   void stop();
 
   /// The tracking engine (valid to inspect after draining).
@@ -157,7 +143,6 @@ class NrScopePipeline {
 
   void demod_loop(unsigned worker_index);
   void collect_loop();
-  void deliver(const SlotResult& result);
 
   std::unique_ptr<NrScope> engine_;
   OfdmConfig ofdm_config_;
@@ -170,7 +155,6 @@ class NrScopePipeline {
   BufferPool<ResourceGrid> grid_pool_;
 
   BoundedQueue<Job> input_;
-  BoundedQueue<SlotResult> output_;
   std::vector<std::thread> demod_workers_;
   std::thread collector_;
 
@@ -182,14 +166,6 @@ class NrScopePipeline {
     std::uint64_t from = 0;
     std::uint64_t to = 0;
   };
-
-  // Pull-mode results that did not fit in output_ (nobody polling yet).
-  // The pre-refactor pipeline absorbed this back-pressure in an unbounded
-  // reorder map; the bounded ring cannot, so the collector parks finished
-  // results here instead of wedging the whole pipeline.  Collector-thread
-  // only; drained in order ahead of newer results and flushed (or
-  // discarded on stop()) at end of stream.  Unused in push mode.
-  std::deque<SlotResult> pull_overflow_;
 
   // Reorder ring between demod workers and the collector.  Slot index i
   // lives in cell i % size; the in-flight window (input queue + workers)
@@ -226,7 +202,6 @@ class NrScopePipeline {
   std::vector<Histogram*> m_worker_demod_us_;
   Histogram* m_collector_wait_us_ = nullptr;
   Histogram* m_collect_us_ = nullptr;
-  Histogram* m_output_wait_us_ = nullptr;
   Counter* m_stream_gaps_ = nullptr;
   Counter* m_skipped_slots_ = nullptr;
   // Heap-traffic gauges, published per slot when the shim is linked.

@@ -78,17 +78,6 @@ std::optional<NewUe> RachTracker::handle_msg4(Rnti rnti, const Dci& dci,
   return ue;
 }
 
-std::vector<NewUe> RachTracker::process_slot(const ResourceGrid& grid,
-                                             const SlotPoint& slot,
-                                             std::uint64_t slot_index,
-                                             std::vector<DecodedDci>& decoded) {
-  thread_local PdcchScratch t_scratch;
-  std::vector<NewUe> new_ues;
-  process_slot(grid, slot, slot_index, slot_index, t_scratch, decoded,
-               new_ues);
-  return new_ues;
-}
-
 void RachTracker::process_slot(const ResourceGrid& grid,
                                const SlotPoint& slot,
                                std::uint64_t slot_index,

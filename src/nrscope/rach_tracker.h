@@ -65,17 +65,9 @@ class RachTracker {
   void bind_metrics(MetricsRegistry& registry);
 
   /// Scan one slot's common search space.  Decoded MSG2/MSG4 DCIs are
-  /// appended to `decoded`; returns the UEs that completed association.
-  /// Uses `slot_index` as the cell's air clock too — only right when the
-  /// sniffer has listened since the cell booted.
-  std::vector<NewUe> process_slot(const ResourceGrid& grid,
-                                  const SlotPoint& slot,
-                                  std::uint64_t slot_index,
-                                  std::vector<DecodedDci>& decoded);
-
-  /// Allocation-free variant (the steady-state no-RACH path performs no
-  /// heap allocation): completed associations are appended to `new_ues`
-  /// and all intermediate buffers live in `scratch` or the tracker.
+  /// appended to `decoded` and completed associations to `new_ues`; all
+  /// intermediate buffers live in `scratch` or the tracker, so the
+  /// steady-state no-RACH path performs no heap allocation.
   /// `slot_index` is the sniffer's feed clock (stamps and bookkeeping);
   /// `air_slot` is the cell's own slot clock, reconstructed from the MIB
   /// SFN and the locked frame phase.  PRACH occasions and RA-RNTIs follow

@@ -1,7 +1,6 @@
-// Push-mode output API for the sniffer pipeline.  Instead of pulling
-// results through NrScopePipeline::poll_result(), callers can attach any
-// number of SlotSinks; the collector thread then delivers each in-order
-// SlotResult to every sink and calls on_finish() once after the last slot.
+// Output API of the sniffer pipeline: callers attach any number of
+// SlotSinks, and the collector thread delivers each in-order SlotResult to
+// every sink and calls on_finish() once after the last slot.
 // TelemetryLogWriter (the paper's "Log File" sink) implements this
 // interface, and MetricsCsvSink periodically dumps the MetricsRegistry so a
 // run leaves a machine-readable per-stage timing record behind.

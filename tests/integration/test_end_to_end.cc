@@ -50,10 +50,11 @@ struct Harness {
         scope(scope_cfg) {}
 
   void run(unsigned n_slots) {
+    SlotResult result;
     for (unsigned i = 0; i < n_slots; ++i) {
       const ResourceGrid& grid = gnb.step();
       const IqBuffer samples = radio.capture(grid);
-      SlotResult result = scope.process_slot(samples);
+      scope.process_slot(samples, result);
       all_dcis.insert(all_dcis.end(), result.dcis.begin(),
                       result.dcis.end());
     }
@@ -226,9 +227,9 @@ TEST(EndToEnd, SixteenUesOnCleanAwgnLinkNeverDegrade) {
   }
   bool locked = false;
   unsigned degraded = 0;
+  SlotResult result;
   for (unsigned i = 0; i < 3000; ++i) {
-    const SlotResult result =
-        h.scope.process_slot(h.radio.capture(h.gnb.step()));
+    h.scope.process_slot(h.radio.capture(h.gnb.step()), result);
     locked = locked || h.scope.state() == NrScope::State::kTracking;
     if (locked && result.degraded) {
       ++degraded;

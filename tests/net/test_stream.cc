@@ -607,9 +607,7 @@ TEST(Stream, RemoteReconstructionRowIdenticalAcrossReconnect) {
       std::this_thread::yield();
     }
   }
-  pipeline.finish();
-  while (pipeline.poll_result()) {
-  }
+  pipeline.stop();
   ASSERT_TRUE(client.wait_end_of_stream(20.0));
   {
     std::lock_guard lock(remote_mutex);
@@ -729,7 +727,7 @@ TEST(StreamQuery, EightClientsQueryWhilePipelineIngests) {
     }
   }
   // Keep querying after ingest stops (the store stays hot), then stop the
-  // clients before finish() — end-of-stream ends their subscriptions.
+  // clients before stop() — end-of-stream ends their subscriptions.
   ASSERT_TRUE(wait_until([&] { return answered.load() >= 50; }, 20.0));
   done.store(true);
   for (auto& t : clients) {

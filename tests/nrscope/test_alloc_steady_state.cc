@@ -69,9 +69,10 @@ const Feed& feed() {
     probe_cfg.rach.mode = RachTrackMode::kMsg2Assisted;
     NrScope probe(probe_cfg);
     const unsigned spf = slots_per_frame(feed.cell.scs);
+    SlotResult result;
     for (unsigned i = 0; i < 4000; ++i) {
       feed.history.push_back(radio.capture(gnb.step()));
-      (void)probe.process_slot(feed.history.back());
+      probe.process_slot(feed.history.back(), result);
       if (probe.state() == NrScope::State::kTracking &&
           probe.known_ues().size() >= kUes &&
           feed.history.size() % spf == 0) {
@@ -94,7 +95,6 @@ NrScopeConfig scope_config(const CellConfig& cell) {
   NrScopeConfig cfg;
   cfg.n_prb = cell.n_prb;
   cfg.scs = cell.scs;
-  cfg.dedupe_candidates = true;
   cfg.rach.mode = RachTrackMode::kMsg2Assisted;
   cfg.ue_inactivity_slots = 1u << 30;
   cfg.rate_window_slots = kRateWindow;

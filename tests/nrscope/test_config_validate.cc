@@ -45,14 +45,6 @@ TEST(ConfigValidate, RejectsSsbOutsideBand) {
   EXPECT_NE(err->find("ssb"), std::string::npos);
 }
 
-TEST(ConfigValidate, RejectsZeroThreads) {
-  auto cfg = valid_config();
-  cfg.n_dci_threads = 0;
-  auto err = cfg.validate();
-  ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("n_dci_threads"), std::string::npos);
-}
-
 TEST(ConfigValidate, RejectsZeroWindows) {
   auto cfg = valid_config();
   cfg.rate_window_slots = 0;
@@ -117,7 +109,7 @@ TEST(ConfigValidate, SyncMonitorNanRejected) {
 
 TEST(ConfigValidate, ScopeConstructorThrowsOnInvalid) {
   auto cfg = valid_config();
-  cfg.n_dci_threads = 0;
+  cfg.n_prb = 0;
   EXPECT_THROW(NrScope scope(cfg), std::invalid_argument);
 }
 

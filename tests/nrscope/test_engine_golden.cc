@@ -248,23 +248,5 @@ TEST(EngineGolden, SrsranEightUesLowSnr) {
   expect_golden(kSrsranLowSnr);
 }
 
-// Route adapter: the engine offers four blind-decode routes, {per-UE,
-// deduplicated} x {1, 4} DCI threads.  Each must hit the same pins.
-TEST(EngineGolden, EveryRouteHitsThePins) {
-  for (const GoldenCase* c : {&kSrsranFleetCell, &kAmarisoftAwgn,
-                              &kAmarisoftPedestrian, &kSrsranLowSnr}) {
-    for (const bool dedupe : {false, true}) {
-      for (const unsigned threads : {1u, 4u}) {
-        SCOPED_TRACE(::testing::Message() << "dedupe=" << dedupe
-                                          << " threads=" << threads);
-        NrScopeConfig cfg = scope_config(*c);
-        cfg.dedupe_candidates = dedupe;
-        cfg.n_dci_threads = threads;
-        expect_pins(*c, run_case(*c, cfg));
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace nrs

@@ -1,5 +1,5 @@
-// Tests of the Fig.-4 asynchronous pipeline, the SlotSink push-mode output
-// API, the stage metrics, and the log writer.
+// Tests of the Fig.-4 asynchronous pipeline, its SlotSink output API, the
+// stage metrics, and the log writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,90 +59,7 @@ NrScopeConfig scope_config(const CellConfig& cell) {
   return cfg;
 }
 
-TEST(Pipeline, ProcessesAllSlotsInOrder) {
-  const CapturedRun& run = captured_run();
-  NrScopePipeline pipeline(scope_config(run.cell), 2);
-  std::thread feeder([&] {
-    for (const auto& slot : run.slots) {
-      while (!pipeline.push_slot(slot)) {
-        std::this_thread::yield();
-      }
-    }
-    pipeline.finish();
-  });
-  std::uint64_t expected = 0;
-  while (auto result = pipeline.poll_result()) {
-    EXPECT_EQ(result->slot, expected);
-    ++expected;
-  }
-  feeder.join();
-  EXPECT_EQ(expected, run.slots.size());
-}
-
-TEST(Pipeline, MatchesSynchronousEngine) {
-  const CapturedRun& run = captured_run();
-  // Synchronous reference.
-  NrScope reference(scope_config(run.cell));
-  std::size_t ref_dcis = 0;
-  for (const auto& slot : run.slots) {
-    ref_dcis += reference.process_slot(slot).dcis.size();
-  }
-  // Pipelined.
-  NrScopePipeline pipeline(scope_config(run.cell), 3);
-  std::thread feeder([&] {
-    for (const auto& slot : run.slots) {
-      while (!pipeline.push_slot(slot)) {
-        std::this_thread::yield();
-      }
-    }
-    pipeline.finish();
-  });
-  std::size_t pipe_dcis = 0;
-  while (auto result = pipeline.poll_result()) {
-    pipe_dcis += result->dcis.size();
-  }
-  feeder.join();
-  EXPECT_EQ(pipe_dcis, ref_dcis);
-  EXPECT_EQ(pipeline.engine().known_ues().size(),
-            reference.known_ues().size());
-}
-
-TEST(Pipeline, SaturationDropsInsteadOfBlocking) {
-  const CapturedRun& run = captured_run();
-  NrScopePipeline pipeline(scope_config(run.cell), 1, /*queue_depth=*/2);
-  unsigned accepted = 0;
-  for (const auto& slot : run.slots) {
-    accepted += pipeline.push_slot(slot);
-  }
-  pipeline.finish();
-  std::uint64_t results = 0;
-  while (pipeline.poll_result()) {
-    ++results;
-  }
-  EXPECT_EQ(results, accepted);
-  EXPECT_EQ(pipeline.dropped_slots() + accepted, run.slots.size());
-  EXPECT_GT(pipeline.dropped_slots(), 0u) << "burst must shed load";
-  // The drop reason is recorded in the metrics: all of these drops came
-  // from a saturated queue, none from pushing after finish().
-  const MetricsSnapshot snap = pipeline.metrics();
-  EXPECT_EQ(snap.counter_value("pipeline.slots_dropped.queue_full"),
-            pipeline.dropped_slots());
-  EXPECT_EQ(snap.counter_value("pipeline.slots_dropped.finished"), 0u);
-  EXPECT_EQ(snap.counter_value("pipeline.slots_pushed"), accepted);
-}
-
-TEST(Pipeline, PushAfterFinishRecordsFinishedDrop) {
-  const CapturedRun& run = captured_run();
-  NrScopePipeline pipeline(scope_config(run.cell), 1);
-  pipeline.finish();
-  EXPECT_FALSE(pipeline.push_slot(run.slots[0]));
-  const MetricsSnapshot snap = pipeline.metrics();
-  EXPECT_EQ(snap.counter_value("pipeline.slots_dropped.finished"), 1u);
-  EXPECT_EQ(snap.counter_value("pipeline.slots_dropped.queue_full"), 0u);
-  EXPECT_EQ(pipeline.dropped_slots(), 1u);
-}
-
-/// Minimal push-mode consumer: counts slots and DCIs, tracks ordering.
+/// Minimal consumer: counts slots and DCIs, tracks ordering.
 class CountingSink : public SlotSink {
  public:
   void on_slot(const SlotResult& result) override {
@@ -160,46 +77,153 @@ class CountingSink : public SlotSink {
   bool in_order_ = true;
 };
 
-TEST(Pipeline, SinkModeMatchesPollingMode) {
-  const CapturedRun& run = captured_run();
-  // Pull mode: the original poll_result() loop.
-  std::size_t poll_dcis = 0;
-  std::size_t poll_slots = 0;
-  {
-    NrScopePipeline pipeline(scope_config(run.cell), 2);
-    std::thread feeder([&] {
-      for (const auto& slot : run.slots) {
-        while (!pipeline.push_slot(slot)) {
-          std::this_thread::yield();
-        }
-      }
-      pipeline.finish();
-    });
-    while (auto result = pipeline.poll_result()) {
-      ++poll_slots;
-      poll_dcis += result->dcis.size();
-    }
-    feeder.join();
+/// Keeps a copy of every delivered result, in delivery order.
+class RecordingSink : public SlotSink {
+ public:
+  void on_slot(const SlotResult& result) override {
+    results_.push_back(result);
   }
-  // Push mode: same slots through a SlotSink.
-  auto sink = std::make_shared<CountingSink>();
-  {
-    NrScopePipeline pipeline(scope_config(run.cell), 2);
+  void on_finish() override {}
+
+  std::vector<SlotResult> results_;
+};
+
+/// Push every slot, yielding while the input queue is momentarily full.
+void feed_all(NrScopePipeline& pipeline, const std::vector<IqBuffer>& slots) {
+  for (const auto& slot : slots) {
+    while (!pipeline.push_slot(slot)) {
+      std::this_thread::yield();
+    }
+  }
+}
+
+TEST(Pipeline, ProcessesAllSlotsInOrder) {
+  const CapturedRun& run = captured_run();
+  NrScopePipeline pipeline(scope_config(run.cell), 2);
+  auto sink = std::make_shared<RecordingSink>();
+  pipeline.add_sink(sink);
+  feed_all(pipeline, run.slots);
+  pipeline.stop();
+  ASSERT_EQ(sink->results_.size(), run.slots.size());
+  for (std::size_t i = 0; i < sink->results_.size(); ++i) {
+    EXPECT_EQ(sink->results_[i].slot, i);
+  }
+}
+
+/// A sixteen-UE Amarisoft cell on Pedestrian fading, regenerated from the
+/// same seeds for every run so no capture has to be held in memory.
+class PedestrianCell {
+ public:
+  PedestrianCell() {
+    GnbConfig cfg;
+    cfg.cell = amarisoft_cell();
+    cfg.seed = 41;
+    gnb_ = std::make_unique<GnbSim>(std::move(cfg));
+    for (unsigned u = 0; u < 16; ++u) {
+      UeConfig ue;
+      ue.id = u;
+      ue.channel.profile = ChannelProfile::kPedestrian;
+      ue.channel.snr_db = 18.0 + (u % 4);
+      ue.channel.seed = 500 + u;
+      ue.dl_traffic = std::make_unique<CbrSource>(1e6);
+      ue.ul_traffic = std::make_unique<CbrSource>(2.5e5);
+      ue.seed = 600 + u;
+      gnb_->add_ue(std::move(ue));
+    }
+    VirtualRadioConfig radio_cfg;
+    radio_cfg.n_prb = gnb_->cell().n_prb;
+    radio_cfg.channel.profile = ChannelProfile::kPedestrian;
+    radio_cfg.channel.snr_db = 28.0;
+    radio_cfg.channel.seed = 700;
+    radio_ = std::make_unique<VirtualRadio>(radio_cfg);
+  }
+
+  [[nodiscard]] const CellConfig& cell() const { return gnb_->cell(); }
+  IqBuffer next() { return radio_->capture(gnb_->step()); }
+
+ private:
+  std::unique_ptr<GnbSim> gnb_;
+  std::unique_ptr<VirtualRadio> radio_;
+};
+
+/// Everything except the wall-clock processing time must match.
+void expect_same_result(const SlotResult& a, const SlotResult& b) {
+  EXPECT_EQ(a.slot, b.slot);
+  EXPECT_EQ(a.dcis, b.dcis) << "slot " << a.slot;
+  EXPECT_EQ(a.new_ues, b.new_ues) << "slot " << a.slot;
+  EXPECT_EQ(a.mib, b.mib) << "slot " << a.slot;
+  EXPECT_EQ(a.sib1_decoded, b.sib1_decoded) << "slot " << a.slot;
+  EXPECT_EQ(a.sync_state, b.sync_state) << "slot " << a.slot;
+  EXPECT_EQ(a.degraded, b.degraded) << "slot " << a.slot;
+}
+
+TEST(Pipeline, MatchesSynchronousEngine) {
+  constexpr unsigned kSlots = 1200;
+  // Synchronous reference.
+  PedestrianCell ref_cell;
+  NrScope reference(scope_config(ref_cell.cell()));
+  std::vector<SlotResult> expected(kSlots);
+  std::size_t n_dcis = 0;
+  for (SlotResult& result : expected) {
+    reference.process_slot(ref_cell.next(), result);
+    n_dcis += result.dcis.size();
+  }
+  EXPECT_GT(n_dcis, 1000u) << "the run must decode real traffic";
+  EXPECT_EQ(reference.known_ues().size(), 16u);
+
+  // Pipelined: the demod worker count must not change a single field.
+  for (const unsigned workers : {1u, 2u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << workers << " demod workers");
+    PedestrianCell cell;
+    NrScopePipeline pipeline(scope_config(cell.cell()), workers);
+    auto sink = std::make_shared<RecordingSink>();
     pipeline.add_sink(sink);
-    for (const auto& slot : run.slots) {
-      while (!pipeline.push_slot(slot)) {
+    for (unsigned i = 0; i < kSlots; ++i) {
+      const IqBuffer samples = cell.next();
+      while (!pipeline.push_slot(samples)) {
         std::this_thread::yield();
       }
     }
-    pipeline.finish();
-    // With sinks attached the result queue stays empty; poll_result()
-    // returns nullopt once the run has drained.
-    EXPECT_FALSE(pipeline.poll_result().has_value());
+    pipeline.stop();
+    ASSERT_EQ(sink->results_.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      expect_same_result(sink->results_[i], expected[i]);
+    }
+    EXPECT_EQ(pipeline.engine().known_ues(), reference.known_ues());
   }
-  EXPECT_EQ(sink->slots_, poll_slots);
-  EXPECT_EQ(sink->dcis_, poll_dcis);
-  EXPECT_TRUE(sink->in_order_) << "sinks must see results in slot order";
-  EXPECT_EQ(sink->finished_, 1) << "on_finish must fire exactly once";
+}
+
+TEST(Pipeline, SaturationDropsInsteadOfBlocking) {
+  const CapturedRun& run = captured_run();
+  NrScopePipeline pipeline(scope_config(run.cell), 1, /*queue_depth=*/2);
+  auto sink = std::make_shared<CountingSink>();
+  pipeline.add_sink(sink);
+  unsigned accepted = 0;
+  for (const auto& slot : run.slots) {
+    accepted += pipeline.push_slot(slot);
+  }
+  pipeline.stop();
+  EXPECT_EQ(sink->slots_, accepted);
+  EXPECT_EQ(pipeline.dropped_slots() + accepted, run.slots.size());
+  EXPECT_GT(pipeline.dropped_slots(), 0u) << "burst must shed load";
+  // The drop reason is recorded in the metrics: all of these drops came
+  // from a saturated queue, none from pushing after stop().
+  const MetricsSnapshot snap = pipeline.metrics();
+  EXPECT_EQ(snap.counter_value("pipeline.slots_dropped.queue_full"),
+            pipeline.dropped_slots());
+  EXPECT_EQ(snap.counter_value("pipeline.slots_dropped.finished"), 0u);
+  EXPECT_EQ(snap.counter_value("pipeline.slots_pushed"), accepted);
+}
+
+TEST(Pipeline, PushAfterFinishRecordsFinishedDrop) {
+  const CapturedRun& run = captured_run();
+  NrScopePipeline pipeline(scope_config(run.cell), 1);
+  pipeline.stop();
+  EXPECT_FALSE(pipeline.push_slot(run.slots[0]));
+  const MetricsSnapshot snap = pipeline.metrics();
+  EXPECT_EQ(snap.counter_value("pipeline.slots_dropped.finished"), 1u);
+  EXPECT_EQ(snap.counter_value("pipeline.slots_dropped.queue_full"), 0u);
+  EXPECT_EQ(pipeline.dropped_slots(), 1u);
 }
 
 TEST(Pipeline, LogWriterWorksAsSink) {
@@ -212,13 +236,8 @@ TEST(Pipeline, LogWriterWorksAsSink) {
     auto counter = std::make_shared<CountingSink>();
     pipeline.add_sink(writer);
     pipeline.add_sink(counter);
-    for (const auto& slot : run.slots) {
-      while (!pipeline.push_slot(slot)) {
-        std::this_thread::yield();
-      }
-    }
-    pipeline.finish();
-    EXPECT_FALSE(pipeline.poll_result().has_value());
+    feed_all(pipeline, run.slots);
+    pipeline.stop();
     dcis = counter->dcis_;
   }
   std::ifstream in(path);
@@ -263,9 +282,7 @@ TEST(Pipeline, ThrowingSinkIsDetachedAndRunContinues) {
       std::this_thread::yield();
     }
   }
-  pipeline.finish();
-  while (pipeline.poll_result()) {
-  }
+  pipeline.stop();
   // The faulty sink is gone, the healthy one saw the whole run in order.
   EXPECT_EQ(pipeline.sink_count(), 1u);
   EXPECT_EQ(healthy->slots_, run.slots.size());
@@ -286,9 +303,7 @@ TEST(Pipeline, SinkThrowingInOnFinishIsCountedAndOthersStillFinish) {
       std::this_thread::yield();
     }
   }
-  pipeline.finish();
-  while (pipeline.poll_result()) {
-  }
+  pipeline.stop();
   EXPECT_EQ(healthy->finished_, 1);
   EXPECT_EQ(pipeline.sink_count(), 1u);
   EXPECT_EQ(pipeline.metrics().counter_value("pipeline.sink_errors"), 1u);
@@ -338,9 +353,7 @@ TEST(Pipeline, DetachSinkByNameStopsDelivery) {
       std::this_thread::yield();
     }
   }
-  pipeline.finish();
-  while (pipeline.poll_result()) {
-  }
+  pipeline.stop();
   EXPECT_EQ(keep->slots_, 10u);
   EXPECT_EQ(keep->finished_, 1);
   EXPECT_EQ(drop->slots_, 5u);
@@ -358,9 +371,7 @@ TEST(Pipeline, PerSinkErrorCountersNameTheFailingSink) {
       std::this_thread::yield();
     }
   }
-  pipeline.finish();
-  while (pipeline.poll_result()) {
-  }
+  pipeline.stop();
   const MetricsSnapshot snap = pipeline.metrics();
   EXPECT_EQ(snap.counter_value("pipeline.sink.flaky.errors"), 1u);
   EXPECT_EQ(snap.counter_value("pipeline.sink.healthy.errors"), 0u);
@@ -380,9 +391,7 @@ TEST(Pipeline, ErrorLimitZeroCountsButNeverDetaches) {
       std::this_thread::yield();
     }
   }
-  pipeline.finish();
-  while (pipeline.poll_result()) {
-  }
+  pipeline.stop();
   EXPECT_EQ(pipeline.sink_count(), 1u);
   const MetricsSnapshot snap = pipeline.metrics();
   // Every delivered slot threw, plus the throwing on_finish.
@@ -394,19 +403,12 @@ TEST(Pipeline, ErrorLimitZeroCountsButNeverDetaches) {
 TEST(Pipeline, MetricsSnapshotCoversEveryStage) {
   const CapturedRun& run = captured_run();
   NrScopePipeline pipeline(scope_config(run.cell), 2);
-  std::thread feeder([&] {
-    for (const auto& slot : run.slots) {
-      while (!pipeline.push_slot(slot)) {
-        std::this_thread::yield();
-      }
-    }
-    pipeline.finish();
-  });
-  std::uint64_t results = 0;
-  while (pipeline.poll_result()) {
-    ++results;
-  }
-  feeder.join();
+  auto sink = std::make_shared<CountingSink>();
+  pipeline.add_sink(sink);
+  feed_all(pipeline, run.slots);
+  pipeline.stop();
+  const std::uint64_t results = sink->slots_;
+  EXPECT_EQ(results, run.slots.size());
   const MetricsSnapshot snap = pipeline.metrics();
   // Pipeline stages.
   const auto* demod = snap.find_histogram("pipeline.demod_us");
@@ -542,6 +544,8 @@ TEST(Pipeline, SkipSlotsJumpsGapAndKeepsFrameLock) {
   VirtualRadio radio(radio_cfg);
 
   NrScopePipeline pipeline(scope_config(gnb.cell()), 2);
+  auto sink = std::make_shared<RecordingSink>();
+  pipeline.add_sink(sink);
   feed_live(gnb, radio, pipeline, 400);
   const std::uint64_t missed = 37;  // not a frame multiple
   for (std::uint64_t j = 0; j < missed; ++j) {
@@ -549,11 +553,11 @@ TEST(Pipeline, SkipSlotsJumpsGapAndKeepsFrameLock) {
   }
   pipeline.skip_slots(missed);
   feed_live(gnb, radio, pipeline, 300);
-  pipeline.finish();
+  pipeline.stop();
 
   std::vector<std::uint64_t> seen;
-  while (auto result = pipeline.poll_result()) {
-    seen.push_back(result->slot);
+  for (const SlotResult& result : sink->results_) {
+    seen.push_back(result.slot);
   }
   ASSERT_EQ(seen.size(), 700u);
   // In order throughout, with the engine clock jumping the declared gap.
@@ -603,7 +607,7 @@ TEST(Pipeline, StopDuringResyncDrainReleasesEveryPooledBuffer) {
   faulty_cfg.faults.events.push_back({FaultKind::kOutage, 0, 100000, 35.0});
   VirtualRadio faulty_radio(faulty_cfg);
   feed_live(gnb, faulty_radio, pipeline, 120);
-  // A final unpolled burst so slots are still in flight at stop().
+  // A final burst so slots are still in flight at stop().
   for (unsigned i = 0; i < 32; ++i) {
     (void)pipeline.push_slot(faulty_radio.capture(gnb.step()));
   }
@@ -629,8 +633,11 @@ TEST(Pipeline, StopDuringResyncDrainReleasesEveryPooledBuffer) {
 TEST(Pipeline, FinishWithoutInputTerminates) {
   const CapturedRun& run = captured_run();
   NrScopePipeline pipeline(scope_config(run.cell), 2);
-  pipeline.finish();
-  EXPECT_FALSE(pipeline.poll_result().has_value());
+  auto sink = std::make_shared<CountingSink>();
+  pipeline.add_sink(sink);
+  pipeline.stop();
+  EXPECT_EQ(sink->slots_, 0u);
+  EXPECT_EQ(sink->finished_, 1) << "on_finish fires even for an empty run";
 }
 
 TEST(LogWriter, WritesHeaderAndRows) {

@@ -53,6 +53,18 @@ void encode_msg4(const CellConfig& cell, Rnti tc_rnti,
   encode_pdsch(alloc, slot, padded, grid);
 }
 
+/// Scan one slot (feed and air clocks equal: the tracker has listened
+/// since the cell booted); returns the UEs that completed association.
+std::vector<NewUe> scan(RachTracker& tracker, const ResourceGrid& grid,
+                        const SlotPoint& slot, std::uint64_t slot_index,
+                        std::vector<DecodedDci>& decoded) {
+  PdcchScratch scratch;
+  std::vector<NewUe> new_ues;
+  tracker.process_slot(grid, slot, slot_index, slot_index, scratch, decoded,
+                       new_ues);
+  return new_ues;
+}
+
 TEST(RachTrackerUnit, XorModeRecoversAndVerifies) {
   const CellConfig cell = test_cell();
   RachTracker tracker(RachTrackerConfig{RachTrackMode::kXorRecovery, true,
@@ -65,7 +77,7 @@ TEST(RachTrackerUnit, XorModeRecoversAndVerifies) {
   encode_msg4(cell, 0x4601, setup, slot, grid);
 
   std::vector<DecodedDci> decoded;
-  const auto new_ues = tracker.process_slot(grid, slot, 42, decoded);
+  const auto new_ues = scan(tracker, grid, slot, 42, decoded);
   ASSERT_EQ(new_ues.size(), 1u);
   EXPECT_EQ(new_ues[0].c_rnti, 0x4601);
   EXPECT_TRUE(new_ues[0].verified);
@@ -82,7 +94,7 @@ TEST(RachTrackerUnit, EmptySlotFindsNothing) {
   const SlotPoint slot{Scs::kHz30, 0, 3};
   const ResourceGrid grid(cell.n_prb);
   std::vector<DecodedDci> decoded;
-  EXPECT_TRUE(tracker.process_slot(grid, slot, 1, decoded).empty());
+  EXPECT_TRUE(scan(tracker, grid, slot, 1, decoded).empty());
   EXPECT_TRUE(decoded.empty());
 }
 
@@ -99,7 +111,7 @@ TEST(RachTrackerUnit, SkipModeUsesCachedConfigAfterFirst) {
   const SlotPoint slot1{Scs::kHz30, 0, 2};
   encode_msg4(cell, 0x4601, setup, slot1, grid1);
   std::vector<DecodedDci> decoded;
-  auto ues = tracker.process_slot(grid1, slot1, 10, decoded);
+  auto ues = scan(tracker, grid1, slot1, 10, decoded);
   ASSERT_EQ(ues.size(), 1u);
   EXPECT_EQ(tracker.pdsch_decodes(), 1u);
 
@@ -107,7 +119,7 @@ TEST(RachTrackerUnit, SkipModeUsesCachedConfigAfterFirst) {
   ResourceGrid grid2(cell.n_prb);
   const SlotPoint slot2{Scs::kHz30, 0, 6};
   encode_msg4(cell, 0x4702, setup, slot2, grid2);
-  ues = tracker.process_slot(grid2, slot2, 20, decoded);
+  ues = scan(tracker, grid2, slot2, 20, decoded);
   ASSERT_EQ(ues.size(), 1u);
   EXPECT_EQ(ues[0].c_rnti, 0x4702);
   EXPECT_EQ(ues[0].config.max_mimo_layers, 2u);
@@ -125,7 +137,7 @@ TEST(RachTrackerUnit, ImplausibleRntiRejected) {
   const SlotPoint slot{Scs::kHz30, 0, 2};
   encode_msg4(cell, kSiRnti, setup, slot, grid);
   std::vector<DecodedDci> decoded;
-  EXPECT_TRUE(tracker.process_slot(grid, slot, 5, decoded).empty());
+  EXPECT_TRUE(scan(tracker, grid, slot, 5, decoded).empty());
   EXPECT_GE(tracker.rejected_recoveries(), 1u);
 }
 
@@ -141,7 +153,7 @@ TEST(RachTrackerUnit, Msg2ModeIgnoresUnsolicitedMsg4) {
   const SlotPoint slot{Scs::kHz30, 0, 2};
   encode_msg4(cell, 0x4601, setup, slot, grid);
   std::vector<DecodedDci> decoded;
-  EXPECT_TRUE(tracker.process_slot(grid, slot, 5, decoded).empty());
+  EXPECT_TRUE(scan(tracker, grid, slot, 5, decoded).empty());
 }
 
 TEST(RachTrackerUnit, CrntiReuseRebindsInsteadOfDuplicating) {

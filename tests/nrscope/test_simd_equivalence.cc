@@ -16,8 +16,7 @@
 namespace nrs {
 namespace {
 
-std::vector<SlotResult> run_scope(kernels::Isa isa, bool dedupe,
-                                  unsigned n_slots) {
+std::vector<SlotResult> run_scope(kernels::Isa isa, unsigned n_slots) {
   EXPECT_TRUE(kernels::select(isa));
   GnbConfig gnb_cfg;
   gnb_cfg.cell = srsran_cell();
@@ -39,13 +38,11 @@ std::vector<SlotResult> run_scope(kernels::Isa isa, bool dedupe,
   NrScopeConfig scope_cfg;
   scope_cfg.n_prb = gnb.cell().n_prb;
   scope_cfg.scs = gnb.cell().scs;
-  scope_cfg.dedupe_candidates = dedupe;
   NrScope scope(scope_cfg);
 
-  std::vector<SlotResult> results;
-  results.reserve(n_slots);
-  for (unsigned slot = 0; slot < n_slots; ++slot) {
-    results.push_back(scope.process_slot(radio.capture(gnb.step())));
+  std::vector<SlotResult> results(n_slots);
+  for (SlotResult& result : results) {
+    scope.process_slot(radio.capture(gnb.step()), result);
   }
   return results;
 }
@@ -87,8 +84,8 @@ class SimdEquivalence : public ::testing::Test {
 };
 
 TEST_F(SimdEquivalence, DedupedSlotStreamIsIdentical) {
-  const auto scalar_run = run_scope(kernels::Isa::kScalar, true, 400);
-  const auto simd_run = run_scope(simd_, true, 400);
+  const auto scalar_run = run_scope(kernels::Isa::kScalar, 400);
+  const auto simd_run = run_scope(simd_, 400);
   expect_streams_identical(scalar_run, simd_run);
   // The run must have decoded real traffic, or the test proves nothing.
   std::size_t n_dcis = 0;
@@ -96,12 +93,6 @@ TEST_F(SimdEquivalence, DedupedSlotStreamIsIdentical) {
     n_dcis += r.dcis.size();
   }
   EXPECT_GT(n_dcis, 50u);
-}
-
-TEST_F(SimdEquivalence, PerUeSlotStreamIsIdentical) {
-  const auto scalar_run = run_scope(kernels::Isa::kScalar, false, 300);
-  const auto simd_run = run_scope(simd_, false, 300);
-  expect_streams_identical(scalar_run, simd_run);
 }
 
 }  // namespace

@@ -184,7 +184,6 @@ NrScopeConfig engine_config() {
   NrScopeConfig cfg;
   cfg.n_prb = cell.n_prb;
   cfg.scs = cell.scs;
-  cfg.dedupe_candidates = true;
   cfg.rach.mode = RachTrackMode::kMsg2Assisted;
   cfg.ue_inactivity_slots = 1u << 30;
   cfg.sync.empty_slot_limit = 200;
@@ -242,8 +241,9 @@ struct EngineRig {
 
   /// Warm up on a clean radio until tracking with every UE known.
   void warm_up(VirtualRadio& radio) {
+    SlotResult result;
     for (std::uint64_t k = 0; k < 20000; ++k) {
-      (void)scope->process_slot(radio.capture(gnb->step()));
+      scope->process_slot(radio.capture(gnb->step()), result);
       if (scope->state() == NrScope::State::kTracking &&
           scope->known_ues().size() >= kUes) {
         return;

@@ -374,8 +374,8 @@ TEST(StoreSink, RangeScanAgreesRowExactlyWithCsv) {
         std::this_thread::yield();
       }
     }
-    pipeline.finish();
-  }  // dtor joins; all slots delivered to both sinks
+    pipeline.stop();  // all slots delivered to both sinks
+  }
 
   // CSV ground truth: per RNTI, the (slot, mcs) and (slot, prb_len) rows.
   std::map<Rnti, std::vector<StoreRow>> csv_mcs;
