@@ -41,7 +41,9 @@ class CountingSink : public SlotSink {
     slots_.fetch_add(1);
     // A few hundred ns of work inside the delivery, so concurrent
     // detaches overlap the fan-out instead of slotting between calls.
-    for (volatile int spin = 0; spin < 50; ++spin) {
+    volatile int spin = 0;
+    while (spin < 50) {
+      spin = spin + 1;
     }
   }
   void on_finish() override { finishes_.fetch_add(1); }
