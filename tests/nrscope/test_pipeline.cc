@@ -17,6 +17,7 @@
 #include "nrscope/pipeline.h"
 #include "nrscope/slot_sink.h"
 #include "radio/virtual_radio.h"
+#include "slot_streams.h"
 
 namespace nrs {
 namespace {
@@ -146,17 +147,6 @@ class PedestrianCell {
   std::unique_ptr<VirtualRadio> radio_;
 };
 
-/// Everything except the wall-clock processing time must match.
-void expect_same_result(const SlotResult& a, const SlotResult& b) {
-  EXPECT_EQ(a.slot, b.slot);
-  EXPECT_EQ(a.dcis, b.dcis) << "slot " << a.slot;
-  EXPECT_EQ(a.new_ues, b.new_ues) << "slot " << a.slot;
-  EXPECT_EQ(a.mib, b.mib) << "slot " << a.slot;
-  EXPECT_EQ(a.sib1_decoded, b.sib1_decoded) << "slot " << a.slot;
-  EXPECT_EQ(a.sync_state, b.sync_state) << "slot " << a.slot;
-  EXPECT_EQ(a.degraded, b.degraded) << "slot " << a.slot;
-}
-
 TEST(Pipeline, MatchesSynchronousEngine) {
   constexpr unsigned kSlots = 1200;
   // Synchronous reference.
@@ -185,10 +175,7 @@ TEST(Pipeline, MatchesSynchronousEngine) {
       }
     }
     pipeline.stop();
-    ASSERT_EQ(sink->results_.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      expect_same_result(sink->results_[i], expected[i]);
-    }
+    expect_streams_identical(sink->results_, expected);
     EXPECT_EQ(pipeline.engine().known_ues(), reference.known_ues());
   }
 }
