@@ -90,7 +90,6 @@ class SlotCounter : public SlotSink {
   void on_slot(const SlotResult&) override {
     slots_.fetch_add(1, std::memory_order_release);
   }
-  void on_finish() override {}
 
   /// Block until `n` slots have been delivered.
   void wait_for(std::uint64_t n) const {

@@ -31,7 +31,6 @@ class ReplayCounter : public nrs::SlotSink {
     ++slots;
     dcis += result.dcis.size();
   }
-  void on_finish() override {}
 
   std::uint64_t slots = 0;
   std::uint64_t dcis = 0;

@@ -84,7 +84,6 @@ class RecordingSink : public SlotSink {
   void on_slot(const SlotResult& result) override {
     results_.push_back(result);
   }
-  void on_finish() override {}
 
   std::vector<SlotResult> results_;
 };
