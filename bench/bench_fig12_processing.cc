@@ -122,14 +122,17 @@ void bm_pipeline_breakdown(benchmark::State& state, const CellConfig& cell) {
   for (unsigned w = 0; w < 400 && pipeline.engine().state() !=
                                       NrScope::State::kTracking;
        ++w) {
-    while (!pipeline.push_slot(fixture.radio->capture(fixture.gnb->step()))) {
-    }
+    auto samples = pipeline.acquire_samples();
+    fixture.radio->capture_into(fixture.gnb->step(), *samples);
+    pipeline.push_slot_wait(std::move(samples));
     counter->wait_for(++pushed);
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    while (!pipeline.push_slot(fixture.slots[i % fixture.slots.size()])) {
-    }
+    const IqBuffer& slot = fixture.slots[i % fixture.slots.size()];
+    auto samples = pipeline.acquire_samples();
+    samples->assign(slot.begin(), slot.end());
+    pipeline.push_slot_wait(std::move(samples));
     counter->wait_for(++pushed);
     ++i;
   }
@@ -149,8 +152,6 @@ void bm_pipeline_breakdown(benchmark::State& state, const CellConfig& cell) {
   if (const auto* wait = snap.find_histogram("pipeline.collector_wait_us")) {
     state.counters["collector_wait_us_p50"] = wait->p50();
   }
-  state.counters["dropped"] =
-      static_cast<double>(pipeline.dropped_slots());
 }
 
 void amarisoft_20mhz(benchmark::State& state) {

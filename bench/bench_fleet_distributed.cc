@@ -20,11 +20,9 @@
 //                   all-reconfirmed, zero reassigned).
 //
 //   --quick   smaller cell counts and windows (CI smoke run)
-//   --json    additionally write BENCH_fleet_distributed.json
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -265,15 +263,11 @@ FailoverPoint run_failover(unsigned n_cells) {
 
 int main(int argc, char** argv) {
   bool quick = false;
-  bool json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_fleet_distributed [--quick] [--json]\n");
+      std::fprintf(stderr, "usage: bench_fleet_distributed [--quick]\n");
       return 1;
     }
   }
@@ -288,10 +282,8 @@ int main(int argc, char** argv) {
                       "primary-failover latency");
 
   std::printf("%6s %12s %12s\n", "cells", "slots/sec", "converged");
-  std::vector<ScalePoint> scale;
   for (const unsigned cells : cell_counts) {
     const ScalePoint p = run_scale(cells, window_s);
-    scale.push_back(p);
     std::printf("%6u %12.0f %12s\n", p.cells, p.slots_per_sec,
                 p.converged ? "yes" : "NO");
   }
@@ -312,30 +304,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(failover.reassigned),
               failover.converged ? "ok" : "TIMEOUT");
 
-  if (json) {
-    std::ofstream out("BENCH_fleet_distributed.json");
-    out << "{\n  \"scale\": [\n";
-    for (std::size_t i = 0; i < scale.size(); ++i) {
-      out << "    {\"cells\": " << scale[i].cells
-          << ", \"slots_per_sec\": " << scale[i].slots_per_sec
-          << ", \"converged\": " << (scale[i].converged ? "true" : "false")
-          << "}" << (i + 1 < scale.size() ? "," : "") << "\n";
-    }
-    out << "  ],\n"
-        << "  \"reassign_cells\": " << reassign.cells << ",\n"
-        << "  \"reassign_latency_ms\": " << reassign.latency_ms << ",\n"
-        << "  \"reassigned_leases\": " << reassign.reassigned << ",\n"
-        << "  \"reassign_converged\": "
-        << (reassign.converged ? "true" : "false") << ",\n"
-        << "  \"failover_cells\": " << failover.cells << ",\n"
-        << "  \"failover_promote_ms\": " << failover.promote_ms << ",\n"
-        << "  \"failover_all_active_ms\": " << failover.all_active_ms << ",\n"
-        << "  \"failover_reconfirmed_leases\": " << failover.reconfirmed
-        << ",\n"
-        << "  \"failover_reassigned_leases\": " << failover.reassigned << ",\n"
-        << "  \"failover_converged\": "
-        << (failover.converged ? "true" : "false") << "\n}\n";
-    std::printf("\nwrote BENCH_fleet_distributed.json\n");
-  }
   return (reassign.converged && failover.converged) ? 0 : 1;
 }

@@ -2,10 +2,9 @@
 //
 // Every primitive in the KernelTable is timed against realistic per-slot
 // working sizes under each compiled-in backend, reporting ns/op and the
-// scalar-vs-SIMD speedup.  `--json` additionally writes BENCH_phy.json
-// (gitignored) for the experiment log.
+// scalar-vs-SIMD speedup.
 //
-// Usage: bench_micro_phy [--quick] [--json]
+// Usage: bench_micro_phy [--quick]
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -187,14 +186,11 @@ std::vector<Case> make_cases() {
 
 int run(int argc, char** argv) {
   bool quick = false;
-  bool json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
       return 2;
     }
   }
@@ -219,7 +215,6 @@ int run(int argc, char** argv) {
 
   Workload w;
   w.resize(2048);
-  std::vector<Row> rows;
   for (const auto& c : make_cases()) {
     Row row;
     row.name = c.name;
@@ -232,30 +227,8 @@ int run(int argc, char** argv) {
         row.simd_ns > 0.0 ? row.scalar_ns / row.simd_ns : 1.0;
     std::printf("%-18s %6zu %12.1f %12.1f %8.2fx\n", row.name.c_str(),
                 row.n, row.scalar_ns, row.simd_ns, speedup);
-    rows.push_back(row);
   }
 
-  if (json) {
-    std::FILE* f = std::fopen("BENCH_phy.json", "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write BENCH_phy.json\n");
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"simd_backend\": \"%s\",\n  \"kernels\": [\n",
-                 simd_name);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& r = rows[i];
-      const double speedup = r.simd_ns > 0.0 ? r.scalar_ns / r.simd_ns : 1.0;
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"n\": %zu, \"scalar_ns\": %.1f,"
-                   " \"simd_ns\": %.1f, \"speedup\": %.2f}%s\n",
-                   r.name.c_str(), r.n, r.scalar_ns, r.simd_ns, speedup,
-                   i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote BENCH_phy.json\n");
-  }
   return 0;
 }
 

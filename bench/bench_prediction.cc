@@ -13,13 +13,11 @@
 //
 // Flags:
 //   --quick          shorter runs (CI smoke)
-//   --json           additionally write BENCH_prediction.json
 //   --weights FILE   trained weights file
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -297,33 +295,17 @@ void print_row(const AccuracyRow& r) {
               r.degraded_mae_mbps);
 }
 
-void json_rows(std::ofstream& out, const std::vector<AccuracyRow>& rows) {
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const AccuracyRow& r = rows[i];
-    out << "    {\"name\": \"" << r.name << "\", \"matured\": " << r.matured
-        << ", \"mae_mbps\": " << r.mae_mbps
-        << ", \"within20\": " << r.within20
-        << ", \"degraded\": " << r.degraded
-        << ", \"degraded_mae_mbps\": " << r.degraded_mae_mbps << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-}
-
 int run(int argc, char** argv) {
   bool quick = false;
-  bool json = false;
   std::string weights_path = "tools/weights/predictor_v1.txt";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
     } else if (std::strcmp(argv[i], "--weights") == 0 && i + 1 < argc) {
       weights_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: bench_prediction [--quick] [--json] "
-                   "[--weights FILE]\n");
+                   "usage: bench_prediction [--quick] [--weights FILE]\n");
       return 2;
     }
   }
@@ -359,13 +341,11 @@ int run(int argc, char** argv) {
 
   std::printf("%-18s %8s %9s %10s %9s %12s\n", "scenario", "matured", "MAE",
               "within20", "degraded", "degraded MAE");
-  std::vector<AccuracyRow> profile_rows;
   const ChannelProfile profiles[] = {
       ChannelProfile::kAwgn, ChannelProfile::kPedestrian,
       ChannelProfile::kVehicle, ChannelProfile::kUrban};
   for (ChannelProfile p : profiles) {
-    profile_rows.push_back(run_profile(predictor, p, profile_slots));
-    print_row(profile_rows.back());
+    print_row(run_profile(predictor, p, profile_slots));
   }
 
   std::vector<FaultScenario> storms;
@@ -375,35 +355,12 @@ int run(int argc, char** argv) {
       {"sample_gap_97pct", {{{FaultKind::kSampleGap, 0, 400, 0.97}}}});
   storms.push_back(
       {"cfo_step_22khz", {{{FaultKind::kCfoStep, 0, 240, 22500.0}}}});
-  std::vector<AccuracyRow> fault_rows;
   for (const FaultScenario& s : storms) {
-    fault_rows.push_back(run_fault(predictor, s, fault_horizon));
-    print_row(fault_rows.back());
+    print_row(run_fault(predictor, s, fault_horizon));
   }
   std::printf("\n(MAE in Mbps over matured forecasts; degraded = forecasts "
               "made while blind/resyncing)\n");
 
-  if (json) {
-    std::ofstream out("BENCH_prediction.json");
-    out << "{\n  \"weights_loaded\": " << (weights_loaded ? "true" : "false")
-        << ",\n  \"model_version\": " << predictor->weights().model_version
-        << ",\n  \"horizon_slots\": " << predictor->weights().horizon_slots
-        << ",\n  \"hotpath\": {\n"
-        << "    \"slots\": " << hot_slots << ",\n"
-        << "    \"sink_p50_us\": " << hot.sink_p50_us << ",\n"
-        << "    \"sink_p99_us\": " << hot.sink_p99_us << ",\n"
-        << "    \"allocs_per_slot\": " << hot.allocs_per_slot << ",\n"
-        << "    \"bytes_per_slot\": " << hot.bytes_per_slot << ",\n"
-        << "    \"inference_ns_per_forecast\": " << hot.infer_ns_per_forecast
-        << ",\n"
-        << "    \"inference_ns_per_ue_slot\": " << hot.infer_ns_per_ue_slot
-        << "\n  },\n  \"profiles\": [\n";
-    json_rows(out, profile_rows);
-    out << "  ],\n  \"faults\": [\n";
-    json_rows(out, fault_rows);
-    out << "  ]\n}\n";
-    std::printf("\nwrote BENCH_prediction.json\n");
-  }
   return 0;
 }
 

@@ -12,13 +12,11 @@
 //
 // Flags:
 //   --quick   a few hundred slots instead of a few thousand (CI smoke run)
-//   --json    additionally write BENCH_store.json to the current directory
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -53,8 +51,8 @@ NrScopeConfig make_scope_config(const CellConfig& cell) {
   return cfg;
 }
 
-/// Same recorded-feed construction as bench_hotpath: power-on history
-/// until tracking, then one frame-aligned cyclic replay window.
+/// Recorded feed: power-on history until tracking, then one
+/// frame-aligned cyclic replay window.
 Feed build_feed() {
   Feed feed;
   feed.gnb_cfg.cell = amarisoft_cell();
@@ -113,7 +111,6 @@ class CountingSink : public SlotSink {
 struct IngestStats {
   double slots_per_sec = 0.0;
   double allocs_per_slot = 0.0;
-  double bytes_per_slot = 0.0;
 };
 
 /// One measured pipeline run; `store` == nullptr is the detached baseline.
@@ -129,23 +126,18 @@ IngestStats run_ingest(const Feed& feed, unsigned n_slots,
   }
   pipeline.add_sink("counter", sink);
 
-  auto push_blocking = [&](const IqBuffer& samples) {
-    for (;;) {
-      auto handle = pipeline.acquire_samples();
-      handle->assign(samples.begin(), samples.end());
-      if (pipeline.push_slot(std::move(handle))) {
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
+  auto push = [&](const IqBuffer& samples) {
+    auto handle = pipeline.acquire_samples();
+    handle->assign(samples.begin(), samples.end());
+    pipeline.push_slot_wait(std::move(handle));
   };
   for (const auto& samples : feed.history) {
-    push_blocking(samples);
+    push(samples);
   }
   const std::uint64_t warm_extra =
       feed.scope_cfg.rate_window_slots + 3 * feed.replay_len;
   for (unsigned i = 0; i < warm_extra; ++i) {
-    push_blocking(replay_slot(feed, i));
+    push(replay_slot(feed, i));
   }
   const std::uint64_t warm_total = feed.history.size() + warm_extra;
   while (sink->delivered() < warm_total) {
@@ -155,7 +147,7 @@ IngestStats run_ingest(const Feed& feed, unsigned n_slots,
   nrs::alloc::reset();
   const auto bench_start = std::chrono::steady_clock::now();
   for (unsigned i = 0; i < n_slots; ++i) {
-    push_blocking(replay_slot(feed, i));
+    push(replay_slot(feed, i));
   }
   while (sink->delivered() < warm_total + n_slots) {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -168,7 +160,6 @@ IngestStats run_ingest(const Feed& feed, unsigned n_slots,
       std::chrono::duration<double>(bench_end - bench_start).count();
   stats.slots_per_sec = n_slots / std::max(elapsed_s, 1e-9);
   stats.allocs_per_slot = static_cast<double>(totals.allocs) / n_slots;
-  stats.bytes_per_slot = static_cast<double>(totals.bytes) / n_slots;
   return stats;
 }
 
@@ -267,14 +258,11 @@ QueryStats run_queries(HistoryStore& store, unsigned queries_per_thread) {
 
 int run(int argc, char** argv) {
   bool quick = false;
-  bool json = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      json = true;
     } else {
-      std::fprintf(stderr, "usage: bench_store [--quick] [--json]\n");
+      std::fprintf(stderr, "usage: bench_store [--quick]\n");
       return 2;
     }
   }
@@ -307,24 +295,6 @@ int run(int argc, char** argv) {
               queries.p50_us, queries.p99_us,
               static_cast<unsigned long long>(queries.answered));
 
-  if (json) {
-    std::ofstream out("BENCH_store.json");
-    out << "{\n  \"slots\": " << n_slots << ",\n"
-        << "  \"ingest_detached_slots_per_sec\": " << baseline.slots_per_sec
-        << ",\n"
-        << "  \"ingest_attached_slots_per_sec\": " << attached.slots_per_sec
-        << ",\n"
-        << "  \"ingest_overhead_pct\": " << overhead_pct << ",\n"
-        << "  \"attached_allocs_per_slot\": " << attached.allocs_per_slot
-        << ",\n"
-        << "  \"attached_bytes_per_slot\": " << attached.bytes_per_slot
-        << ",\n"
-        << "  \"query_threads\": " << kQueryThreads << ",\n"
-        << "  \"queries_per_sec\": " << queries.queries_per_sec << ",\n"
-        << "  \"query_p50_us\": " << queries.p50_us << ",\n"
-        << "  \"query_p99_us\": " << queries.p99_us << "\n}\n";
-    std::printf("\nwrote BENCH_store.json\n");
-  }
   return 0;
 }
 

@@ -273,10 +273,15 @@ int main(int argc, char** argv) {
       }
     }
 
-    const ResourceGrid& grid = gnb->step();
-    // Feed the pipeline at the radio's pace; a saturated queue sheds the
-    // slot, and the reason lands in the pipeline.slots_dropped.* metrics.
-    (void)pipeline.push_slot(radio.capture(grid));
+    // Feed the pipeline at the radio's pace, as a real radio would: a
+    // saturated queue sheds the slot (counted in
+    // pipeline.slots_dropped.queue_full), and the feeder declares the lost
+    // air time so the engine's frame phase stays locked.
+    auto samples = pipeline.acquire_samples();
+    radio.capture_into(gnb->step(), *samples);
+    if (!pipeline.push_slot(std::move(samples))) {
+      pipeline.skip_slots(1);
+    }
   }
   pipeline.stop();  // drains the queued slots through the sinks
 

@@ -235,9 +235,9 @@ int run_demo() {
   };
 
   for (unsigned slot = 0; slot < n_slots; ++slot) {
-    while (!pipeline.push_slot(radio.capture(gnb.step()))) {
-      std::this_thread::yield();
-    }
+    auto samples = pipeline.acquire_samples();
+    radio.capture_into(gnb.step(), *samples);
+    pipeline.push_slot_wait(std::move(samples));
     if (slot == n_slots / 2) {
       // Demonstrate resilience: hold the feed at the halfway point, boot
       // the client server-side, and wait for its resubscription.
@@ -449,9 +449,9 @@ int run_predictions_demo(const std::string& weights_path) {
 
   const unsigned n_slots = 8000;  // 4 s at 30 kHz: plenty of maturations
   for (unsigned slot = 0; slot < n_slots; ++slot) {
-    while (!pipeline.push_slot(radio.capture(gnb.step()))) {
-      std::this_thread::yield();
-    }
+    auto samples = pipeline.acquire_samples();
+    radio.capture_into(gnb.step(), *samples);
+    pipeline.push_slot_wait(std::move(samples));
   }
   pipeline.stop();
   if (!client.wait_end_of_stream(10.0)) {

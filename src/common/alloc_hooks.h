@@ -7,7 +7,7 @@
 // nothing: without the shim every function here is a no-op counter read.
 //
 // The pipeline publishes the totals as alloc.* gauges each slot, so a
-// steady-state run can assert (tests) or report (bench_hotpath) heap
+// steady-state run can assert (tests) or report (benches) heap
 // traffic per slot.
 #pragma once
 

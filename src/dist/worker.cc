@@ -221,7 +221,7 @@ void FleetWorker::setup_orchestrator() {
 void FleetWorker::teardown_orchestrator() {
   if (orch_ != nullptr) {
     for (const auto& [id, lease] : leases_) {
-      dropped_slots_ += orch_->cell_slots(lease.local_index);
+      released_lease_slots_ += orch_->cell_slots(lease.local_index);
     }
   }
   orch_.reset();
@@ -504,7 +504,7 @@ void FleetWorker::drop_lease(std::uint64_t lease_id) {
   if (it == leases_.end()) {
     return;
   }
-  dropped_slots_ += orch_->cell_slots(it->second.local_index);
+  released_lease_slots_ += orch_->cell_slots(it->second.local_index);
   orch_->remove_cell(it->second.local_index);
   collectors_.erase(it->second.local_index);
   prediction_sinks_.erase(it->second.local_index);
@@ -707,7 +707,7 @@ void FleetWorker::run() {
     for (const auto& [id, lease] : leases_) {
       live += orch_->cell_slots(lease.local_index);
     }
-    slots_total_.store(dropped_slots_ + live);
+    slots_total_.store(released_lease_slots_ + live);
   }
   // Graceful path: drain cells so their final telemetry lands in the
   // aggregator; kill() skips nothing here either — the socket is already

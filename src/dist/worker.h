@@ -225,7 +225,8 @@ class FleetWorker {
   /// immutable after load).
   std::shared_ptr<const ThroughputPredictor> predictor_;
   std::uint64_t heartbeat_seq_ = 0;
-  std::uint64_t dropped_slots_ = 0;  ///< slots from already-dropped leases
+  /// Slots delivered by leases this worker has already let go.
+  std::uint64_t released_lease_slots_ = 0;
 
   std::mutex join_mutex_;  ///< serializes stop()/kill() joining the thread
 

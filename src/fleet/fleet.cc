@@ -35,9 +35,15 @@ std::uint64_t splitmix64(std::uint64_t x) {
 }
 
 /// Deterministic per-(cell, incarnation) seed: every restart draws a fresh
-/// but reproducible stream, and no two cells ever share one.
-std::uint64_t cell_seed(std::uint64_t fleet_seed, std::uint32_t cell_index,
-                        unsigned incarnation) {
+/// but reproducible stream, and no two cells ever share one.  A per-spec
+/// seed base replaces (fleet seed, cell index): leased cells stay
+/// deterministic across workers regardless of local index.
+std::uint64_t cell_seed(const FleetCellSpec& spec, std::uint64_t fleet_seed,
+                        std::uint32_t cell_index, unsigned incarnation) {
+  if (spec.seed != 0) {
+    fleet_seed = spec.seed;
+    cell_index = 0;
+  }
   return splitmix64(fleet_seed ^
                     splitmix64((static_cast<std::uint64_t>(cell_index) << 32) |
                                incarnation));
@@ -47,7 +53,60 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream) {
   return splitmix64(base ^ splitmix64(stream));
 }
 
+/// Attach the spec's UE population to `gnb`.
+void add_ues(GnbSim& gnb, const FleetCellSpec& spec, std::uint64_t seed) {
+  for (unsigned u = 0; u < spec.n_ues; ++u) {
+    UeConfig ue;
+    ue.id = u;
+    ue.channel.snr_db = spec.ue_snr_db;
+    ue.channel.seed = derive_seed(seed, 1000 + u);
+    ue.dl_traffic = std::make_unique<CbrSource>(spec.ue_rate_bps);
+    ue.ul_traffic = std::make_unique<CbrSource>(spec.ue_rate_bps * 0.25);
+    ue.seed = derive_seed(seed, 2000 + u);
+    gnb.add_ue(std::move(ue));
+  }
+}
+
+/// Build the cell's gNB from spec.cell; `with_ues` attaches the UE
+/// population immediately (a restarted cell defers it instead).
+std::unique_ptr<GnbSim> make_gnb(const FleetCellSpec& spec,
+                                 std::uint64_t seed, bool with_ues) {
+  GnbConfig gnb_config;
+  gnb_config.cell = spec.cell;
+  gnb_config.seed = seed;
+  auto gnb = std::make_unique<GnbSim>(std::move(gnb_config));
+  if (with_ues) {
+    add_ues(*gnb, spec, seed);
+  }
+  return gnb;
+}
+
 }  // namespace
+
+FleetCellSim build_fleet_cell(const FleetCellSpec& spec,
+                              std::uint64_t fleet_seed,
+                              std::uint32_t cell_index,
+                              unsigned incarnation) {
+  const std::uint64_t seed =
+      cell_seed(spec, fleet_seed, cell_index, incarnation);
+  FleetCellSim sim;
+  sim.gnb = make_gnb(spec, seed, /*with_ues=*/true);
+
+  VirtualRadioConfig radio_config;
+  radio_config.n_prb = spec.cell.n_prb;
+  radio_config.channel.snr_db = spec.sniffer_snr_db;
+  radio_config.channel.seed = derive_seed(seed, 3000);
+  // IQ-level faults ride inside the radio; the feeder-level kinds in the
+  // same schedule are applied by advance_cell.  A restarted incarnation
+  // replays the schedule from slot 0 (feed_slot resets with it).
+  radio_config.faults = spec.faults;
+  radio_config.fault_seed = derive_seed(seed, 4000);
+  sim.radio = std::make_unique<VirtualRadio>(radio_config);
+
+  sim.scope.n_prb = spec.cell.n_prb;
+  sim.scope.scs = spec.cell.scs;
+  return sim;
+}
 
 const char* to_string(FleetCellState state) {
   switch (state) {
@@ -60,7 +119,7 @@ const char* to_string(FleetCellState state) {
 }
 
 /// Shared between one cell's advance task and its pipeline sink.  The ring
-/// records the push wall-clock of each accepted slot, indexed by the
+/// records the push wall-clock of each pushed slot, indexed by the
 /// pipeline's slot number modulo the ring size; the sink subtracts it on
 /// delivery for the push-to-delivery latency histogram.  The ring is 4x the
 /// pipeline queue so an in-flight slot's entry cannot be overwritten.
@@ -196,57 +255,13 @@ void FleetOrchestrator::set_state(CellRunner& runner, FleetCellState state) {
   runner.m_state->set(static_cast<std::int64_t>(state));
 }
 
-void FleetOrchestrator::build_gnb(CellRunner& runner, std::uint64_t seed,
-                                  bool with_ues) {
-  GnbConfig gnb_config;
-  gnb_config.cell = runner.spec.cell;
-  gnb_config.seed = seed;
-  runner.gnb = std::make_unique<GnbSim>(std::move(gnb_config));
-  if (with_ues) {
-    add_ues(runner, seed);
-  }
-}
-
-void FleetOrchestrator::add_ues(CellRunner& runner, std::uint64_t seed) {
-  for (unsigned u = 0; u < runner.spec.n_ues; ++u) {
-    UeConfig ue;
-    ue.id = u;
-    ue.channel.snr_db = runner.spec.ue_snr_db;
-    ue.channel.seed = derive_seed(seed, 1000 + u);
-    ue.dl_traffic = std::make_unique<CbrSource>(runner.spec.ue_rate_bps);
-    ue.ul_traffic =
-        std::make_unique<CbrSource>(runner.spec.ue_rate_bps * 0.25);
-    ue.seed = derive_seed(seed, 2000 + u);
-    runner.gnb->add_ue(std::move(ue));
-  }
-}
-
 void FleetOrchestrator::start_cell(CellRunner& runner) {
-  // A per-spec seed base replaces (fleet seed, cell index): leased cells
-  // stay deterministic across workers regardless of local index.
-  const std::uint64_t seed =
-      runner.spec.seed != 0
-          ? cell_seed(runner.spec.seed, 0, runner.incarnation)
-          : cell_seed(config_.seed, runner.index, runner.incarnation);
-
-  build_gnb(runner, seed);
-
-  VirtualRadioConfig radio_config;
-  radio_config.n_prb = runner.spec.cell.n_prb;
-  radio_config.channel.snr_db = runner.spec.sniffer_snr_db;
-  radio_config.channel.seed = derive_seed(seed, 3000);
-  // IQ-level faults ride inside the radio; the feeder-level kinds in the
-  // same schedule are applied by advance_cell.  A restarted incarnation
-  // replays the schedule from slot 0 (feed_slot resets with it).
-  radio_config.faults = runner.spec.faults;
-  radio_config.fault_seed = derive_seed(seed, 4000);
-  runner.radio = std::make_unique<VirtualRadio>(radio_config);
-
-  NrScopeConfig scope;
-  scope.n_prb = runner.spec.cell.n_prb;
-  scope.scs = runner.spec.cell.scs;
+  FleetCellSim sim = build_fleet_cell(runner.spec, config_.seed,
+                                      runner.index, runner.incarnation);
+  runner.gnb = std::move(sim.gnb);
+  runner.radio = std::move(sim.radio);
   runner.pipeline = std::make_unique<NrScopePipeline>(
-      scope, runner.spec.n_demod_workers, runner.spec.queue_depth);
+      sim.scope, runner.spec.n_demod_workers, runner.spec.queue_depth);
 
   const std::size_t ring =
       std::max<std::size_t>(4 * runner.spec.queue_depth, 256);
@@ -269,7 +284,7 @@ void FleetOrchestrator::start_cell(CellRunner& runner) {
 
   runner.feed_slot = 0;
   runner.readd_ues_at = 0;
-  runner.accepted_pushes = 0;
+  runner.pushes = 0;
   runner.slots_at_start = aggregator_.cell_slots(runner.index);
   set_state(runner, FleetCellState::kRunning);
 }
@@ -308,11 +323,11 @@ void FleetOrchestrator::apply_feeder_event(CellRunner& runner,
             !runner.spec.cell.coreset.interleaved;
       }
       const std::uint64_t seed =
-          derive_seed(cell_seed(config_.seed, runner.index,
+          derive_seed(cell_seed(runner.spec, config_.seed, runner.index,
                                 runner.incarnation),
                       5000 + runner.feed_slot);
       const bool new_pci = event.kind == FaultKind::kCellRestart;
-      build_gnb(runner, seed, /*with_ues=*/!new_pci);
+      runner.gnb = make_gnb(runner.spec, seed, /*with_ues=*/!new_pci);
       if (new_pci) {
         // Subscribers re-register over the seconds after a restart;
         // holding their RACH until the sniffer has re-locked onto the new
@@ -336,7 +351,7 @@ void FleetOrchestrator::advance_cell(CellRunner& runner) {
     }
     if (runner.readd_ues_at != 0 &&
         runner.feed_slot >= runner.readd_ues_at) {
-      add_ues(runner, runner.readd_seed);
+      add_ues(*runner.gnb, runner.spec, runner.readd_seed);
       runner.readd_ues_at = 0;
     }
     const ResourceGrid& grid = runner.gnb->step();
@@ -355,15 +370,16 @@ void FleetOrchestrator::advance_cell(CellRunner& runner) {
     // no per-slot buffer allocation once the pool is warm.
     auto samples = runner.pipeline->acquire_samples();
     runner.radio->capture_into(grid, *samples);
-    // Stamp before the push: the accepted slot's pipeline index is exactly
-    // accepted_pushes, and the sink may consume it immediately.  A rejected
-    // push leaves a stale stamp that the next accept simply overwrites.
-    runner.feed->push_us[runner.accepted_pushes % runner.feed->ring_size]
-        .store(steady_now_us(), std::memory_order_release);
-    if (runner.pipeline->push_slot(std::move(samples))) {
-      ++runner.accepted_pushes;
-      ++runner.pushed_lifetime;
-    }
+    // Stamp before the push: the slot's pipeline index is exactly
+    // `pushes`, and the sink may consume it immediately.  The closed-loop
+    // push waits for room, so a slow pipeline slows this cell's advance
+    // instead of losing the slot; it refuses only a stopped pipeline,
+    // which no tick ever feeds.
+    runner.feed->push_us[runner.pushes % runner.feed->ring_size].store(
+        steady_now_us(), std::memory_order_release);
+    runner.pipeline->push_slot_wait(std::move(samples));
+    ++runner.pushes;
+    ++runner.pushed_lifetime;
   }
 }
 

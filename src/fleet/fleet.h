@@ -6,10 +6,20 @@
 // pipeline push); the cell's own pipeline threads demodulate and decode,
 // and a per-cell sink fans the results into the FleetAggregator.
 //
+// The air is simulated, so it can wait: the advance task feeds each slot
+// with the pipeline's closed-loop push_slot_wait().  A slow pipeline slows
+// its own cell's advance instead of losing a slot, so a cell's SlotResult
+// stream is a function of its seed alone — the same stream the synchronous
+// NrScope produces from build_fleet_cell(), whatever the pool size, demod
+// worker count or queue depth.
+//
 // Supervision: every cell carries a heartbeat (slots delivered, wall-clock
 // of last progress).  A cell whose advance task throws has crashed; a cell
-// whose heartbeat goes quiet for stall_timeout_s has stalled (dark radio,
-// wedged pipeline).  Either way the supervisor tears the triple down
+// whose heartbeat goes quiet for stall_timeout_s has stalled: it is being
+// fed, but nothing reaches its sniffer (a dark radio).  A wedged collector
+// is not a stall the detector can see: it holds the cell's advance task
+// inside push_slot_wait(), and with it the tick, just as it would hold the
+// stop() inside a teardown.  Either way the supervisor tears the triple down
 // (pipeline.stop() drains what was accepted), waits out a bounded
 // exponential backoff, and rebuilds the triple from scratch with a fresh
 // deterministic seed derived from (fleet seed, cell index, incarnation) —
@@ -131,6 +141,23 @@ struct FleetConfig {
   std::uint64_t aggregate_period_ticks = 1;
 };
 
+/// One fleet cell's simulated air (gNB with its UE population, and the
+/// sniffer's virtual radio) plus its engine settings, exactly as the
+/// orchestrator builds them for (fleet seed, cell index, incarnation).
+/// Without feeder-level faults or a fault hook, feeding
+/// radio.capture(gnb.step()) into an NrScope built from `scope`
+/// reproduces the cell's stream synchronously.
+struct FleetCellSim {
+  std::unique_ptr<GnbSim> gnb;
+  std::unique_ptr<VirtualRadio> radio;
+  NrScopeConfig scope;
+};
+
+FleetCellSim build_fleet_cell(const FleetCellSpec& spec,
+                              std::uint64_t fleet_seed,
+                              std::uint32_t cell_index,
+                              unsigned incarnation = 0);
+
 /// Heartbeat + push-timestamp ring shared between a cell's advance task
 /// (producer side) and its pipeline sink (collector thread).  Defined in
 /// fleet.cc.
@@ -222,8 +249,8 @@ class FleetOrchestrator {
     double backoff_s = 0.0;  ///< 0 = healthy (next failure starts initial)
     std::chrono::steady_clock::time_point restart_at{};
     std::uint64_t feed_slot = 0;        ///< gNB slots this incarnation
-    std::uint64_t accepted_pushes = 0;  ///< pipeline accepts, incarnation
-    std::uint64_t pushed_lifetime = 0;  ///< accepts across incarnations
+    std::uint64_t pushes = 0;           ///< slots pushed this incarnation
+    std::uint64_t pushed_lifetime = 0;  ///< pushes across incarnations
     std::uint64_t slots_at_start = 0;   ///< aggregator slots at (re)start
     std::uint64_t readd_ues_at = 0;  ///< feed slot to re-attach UEs (0=none)
     std::uint64_t readd_seed = 0;    ///< seed base for the re-attach
@@ -236,12 +263,6 @@ class FleetOrchestrator {
   };
 
   void start_cell(CellRunner& runner);
-  /// (Re)build the cell's gNB from runner.spec.cell; `with_ues` attaches
-  /// the UE population immediately (a restarted cell defers it instead).
-  void build_gnb(CellRunner& runner, std::uint64_t seed,
-                 bool with_ues = true);
-  /// Attach the spec's UE population to the cell's current gNB.
-  void add_ues(CellRunner& runner, std::uint64_t seed);
   /// The per-tick pool task: step the gNB, consult the fault hook, capture
   /// and push slots_per_tick slots.  Exceptions propagate to tick().
   void advance_cell(CellRunner& runner);

@@ -52,6 +52,14 @@ inline constexpr std::uint16_t kWireVersion = 5;
 /// Upper bound on a sane payload; a bigger announced length means the
 /// stream is corrupt (or hostile) and the connection should be dropped.
 inline constexpr std::uint32_t kWireMaxPayload = 64u * 1024u * 1024u;
+/// Upper bound on the memory one decoded payload may occupy.  The reader
+/// charges every vector element's in-memory size and every string's
+/// bytes to this budget and rejects the payload once it is spent.  Counts
+/// are already bounded by the bytes left, but an element can need several
+/// times its wire size (an empty-name CounterSnapshot: 10 bytes on the
+/// wire, 40 in memory), so without a budget one maximal payload could make
+/// the reader allocate several times kWireMaxPayload.
+inline constexpr std::size_t kWireMaxDecodedBytes = kWireMaxPayload;
 /// Bytes before the payload: magic + version + type + payload_len.
 inline constexpr std::size_t kWireHeaderSize = 12;
 
@@ -600,10 +608,10 @@ class WireWriter {
 };
 
 /// Reads little-endian fields from a byte buffer.  Reading past the end,
-/// or an enum value outside its range, sets a sticky error flag and skips
-/// to the end, so later reads fail fast and leave their fields as they
-/// were; callers check ok() once at the end instead of guarding every
-/// field.
+/// an enum value outside its range, or decoded storage beyond
+/// kWireMaxDecodedBytes sets a sticky error flag and skips to the end, so
+/// later reads fail fast and leave their fields as they were; callers
+/// check ok() once at the end instead of guarding every field.
 class WireReader {
  public:
   static constexpr bool kReading = true;
@@ -659,7 +667,7 @@ class WireReader {
     } else if constexpr (std::is_same_v<T, std::string>) {
       std::uint16_t len = 0;
       get(len);
-      if (remaining() < len) {
+      if (remaining() < len || !charge(len)) {
         fail();
         return;
       }
@@ -668,10 +676,15 @@ class WireReader {
     } else if constexpr (kIsVector<T>) {
       std::uint32_t n = 0;
       get(n);
-      // The count is untrusted.  Capacity is reserved only for what the
-      // bytes left could hold, and every element takes at least one byte,
-      // so a count larger than the bytes left is rejected as soon as it
-      // becomes one.
+      // The count is untrusted.  The elements' memory is charged to the
+      // payload's budget before anything is reserved; capacity is reserved
+      // only for what the bytes left could hold, and every element takes
+      // at least one byte, so a count larger than the bytes left is
+      // rejected as soon as it becomes one.
+      if (!charge(std::size_t{n} * sizeof(typename T::value_type))) {
+        fail();
+        return;
+      }
       v.clear();
       v.reserve(std::min<std::size_t>(
           n, remaining() / sizeof(typename T::value_type)));
@@ -691,8 +704,19 @@ class WireReader {
     }
   }
 
+  /// Charges `bytes` of decoded storage to the budget; false once it
+  /// would be overspent.
+  bool charge(std::size_t bytes) {
+    if (bytes > budget_) {
+      return false;
+    }
+    budget_ -= bytes;
+    return true;
+  }
+
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
+  std::size_t budget_ = kWireMaxDecodedBytes;
   bool ok_ = true;
 };
 

@@ -87,39 +87,43 @@ BufferPool<IqBuffer>::Handle NrScopePipeline::acquire_samples() {
 }
 
 bool NrScopePipeline::push_slot(BufferPool<IqBuffer>::Handle samples) {
-  Job job;
-  job.index = next_input_index_.load();
-  job.samples = std::move(samples);
   // A rejected job's handle dies right here, returning the buffer.
-  switch (input_.try_push_result(std::move(job))) {
+  switch (input_.try_push_result(
+      Job{next_input_index_.load(), std::move(samples)})) {
     case QueuePushResult::kOk:
       break;
     case QueuePushResult::kFull:
-      ++dropped_;
       m_drop_queue_full_->inc();
       return false;
     case QueuePushResult::kClosed:
-      ++dropped_;
       m_drop_finished_->inc();
       return false;
   }
-  ++next_input_index_;
-  m_slots_pushed_->inc();
-  m_queue_depth_->set(static_cast<std::int64_t>(input_.size()));
+  count_accepted();
   return true;
 }
 
-bool NrScopePipeline::push_slot(IqBuffer samples) {
-  auto handle = sample_pool_.acquire(ofdm_config_.samples_per_slot());
-  *handle = std::move(samples);
-  return push_slot(std::move(handle));
+bool NrScopePipeline::push_slot_wait(BufferPool<IqBuffer>::Handle samples) {
+  if (!input_.push(Job{next_input_index_.load(), std::move(samples)})) {
+    m_drop_finished_->inc();
+    return false;
+  }
+  count_accepted();
+  return true;
+}
+
+void NrScopePipeline::count_accepted() {
+  // Indices are assigned only on accepted pushes (single feeder thread).
+  ++next_input_index_;
+  m_slots_pushed_->inc();
+  m_queue_depth_->set(static_cast<std::int64_t>(input_.size()));
 }
 
 void NrScopePipeline::skip_slots(std::uint64_t n) {
   if (n == 0) {
     return;
   }
-  // Same single-caller contract as push_slot, so the unguarded index
+  // Same single-caller contract as the pushes, so the unguarded index
   // bump cannot race another feeder.
   const std::uint64_t from = next_input_index_.load();
   next_input_index_ = from + n;

@@ -2,15 +2,20 @@
 // flow through a bounded queue to a pool of demodulation workers (the
 // per-slot FFT is the dominant signal-processing cost, section 5.3.2), and
 // an in-order collector runs the tracking engine and hands each result to
-// the attached SlotSinks.  A full input queue drops slots, which is the
-// paper's "on-demand slot data processing" load-shedding behaviour.
+// the attached SlotSinks.
+//
+// Feeding: a feeder fills an acquire_samples() buffer and hands it over
+// with one of two pushes.  A real radio cannot wait, so push_slot() is
+// open loop: a full input queue refuses the slot (the paper's "on-demand
+// slot data processing" load shedding) and the feeder declares the loss
+// with skip_slots(1).  Simulated air can wait, so push_slot_wait() is
+// closed loop: it blocks until the queue has room and never loses a slot,
+// which makes the delivered stream independent of thread timing.
 //
 // Hot-path memory discipline (DESIGN.md): sample buffers and resource
 // grids are pooled, the reorder stage is a fixed ring of pool handles, and
 // the collector reuses one SlotResult — the steady state performs zero
-// heap allocations per slot after warm-up.  Feeders that care about this
-// use acquire_samples() + push_slot(handle); the push_slot(IqBuffer)
-// copy-in overload still works.
+// heap allocations per slot after warm-up.
 //
 // Output: the collector thread delivers each result, in slot order, to
 // every attached SlotSink by const reference, and calls on_finish() once
@@ -50,7 +55,7 @@ class NrScopePipeline {
   NrScopePipeline& operator=(const NrScopePipeline&) = delete;
 
   /// Attach a result consumer under `name`.  Attach sinks before the first
-  /// push_slot(): a slot completed while no sink is attached reaches
+  /// push: a slot completed while no sink is attached reaches
   /// nobody (the engine's telemetry still sees it).  Fault isolation is the SinkChain's: a sink
   /// whose on_slot()/on_finish() throws is counted (pipeline.sink_errors
   /// and pipeline.sink.<name>.errors) and detached once its error budget
@@ -73,29 +78,36 @@ class NrScopePipeline {
     return sinks_.names();
   }
 
-  /// Borrow a pooled sample buffer to fill and hand back to push_slot().
+  /// Borrow a pooled sample buffer to fill and hand to a push.
   /// Recycled buffers keep their capacity, so a feeder that resizes to the
   /// slot length and overwrites the contents allocates nothing in steady
   /// state.  Dropping the handle (without pushing) returns the buffer.
   [[nodiscard]] BufferPool<IqBuffer>::Handle acquire_samples();
 
-  /// Enqueue one slot of samples held in a pooled buffer (the
-  /// allocation-free feed path); returns false when the pipeline is
-  /// saturated (or already stopped) and the slot was dropped — the buffer
-  /// goes straight back to the pool either way.  The drop reason is
-  /// recorded in pipeline.slots_dropped.{queue_full,finished}.
+  /// Open-loop push, for a feed that cannot wait (real air): enqueue one
+  /// slot without blocking.  Returns false when the pipeline is saturated
+  /// (or already stopped) and the slot was refused — the buffer goes
+  /// straight back to the pool either way, and the reason is counted in
+  /// pipeline.slots_dropped.{queue_full,finished}.  A refused slot is air
+  /// time the engine never sees: declare it with skip_slots(1), or it acts
+  /// as an undeclared timing jump.
   bool push_slot(BufferPool<IqBuffer>::Handle samples);
 
-  /// Copy-in convenience overload: moves `samples` into a pooled buffer.
-  bool push_slot(IqBuffer samples);
+  /// Closed-loop push, for a feed that can wait (simulated or recorded
+  /// air): blocks until the input queue has room, so no slot is lost and
+  /// the stream does not depend on thread timing.  Returns false only
+  /// once stop() has closed the input (counted in
+  /// pipeline.slots_dropped.finished).
+  bool push_slot_wait(BufferPool<IqBuffer>::Handle samples);
 
   /// Declare `n` input slots lost (a known stream discontinuity, e.g. an
-  /// SDR overflow report): the collector jumps its reorder window over
-  /// the missing indices instead of parking forever on slots that will
-  /// never arrive, and the engine's slot clock advances so its frame
-  /// phase stays locked across the gap.  Call from the feeder thread
-  /// (the same single-caller contract as push_slot); takes effect once
-  /// every slot pushed before the gap has been collected.
+  /// SDR overflow report or a refused push_slot()): the collector jumps
+  /// its reorder window over the missing indices instead of parking
+  /// forever on slots that will never arrive, and the engine's slot clock
+  /// advances so its frame phase stays locked across the gap.  Call from
+  /// the feeder thread (the same single-caller contract as the pushes);
+  /// takes effect once every slot pushed before the gap has been
+  /// collected.
   void skip_slots(std::uint64_t n);
 
   /// End the run: close the input, let every queued slot drain through
@@ -113,10 +125,6 @@ class NrScopePipeline {
   [[nodiscard]] MetricsSnapshot metrics() const { return engine_->metrics(); }
   [[nodiscard]] MetricsRegistry& metrics_registry() {
     return engine_->metrics_registry();
-  }
-
-  [[nodiscard]] std::uint64_t dropped_slots() const {
-    return dropped_.load();
   }
 
   /// Pooled buffers (sample + grid) currently checked out.  Once stop()
@@ -141,6 +149,8 @@ class NrScopePipeline {
     BufferPool<ResourceGrid>::Handle grid;
   };
 
+  /// Bookkeeping shared by both pushes once a slot is enqueued.
+  void count_accepted();
   void demod_loop(unsigned worker_index);
   void collect_loop();
 
@@ -190,7 +200,6 @@ class NrScopePipeline {
   std::deque<Gap> gaps_;
 
   std::atomic<std::uint64_t> next_input_index_{0};
-  std::atomic<std::uint64_t> dropped_{0};
 
   // Stage metrics (handles into the engine's registry).
   Counter* m_slots_pushed_ = nullptr;

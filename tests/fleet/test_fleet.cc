@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -17,6 +19,7 @@
 #include "store/history_store.h"
 #include "store/query.h"
 #include "store/store_sink.h"
+#include "../nrscope/slot_streams.h"
 
 namespace nrs {
 namespace {
@@ -257,39 +260,83 @@ TEST(Fleet, ResyncPastDeadlineEscalatesToTeardown) {
 }
 
 TEST(Fleet, SameSeedReproducesIdenticalTelemetry) {
-  auto run_once = [] {
-    MetricsRegistry registry;
-    FleetConfig config = make_config(2);
-    // Deep queues: every pushed slot is accepted, so the delivered set is
-    // independent of scheduling timing.
-    for (auto& spec : config.cells) {
-      spec.queue_depth = 1024;
+  constexpr std::uint64_t kSlots = 1000;
+  constexpr std::uint32_t kCells = 2;
+  // The synchronous engine, fed each cell exactly as the fleet builds it.
+  const FleetConfig reference_config = make_config(kCells);
+  std::vector<std::vector<SlotResult>> expected(kCells);
+  for (std::uint32_t cell = 0; cell < kCells; ++cell) {
+    FleetCellSim sim = build_fleet_cell(reference_config.cells[cell],
+                                        reference_config.seed, cell);
+    NrScope engine(sim.scope);
+    IqBuffer samples;
+    expected[cell].resize(kSlots);
+    for (SlotResult& result : expected[cell]) {
+      sim.radio->capture_into(sim.gnb->step(), samples);
+      engine.process_slot(samples, result);
     }
-    FleetOrchestrator fleet(std::move(config), registry);
-    fleet.run_until(400);
-    fleet.stop();
-    return std::make_pair(fleet.rollup(), fleet.aggregator().ue_totals());
-  };
-
-  const auto [roll_a, ues_a] = run_once();
-  const auto [roll_b, ues_b] = run_once();
-
-  ASSERT_EQ(roll_a.cells.size(), roll_b.cells.size());
-  for (std::size_t i = 0; i < roll_a.cells.size(); ++i) {
-    EXPECT_EQ(roll_a.cells[i].slots, roll_b.cells[i].slots) << "cell " << i;
-    EXPECT_EQ(roll_a.cells[i].dcis, roll_b.cells[i].dcis) << "cell " << i;
-    EXPECT_DOUBLE_EQ(roll_a.cells[i].dl_mbps, roll_b.cells[i].dl_mbps);
-    EXPECT_DOUBLE_EQ(roll_a.cells[i].utilization,
-                     roll_b.cells[i].utilization);
   }
-  ASSERT_EQ(ues_a.size(), ues_b.size());
-  for (auto it_a = ues_a.begin(), it_b = ues_b.begin(); it_a != ues_a.end();
-       ++it_a, ++it_b) {
-    EXPECT_EQ(it_a->first, it_b->first);
-    EXPECT_EQ(it_a->second.dl_bits, it_b->second.dl_bits);
-    EXPECT_EQ(it_a->second.ul_bits, it_b->second.ul_bits);
-    EXPECT_EQ(it_a->second.dcis, it_b->second.dcis);
-    EXPECT_EQ(it_a->second.retx_dcis, it_b->second.retx_dcis);
+
+  std::optional<FleetRollup> first_roll;
+  std::map<FleetUeKey, FleetUeTotals> first_ues;
+  for (const unsigned pool_threads : {1u, 4u}) {
+    for (const unsigned demod_workers : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << pool_threads << " pool threads, " << demod_workers
+                   << " demod workers");
+      MetricsRegistry registry;
+      FleetConfig config = make_config(kCells);
+      config.pool_threads = pool_threads;
+      // A two-slot queue keeps every pipeline saturated: only a push that
+      // waits for room keeps the streams independent of thread timing.
+      for (auto& spec : config.cells) {
+        spec.queue_depth = 2;
+        spec.n_demod_workers = demod_workers;
+      }
+      // A restart would start a new seeded incarnation; slow sanitizer
+      // builds must not be mistaken for stalls.
+      config.stall_timeout_s = 60.0;
+      FleetOrchestrator fleet(std::move(config), registry);
+      std::vector<std::shared_ptr<RecordingSink>> sinks(kCells);
+      fleet.add_sink("record", [&sinks](std::uint32_t cell) {
+        sinks.at(cell) = std::make_shared<RecordingSink>();
+        return sinks.at(cell);
+      });
+      fleet.run_until(kSlots);
+      fleet.stop();
+
+      for (std::uint32_t cell = 0; cell < kCells; ++cell) {
+        SCOPED_TRACE(::testing::Message() << "cell " << cell);
+        ASSERT_EQ(fleet.cell_restarts(cell), 0u);
+        expect_streams_identical(sinks[cell]->results_, expected[cell]);
+      }
+
+      const FleetRollup roll = fleet.rollup();
+      const auto ues = fleet.aggregator().ue_totals();
+      if (!first_roll) {
+        first_roll = roll;
+        first_ues = ues;
+        continue;
+      }
+      ASSERT_EQ(roll.cells.size(), first_roll->cells.size());
+      for (std::size_t i = 0; i < roll.cells.size(); ++i) {
+        const CellRollup& a = first_roll->cells[i];
+        const CellRollup& b = roll.cells[i];
+        EXPECT_EQ(a.slots, b.slots) << "cell " << i;
+        EXPECT_EQ(a.dcis, b.dcis) << "cell " << i;
+        EXPECT_DOUBLE_EQ(a.dl_mbps, b.dl_mbps);
+        EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
+      }
+      ASSERT_EQ(ues.size(), first_ues.size());
+      for (auto it_a = first_ues.cbegin(), it_b = ues.cbegin();
+           it_a != first_ues.cend(); ++it_a, ++it_b) {
+        EXPECT_EQ(it_a->first, it_b->first);
+        EXPECT_EQ(it_a->second.dl_bits, it_b->second.dl_bits);
+        EXPECT_EQ(it_a->second.ul_bits, it_b->second.ul_bits);
+        EXPECT_EQ(it_a->second.dcis, it_b->second.dcis);
+        EXPECT_EQ(it_a->second.retx_dcis, it_b->second.retx_dcis);
+      }
+    }
   }
 }
 

@@ -9,7 +9,6 @@
 
 #include <memory>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "analysis/matching.h"
@@ -124,9 +123,9 @@ TEST(Resilience, FaultStormRecoversWithoutProcessRestart) {
         reattached_ids.push_back(gnb->add_ue(make_storm_ue(10 + i)));
       }
     }
-    while (!pipeline.push_slot(radio.capture(gnb->step()))) {
-      std::this_thread::yield();
-    }
+    auto samples = pipeline.acquire_samples();
+    radio.capture_into(gnb->step(), *samples);
+    pipeline.push_slot_wait(std::move(samples));
   }
   pipeline.stop();
   EXPECT_EQ(sink->finished_, 1);

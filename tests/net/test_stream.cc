@@ -31,6 +31,7 @@
 #include "store/history_store.h"
 #include "store/query.h"
 #include "store/store_sink.h"
+#include "../nrscope/slot_streams.h"
 
 namespace nrs {
 namespace {
@@ -585,9 +586,7 @@ TEST(Stream, RemoteReconstructionRowIdenticalAcrossReconnect) {
 
   const std::size_t half = run.slots.size() / 2;
   for (std::size_t i = 0; i < half; ++i) {
-    while (!pipeline.push_slot(run.slots[i])) {
-      std::this_thread::yield();
-    }
+    pipeline.push_slot_wait(pooled_copy(pipeline, run.slots[i]));
   }
   // Wait until the remote consumer is fully caught up, then force a
   // server-side disconnect and wait for the automatic resubscription.
@@ -603,9 +602,7 @@ TEST(Stream, RemoteReconstructionRowIdenticalAcrossReconnect) {
   ASSERT_TRUE(wait_until([&] { return server->client_count() == 1; }));
 
   for (std::size_t i = half; i < run.slots.size(); ++i) {
-    while (!pipeline.push_slot(run.slots[i])) {
-      std::this_thread::yield();
-    }
+    pipeline.push_slot_wait(pooled_copy(pipeline, run.slots[i]));
   }
   pipeline.stop();
   ASSERT_TRUE(client.wait_end_of_stream(20.0));
@@ -722,9 +719,7 @@ TEST(StreamQuery, EightClientsQueryWhilePipelineIngests) {
   }
 
   for (const IqBuffer& samples : run.slots) {
-    while (!pipeline.push_slot(samples)) {
-      std::this_thread::yield();
-    }
+    pipeline.push_slot_wait(pooled_copy(pipeline, samples));
   }
   // Keep querying after ingest stops (the store stays hot), then stop the
   // clients before stop() — end-of-stream ends their subscriptions.

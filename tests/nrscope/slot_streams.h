@@ -1,4 +1,5 @@
-// Shared check for tests that compare whole SlotResult streams.
+// Shared helpers for tests that feed recorded slots to a pipeline and
+// compare whole SlotResult streams.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -6,8 +7,28 @@
 #include <vector>
 
 #include "nrscope/nrscope.h"
+#include "nrscope/pipeline.h"
+#include "nrscope/slot_sink.h"
 
 namespace nrs {
+
+/// Keeps a copy of every delivered result, in delivery order.
+class RecordingSink : public SlotSink {
+ public:
+  void on_slot(const SlotResult& result) override {
+    results_.push_back(result);
+  }
+
+  std::vector<SlotResult> results_;
+};
+
+/// A pooled copy of one recorded slot, ready for either push.
+inline BufferPool<IqBuffer>::Handle pooled_copy(NrScopePipeline& pipeline,
+                                                const IqBuffer& samples) {
+  auto handle = pipeline.acquire_samples();
+  handle->assign(samples.begin(), samples.end());
+  return handle;
+}
 
 /// Every field except the wall-clock processing time must match.
 inline void expect_streams_identical(const std::vector<SlotResult>& a,

@@ -4,7 +4,8 @@
 // simulated substrate is held to the same rule: the virtual radio's
 // capture allocates nothing, and the gNB's slot build allocates only for
 // its ground-truth log.  And the wire decoder's memory is bounded by the
-// bytes it is given, not by a count a peer announces.
+// bytes it is given and by a per-payload budget, not by a count a peer
+// announces.
 //
 // This test lives in its own binary because it includes the counting
 // operator new/delete shim, which may appear in exactly one translation
@@ -25,6 +26,7 @@
 #include "nrscope/pipeline.h"
 #include "radio/virtual_radio.h"
 #include "store/history_store.h"
+#include "slot_streams.h"
 #include "store/store_sink.h"
 #include "ue/traffic.h"
 
@@ -174,24 +176,15 @@ TEST(AllocSteadyState, PipelineSlotPathIsAllocationFree) {
   auto sink = std::make_shared<CountingSink>();
   pipeline.add_sink(sink);
 
-  auto push_blocking = [&](const IqBuffer& samples) {
-    for (;;) {
-      auto handle = pipeline.acquire_samples();
-      handle->assign(samples.begin(), samples.end());
-      if (pipeline.push_slot(std::move(handle))) {
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  };
   std::uint64_t fed = 0;
   for (const auto& samples : f.history) {
-    push_blocking(samples);
+    pipeline.push_slot_wait(pooled_copy(pipeline, samples));
     ++fed;
   }
   const std::uint64_t warm = warm_extra_slots(f.replay.size());
   for (std::uint64_t i = 0; i < warm; ++i) {
-    push_blocking(f.replay[i % f.replay.size()]);
+    pipeline.push_slot_wait(
+        pooled_copy(pipeline, f.replay[i % f.replay.size()]));
     ++fed;
   }
   while (sink->delivered() < fed) {
@@ -200,7 +193,8 @@ TEST(AllocSteadyState, PipelineSlotPathIsAllocationFree) {
 
   nrs::alloc::reset();
   for (unsigned i = 0; i < kMeasuredSlots; ++i) {
-    push_blocking(f.replay[i % f.replay.size()]);
+    pipeline.push_slot_wait(
+        pooled_copy(pipeline, f.replay[i % f.replay.size()]));
     ++fed;
   }
   while (sink->delivered() < fed) {
@@ -232,24 +226,15 @@ TEST(AllocSteadyState, PipelineWithHistoryStoreIsAllocationFree) {
   pipeline.add_sink("store", store_sink);
   pipeline.add_sink("counter", sink);
 
-  auto push_blocking = [&](const IqBuffer& samples) {
-    for (;;) {
-      auto handle = pipeline.acquire_samples();
-      handle->assign(samples.begin(), samples.end());
-      if (pipeline.push_slot(std::move(handle))) {
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  };
   std::uint64_t fed = 0;
   for (const auto& samples : f.history) {
-    push_blocking(samples);
+    pipeline.push_slot_wait(pooled_copy(pipeline, samples));
     ++fed;
   }
   const std::uint64_t warm = warm_extra_slots(f.replay.size());
   for (std::uint64_t i = 0; i < warm; ++i) {
-    push_blocking(f.replay[i % f.replay.size()]);
+    pipeline.push_slot_wait(
+        pooled_copy(pipeline, f.replay[i % f.replay.size()]));
     ++fed;
   }
   while (sink->delivered() < fed) {
@@ -260,7 +245,8 @@ TEST(AllocSteadyState, PipelineWithHistoryStoreIsAllocationFree) {
   nrs::alloc::reset();
   const std::uint64_t rows_before = store_sink->rows_written();
   for (unsigned i = 0; i < kMeasuredSlots; ++i) {
-    push_blocking(f.replay[i % f.replay.size()]);
+    pipeline.push_slot_wait(
+        pooled_copy(pipeline, f.replay[i % f.replay.size()]));
     ++fed;
   }
   while (sink->delivered() < fed) {
@@ -298,19 +284,9 @@ TEST(AllocSteadyState, PipelineWithPredictionSinkIsAllocationFree) {
   pipeline.add_sink("predict", pred_sink);
   pipeline.add_sink("counter", sink);
 
-  auto push_blocking = [&](const IqBuffer& samples) {
-    for (;;) {
-      auto handle = pipeline.acquire_samples();
-      handle->assign(samples.begin(), samples.end());
-      if (pipeline.push_slot(std::move(handle))) {
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  };
   std::uint64_t fed = 0;
   for (const auto& samples : f.history) {
-    push_blocking(samples);
+    pipeline.push_slot_wait(pooled_copy(pipeline, samples));
     ++fed;
   }
   // Warm past the rate window AND one full forecast horizon, so the
@@ -319,7 +295,8 @@ TEST(AllocSteadyState, PipelineWithPredictionSinkIsAllocationFree) {
       warm_extra_slots(f.replay.size()) +
       ((200 + f.replay.size() - 1) / f.replay.size()) * f.replay.size();
   for (std::uint64_t i = 0; i < warm; ++i) {
-    push_blocking(f.replay[i % f.replay.size()]);
+    pipeline.push_slot_wait(
+        pooled_copy(pipeline, f.replay[i % f.replay.size()]));
     ++fed;
   }
   while (sink->delivered() < fed) {
@@ -331,7 +308,8 @@ TEST(AllocSteadyState, PipelineWithPredictionSinkIsAllocationFree) {
   nrs::alloc::reset();
   const std::uint64_t matured_before = pred_sink->predictions_matured();
   for (unsigned i = 0; i < kMeasuredSlots; ++i) {
-    push_blocking(f.replay[i % f.replay.size()]);
+    pipeline.push_slot_wait(
+        pooled_copy(pipeline, f.replay[i % f.replay.size()]));
     ++fed;
   }
   while (sink->delivered() < fed) {
@@ -501,6 +479,32 @@ TEST(AllocSteadyState, WireCountCannotForceAllocation) {
                                        "ReplicaSnapshot::cells");
   expect_count_cannot_force_allocation(&ReplicaEvent::rows, StoreRowUpdate{},
                                        "ReplicaEvent::rows");
+}
+
+// A count that the bytes can hold is still no licence to allocate: an
+// empty-name counter takes 10 bytes on the wire and 40 in memory, so a
+// well-formed payload of kWireMaxPayload / 32 of them (a third of the
+// largest payload) would decode into more memory than the largest payload
+// holds.  The reader refuses it before reserving anything.
+TEST(AllocSteadyState, WirePayloadCannotDecodeBeyondItsBudget) {
+  ASSERT_TRUE(nrs::alloc::hooks_active());
+  MetricsSnapshot snapshot;
+  snapshot.counters.resize(1);
+  std::vector<std::uint8_t> bytes = payload_bytes(snapshot);
+  ASSERT_TRUE(decode_payload<MetricsSnapshot>(bytes).has_value());
+  // The counters come first: a u32 count, then 10 zero bytes per counter.
+  constexpr std::uint32_t kCounters = kWireMaxPayload / 32;
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes.at(i) = static_cast<std::uint8_t>(kCounters >> (8 * i));
+  }
+  bytes.insert(bytes.begin() + 4, std::size_t{kCounters - 1} * 10, 0);
+
+  const std::uint64_t before = nrs::alloc::totals().bytes;
+  const bool decoded = decode_payload<MetricsSnapshot>(bytes).has_value();
+  const std::uint64_t allocated = nrs::alloc::totals().bytes - before;
+  EXPECT_FALSE(decoded);
+  EXPECT_LE(allocated, 1u << 20) << "of a " << bytes.size()
+                                 << "-byte payload";
 }
 
 }  // namespace

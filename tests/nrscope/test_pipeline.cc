@@ -78,22 +78,10 @@ class CountingSink : public SlotSink {
   bool in_order_ = true;
 };
 
-/// Keeps a copy of every delivered result, in delivery order.
-class RecordingSink : public SlotSink {
- public:
-  void on_slot(const SlotResult& result) override {
-    results_.push_back(result);
-  }
-
-  std::vector<SlotResult> results_;
-};
-
-/// Push every slot, yielding while the input queue is momentarily full.
+/// Push every slot, waiting while the input queue is full.
 void feed_all(NrScopePipeline& pipeline, const std::vector<IqBuffer>& slots) {
   for (const auto& slot : slots) {
-    while (!pipeline.push_slot(slot)) {
-      std::this_thread::yield();
-    }
+    pipeline.push_slot_wait(pooled_copy(pipeline, slot));
   }
 }
 
@@ -139,7 +127,7 @@ class PedestrianCell {
   }
 
   [[nodiscard]] const CellConfig& cell() const { return gnb_->cell(); }
-  IqBuffer next() { return radio_->capture(gnb_->step()); }
+  void next(IqBuffer& out) { radio_->capture_into(gnb_->step(), out); }
 
  private:
   std::unique_ptr<GnbSim> gnb_;
@@ -153,8 +141,10 @@ TEST(Pipeline, MatchesSynchronousEngine) {
   NrScope reference(scope_config(ref_cell.cell()));
   std::vector<SlotResult> expected(kSlots);
   std::size_t n_dcis = 0;
+  IqBuffer samples;
   for (SlotResult& result : expected) {
-    reference.process_slot(ref_cell.next(), result);
+    ref_cell.next(samples);
+    reference.process_slot(samples, result);
     n_dcis += result.dcis.size();
   }
   EXPECT_GT(n_dcis, 1000u) << "the run must decode real traffic";
@@ -168,10 +158,9 @@ TEST(Pipeline, MatchesSynchronousEngine) {
     auto sink = std::make_shared<RecordingSink>();
     pipeline.add_sink(sink);
     for (unsigned i = 0; i < kSlots; ++i) {
-      const IqBuffer samples = cell.next();
-      while (!pipeline.push_slot(samples)) {
-        std::this_thread::yield();
-      }
+      auto samples = pipeline.acquire_samples();
+      cell.next(*samples);
+      pipeline.push_slot_wait(std::move(samples));
     }
     pipeline.stop();
     expect_streams_identical(sink->results_, expected);
@@ -186,17 +175,17 @@ TEST(Pipeline, SaturationDropsInsteadOfBlocking) {
   pipeline.add_sink(sink);
   unsigned accepted = 0;
   for (const auto& slot : run.slots) {
-    accepted += pipeline.push_slot(slot);
+    accepted += pipeline.push_slot(pooled_copy(pipeline, slot));
   }
   pipeline.stop();
   EXPECT_EQ(sink->slots_, accepted);
-  EXPECT_EQ(pipeline.dropped_slots() + accepted, run.slots.size());
-  EXPECT_GT(pipeline.dropped_slots(), 0u) << "burst must shed load";
   // The drop reason is recorded in the metrics: all of these drops came
   // from a saturated queue, none from pushing after stop().
   const MetricsSnapshot snap = pipeline.metrics();
-  EXPECT_EQ(snap.counter_value("pipeline.slots_dropped.queue_full"),
-            pipeline.dropped_slots());
+  const std::uint64_t dropped =
+      snap.counter_value("pipeline.slots_dropped.queue_full");
+  EXPECT_EQ(dropped + accepted, run.slots.size());
+  EXPECT_GT(dropped, 0u) << "burst must shed load";
   EXPECT_EQ(snap.counter_value("pipeline.slots_dropped.finished"), 0u);
   EXPECT_EQ(snap.counter_value("pipeline.slots_pushed"), accepted);
 }
@@ -205,11 +194,14 @@ TEST(Pipeline, PushAfterFinishRecordsFinishedDrop) {
   const CapturedRun& run = captured_run();
   NrScopePipeline pipeline(scope_config(run.cell), 1);
   pipeline.stop();
-  EXPECT_FALSE(pipeline.push_slot(run.slots[0]));
+  EXPECT_FALSE(pipeline.push_slot(pooled_copy(pipeline, run.slots[0])));
+  // The waiting push does not wait on a stopped pipeline: it refuses.
+  EXPECT_FALSE(pipeline.push_slot_wait(pooled_copy(pipeline, run.slots[0])));
   const MetricsSnapshot snap = pipeline.metrics();
-  EXPECT_EQ(snap.counter_value("pipeline.slots_dropped.finished"), 1u);
+  EXPECT_EQ(snap.counter_value("pipeline.slots_dropped.finished"), 2u);
   EXPECT_EQ(snap.counter_value("pipeline.slots_dropped.queue_full"), 0u);
-  EXPECT_EQ(pipeline.dropped_slots(), 1u);
+  EXPECT_EQ(snap.counter_value("pipeline.slots_pushed"), 0u);
+  EXPECT_EQ(pipeline.buffers_in_flight(), 0u);
 }
 
 TEST(Pipeline, LogWriterWorksAsSink) {
@@ -263,11 +255,7 @@ TEST(Pipeline, ThrowingSinkIsDetachedAndRunContinues) {
   pipeline.add_sink(std::make_shared<ThrowingSink>(/*throw_after=*/3));
   pipeline.add_sink(healthy);
   EXPECT_EQ(pipeline.sink_count(), 2u);
-  for (const auto& slot : run.slots) {
-    while (!pipeline.push_slot(slot)) {
-      std::this_thread::yield();
-    }
-  }
+  feed_all(pipeline, run.slots);
   pipeline.stop();
   // The faulty sink is gone, the healthy one saw the whole run in order.
   EXPECT_EQ(pipeline.sink_count(), 1u);
@@ -285,9 +273,8 @@ TEST(Pipeline, SinkThrowingInOnFinishIsCountedAndOthersStillFinish) {
   pipeline.add_sink(std::make_shared<ThrowingSink>(run.slots.size() + 1));
   pipeline.add_sink(healthy);
   for (int i = 0; i < 10; ++i) {
-    while (!pipeline.push_slot(run.slots[static_cast<std::size_t>(i)])) {
-      std::this_thread::yield();
-    }
+    pipeline.push_slot_wait(
+        pooled_copy(pipeline, run.slots[static_cast<std::size_t>(i)]));
   }
   pipeline.stop();
   EXPECT_EQ(healthy->finished_, 1);
@@ -323,9 +310,8 @@ TEST(Pipeline, DetachSinkByNameStopsDelivery) {
   pipeline.add_sink("keep", keep);
   pipeline.add_sink("drop", drop);
   for (int i = 0; i < 5; ++i) {
-    while (!pipeline.push_slot(run.slots[static_cast<std::size_t>(i)])) {
-      std::this_thread::yield();
-    }
+    pipeline.push_slot_wait(
+        pooled_copy(pipeline, run.slots[static_cast<std::size_t>(i)]));
   }
   // Let both sinks see the first half before detaching one.
   while (keep->slots_ < 5 || drop->slots_ < 5) {
@@ -335,9 +321,8 @@ TEST(Pipeline, DetachSinkByNameStopsDelivery) {
   EXPECT_FALSE(pipeline.detach_sink("drop")) << "already gone";
   EXPECT_FALSE(pipeline.detach_sink("never-existed"));
   for (int i = 5; i < 10; ++i) {
-    while (!pipeline.push_slot(run.slots[static_cast<std::size_t>(i)])) {
-      std::this_thread::yield();
-    }
+    pipeline.push_slot_wait(
+        pooled_copy(pipeline, run.slots[static_cast<std::size_t>(i)]));
   }
   pipeline.stop();
   EXPECT_EQ(keep->slots_, 10u);
@@ -352,11 +337,7 @@ TEST(Pipeline, PerSinkErrorCountersNameTheFailingSink) {
   auto healthy = std::make_shared<CountingSink>();
   pipeline.add_sink("flaky", std::make_shared<ThrowingSink>(3));
   pipeline.add_sink("healthy", healthy);
-  for (const auto& slot : run.slots) {
-    while (!pipeline.push_slot(slot)) {
-      std::this_thread::yield();
-    }
-  }
+  feed_all(pipeline, run.slots);
   pipeline.stop();
   const MetricsSnapshot snap = pipeline.metrics();
   EXPECT_EQ(snap.counter_value("pipeline.sink.flaky.errors"), 1u);
@@ -373,9 +354,8 @@ TEST(Pipeline, ErrorLimitZeroCountsButNeverDetaches) {
   pipeline.add_sink("hopeless", std::make_shared<ThrowingSink>(0),
                     /*error_limit=*/0);
   for (int i = 0; i < 10; ++i) {
-    while (!pipeline.push_slot(run.slots[static_cast<std::size_t>(i)])) {
-      std::this_thread::yield();
-    }
+    pipeline.push_slot_wait(
+        pooled_copy(pipeline, run.slots[static_cast<std::size_t>(i)]));
   }
   pipeline.stop();
   EXPECT_EQ(pipeline.sink_count(), 1u);
@@ -427,16 +407,15 @@ TEST(Pipeline, MetricsSnapshotCoversEveryStage) {
             std::string::npos);
 }
 
-/// Feed `n` live slots from a running sim into a pipeline, yielding when
-/// the input queue is momentarily full (no slot may be shed here: the
-/// stop/restart assertions below count every slot).
+/// Feed `n` live slots from a running sim into a pipeline, waiting while
+/// the input queue is full (no slot may be shed here: the stop/restart
+/// assertions below count every slot).
 void feed_live(GnbSim& gnb, VirtualRadio& radio, NrScopePipeline& pipeline,
                unsigned n) {
   for (unsigned i = 0; i < n; ++i) {
-    const IqBuffer samples = radio.capture(gnb.step());
-    while (!pipeline.push_slot(samples)) {
-      std::this_thread::yield();
-    }
+    auto samples = pipeline.acquire_samples();
+    radio.capture_into(gnb.step(), *samples);
+    pipeline.push_slot_wait(std::move(samples));
   }
 }
 
@@ -471,7 +450,7 @@ TEST(Pipeline, StopThenRestartOnSameSimReacquiresCleanly) {
   ASSERT_NE(t1, nullptr);
   const std::uint64_t first_bits = t1->dl_bits();
   EXPECT_GT(first_bits, 0u);
-  EXPECT_TRUE(first->push_slot(radio.capture(gnb.step())) == false)
+  EXPECT_FALSE(first->push_slot(first->acquire_samples()))
       << "a stopped pipeline accepts no more input";
 
   // Second incarnation on the same sim: it must re-synchronize mid-stream
@@ -594,9 +573,7 @@ TEST(Pipeline, StopDuringResyncDrainReleasesEveryPooledBuffer) {
   VirtualRadio faulty_radio(faulty_cfg);
   feed_live(gnb, faulty_radio, pipeline, 120);
   // A final burst so slots are still in flight at stop().
-  for (unsigned i = 0; i < 32; ++i) {
-    (void)pipeline.push_slot(faulty_radio.capture(gnb.step()));
-  }
+  feed_live(gnb, faulty_radio, pipeline, 32);
   pipeline.stop();
 
   EXPECT_EQ(pipeline.engine().state(), NrScope::State::kResync);

@@ -370,9 +370,9 @@ TEST(StoreSink, RangeScanAgreesRowExactlyWithCsv) {
     pipeline.add_sink(
         "store", std::make_shared<HistoryStoreSink>(store, sink_config));
     for (std::uint64_t slot = 0; slot < kSlots; ++slot) {
-      while (!pipeline.push_slot(radio.capture(gnb.step()))) {
-        std::this_thread::yield();
-      }
+      auto samples = pipeline.acquire_samples();
+      radio.capture_into(gnb.step(), *samples);
+      pipeline.push_slot_wait(std::move(samples));
     }
     pipeline.stop();  // all slots delivered to both sinks
   }
