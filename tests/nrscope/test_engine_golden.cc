@@ -1,10 +1,13 @@
-// Golden SlotResult streams of the tracking engine.  Four fixed, seeded
-// cells run through NrScope::process_slot; every SlotResult field except
-// the wall-clock processing time, plus the final tracked-UE list, is
-// folded field by field into one FNV-1a 64 digest.  The pinned digest and
-// DCI count catch any change to what the engine decodes, however small.
+// Golden SlotResult streams of the tracking engine.  Fixed, seeded cells
+// run through NrScope::process_slot; every SlotResult field except the
+// wall-clock processing time, plus the final tracked-UE list, is folded
+// field by field into one FNV-1a 64 digest.  The pinned digest and DCI
+// count catch any change to what the engine decodes, however small.  One
+// case also scripts a fault storm, so the pins cover resync, the PCI-change
+// flush and a second SIB1 wait as well as steady tracking.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -137,6 +140,19 @@ void fold(Fnv1a64& h, const SlotResult& r) {
   h.add(r.degraded);
 }
 
+/// Faults and feeder actions of a scripted case.  The IQ faults run on the
+/// radio's capture clock; the rest on the feed clock (captured slots).
+struct FaultScript {
+  std::array<FaultEvent, 3> radio_faults;
+  std::uint64_t gap_at;       ///< declared gap, through note_stream_gap
+  std::uint64_t gap_slots;
+  std::uint64_t restart_at;   ///< the gNB restarts onto PCI + 7, no UEs
+  std::uint64_t reattach_at;  ///< the case's UEs attach again
+  // Engine settings the script runs under.
+  RachTrackMode rach_mode;
+  std::uint64_t empty_slot_limit;
+};
+
 struct GoldenCase {
   CellConfig (*cell)();
   unsigned n_ues;
@@ -147,9 +163,9 @@ struct GoldenCase {
   // The pins.
   std::uint64_t hash;
   std::size_t n_dcis;
+  unsigned n_slots = 1500;
+  const FaultScript* script = nullptr;
 };
-
-constexpr unsigned kGoldenSlots = 1500;
 
 /// The fleet's default cell: srsRAN, two 2 Mbps UEs, 28 dB AWGN sniffer.
 constexpr GoldenCase kSrsranFleetCell{
@@ -165,10 +181,29 @@ constexpr GoldenCase kSrsranLowSnr{
     srsran_cell, 8, 1e6, 12.0, ChannelProfile::kAwgn, 303,
     0x3eba9c614858974dull, 6414};
 
+/// The fault script of Resilience.FaultStormRecoversWithoutProcessRestart:
+/// a 37-slot declared gap, an outage, a 97 % sample gap and a 22.5 kHz
+/// CFO step, then a gNB restart onto a new PCI and the UEs re-attaching.
+constexpr FaultScript kStormScript{
+    {{{FaultKind::kOutage, 700, 120, 35.0},
+      {FaultKind::kSampleGap, 1100, 400, 0.97},
+      {FaultKind::kCfoStep, 1800, 240, 22500.0}}},
+    650,
+    37,
+    2400,
+    2700,
+    RachTrackMode::kMsg2Assisted,
+    300};
+constexpr GoldenCase kAmarisoftFaultStorm{
+    amarisoft_cell, 3, 2e6, 28.0, ChannelProfile::kAwgn, 11,
+    0x4e73c2796376f27bull, 4286, 3400, &kStormScript};
+
 struct StreamDigest {
   std::uint64_t hash = 0;
   std::size_t n_dcis = 0;
   std::size_t n_known_ues = 0;
+  std::uint64_t resyncs = 0;
+  std::uint64_t pci_changes = 0;
 };
 
 NrScopeConfig scope_config(const GoldenCase& c) {
@@ -176,38 +211,74 @@ NrScopeConfig scope_config(const GoldenCase& c) {
   NrScopeConfig cfg;
   cfg.n_prb = cell.n_prb;
   cfg.scs = cell.scs;
+  if (c.script != nullptr) {
+    cfg.rach.mode = c.script->rach_mode;
+    cfg.sync.empty_slot_limit = c.script->empty_slot_limit;
+  }
   return cfg;
 }
 
-StreamDigest run_case(const GoldenCase& c, const NrScopeConfig& scope_cfg) {
-  GnbConfig gnb_cfg;
-  gnb_cfg.cell = c.cell();
-  gnb_cfg.seed = c.seed;
-  GnbSim gnb(std::move(gnb_cfg));
+/// Attach the case's UEs; `generation` gives re-attached UEs fresh seeds.
+void add_ues(const GoldenCase& c, unsigned generation, GnbSim& gnb) {
   for (unsigned u = 0; u < c.n_ues; ++u) {
+    const unsigned k = generation * c.n_ues + u;
     UeConfig ue;
-    ue.id = u;
+    ue.id = k;
     ue.channel.profile = c.profile;
     ue.channel.snr_db = 18.0 + (u % 4);
-    ue.channel.seed = c.seed * 1000 + u;
+    ue.channel.seed = c.seed * 1000 + k;
     ue.dl_traffic = std::make_unique<CbrSource>(c.ue_rate_bps);
     ue.ul_traffic = std::make_unique<CbrSource>(c.ue_rate_bps * 0.25);
-    ue.seed = c.seed * 2000 + u;
+    ue.seed = c.seed * 2000 + k;
     gnb.add_ue(std::move(ue));
   }
+}
+
+std::unique_ptr<GnbSim> make_gnb(const CellConfig& cell, std::uint64_t seed) {
+  GnbConfig gnb_cfg;
+  gnb_cfg.cell = cell;
+  gnb_cfg.seed = seed;
+  return std::make_unique<GnbSim>(std::move(gnb_cfg));
+}
+
+StreamDigest run_case(const GoldenCase& c, const NrScopeConfig& scope_cfg) {
+  const FaultScript* script = c.script;
+  CellConfig cell = c.cell();
+  auto gnb = make_gnb(cell, c.seed);
+  add_ues(c, 0, *gnb);
   VirtualRadioConfig radio_cfg;
-  radio_cfg.n_prb = gnb.cell().n_prb;
+  radio_cfg.n_prb = cell.n_prb;
   radio_cfg.channel.profile = c.profile;
   radio_cfg.channel.snr_db = c.sniffer_snr_db;
   radio_cfg.channel.seed = c.seed * 3000;
+  if (script != nullptr) {
+    radio_cfg.faults.events.assign(script->radio_faults.begin(),
+                                   script->radio_faults.end());
+  }
   VirtualRadio radio(radio_cfg);
   NrScope scope(scope_cfg);
 
   Fnv1a64 h;
   StreamDigest digest;
   SlotResult result;
-  for (unsigned slot = 0; slot < kGoldenSlots; ++slot) {
-    scope.process_slot(radio.capture(gnb.step()), result);
+  for (unsigned slot = 0; slot < c.n_slots; ++slot) {
+    if (script != nullptr && slot == script->gap_at) {
+      // Air time the feeder lost, and says so (an SDR overflow report).
+      for (std::uint64_t j = 0; j < script->gap_slots; ++j) {
+        (void)gnb->step();
+      }
+      scope.note_stream_gap(script->gap_slots);
+    }
+    if (script != nullptr && slot == script->restart_at) {
+      cell.pci = static_cast<std::uint16_t>((cell.pci + 7) % 1008);
+      cell.coreset.shift = cell.pci;
+      cell.coreset.n_id = cell.pci;
+      gnb = make_gnb(cell, c.seed + 1);
+    }
+    if (script != nullptr && slot == script->reattach_at) {
+      add_ues(c, 1, *gnb);
+    }
+    scope.process_slot(radio.capture(gnb->step()), result);
     fold(h, result);
     digest.n_dcis += result.dcis.size();
   }
@@ -218,6 +289,8 @@ StreamDigest run_case(const GoldenCase& c, const NrScopeConfig& scope_cfg) {
   }
   digest.hash = h.value();
   digest.n_known_ues = known.size();
+  digest.resyncs = scope.sync_monitor().resyncs();
+  digest.pci_changes = scope.sync_monitor().pci_changes();
   return digest;
 }
 
@@ -246,6 +319,16 @@ TEST(EngineGolden, AmarisoftSixteenUesPedestrian) {
 
 TEST(EngineGolden, SrsranEightUesLowSnr) {
   expect_golden(kSrsranLowSnr);
+}
+
+TEST(EngineGolden, AmarisoftFaultStorm) {
+  const StreamDigest d =
+      run_case(kAmarisoftFaultStorm, scope_config(kAmarisoftFaultStorm));
+  expect_pins(kAmarisoftFaultStorm, d);
+  // The pin covers the recovery paths only if the storm reached them:
+  // every fault resynced, and the restart flushed onto the new PCI.
+  EXPECT_GE(d.resyncs, 4u);
+  EXPECT_EQ(d.pci_changes, 1u);
 }
 
 }  // namespace
