@@ -103,17 +103,16 @@ class SlotCounter : public SlotSink {
 };
 
 /// The full Fig.-4 asynchronous pipeline in steady state: push one slot,
-/// wait for its result.  Reports the demod / blind-decode / collector
-/// split from the pipeline.* stage metrics.
+/// wait for its result.  Reports the demod / blind-decode / engine-thread
+/// split from the nrscope.* and pipeline.* stage metrics.
 void bm_pipeline_breakdown(benchmark::State& state, const CellConfig& cell) {
   const auto n_ues = static_cast<unsigned>(state.range(0));
-  const auto n_workers = static_cast<unsigned>(state.range(1));
   Fixture fixture(cell, n_ues);
   NrScopeConfig cfg;
   cfg.n_prb = cell.n_prb;
   cfg.scs = cell.scs;
   cfg.ue_inactivity_slots = 1u << 30;
-  NrScopePipeline pipeline(cfg, n_workers);
+  NrScopePipeline pipeline(cfg);
   auto counter = std::make_shared<SlotCounter>();
   pipeline.add_sink("counter", counter);
   std::uint64_t pushed = 0;
@@ -138,9 +137,8 @@ void bm_pipeline_breakdown(benchmark::State& state, const CellConfig& cell) {
   }
   pipeline.stop();
   state.counters["ues"] = n_ues;
-  state.counters["workers"] = n_workers;
   const MetricsSnapshot snap = pipeline.metrics();
-  if (const auto* demod = snap.find_histogram("pipeline.demod_us")) {
+  if (const auto* demod = snap.find_histogram("nrscope.demod_us")) {
     state.counters["demod_us_p50"] = demod->p50();
   }
   if (const auto* blind = snap.find_histogram("nrscope.blind_decode_us")) {
@@ -175,6 +173,6 @@ BENCHMARK(nrs::bench::tmobile_10mhz)
     ->ArgsProduct({{64, 195, 285}});
 BENCHMARK(nrs::bench::amarisoft_20mhz_pipeline)
     ->Unit(benchmark::kMicrosecond)
-    ->ArgsProduct({{4}, {1, 2, 4}});
+    ->Arg(4);
 
 BENCHMARK_MAIN();

@@ -116,7 +116,7 @@ struct IngestStats {
 /// One measured pipeline run; `store` == nullptr is the detached baseline.
 IngestStats run_ingest(const Feed& feed, unsigned n_slots,
                        HistoryStore* store) {
-  NrScopePipeline pipeline(feed.scope_cfg, /*n_demod_workers=*/2);
+  NrScopePipeline pipeline(feed.scope_cfg);
   auto sink = std::make_shared<CountingSink>();
   if (store != nullptr) {
     StoreSinkConfig sink_cfg;

@@ -3,8 +3,8 @@
 // pattern of Fig. 10/11 — and print a periodic cell-load report: distinct
 // UEs seen, active UEs, aggregate throughput and retransmission health.
 //
-// The monitor runs the full asynchronous pipeline (demod workers + in-order
-// collector) in push mode: a reporting SlotSink prints the load report plus
+// The monitor runs the full asynchronous pipeline (feed queue + engine
+// thread) in push mode: a reporting SlotSink prints the load report plus
 // a MetricsSnapshot line (queue depth, drops, blind-decode p95) every few
 // seconds, and a MetricsCsvSink leaves a per-stage timing record in
 // cell_monitor_metrics.csv.
@@ -184,7 +184,7 @@ int main(int argc, char** argv) {
   scope_config.n_prb = monitored_cell.n_prb;
   scope_config.scs = monitored_cell.scs;
   scope_config.ue_inactivity_slots = 1500;  // 1.5 s idle -> departed
-  NrScopePipeline pipeline(scope_config, /*n_demod_workers=*/2);
+  NrScopePipeline pipeline(scope_config);
 
   const double slot_s = slot_duration_s(monitored_cell.scs);
   auto monitor = std::make_shared<MonitorSink>(pipeline, slot_s,

@@ -2,12 +2,12 @@
 // "asynchronous, on-demand slot data processing" when real-time output is
 // not needed).  Record 2 seconds of IQ from the virtual radio — like a
 // USRP capture to disk — then post-process it through the asynchronous
-// Fig. 4 pipeline (demodulation workers + in-order collector + a counting
-// sink) faster than real time.  The capture is fed to the recorder as a
-// raw sample stream (IqRecorder::append) and is cut short mid-slot — the
-// way a real SDR capture dies when the disk fills or the process is
-// killed — so finalize() demonstrates the truncated-tail handling: the
-// partial slot is dropped and counted instead of replaying garbage.
+// Fig. 4 pipeline (feed queue + engine thread + a counting sink) faster
+// than real time.  The capture is fed to the recorder as a raw sample
+// stream (IqRecorder::append) and is cut short mid-slot — the way a real
+// SDR capture dies when the disk fills or the process is killed — so
+// finalize() demonstrates the truncated-tail handling: the partial slot
+// is dropped and counted instead of replaying garbage.
 //
 // Run:  ./build/examples/offline_replay
 #include <chrono>
@@ -84,7 +84,7 @@ int main() {
   NrScopeConfig scope_config;
   scope_config.n_prb = gnb.cell().n_prb;
   scope_config.scs = gnb.cell().scs;
-  NrScopePipeline pipeline(scope_config, /*n_demod_workers=*/2);
+  NrScopePipeline pipeline(scope_config);
   auto counter = std::make_shared<ReplayCounter>();
   pipeline.add_sink("counter", counter);
 

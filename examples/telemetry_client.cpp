@@ -147,7 +147,7 @@ int run_demo() {
   NrScopeConfig scope_config;
   scope_config.n_prb = gnb.cell().n_prb;
   scope_config.scs = gnb.cell().scs;
-  NrScopePipeline pipeline(scope_config, /*n_demod_workers=*/2);
+  NrScopePipeline pipeline(scope_config);
 
   // Telemetry history lives beside the stream: the same server answers
   // kQuery frames out of this store while fanning out live slots.
@@ -376,7 +376,7 @@ int run_predictions_demo(const std::string& weights_path) {
   NrScopeConfig scope_config;
   scope_config.n_prb = gnb.cell().n_prb;
   scope_config.scs = gnb.cell().scs;
-  NrScopePipeline pipeline(scope_config, /*n_demod_workers=*/2);
+  NrScopePipeline pipeline(scope_config);
 
   PredictorWeights weights = PredictorWeights::baseline(200);
   if (const auto loaded = PredictorWeights::load(weights_path)) {

@@ -42,7 +42,7 @@ struct PredictionSinkConfig {
 
 class PredictionSink : public SlotSink {
  public:
-  /// Called (on the collector thread) with the freshly filled set each
+  /// Called (on the engine thread) with the freshly filled set each
   /// emit; the reference is only valid during the call.
   using Emitter = std::function<void(const PredictionSet&)>;
 
@@ -56,7 +56,7 @@ class PredictionSink : public SlotSink {
 
   void on_slot(const SlotResult& result) override;
 
-  // Running totals (single collector thread writes; read after the run
+  // Running totals (single engine thread writes; read after the run
   // or between slots).
   [[nodiscard]] std::uint64_t predictions_made() const { return made_; }
   [[nodiscard]] std::uint64_t predictions_matured() const {

@@ -1,8 +1,8 @@
-// A tiny object pool for the slot hot path: ResourceGrids, IQ sample
-// buffers and other per-slot workspaces are acquired at the head of the
-// pipeline and returned automatically when their RAII handle dies, so the
-// steady state recycles a fixed working set instead of allocating per slot
-// (see DESIGN.md "Hot-path memory discipline").
+// A tiny object pool for the slot hot path: IQ sample buffers and other
+// per-slot workspaces are acquired at the head of the pipeline and
+// returned automatically when their RAII handle dies, so the steady state
+// recycles a fixed working set instead of allocating per slot (see
+// DESIGN.md "Hot-path memory discipline").
 //
 // The pool is deliberately simple: a mutex-guarded free list.  acquire()
 // constructs a new object only when the free list is empty (warm-up);
@@ -69,8 +69,8 @@ class BufferPool {
   /// Pop a recycled object, or construct T(args...) when the pool is dry.
   /// The constructor arguments are only used for brand-new objects;
   /// recycled ones come back in whatever state release() left them, so
-  /// callers that care must reset the contents themselves (grids are
-  /// overwritten wholesale by demodulate_into, sample buffers by assign).
+  /// callers that care must reset the contents themselves (the
+  /// pipeline's feeder overwrites each sample buffer it acquires).
   template <typename... Args>
   [[nodiscard]] Handle acquire(Args&&... args) {
     {

@@ -117,7 +117,7 @@ class FleetWorker::RowCollector : public SlotSink {
   std::vector<StoreRowUpdate> rows_;
 };
 
-// The PredictionSink's emitter copies each emitted set here (collector
+// The PredictionSink's emitter copies each emitted set here (engine
 // thread); send_reports() forwards the freshest one per report interval
 // (run thread) — latest-wins, like the heartbeat's lease status.
 struct FleetWorker::PredictionBuffer {
@@ -445,7 +445,6 @@ void FleetWorker::handle_lease(const LeaseGrant& grant) {
   spec.ue_rate_bps = grant.spec.ue_rate_bps;
   spec.ue_snr_db = grant.spec.ue_snr_db;
   spec.sniffer_snr_db = grant.spec.sniffer_snr_db;
-  spec.n_demod_workers = config_.n_demod_workers;
   spec.seed = grant.spec.seed;
 
   HeldLease lease;

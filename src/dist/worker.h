@@ -68,7 +68,6 @@ struct WorkerConfig {
   std::uint32_t capacity = 4;  ///< max concurrent cell leases
   unsigned pool_threads = 2;   ///< orchestrator advance pool
   std::uint64_t slots_per_tick = 20;
-  unsigned n_demod_workers = 1;
 
   double heartbeat_period_s = 0.1;
   double report_period_s = 0.25;
@@ -161,7 +160,7 @@ class FleetWorker {
   class RowCollector;
 
   /// Latest PredictionSet produced by one leased cell's PredictionSink
-  /// (written on the cell's collector thread, drained by the run thread
+  /// (written on the cell's engine thread, drained by the run thread
   /// with the next report batch).  Defined in worker.cc.
   struct PredictionBuffer;
 

@@ -1,5 +1,5 @@
 // Cross-cell telemetry fan-in for the fleet orchestrator: every cell's
-// pipeline pushes its in-order SlotResults here (from that cell's collector
+// pipeline pushes its in-order SlotResults here (from that cell's engine
 // thread), and the aggregator maintains restart-surviving lifetime totals —
 // per-cell slot/DCI counts, new-data throughput windows, retransmission
 // rates, PRB utilization — plus per-UE totals keyed by (cell, RNTI), since
@@ -92,7 +92,7 @@ class FleetAggregator {
   void add_cell(std::uint32_t cell_index, const CellConfig& cell);
 
   /// One delivered slot from cell `cell_index`'s pipeline.  Thread-safe:
-  /// every cell's collector thread calls in concurrently.
+  /// every cell's engine thread calls in concurrently.
   void on_cell_slot(std::uint32_t cell_index, const SlotResult& result);
 
   /// The supervisor restarted this cell (counted, surfaced in rollups and

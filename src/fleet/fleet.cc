@@ -146,7 +146,7 @@ struct FleetFeedState {
 
 namespace {
 
-/// Per-cell pipeline sink: runs on that cell's collector thread.  Feeds
+/// Per-cell pipeline sink: runs on that cell's engine thread.  Feeds
 /// the aggregator, stamps the heartbeat, and records slot latency.
 class FleetCellSink : public SlotSink {
  public:
@@ -261,7 +261,7 @@ void FleetOrchestrator::start_cell(CellRunner& runner) {
   runner.gnb = std::move(sim.gnb);
   runner.radio = std::move(sim.radio);
   runner.pipeline = std::make_unique<NrScopePipeline>(
-      sim.scope, runner.spec.n_demod_workers, runner.spec.queue_depth);
+      sim.scope, runner.spec.queue_depth);
 
   const std::size_t ring =
       std::max<std::size_t>(4 * runner.spec.queue_depth, 256);

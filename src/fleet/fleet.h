@@ -3,24 +3,24 @@
 // deployment the paper gestures at when a single sniffer host watches
 // several carriers.  Each tick the orchestrator hands every running cell a
 // "advance slots_per_tick slots" task (gNB step -> virtual radio capture ->
-// pipeline push); the cell's own pipeline threads demodulate and decode,
+// pipeline push); the cell's own pipeline thread demodulates and decodes,
 // and a per-cell sink fans the results into the FleetAggregator.
 //
 // The air is simulated, so it can wait: the advance task feeds each slot
 // with the pipeline's closed-loop push_slot_wait().  A slow pipeline slows
 // its own cell's advance instead of losing a slot, so a cell's SlotResult
 // stream is a function of its seed alone — the same stream the synchronous
-// NrScope produces from build_fleet_cell(), whatever the pool size, demod
-// worker count or queue depth.
+// NrScope produces from build_fleet_cell(), whatever the pool size or
+// queue depth.
 //
 // Supervision: every cell carries a heartbeat (slots delivered, wall-clock
 // of last progress).  A cell whose advance task throws has crashed; a cell
 // whose heartbeat goes quiet for stall_timeout_s has stalled: it is being
-// fed, but nothing reaches its sniffer (a dark radio).  A wedged collector
-// is not a stall the detector can see: it holds the cell's advance task
-// inside push_slot_wait(), and with it the tick, just as it would hold the
-// stop() inside a teardown.  Either way the supervisor tears the triple down
-// (pipeline.stop() drains what was accepted), waits out a bounded
+// fed, but nothing reaches its sniffer (a dark radio).  A wedged engine
+// thread is not a stall the detector can see: it holds the cell's advance
+// task inside push_slot_wait(), and with it the tick, just as it would
+// hold the stop() inside a teardown.  Either way the supervisor tears the
+// triple down (pipeline.stop() drains what was accepted), waits out a bounded
 // exponential backoff, and rebuilds the triple from scratch with a fresh
 // deterministic seed derived from (fleet seed, cell index, incarnation) —
 // so the restarted sniffer re-syncs and re-acquires C-RNTIs through the
@@ -90,7 +90,6 @@ struct FleetCellSpec {
   double ue_rate_bps = 2e6;
   double ue_snr_db = 18.0;
   double sniffer_snr_db = 28.0;
-  unsigned n_demod_workers = 1;  ///< pipeline demod threads for this cell
   std::size_t queue_depth = 64;  ///< pipeline input queue bound
   FleetFaultHook fault_hook;     ///< optional injection (tests/demos)
   /// Scripted impairments, indexed by the feed slot within the current
@@ -159,7 +158,7 @@ FleetCellSim build_fleet_cell(const FleetCellSpec& spec,
                               unsigned incarnation = 0);
 
 /// Heartbeat + push-timestamp ring shared between a cell's advance task
-/// (producer side) and its pipeline sink (collector thread).  Defined in
+/// (producer side) and its pipeline sink (engine thread).  Defined in
 /// fleet.cc.
 struct FleetFeedState;
 

@@ -1,6 +1,6 @@
 // Multi-client live telemetry streaming server: a SlotSink that serializes
 // each SlotResult once and fans the frame out to every connected TCP
-// client.  The collector thread (the pipeline hot loop) only ever touches
+// client.  The engine thread (the pipeline hot loop) only ever touches
 // per-client bounded queues — a slow or dead consumer can never block the
 // sniffer; what happens when a client falls behind is the configured
 // BackpressurePolicy, and every shed frame is counted in the metrics
@@ -11,7 +11,7 @@
 // dedicated query thread pool; the configured query_handler (typically
 // history_query_handler() over a HistoryStore) produces the
 // QueryResponse, and the result frame rides the client's ordinary send
-// queue.  Queries therefore never touch the collector thread and never
+// queue.  Queries therefore never touch the engine thread and never
 // block the fan-out path; latency and volume land in the query.* metrics.
 //
 // Threads: one accept/housekeeping thread (also reads client sockets,
@@ -81,7 +81,7 @@ class TelemetryStreamServer : public SlotSink {
   TelemetryStreamServer(const TelemetryStreamServer&) = delete;
   TelemetryStreamServer& operator=(const TelemetryStreamServer&) = delete;
 
-  // SlotSink: runs on the pipeline collector thread; never blocks.
+  // SlotSink: runs on the pipeline engine thread; never blocks.
   void on_slot(const SlotResult& result) override;
   void on_finish() override;
 
@@ -154,7 +154,7 @@ class TelemetryStreamServer : public SlotSink {
   std::unique_ptr<WorkerPool> query_pool_;
 
   std::atomic<std::uint64_t> next_slot_{0};  ///< for HelloInfo on accept
-  std::uint64_t slots_seen_ = 0;             ///< collector thread only
+  std::uint64_t slots_seen_ = 0;             ///< engine thread only
 
   Counter* m_bytes_sent_ = nullptr;
   Counter* m_frames_sent_ = nullptr;

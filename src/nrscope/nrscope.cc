@@ -78,9 +78,9 @@ std::optional<std::string> NrScopeConfig::validate() const {
 
 NrScope::NrScope(const NrScopeConfig& config)
     : config_(validated(config)),
-      demodulator_(make_ofdm_config(config.n_prb)), rach_(config.rach),
+      rx_(make_ofdm_config(config.n_prb)), rach_(config.rach),
       telemetry_(config.scs, config.rate_window_slots, &metrics_registry_),
-      sync_(config.sync, metrics_registry_), rx_grid_(config.n_prb) {
+      sync_(config.sync, metrics_registry_) {
   cell_.n_prb = config_.n_prb;
   cell_.scs = config_.scs;
   rach_.bind_metrics(metrics_registry_);
@@ -98,6 +98,7 @@ NrScope::NrScope(const NrScopeConfig& config)
   m_candidate_locations_ =
       &metrics_registry_.counter("nrscope.dedupe_locations");
   m_demod_us_ = &metrics_registry_.histogram("nrscope.demod_us");
+  m_demod_symbols_ = &metrics_registry_.counter("nrscope.demod_symbols");
   m_blind_decode_us_ =
       &metrics_registry_.histogram("nrscope.blind_decode_us");
 }
@@ -199,8 +200,9 @@ void NrScope::cleanup_stale_ues() {
   }
 }
 
-std::optional<NrScope::Acquisition> NrScope::detect_cell(
-    const ResourceGrid& grid) const {
+std::optional<NrScope::Acquisition> NrScope::detect_cell() {
+  // The SSB: PSS on row 0, PBCH on rows 1-2, SSS on row 3.
+  const ResourceGrid& grid = rx_.symbols(0, SsbLocation::kSssSymbol + 1);
   // PSS on some symbol-0 subcarrier offset?
   const auto pss = detect_pss(grid.symbol(SsbLocation::kPssSymbol), 0.45f);
   if (!pss || pss->sc_offset < kSyncScOffset) {
@@ -251,28 +253,28 @@ void NrScope::apply_acquisition(const Acquisition& acq, SlotResult& result) {
   result.mib = acq.mib;
 }
 
-void NrScope::search(const ResourceGrid& grid, SlotResult& result) {
-  if (const auto acq = detect_cell(grid)) {
+void NrScope::search(SlotResult& result) {
+  if (const auto acq = detect_cell()) {
     apply_acquisition(*acq, result);
     state_ = State::kWaitSib1;
   }
 }
 
-void NrScope::wait_sib1(const ResourceGrid& grid, SlotResult& result) {
+void NrScope::wait_sib1(SlotResult& result) {
   const SlotPoint now = slot_point();
   for (unsigned level : cell_.common_ss.agg_levels) {
     for (unsigned cce :
          pdcch_candidates(cell_.coreset, cell_.common_ss, level, now, 0)) {
-      const auto dci_result =
-          decode_pdcch_candidate(cell_.coreset, level, cce,
-                                 DciFormat::kDl1_0, cell_.n_prb, now, grid,
-                                 kSiRnti);
+      const auto dci_result = decode_pdcch_candidate(
+          cell_.coreset, level, cce, DciFormat::kDl1_0, cell_.n_prb, now,
+          rx_.symbols(0, cell_.coreset.duration), kSiRnti);
       if (!dci_result) {
         continue;
       }
       const Grant grant = translate_dci(dci_result->dci, kSiRnti, cell_);
-      const auto payload = decode_pdsch(alloc_from_grant(grant, pci_), now,
-                                        grant.tbs, grid);
+      const auto payload =
+          decode_pdsch(alloc_from_grant(grant, pci_), now, grant.tbs,
+                       rx_.symbols(grant.start_symbol, grant.n_symbols));
       if (!payload) {
         continue;
       }
@@ -306,9 +308,10 @@ bool NrScope::ssb_expected(const SlotPoint& now) const {
          now.sfn % cell_.ssb_period_frames == 0;
 }
 
-float NrScope::measure_ssb_quality(const ResourceGrid& grid) const {
+float NrScope::measure_ssb_quality() {
   // PSS correlation at the locked SSB location — stack buffers only, so
   // the per-SSB health check stays on the zero-allocation slot path.
+  const ResourceGrid& grid = rx_.symbols(SsbLocation::kPssSymbol, 1);
   const unsigned sc =
       config_.ssb.prb_start * kSubcarriersPerPrb + kSyncScOffset;
   if (sc + kPssLength > grid.n_subcarriers()) {
@@ -359,8 +362,8 @@ void NrScope::flush_tracked_state() {
   phase_locked_ = false;
 }
 
-void NrScope::resync(const ResourceGrid& grid, SlotResult& result) {
-  if (const auto acq = detect_cell(grid)) {
+void NrScope::resync(SlotResult& result) {
+  if (const auto acq = detect_cell()) {
     const bool pci_changed = acq->pci != pci_;
     if (pci_changed) {
       flush_tracked_state();
@@ -393,7 +396,7 @@ void NrScope::resync(const ResourceGrid& grid, SlotResult& result) {
   }
 }
 
-void NrScope::track(const ResourceGrid& grid, SlotResult& result) {
+void NrScope::track(SlotResult& result) {
   const SlotPoint now = slot_point();
 
   // Sync health, part 1: on the slots where the cell owes us an SSB,
@@ -401,11 +404,11 @@ void NrScope::track(const ResourceGrid& grid, SlotResult& result) {
   // jumps and CFO all collapse it; a restarted cell moves its SSB away
   // from the expected slots, which collapses it just the same.
   if (ssb_expected(now)) {
-    sync_.observe_ssb(measure_ssb_quality(grid));
+    sync_.observe_ssb(measure_ssb_quality());
   }
 
   // RACH: new-UE discovery in the common search space.
-  rach_.process_slot(grid, now, slot_index_, air_slot_index(),
+  rach_.process_slot(rx_, now, slot_index_, air_slot_index(),
                      pdcch_scratch_, result.dcis, result.new_ues);
   for (const auto& ue : result.new_ues) {
     bind_rach_ue(ue.c_rnti, ue.config);
@@ -421,7 +424,7 @@ void NrScope::track(const ResourceGrid& grid, SlotResult& result) {
   }
   {
     ScopedTimer blind_timer(*m_blind_decode_us_);
-    blind_decode(grid, now);
+    blind_decode(now);
   }
   for (std::size_t i = 0; i < ues_.size(); ++i) {
     if (!per_ue[i].empty()) {
@@ -487,7 +490,7 @@ void NrScope::track(const ResourceGrid& grid, SlotResult& result) {
   }
 }
 
-void NrScope::blind_decode(const ResourceGrid& grid, const SlotPoint& now) {
+void NrScope::blind_decode(const SlotPoint& now) {
   // Group candidate locations across UEs: the polar decode of a location
   // is RNTI-independent, so one channel decode serves every UE that
   // monitors it (only the CRC mask differs per UE).  The grouping runs
@@ -547,7 +550,8 @@ void NrScope::blind_decode(const ResourceGrid& grid, const SlotPoint& now) {
     // Every aggregation level's candidates demapped and rate-recovered in
     // a single batched pass, then each UE's CRC tested against the shared
     // bits.
-    decode_pdcch_batch(cell_.coreset, locs, payload_bits, now, grid,
+    decode_pdcch_batch(cell_.coreset, locs, payload_bits, now,
+                       rx_.symbols(0, cell_.coreset.duration),
                        pdcch_scratch_);
     const auto& b = pdcch_scratch_.batch;
     const unsigned k_bits = payload_bits + kCrc24C.length();
@@ -582,7 +586,10 @@ void NrScope::blind_decode(const ResourceGrid& grid, const SlotPoint& now) {
   }
 }
 
-void NrScope::process_grid(const ResourceGrid& grid, SlotResult& result) {
+void NrScope::process_slot(std::span<const cf32> samples,
+                           SlotResult& result) {
+  const auto start = std::chrono::steady_clock::now();
+  rx_.reset(samples);
   // Reset the caller's result in place: clears keep the vectors'
   // capacities, so a reused result stops allocating once warmed up.
   result.slot = slot_index_;
@@ -592,41 +599,29 @@ void NrScope::process_grid(const ResourceGrid& grid, SlotResult& result) {
   result.sib1_decoded = false;
   result.processing_time_us = 0.0;
   result.degraded = false;
-  const auto start = std::chrono::steady_clock::now();
   switch (state_) {
     case State::kSearching:
       m_slots_searching_->inc();
-      search(grid, result);
+      search(result);
       break;
     case State::kWaitSib1:
       m_slots_wait_sib1_->inc();
-      wait_sib1(grid, result);
+      wait_sib1(result);
       // The SSB recurs while waiting; nothing else to decode yet.
       break;
     case State::kTracking:
       m_slots_tracking_->inc();
-      track(grid, result);
+      track(result);
       break;
     case State::kResync:
       m_slots_resync_->inc();
-      resync(grid, result);
+      resync(result);
       break;
   }
   result.sync_state = state_;
-  const auto end = std::chrono::steady_clock::now();
-  result.processing_time_us =
-      std::chrono::duration<double, std::micro>(end - start).count();
+  m_demod_us_->observe(rx_.demod_us());
+  m_demod_symbols_->inc(rx_.demodulated());
   ++slot_index_;
-}
-
-void NrScope::process_slot(std::span<const cf32> samples,
-                           SlotResult& result) {
-  const auto start = std::chrono::steady_clock::now();
-  {
-    ScopedTimer demod_timer(*m_demod_us_);
-    demodulator_.demodulate_into(samples, rx_grid_);
-  }
-  process_grid(rx_grid_, result);
   const auto end = std::chrono::steady_clock::now();
   result.processing_time_us =
       std::chrono::duration<double, std::micro>(end - start).count();

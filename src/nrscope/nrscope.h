@@ -95,16 +95,15 @@ class NrScope {
   NrScope& operator=(const NrScope&) = delete;
 
   /// Process one slot of IQ samples (exactly one slot's worth at the
-  /// nominal rate) into `result`.  The caller owns and reuses the result:
-  /// its vectors are cleared, keeping their capacity, so in the steady
+  /// nominal rate) into `result`; the engine's only entry point.  Only
+  /// the OFDM symbols some step reads are demodulated: the CORESET in a
+  /// tracking slot, plus the SSB or a RAR/MSG4/SIB1 grant's rows when
+  /// those are decoded.  The caller owns and reuses the result: its
+  /// vectors are cleared, keeping their capacity, so in the steady
   /// tracking state the whole slot path — demodulation, blind decoding,
   /// telemetry — performs zero heap allocations after warm-up (hot-path
   /// memory discipline, DESIGN.md; verified by test_alloc_steady_state).
   void process_slot(std::span<const cf32> samples, SlotResult& result);
-
-  /// Same, starting from an already-demodulated grid (used by the
-  /// pipeline, whose workers demodulate on their own threads).
-  void process_grid(const ResourceGrid& grid, SlotResult& result);
 
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] std::uint16_t pci() const { return pci_; }
@@ -192,18 +191,17 @@ class NrScope {
     Mib mib;
   };
 
-  void search(const ResourceGrid& grid, SlotResult& result);
-  void wait_sib1(const ResourceGrid& grid, SlotResult& result);
-  void track(const ResourceGrid& grid, SlotResult& result);
-  void resync(const ResourceGrid& grid, SlotResult& result);
-  [[nodiscard]] std::optional<Acquisition> detect_cell(
-      const ResourceGrid& grid) const;
+  void search(SlotResult& result);
+  void wait_sib1(SlotResult& result);
+  void track(SlotResult& result);
+  void resync(SlotResult& result);
+  [[nodiscard]] std::optional<Acquisition> detect_cell();
   void apply_acquisition(const Acquisition& acq, SlotResult& result);
   void enter_resync();
   void flush_tracked_state();
-  [[nodiscard]] float measure_ssb_quality(const ResourceGrid& grid) const;
+  [[nodiscard]] float measure_ssb_quality();
   [[nodiscard]] bool ssb_expected(const SlotPoint& now) const;
-  void blind_decode(const ResourceGrid& grid, const SlotPoint& now);
+  void blind_decode(const SlotPoint& now);
   void cleanup_stale_ues();
   [[nodiscard]] SlotPoint slot_point() const;
   /// The cell's own slot clock, reconstructed from the locked frame phase
@@ -214,7 +212,8 @@ class NrScope {
 
   NrScopeConfig config_;
   MetricsRegistry metrics_registry_;  ///< before the members that cache into it
-  OfdmDemodulator demodulator_;
+  /// The slot being processed; every grid read requests its rows here.
+  SlotGrid rx_;
   State state_ = State::kSearching;
   CellConfig cell_;
   std::optional<Mib> mib_;
@@ -236,14 +235,13 @@ class NrScope {
   Counter* m_rnti_evictions_ = nullptr;
   Counter* m_candidates_ = nullptr;
   Counter* m_candidate_locations_ = nullptr;
-  Histogram* m_demod_us_ = nullptr;
+  Histogram* m_demod_us_ = nullptr;  ///< one observation per slot
+  Counter* m_demod_symbols_ = nullptr;
   Histogram* m_blind_decode_us_ = nullptr;
   std::vector<UeSearchContext> ues_;
   std::vector<std::uint64_t> ue_last_seen_;
   SlotScratch scratch_;
   PdcchScratch pdcch_scratch_;
-  /// Persistent demodulation target for process_slot.
-  ResourceGrid rx_grid_;
   std::uint64_t slot_index_ = 0;
   /// Frame phase: slot-in-frame of feed index 0, learned from the SSB.
   std::int64_t frame_phase_ = 0;

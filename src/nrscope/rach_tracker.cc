@@ -31,7 +31,7 @@ void RachTracker::bind_metrics(MetricsRegistry& registry) {
 }
 
 std::optional<NewUe> RachTracker::handle_msg4(Rnti rnti, const Dci& dci,
-                                              const ResourceGrid& grid,
+                                              SlotGrid& grid,
                                               const SlotPoint& slot,
                                               std::uint64_t slot_index) {
   const Grant grant = translate_dci(dci, rnti, cell_);
@@ -49,8 +49,9 @@ std::optional<NewUe> RachTracker::handle_msg4(Rnti rnti, const Dci& dci,
   if (need_decode) {
     ++pdsch_decodes_;
     count(metric_pdsch_);
-    const auto payload = decode_pdsch(alloc_from_grant(grant, cell_.pci),
-                                      slot, grant.tbs, grid);
+    const auto payload =
+        decode_pdsch(alloc_from_grant(grant, cell_.pci), slot, grant.tbs,
+                     grid.symbols(grant.start_symbol, grant.n_symbols));
     if (payload) {
       const auto setup = RrcSetup::unpack(*payload);
       if (setup) {
@@ -78,7 +79,7 @@ std::optional<NewUe> RachTracker::handle_msg4(Rnti rnti, const Dci& dci,
   return ue;
 }
 
-void RachTracker::process_slot(const ResourceGrid& grid,
+void RachTracker::process_slot(SlotGrid& grid,
                                const SlotPoint& slot,
                                std::uint64_t slot_index,
                                std::uint64_t air_slot,
@@ -130,8 +131,8 @@ void RachTracker::process_slot(const ResourceGrid& grid,
       locs.push_back({level, cce});
     }
   }
-  decode_pdcch_batch(cell_.coreset, locs, payload_bits, slot, grid,
-                     scratch);
+  decode_pdcch_batch(cell_.coreset, locs, payload_bits, slot,
+                     grid.symbols(0, cell_.coreset.duration), scratch);
   const auto& batch = scratch.batch;
   for (std::size_t j = 0; j < locs.size(); ++j) {
     if (!batch.ok[j]) {
@@ -164,7 +165,7 @@ void RachTracker::process_slot(const ResourceGrid& grid,
         count(metric_pdsch_);
         const auto payload = decode_pdsch(
             alloc_from_grant(out.grant, cell_.pci), slot, out.grant.tbs,
-            grid);
+            grid.symbols(out.grant.start_symbol, out.grant.n_symbols));
         if (payload) {
           const auto rar = Rar::unpack(*payload);
           if (rar && is_plausible_crnti(rar->tc_rnti)) {

@@ -25,7 +25,7 @@
 #include "nr/pdcch.h"
 #include "nr/rrc.h"
 #include "nrscope/telemetry.h"
-#include "phy/resource_grid.h"
+#include "phy/ofdm.h"
 
 namespace nrs {
 
@@ -67,13 +67,15 @@ class RachTracker {
   /// Scan one slot's common search space.  Decoded MSG2/MSG4 DCIs are
   /// appended to `decoded` and completed associations to `new_ues`; all
   /// intermediate buffers live in `scratch` or the tracker, so the
-  /// steady-state no-RACH path performs no heap allocation.
+  /// steady-state no-RACH path performs no heap allocation.  `grid`
+  /// demodulates the CORESET rows, and a RAR or MSG4 grant's rows only
+  /// when that PDSCH is decoded.
   /// `slot_index` is the sniffer's feed clock (stamps and bookkeeping);
   /// `air_slot` is the cell's own slot clock, reconstructed from the MIB
   /// SFN and the locked frame phase.  PRACH occasions and RA-RNTIs follow
   /// `air_slot`: after a resync onto a restarted cell the two clocks
   /// diverge, and the gNB derives RA-RNTIs from its own.
-  void process_slot(const ResourceGrid& grid, const SlotPoint& slot,
+  void process_slot(SlotGrid& grid, const SlotPoint& slot,
                     std::uint64_t slot_index, std::uint64_t air_slot,
                     PdcchScratch& scratch, std::vector<DecodedDci>& decoded,
                     std::vector<NewUe>& new_ues);
@@ -92,7 +94,7 @@ class RachTracker {
 
  private:
   std::optional<NewUe> handle_msg4(Rnti rnti, const Dci& dci,
-                                   const ResourceGrid& grid,
+                                   SlotGrid& grid,
                                    const SlotPoint& slot,
                                    std::uint64_t slot_index);
 

@@ -1,5 +1,5 @@
 // Output API of the sniffer pipeline: callers attach any number of
-// SlotSinks, and the collector thread delivers each in-order SlotResult to
+// SlotSinks, and the engine thread delivers each in-order SlotResult to
 // every sink and calls on_finish() once after the last slot.
 // TelemetryLogWriter (the paper's "Log File" sink) implements this
 // interface, and MetricsCsvSink periodically dumps the MetricsRegistry so a
@@ -23,7 +23,7 @@ class SlotSink {
  public:
   virtual ~SlotSink() = default;
 
-  /// One completed slot, called in slot order on the collector thread.
+  /// One completed slot, called in slot order on the engine thread.
   virtual void on_slot(const SlotResult& result) = 0;
 
   /// Called exactly once after the final slot, before pipeline shutdown.
@@ -38,7 +38,7 @@ class SlotSink {
 /// (default 1) is spent; the run and the other sinks continue.
 ///
 /// deliver_slot()/deliver_finish() are called by exactly one thread (the
-/// pipeline collector); add()/detach() are safe from any thread.
+/// pipeline's engine thread); add()/detach() are safe from any thread.
 class SinkChain {
  public:
   /// `registry` receives the error counters; nullptr skips per-sink

@@ -1,5 +1,7 @@
 #include "phy/ofdm.h"
 
+#include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 namespace nrs {
@@ -75,25 +77,30 @@ OfdmDemodulator::OfdmDemodulator(OfdmConfig config)
 
 void OfdmDemodulator::demodulate_into(std::span<const cf32> samples,
                                       ResourceGrid& grid) {
+  for (unsigned sym = 0; sym < kSymbolsPerSlot; ++sym) {
+    demodulate_symbol(samples, sym, grid);
+  }
+}
+
+void OfdmDemodulator::demodulate_symbol(std::span<const cf32> samples,
+                                        unsigned sym, ResourceGrid& grid) {
   if (samples.size() < config_.samples_per_slot()) {
     throw std::invalid_argument("OfdmDemodulator: short slot buffer");
   }
   if (grid.n_prb() != config_.n_prb) {
     throw std::invalid_argument("OfdmDemodulator: grid PRB mismatch");
   }
-  for (unsigned sym = 0; sym < kSymbolsPerSlot; ++sym) {
-    const cf32* src =
-        samples.data() +
-        static_cast<std::size_t>(sym) * config_.samples_per_symbol() +
-        config_.cp_len;
-    std::copy(src, src + config_.fft_size, freq_.begin());
-    fft_.forward(freq_);
-    // IFFT/FFT round trip leaves a factor of 1 (inverse normalizes); copy
-    // the occupied bins back out.
-    auto row = grid.symbol(sym);
-    for (unsigned sc = 0; sc < config_.n_subcarriers(); ++sc) {
-      row[sc] = freq_[bin_for_subcarrier(config_, sc)];
-    }
+  const cf32* src = samples.data() +
+                    static_cast<std::size_t>(sym) *
+                        config_.samples_per_symbol() +
+                    config_.cp_len;
+  std::copy(src, src + config_.fft_size, freq_.begin());
+  fft_.forward(freq_);
+  // IFFT/FFT round trip leaves a factor of 1 (inverse normalizes); copy
+  // the occupied bins back out.
+  auto row = grid.symbol(sym);
+  for (unsigned sc = 0; sc < config_.n_subcarriers(); ++sc) {
+    row[sc] = freq_[bin_for_subcarrier(config_, sc)];
   }
 }
 
@@ -101,6 +108,42 @@ ResourceGrid OfdmDemodulator::demodulate(std::span<const cf32> samples) {
   ResourceGrid grid(config_.n_prb);
   demodulate_into(samples, grid);
   return grid;
+}
+
+SlotGrid::SlotGrid(OfdmConfig config)
+    : demod_(config), grid_(config.n_prb) {}
+
+void SlotGrid::reset(std::span<const cf32> samples) {
+  if (samples.size() < demod_.config().samples_per_slot()) {
+    throw std::invalid_argument("SlotGrid: short slot buffer");
+  }
+  samples_ = samples;
+  ready_ = 0;
+  demodulated_ = 0;
+  demod_us_ = 0.0;
+}
+
+const ResourceGrid& SlotGrid::symbols(unsigned first, unsigned count) {
+  const unsigned end = std::min(first + count, kSymbolsPerSlot);
+  const unsigned begin = std::min(first, end);
+  // Bits [begin, end) that are not demodulated yet.
+  const unsigned missing =
+      ((1u << end) - 1u) & ~((1u << begin) - 1u) & ~ready_;
+  if (missing == 0) {
+    return grid_;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (unsigned sym = begin; sym < end; ++sym) {
+    if ((missing >> sym) & 1u) {
+      demod_.demodulate_symbol(samples_, sym, grid_);
+      ++demodulated_;
+    }
+  }
+  ready_ |= missing;
+  demod_us_ += std::chrono::duration<double, std::micro>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+  return grid_;
 }
 
 }  // namespace nrs

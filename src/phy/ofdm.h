@@ -37,7 +37,7 @@ OfdmConfig make_ofdm_config(unsigned n_prb);
 /// The per-symbol frequency-domain staging buffer is a persistent member
 /// sized at construction (hot-path memory discipline, DESIGN.md), so a
 /// modulator is NOT safe to share between threads; give each thread its
-/// own instance (the pipeline's demod workers already do).
+/// own instance (each pipeline's engine thread owns its demodulator).
 class OfdmModulator {
  public:
   explicit OfdmModulator(OfdmConfig config);
@@ -70,12 +70,47 @@ class OfdmDemodulator {
   /// match the configuration); every RE is overwritten.
   void demodulate_into(std::span<const cf32> samples, ResourceGrid& grid);
 
+  /// Demodulate OFDM symbol `sym` of one slot's samples into row `sym` of
+  /// `grid`, leaving the other rows alone.  A symbol's FFT reads no other
+  /// symbol, so the row is bit-identical to demodulate_into's.
+  void demodulate_symbol(std::span<const cf32> samples, unsigned sym,
+                         ResourceGrid& grid);
+
   [[nodiscard]] const OfdmConfig& config() const { return config_; }
 
  private:
   OfdmConfig config_;
   Fft fft_;
   std::vector<cf32> freq_;  ///< per-symbol staging, reused across slots
+};
+
+/// The sniffer's received slot, demodulated on demand: a row is FFT'd the
+/// first time a reader asks for it, and at most once per slot.  A row that
+/// nobody requested still holds an earlier slot's values, so every read
+/// goes through symbols().  Same threading rule as OfdmDemodulator.
+class SlotGrid {
+ public:
+  explicit SlotGrid(OfdmConfig config);
+
+  /// Start a new slot.  `samples` must hold at least one slot and outlive
+  /// this slot's symbols() calls.
+  void reset(std::span<const cf32> samples);
+
+  /// The grid with rows [first, first + count) of this slot demodulated
+  /// (rows past the slot's last symbol are ignored).
+  [[nodiscard]] const ResourceGrid& symbols(unsigned first, unsigned count);
+
+  /// FFTs run since reset(), and the time they took.
+  [[nodiscard]] unsigned demodulated() const { return demodulated_; }
+  [[nodiscard]] double demod_us() const { return demod_us_; }
+
+ private:
+  OfdmDemodulator demod_;
+  ResourceGrid grid_;
+  std::span<const cf32> samples_;
+  unsigned ready_ = 0;  ///< bit s set once row s holds this slot
+  unsigned demodulated_ = 0;
+  double demod_us_ = 0.0;
 };
 
 }  // namespace nrs

@@ -6,7 +6,7 @@
 // never allocates, never blocks the writer, and never stops ingest.
 //
 // Concurrency model (the reason queries never block the fan-out path):
-//  - exactly ONE writer per series (the owning cell's pipeline collector
+//  - exactly ONE writer per series (the owning cell's pipeline engine
 //    thread, via HistoryStoreSink).  Appends are lock-free: a relaxed slot
 //    and value store followed by a release publish of the row count.
 //  - any number of readers.  Each segment is a seqlock: a per-segment

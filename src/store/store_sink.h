@@ -1,6 +1,6 @@
 // Allocation-free ingest path from the sniffer pipeline into the history
 // store: a SlotSink that translates each delivered SlotResult into store
-// rows on the collector thread.  Per-UE series pointers are cached after
+// rows on the engine thread.  Per-UE series pointers are cached after
 // first resolution, so the steady state performs zero heap allocations per
 // slot (series creation — a map insert plus the ring preallocation — is
 // warm-up, exactly like the pipeline's pool growth; verified by the

@@ -280,62 +280,57 @@ TEST(Fleet, SameSeedReproducesIdenticalTelemetry) {
   std::optional<FleetRollup> first_roll;
   std::map<FleetUeKey, FleetUeTotals> first_ues;
   for (const unsigned pool_threads : {1u, 4u}) {
-    for (const unsigned demod_workers : {1u, 2u}) {
-      SCOPED_TRACE(::testing::Message()
-                   << pool_threads << " pool threads, " << demod_workers
-                   << " demod workers");
-      MetricsRegistry registry;
-      FleetConfig config = make_config(kCells);
-      config.pool_threads = pool_threads;
-      // A two-slot queue keeps every pipeline saturated: only a push that
-      // waits for room keeps the streams independent of thread timing.
-      for (auto& spec : config.cells) {
-        spec.queue_depth = 2;
-        spec.n_demod_workers = demod_workers;
-      }
-      // A restart would start a new seeded incarnation; slow sanitizer
-      // builds must not be mistaken for stalls.
-      config.stall_timeout_s = 60.0;
-      FleetOrchestrator fleet(std::move(config), registry);
-      std::vector<std::shared_ptr<RecordingSink>> sinks(kCells);
-      fleet.add_sink("record", [&sinks](std::uint32_t cell) {
-        sinks.at(cell) = std::make_shared<RecordingSink>();
-        return sinks.at(cell);
-      });
-      fleet.run_until(kSlots);
-      fleet.stop();
+    SCOPED_TRACE(::testing::Message() << pool_threads << " pool threads");
+    MetricsRegistry registry;
+    FleetConfig config = make_config(kCells);
+    config.pool_threads = pool_threads;
+    // A two-slot queue keeps every pipeline saturated: only a push that
+    // waits for room keeps the streams independent of thread timing.
+    for (auto& spec : config.cells) {
+      spec.queue_depth = 2;
+    }
+    // A restart would start a new seeded incarnation; slow sanitizer
+    // builds must not be mistaken for stalls.
+    config.stall_timeout_s = 60.0;
+    FleetOrchestrator fleet(std::move(config), registry);
+    std::vector<std::shared_ptr<RecordingSink>> sinks(kCells);
+    fleet.add_sink("record", [&sinks](std::uint32_t cell) {
+      sinks.at(cell) = std::make_shared<RecordingSink>();
+      return sinks.at(cell);
+    });
+    fleet.run_until(kSlots);
+    fleet.stop();
 
-      for (std::uint32_t cell = 0; cell < kCells; ++cell) {
-        SCOPED_TRACE(::testing::Message() << "cell " << cell);
-        ASSERT_EQ(fleet.cell_restarts(cell), 0u);
-        expect_streams_identical(sinks[cell]->results_, expected[cell]);
-      }
+    for (std::uint32_t cell = 0; cell < kCells; ++cell) {
+      SCOPED_TRACE(::testing::Message() << "cell " << cell);
+      ASSERT_EQ(fleet.cell_restarts(cell), 0u);
+      expect_streams_identical(sinks[cell]->results_, expected[cell]);
+    }
 
-      const FleetRollup roll = fleet.rollup();
-      const auto ues = fleet.aggregator().ue_totals();
-      if (!first_roll) {
-        first_roll = roll;
-        first_ues = ues;
-        continue;
-      }
-      ASSERT_EQ(roll.cells.size(), first_roll->cells.size());
-      for (std::size_t i = 0; i < roll.cells.size(); ++i) {
-        const CellRollup& a = first_roll->cells[i];
-        const CellRollup& b = roll.cells[i];
-        EXPECT_EQ(a.slots, b.slots) << "cell " << i;
-        EXPECT_EQ(a.dcis, b.dcis) << "cell " << i;
-        EXPECT_DOUBLE_EQ(a.dl_mbps, b.dl_mbps);
-        EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
-      }
-      ASSERT_EQ(ues.size(), first_ues.size());
-      for (auto it_a = first_ues.cbegin(), it_b = ues.cbegin();
-           it_a != first_ues.cend(); ++it_a, ++it_b) {
-        EXPECT_EQ(it_a->first, it_b->first);
-        EXPECT_EQ(it_a->second.dl_bits, it_b->second.dl_bits);
-        EXPECT_EQ(it_a->second.ul_bits, it_b->second.ul_bits);
-        EXPECT_EQ(it_a->second.dcis, it_b->second.dcis);
-        EXPECT_EQ(it_a->second.retx_dcis, it_b->second.retx_dcis);
-      }
+    const FleetRollup roll = fleet.rollup();
+    const auto ues = fleet.aggregator().ue_totals();
+    if (!first_roll) {
+      first_roll = roll;
+      first_ues = ues;
+      continue;
+    }
+    ASSERT_EQ(roll.cells.size(), first_roll->cells.size());
+    for (std::size_t i = 0; i < roll.cells.size(); ++i) {
+      const CellRollup& a = first_roll->cells[i];
+      const CellRollup& b = roll.cells[i];
+      EXPECT_EQ(a.slots, b.slots) << "cell " << i;
+      EXPECT_EQ(a.dcis, b.dcis) << "cell " << i;
+      EXPECT_DOUBLE_EQ(a.dl_mbps, b.dl_mbps);
+      EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
+    }
+    ASSERT_EQ(ues.size(), first_ues.size());
+    for (auto it_a = first_ues.cbegin(), it_b = ues.cbegin();
+         it_a != first_ues.cend(); ++it_a, ++it_b) {
+      EXPECT_EQ(it_a->first, it_b->first);
+      EXPECT_EQ(it_a->second.dl_bits, it_b->second.dl_bits);
+      EXPECT_EQ(it_a->second.ul_bits, it_b->second.ul_bits);
+      EXPECT_EQ(it_a->second.dcis, it_b->second.dcis);
+      EXPECT_EQ(it_a->second.retx_dcis, it_b->second.retx_dcis);
     }
   }
 }

@@ -43,7 +43,7 @@ UeConfig make_storm_ue(unsigned seed) {
   return ue;
 }
 
-/// Collector-thread observer: records every state the run visited and
+/// Engine-thread observer: records every state the run visited and
 /// every decoded DCI, in slot order.
 class StormSink : public SlotSink {
  public:
@@ -91,7 +91,7 @@ TEST(Resilience, FaultStormRecoversWithoutProcessRestart) {
   cfg.sync.empty_slot_limit = 300;
   cfg.sync.resync_grace_slots = 4000;
 
-  NrScopePipeline pipeline(cfg, 2);
+  NrScopePipeline pipeline(cfg);
   auto sink = std::make_shared<StormSink>();
   pipeline.add_sink(sink);
 

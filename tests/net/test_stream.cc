@@ -551,7 +551,7 @@ TEST(Stream, RemoteReconstructionRowIdenticalAcrossReconnect) {
   NrScopeConfig scope_cfg;
   scope_cfg.n_prb = run.cell.n_prb;
   scope_cfg.scs = run.cell.scs;
-  NrScopePipeline pipeline(scope_cfg, /*n_demod_workers=*/2);
+  NrScopePipeline pipeline(scope_cfg);
 
   auto server = std::make_shared<TelemetryStreamServer>(
       StreamServerConfig{}, &pipeline.metrics_registry());
@@ -647,7 +647,7 @@ TEST(StreamQuery, EightClientsQueryWhilePipelineIngests) {
   NrScopeConfig scope_cfg;
   scope_cfg.n_prb = run.cell.n_prb;
   scope_cfg.scs = run.cell.scs;
-  NrScopePipeline pipeline(scope_cfg, /*n_demod_workers=*/2);
+  NrScopePipeline pipeline(scope_cfg);
   StoreSinkConfig sink_cfg;
   sink_cfg.n_prb = run.cell.n_prb;
 

@@ -166,13 +166,13 @@ class CountingSink : public SlotSink {
   std::atomic<std::uint64_t> delivered_{0};
 };
 
-// Stage overlap on: two demod workers race ahead of the collector, so
-// slots complete out of order and the reorder ring has to hold pooled
-// buffers across the gap.  Beyond 0 allocs/slot, the drain must hand
-// every pooled buffer back — buffers_in_flight() == 0 after stop().
+// The feeder runs ahead of the engine thread, so pooled sample buffers sit
+// in the input queue while the engine works.  Beyond 0 allocs/slot, the
+// drain must hand every pooled buffer back — buffers_in_flight() == 0
+// after stop().
 TEST(AllocSteadyState, PipelineSlotPathIsAllocationFree) {
   const Feed& f = feed();
-  NrScopePipeline pipeline(scope_config(f.cell), /*n_demod_workers=*/2);
+  NrScopePipeline pipeline(scope_config(f.cell));
   auto sink = std::make_shared<CountingSink>();
   pipeline.add_sink(sink);
 
@@ -207,18 +207,18 @@ TEST(AllocSteadyState, PipelineSlotPathIsAllocationFree) {
   EXPECT_EQ(totals.frees, 0u);
   pipeline.stop();
   EXPECT_EQ(pipeline.buffers_in_flight(), 0u)
-      << "pooled sample/grid handles leaked across out-of-order completion";
+      << "pooled sample handles leaked across the drain";
 }
 
-// The history-store ingest path rides the same collector thread; with the
+// The history-store ingest path rides the same engine thread; with the
 // sink attached and every series created during warm-up, steady-state
 // appends (segment-ring writes + seqlock publishes) must stay off the
 // heap — the ISSUE's "ingest within 5% AND still 0 allocs/slot" bar.
 TEST(AllocSteadyState, PipelineWithHistoryStoreIsAllocationFree) {
   const Feed& f = feed();
-  // The store outlives the pipeline whose collector appends into it.
+  // The store outlives the pipeline whose engine thread appends into it.
   HistoryStore store;
-  NrScopePipeline pipeline(scope_config(f.cell), /*n_demod_workers=*/2);
+  NrScopePipeline pipeline(scope_config(f.cell));
   StoreSinkConfig store_cfg;
   store_cfg.n_prb = f.cell.n_prb;
   auto store_sink = std::make_shared<HistoryStoreSink>(store, store_cfg);
@@ -261,17 +261,17 @@ TEST(AllocSteadyState, PipelineWithHistoryStoreIsAllocationFree) {
   EXPECT_EQ(totals.frees, 0u);
   pipeline.stop();
   EXPECT_EQ(pipeline.buffers_in_flight(), 0u)
-      << "pooled sample/grid handles leaked across out-of-order completion";
+      << "pooled sample handles leaked across the drain";
 }
 
-// The online-prediction path rides the collector thread too: feature
+// The online-prediction path rides the engine thread too: feature
 // extractor windows roll, forecasts are made every period and matured a
 // horizon later, all inside on_slot().  With the sink attached (feature
 // rings and the pending-forecast ring sized during warm-up) the steady
 // state must stay allocation-free.
 TEST(AllocSteadyState, PipelineWithPredictionSinkIsAllocationFree) {
   const Feed& f = feed();
-  NrScopePipeline pipeline(scope_config(f.cell), /*n_demod_workers=*/2);
+  NrScopePipeline pipeline(scope_config(f.cell));
 
   auto predictor = std::make_shared<const ThroughputPredictor>(
       PredictorWeights::baseline(/*horizon_slots=*/200));
@@ -324,7 +324,7 @@ TEST(AllocSteadyState, PipelineWithPredictionSinkIsAllocationFree) {
   EXPECT_EQ(totals.frees, 0u);
   pipeline.stop();
   EXPECT_EQ(pipeline.buffers_in_flight(), 0u)
-      << "pooled sample/grid handles leaked across out-of-order completion";
+      << "pooled sample handles leaked across the drain";
 }
 
 /// The payload bytes of `value` (no frame header).

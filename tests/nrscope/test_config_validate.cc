@@ -116,7 +116,7 @@ TEST(ConfigValidate, ScopeConstructorThrowsOnInvalid) {
 TEST(ConfigValidate, PipelineConstructorThrowsOnInvalid) {
   auto cfg = valid_config();
   cfg.rate_window_slots = 0;
-  EXPECT_THROW(NrScopePipeline pipeline(cfg, 1), std::invalid_argument);
+  EXPECT_THROW(NrScopePipeline pipeline(cfg), std::invalid_argument);
 }
 
 TEST(ConfigValidate, ValidConfigConstructs) {

@@ -4,7 +4,10 @@
 // field by field into one FNV-1a 64 digest.  The pinned digest and DCI
 // count catch any change to what the engine decodes, however small.  One
 // case also scripts a fault storm, so the pins cover resync, the PCI-change
-// flush and a second SIB1 wait as well as steady tracking.
+// flush and a second SIB1 wait as well as steady tracking.  The engine
+// demodulates only the OFDM symbols it reads; the pins show that this
+// changes no decoded bit, and EngineDemod pins the FFT count they cannot
+// show.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -241,21 +244,25 @@ std::unique_ptr<GnbSim> make_gnb(const CellConfig& cell, std::uint64_t seed) {
   return std::make_unique<GnbSim>(std::move(gnb_cfg));
 }
 
+VirtualRadioConfig radio_config(const GoldenCase& c) {
+  VirtualRadioConfig radio_cfg;
+  radio_cfg.n_prb = c.cell().n_prb;
+  radio_cfg.channel.profile = c.profile;
+  radio_cfg.channel.snr_db = c.sniffer_snr_db;
+  radio_cfg.channel.seed = c.seed * 3000;
+  if (c.script != nullptr) {
+    radio_cfg.faults.events.assign(c.script->radio_faults.begin(),
+                                   c.script->radio_faults.end());
+  }
+  return radio_cfg;
+}
+
 StreamDigest run_case(const GoldenCase& c, const NrScopeConfig& scope_cfg) {
   const FaultScript* script = c.script;
   CellConfig cell = c.cell();
   auto gnb = make_gnb(cell, c.seed);
   add_ues(c, 0, *gnb);
-  VirtualRadioConfig radio_cfg;
-  radio_cfg.n_prb = cell.n_prb;
-  radio_cfg.channel.profile = c.profile;
-  radio_cfg.channel.snr_db = c.sniffer_snr_db;
-  radio_cfg.channel.seed = c.seed * 3000;
-  if (script != nullptr) {
-    radio_cfg.faults.events.assign(script->radio_faults.begin(),
-                                   script->radio_faults.end());
-  }
-  VirtualRadio radio(radio_cfg);
+  VirtualRadio radio(radio_config(c));
   NrScope scope(scope_cfg);
 
   Fnv1a64 h;
@@ -329,6 +336,50 @@ TEST(EngineGolden, AmarisoftFaultStorm) {
   // every fault resynced, and the restart flushed onto the new PCI.
   EXPECT_GE(d.resyncs, 4u);
   EXPECT_EQ(d.pci_changes, 1u);
+}
+
+TEST(EngineDemod, FftsOnlyTheSymbolsItReads) {
+  // The fleet cell: two UEs that attach early and then only carry traffic.
+  // MSG2-assisted RACH, because XOR mode also verifies noise recoveries
+  // with a MSG4 PDSCH decode, which costs that grant's rows.
+  const GoldenCase& c = kSrsranFleetCell;
+  auto gnb = make_gnb(c.cell(), c.seed);
+  add_ues(c, 0, *gnb);
+  VirtualRadio radio(radio_config(c));
+  NrScopeConfig cfg = scope_config(c);
+  cfg.rach.mode = RachTrackMode::kMsg2Assisted;
+  NrScope scope(cfg);
+  const Counter& ffts =
+      scope.metrics_registry().counter("nrscope.demod_symbols");
+  const Counter& pdsch =
+      scope.metrics_registry().counter("rach.pdsch_decodes");
+  SlotResult result;
+
+  // A search slot FFTs the SSB rows: PSS, PBCH and SSS.
+  ASSERT_EQ(scope.state(), NrScope::State::kSearching);
+  scope.process_slot(radio.capture(gnb->step()), result);
+  EXPECT_EQ(ffts.value(), 4u);
+
+  // Run past both RACHes, then watch a steady tracking window: every slot
+  // FFTs the CORESET rows and nothing else (the SSB's PSS row lies inside
+  // the CORESET, and no RAR, MSG4 or SIB1 PDSCH is decoded).
+  for (unsigned slot = 1; slot < 700; ++slot) {
+    scope.process_slot(radio.capture(gnb->step()), result);
+  }
+  ASSERT_EQ(scope.state(), NrScope::State::kTracking);
+  ASSERT_EQ(scope.known_ues().size(), c.n_ues);
+  const std::uint64_t coreset_rows = scope.cell().coreset.duration;
+  const std::uint64_t pdsch_before = pdsch.value();
+  for (unsigned slot = 0; slot < 600; ++slot) {
+    const std::uint64_t before = ffts.value();
+    scope.process_slot(radio.capture(gnb->step()), result);
+    ASSERT_EQ(ffts.value() - before, coreset_rows) << "window slot " << slot;
+  }
+  EXPECT_EQ(pdsch.value(), pdsch_before) << "the window saw a RACH decode";
+  const MetricsSnapshot snap = scope.metrics();
+  const auto* demod_us = snap.find_histogram("nrscope.demod_us");
+  ASSERT_NE(demod_us, nullptr);
+  EXPECT_EQ(demod_us->count, 1300u) << "one observation per slot";
 }
 
 }  // namespace

@@ -53,14 +53,19 @@ void encode_msg4(const CellConfig& cell, Rnti tc_rnti,
   encode_pdsch(alloc, slot, padded, grid);
 }
 
-/// Scan one slot (feed and air clocks equal: the tracker has listened
-/// since the cell booted); returns the UEs that completed association.
+/// Scan one slot, sent through a noiseless OFDM link (feed and air clocks
+/// equal: the tracker has listened since the cell booted); returns the UEs
+/// that completed association.
 std::vector<NewUe> scan(RachTracker& tracker, const ResourceGrid& grid,
                         const SlotPoint& slot, std::uint64_t slot_index,
                         std::vector<DecodedDci>& decoded) {
+  const OfdmConfig ofdm = make_ofdm_config(grid.n_prb());
+  const IqBuffer samples = OfdmModulator(ofdm).modulate(grid);
+  SlotGrid rx(ofdm);
+  rx.reset(samples);
   PdcchScratch scratch;
   std::vector<NewUe> new_ues;
-  tracker.process_slot(grid, slot, slot_index, slot_index, scratch, decoded,
+  tracker.process_slot(rx, slot, slot_index, slot_index, scratch, decoded,
                        new_ues);
   return new_ues;
 }

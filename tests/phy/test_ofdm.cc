@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace nrs {
@@ -50,6 +54,8 @@ TEST(Ofdm, DemodulatorRejectsShortBuffer) {
   OfdmDemodulator demod(cfg);
   IqBuffer samples(100);
   EXPECT_THROW(demod.demodulate(samples), std::invalid_argument);
+  SlotGrid lazy(cfg);
+  EXPECT_THROW(lazy.reset(samples), std::invalid_argument);
 }
 
 class OfdmRoundTrip : public ::testing::TestWithParam<unsigned> {};
@@ -98,6 +104,61 @@ TEST(Ofdm, CyclicPrefixIsCopyOfTail) {
   for (unsigned i = 0; i < cfg.cp_len; ++i) {
     EXPECT_NEAR(samples[i].real(), samples[cfg.fft_size + i].real(), 1e-5f);
     EXPECT_NEAR(samples[i].imag(), samples[cfg.fft_size + i].imag(), 1e-5f);
+  }
+}
+
+TEST(Ofdm, SlotGridRowsMatchFullDemodInAnyRequestOrder) {
+  const OfdmConfig cfg = make_ofdm_config(51);
+  OfdmModulator mod(cfg);
+  Rng rng(7);
+  const IqBuffer stale = mod.modulate(random_grid(51, rng));
+  const IqBuffer samples = mod.modulate(random_grid(51, rng));
+  ResourceGrid reference(51);
+  OfdmDemodulator(cfg).demodulate_into(samples, reference);
+
+  // (first, count) requests: all rows at once, one row at a time from the
+  // top down, overlapping ranges (the last one runs past the slot), and
+  // the tracking engine's pattern (CORESET twice, then the SSB rows).
+  using Requests = std::vector<std::pair<unsigned, unsigned>>;
+  Requests descending;
+  for (unsigned sym = kSymbolsPerSlot; sym-- > 0;) {
+    descending.emplace_back(sym, 1);
+  }
+  const std::vector<Requests> orders = {
+      {{0, kSymbolsPerSlot}},
+      descending,
+      {{5, 4}, {0, 2}, {3, 6}, {12, 5}},
+      {{0, 2}, {0, 2}, {0, 4}},
+  };
+  SlotGrid lazy(cfg);
+  for (const Requests& order : orders) {
+    // Fill every row from another slot first: a row the lazy grid failed
+    // to refresh would still hold these values.
+    lazy.reset(stale);
+    (void)lazy.symbols(0, kSymbolsPerSlot);
+    lazy.reset(samples);
+    EXPECT_EQ(lazy.demodulated(), 0u);
+    std::vector<bool> requested(kSymbolsPerSlot, false);
+    unsigned distinct = 0;
+    for (const auto& [first, count] : order) {
+      const ResourceGrid& grid = lazy.symbols(first, count);
+      for (unsigned sym = first;
+           sym < std::min(first + count, kSymbolsPerSlot); ++sym) {
+        distinct += requested[sym] ? 0 : 1;
+        requested[sym] = true;
+      }
+      for (unsigned sym = 0; sym < kSymbolsPerSlot; ++sym) {
+        if (!requested[sym]) {
+          continue;
+        }
+        for (unsigned sc = 0; sc < grid.n_subcarriers(); ++sc) {
+          ASSERT_EQ(grid.at(sym, sc), reference.at(sym, sc))
+              << "row " << sym << " subcarrier " << sc;
+        }
+      }
+      // One FFT per distinct row, however often a row is asked for.
+      EXPECT_EQ(lazy.demodulated(), distinct);
+    }
   }
 }
 

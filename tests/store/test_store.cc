@@ -364,7 +364,7 @@ TEST(StoreSink, RangeScanAgreesRowExactlyWithCsv) {
 
   constexpr std::uint64_t kSlots = 1500;
   {
-    NrScopePipeline pipeline(scope_config, /*n_demod_workers=*/2);
+    NrScopePipeline pipeline(scope_config);
     pipeline.add_sink("csv",
                       std::make_shared<TelemetryLogWriter>(csv_path));
     pipeline.add_sink(
