@@ -168,7 +168,7 @@ void GnbSim::broadcast(bool& has_ssb) {
     mib.coreset0_n_prb6 = static_cast<std::uint8_t>(cell.coreset.n_prb / 6);
     mib.coreset0_duration = static_cast<std::uint8_t>(cell.coreset.duration);
     const SsbLocation ssb{cell.ssb_prb_start};
-    encode_ssb(cell.pci, ssb, mib, now, grid_);
+    encode_ssb(cell.pci, ssb, mib, now, grid_, pbch_scratch_);
     has_ssb = true;
   }
 }
@@ -222,17 +222,10 @@ void GnbSim::run_rach(bool allow_tx) {
         encode_pdcch(cell.coreset, {ra_rnti, cell.rach.msg4_agg_level, cce},
                      dci, cell.n_prb, now, grid_, pdcch_scratch_);
         const Grant grant = translate_dci(dci, ra_rnti, cell);
-        PdschAllocation alloc;
-        alloc.rnti = ra_rnti;
-        alloc.prb_start = grant.prb_start;
-        alloc.prb_len = grant.prb_len;
-        alloc.start_symbol = grant.start_symbol;
-        alloc.n_symbols = grant.n_symbols;
-        alloc.modulation = grant.modulation;
-        alloc.n_id = cell.pci;
         payload_scratch_.assign(payload.begin(), payload.end());
         payload_scratch_.resize(grant.tbs, 0);
-        encode_pdsch(alloc, now, payload_scratch_, grid_, pdsch_scratch_);
+        encode_pdsch(pdsch_allocation(grant, cell.pci), now, payload_scratch_,
+                     grid_, pdsch_scratch_);
         truth_.add_dci(TruthDci{slot, ra_rnti, DciKind::kRar, dci, grant,
                                 false, true, cell.rach.msg4_agg_level, cce});
         ctx.stage = RachStage::kMsg2Sent;
@@ -271,17 +264,10 @@ void GnbSim::run_rach(bool allow_tx) {
         encode_pdcch(cell.coreset, {ctx.rnti, cell.rach.msg4_agg_level, cce},
                      dci, cell.n_prb, now, grid_, pdcch_scratch_);
         const Grant grant = translate_dci(dci, ctx.rnti, cell);
-        PdschAllocation alloc;
-        alloc.rnti = ctx.rnti;
-        alloc.prb_start = grant.prb_start;
-        alloc.prb_len = grant.prb_len;
-        alloc.start_symbol = grant.start_symbol;
-        alloc.n_symbols = grant.n_symbols;
-        alloc.modulation = grant.modulation;
-        alloc.n_id = cell.pci;
         payload_scratch_.assign(payload.begin(), payload.end());
         payload_scratch_.resize(grant.tbs, 0);
-        encode_pdsch(alloc, now, payload_scratch_, grid_, pdsch_scratch_);
+        encode_pdsch(pdsch_allocation(grant, cell.pci), now, payload_scratch_,
+                     grid_, pdsch_scratch_);
         truth_.add_dci(TruthDci{slot, ctx.rnti, DciKind::kMsg4, dci, grant,
                                 false, true, cell.rach.msg4_agg_level, cce});
         ctx.stage = RachStage::kConnected;
@@ -334,16 +320,9 @@ void GnbSim::transmit_dl_grant(UeContext& ue_ctx, DlProcess& process,
 
   // PDSCH payload content is opaque to the sniffer; zeros keep it cheap
   // (scrambling randomizes the on-air bits anyway).
-  PdschAllocation alloc;
-  alloc.rnti = ue_ctx.rnti;
-  alloc.prb_start = process.grant.prb_start;
-  alloc.prb_len = process.grant.prb_len;
-  alloc.start_symbol = process.grant.start_symbol;
-  alloc.n_symbols = process.grant.n_symbols;
-  alloc.modulation = process.grant.modulation;
-  alloc.n_id = cell.pci;
   payload_scratch_.assign(process.grant.tbs, 0);
-  encode_pdsch(alloc, now, payload_scratch_, grid_, pdsch_scratch_);
+  encode_pdsch(pdsch_allocation(process.grant, cell.pci), now,
+               payload_scratch_, grid_, pdsch_scratch_);
 
   const bool is_retx = process.tx_count > 0;
   const bool acked = ue_ctx.emulator->decide_ack(process.grant);
@@ -634,17 +613,10 @@ const ResourceGrid& GnbSim::step() {
                      {kSiRnti, cell.rach.msg4_agg_level, cce}, dci,
                      cell.n_prb, now, grid_, pdcch_scratch_);
         const Grant grant = translate_dci(dci, kSiRnti, cell);
-        PdschAllocation alloc;
-        alloc.rnti = kSiRnti;
-        alloc.prb_start = grant.prb_start;
-        alloc.prb_len = grant.prb_len;
-        alloc.start_symbol = grant.start_symbol;
-        alloc.n_symbols = grant.n_symbols;
-        alloc.modulation = grant.modulation;
-        alloc.n_id = cell.pci;
         payload_scratch_.assign(payload.begin(), payload.end());
         payload_scratch_.resize(grant.tbs, 0);
-        encode_pdsch(alloc, now, payload_scratch_, grid_, pdsch_scratch_);
+        encode_pdsch(pdsch_allocation(grant, cell.pci), now, payload_scratch_,
+                     grid_, pdsch_scratch_);
         truth_.add_dci(TruthDci{slot, kSiRnti, DciKind::kSib, dci, grant,
                                 false, true, cell.rach.msg4_agg_level, cce});
       }

@@ -126,7 +126,8 @@ class GnbSim {
   // allocates nothing beyond the ground-truth log.
   BitVector payload_scratch_;
   BitVector sib1_payload_;  ///< packed once; the cell config is immutable
-  PdcchEncodeScratch pdcch_scratch_;
+  PdcchEncodeScratch pdcch_scratch_;  ///< every DCI (the cell's CORESET)
+  PdcchEncodeScratch pbch_scratch_;   ///< the SSB's PBCH
   PdschEncodeScratch pdsch_scratch_;
   std::vector<unsigned> cand_cces_;  ///< allocate_pdcch candidate CCEs
   std::vector<SchedRequest> sched_requests_;

@@ -46,6 +46,18 @@ Grant translate_dci(const Dci& dci, Rnti rnti, const CellConfig& cell) {
                        cell.pdsch.mcs_table, cell.pdsch.max_mimo_layers);
 }
 
+PdschAllocation pdsch_allocation(const Grant& grant, std::uint16_t n_id) {
+  PdschAllocation alloc;
+  alloc.rnti = grant.rnti;
+  alloc.prb_start = grant.prb_start;
+  alloc.prb_len = grant.prb_len;
+  alloc.start_symbol = grant.start_symbol;
+  alloc.n_symbols = grant.n_symbols;
+  alloc.modulation = grant.modulation;
+  alloc.n_id = n_id;
+  return alloc;
+}
+
 std::string Grant::to_string() const {
   std::ostringstream os;
   os << "rnti=0x" << std::hex << rnti << std::dec

@@ -10,6 +10,7 @@
 #include "common/types.h"
 #include "nr/cell_config.h"
 #include "nr/dci.h"
+#include "nr/pdsch.h"
 #include "nr/tbs.h"
 
 namespace nrs {
@@ -53,5 +54,10 @@ Grant translate_dci(const Dci& dci, Rnti rnti, unsigned n_prb_bwp,
 
 /// Convenience: translate with the cell's default PDSCH parameters.
 Grant translate_dci(const Dci& dci, Rnti rnti, const CellConfig& cell);
+
+/// The PDSCH a grant points at, scrambled with the grant's RNTI and
+/// `n_id` (the PCI).  The gNB encodes and the sniffer decodes through
+/// this one mapping.
+PdschAllocation pdsch_allocation(const Grant& grant, std::uint16_t n_id);
 
 }  // namespace nrs

@@ -1,6 +1,5 @@
 #include "nr/mib.h"
 
-#include "nr/pdcch.h"
 #include "phy/pss.h"
 #include "phy/sss.h"
 
@@ -54,7 +53,8 @@ CoresetConfig pbch_coreset(std::uint16_t pci, const SsbLocation& ssb) {
 }
 
 void encode_ssb(std::uint16_t pci, const SsbLocation& ssb, const Mib& mib,
-                const SlotPoint& slot, ResourceGrid& grid) {
+                const SlotPoint& slot, ResourceGrid& grid,
+                PdcchEncodeScratch& scratch) {
   const unsigned sc0 =
       ssb.prb_start * kSubcarriersPerPrb + kSyncScOffset;
   // PSS on symbol 0.
@@ -68,44 +68,50 @@ void encode_ssb(std::uint16_t pci, const SsbLocation& ssb, const Mib& mib,
     grid.at(SsbLocation::kSssSymbol, sc0 + n) = cf32(sss[n], 0.0f);
   }
   // PBCH: the MIB payload through the polar chain on symbols 1-2.  The
-  // pseudo-CORESET starts at symbol 0, so we encode into a 14-symbol
-  // scratch grid shifted by one symbol and copy rows 0-1 to rows 1-2.
+  // pseudo-CORESET starts at symbol 0, so we encode into a 2-symbol grid
+  // and copy its rows 0-1 to rows 1-2.
   const CoresetConfig coreset = pbch_coreset(pci, ssb);
-  ResourceGrid scratch(grid.n_prb(), 2);
+  ResourceGrid pbch(grid.n_prb(), 2);
   PdcchAllocation alloc;
   alloc.rnti = 0;
   alloc.agg_level = coreset.n_cce();
   alloc.cce_start = 0;
-  encode_pdcch_payload(coreset, alloc, mib.pack(), slot, scratch);
+  encode_pdcch_payload(coreset, alloc, mib.pack(), slot, pbch, scratch);
   for (unsigned sym = 0; sym < 2; ++sym) {
     for (unsigned sc = ssb.prb_start * kSubcarriersPerPrb;
          sc < (ssb.prb_start + SsbLocation::kNPrb) * kSubcarriersPerPrb;
          ++sc) {
-      grid.at(sym + 1, sc) = scratch.at(sym, sc);
+      grid.at(sym + 1, sc) = pbch.at(sym, sc);
     }
   }
 }
 
 std::optional<Mib> decode_mib(std::uint16_t pci, const SsbLocation& ssb,
                               const SlotPoint& slot,
-                              const ResourceGrid& grid) {
+                              const ResourceGrid& grid,
+                              PdcchScratch& scratch) {
   const CoresetConfig coreset = pbch_coreset(pci, ssb);
   // Undo the one-symbol shift used by encode_ssb.
-  ResourceGrid scratch(grid.n_prb(), 2);
+  ResourceGrid pbch(grid.n_prb(), 2);
   for (unsigned sym = 0; sym < 2; ++sym) {
     for (unsigned sc = ssb.prb_start * kSubcarriersPerPrb;
          sc < (ssb.prb_start + SsbLocation::kNPrb) * kSubcarriersPerPrb;
          ++sc) {
-      scratch.at(sym, sc) = grid.at(sym + 1, sc);
+      pbch.at(sym, sc) = grid.at(sym + 1, sc);
     }
   }
-  auto bits = decode_pdcch_payload(coreset, coreset.n_cce(), 0,
-                                   mib_payload_size(), slot, scratch,
-                                   /*rnti=*/0);
-  if (!bits) {
+  const unsigned payload_bits = mib_payload_size();
+  const PdcchCandidateLoc loc{coreset.n_cce(), 0};
+  if (decode_pdcch_batch(coreset, std::span(&loc, 1), payload_bits, slot,
+                         pbch, scratch) == 0) {
     return std::nullopt;
   }
-  return Mib::unpack(*bits);
+  const std::span<const std::uint8_t> bits(
+      scratch.batch.bits.data(), payload_bits + kCrc24C.length());
+  if (!check_pdcch_crc(bits, /*rnti=*/0)) {
+    return std::nullopt;
+  }
+  return Mib::unpack(bits.first(payload_bits));
 }
 
 }  // namespace nrs

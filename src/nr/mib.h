@@ -16,6 +16,7 @@
 #include "common/timing.h"
 #include "common/types.h"
 #include "nr/coreset.h"
+#include "nr/pdcch.h"
 #include "phy/resource_grid.h"
 
 namespace nrs {
@@ -48,14 +49,19 @@ struct SsbLocation {
 /// The pseudo-CORESET carrying the PBCH inside the SSB window.
 CoresetConfig pbch_coreset(std::uint16_t pci, const SsbLocation& ssb);
 
-/// Write the full SSB (PSS + PBCH(MIB) + SSS) into a slot grid.
+/// Write the full SSB (PSS + PBCH(MIB) + SSS) into a slot grid, encoding
+/// the PBCH through the transmitter's `scratch`.
 void encode_ssb(std::uint16_t pci, const SsbLocation& ssb, const Mib& mib,
-                const SlotPoint& slot, ResourceGrid& grid);
+                const SlotPoint& slot, ResourceGrid& grid,
+                PdcchEncodeScratch& scratch);
 
 /// Decode the MIB from an SSB whose location and PCI are already known
-/// (from the PSS/SSS stage).  Returns nullopt on CRC failure.
+/// (from the PSS/SSS stage): the PBCH is one location (every CCE of
+/// pbch_coreset), decoded as a batch of one through `scratch`.  Returns
+/// nullopt on CRC failure.
 std::optional<Mib> decode_mib(std::uint16_t pci, const SsbLocation& ssb,
                               const SlotPoint& slot,
-                              const ResourceGrid& grid);
+                              const ResourceGrid& grid,
+                              PdcchScratch& scratch);
 
 }  // namespace nrs

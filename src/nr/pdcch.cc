@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <stdexcept>
 
 #include "common/gold.h"
@@ -118,42 +117,6 @@ const PolarCode& cached_polar(PdcchScratch& scratch, unsigned k, unsigned e) {
   }
   return it->second;
 }
-
-/// Run the channel decode for one candidate (a batch of one); payload+CRC
-/// bits land in `scratch.bits`.
-bool decode_candidate_bits(const CoresetConfig& coreset, unsigned agg_level,
-                           unsigned cce_start, unsigned payload_bits,
-                           const SlotPoint& slot, const ResourceGrid& grid,
-                           PdcchScratch& scratch, float* snr_out) {
-  const PdcchCandidateLoc loc{agg_level, cce_start};
-  if (decode_pdcch_batch(coreset, std::span(&loc, 1), payload_bits, slot,
-                         grid, scratch) == 0) {
-    return false;
-  }
-  const unsigned k = payload_bits + kCrc24C.length();
-  scratch.bits.assign(scratch.batch.bits.begin(),
-                      scratch.batch.bits.begin() + k);
-  if (snr_out != nullptr) {
-    *snr_out = scratch.batch.snr[0];
-  }
-  return true;
-}
-
-/// Scratch for the legacy (allocating) decode entry points.
-PdcchScratch& thread_scratch() {
-  thread_local PdcchScratch t_scratch;
-  return t_scratch;
-}
-
-/// Scratch for the encoder entry points that take none.
-PdcchEncodeScratch& thread_encode_scratch() {
-  thread_local PdcchEncodeScratch t_scratch;
-  return t_scratch;
-}
-
-}  // namespace
-
-namespace {
 
 /// Memoized cce_to_regs: the mapping is pure CORESET structure, so after
 /// warm-up every candidate's REG list is one map lookup.
@@ -340,13 +303,6 @@ void encode_pdcch(const CoresetConfig& coreset, const PdcchAllocation& alloc,
   encode_pdcch_payload(coreset, alloc, scratch.payload, slot, grid, scratch);
 }
 
-void encode_pdcch(const CoresetConfig& coreset, const PdcchAllocation& alloc,
-                  const Dci& dci, unsigned n_prb_bwp, const SlotPoint& slot,
-                  ResourceGrid& grid) {
-  encode_pdcch(coreset, alloc, dci, n_prb_bwp, slot, grid,
-               thread_encode_scratch());
-}
-
 void encode_pdcch_payload(const CoresetConfig& coreset,
                           const PdcchAllocation& alloc,
                           std::span<const std::uint8_t> payload,
@@ -398,113 +354,9 @@ void encode_pdcch_payload(const CoresetConfig& coreset,
   }
 }
 
-void encode_pdcch_payload(const CoresetConfig& coreset,
-                          const PdcchAllocation& alloc,
-                          std::span<const std::uint8_t> payload,
-                          const SlotPoint& slot, ResourceGrid& grid) {
-  encode_pdcch_payload(coreset, alloc, payload, slot, grid,
-                       thread_encode_scratch());
-}
-
-std::optional<BitVector> decode_pdcch_payload(
-    const CoresetConfig& coreset, unsigned agg_level, unsigned cce_start,
-    unsigned payload_bits, const SlotPoint& slot, const ResourceGrid& grid,
-    Rnti rnti, float* snr_out) {
-  PdcchScratch& scratch = thread_scratch();
-  if (!decode_candidate_bits(coreset, agg_level, cce_start, payload_bits,
-                             slot, grid, scratch, snr_out) ||
-      !kCrc24C.check_masked(scratch.bits, rnti)) {
-    return std::nullopt;
-  }
-  return BitVector(scratch.bits.begin(),
-                   scratch.bits.begin() + payload_bits);
-}
-
-bool decode_pdcch_soft_bits(const CoresetConfig& coreset, unsigned agg_level,
-                            unsigned cce_start, unsigned payload_bits,
-                            const SlotPoint& slot, const ResourceGrid& grid,
-                            PdcchScratch& scratch) {
-  return decode_candidate_bits(coreset, agg_level, cce_start, payload_bits,
-                               slot, grid, scratch, nullptr);
-}
-
-std::optional<BitVector> decode_pdcch_soft_bits(
-    const CoresetConfig& coreset, unsigned agg_level, unsigned cce_start,
-    unsigned payload_bits, const SlotPoint& slot, const ResourceGrid& grid) {
-  PdcchScratch& scratch = thread_scratch();
-  if (!decode_pdcch_soft_bits(coreset, agg_level, cce_start, payload_bits,
-                              slot, grid, scratch)) {
-    return std::nullopt;
-  }
-  return scratch.bits;
-}
-
 bool check_pdcch_crc(std::span<const std::uint8_t> bits_with_crc,
                      Rnti rnti) {
   return kCrc24C.check_masked(bits_with_crc, rnti);
-}
-
-std::optional<PdcchDecodeResult> decode_pdcch_candidate(
-    const CoresetConfig& coreset, unsigned agg_level, unsigned cce_start,
-    DciFormat format_hint, unsigned n_prb_bwp, const SlotPoint& slot,
-    const ResourceGrid& grid, Rnti rnti, PdcchScratch& scratch) {
-  const unsigned payload_bits = dci_payload_size(format_hint, n_prb_bwp);
-  float snr = 0.0f;
-  if (!decode_candidate_bits(coreset, agg_level, cce_start, payload_bits,
-                             slot, grid, scratch, &snr) ||
-      !kCrc24C.check_masked(scratch.bits, rnti)) {
-    return std::nullopt;
-  }
-  PdcchDecodeResult result;
-  result.rnti = rnti;
-  result.agg_level = agg_level;
-  result.cce_start = cce_start;
-  result.snr_estimate_db = snr;
-  result.dci = Dci::unpack(format_hint, n_prb_bwp,
-                           std::span(scratch.bits.data(), payload_bits));
-  return result;
-}
-
-std::optional<PdcchDecodeResult> decode_pdcch_candidate(
-    const CoresetConfig& coreset, unsigned agg_level, unsigned cce_start,
-    DciFormat format_hint, unsigned n_prb_bwp, const SlotPoint& slot,
-    const ResourceGrid& grid, Rnti rnti) {
-  return decode_pdcch_candidate(coreset, agg_level, cce_start, format_hint,
-                                n_prb_bwp, slot, grid, rnti,
-                                thread_scratch());
-}
-
-std::optional<RntiRecoveryResult> recover_rnti_from_candidate(
-    const CoresetConfig& coreset, unsigned agg_level, unsigned cce_start,
-    DciFormat format_hint, unsigned n_prb_bwp, const SlotPoint& slot,
-    const ResourceGrid& grid, PdcchScratch& scratch) {
-  const unsigned payload_bits = dci_payload_size(format_hint, n_prb_bwp);
-  if (!decode_candidate_bits(coreset, agg_level, cce_start, payload_bits,
-                             slot, grid, scratch, nullptr)) {
-    return std::nullopt;
-  }
-  const Rnti mask = kCrc24C.recover_mask(scratch.bits);
-  // With the mask applied, the full 24-bit CRC must now check out; the
-  // upper 8 CRC bits are unmasked, so this rejects 255/256 noise decodes.
-  if (!kCrc24C.check_masked(scratch.bits, mask)) {
-    return std::nullopt;
-  }
-  RntiRecoveryResult result;
-  result.recovered_rnti = mask;
-  result.agg_level = agg_level;
-  result.cce_start = cce_start;
-  result.dci = Dci::unpack(format_hint, n_prb_bwp,
-                           std::span(scratch.bits.data(), payload_bits));
-  return result;
-}
-
-std::optional<RntiRecoveryResult> recover_rnti_from_candidate(
-    const CoresetConfig& coreset, unsigned agg_level, unsigned cce_start,
-    DciFormat format_hint, unsigned n_prb_bwp, const SlotPoint& slot,
-    const ResourceGrid& grid) {
-  return recover_rnti_from_candidate(coreset, agg_level, cce_start,
-                                     format_hint, n_prb_bwp, slot, grid,
-                                     thread_scratch());
 }
 
 }  // namespace nrs

@@ -3,17 +3,17 @@
 // scrambling, QPSK, DMRS insertion, CCE-to-REG mapping onto the slot grid.
 //
 // This is the channel NR-Scope lives on: the gNB simulator encodes every
-// grant here, and the sniffer runs candidate-by-candidate blind decodes
-// with CRC verification to extract each UE's DCIs (paper sections 3.1.2 and
-// 3.2.1).  Two deviations from the letter of TS 38.212, both documented in
-// DESIGN.md: the reliability sequence is PW-generated (see phy/polar.h) and
-// the 24 leading '1' filler bits before the CRC are omitted.
+// grant here, and the sniffer blind-decodes with one batch per payload size
+// (decode_pdcch_batch), then tests each RNTI's CRC against the shared bits
+// to extract each UE's DCIs (paper sections 3.1.2 and 3.2.1).  Two
+// deviations from the letter of TS 38.212, both documented in DESIGN.md:
+// the reliability sequence is PW-generated (see phy/polar.h) and the 24
+// leading '1' filler bits before the CRC are omitted.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -42,15 +42,16 @@ struct PdcchCandidateLoc {
   unsigned cce_start = 0;
 };
 
-/// Per-thread working state for PDCCH blind decoding (hot-path memory
-/// discipline, DESIGN.md).  A candidate decode touches DMRS generation,
-/// REG mapping, LLR extraction, descrambling and the polar decode; this
-/// struct owns every intermediate buffer so the steady-state slot loop
-/// performs zero heap allocations.  The memo members (DMRS table,
-/// scrambling prefix, polar-code instances) warm up on first use and are
-/// reused keyed by their inputs.  A scratch belongs to one thread at a
-/// time; callers that fan candidates out across a worker pool keep one
-/// scratch per worker.
+/// Working state for PDCCH blind decoding (hot-path memory discipline,
+/// DESIGN.md).  A candidate decode touches DMRS generation, REG mapping,
+/// LLR extraction, descrambling and the polar decode; this struct owns
+/// every intermediate buffer so the steady-state slot loop performs zero
+/// heap allocations.  The memo members (DMRS table, scrambling prefix,
+/// polar-code instances) warm up on first use and are reused keyed by
+/// their inputs.  A scratch belongs to whoever decodes: the one engine
+/// thread of a pipeline owns the engine's scratches.  The DMRS and REG
+/// memos hold one CORESET geometry, so a decoder that also reads the PBCH
+/// keeps a second scratch for it.
 struct PdcchScratch {
   // Memo: DMRS sequences cached per slot-of-frame.  The PDCCH DMRS c_init
   // depends only on (n_id, slot index within the frame, symbol), so after
@@ -67,10 +68,6 @@ struct PdcchScratch {
   // Memo: scrambling-sequence prefix, keyed on n_id.
   std::uint32_t scramble_n_id = ~0u;
   BitVector scramble_bits;
-
-  // Per-candidate working buffers (cleared/overwritten every decode).
-  std::vector<RegLocation> regs;
-  BitVector bits;  ///< last single-candidate decode's payload+CRC bits
 
   // Memo: CCE-to-REG mapping per (agg_level, cce_start).  The interleaved
   // mapping is pure CORESET structure — it never changes slot to slot —
@@ -136,45 +133,14 @@ void encode_pdcch(const CoresetConfig& coreset, const PdcchAllocation& alloc,
                   const Dci& dci, unsigned n_prb_bwp, const SlotPoint& slot,
                   ResourceGrid& grid, PdcchEncodeScratch& scratch);
 
-/// Same, through a thread-local scratch.
-void encode_pdcch(const CoresetConfig& coreset, const PdcchAllocation& alloc,
-                  const Dci& dci, unsigned n_prb_bwp, const SlotPoint& slot,
-                  ResourceGrid& grid);
-
-/// Lower-level entry points carrying an arbitrary payload through the same
+/// Lower-level entry point carrying an arbitrary payload through the same
 /// CRC24C + polar + scramble + QPSK chain; the PBCH (MIB broadcast) rides
-/// on these with RNTI 0.
+/// on it with RNTI 0.
 void encode_pdcch_payload(const CoresetConfig& coreset,
                           const PdcchAllocation& alloc,
                           std::span<const std::uint8_t> payload,
                           const SlotPoint& slot, ResourceGrid& grid,
                           PdcchEncodeScratch& scratch);
-void encode_pdcch_payload(const CoresetConfig& coreset,
-                          const PdcchAllocation& alloc,
-                          std::span<const std::uint8_t> payload,
-                          const SlotPoint& slot, ResourceGrid& grid);
-
-std::optional<BitVector> decode_pdcch_payload(
-    const CoresetConfig& coreset, unsigned agg_level, unsigned cce_start,
-    unsigned payload_bits, const SlotPoint& slot, const ResourceGrid& grid,
-    Rnti rnti, float* snr_out = nullptr);
-
-/// Channel decode only (no CRC verdict): returns the payload+CRC bits of
-/// one candidate location.  Because the polar decode is independent of the
-/// RNTI (only the CRC mask differs), a sniffer tracking many UEs can run
-/// this once per location and test each UE's RNTI against the result —
-/// the shared-candidate optimization benchmarked in
-/// bench_ablation_dedupe.
-std::optional<BitVector> decode_pdcch_soft_bits(
-    const CoresetConfig& coreset, unsigned agg_level, unsigned cce_start,
-    unsigned payload_bits, const SlotPoint& slot, const ResourceGrid& grid);
-
-/// Allocation-free variant: on success the payload+CRC bits are left in
-/// `scratch.bits` (valid until the next decode through the same scratch).
-bool decode_pdcch_soft_bits(const CoresetConfig& coreset, unsigned agg_level,
-                            unsigned cce_start, unsigned payload_bits,
-                            const SlotPoint& slot, const ResourceGrid& grid,
-                            PdcchScratch& scratch);
 
 /// Structure-of-arrays batched blind decode: channel-decode every location
 /// in `locs` (all aggregation levels mixed) for one payload size in one
@@ -194,54 +160,9 @@ std::size_t decode_pdcch_batch(const CoresetConfig& coreset,
                                const ResourceGrid& grid,
                                PdcchScratch& scratch);
 
-/// CRC verdict for bits produced by decode_pdcch_soft_bits.
+/// CRC verdict for one candidate's payload+CRC bits from
+/// decode_pdcch_batch: true when the CRC, unmasked with `rnti`, passes.
 bool check_pdcch_crc(std::span<const std::uint8_t> bits_with_crc, Rnti rnti);
-
-/// Result of a successful candidate decode.
-struct PdcchDecodeResult {
-  Dci dci;
-  Rnti rnti = kInvalidRnti;   ///< RNTI whose mask satisfied the CRC
-  unsigned agg_level = 1;
-  unsigned cce_start = 0;
-  float snr_estimate_db = 0.0f;
-};
-
-/// Blind-decode one candidate location against a specific RNTI.  Returns
-/// the DCI when the CRC (unmasked with `rnti`) passes.
-std::optional<PdcchDecodeResult> decode_pdcch_candidate(
-    const CoresetConfig& coreset, unsigned agg_level, unsigned cce_start,
-    DciFormat format_hint, unsigned n_prb_bwp, const SlotPoint& slot,
-    const ResourceGrid& grid, Rnti rnti);
-
-/// Allocation-free variant using the caller's scratch.
-std::optional<PdcchDecodeResult> decode_pdcch_candidate(
-    const CoresetConfig& coreset, unsigned agg_level, unsigned cce_start,
-    DciFormat format_hint, unsigned n_prb_bwp, const SlotPoint& slot,
-    const ResourceGrid& grid, Rnti rnti, PdcchScratch& scratch);
-
-/// Decode a candidate *without* knowing the RNTI: run the polar decode,
-/// then recover the 16-bit mask as crc(payload) XOR received-crc — the
-/// paper's C-RNTI recovery trick (section 3.1.2).  Because a random noise
-/// burst also "recovers" a garbage RNTI, the caller must validate the
-/// result (e.g. TC-RNTI promotion rules, or decoding the scheduled PDSCH).
-/// `plausible` is a quick payload sanity check used to cut false positives.
-struct RntiRecoveryResult {
-  Dci dci;
-  Rnti recovered_rnti = kInvalidRnti;
-  unsigned agg_level = 1;
-  unsigned cce_start = 0;
-};
-
-std::optional<RntiRecoveryResult> recover_rnti_from_candidate(
-    const CoresetConfig& coreset, unsigned agg_level, unsigned cce_start,
-    DciFormat format_hint, unsigned n_prb_bwp, const SlotPoint& slot,
-    const ResourceGrid& grid);
-
-/// Allocation-free variant using the caller's scratch.
-std::optional<RntiRecoveryResult> recover_rnti_from_candidate(
-    const CoresetConfig& coreset, unsigned agg_level, unsigned cce_start,
-    DciFormat format_hint, unsigned n_prb_bwp, const SlotPoint& slot,
-    const ResourceGrid& grid, PdcchScratch& scratch);
 
 /// PDCCH DMRS reference symbol for (slot, symbol, absolute PRB, k') —
 /// shared by encoder and channel estimator.

@@ -18,18 +18,6 @@ namespace {
 constexpr unsigned kSyncScOffset =
     (SsbLocation::kNPrb * kSubcarriersPerPrb - kPssLength) / 2;
 
-PdschAllocation alloc_from_grant(const Grant& grant, std::uint16_t pci) {
-  PdschAllocation alloc;
-  alloc.rnti = grant.rnti;
-  alloc.prb_start = grant.prb_start;
-  alloc.prb_len = grant.prb_len;
-  alloc.start_symbol = grant.start_symbol;
-  alloc.n_symbols = grant.n_symbols;
-  alloc.modulation = grant.modulation;
-  alloc.n_id = pci;
-  return alloc;
-}
-
 /// Throw-on-invalid wrapper so the config is checked before any other
 /// member (the demodulator in particular) is built from it.
 const NrScopeConfig& validated(const NrScopeConfig& config) {
@@ -228,7 +216,8 @@ std::optional<NrScope::Acquisition> NrScope::detect_cell() {
   acq.pci = static_cast<std::uint16_t>(3 * sss->nid1 + pss->nid2);
   acq.prb_start = prb_start;
   const auto mib = decode_mib(acq.pci, SsbLocation{prb_start},
-                              SlotPoint{cell_.scs, 0, 0}, grid);
+                              SlotPoint{cell_.scs, 0, 0}, grid,
+                              pbch_scratch_);
   if (!mib) {
     return std::nullopt;
   }
@@ -262,44 +251,60 @@ void NrScope::search(SlotResult& result) {
 
 void NrScope::wait_sib1(SlotResult& result) {
   const SlotPoint now = slot_point();
+  // One batch channel-decodes every common-search-space location at the
+  // DCI 1_0 size; the locations are visited level by level, CCE by CCE,
+  // and the first SI-RNTI grant whose PDSCH carries a SIB1 wins.
+  auto& locs = pdcch_scratch_.cand_locs;
+  locs.clear();
   for (unsigned level : cell_.common_ss.agg_levels) {
-    for (unsigned cce :
-         pdcch_candidates(cell_.coreset, cell_.common_ss, level, now, 0)) {
-      const auto dci_result = decode_pdcch_candidate(
-          cell_.coreset, level, cce, DciFormat::kDl1_0, cell_.n_prb, now,
-          rx_.symbols(0, cell_.coreset.duration), kSiRnti);
-      if (!dci_result) {
-        continue;
-      }
-      const Grant grant = translate_dci(dci_result->dci, kSiRnti, cell_);
-      const auto payload =
-          decode_pdsch(alloc_from_grant(grant, pci_), now, grant.tbs,
-                       rx_.symbols(grant.start_symbol, grant.n_symbols));
-      if (!payload) {
-        continue;
-      }
-      const auto sib = Sib1::unpack(*payload);
-      if (!sib) {
-        continue;
-      }
-      // Learn the full cell configuration; the PCI-derived fields were
-      // already set from the MIB and must win over SIB defaults.
-      sib->apply_to(cell_);
-      rach_.set_cell(cell_);
-      result.sib1_decoded = true;
-      sib1_seen_ = true;
-      state_ = State::kTracking;
-      sync_.on_lock();
-      DecodedDci out;
-      out.slot = slot_index_;
-      out.rnti = kSiRnti;
-      out.dci = dci_result->dci;
-      out.grant = grant;
-      out.agg_level = level;
-      out.cce_start = cce;
-      result.dcis.push_back(out);
-      return;
+    pdcch_candidates(cell_.coreset, cell_.common_ss, level, now, 0,
+                     pdcch_scratch_.cand_cces);
+    for (unsigned cce : pdcch_scratch_.cand_cces) {
+      locs.push_back({level, cce});
     }
+  }
+  const unsigned payload_bits =
+      dci_payload_size(DciFormat::kDl1_0, cell_.n_prb);
+  const unsigned k_bits = payload_bits + kCrc24C.length();
+  decode_pdcch_batch(cell_.coreset, locs, payload_bits, now,
+                     rx_.symbols(0, cell_.coreset.duration), pdcch_scratch_);
+  const auto& batch = pdcch_scratch_.batch;
+  for (std::size_t j = 0; j < locs.size(); ++j) {
+    const std::span<const std::uint8_t> bits(batch.bits.data() + j * k_bits,
+                                             k_bits);
+    if (!batch.ok[j] || !check_pdcch_crc(bits, kSiRnti)) {
+      continue;
+    }
+    const Dci dci = Dci::unpack(DciFormat::kDl1_0, cell_.n_prb,
+                                bits.first(payload_bits));
+    const Grant grant = translate_dci(dci, kSiRnti, cell_);
+    const auto payload =
+        decode_pdsch(pdsch_allocation(grant, pci_), now, grant.tbs,
+                     rx_.symbols(grant.start_symbol, grant.n_symbols));
+    if (!payload) {
+      continue;
+    }
+    const auto sib = Sib1::unpack(*payload);
+    if (!sib) {
+      continue;
+    }
+    // Learn the full cell configuration; the PCI-derived fields were
+    // already set from the MIB and must win over SIB defaults.
+    sib->apply_to(cell_);
+    rach_.set_cell(cell_);
+    result.sib1_decoded = true;
+    sib1_seen_ = true;
+    state_ = State::kTracking;
+    sync_.on_lock();
+    DecodedDci out;
+    out.slot = slot_index_;
+    out.rnti = kSiRnti;
+    out.dci = dci;
+    out.grant = grant;
+    out.agg_level = locs[j].agg_level;
+    out.cce_start = locs[j].cce_start;
+    result.dcis.push_back(out);
+    return;
   }
 }
 

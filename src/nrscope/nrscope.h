@@ -241,7 +241,8 @@ class NrScope {
   std::vector<UeSearchContext> ues_;
   std::vector<std::uint64_t> ue_last_seen_;
   SlotScratch scratch_;
-  PdcchScratch pdcch_scratch_;
+  PdcchScratch pdcch_scratch_;  ///< CORESET 0: SIB1, RACH and blind decode
+  PdcchScratch pbch_scratch_;   ///< the MIB, at search and resync
   std::uint64_t slot_index_ = 0;
   /// Frame phase: slot-in-frame of feed index 0, learned from the SSB.
   std::int64_t frame_phase_ = 0;

@@ -5,22 +5,6 @@
 #include "nr/rach.h"
 
 namespace nrs {
-namespace {
-
-/// Build the PDSCH allocation a decoded DCI points at.
-PdschAllocation alloc_from_grant(const Grant& grant, std::uint16_t pci) {
-  PdschAllocation alloc;
-  alloc.rnti = grant.rnti;
-  alloc.prb_start = grant.prb_start;
-  alloc.prb_len = grant.prb_len;
-  alloc.start_symbol = grant.start_symbol;
-  alloc.n_symbols = grant.n_symbols;
-  alloc.modulation = grant.modulation;
-  alloc.n_id = pci;
-  return alloc;
-}
-
-}  // namespace
 
 void RachTracker::bind_metrics(MetricsRegistry& registry) {
   metric_msg2_ = &registry.counter("rach.msg2_matches");
@@ -50,7 +34,7 @@ std::optional<NewUe> RachTracker::handle_msg4(Rnti rnti, const Dci& dci,
     ++pdsch_decodes_;
     count(metric_pdsch_);
     const auto payload =
-        decode_pdsch(alloc_from_grant(grant, cell_.pci), slot, grant.tbs,
+        decode_pdsch(pdsch_allocation(grant, cell_.pci), slot, grant.tbs,
                      grid.symbols(grant.start_symbol, grant.n_symbols));
     if (payload) {
       const auto setup = RrcSetup::unpack(*payload);
@@ -164,7 +148,7 @@ void RachTracker::process_slot(SlotGrid& grid,
         ++pdsch_decodes_;
         count(metric_pdsch_);
         const auto payload = decode_pdsch(
-            alloc_from_grant(out.grant, cell_.pci), slot, out.grant.tbs,
+            pdsch_allocation(out.grant, cell_.pci), slot, out.grant.tbs,
             grid.symbols(out.grant.start_symbol, out.grant.n_symbols));
         if (payload) {
           const auto rar = Rar::unpack(*payload);

@@ -143,9 +143,9 @@ void ConvolutionalCode::decode(std::span<const float> llrs,
 
 BitVector ConvolutionalCode::decode(std::span<const float> llrs,
                                     std::size_t payload_bits) {
-  thread_local ConvDecodeScratch t_scratch;
+  ConvDecodeScratch scratch;
   BitVector decoded(payload_bits);
-  decode(llrs, payload_bits, t_scratch,
+  decode(llrs, payload_bits, scratch,
          std::span(decoded.data(), decoded.size()));
   return decoded;
 }

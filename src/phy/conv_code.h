@@ -49,7 +49,7 @@ class ConvolutionalCode {
 
   /// Soft Viterbi decode of `llrs` (positive = bit 0) back to
   /// `payload_bits` bits.  The terminated trellis starts and ends in the
-  /// zero state.
+  /// zero state.  Builds a fresh workspace on every call.
   [[nodiscard]] static BitVector decode(std::span<const float> llrs,
                                         std::size_t payload_bits);
 

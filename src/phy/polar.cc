@@ -152,8 +152,6 @@ void PolarScratch::prepare(std::size_t n) {
 
 namespace {
 
-thread_local PolarScratch t_scratch;
-
 /// Recursive SC over the flat workspace.  `level`'s LLR slice is already
 /// filled; decided codeword bits land in `level`'s x slice, input bits in
 /// `u` (indexed from `base`).  Node operations dispatch through the SIMD
@@ -255,8 +253,9 @@ void PolarCode::decode(std::span<const float> llrs, PolarScratch& scratch,
 }
 
 BitVector PolarCode::decode(std::span<const float> llrs) const {
+  PolarScratch scratch;
   BitVector info(k_);
-  decode(llrs, t_scratch, std::span(info.data(), info.size()));
+  decode(llrs, scratch, std::span(info.data(), info.size()));
   return info;
 }
 

@@ -59,6 +59,7 @@ class PolarCode {
   /// Successive-cancellation decode from E channel LLRs
   /// (positive = bit 0).  Always returns K bits; the caller validates them
   /// with the attached CRC — a failed CRC is a "DCI miss" upstream.
+  /// Builds a fresh workspace on every call.
   [[nodiscard]] BitVector decode(std::span<const float> llrs) const;
 
   /// Allocation-free decode: identical bits to the overload above, written

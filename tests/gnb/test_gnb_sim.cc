@@ -31,8 +31,9 @@ UeConfig simple_ue(unsigned seed, double rate = 2e6) {
 TEST(GnbSim, BroadcastsDecodableSsb) {
   GnbSim gnb(config_with_cell(srsran_cell()));
   const ResourceGrid& grid = gnb.step();  // slot 0 carries the SSB
+  PdcchScratch dec;
   const auto mib = decode_mib(gnb.cell().pci, SsbLocation{0},
-                              SlotPoint{gnb.cell().scs, 0, 0}, grid);
+                              SlotPoint{gnb.cell().scs, 0, 0}, grid, dec);
   ASSERT_TRUE(mib.has_value());
   EXPECT_EQ(mib->sfn, 0u);
   EXPECT_EQ(mib->coreset0_n_prb6 * 6u, gnb.cell().coreset.n_prb);
@@ -195,6 +196,7 @@ TEST(GnbSim, SsbSlotsCarryExactPssWithManyUes) {
   const unsigned sc0 = cell.ssb_prb_start * kSubcarriersPerPrb +
                        (SsbLocation::kNPrb * kSubcarriersPerPrb -
                         kPssLength) / 2;
+  PdcchScratch dec;
   unsigned ssb_slots = 0;
   std::size_t ssb_slot_dcis = 0;
   for (unsigned s = 0; s < 3000; ++s) {
@@ -211,7 +213,7 @@ TEST(GnbSim, SsbSlotsCarryExactPssWithManyUes) {
           << "slot " << s << " PSS element " << n;
     }
     ASSERT_TRUE(decode_mib(cell.pci, SsbLocation{cell.ssb_prb_start}, now,
-                           grid)
+                           grid, dec)
                     .has_value())
         << "slot " << s;
   }

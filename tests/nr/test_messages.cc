@@ -31,8 +31,10 @@ TEST(Mib, SsbEncodeDecodeRoundTrip) {
   mib.coreset0_rb_start = 2;
   const SlotPoint slot{Scs::kHz30, 42, 0};
   ResourceGrid grid(51);
-  encode_ssb(pci, ssb, mib, slot, grid);
-  const auto decoded = decode_mib(pci, ssb, slot, grid);
+  PdcchEncodeScratch enc;
+  PdcchScratch dec;
+  encode_ssb(pci, ssb, mib, slot, grid, enc);
+  const auto decoded = decode_mib(pci, ssb, slot, grid, dec);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, mib);
 }
@@ -42,15 +44,18 @@ TEST(Mib, WrongPciFailsDecode) {
   Mib mib;
   const SlotPoint slot{Scs::kHz30, 0, 0};
   ResourceGrid grid(51);
-  encode_ssb(100, ssb, mib, slot, grid);
-  EXPECT_FALSE(decode_mib(101, ssb, slot, grid).has_value());
+  PdcchEncodeScratch enc;
+  PdcchScratch dec;
+  encode_ssb(100, ssb, mib, slot, grid, enc);
+  EXPECT_FALSE(decode_mib(101, ssb, slot, grid, dec).has_value());
 }
 
 TEST(Mib, EmptyGridFailsDecode) {
   const SsbLocation ssb{1};
   const SlotPoint slot{Scs::kHz30, 0, 0};
   const ResourceGrid grid(51);
-  EXPECT_FALSE(decode_mib(100, ssb, slot, grid).has_value());
+  PdcchScratch dec;
+  EXPECT_FALSE(decode_mib(100, ssb, slot, grid, dec).has_value());
 }
 
 TEST(Sib1, PackUnpackRoundTrip) {

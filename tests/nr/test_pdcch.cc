@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.h"
+#include "pdcch_location.h"
 
 namespace nrs {
 namespace {
@@ -54,10 +60,11 @@ TEST_P(PdcchAggLevelTest, CleanRoundTrip) {
   ResourceGrid grid(kNPrbBwp);
   const Dci dci = make_dci();
   const Rnti rnti = 0x4A31;
-  encode_pdcch(coreset, {rnti, level, 0}, dci, kNPrbBwp, slot, grid);
+  PdcchEncodeScratch enc;
+  encode_pdcch(coreset, {rnti, level, 0}, dci, kNPrbBwp, slot, grid, enc);
 
-  const auto result = decode_pdcch_candidate(
-      coreset, level, 0, DciFormat::kDl1_1, kNPrbBwp, slot, grid, rnti);
+  const auto result = decode_location(coreset, {level, 0}, DciFormat::kDl1_1,
+                                      kNPrbBwp, slot, grid, rnti);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->dci, dci);
   EXPECT_EQ(result->rnti, rnti);
@@ -70,9 +77,11 @@ TEST(Pdcch, WrongRntiRejected) {
   const CoresetConfig coreset = make_coreset();
   const SlotPoint slot{Scs::kHz30, 0, 0};
   ResourceGrid grid(kNPrbBwp);
-  encode_pdcch(coreset, {0x4A31, 4, 0}, make_dci(), kNPrbBwp, slot, grid);
-  EXPECT_FALSE(decode_pdcch_candidate(coreset, 4, 0, DciFormat::kDl1_1,
-                                      kNPrbBwp, slot, grid, 0x4A32)
+  PdcchEncodeScratch enc;
+  encode_pdcch(coreset, {0x4A31, 4, 0}, make_dci(), kNPrbBwp, slot, grid,
+               enc);
+  EXPECT_FALSE(decode_location(coreset, {4, 0}, DciFormat::kDl1_1, kNPrbBwp,
+                               slot, grid, 0x4A32)
                    .has_value());
 }
 
@@ -80,9 +89,11 @@ TEST(Pdcch, WrongCandidateLocationRejected) {
   const CoresetConfig coreset = make_coreset();
   const SlotPoint slot{Scs::kHz30, 0, 0};
   ResourceGrid grid(kNPrbBwp);
-  encode_pdcch(coreset, {0x4A31, 4, 0}, make_dci(), kNPrbBwp, slot, grid);
-  EXPECT_FALSE(decode_pdcch_candidate(coreset, 4, 8, DciFormat::kDl1_1,
-                                      kNPrbBwp, slot, grid, 0x4A31)
+  PdcchEncodeScratch enc;
+  encode_pdcch(coreset, {0x4A31, 4, 0}, make_dci(), kNPrbBwp, slot, grid,
+               enc);
+  EXPECT_FALSE(decode_location(coreset, {4, 8}, DciFormat::kDl1_1, kNPrbBwp,
+                               slot, grid, 0x4A31)
                    .has_value());
 }
 
@@ -90,23 +101,25 @@ TEST(Pdcch, EmptyGridRejected) {
   const CoresetConfig coreset = make_coreset();
   const SlotPoint slot{Scs::kHz30, 0, 0};
   const ResourceGrid grid(kNPrbBwp);
-  EXPECT_FALSE(decode_pdcch_candidate(coreset, 4, 0, DciFormat::kDl1_1,
-                                      kNPrbBwp, slot, grid, 0x4A31)
+  EXPECT_FALSE(decode_location(coreset, {4, 0}, DciFormat::kDl1_1, kNPrbBwp,
+                               slot, grid, 0x4A31)
                    .has_value());
 }
 
 TEST(Pdcch, DecodesUnderModerateNoise) {
   const CoresetConfig coreset = make_coreset();
   Rng rng(51);
+  PdcchEncodeScratch enc;
   int successes = 0;
   constexpr int kTrials = 30;
   for (int t = 0; t < kTrials; ++t) {
     const SlotPoint slot{Scs::kHz30, 0, static_cast<std::uint32_t>(t % 20)};
     ResourceGrid grid(kNPrbBwp);
-    encode_pdcch(coreset, {0x4A31, 4, 4}, make_dci(), kNPrbBwp, slot, grid);
+    encode_pdcch(coreset, {0x4A31, 4, 4}, make_dci(), kNPrbBwp, slot, grid,
+                 enc);
     add_noise(grid, 0.05f, rng);  // ~13 dB per-RE SNR
-    successes += decode_pdcch_candidate(coreset, 4, 4, DciFormat::kDl1_1,
-                                        kNPrbBwp, slot, grid, 0x4A31)
+    successes += decode_location(coreset, {4, 4}, DciFormat::kDl1_1,
+                                 kNPrbBwp, slot, grid, 0x4A31)
                      .has_value();
   }
   EXPECT_GE(successes, kTrials - 1);
@@ -115,15 +128,17 @@ TEST(Pdcch, DecodesUnderModerateNoise) {
 TEST(Pdcch, MissesAtVeryLowSnr) {
   const CoresetConfig coreset = make_coreset();
   Rng rng(52);
+  PdcchEncodeScratch enc;
   int successes = 0;
   constexpr int kTrials = 20;
   for (int t = 0; t < kTrials; ++t) {
     const SlotPoint slot{Scs::kHz30, 1, static_cast<std::uint32_t>(t % 20)};
     ResourceGrid grid(kNPrbBwp);
-    encode_pdcch(coreset, {0x4A31, 1, 0}, make_dci(), kNPrbBwp, slot, grid);
+    encode_pdcch(coreset, {0x4A31, 1, 0}, make_dci(), kNPrbBwp, slot, grid,
+                 enc);
     add_noise(grid, 4.0f, rng);  // ~ -6 dB: AL1 cannot survive this
-    successes += decode_pdcch_candidate(coreset, 1, 0, DciFormat::kDl1_1,
-                                        kNPrbBwp, slot, grid, 0x4A31)
+    successes += decode_location(coreset, {1, 0}, DciFormat::kDl1_1,
+                                 kNPrbBwp, slot, grid, 0x4A31)
                      .has_value();
   }
   EXPECT_LE(successes, 2) << "low SNR should produce DCI misses";
@@ -133,6 +148,7 @@ TEST(Pdcch, HigherAggregationSurvivesMoreNoise) {
   const CoresetConfig coreset = make_coreset();
   auto success_rate = [&](unsigned level, float nv) {
     Rng rng(level * 100);
+    PdcchEncodeScratch enc;
     int ok = 0;
     constexpr int kTrials = 25;
     for (int t = 0; t < kTrials; ++t) {
@@ -140,10 +156,10 @@ TEST(Pdcch, HigherAggregationSurvivesMoreNoise) {
                            static_cast<std::uint32_t>(t % 20)};
       ResourceGrid grid(kNPrbBwp);
       encode_pdcch(coreset, {0x4A31, level, 0}, make_dci(), kNPrbBwp, slot,
-                   grid);
+                   grid, enc);
       add_noise(grid, nv, rng);
-      ok += decode_pdcch_candidate(coreset, level, 0, DciFormat::kDl1_1,
-                                   kNPrbBwp, slot, grid, 0x4A31)
+      ok += decode_location(coreset, {level, 0}, DciFormat::kDl1_1, kNPrbBwp,
+                            slot, grid, 0x4A31)
                 .has_value();
     }
     return ok;
@@ -159,12 +175,14 @@ TEST(Pdcch, RntiRecoveryFindsTheMask) {
   const SlotPoint slot{Scs::kHz30, 3, 5};
   ResourceGrid grid(kNPrbBwp);
   const Rnti tc_rnti = 0x4601;
-  encode_pdcch(coreset, {tc_rnti, 4, 0}, make_dci(), kNPrbBwp, slot, grid);
+  PdcchEncodeScratch enc;
+  encode_pdcch(coreset, {tc_rnti, 4, 0}, make_dci(), kNPrbBwp, slot, grid,
+               enc);
 
-  const auto recovered = recover_rnti_from_candidate(
-      coreset, 4, 0, DciFormat::kDl1_1, kNPrbBwp, slot, grid);
+  const auto recovered = decode_location(coreset, {4, 0}, DciFormat::kDl1_1,
+                                         kNPrbBwp, slot, grid);
   ASSERT_TRUE(recovered.has_value());
-  EXPECT_EQ(recovered->recovered_rnti, tc_rnti);
+  EXPECT_EQ(recovered->rnti, tc_rnti);
   EXPECT_EQ(recovered->dci, make_dci());
 }
 
@@ -176,9 +194,8 @@ TEST(Pdcch, RntiRecoveryRejectsEmptyCandidate) {
   add_noise(grid, 1.0f, rng);  // noise-only grid
   int accepted = 0;
   for (unsigned cce = 0; cce + 4 <= coreset.n_cce(); cce += 4) {
-    accepted += recover_rnti_from_candidate(coreset, 4, cce,
-                                            DciFormat::kDl1_1, kNPrbBwp,
-                                            slot, grid)
+    accepted += decode_location(coreset, {4, cce}, DciFormat::kDl1_1,
+                                kNPrbBwp, slot, grid)
                     .has_value();
   }
   // 8 unmasked CRC bits leave a ~1/256 false-accept per candidate; with 4
@@ -194,13 +211,14 @@ TEST(Pdcch, TwoUesInOneSlotBothDecode) {
   Dci dci_b = make_dci();
   dci_b.mcs = 3;
   dci_b.harq_id = 9;
-  encode_pdcch(coreset, {0x4601, 4, 0}, dci_a, kNPrbBwp, slot, grid);
-  encode_pdcch(coreset, {0x4602, 4, 4}, dci_b, kNPrbBwp, slot, grid);
+  PdcchEncodeScratch enc;
+  encode_pdcch(coreset, {0x4601, 4, 0}, dci_a, kNPrbBwp, slot, grid, enc);
+  encode_pdcch(coreset, {0x4602, 4, 4}, dci_b, kNPrbBwp, slot, grid, enc);
 
-  const auto a = decode_pdcch_candidate(coreset, 4, 0, DciFormat::kDl1_1,
-                                        kNPrbBwp, slot, grid, 0x4601);
-  const auto b = decode_pdcch_candidate(coreset, 4, 4, DciFormat::kDl1_1,
-                                        kNPrbBwp, slot, grid, 0x4602);
+  const auto a = decode_location(coreset, {4, 0}, DciFormat::kDl1_1,
+                                 kNPrbBwp, slot, grid, 0x4601);
+  const auto b = decode_location(coreset, {4, 4}, DciFormat::kDl1_1,
+                                 kNPrbBwp, slot, grid, 0x4602);
   ASSERT_TRUE(a.has_value());
   ASSERT_TRUE(b.has_value());
   EXPECT_EQ(a->dci, dci_a);
@@ -212,13 +230,77 @@ TEST(Pdcch, SnrEstimateIsSane) {
   const SlotPoint slot{Scs::kHz30, 0, 0};
   Rng rng(54);
   ResourceGrid grid(kNPrbBwp);
-  encode_pdcch(coreset, {0x4A31, 8, 0}, make_dci(), kNPrbBwp, slot, grid);
+  PdcchEncodeScratch enc;
+  encode_pdcch(coreset, {0x4A31, 8, 0}, make_dci(), kNPrbBwp, slot, grid,
+               enc);
   add_noise(grid, 0.01f, rng);  // 20 dB
-  const auto result = decode_pdcch_candidate(
-      coreset, 8, 0, DciFormat::kDl1_1, kNPrbBwp, slot, grid, 0x4A31);
+  const auto result = decode_location(coreset, {8, 0}, DciFormat::kDl1_1,
+                                      kNPrbBwp, slot, grid, 0x4A31);
   ASSERT_TRUE(result.has_value());
   EXPECT_GT(result->snr_estimate_db, 10.0f);
   EXPECT_LT(result->snr_estimate_db, 35.0f);
+}
+
+TEST(PdcchChain, BatchMatchesBatchesOfOne) {
+  // One batch mixing every aggregation level must decode each location
+  // exactly as a batch of one at that location would: the MIB and the SIB1
+  // wait decode through batches too, and the engine's blind decode mixes
+  // levels in one batch.
+  const CoresetConfig coreset = make_coreset();  // 16 CCEs
+  const SlotPoint slot{Scs::kHz30, 2, 7};
+  ResourceGrid grid(kNPrbBwp);
+  const Dci dci_a = make_dci();
+  Dci dci_b = make_dci();
+  dci_b.mcs = 3;
+  dci_b.harq_id = 9;
+  PdcchEncodeScratch enc;
+  encode_pdcch(coreset, {0x4601, 2, 4}, dci_a, kNPrbBwp, slot, grid, enc);
+  encode_pdcch(coreset, {0x4602, 8, 8}, dci_b, kNPrbBwp, slot, grid, enc);
+  Rng rng(55);
+  add_noise(grid, 0.01f, rng);  // 20 dB
+
+  // DCI A at (2, 4), DCI B at (8, 8), the other levels on top of them or
+  // on empty CCEs, and (2, 15) running past the last CCE.
+  const std::vector<PdcchCandidateLoc> locs = {
+      {1, 0}, {2, 4}, {4, 12}, {8, 8}, {16, 0}, {2, 15}, {1, 5}};
+  const unsigned payload = dci_payload_size(DciFormat::kDl1_1, kNPrbBwp);
+  const unsigned k_bits = payload + kCrc24C.length();
+  PdcchScratch batch_scratch;
+  decode_pdcch_batch(coreset, locs, payload, slot, grid, batch_scratch);
+  const auto& batch = batch_scratch.batch;
+  PdcchScratch one_scratch;
+  for (std::size_t i = 0; i < locs.size(); ++i) {
+    decode_pdcch_batch(coreset, std::span(&locs[i], 1), payload, slot, grid,
+                       one_scratch);
+    const auto& one = one_scratch.batch;
+    SCOPED_TRACE(testing::Message() << "level " << locs[i].agg_level
+                                    << " cce " << locs[i].cce_start);
+    EXPECT_EQ(batch.ok[i], one.ok[0]);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(batch.snr[i]),
+              std::bit_cast<std::uint32_t>(one.snr[0]));
+    if (batch.ok[i] != 0 && one.ok[0] != 0) {
+      EXPECT_TRUE(std::equal(one.bits.begin(), one.bits.begin() + k_bits,
+                             batch.bits.begin() + i * k_bits));
+    }
+  }
+  EXPECT_EQ(batch.ok[5], 0) << "a location past the last CCE is skipped";
+
+  const auto bits_at = [&](std::size_t i) {
+    return std::span<const std::uint8_t>(batch.bits.data() + i * k_bits,
+                                         k_bits);
+  };
+  ASSERT_EQ(batch.ok[1], 1);
+  ASSERT_EQ(batch.ok[3], 1);
+  EXPECT_TRUE(check_pdcch_crc(bits_at(1), 0x4601));
+  EXPECT_FALSE(check_pdcch_crc(bits_at(1), 0x4602));
+  EXPECT_TRUE(check_pdcch_crc(bits_at(3), 0x4602));
+  EXPECT_FALSE(check_pdcch_crc(bits_at(3), 0x4601));
+  EXPECT_EQ(
+      Dci::unpack(DciFormat::kDl1_1, kNPrbBwp, bits_at(1).first(payload)),
+      dci_a);
+  EXPECT_EQ(
+      Dci::unpack(DciFormat::kDl1_1, kNPrbBwp, bits_at(3).first(payload)),
+      dci_b);
 }
 
 }  // namespace

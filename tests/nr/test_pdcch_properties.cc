@@ -3,8 +3,11 @@
 // encode->decode must be the identity and CRC must reject cross-talk.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "common/rng.h"
 #include "nr/pdcch.h"
+#include "pdcch_location.h"
 
 namespace nrs {
 namespace {
@@ -44,20 +47,21 @@ TEST_P(PdcchChainTest, RoundTripAcrossGeometries) {
   dci.harq_id = static_cast<std::uint8_t>(rng.uniform_int(0, 15));
   dci.ndi = static_cast<std::uint8_t>(rng.uniform_int(0, 1));
   const Rnti rnti = static_cast<Rnti>(rng.uniform_int(0x4601, 0xFFF0));
+  PdcchEncodeScratch enc;
   encode_pdcch(coreset, {rnti, p.agg_level, 0}, dci, p.n_prb_bwp, slot,
-               grid);
+               grid, enc);
   const auto result =
-      decode_pdcch_candidate(coreset, p.agg_level, 0, DciFormat::kDl1_1,
-                             p.n_prb_bwp, slot, grid, rnti);
+      decode_location(coreset, {p.agg_level, 0}, DciFormat::kDl1_1,
+                      p.n_prb_bwp, slot, grid, rnti);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->dci, dci);
 
   // And the CRC must reject every other RNTI we try.
   for (int probe = 0; probe < 8; ++probe) {
     const Rnti wrong = static_cast<Rnti>(rnti + 1 + probe);
-    EXPECT_FALSE(decode_pdcch_candidate(coreset, p.agg_level, 0,
-                                        DciFormat::kDl1_1, p.n_prb_bwp,
-                                        slot, grid, wrong)
+    EXPECT_FALSE(decode_location(coreset, {p.agg_level, 0},
+                                 DciFormat::kDl1_1, p.n_prb_bwp, slot, grid,
+                                 wrong)
                      .has_value());
   }
 }
@@ -91,16 +95,20 @@ TEST(PdcchChain, SoftBitsMatchFullDecode) {
   dci.format = DciFormat::kDl1_1;
   dci.freq_alloc_riv = riv_encode(2, 13, 51);
   dci.mcs = 9;
-  encode_pdcch(coreset, {0x4711, 4, 4}, dci, 51, slot, grid);
+  PdcchEncodeScratch enc;
+  encode_pdcch(coreset, {0x4711, 4, 4}, dci, 51, slot, grid, enc);
 
   const unsigned payload = dci_payload_size(DciFormat::kDl1_1, 51);
-  const auto bits = decode_pdcch_soft_bits(coreset, 4, 4, payload, slot,
-                                           grid);
-  ASSERT_TRUE(bits.has_value());
-  EXPECT_TRUE(check_pdcch_crc(*bits, 0x4711));
-  EXPECT_FALSE(check_pdcch_crc(*bits, 0x4712));
-  const Dci unpacked =
-      Dci::unpack(DciFormat::kDl1_1, 51, std::span(bits->data(), payload));
+  const PdcchCandidateLoc loc{4, 4};
+  PdcchScratch scratch;
+  ASSERT_EQ(decode_pdcch_batch(coreset, std::span(&loc, 1), payload, slot,
+                               grid, scratch),
+            1u);
+  const std::span<const std::uint8_t> bits(scratch.batch.bits.data(),
+                                           payload + kCrc24C.length());
+  EXPECT_TRUE(check_pdcch_crc(bits, 0x4711));
+  EXPECT_FALSE(check_pdcch_crc(bits, 0x4712));
+  const Dci unpacked = Dci::unpack(DciFormat::kDl1_1, 51, bits.first(payload));
   EXPECT_EQ(unpacked, dci);
 }
 

@@ -36,21 +36,14 @@ void encode_msg4(const CellConfig& cell, Rnti tc_rnti,
   dci.freq_alloc_riv = riv_encode(0, 6, cell.n_prb);
   const auto candidates = pdcch_candidates(
       cell.coreset, cell.common_ss, cell.rach.msg4_agg_level, slot, 0);
+  PdcchEncodeScratch enc;
   encode_pdcch(cell.coreset,
                {tc_rnti, cell.rach.msg4_agg_level, candidates.at(0)}, dci,
-               cell.n_prb, slot, grid);
+               cell.n_prb, slot, grid, enc);
   const Grant grant = translate_dci(dci, tc_rnti, cell);
-  PdschAllocation alloc;
-  alloc.rnti = tc_rnti;
-  alloc.prb_start = grant.prb_start;
-  alloc.prb_len = grant.prb_len;
-  alloc.start_symbol = grant.start_symbol;
-  alloc.n_symbols = grant.n_symbols;
-  alloc.modulation = grant.modulation;
-  alloc.n_id = cell.pci;
   BitVector padded = payload;
   padded.resize(grant.tbs, 0);
-  encode_pdsch(alloc, slot, padded, grid);
+  encode_pdsch(pdsch_allocation(grant, cell.pci), slot, padded, grid);
 }
 
 /// Scan one slot, sent through a noiseless OFDM link (feed and air clocks

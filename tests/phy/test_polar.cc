@@ -178,9 +178,10 @@ TEST(Polar, RepetitionGainIsReal) {
 }
 
 TEST(Polar, SpanOutDecodeMatchesAllocatingDecode) {
-  // The allocation-free overload must be bit-identical to the returning
-  // one, at clean and noisy SNR alike (including decodes that come out
-  // wrong — both paths must be wrong the same way).
+  // A scratch reused across codes and trials must decode bit-identically
+  // to the fresh scratch the returning overload builds per call, at clean
+  // and noisy SNR alike (including decodes that come out wrong — both
+  // paths must be wrong the same way).
   Rng rng(77);
   PolarScratch scratch;
   for (const auto& [k, e] : {std::pair<unsigned, unsigned>{12, 48},
@@ -202,7 +203,7 @@ TEST(Polar, SpanOutDecodeMatchesAllocatingDecode) {
 }
 
 TEST(Polar, SpanOutDecodeScratchSurvivesSizeChanges) {
-  // One scratch serves interleaved mother-code sizes (the per-worker
+  // One scratch serves interleaved mother-code sizes (the engine's
   // PdcchScratch hops between aggregation levels exactly like this).
   Rng rng(31);
   PolarScratch scratch;
