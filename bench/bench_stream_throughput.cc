@@ -11,9 +11,6 @@
 //      (drops show up in the net.* metrics, never as collector stalls).
 //
 // Run:  ./build/bench/bench_stream_throughput
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -23,6 +20,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "net/socket_io.h"
 #include "net/stream_client.h"
 #include "net/stream_server.h"
 
@@ -59,18 +57,8 @@ SlotResult make_slot(std::uint64_t index) {
 /// the paper's live-streaming mode has to survive.
 class StuckClient {
  public:
-  explicit StuckClient(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
+  explicit StuckClient(std::uint16_t port)
+      : fd_(dial_tcp("127.0.0.1", port)) {}
   ~StuckClient() {
     if (fd_ >= 0) {
       ::close(fd_);

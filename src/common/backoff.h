@@ -1,12 +1,14 @@
 // Jittered exponential backoff for reconnect paths.  Every client that
 // redials a server (TelemetryStreamClient, FleetWorker, a standby
-// coordinator tailing its primary) shares this policy so a mass failover
-// — e.g. a whole fleet of workers losing their coordinator at once —
-// spreads its reconnect attempts over a window instead of stampeding the
-// new primary on the same deterministic schedule.
+// coordinator tailing its primary) keeps one RedialSchedule, so a mass
+// failover — e.g. a whole fleet of workers losing their coordinator at
+// once — spreads its reconnect attempts over a window instead of
+// stampeding the new primary on the same deterministic schedule.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 
 #include "common/rng.h"
 
@@ -46,5 +48,51 @@ inline double jittered_backoff_delay(const BackoffPolicy& policy,
   }
   return rng.uniform(base * (1.0 - jitter), base);
 }
+
+/// Per-instance jitter seed: the object's address mixed with the
+/// monotonic clock, so identically configured peers still draw
+/// de-correlated schedules.
+inline std::uint64_t derive_jitter_seed(const void* self) {
+  return reinterpret_cast<std::uintptr_t>(self) ^
+         static_cast<std::uint64_t>(
+             std::chrono::steady_clock::now().time_since_epoch().count());
+}
+
+/// One peer's redial schedule: the policy, a per-instance jitter RNG, the
+/// consecutive-failure count and the time the next dial may start.
+class RedialSchedule {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  explicit RedialSchedule(const BackoffPolicy& policy)
+      : policy_(policy), rng_(derive_jitter_seed(this)) {}
+
+  /// True once the next dial may start (at once for a fresh schedule).
+  [[nodiscard]] bool due(Clock::time_point now) const {
+    return now >= next_attempt_;
+  }
+  /// Hold the next dial one jittered delay past `now` and escalate the
+  /// delay after it: a failed (or abandoned) dial, or an attempt that
+  /// schedules its successor up front.
+  void back_off(Clock::time_point now) {
+    next_attempt_ = now + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(
+                                  jittered_backoff_delay(policy_, failures_,
+                                                         rng_)));
+    ++failures_;
+  }
+  /// A dial succeeded: the next back_off() starts from the initial delay
+  /// again.  The next-attempt time stays where it is.
+  void reset() { failures_ = 0; }
+
+  /// Consecutive back_off() calls since the last reset().
+  [[nodiscard]] unsigned failures() const { return failures_; }
+
+ private:
+  BackoffPolicy policy_;
+  Rng rng_;
+  unsigned failures_ = 0;
+  Clock::time_point next_attempt_{};
+};
 
 }  // namespace nrs

@@ -1,20 +1,12 @@
 #include "dist/coordinator.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
-#include "common/backoff.h"
 #include "net/socket_io.h"
 
 namespace nrs {
@@ -51,26 +43,6 @@ const char* to_string(CoordinatorRole role) {
   return "unknown";
 }
 
-bool parse_host_port(const std::string& endpoint, std::string& host,
-                     std::uint16_t& port) {
-  const auto colon = endpoint.rfind(':');
-  if (colon == std::string::npos || colon + 1 >= endpoint.size()) {
-    return false;
-  }
-  const std::string port_str = endpoint.substr(colon + 1);
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(port_str.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || value == 0 || value > 65535) {
-    return false;
-  }
-  host = endpoint.substr(0, colon);
-  if (host.empty()) {
-    host = "127.0.0.1";
-  }
-  port = static_cast<std::uint16_t>(value);
-  return true;
-}
-
 FleetCoordinator::FleetCoordinator(CoordinatorConfig config,
                                    MetricsRegistry* registry)
     : config_(std::move(config)),
@@ -80,8 +52,7 @@ FleetCoordinator::FleetCoordinator(CoordinatorConfig config,
       leases_(config_.cells.size(),
               LeaseTable::Config{config_.lease_ttl_ms / 1000.0,
                                  config_.backoff_initial_s,
-                                 config_.backoff_max_s,
-                                 config_.backoff_factor}),
+                                 config_.backoff_max_s}),
       store_(config_.store, registry_) {
   if (!config_.standby_of.empty()) {
     role_ = CoordinatorRole::kStandby;
@@ -97,9 +68,8 @@ FleetCoordinator::FleetCoordinator(CoordinatorConfig config,
     if (config_.cells.empty()) {
       throw std::invalid_argument("FleetCoordinator: no cells configured");
     }
-    epoch_ = std::max<std::uint64_t>(1, config_.initial_epoch);
+    epoch_ = kInitialEpoch;
   }
-  jitter_rng_ = Rng(splitmix64(config_.seed ^ 0x5AFE57A2ull) | 1ull);
   records_.reserve(config_.cells.size());
   for (std::uint32_t i = 0; i < config_.cells.size(); ++i) {
     CellRecord record;
@@ -137,33 +107,9 @@ FleetCoordinator::FleetCoordinator(CoordinatorConfig config,
   m_epoch_gauge_ = &registry_->gauge("dist.epoch");
   m_epoch_gauge_->set(static_cast<std::int64_t>(epoch_));
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error("FleetCoordinator: socket() failed");
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    throw std::runtime_error("FleetCoordinator: bad bind address " +
-                             config_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 16) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("FleetCoordinator: cannot listen on " +
-                             config_.bind_address + ":" +
-                             std::to_string(config_.port));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
+  const TcpListener listener = listen_tcp(config_.bind_address, config_.port);
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
 
   io_ = std::thread([this] { io_loop(); });
 }
@@ -244,22 +190,16 @@ void FleetCoordinator::io_loop() {
 }
 
 void FleetCoordinator::handle_accept() {
-  const int fd = ::accept(listen_fd_, nullptr, nullptr);
+  // Bound synchronous sends: a worker that stops draining its socket
+  // fails the send and is declared dead, instead of wedging the io thread.
+  const int fd = accept_tcp(listen_fd_, SendBound::kBounded);
   if (fd < 0) {
     return;
   }
-  if (connections_.size() >= config_.max_workers) {
+  if (connections_.size() >= kMaxCoordinatorConnections) {
     ::close(fd);
     return;
   }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  // Bound synchronous sends: a worker that stops draining its socket
-  // fails the send and is declared dead, instead of wedging the io thread.
-  timeval send_timeout{};
-  send_timeout.tv_sec = 2;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
-               sizeof(send_timeout));
   auto conn = std::make_unique<Connection>();
   conn->fd = fd;
   connections_.push_back(std::move(conn));
@@ -273,23 +213,22 @@ void FleetCoordinator::close_connection(Connection& conn) {
 }
 
 void FleetCoordinator::read_connection(Connection& conn) {
-  std::uint8_t buf[65536];
-  const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
-  if (n <= 0) {
-    if (n < 0 &&
-        (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+  switch (recv_frames(conn.fd, conn.parser)) {
+    case RecvStatus::kData:
+      break;
+    case RecvStatus::kWouldBlock:
+      return;
+    case RecvStatus::kClosed: {
+      // EOF: the fast death-detection path — a kill -9'd worker's kernel
+      // closes the socket long before the heartbeat timeout fires.
+      const std::uint64_t worker = conn.worker_id;
+      close_connection(conn);
+      if (worker != 0) {
+        declare_worker_dead(worker, "socket closed");
+      }
       return;
     }
-    // EOF: the fast death-detection path — a kill -9'd worker's kernel
-    // closes the socket long before the heartbeat timeout fires.
-    const std::uint64_t worker = conn.worker_id;
-    close_connection(conn);
-    if (worker != 0) {
-      declare_worker_dead(worker, "socket closed");
-    }
-    return;
   }
-  conn.parser.feed({buf, static_cast<std::size_t>(n)});
   while (auto frame = conn.parser.next()) {
     handle_frame(conn, *frame);
     if (conn.fd < 0) {
@@ -297,13 +236,8 @@ void FleetCoordinator::read_connection(Connection& conn) {
     }
   }
   if (conn.parser.error()) {
-    if (const auto rejected = conn.parser.rejected_version()) {
+    if (reply_version_reject(conn.fd, conn.parser)) {
       m_version_rejects_->inc();
-      VersionReject reject;
-      reject.rejected = *rejected;
-      reject.message = conn.parser.error_message();
-      const std::vector<std::uint8_t> reply = encode_frame(reject);
-      send_all(conn.fd, reply.data(), reply.size());
     }
     const std::uint64_t worker = conn.worker_id;
     close_connection(conn);
@@ -366,19 +300,8 @@ void FleetCoordinator::handle_worker_hello(Connection& conn,
     // The worker follows a newer primary: a standby promoted past us.
     fence_self(hello.epoch);
   }
-  if (role_ == CoordinatorRole::kStandby || deposed_) {
-    m_not_primary_tx_->inc();
-    NotPrimary info;
-    info.epoch = epoch_;
-    info.message =
-        role_ == CoordinatorRole::kStandby ? "standby" : "deposed";
-    const std::vector<std::uint8_t> reply = encode_frame(info);
-    send_all(conn.fd, reply.data(), reply.size());
-    close_connection(conn);
-    return;
-  }
-  if (conn.worker_id != 0) {
-    return;  // duplicate hello; keep the first registration
+  if (refuse_unless_primary(conn) || conn.worker_id != 0) {
+    return;  // refused, or a duplicate hello (keep the first registration)
   }
   const auto now = Clock::now();
   const std::string name = hello.name.empty() ? "worker" : hello.name;
@@ -398,18 +321,7 @@ void FleetCoordinator::handle_worker_hello(Connection& conn,
 
 void FleetCoordinator::handle_standby_hello(Connection& conn,
                                             const StandbyHello& /*hello*/) {
-  if (conn.worker_id != 0 || conn.is_replica) {
-    return;
-  }
-  if (role_ != CoordinatorRole::kPrimary || deposed_) {
-    m_not_primary_tx_->inc();
-    NotPrimary info;
-    info.epoch = epoch_;
-    info.message =
-        role_ == CoordinatorRole::kStandby ? "standby" : "deposed";
-    const std::vector<std::uint8_t> reply = encode_frame(info);
-    send_all(conn.fd, reply.data(), reply.size());
-    close_connection(conn);
+  if (conn.worker_id != 0 || conn.is_replica || refuse_unless_primary(conn)) {
     return;
   }
   conn.is_replica = true;
@@ -420,6 +332,20 @@ void FleetCoordinator::handle_standby_hello(Connection& conn,
     return;
   }
   m_replica_snapshots_tx_->inc();
+}
+
+bool FleetCoordinator::refuse_unless_primary(Connection& conn) {
+  if (role_ == CoordinatorRole::kPrimary && !deposed_) {
+    return false;
+  }
+  m_not_primary_tx_->inc();
+  NotPrimary info;
+  info.epoch = epoch_;
+  info.message = role_ == CoordinatorRole::kStandby ? "standby" : "deposed";
+  const std::vector<std::uint8_t> reply = encode_frame(info);
+  send_all(conn.fd, reply.data(), reply.size());
+  close_connection(conn);
+  return true;
 }
 
 void FleetCoordinator::handle_lease_ack(Connection& conn,
@@ -544,7 +470,7 @@ void FleetCoordinator::handle_cell_report(Connection& conn,
   record.has_report = true;
   const bool mirror = has_replica();
   std::vector<StoreRowUpdate> mirrored_rows;
-  ingest_rows(report.cell_index, record, report,
+  ingest_rows(report.cell_index, record, report.rows, record.lease_base_slot,
               mirror ? &mirrored_rows : nullptr);
   if (mirror) {
     ReplicaEvent totals;
@@ -589,10 +515,11 @@ std::map<std::uint32_t, PredictionSet> FleetCoordinator::predictions() const {
 }
 
 void FleetCoordinator::ingest_rows(
-    std::uint32_t cell_index, CellRecord& record, const CellReport& report,
+    std::uint32_t cell_index, CellRecord& record,
+    const std::vector<StoreRowUpdate>& rows, std::uint64_t base_slot,
     std::vector<StoreRowUpdate>* replicated) {
   std::uint64_t ingested = 0;
-  for (const StoreRowUpdate& row : report.rows) {
+  for (const StoreRowUpdate& row : rows) {
     if (!store_metric_valid(row.metric)) {
       continue;
     }
@@ -609,8 +536,9 @@ void FleetCoordinator::ingest_rows(
     }
     // Rebase the lease-local slot onto the cell's lifetime axis; clamp
     // non-decreasing across handoffs (the store's single-writer append
-    // contract).
-    std::uint64_t slot = record.lease_base_slot + row.slot;
+    // contract) and across a standby's cursor reset after a replication
+    // reconnect.
+    std::uint64_t slot = base_slot + row.slot;
     if (cursor.started && slot < cursor.last_slot) {
       slot = cursor.last_slot;
     }
@@ -667,8 +595,7 @@ void FleetCoordinator::run_timers(Clock::time_point now) {
     // Replication keepalive: lets a standby tell an idle primary from a
     // dead one without waiting for fleet traffic.
     if (now >= next_replica_heartbeat_) {
-      next_replica_heartbeat_ =
-          now + to_duration(config_.replication_heartbeat_s);
+      next_replica_heartbeat_ = now + kReplicationHeartbeat;
       const std::vector<std::uint8_t> beat =
           encode_frame(FrameType::kHeartbeat, {});
       for (auto& conn : connections_) {
@@ -819,10 +746,9 @@ bool FleetCoordinator::send_to_worker(
   if (entry == nullptr || !entry->alive || entry->fd < 0) {
     return false;
   }
-  // A short write (kPartial) leaves a torn frame on the stream: the
-  // connection is unusable for framed traffic, exactly like a hard
-  // failure — never fall through and "succeed" with a truncated frame.
-  if (send_exact(entry->fd, frame.data(), frame.size()) == SendResult::kOk) {
+  // A short write leaves a torn frame on the stream: the connection is
+  // unusable for framed traffic, exactly like a hard failure.
+  if (send_all(entry->fd, frame.data(), frame.size())) {
     return true;
   }
   declare_worker_dead(worker_id, "send failed");
@@ -929,36 +855,18 @@ void FleetCoordinator::maybe_connect_upstream() {
     return;
   }
   const auto now = Clock::now();
-  if (now < upstream_retry_at_) {
+  if (!upstream_redial_.due(now)) {
     return;
   }
   // Schedule the next attempt up front so every failure path below is
-  // covered; a success resets the escalation.
-  const BackoffPolicy policy{config_.standby_backoff_initial_s,
-                             config_.standby_backoff_max_s, 2.0, 0.5};
-  const double delay =
-      jittered_backoff_delay(policy, upstream_attempts_, jitter_rng_);
-  upstream_retry_at_ = now + to_duration(delay);
-  ++upstream_attempts_;
+  // covered (and a primary that hangs up at once is not redialed in a
+  // tight loop); a success resets the escalation.
+  upstream_redial_.back_off(now);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = dial_tcp(upstream_host_, upstream_port_);
   if (fd < 0) {
     return;
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(upstream_port_);
-  if (::inet_pton(AF_INET, upstream_host_.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  timeval send_timeout{};
-  send_timeout.tv_sec = 2;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
-               sizeof(send_timeout));
   StandbyHello hello;
   hello.name = "standby:" + std::to_string(port_);
   const std::vector<std::uint8_t> frame = encode_frame(hello);
@@ -970,25 +878,22 @@ void FleetCoordinator::maybe_connect_upstream() {
   upstream_fd_ = fd;
   upstream_parser_ = FrameParser{};
   upstream_last_rx_ = Clock::now();
-  upstream_attempts_ = 0;
+  upstream_redial_.reset();
 }
 
 void FleetCoordinator::read_upstream() {
-  std::uint8_t buf[65536];
-  const ssize_t n = ::recv(upstream_fd_, buf, sizeof(buf), 0);
+  const RecvStatus status = recv_frames(upstream_fd_, upstream_parser_);
   const auto now = Clock::now();
-  if (n <= 0) {
-    if (n < 0 &&
-        (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-      return;
-    }
+  if (status == RecvStatus::kWouldBlock) {
+    return;
+  }
+  if (status == RecvStatus::kClosed) {
     // EOF: the primary died (or dropped us).  Promotion is standby_timers'
-    // decision — it waits promote_after_s in case this was a blip.
+    // decision — it waits kPromoteAfter in case this was a blip.
     drop_upstream(now);
     return;
   }
   upstream_last_rx_ = now;
-  upstream_parser_.feed({buf, static_cast<std::size_t>(n)});
   while (auto frame = upstream_parser_.next()) {
     handle_replication_frame(*frame);
     if (upstream_fd_ < 0 || role_ != CoordinatorRole::kStandby) {
@@ -1150,50 +1055,16 @@ void FleetCoordinator::apply_event(const ReplicaEvent& event,
       break;
     }
     case ReplicaEventKind::kStoreRows:
-      apply_store_rows(event.cell_index, event.rows);
+      // Replicated rows arrive already on the lifetime axis.
+      if (event.cell_index < records_.size()) {
+        ingest_rows(event.cell_index, records_[event.cell_index], event.rows,
+                    /*base_slot=*/0, nullptr);
+      }
       break;
   }
   if (event.epoch > epoch_) {
     epoch_ = event.epoch;
     m_epoch_gauge_->set(static_cast<std::int64_t>(epoch_));
-  }
-}
-
-void FleetCoordinator::apply_store_rows(
-    std::uint32_t cell_index, const std::vector<StoreRowUpdate>& rows) {
-  if (cell_index >= records_.size()) {
-    return;
-  }
-  CellRecord& record = records_[cell_index];
-  std::uint64_t ingested = 0;
-  for (const StoreRowUpdate& row : rows) {
-    if (!store_metric_valid(row.metric)) {
-      continue;
-    }
-    SeriesKey key;
-    key.cell = cell_index;
-    key.rnti = row.rnti;
-    key.metric = static_cast<StoreMetric>(row.metric);
-    auto& cursor = record.cursors[key.packed()];
-    if (cursor.series == nullptr) {
-      cursor.series = store_.series(key);
-      if (cursor.series == nullptr) {
-        continue;  // max_series shedding
-      }
-    }
-    // Slots arrive already rebased; the clamp only defends against a
-    // cursor reset after a replication reconnect.
-    std::uint64_t slot = row.slot;
-    if (cursor.started && slot < cursor.last_slot) {
-      slot = cursor.last_slot;
-    }
-    cursor.series->append(slot, row.value);
-    cursor.last_slot = slot;
-    cursor.started = true;
-    ++ingested;
-  }
-  if (ingested > 0) {
-    store_.note_rows_ingested(ingested);
   }
 }
 
@@ -1203,19 +1074,17 @@ void FleetCoordinator::drop_upstream(Clock::time_point /*now*/) {
     upstream_fd_ = -1;
   }
   upstream_parser_ = FrameParser{};
-  // upstream_retry_at_ is already in the past (it was scheduled at the
-  // last successful connect), so the redial starts immediately and the
-  // backoff escalates only across consecutive failures.
+  // The redial schedule's next attempt was set when the link was dialed,
+  // so the redial starts at once unless the link died within one initial
+  // delay, and the backoff escalates only across consecutive failures.
 }
 
 void FleetCoordinator::standby_timers(Clock::time_point now) {
-  if (upstream_fd_ >= 0 &&
-      now - upstream_last_rx_ >
-          to_duration(config_.replication_timeout_s)) {
+  if (upstream_fd_ >= 0 && now - upstream_last_rx_ > kReplicationTimeout) {
     drop_upstream(now);  // silent link: the primary is wedged or gone
   }
   if (upstream_fd_ < 0 && synced_ &&
-      now - upstream_last_rx_ >= to_duration(config_.promote_after_s)) {
+      now - upstream_last_rx_ >= kPromoteAfter) {
     promote(now);
   }
 }

@@ -53,8 +53,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/backoff.h"
 #include "common/metrics.h"
-#include "common/rng.h"
 #include "dist/catalog.h"
 #include "dist/lease.h"
 #include "net/wire.h"
@@ -82,10 +82,23 @@ enum class CoordinatorRole : std::uint8_t {
 
 const char* to_string(CoordinatorRole role);
 
-/// Split "host:port" (host may be empty for the default 127.0.0.1).
-/// False on a missing/invalid port.
-bool parse_host_port(const std::string& endpoint, std::string& host,
-                     std::uint16_t& port);
+/// A primary's term; a promoted standby takes the mirrored term + 1.
+inline constexpr std::uint64_t kInitialEpoch = 1;
+/// Primary -> replica keepalive period (lets the standby tell a wedged
+/// primary from an idle one).
+inline constexpr std::chrono::milliseconds kReplicationHeartbeat{50};
+/// Standby: no replication traffic for this long -> the link is dead.
+inline constexpr std::chrono::milliseconds kReplicationTimeout{600};
+/// Standby: how long the primary must stay unreachable (after a synced
+/// tail) before promotion.  Guards against promoting on a transient
+/// replication-link blip while the primary is still serving workers.
+inline constexpr std::chrono::milliseconds kPromoteAfter{300};
+/// Standby redial schedule toward its primary (jittered like every other
+/// redial).
+inline constexpr BackoffPolicy kStandbyRedial{0.05, 0.5};
+/// Connections (workers, replica tails, peers not yet greeted) one
+/// coordinator holds at once; further accepts are closed.
+inline constexpr std::size_t kMaxCoordinatorConnections = 64;
 
 struct CoordinatorConfig {
   std::string bind_address = "127.0.0.1";
@@ -98,34 +111,19 @@ struct CoordinatorConfig {
   /// replicates the specs (and seeds), so the promoted standby grants
   /// byte-identical cell streams.
   std::string standby_of;
-  /// First primary term.  A promoted standby uses replicated_epoch + 1.
-  std::uint64_t initial_epoch = 1;
-  /// Primary -> replica keepalive period (lets the standby tell a wedged
-  /// primary from an idle one).
-  double replication_heartbeat_s = 0.05;
-  /// Standby: no replication traffic for this long -> the link is dead.
-  double replication_timeout_s = 0.6;
-  /// Standby: how long the primary must stay unreachable (after a synced
-  /// tail) before promotion.  Guards against promoting on a transient
-  /// replication-link blip while the primary is still serving workers.
-  double promote_after_s = 0.3;
-  // Standby upstream redial backoff (jittered like every other path).
-  double standby_backoff_initial_s = 0.05;
-  double standby_backoff_max_s = 0.5;
 
   std::uint32_t lease_ttl_ms = 1500;
   /// A worker silent for this long is dead (heartbeats are expected every
   /// worker heartbeat_period_s, typically 100 ms).
   double heartbeat_timeout_s = 1.0;
-  // Reassignment backoff (per cell, escalating on repeated failures).
+  // Reassignment backoff (per cell, escalating by kLeaseBackoffFactor on
+  // repeated failures).
   double backoff_initial_s = 0.05;
   double backoff_max_s = 1.0;
-  double backoff_factor = 2.0;
   /// When a worker joins, revoke leases from overloaded workers so the
   /// fleet converges toward an even split.
   bool rebalance_on_join = true;
 
-  std::size_t max_workers = 64;
   HistoryStoreConfig store;  ///< retention of the embedded history store
 };
 
@@ -258,6 +256,10 @@ class FleetCoordinator {
   /// cells, rebalancing.
   void run_timers(Clock::time_point now);
 
+  /// A standby or deposed coordinator serves no peer: answer kNotPrimary
+  /// and hang up.  True when it refused.
+  bool refuse_unless_primary(Connection& conn);
+
   // -- Replication: primary side --
   void handle_standby_hello(Connection& conn, const StandbyHello& hello);
   /// Fan one mutation event out to every attached replica tail (the
@@ -272,15 +274,13 @@ class FleetCoordinator {
   // -- Replication: standby side --
   /// Dial the primary when the upstream link is down and the (jittered)
   /// backoff has elapsed.  Called on the io thread with the state lock
-  /// NOT held — connect() blocks.
+  /// NOT held — the dial blocks for up to kDialTimeout.
   void maybe_connect_upstream();
   void read_upstream();
   void handle_replication_frame(const Frame& frame);
   void apply_snapshot(const ReplicaSnapshot& snapshot,
                       Clock::time_point now);
   void apply_event(const ReplicaEvent& event, Clock::time_point now);
-  void apply_store_rows(std::uint32_t cell_index,
-                        const std::vector<StoreRowUpdate>& rows);
   void drop_upstream(Clock::time_point now);
   /// Standby timers: replication-silence detection and promotion.
   void standby_timers(Clock::time_point now);
@@ -296,11 +296,13 @@ class FleetCoordinator {
                  Clock::time_point now);
   void try_assign(std::uint32_t cell_index, Clock::time_point now);
   void rebalance(Clock::time_point now);
-  /// Ingest a report's rows into the embedded store.  When `replicated`
-  /// is non-null, the rows actually appended are copied there with their
-  /// slots rebased to the cell's global lifetime axis (kStoreRows feed).
+  /// Ingest rows into the embedded store at `base_slot + row.slot` (a
+  /// report's lease-local rows, or a replica's already-rebased ones).
+  /// When `replicated` is non-null, the rows actually appended are copied
+  /// there with their slots on the cell's lifetime axis (kStoreRows feed).
   void ingest_rows(std::uint32_t cell_index, CellRecord& record,
-                   const CellReport& report,
+                   const std::vector<StoreRowUpdate>& rows,
+                   std::uint64_t base_slot,
                    std::vector<StoreRowUpdate>* replicated);
   [[nodiscard]] bool has_replica() const;
   /// Synchronous best-effort send on the io thread (SO_SNDTIMEO-bounded);
@@ -340,11 +342,9 @@ class FleetCoordinator {
   int upstream_fd_ = -1;
   FrameParser upstream_parser_;
   Clock::time_point upstream_last_rx_{};
-  Clock::time_point upstream_retry_at_{};
-  unsigned upstream_attempts_ = 0;
+  RedialSchedule upstream_redial_{kStandbyRedial};
   std::string upstream_host_;
   std::uint16_t upstream_port_ = 0;
-  Rng jitter_rng_{1};
   /// Post-promotion grace: no join-triggered rebalancing until here, so
   /// reconnecting workers re-confirm their leases undisturbed.
   Clock::time_point rebalance_hold_until_{};

@@ -89,8 +89,7 @@ void LeaseTable::release(std::uint32_t cell_index, bool penalize,
     lease.backoff_s = lease.backoff_s <= 0.0
                           ? config_.backoff_initial_s
                           : std::min(config_.backoff_max_s,
-                                     lease.backoff_s *
-                                         config_.backoff_factor);
+                                     lease.backoff_s * kLeaseBackoffFactor);
     lease.retry_at = after(now, lease.backoff_s);
   } else {
     lease.retry_at = now;

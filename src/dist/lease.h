@@ -22,6 +22,10 @@ enum class LeaseState : std::uint8_t {
 
 const char* to_string(LeaseState state);
 
+/// Each penalized release of a cell multiplies its backoff by this, up to
+/// the table's backoff_max_s.
+inline constexpr double kLeaseBackoffFactor = 2.0;
+
 struct Lease {
   std::uint32_t cell_index = 0;
   LeaseState state = LeaseState::kUnassigned;
@@ -43,7 +47,6 @@ class LeaseTable {
     double ttl_s = 1.5;
     double backoff_initial_s = 0.05;
     double backoff_max_s = 1.0;
-    double backoff_factor = 2.0;
   };
 
   LeaseTable(std::size_t n_cells, Config config);
@@ -70,7 +73,7 @@ class LeaseTable {
   void release(std::uint32_t cell_index, bool penalize, TimePoint now);
 
   /// The cell made real progress under its current lease: reset the
-  /// backoff escalation, like the fleet supervisor's healthy_slots rule.
+  /// backoff escalation, like the fleet supervisor's kHealthySlots rule.
   void note_progress(std::uint32_t cell_index);
 
   // -- Replication / failover support ----------------------------------

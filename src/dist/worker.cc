@@ -1,21 +1,14 @@
 #include "dist/worker.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <utility>
 
 #include "analysis/prediction_sink.h"
 #include "common/backoff.h"
-#include "dist/coordinator.h"  // parse_host_port
 #include "gnb/presets.h"
 #include "net/socket_io.h"
 #include "nr/dci.h"
@@ -53,12 +46,6 @@ std::chrono::steady_clock::duration secs(double s) {
 /// One StoreRowUpdate on the wire: rnti u16 + metric u8 + slot u64 +
 /// value f64.
 constexpr std::size_t kRowWireBytes = 2 + 1 + 8 + 8;
-
-std::uint64_t derive_jitter_seed(const void* self) {
-  return reinterpret_cast<std::uintptr_t>(self) ^
-         static_cast<std::uint64_t>(
-             std::chrono::steady_clock::now().time_since_epoch().count());
-}
 
 }  // namespace
 
@@ -234,26 +221,11 @@ void FleetWorker::teardown_orchestrator() {
 
 bool FleetWorker::connect_once() {
   const auto& [host, port] = endpoints_[endpoint_index_];
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = dial_tcp(host, port);
   if (fd < 0) {
+    rotate_coordinator();  // dead or unreachable endpoint: try the next
     return false;
   }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    rotate_coordinator();  // dead endpoint: try the next candidate
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  timeval send_timeout{};
-  send_timeout.tv_sec = 2;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_timeout,
-               sizeof(send_timeout));
-
   fd_.store(fd);
   parser_ = std::make_unique<FrameParser>();
   WorkerHello hello;
@@ -290,13 +262,9 @@ void FleetWorker::disconnect() {
 }
 
 bool FleetWorker::send_frame(const std::vector<std::uint8_t>& frame) {
+  // Any failure, a torn frame included, poisons the stream.
   const int fd = fd_.load();
-  if (fd < 0) {
-    return false;
-  }
-  // kPartial (short write on the SO_SNDTIMEO-bounded socket) leaves a
-  // torn frame: the stream is poisoned, treat it as a hard failure.
-  return send_exact(fd, frame.data(), frame.size()) == SendResult::kOk;
+  return fd >= 0 && send_all(fd, frame.data(), frame.size());
 }
 
 void FleetWorker::drain_socket() {
@@ -304,31 +272,21 @@ void FleetWorker::drain_socket() {
   if (fd < 0) {
     return;
   }
-  std::uint8_t buf[65536];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
-    if (n > 0) {
-      parser_->feed({buf, static_cast<std::size_t>(n)});
-      while (auto frame = parser_->next()) {
-        handle_frame(*frame);
-        if (fd_.load() < 0) {
-          return;
-        }
-      }
-      if (parser_->error()) {
-        disconnect();
+  RecvStatus status = RecvStatus::kData;
+  while ((status = recv_frames(fd, *parser_)) == RecvStatus::kData) {
+    while (auto frame = parser_->next()) {
+      handle_frame(*frame);
+      if (fd_.load() < 0) {
         return;
       }
-      continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+    if (parser_->error()) {
+      disconnect();
       return;
     }
-    if (n < 0 && errno == EINTR) {
-      continue;
-    }
+  }
+  if (status == RecvStatus::kClosed) {
     disconnect();  // EOF or hard error: coordinator is gone
-    return;
   }
 }
 
@@ -580,17 +538,17 @@ void FleetWorker::send_reports() {
     report.retx_rate = cell.retx_rate;
     report.utilization = cell.utilization;
     report.spare_prb_rate = cell.spare_prb_rate;
-    report.rows = lease.collector->drain(config_.max_rows_per_report);
+    report.rows = lease.collector->drain(kMaxRowsPerReport);
     batch.reports.push_back(std::move(report));
   }
   if (batch.reports.empty()) {
     return;
   }
   // WAN bound: shed oldest rows (largest report first) until the encoded
-  // frame fits max_report_bytes.  Fresh rows and the scalar telemetry
+  // frame fits kMaxReportBytes.  Fresh rows and the scalar telemetry
   // always survive — only history backlog is thinned.
   std::vector<std::uint8_t> frame = encode_frame(batch);
-  while (frame.size() > config_.max_report_bytes) {
+  while (frame.size() > kMaxReportBytes) {
     CellReport* largest = nullptr;
     for (CellReport& report : batch.reports) {
       if (!report.rows.empty() &&
@@ -601,7 +559,7 @@ void FleetWorker::send_reports() {
     if (largest == nullptr) {
       break;  // nothing left to shed; send the structural minimum
     }
-    const std::size_t excess = frame.size() - config_.max_report_bytes;
+    const std::size_t excess = frame.size() - kMaxReportBytes;
     const std::size_t drop = std::min(
         largest->rows.size(), excess / kRowWireBytes + 1);
     largest->rows.erase(largest->rows.begin(),
@@ -644,35 +602,25 @@ void FleetWorker::send_reports() {
 
 void FleetWorker::run() {
   setup_orchestrator();
-  const BackoffPolicy policy{config_.reconnect_backoff_s,
-                             std::max(config_.reconnect_backoff_max_s,
-                                      config_.reconnect_backoff_s),
-                             2.0, config_.backoff_jitter};
-  Rng jitter_rng(config_.backoff_seed != 0 ? config_.backoff_seed
-                                           : derive_jitter_seed(this));
-  int failed_connects = 0;
-  unsigned consecutive_failures = 0;
-  auto next_connect = Clock::now();
+  RedialSchedule redial(
+      {config_.reconnect_backoff_s,
+       std::max(kReconnectBackoffMaxS, config_.reconnect_backoff_s)});
   auto next_heartbeat = Clock::now();
   auto next_report = Clock::now();
   while (!stop_.load()) {
-    if (fd_.load() < 0 && Clock::now() >= next_connect) {
+    if (fd_.load() < 0 && redial.due(Clock::now())) {
       if (config_.max_reconnect_attempts >= 0 &&
-          failed_connects > config_.max_reconnect_attempts) {
+          redial.failures() >
+              static_cast<unsigned>(config_.max_reconnect_attempts)) {
         break;
       }
       if (connect_once()) {
-        failed_connects = 0;
-        consecutive_failures = 0;
+        redial.reset();
         m_reconnects_->inc();
         next_heartbeat = Clock::now();
         next_report = Clock::now() + secs(config_.report_period_s);
       } else {
-        ++failed_connects;
-        const double delay =
-            jittered_backoff_delay(policy, consecutive_failures, jitter_rng);
-        ++consecutive_failures;
-        next_connect = Clock::now() + secs(delay);
+        redial.back_off(Clock::now());
       }
     }
 

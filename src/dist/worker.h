@@ -55,12 +55,25 @@
 
 namespace nrs {
 
+/// Ceiling of the reconnect backoff (raised to reconnect_backoff_s when
+/// that starts higher).
+inline constexpr double kReconnectBackoffMaxS = 2.0;
+/// Cap on forwarded store rows per cell report (excess rows are dropped
+/// oldest-first; the cap bounds frame size under backlog).
+inline constexpr std::size_t kMaxRowsPerReport = 4096;
+/// Upper bound on one report interval's batched frame, in encoded wire
+/// bytes.  Oldest rows are shed (freshest telemetry wins) until the frame
+/// fits — the WAN-link bound; `dist.worker.report_bytes` counts what is
+/// actually sent.
+inline constexpr std::size_t kMaxReportBytes = 256 * 1024;
+
 struct WorkerConfig {
   std::string name = "worker";
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
   /// Coordinator address list ("host:port" each) for HA fleets: the
-  /// worker dials entries round-robin, skipping past dead endpoints and
+  /// worker dials entries round-robin, skipping past dead endpoints,
+  /// unreachable ones (a dial is abandoned after kDialTimeout) and
   /// kNotPrimary answers until it finds the acting primary.  Empty = use
   /// host/port above as the single endpoint.
   std::vector<std::string> coordinators;
@@ -73,27 +86,13 @@ struct WorkerConfig {
   double report_period_s = 0.25;
   /// Initial wait between reconnect attempts after the connection drops;
   /// consecutive failures escalate exponentially up to
-  /// reconnect_backoff_max_s, and every delay is jittered (see
-  /// backoff_jitter) so a fleet-wide failover does not stampede the new
-  /// primary.
+  /// kReconnectBackoffMaxS, and every delay is jittered per instance
+  /// (common/backoff.h) so a fleet-wide failover does not stampede the
+  /// new primary.
   double reconnect_backoff_s = 0.2;
-  double reconnect_backoff_max_s = 2.0;
-  /// Jitter fraction in [0, 1]: each reconnect delay is drawn uniformly
-  /// from [base * (1 - jitter), base].
-  double backoff_jitter = 0.5;
-  /// Jitter RNG seed (0 = derive one per worker instance).
-  std::uint64_t backoff_seed = 0;
   /// Consecutive failed connect attempts before giving up (-1 = retry
   /// forever).
   int max_reconnect_attempts = -1;
-  /// Cap on forwarded store rows per cell report (excess rows are dropped
-  /// oldest-first; the cap bounds frame size under backlog).
-  std::size_t max_rows_per_report = 4096;
-  /// Upper bound on one report interval's batched frame, in encoded wire
-  /// bytes.  Oldest rows are shed (freshest telemetry wins) until the
-  /// frame fits — the WAN-link knob; `dist.worker.report_bytes` counts
-  /// what is actually sent.
-  std::size_t max_report_bytes = 256 * 1024;
 
   /// Run the online throughput predictor on every leased cell and forward
   /// each cell's latest PredictionSet (kPrediction) alongside the reports,

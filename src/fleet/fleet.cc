@@ -404,7 +404,7 @@ void FleetOrchestrator::fail_cell(CellRunner& runner, bool crashed) {
       runner.backoff_s <= 0.0
           ? config_.backoff_initial_s
           : std::min(config_.backoff_max_s,
-                     runner.backoff_s * config_.backoff_factor);
+                     runner.backoff_s * kCellBackoffFactor);
   runner.restart_at =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(runner.backoff_s));
@@ -448,7 +448,7 @@ void FleetOrchestrator::tick() {
       continue;
     }
     if (aggregator_.cell_slots(runner.index) - runner.slots_at_start >=
-        config_.healthy_slots) {
+        kHealthySlots) {
       runner.backoff_s = 0.0;  // healthy again: backoff restarts from initial
     }
     // A resyncing engine still delivers slots, so it never looks stalled;

@@ -71,6 +71,13 @@ enum class FleetCellState : std::uint8_t {
 
 const char* to_string(FleetCellState state);
 
+/// Each restart of a cell multiplies its backoff by this, up to
+/// FleetConfig::backoff_max_s.
+inline constexpr double kCellBackoffFactor = 2.0;
+/// A cell that delivers this many slots in one incarnation is healthy
+/// again: its backoff resets to the initial value.
+inline constexpr std::uint64_t kHealthySlots = 200;
+
 /// Fault-injection verdict for one feed slot (tests and demos).
 enum class FaultAction : std::uint8_t {
   kNone,  ///< feed the slot normally
@@ -119,12 +126,8 @@ struct FleetConfig {
   double stall_timeout_s = 1.0;  ///< heartbeat silence -> stall
   double backoff_initial_s = 0.02;
   double backoff_max_s = 0.5;
-  double backoff_factor = 2.0;
   /// Give up on a cell after this many restarts (-1 = never).
   int max_restarts = 8;
-  /// A cell that delivers this many slots in one incarnation is healthy
-  /// again: its backoff resets to the initial value.
-  std::uint64_t healthy_slots = 200;
   /// Sync loss heals in place (the engine's kResync path) — but a cell
   /// still resyncing after this much wall-clock is escalated to a full
   /// teardown/rebuild.  Must be long enough for the engine's grace window

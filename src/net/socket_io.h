@@ -1,18 +1,86 @@
-// Shared blocking-socket send helper for every frame-writing path
-// (stream server/client, fleet coordinator/worker).  The crucial rule on
-// an SO_SNDTIMEO-bounded socket: a short write that cannot be completed
-// leaves HALF A FRAME in the peer's stream, so the connection must be
-// treated as broken — writing the next frame after a partial send would
-// land mid-frame and corrupt the protocol stream.  send_exact() reports
-// kPartial distinctly from kFailed so callers (and tests) can tell a torn
-// stream from a frame that never hit the wire at all; either way the only
-// safe follow-up is to close the connection.
+// The one TCP link layer under every framed peer: the stream server and
+// client, the fleet coordinator (worker links and a standby's link to its
+// primary) and the fleet worker listen, accept, dial and read here, so
+// every link carries the same socket options, and a dial to a host that
+// drops SYNs is abandoned at kDialTimeout instead of freezing the dialing
+// thread for the kernel's SYN retry budget.  When to redial is
+// common/backoff.h's RedialSchedule.
+//
+// The crucial rule on an SO_SNDTIMEO-bounded socket: a short write that
+// cannot be completed leaves HALF A FRAME in the peer's stream, so the
+// connection must be treated as broken — writing the next frame after a
+// partial send would land mid-frame and corrupt the protocol stream.
+// send_exact() reports kPartial distinctly from kFailed so callers (and
+// tests) can tell a torn stream from a frame that never hit the wire at
+// all; either way the only safe follow-up is to close the connection.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+
+#include "net/wire.h"
 
 namespace nrs {
+
+/// Pending connections a listener queues before accept().
+inline constexpr int kListenBacklog = 16;
+/// A dial whose handshake has not completed by then is abandoned and
+/// counts as a failed attempt (the caller backs off and may rotate to its
+/// next address).  Covers loopback, LAN and ordinary WAN round trips.
+inline constexpr std::chrono::milliseconds kDialTimeout{250};
+/// How long one blocking send may wait on a peer that stopped reading
+/// before it fails (SO_SNDTIMEO) instead of wedging the sending thread.
+inline constexpr std::chrono::seconds kSendTimeout{2};
+
+/// Whether an accepted socket's sends carry the kSendTimeout bound.
+enum class SendBound : std::uint8_t {
+  kNone,     ///< sends may block (a sender thread that can afford to wait)
+  kBounded,  ///< SO_SNDTIMEO = kSendTimeout
+};
+
+/// A listening socket and the port it is bound to.
+struct TcpListener {
+  int fd = -1;
+  std::uint16_t port = 0;  ///< resolves a requested port 0
+};
+
+/// Bind `address:port` (port 0 = ephemeral) and listen.  Throws
+/// std::runtime_error on an address that is not IPv4 dotted-quad or when
+/// the bind or listen fails.
+TcpListener listen_tcp(const std::string& address, std::uint16_t port);
+
+/// Accept one pending connection (blocking on a blocking listener) with
+/// TCP_NODELAY set; -1 when accept() fails.
+int accept_tcp(int listen_fd, SendBound bound);
+
+/// Connect to `host:port`, giving up after kDialTimeout.  The returned
+/// socket is blocking, with TCP_NODELAY and the kSendTimeout bound; -1 on
+/// a bad address, a refusal or an abandoned handshake.
+int dial_tcp(const std::string& host, std::uint16_t port);
+
+/// What one recv_frames() call saw on the socket.
+enum class RecvStatus : std::uint8_t {
+  kData,        ///< bytes were fed to the parser
+  kWouldBlock,  ///< nothing to read right now
+  kClosed,      ///< EOF or a hard error: the link is gone
+};
+
+/// One non-blocking recv() into `parser` (EINTR is retried).  When
+/// `bytes` is given it receives the count fed.
+RecvStatus recv_frames(int fd, FrameParser& parser,
+                       std::size_t* bytes = nullptr);
+
+/// When `parser` stopped on a protocol-version mismatch, send the peer the
+/// structured kUnsupportedVersion reply (best effort) and return true;
+/// false for any other parser state.
+bool reply_version_reject(int fd, const FrameParser& parser);
+
+/// Split "host:port" (host may be empty for the default 127.0.0.1).
+/// False on a missing/invalid port.
+bool parse_host_port(const std::string& endpoint, std::string& host,
+                     std::uint16_t& port);
 
 enum class SendResult : std::uint8_t {
   kOk = 0,       ///< every byte written

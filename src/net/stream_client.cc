@@ -3,14 +3,10 @@
 #include "common/backoff.h"
 #include "net/socket_io.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 
@@ -18,16 +14,6 @@ namespace nrs {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-
-/// Per-instance jitter seed when the config leaves it at 0: mix the
-/// object identity with the monotonic clock so identically configured
-/// clients still draw de-correlated backoff schedules.
-std::uint64_t derive_jitter_seed(const void* self) {
-  return reinterpret_cast<std::uintptr_t>(self) ^
-         static_cast<std::uint64_t>(
-             Clock::now().time_since_epoch().count());
-}
-
 }  // namespace
 
 TelemetryStreamClient::TelemetryStreamClient(
@@ -83,6 +69,11 @@ std::optional<QueryResponse> TelemetryStreamClient::query(
     const int fd = live_fd_.load();
     if (fd >= 0 && connected_.load()) {
       sent = send_all(fd, frame.data(), frame.size());
+      if (!sent) {
+        // A send that hit the send bound may have torn a frame: the
+        // stream is unusable.  Wake the reader, which redials.
+        ::shutdown(fd, SHUT_RDWR);
+      }
     }
   }
   if (!sent) {
@@ -141,62 +132,27 @@ bool TelemetryStreamClient::wait_connected(double timeout_s) {
   return connected_.load();
 }
 
-int TelemetryStreamClient::connect_once() const {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return -1;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
-}
-
 void TelemetryStreamClient::run() {
-  const BackoffPolicy policy{config_.backoff_initial_s,
-                             config_.backoff_max_s, 2.0,
-                             config_.backoff_jitter};
-  Rng jitter_rng(config_.backoff_seed != 0 ? config_.backoff_seed
-                                           : derive_jitter_seed(this));
-  unsigned consecutive_failures = 0;
-  int failed_attempts = 0;
+  RedialSchedule redial({config_.backoff_initial_s, config_.backoff_max_s});
   bool first_attempt = true;
   while (!stopping_.load()) {
+    // Jittered exponential backoff, sliced so stop() stays responsive.
+    if (!redial.due(Clock::now())) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      continue;
+    }
     // Every dial but the first is a reconnect attempt, whether it
     // succeeds or not.
     if (!first_attempt) {
       m_reconnect_attempts_->inc();
     }
     first_attempt = false;
-    const int fd = connect_once();
+    const int fd = dial_tcp(config_.host, config_.port);
     if (fd < 0) {
-      ++failed_attempts;
-      if (config_.max_reconnect_attempts >= 0 &&
-          failed_attempts > config_.max_reconnect_attempts) {
-        break;
-      }
-      // Jittered exponential backoff, sliced so stop() stays responsive.
-      const double backoff_s =
-          jittered_backoff_delay(policy, consecutive_failures, jitter_rng);
-      const auto deadline =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(backoff_s));
-      while (!stopping_.load() && Clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      }
-      ++consecutive_failures;
+      redial.back_off(Clock::now());
       continue;
     }
-    failed_attempts = 0;
-    consecutive_failures = 0;
+    redial.reset();
     live_fd_.store(fd);
     connected_.store(true);
     m_connects_->inc();
@@ -228,7 +184,6 @@ void TelemetryStreamClient::run() {
 
 bool TelemetryStreamClient::serve_connection(int fd) {
   FrameParser parser;
-  std::uint8_t buf[16384];
   auto last_frame = Clock::now();
   const auto timeout = std::chrono::duration<double>(config_.read_timeout_s);
   while (!stopping_.load()) {
@@ -237,13 +192,14 @@ bool TelemetryStreamClient::serve_connection(int fd) {
     if (ready < 0 && errno != EINTR) {
       return false;
     }
-    if (ready > 0) {
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) {
-        return false;  // peer closed or hard error
-      }
-      m_bytes_rx_->inc(static_cast<std::uint64_t>(n));
-      parser.feed(std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));
+    std::size_t bytes = 0;
+    const RecvStatus status =
+        ready > 0 ? recv_frames(fd, parser, &bytes) : RecvStatus::kWouldBlock;
+    if (status == RecvStatus::kClosed) {
+      return false;  // peer closed or hard error
+    }
+    if (status == RecvStatus::kData) {
+      m_bytes_rx_->inc(bytes);
       while (auto frame = parser.next()) {
         last_frame = Clock::now();
         m_frames_rx_->inc();

@@ -3,9 +3,9 @@
 // decoded SlotResults / MetricsSnapshots to user callbacks.  Liveness is
 // watched with a read timeout (the server heartbeats when idle, so a quiet
 // socket means a dead peer, not a quiet cell); a lost connection is retried
-// forever (or up to a configured attempt budget) with exponential backoff,
-// which makes the client survive mid-stream server restarts: it simply
-// resubscribes and resumes with the server's hello frame.
+// forever with jittered exponential backoff (common/backoff.h), which makes
+// the client survive mid-stream server restarts: it simply resubscribes
+// and resumes with the server's hello frame.
 //
 // The connection is also request/response-capable: query() sends a kQuery
 // frame tagged with a fresh correlation ID and blocks the *calling* thread
@@ -42,17 +42,11 @@ struct StreamClientConfig {
   /// declared dead and the reconnect loop takes over.  Must be comfortably
   /// larger than the server's heartbeat_period_s.
   double read_timeout_s = 2.0;
-  double backoff_initial_s = 0.05;  ///< first reconnect delay
-  double backoff_max_s = 1.0;       ///< exponential backoff ceiling
-  /// Multiplicative reconnect jitter in [0, 1]: each delay is drawn
-  /// uniformly from [base * (1 - jitter), base], so many clients losing
-  /// one server together do not redial it in lockstep.  0 disables.
-  double backoff_jitter = 0.5;
-  /// Seed for the jitter draws; 0 derives a per-instance seed so distinct
-  /// clients de-correlate even when configured identically.
-  std::uint64_t backoff_seed = 0;
-  /// Give up after this many consecutive failed connects (-1 = never).
-  int max_reconnect_attempts = -1;
+  /// First reconnect delay and the exponential backoff ceiling; every
+  /// delay is jittered per instance (common/backoff.h), so many clients
+  /// losing one server together do not redial it in lockstep.
+  double backoff_initial_s = 0.05;
+  double backoff_max_s = 1.0;
   /// Stop the reader thread once an end-of-stream frame arrives (a
   /// finished run); switch off to keep listening across runs.
   bool stop_on_end_of_stream = true;
@@ -97,7 +91,9 @@ class TelemetryStreamClient {
   /// Send one query over the live connection and wait for its response.
   /// The request's correlation_id is assigned here (any caller-set value
   /// is overwritten).  Returns nullopt when not connected, when the send
-  /// fails, or when no response arrives within timeout_s (counted in
+  /// fails (the connection is then shut down, since a send cut short by
+  /// the send bound may have torn a frame, and the reader redials), or
+  /// when no response arrives within timeout_s (counted in
   /// net.client.query_timeouts; a response that limps in later is
   /// discarded).  A connection drop while waiting yields a response with
   /// status kUnavailable rather than a silent hang.  Thread-safe: any
@@ -113,8 +109,8 @@ class TelemetryStreamClient {
   /// protocol error has occurred.  The reader thread has stopped (no
   /// reconnect) once this is non-empty.
   [[nodiscard]] std::string protocol_error() const;
-  /// True when the reader thread has exited (end of stream, stop(), or
-  /// the reconnect budget ran out).
+  /// True when the reader thread has exited (end of stream, stop(), or a
+  /// version reject).
   [[nodiscard]] bool finished() const { return finished_.load(); }
 
   /// Block until end_of_stream() (or the thread exits); false on timeout.
@@ -126,7 +122,6 @@ class TelemetryStreamClient {
   void run();
   /// One connection lifetime; returns true when the client should stop.
   bool serve_connection(int fd);
-  [[nodiscard]] int connect_once() const;
   void note_state_change();
 
   /// Route one well-framed inbound frame through the dispatch table;

@@ -2,17 +2,12 @@
 
 #include "net/socket_io.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 
 namespace nrs {
@@ -62,34 +57,9 @@ TelemetryStreamServer::TelemetryStreamServer(
         std::make_unique<WorkerPool>(std::max(1u, config_.query_threads));
   }
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error("TelemetryStreamServer: socket() failed");
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.bind_address.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(listen_fd_);
-    throw std::runtime_error("TelemetryStreamServer: bad bind address " +
-                             config_.bind_address);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 16) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("TelemetryStreamServer: cannot listen on " +
-                             config_.bind_address + ":" +
-                             std::to_string(config_.port));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
+  const TcpListener listener = listen_tcp(config_.bind_address, config_.port);
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
 
   acceptor_ = std::thread([this] { accept_loop(); });
 }
@@ -113,20 +83,10 @@ void TelemetryStreamServer::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+  // Wake every sender thread at once, then join and close them all.
+  kick_all_clients();
   std::lock_guard lock(clients_mutex_);
-  for (const auto& client : clients_) {
-    client->queue.close();
-    ::shutdown(client->fd, SHUT_RDWR);
-  }
-  for (const auto& client : clients_) {
-    if (client->sender.joinable()) {
-      client->sender.join();
-    }
-    ::close(client->fd);
-    m_disconnects_->inc();
-  }
-  clients_.clear();
-  m_clients_->set(0);
+  reap_dead_clients_locked();
 }
 
 std::size_t TelemetryStreamServer::client_count() const {
@@ -178,15 +138,15 @@ void TelemetryStreamServer::accept_loop() {
     if ((pfds[0].revents & POLLIN) == 0) {
       continue;
     }
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    // Unbounded sends: the client's own sender thread may block while the
+    // backpressure policy sheds frames on its queue.
+    const int fd = accept_tcp(listen_fd_, SendBound::kNone);
     if (fd < 0) {
       continue;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     std::lock_guard lock(clients_mutex_);
-    if (clients_.size() >= config_.max_clients || stopping_.load()) {
+    if (clients_.size() >= kMaxStreamClients || stopping_.load()) {
       ::close(fd);
       continue;
     }
@@ -228,18 +188,16 @@ void TelemetryStreamServer::reap_dead_clients_locked() {
 
 void TelemetryStreamServer::read_client(
     const std::shared_ptr<Client>& client) {
-  std::uint8_t buf[4096];
-  const ssize_t n = ::recv(client->fd, buf, sizeof(buf), 0);
-  if (n <= 0) {
-    if (n < 0 && (errno == EINTR || errno == EAGAIN ||
-                  errno == EWOULDBLOCK)) {
+  switch (recv_frames(client->fd, client->parser)) {
+    case RecvStatus::kData:
+      break;
+    case RecvStatus::kWouldBlock:
       return;
-    }
-    client->dead.store(true);  // peer closed (or hard error); reap next round
-    client->queue.close();
-    return;
+    case RecvStatus::kClosed:
+      client->dead.store(true);  // peer closed (or hard error); reap next round
+      client->queue.close();
+      return;
   }
-  client->parser.feed({buf, static_cast<std::size_t>(n)});
   while (auto frame = client->parser.next()) {
     if (frame->type != FrameType::kQuery) {
       continue;  // clients only speak queries upstream; ignore the rest
@@ -251,22 +209,19 @@ void TelemetryStreamServer::read_client(
     }
   }
   if (client->parser.error()) {
-    if (const auto rejected = client->parser.rejected_version()) {
-      // The peer speaks a protocol version other than ours.  Tell it so
-      // with a structured reject frame (best effort, synchronous — the
-      // send mutex keeps the sender thread from interleaving a frame)
-      // before dropping the connection, so old clients see a clear error
-      // instead of a silent disconnect.
-      m_version_rejects_->inc();
-      VersionReject reject;
-      reject.rejected = *rejected;
-      reject.message = client->parser.error_message();
-      const std::vector<std::uint8_t> frame = encode_frame(reject);
+    // A peer speaking another protocol version gets the structured reject
+    // (the send mutex keeps the sender thread from interleaving a frame)
+    // before the drop, so old clients see a clear error instead of a
+    // silent disconnect.  Any other garbage leaves the framing
+    // unrecoverable: drop the connection rather than guess at resync.
+    bool version_reject = false;
+    {
       std::lock_guard lock(client->send_mutex);
-      send_all(client->fd, frame.data(), frame.size());
+      version_reject = reply_version_reject(client->fd, client->parser);
+    }
+    if (version_reject) {
+      m_version_rejects_->inc();
     } else {
-      // Garbage on the request stream: the framing is unrecoverable, so
-      // drop the connection rather than guess at resync.
       m_query_errors_->inc();
     }
     client->dead.store(true);
@@ -330,39 +285,27 @@ void TelemetryStreamServer::dispatch_query(
 void TelemetryStreamServer::sender_loop(Client& client) {
   const auto heartbeat_after = std::chrono::duration<double>(
       config_.heartbeat_period_s > 0 ? config_.heartbeat_period_s : 3600.0);
+  const std::vector<std::uint8_t> beat =
+      encode_frame(FrameType::kHeartbeat, {});
   while (!client.dead.load()) {
-    std::optional<FramePtr> frame = client.queue.pop_for(heartbeat_after);
-    if (!frame) {
-      if (client.queue.closed()) {
-        break;
-      }
-      // Idle: keep the connection observably alive.
-      const std::vector<std::uint8_t> beat =
-          encode_frame(FrameType::kHeartbeat, {});
-      bool sent = false;
-      {
-        std::lock_guard lock(client.send_mutex);
-        sent = send_all(client.fd, beat.data(), beat.size());
-      }
-      if (!sent) {
-        m_send_errors_->inc();
-        break;
-      }
-      m_heartbeats_sent_->inc();
-      m_bytes_sent_->inc(beat.size());
-      continue;
+    const std::optional<FramePtr> frame =
+        client.queue.pop_for(heartbeat_after);
+    if (!frame && client.queue.closed()) {
+      break;
     }
+    // Idle: keep the connection observably alive with a heartbeat.
+    const std::vector<std::uint8_t>& bytes = frame ? **frame : beat;
     bool sent = false;
     {
       std::lock_guard lock(client.send_mutex);
-      sent = send_all(client.fd, (*frame)->data(), (*frame)->size());
+      sent = send_all(client.fd, bytes.data(), bytes.size());
     }
     if (!sent) {
       m_send_errors_->inc();
       break;
     }
-    m_frames_sent_->inc();
-    m_bytes_sent_->inc((*frame)->size());
+    (frame ? m_frames_sent_ : m_heartbeats_sent_)->inc();
+    m_bytes_sent_->inc(bytes.size());
   }
   client.dead.store(true);  // the accept loop reaps and closes the fd
 }

@@ -47,6 +47,9 @@ enum class BackpressurePolicy : std::uint8_t {
 
 const char* to_string(BackpressurePolicy policy);
 
+/// Connections a server holds at once; further accepts are closed.
+inline constexpr std::size_t kMaxStreamClients = 64;
+
 struct StreamServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = pick an ephemeral port (see port())
@@ -58,7 +61,6 @@ struct StreamServerConfig {
   /// Idle keep-alive: a heartbeat frame when nothing was queued for this
   /// long, so clients can tell "quiet cell" from "dead server".
   double heartbeat_period_s = 0.5;
-  std::size_t max_clients = 64;
 
   /// Answers kQuery frames (see src/store's history_query_handler).  Runs
   /// on the query pool threads; must be thread-safe.  When unset, queries

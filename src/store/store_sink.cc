@@ -9,7 +9,7 @@ namespace nrs {
 HistoryStoreSink::HistoryStoreSink(HistoryStore& store,
                                    const StoreSinkConfig& config)
     : store_(&store), config_(config) {
-  ues_.reserve(config_.reserve_ues);
+  ues_.reserve(kReservedUes);
   cell_dcis_ = store_->series(
       {config_.cell_index, kStoreCellRnti, StoreMetric::kCellDcis});
   cell_used_ = store_->series(
@@ -68,9 +68,10 @@ void HistoryStoreSink::on_slot(const SlotResult& result) {
     ue->prbs->append(result.slot, static_cast<double>(dci.grant.prb_len));
     rows += 3;
   }
-  const bool cell_rows = !config_.cell_rows_only_when_tracking ||
-                         result.sync_state == SyncState::kTracking;
-  if (cell_rows) {
+  // The three cell-level series (kCellDcis / kCellUsedPrbs /
+  // kCellSparePrbs) are written only while the engine is tracking, so a
+  // resyncing cell does not record its blindness as spare capacity.
+  if (result.sync_state == SyncState::kTracking) {
     const double spare = static_cast<double>(
         config_.n_prb > used_prbs ? config_.n_prb - used_prbs : 0);
     cell_dcis_->append(result.slot,

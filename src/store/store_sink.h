@@ -21,13 +21,6 @@ struct StoreSinkConfig {
   /// max(0, n_prb - granted downlink PRBs) — the PRB-granularity
   /// approximation of the paper's section 5.4.1 RE accounting.
   unsigned n_prb = 51;
-  /// Write the three cell-level series (kCellDcis / kCellUsedPrbs /
-  /// kCellSparePrbs) only while the engine is tracking, so a resyncing
-  /// cell does not record its blindness as spare capacity.
-  bool cell_rows_only_when_tracking = true;
-  /// UE-slot cache entries reserved up front (grows on demand; growth is
-  /// warm-up, not steady state).
-  std::size_t reserve_ues = 64;
 };
 
 class HistoryStoreSink : public SlotSink {
@@ -53,6 +46,10 @@ class HistoryStoreSink : public SlotSink {
   };
 
   UeSeries* ue_series(Rnti rnti);
+
+  /// UE-slot cache entries reserved up front (grows on demand; growth is
+  /// warm-up, not steady state).
+  static constexpr std::size_t kReservedUes = 64;
 
   HistoryStore* store_;
   StoreSinkConfig config_;

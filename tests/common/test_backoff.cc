@@ -1,8 +1,11 @@
 // Bounds and escalation of the shared jittered-backoff schedule: every
-// reconnect path (stream client, fleet worker, standby coordinator) relies
-// on the delay never leaving [base * (1 - jitter), base] and on the base
-// escalating geometrically to the cap.
+// reconnect path (stream client, fleet worker, standby coordinator) keeps
+// one RedialSchedule and relies on the delay never leaving
+// [base * (1 - jitter), base] and on the base escalating geometrically to
+// the cap.
 #include <gtest/gtest.h>
+
+#include <chrono>
 
 #include "common/backoff.h"
 #include "common/rng.h"
@@ -67,6 +70,33 @@ TEST(Backoff, JitterOutsideUnitIntervalIsClamped) {
     EXPECT_GE(delay, 0.0);
     EXPECT_LE(delay, 0.5);
   }
+}
+
+TEST(Backoff, RedialScheduleStaysInTheJitterWindowAndRestartsOnSuccess) {
+  using Clock = RedialSchedule::Clock;
+  const BackoffPolicy policy{0.05, 0.4, 2.0, 0.5};
+  RedialSchedule redial(policy);
+  const auto t0 = Clock::now();
+  EXPECT_TRUE(redial.due(t0)) << "a fresh schedule dials at once";
+  const auto after = [&](double s) {
+    return t0 + std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double>(s));
+  };
+  // The next dial is due no earlier than base * (1 - jitter) and no later
+  // than base after the back_off() that scheduled it.
+  const auto expect_window = [&](double base, unsigned failures) {
+    EXPECT_FALSE(redial.due(after(base * 0.5 - 1e-6))) << failures;
+    EXPECT_TRUE(redial.due(after(base + 1e-6))) << failures;
+  };
+  for (unsigned failures = 0; failures < 8; ++failures) {
+    ASSERT_EQ(redial.failures(), failures);
+    redial.back_off(t0);
+    expect_window(backoff_base_delay(policy, failures), failures);
+  }
+  redial.reset();
+  EXPECT_EQ(redial.failures(), 0u);
+  redial.back_off(t0);
+  expect_window(policy.initial_s, 0);
 }
 
 }  // namespace

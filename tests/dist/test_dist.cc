@@ -14,9 +14,6 @@
 //   by the silence scan (not just the EOF fast path).
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -36,6 +33,7 @@
 #include "dist/worker.h"
 #include "net/socket_io.h"
 #include "net/wire.h"
+#include "../net/syn_dropping_listener.h"
 
 namespace nrs {
 namespace {
@@ -120,7 +118,6 @@ LeaseTable::Config lease_config() {
   cfg.ttl_s = 1.0;
   cfg.backoff_initial_s = 0.05;
   cfg.backoff_max_s = 0.4;
-  cfg.backoff_factor = 2.0;
   return cfg;
 }
 
@@ -677,19 +674,71 @@ TEST(DistE2E, WorkerSkipsStandbyViaNotPrimary) {
   primary.stop();
 }
 
-/// A raw TCP connection to 127.0.0.1:`port`, or -1.
-int dial_loopback(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (fd >= 0 &&
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
+TEST(DistE2E, WorkerSkipsACoordinatorHostThatDropsSyns) {
+  // The first address in the worker's list drops SYNs (a powered-off or
+  // partitioned host): the dial is abandoned at its bound, counts as a
+  // failed attempt and rotates to the next address, where every lease
+  // goes active — instead of the run thread sitting in connect() for the
+  // kernel's SYN retry budget.
+  SynDroppingListener unreachable;
+  ASSERT_TRUE(unreachable.dropping());
+  constexpr unsigned kCells = 2;
+  FleetCoordinator primary(coordinator_config(kCells));
+
+  WorkerConfig wc = worker_config(0, "rerouted", kCells);
+  wc.coordinators = {unreachable.endpoint(),
+                     "127.0.0.1:" + std::to_string(primary.port())};
+  const auto start = Clock::now();
+  FleetWorker worker(wc);
+  ASSERT_TRUE(wait_until([&] { return primary.all_cells_active(); }, 10.0))
+      << "worker never got past the unreachable address";
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(3));
+
+  worker.stop();
+  primary.stop();
+}
+
+TEST(DistE2E, StandbyAnswersWorkersWhileItsPrimaryDropsSyns) {
+  // A standby whose primary address drops SYNs keeps redialing it, but
+  // every dial is abandoned at its bound, so the io thread still answers
+  // an early worker with kNotPrimary promptly.
+  SynDroppingListener unreachable;
+  ASSERT_TRUE(unreachable.dropping());
+  CoordinatorConfig standby_config;
+  standby_config.standby_of = unreachable.endpoint();
+  FleetCoordinator standby(std::move(standby_config));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  const int fd = dial_tcp("127.0.0.1", standby.port());
+  ASSERT_GE(fd, 0);
+  WorkerHello hello;
+  hello.name = "early";
+  const auto frame = encode_frame(hello);
+  const auto start = Clock::now();
+  ASSERT_TRUE(send_all(fd, frame.data(), frame.size()));
+
+  FrameParser parser;
+  std::optional<NotPrimary> answer;
+  while (!answer && Clock::now() - start < std::chrono::seconds(10)) {
+    const RecvStatus status = recv_frames(fd, parser);
+    if (status == RecvStatus::kClosed) {
+      break;
+    }
+    while (const auto got = parser.next()) {
+      if (got->type == FrameType::kNotPrimary) {
+        answer = decode_payload<NotPrimary>(got->payload);
+      }
+    }
+    if (status == RecvStatus::kWouldBlock) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
   }
-  return fd;
+  const auto answered_after = Clock::now() - start;
+  ASSERT_TRUE(answer.has_value()) << "the standby never answered the hello";
+  EXPECT_EQ(answer->message, "standby");
+  EXPECT_LT(answered_after, std::chrono::seconds(1));
+  ::close(fd);
+  standby.stop();
 }
 
 TEST(DistE2E, DeposedPrimaryFencesItselfOnHigherEpochHello) {
@@ -698,7 +747,7 @@ TEST(DistE2E, DeposedPrimaryFencesItselfOnHigherEpochHello) {
   FleetCoordinator coordinator(coordinator_config(1));
   ASSERT_EQ(coordinator.epoch(), 1u);
 
-  const int fd = dial_loopback(coordinator.port());
+  const int fd = dial_tcp("127.0.0.1", coordinator.port());
   ASSERT_GE(fd, 0);
   WorkerHello hello;
   hello.name = "from-the-future";
@@ -712,12 +761,10 @@ TEST(DistE2E, DeposedPrimaryFencesItselfOnHigherEpochHello) {
   // The answer on the wire is kNotPrimary, then EOF.
   FrameParser parser;
   bool saw_not_primary = false;
-  std::uint8_t buf[4096];
   const auto deadline = Clock::now() + std::chrono::seconds(10);
   while (Clock::now() < deadline) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
-    if (n > 0) {
-      parser.feed({buf, static_cast<std::size_t>(n)});
+    const RecvStatus status = recv_frames(fd, parser);
+    if (status == RecvStatus::kData) {
       if (const auto got = parser.next();
           got.has_value() && got->type == FrameType::kNotPrimary) {
         const auto info = decode_payload<NotPrimary>(got->payload);
@@ -726,7 +773,7 @@ TEST(DistE2E, DeposedPrimaryFencesItselfOnHigherEpochHello) {
         saw_not_primary = true;
         break;
       }
-    } else if (n == 0) {
+    } else if (status == RecvStatus::kClosed) {
       break;
     } else {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -744,7 +791,7 @@ TEST(DistE2E, OlderVersionWorkerHelloGetsStructuredReject) {
   MetricsRegistry registry;
   FleetCoordinator coordinator(coordinator_config(1), &registry);
 
-  const int fd = dial_loopback(coordinator.port());
+  const int fd = dial_tcp("127.0.0.1", coordinator.port());
   ASSERT_GE(fd, 0);
   WireWriter v4_hello;  // name, capacity, version, pool_threads: no epoch
   v4_hello(std::string("v4-worker"), std::uint32_t{2}, std::uint16_t{4},
@@ -758,18 +805,16 @@ TEST(DistE2E, OlderVersionWorkerHelloGetsStructuredReject) {
   FrameParser parser;
   std::optional<VersionReject> reject;
   bool eof = false;
-  std::uint8_t buf[4096];
   const auto deadline = Clock::now() + std::chrono::seconds(10);
   while (!eof && Clock::now() < deadline) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
-    if (n > 0) {
-      parser.feed({buf, static_cast<std::size_t>(n)});
+    const RecvStatus status = recv_frames(fd, parser);
+    if (status == RecvStatus::kData) {
       while (const auto got = parser.next()) {
         if (got->type == FrameType::kUnsupportedVersion) {
           reject = decode_payload<VersionReject>(got->payload);
         }
       }
-    } else if (n == 0) {
+    } else if (status == RecvStatus::kClosed) {
       eof = true;
     } else {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -790,36 +835,18 @@ TEST(DistE2E, OlderVersionWorkerHelloGetsStructuredReject) {
 /// frames the test says, and records the acks coming back.
 class FakeCoordinator {
  public:
-  FakeCoordinator() {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(listen_fd_, 0);
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-                     sizeof(addr)),
-              0);
-    EXPECT_EQ(::listen(listen_fd_, 4), 0);
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-    port_ = ntohs(bound.sin_port);
-  }
+  FakeCoordinator() : listener_(listen_tcp("127.0.0.1", 0)) {}
   ~FakeCoordinator() {
     if (conn_fd_ >= 0) {
       ::close(conn_fd_);
     }
-    if (listen_fd_ >= 0) {
-      ::close(listen_fd_);
-    }
+    ::close(listener_.fd);
   }
 
-  [[nodiscard]] std::uint16_t port() const { return port_; }
+  [[nodiscard]] std::uint16_t port() const { return listener_.port; }
 
   bool accept_worker() {
-    conn_fd_ = ::accept(listen_fd_, nullptr, nullptr);
+    conn_fd_ = accept_tcp(listener_.fd, SendBound::kBounded);
     return conn_fd_ >= 0;
   }
 
@@ -839,13 +866,11 @@ class FakeCoordinator {
           return frame;
         }
       }
-      std::uint8_t buf[4096];
-      const ssize_t n = ::recv(conn_fd_, buf, sizeof(buf), MSG_DONTWAIT);
-      if (n > 0) {
-        parser_.feed({buf, static_cast<std::size_t>(n)});
-      } else if (n == 0) {
+      const RecvStatus status = recv_frames(conn_fd_, parser_);
+      if (status == RecvStatus::kClosed) {
         return std::nullopt;
-      } else {
+      }
+      if (status == RecvStatus::kWouldBlock) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
     }
@@ -853,9 +878,8 @@ class FakeCoordinator {
   }
 
  private:
-  int listen_fd_ = -1;
+  TcpListener listener_;
   int conn_fd_ = -1;
-  std::uint16_t port_ = 0;
   FrameParser parser_;
 };
 

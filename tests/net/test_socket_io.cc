@@ -1,19 +1,29 @@
-// send_exact() semantics on real sockets: complete sends report kOk, a
-// peer that vanished reports kFailed with nothing written, and — the case
-// that used to truncate frames silently — a wedged peer behind a full
-// send buffer and an SO_SNDTIMEO deadline reports kPartial/kFailed, never
-// kOk, so the caller knows the stream is torn and drops the connection.
+// The link layer on real sockets.  send_exact(): complete sends report
+// kOk, a peer that vanished reports kFailed with nothing written, and —
+// the case that used to truncate frames silently — a wedged peer behind a
+// full send buffer and an SO_SNDTIMEO deadline reports kPartial/kFailed,
+// never kOk, so the caller knows the stream is torn and drops the
+// connection.  listen_tcp/accept_tcp/dial_tcp: the bound port, the socket
+// options every link carries, and a dial that fails at once on a refusal
+// and at kDialTimeout on a host that drops SYNs.  recv_frames(): data,
+// would-block and closed.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "net/socket_io.h"
+#include "syn_dropping_listener.h"
 
 namespace nrs {
 namespace {
@@ -102,6 +112,99 @@ TEST(SocketIo, SendAllMatchesSendExactOk) {
     ok = send_all(pair.a, data.data(), data.size());
   }
   EXPECT_FALSE(ok);
+}
+
+TEST(SocketIo, ListenReportsBoundPortAndRejectsBadAddress) {
+  const TcpListener listener = listen_tcp("127.0.0.1", 0);
+  ASSERT_GE(listener.fd, 0);
+  EXPECT_NE(listener.port, 0);
+  sockaddr_in bound{};
+  socklen_t len = sizeof(bound);
+  ASSERT_EQ(::getsockname(listener.fd, reinterpret_cast<sockaddr*>(&bound),
+                          &len),
+            0);
+  EXPECT_EQ(ntohs(bound.sin_port), listener.port);
+  ::close(listener.fd);
+  EXPECT_THROW(listen_tcp("not-an-address", 0), std::runtime_error);
+}
+
+bool no_delay(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  return ::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) == 0 &&
+         value != 0;
+}
+
+timeval send_timeout(int fd) {
+  timeval value{};
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &value, &len), 0);
+  return value;
+}
+
+TEST(SocketIo, DialAndAcceptCarryTheLinkOptions) {
+  const TcpListener listener = listen_tcp("127.0.0.1", 0);
+  const int dialed = dial_tcp("127.0.0.1", listener.port);
+  ASSERT_GE(dialed, 0);
+  EXPECT_TRUE(no_delay(dialed));
+  EXPECT_EQ(send_timeout(dialed).tv_sec, kSendTimeout.count());
+  // The dialed socket is blocking again once the handshake is done.
+  EXPECT_EQ(::fcntl(dialed, F_GETFL, 0) & O_NONBLOCK, 0);
+
+  const int bounded = accept_tcp(listener.fd, SendBound::kBounded);
+  ASSERT_GE(bounded, 0);
+  EXPECT_TRUE(no_delay(bounded));
+  EXPECT_EQ(send_timeout(bounded).tv_sec, kSendTimeout.count());
+
+  const int second = dial_tcp("127.0.0.1", listener.port);
+  ASSERT_GE(second, 0);
+  const int unbounded = accept_tcp(listener.fd, SendBound::kNone);
+  ASSERT_GE(unbounded, 0);
+  EXPECT_TRUE(no_delay(unbounded));
+  EXPECT_EQ(send_timeout(unbounded).tv_sec, 0);
+  EXPECT_EQ(send_timeout(unbounded).tv_usec, 0);
+  for (const int fd : {dialed, bounded, second, unbounded, listener.fd}) {
+    ::close(fd);
+  }
+}
+
+TEST(SocketIo, DialToClosedPortFailsAtOnce) {
+  const TcpListener listener = listen_tcp("127.0.0.1", 0);
+  ::close(listener.fd);  // nothing listens on the port any more
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(dial_tcp("127.0.0.1", listener.port), -1);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kDialTimeout / 2);
+  EXPECT_EQ(dial_tcp("not-an-address", listener.port), -1);
+}
+
+TEST(SocketIo, DialToSynDroppingHostIsAbandonedAtTheBound) {
+  SynDroppingListener unreachable;
+  ASSERT_TRUE(unreachable.dropping());
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(dial_tcp("127.0.0.1", unreachable.port()), -1);
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(took, kDialTimeout);
+  EXPECT_LT(took, std::chrono::seconds(1));
+}
+
+TEST(SocketIo, RecvReportsDataWouldBlockAndClosed) {
+  SocketPair pair;
+  FrameParser parser;
+  EXPECT_EQ(recv_frames(pair.b, parser), RecvStatus::kWouldBlock);
+
+  const std::vector<std::uint8_t> frame =
+      encode_frame(FrameType::kHeartbeat, {});
+  ASSERT_TRUE(send_all(pair.a, frame.data(), frame.size()));
+  std::size_t bytes = 0;
+  EXPECT_EQ(recv_frames(pair.b, parser, &bytes), RecvStatus::kData);
+  EXPECT_EQ(bytes, frame.size());
+  const auto parsed = parser.next();
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->type, FrameType::kHeartbeat);
+
+  ::close(pair.a);
+  pair.a = -1;
+  EXPECT_EQ(recv_frames(pair.b, parser), RecvStatus::kClosed);
 }
 
 }  // namespace

@@ -6,8 +6,7 @@
 // disconnect/reconnect.
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -23,6 +22,7 @@
 
 #include "gnb/gnb_sim.h"
 #include "gnb/presets.h"
+#include "net/socket_io.h"
 #include "net/stream_client.h"
 #include "net/stream_server.h"
 #include "nrscope/log_writer.h"
@@ -32,6 +32,7 @@
 #include "store/query.h"
 #include "store/store_sink.h"
 #include "../nrscope/slot_streams.h"
+#include "syn_dropping_listener.h"
 
 namespace nrs {
 namespace {
@@ -260,6 +261,25 @@ TEST(Stream, ClientSurvivesFullServerRestart) {
             0u);
 }
 
+TEST(Stream, StopReturnsWhileDialingAHostThatDropsSyns) {
+  // A server host that drops SYNs (powered off, partitioned) must not hold
+  // the reader thread in connect() for the kernel's SYN retry budget: each
+  // dial is abandoned at its bound, counts as a failed attempt and is
+  // redialed after the backoff, and stop() returns at once.
+  SynDroppingListener unreachable;
+  ASSERT_TRUE(unreachable.dropping());
+  MetricsRegistry registry;
+  TelemetryStreamClient client(client_config(unreachable.port()),
+                               StreamClientHandlers{}, &registry);
+  std::this_thread::sleep_for(std::chrono::milliseconds(700));
+  EXPECT_GE(registry.snapshot().counter_value("net.client.reconnect_attempts"),
+            1u);
+  const auto start = std::chrono::steady_clock::now();
+  client.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_FALSE(client.connected());
+}
+
 TEST(Stream, HeartbeatsKeepIdleConnectionAlive) {
   StreamServerConfig server_cfg;
   server_cfg.heartbeat_period_s = 0.05;
@@ -285,25 +305,17 @@ TEST(Stream, HeartbeatsKeepIdleConnectionAlive) {
 /// hits its bound — exactly the slow-consumer case the policies handle.
 class StuckConsumer {
  public:
-  explicit StuckConsumer(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
+  explicit StuckConsumer(std::uint16_t port)
+      : fd_(dial_tcp("127.0.0.1", port)) {}
   ~StuckConsumer() {
     if (fd_ >= 0) {
       ::close(fd_);
     }
   }
-  [[nodiscard]] bool connected() const { return connected_; }
+  [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
  private:
   int fd_ = -1;
-  bool connected_ = false;
 };
 
 /// Drive `server` until the slow-consumer accounting in `counter_name`
@@ -753,22 +765,14 @@ std::vector<std::uint8_t> with_version(std::vector<std::uint8_t> frame,
 /// Raw loopback socket speaking an explicit wire version.
 class RawPeer {
  public:
-  explicit RawPeer(std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                           sizeof(addr)) == 0;
-  }
+  explicit RawPeer(std::uint16_t port) : fd_(dial_tcp("127.0.0.1", port)) {}
   ~RawPeer() {
     if (fd_ >= 0) {
       ::close(fd_);
     }
   }
 
-  [[nodiscard]] bool connected() const { return connected_; }
+  [[nodiscard]] bool connected() const { return fd_ >= 0; }
 
   void send_frame(const std::vector<std::uint8_t>& frame) const {
     ASSERT_EQ(::send(fd_, frame.data(), frame.size(), 0),
@@ -777,11 +781,7 @@ class RawPeer {
 
   /// Read frames until `type` arrives (true), EOF, or the deadline.
   bool read_until(FrameType type, Frame& out, double timeout_s = 5.0) {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(timeout_s));
-    std::uint8_t buf[4096];
+    const auto deadline = deadline_after(timeout_s);
     while (std::chrono::steady_clock::now() < deadline) {
       while (auto frame = parser_.next()) {
         if (frame->type == type) {
@@ -789,43 +789,41 @@ class RawPeer {
           return true;
         }
       }
-      timeval tv{0, 100000};  // 100 ms
-      ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n == 0) {
+      if (read_some() == RecvStatus::kClosed) {
         return false;  // server closed on us
-      }
-      if (n > 0) {
-        parser_.feed({buf, static_cast<std::size_t>(n)});
       }
     }
     return false;
   }
 
-  /// True when the server has closed the connection (recv returns 0).
+  /// True when the server has closed the connection.
   bool wait_eof(double timeout_s = 5.0) {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(timeout_s));
-    std::uint8_t buf[4096];
+    const auto deadline = deadline_after(timeout_s);
     while (std::chrono::steady_clock::now() < deadline) {
-      timeval tv{0, 100000};
-      ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-      if (n == 0) {
+      if (read_some() == RecvStatus::kClosed) {
         return true;
-      }
-      if (n > 0) {
-        parser_.feed({buf, static_cast<std::size_t>(n)});
       }
     }
     return false;
   }
 
  private:
+  static std::chrono::steady_clock::time_point deadline_after(double s) {
+    return std::chrono::steady_clock::now() +
+           std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+               std::chrono::duration<double>(s));
+  }
+
+  /// Wait up to 100 ms for the socket, then one recv_frames().
+  RecvStatus read_some() {
+    pollfd pfd{fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, /*timeout_ms=*/100) <= 0) {
+      return RecvStatus::kWouldBlock;
+    }
+    return recv_frames(fd_, parser_);
+  }
+
   int fd_ = -1;
-  bool connected_ = false;
   FrameParser parser_;
 };
 
@@ -892,33 +890,17 @@ TEST(StreamVersion, ClientRecordsProtocolErrorAndStopsReconnecting) {
   // Fake "future coordinator": a plain listener that answers any client
   // with kUnsupportedVersion.  The client must surface a clear error and
   // must NOT keep reconnecting (a version mismatch never heals).
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listen_fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = 0;
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listen_fd, 4), 0);
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&bound), &len);
+  const TcpListener listener = listen_tcp("127.0.0.1", 0);
 
   std::atomic<int> accepts{0};
   std::atomic<bool> stop{false};
   std::thread fake_server([&] {
     while (!stop.load()) {
-      timeval tv{0, 100000};
-      ::setsockopt(listen_fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      fd_set readable;
-      FD_ZERO(&readable);
-      FD_SET(listen_fd, &readable);
-      if (::select(listen_fd + 1, &readable, nullptr, nullptr, &tv) <= 0) {
+      pollfd pfd{listener.fd, POLLIN, 0};
+      if (::poll(&pfd, 1, /*timeout_ms=*/100) <= 0) {
         continue;
       }
-      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      const int fd = accept_tcp(listener.fd, SendBound::kNone);
       if (fd < 0) {
         continue;
       }
@@ -927,7 +909,7 @@ TEST(StreamVersion, ClientRecordsProtocolErrorAndStopsReconnecting) {
       reject.rejected = kWireVersion;
       reject.message = "speak version 99";
       const auto frame = encode_frame(reject);
-      (void)::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
+      (void)send_all(fd, frame.data(), frame.size());
       ::close(fd);
     }
   });
@@ -937,8 +919,7 @@ TEST(StreamVersion, ClientRecordsProtocolErrorAndStopsReconnecting) {
   handlers.on_protocol_error = [&](const VersionReject&) {
     ++protocol_errors;
   };
-  TelemetryStreamClient client(client_config(ntohs(bound.sin_port)),
-                               handlers);
+  TelemetryStreamClient client(client_config(listener.port), handlers);
   ASSERT_TRUE(wait_until([&] { return protocol_errors.load() >= 1; }));
   EXPECT_FALSE(client.protocol_error().empty());
   EXPECT_NE(client.protocol_error().find("rejected"), std::string::npos);
@@ -952,7 +933,7 @@ TEST(StreamVersion, ClientRecordsProtocolErrorAndStopsReconnecting) {
   client.stop();
   stop.store(true);
   fake_server.join();
-  ::close(listen_fd);
+  ::close(listener.fd);
 }
 
 }  // namespace

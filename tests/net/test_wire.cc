@@ -409,26 +409,6 @@ TEST(Wire, QueryResponseRoundTrip) {
   EXPECT_EQ(*decoded, response);
 }
 
-TEST(Wire, QueryFramesRoundTripThroughParser) {
-  FrameParser parser;
-  parser.feed(encode_frame(sample_query_request()));
-  parser.feed(encode_frame(sample_query_response()));
-  auto frame = parser.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, FrameType::kQuery);
-  const auto request = decode_payload<QueryRequest>(frame->payload);
-  ASSERT_TRUE(request.has_value());
-  EXPECT_EQ(*request, sample_query_request());
-  frame = parser.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, FrameType::kQueryResult);
-  const auto response = decode_payload<QueryResponse>(frame->payload);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(*response, sample_query_response());
-  EXPECT_FALSE(parser.next().has_value());
-  EXPECT_FALSE(parser.error());
-}
-
 TEST(Wire, QueryRequestEveryTruncationFailsCleanly) {
   expect_every_truncation_fails(sample_query_request());
 }
@@ -690,71 +670,6 @@ TEST(Wire, CellReportEveryTruncationFailsCleanly) {
 
 TEST(Wire, CellReportRejectsTrailingGarbage) {
   expect_trailing_byte_rejected(sample_cell_report(), 0x00);
-}
-
-TEST(Wire, DistFramesRoundTripThroughParser) {
-  std::vector<std::uint8_t> stream;
-  WorkerHello hello;
-  hello.name = "w1";
-  hello.capacity = 4;
-  const auto append = [&stream](const std::vector<std::uint8_t>& frame) {
-    stream.insert(stream.end(), frame.begin(), frame.end());
-  };
-  LeaseGrant grant;
-  grant.lease_id = 1;
-  grant.ttl_ms = 1500;
-  grant.spec = sample_cell_spec();
-  LeaseAck ack;
-  ack.lease_id = 1;
-  ack.accepted = true;
-  WorkerHeartbeat hb;
-  hb.seq = 1;
-  hb.leases.push_back({1, 5, 100, 0});
-  LeaseRevoke revoke;
-  revoke.lease_id = 1;
-  revoke.reason = "test";
-  const CellReportBatch batch{{sample_cell_report()}};
-  append(encode_frame(hello));
-  append(encode_frame(grant));
-  append(encode_frame(ack));
-  append(encode_frame(hb));
-  append(encode_frame(batch));
-  append(encode_frame(revoke));
-  append(encode_frame(VersionReject{1, 2, 3, "nope"}));
-
-  FrameParser parser;
-  parser.feed(stream);
-  std::vector<FrameType> types;
-  while (auto frame = parser.next()) {
-    types.push_back(frame->type);
-    switch (frame->type) {
-      case FrameType::kWorkerHello:
-        EXPECT_EQ(decode_payload<WorkerHello>(frame->payload), hello);
-        break;
-      case FrameType::kLease:
-        EXPECT_EQ(decode_payload<LeaseGrant>(frame->payload), grant);
-        break;
-      case FrameType::kLeaseAck:
-        EXPECT_EQ(decode_payload<LeaseAck>(frame->payload), ack);
-        break;
-      case FrameType::kWorkerHeartbeat:
-        EXPECT_EQ(decode_payload<WorkerHeartbeat>(frame->payload), hb);
-        break;
-      case FrameType::kCellReportBatch:
-        EXPECT_EQ(decode_payload<CellReportBatch>(frame->payload), batch);
-        break;
-      case FrameType::kLeaseRevoke:
-        EXPECT_EQ(decode_payload<LeaseRevoke>(frame->payload), revoke);
-        break;
-      case FrameType::kUnsupportedVersion:
-        EXPECT_TRUE(decode_payload<VersionReject>(frame->payload).has_value());
-        break;
-      default:
-        FAIL() << "unexpected frame type";
-    }
-  }
-  EXPECT_FALSE(parser.error());
-  EXPECT_EQ(types.size(), 7u);
 }
 
 // ---- Prediction frames (protocol v4) ----------------------------------
@@ -1065,35 +980,6 @@ TEST(Wire, EpochFieldsRoundTripOnLeaseAndReportPayloads) {
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->epoch, 42u);
   }
-}
-
-TEST(Wire, HaFramesRoundTripThroughParser) {
-  FrameParser parser;
-  parser.feed(encode_frame(StandbyHello{"standby:9201", kWireVersion}));
-  parser.feed(encode_frame(sample_replica_snapshot()));
-  parser.feed(encode_frame(sample_replica_event()));
-  parser.feed(encode_frame(NotPrimary{5, "deposed"}));
-  auto frame = parser.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, FrameType::kStandbyHello);
-  EXPECT_TRUE(decode_payload<StandbyHello>(frame->payload).has_value());
-  frame = parser.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, FrameType::kReplicaSnapshot);
-  EXPECT_EQ(decode_payload<ReplicaSnapshot>(frame->payload),
-            sample_replica_snapshot());
-  frame = parser.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, FrameType::kReplicaEvent);
-  EXPECT_EQ(decode_payload<ReplicaEvent>(frame->payload),
-            sample_replica_event());
-  frame = parser.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, FrameType::kNotPrimary);
-  const auto info = decode_payload<NotPrimary>(frame->payload);
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->epoch, 5u);
-  EXPECT_FALSE(parser.error());
 }
 
 // ---- Exact version match ---------------------------------------------
