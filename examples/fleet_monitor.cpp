@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -43,17 +44,6 @@ struct Options {
   std::uint64_t fault_slot = 400;
   std::uint64_t report_every = 600;
 };
-
-CellConfig preset_cell(const std::string& name) {
-  if (name == "srsran") return srsran_cell();
-  if (name == "mosolab") return mosolab_cell();
-  if (name == "amarisoft") return amarisoft_cell();
-  if (name == "tmobile1") return tmobile_cell1();
-  if (name == "tmobile2") return tmobile_cell2();
-  std::fprintf(stderr, "unknown preset '%s' (srsran, mosolab, amarisoft, "
-                       "tmobile1, tmobile2)\n", name.c_str());
-  std::exit(1);
-}
 
 Options parse_args(int argc, char** argv) {
   Options opt;
@@ -135,6 +125,12 @@ void print_table(const FleetOrchestrator& fleet) {
 
 int main(int argc, char** argv) {
   const Options opt = parse_args(argc, argv);
+  const std::optional<CellConfig> preset = cell_preset(opt.preset);
+  if (!preset) {
+    std::fprintf(stderr, "unknown preset '%s' (srsran, mosolab, amarisoft, "
+                         "tmobile1, tmobile2)\n", opt.preset.c_str());
+    return 1;
+  }
   nrs_examples::install_signal_handlers();
 
   MetricsRegistry registry;
@@ -162,7 +158,7 @@ int main(int argc, char** argv) {
   config.aggregate_period_ticks = 10;
   for (unsigned i = 0; i < opt.cells; ++i) {
     FleetCellSpec spec;
-    spec.cell = preset_cell(opt.preset);
+    spec.cell = *preset;
     spec.cell.name = "cell" + std::to_string(i);
     spec.n_ues = 2;
     spec.ue_rate_bps = 2e6;
@@ -216,7 +212,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(opt.seed));
   FleetOrchestrator fleet(std::move(config), registry);
   // Per-cell history ingest, re-attached automatically on every restart.
-  const unsigned n_prb = preset_cell(opt.preset).n_prb;
+  const unsigned n_prb = preset->n_prb;
   fleet.add_sink("store", [&store, n_prb](std::uint32_t cell_index) {
     StoreSinkConfig sink_config;
     sink_config.cell_index = cell_index;

@@ -8,6 +8,14 @@
 
 namespace nrs {
 
+/// SplitMix64 finalizer: cheap, well-mixed seed derivation.
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 /// Thin wrapper over a 64-bit Mersenne Twister with convenience draws.
 class Rng {
  public:

@@ -6,14 +6,12 @@
 namespace nrs {
 
 std::uint64_t WorkerCatalog::add(std::string name, std::uint32_t capacity,
-                                 std::uint32_t pool_threads, int fd,
-                                 TimePoint now) {
+                                 int fd, TimePoint now) {
   const std::uint64_t id = ++next_id_;
   WorkerEntry entry;
   entry.id = id;
   entry.name = std::move(name);
   entry.capacity = capacity;
-  entry.pool_threads = pool_threads;
   entry.fd = fd;
   entry.alive = true;
   entry.last_seen = now;
@@ -52,15 +50,6 @@ const WorkerEntry* WorkerCatalog::find(std::uint64_t id) const {
   return it == workers_.end() ? nullptr : &it->second;
 }
 
-WorkerEntry* WorkerCatalog::find_by_fd(int fd) {
-  for (auto& [id, entry] : workers_) {
-    if (entry.fd == fd && entry.alive) {
-      return &entry;
-    }
-  }
-  return nullptr;
-}
-
 void WorkerCatalog::touch(std::uint64_t id, TimePoint now) {
   if (WorkerEntry* entry = find(id)) {
     entry->last_seen = now;
@@ -75,16 +64,18 @@ void WorkerCatalog::mark_dead(std::uint64_t id) {
 
 void WorkerCatalog::remove(std::uint64_t id) { workers_.erase(id); }
 
-std::optional<std::uint64_t> WorkerCatalog::pick_least_loaded() const {
+std::optional<std::uint64_t> WorkerCatalog::pick_least_loaded(
+    const LeaseTable& leases) const {
   std::optional<std::uint64_t> best;
   std::size_t best_load = 0;
   for (const auto& [id, entry] : workers_) {
-    if (!entry.has_capacity() || entry.fd < 0) {
+    if (!entry.alive || entry.fd < 0) {
       continue;
     }
-    if (!best || entry.load() < best_load) {
+    const std::size_t load = leases.held_by(id).size();
+    if (load < entry.capacity && (!best || load < best_load)) {
       best = id;
-      best_load = entry.load();
+      best_load = load;
     }
   }
   return best;

@@ -1,6 +1,7 @@
 // Worker catalog for the distributed fleet coordinator: who is connected,
-// how many cells each worker can carry, which cells it currently holds,
-// and when it last proved it was alive.  The catalog is a plain data
+// how many cells each worker can carry, and when it last proved it was
+// alive.  Which cells a worker holds is the lease table's record
+// (LeaseTable::held_by), not the catalog's.  The catalog is a plain data
 // structure — all mutation happens on the coordinator's io thread — so it
 // is unit-testable without sockets.
 #pragma once
@@ -9,26 +10,20 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
+
+#include "dist/lease.h"
 
 namespace nrs {
 
 struct WorkerEntry {
   std::uint64_t id = 0;
   std::string name;
-  std::uint32_t capacity = 1;      ///< max concurrent cell leases
-  std::uint32_t pool_threads = 0;  ///< informational, from WorkerHello
-  int fd = -1;                     ///< the worker's socket (not owned)
+  std::uint32_t capacity = 1;  ///< max concurrent cell leases
+  int fd = -1;                 ///< the worker's socket (not owned)
   bool alive = true;
   std::chrono::steady_clock::time_point last_seen{};
-  std::set<std::uint32_t> cells;  ///< cell indices currently leased to it
-
-  [[nodiscard]] std::size_t load() const { return cells.size(); }
-  [[nodiscard]] bool has_capacity() const {
-    return alive && cells.size() < capacity;
-  }
 };
 
 class WorkerCatalog {
@@ -36,8 +31,8 @@ class WorkerCatalog {
   using TimePoint = std::chrono::steady_clock::time_point;
 
   /// Register a freshly-greeted worker; returns its catalog id (never 0).
-  std::uint64_t add(std::string name, std::uint32_t capacity,
-                    std::uint32_t pool_threads, int fd, TimePoint now);
+  std::uint64_t add(std::string name, std::uint32_t capacity, int fd,
+                    TimePoint now);
 
   /// Mirror a replicated catalog entry under its original id (standby
   /// apply path).  The entry has no socket (fd = -1) — after a promotion
@@ -56,23 +51,23 @@ class WorkerCatalog {
 
   [[nodiscard]] WorkerEntry* find(std::uint64_t id);
   [[nodiscard]] const WorkerEntry* find(std::uint64_t id) const;
-  [[nodiscard]] WorkerEntry* find_by_fd(int fd);
 
   /// Record proof of life (a heartbeat or any inbound frame).
   void touch(std::uint64_t id, TimePoint now);
 
-  /// Declare a worker dead.  Its cell set is left for the caller to walk
+  /// Declare a worker dead.  Its leases are left for the caller to walk
   /// (the lease table owns the reassignment); remove() erases the entry
   /// once the caller is done with it.
   void mark_dead(std::uint64_t id);
   void remove(std::uint64_t id);
 
   /// The alive *connected* worker with free capacity carrying the fewest
-  /// cells (ties: lowest id, so placement is deterministic).  Ghost
-  /// entries (fd < 0, mirrored from a dead primary) are skipped — there is
-  /// no socket to send a grant on.  nullopt when the fleet is saturated or
-  /// empty.
-  [[nodiscard]] std::optional<std::uint64_t> pick_least_loaded() const;
+  /// cells in `leases` (ties: lowest id, so placement is deterministic).
+  /// Ghost entries (fd < 0, mirrored from a dead primary) are skipped —
+  /// there is no socket to send a grant on.  nullopt when the fleet is
+  /// saturated or empty.
+  [[nodiscard]] std::optional<std::uint64_t> pick_least_loaded(
+      const LeaseTable& leases) const;
 
   /// Workers that have been silent for longer than `timeout_s`.
   [[nodiscard]] std::vector<std::uint64_t> silent_since(

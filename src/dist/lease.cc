@@ -52,14 +52,10 @@ Lease* LeaseTable::by_id(std::uint64_t lease_id) {
   return nullptr;
 }
 
-bool LeaseTable::ack(std::uint64_t lease_id, bool accepted, TimePoint now) {
+bool LeaseTable::ack(std::uint64_t lease_id, TimePoint now) {
   Lease* lease = by_id(lease_id);
   if (lease == nullptr) {
     return false;
-  }
-  if (!accepted) {
-    release(lease->cell_index, /*penalize=*/true, now);
-    return true;
   }
   lease->state = LeaseState::kActive;
   lease->expires_at = after(now, config_.ttl_s);
@@ -139,6 +135,18 @@ bool LeaseTable::rebind(std::uint64_t lease_id,
   }
   lease->worker_id = new_worker_id;
   return true;
+}
+
+std::vector<std::uint32_t> LeaseTable::held_by(
+    std::uint64_t worker_id) const {
+  std::vector<std::uint32_t> out;
+  for (const Lease& lease : leases_) {
+    if (lease.state != LeaseState::kUnassigned &&
+        lease.worker_id == worker_id) {
+      out.push_back(lease.cell_index);
+    }
+  }
+  return out;
 }
 
 std::vector<std::uint32_t> LeaseTable::expired(TimePoint now) const {

@@ -22,8 +22,12 @@ enum class LeaseState : std::uint8_t {
 
 const char* to_string(LeaseState state);
 
-/// Each penalized release of a cell multiplies its backoff by this, up to
-/// the table's backoff_max_s.
+/// The coordinator's per-cell reassignment backoff: the first penalized
+/// release holds the cell out of placement for kLeaseBackoffInitialS, and
+/// each further one multiplies the hold by kLeaseBackoffFactor, up to
+/// kLeaseBackoffMaxS (the table's Config defaults).
+inline constexpr double kLeaseBackoffInitialS = 0.05;
+inline constexpr double kLeaseBackoffMaxS = 1.0;
 inline constexpr double kLeaseBackoffFactor = 2.0;
 
 struct Lease {
@@ -45,8 +49,8 @@ class LeaseTable {
 
   struct Config {
     double ttl_s = 1.5;
-    double backoff_initial_s = 0.05;
-    double backoff_max_s = 1.0;
+    double backoff_initial_s = kLeaseBackoffInitialS;
+    double backoff_max_s = kLeaseBackoffMaxS;
   };
 
   LeaseTable(std::size_t n_cells, Config config);
@@ -57,10 +61,10 @@ class LeaseTable {
   std::uint64_t grant(std::uint32_t cell_index, std::uint64_t worker_id,
                       TimePoint now);
 
-  /// Apply a worker's kLeaseAck.  A refusal releases the lease with
-  /// backoff (the worker is over capacity or cannot build the cell).
-  /// False when the lease id no longer matches any live lease.
-  bool ack(std::uint64_t lease_id, bool accepted, TimePoint now);
+  /// Apply a worker's accepting kLeaseAck: the lease turns kActive and its
+  /// TTL clock restarts.  (A refusal is a penalized release().)  False
+  /// when the lease id no longer matches any live lease.
+  bool ack(std::uint64_t lease_id, TimePoint now);
 
   /// Extend the lease's TTL (a heartbeat listed it).  False when the id
   /// does not match a live lease.
@@ -118,6 +122,10 @@ class LeaseTable {
   }
   [[nodiscard]] std::size_t n_cells() const { return leases_.size(); }
 
+  /// Cells whose granted lease (pending or active) `worker_id` holds, in
+  /// ascending order: the one record of a worker's holdings.
+  [[nodiscard]] std::vector<std::uint32_t> held_by(
+      std::uint64_t worker_id) const;
   /// Cells whose granted lease (pending or active) has outlived its TTL.
   [[nodiscard]] std::vector<std::uint32_t> expired(TimePoint now) const;
   /// Unassigned cells whose backoff has elapsed.

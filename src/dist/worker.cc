@@ -18,26 +18,6 @@ namespace nrs {
 
 namespace {
 
-/// Resolve a coordinator-chosen preset name to its CellConfig.  Returns
-/// false (and leaves `out` untouched) for a name this build does not know
-/// — the lease is refused with a structured reason instead of crashing.
-bool find_cell_preset(const std::string& name, CellConfig& out) {
-  if (name == "srsran") {
-    out = srsran_cell();
-  } else if (name == "mosolab") {
-    out = mosolab_cell();
-  } else if (name == "amarisoft") {
-    out = amarisoft_cell();
-  } else if (name == "tmobile1") {
-    out = tmobile_cell1();
-  } else if (name == "tmobile2") {
-    out = tmobile_cell2();
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::chrono::steady_clock::duration secs(double s) {
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double>(s));
@@ -193,14 +173,14 @@ void FleetWorker::setup_orchestrator() {
   // every incarnation of every leased cell feeds its collector.
   orch_->add_sink("dist-rows", [this](std::uint32_t local_index)
                                    -> std::shared_ptr<SlotSink> {
-    const auto it = collectors_.find(local_index);
-    return it == collectors_.end() ? nullptr : it->second;
+    const HeldLease* lease = lease_at(local_index);
+    return lease == nullptr ? nullptr : lease->collector;
   });
   if (config_.enable_prediction) {
     orch_->add_sink("dist-predict", [this](std::uint32_t local_index)
                                         -> std::shared_ptr<SlotSink> {
-      const auto it = prediction_sinks_.find(local_index);
-      return it == prediction_sinks_.end() ? nullptr : it->second;
+      const HeldLease* lease = lease_at(local_index);
+      return lease == nullptr ? nullptr : lease->prediction_sink;
     });
   }
 }
@@ -213,8 +193,6 @@ void FleetWorker::teardown_orchestrator() {
   }
   orch_.reset();
   leases_.clear();
-  collectors_.clear();
-  prediction_sinks_.clear();
   n_cells_.store(0);
   m_cells_->set(0);
 }
@@ -386,8 +364,10 @@ void FleetWorker::handle_lease(const LeaseGrant& grant) {
     }
     return;
   }
-  FleetCellSpec spec;
-  if (!find_cell_preset(grant.spec.preset, spec.cell)) {
+  // A preset this build does not know refuses the lease with a structured
+  // reason instead of crashing.
+  const std::optional<CellConfig> preset = cell_preset(grant.spec.preset);
+  if (!preset) {
     ack.accepted = false;
     ack.message = "unknown preset '" + grant.spec.preset + "'";
     m_leases_refused_->inc();
@@ -396,6 +376,8 @@ void FleetWorker::handle_lease(const LeaseGrant& grant) {
     }
     return;
   }
+  FleetCellSpec spec;
+  spec.cell = *preset;
   if (grant.spec.pci != 0) {
     spec.cell.pci = grant.spec.pci;
   }
@@ -409,12 +391,11 @@ void FleetWorker::handle_lease(const LeaseGrant& grant) {
   lease.lease_id = grant.lease_id;
   lease.cell_index = grant.spec.cell_index;
   lease.expires_at = now + secs(grant.ttl_ms / 1000.0);
+  // The sink factories find the lease by its local index, so it must be
+  // in leases_ before add_cell builds the cell's pipeline; new cells land
+  // at index n_cells().
+  lease.local_index = static_cast<std::uint32_t>(orch_->n_cells());
   lease.collector = std::make_shared<RowCollector>(spec.cell.n_prb);
-  // The collector must be findable by the sink factory before add_cell
-  // builds the cell's pipeline; new cells land at index n_cells().
-  const std::uint32_t local =
-      static_cast<std::uint32_t>(orch_->n_cells());
-  collectors_[local] = lease.collector;
   if (config_.enable_prediction && predictor_ != nullptr) {
     auto buffer = std::make_shared<PredictionBuffer>();
     PredictionSinkConfig pcfg;
@@ -430,11 +411,9 @@ void FleetWorker::handle_lease(const LeaseGrant& grant) {
           buffer->fresh = true;
         });
     lease.prediction_buffer = std::move(buffer);
-    prediction_sinks_[local] = lease.prediction_sink;
   }
-  lease.local_index = orch_->add_cell(std::move(spec),
-                                      grant.spec.incarnation);
   leases_[grant.lease_id] = std::move(lease);
+  orch_->add_cell(std::move(spec), grant.spec.incarnation);
   n_cells_.store(leases_.size());
   m_cells_->set(static_cast<std::int64_t>(leases_.size()));
   m_leases_accepted_->inc();
@@ -463,11 +442,19 @@ void FleetWorker::drop_lease(std::uint64_t lease_id) {
   }
   released_lease_slots_ += orch_->cell_slots(it->second.local_index);
   orch_->remove_cell(it->second.local_index);
-  collectors_.erase(it->second.local_index);
-  prediction_sinks_.erase(it->second.local_index);
   leases_.erase(it);
   n_cells_.store(leases_.size());
   m_cells_->set(static_cast<std::int64_t>(leases_.size()));
+}
+
+const FleetWorker::HeldLease* FleetWorker::lease_at(
+    std::uint32_t local_index) const {
+  for (const auto& [id, lease] : leases_) {
+    if (lease.local_index == local_index) {
+      return &lease;
+    }
+  }
+  return nullptr;
 }
 
 void FleetWorker::expire_leases(Clock::time_point now) {

@@ -187,6 +187,9 @@ class FleetWorker {
   void handle_revoke(const LeaseRevoke& revoke);
   void handle_not_primary(const NotPrimary& info);
   void drop_lease(std::uint64_t lease_id);
+  /// The held lease running at orchestrator-local `local_index` (the sink
+  /// factories' lookup); nullptr when none does.
+  [[nodiscard]] const HeldLease* lease_at(std::uint32_t local_index) const;
   void expire_leases(Clock::time_point now);
   void send_heartbeat();
   void send_reports();
@@ -215,10 +218,6 @@ class FleetWorker {
   std::unique_ptr<FleetOrchestrator> orch_;
   std::unique_ptr<FrameParser> parser_;
   std::map<std::uint64_t, HeldLease> leases_;  ///< by lease_id
-  std::map<std::uint32_t, std::shared_ptr<RowCollector>>
-      collectors_;  ///< by orchestrator-local index
-  std::map<std::uint32_t, std::shared_ptr<SlotSink>>
-      prediction_sinks_;  ///< by orchestrator-local index
   /// One predictor shared by every leased cell's sink (weights are
   /// immutable after load).
   std::shared_ptr<const ThroughputPredictor> predictor_;

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/rng.h"
 #include "nrscope/slot_sink.h"
 #include "ue/traffic.h"
 
@@ -24,14 +25,6 @@ std::int64_t steady_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              Clock::now().time_since_epoch())
       .count();
-}
-
-/// SplitMix64 finalizer: cheap, well-mixed seed derivation.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
 }
 
 /// Deterministic per-(cell, incarnation) seed: every restart draws a fresh

@@ -32,11 +32,7 @@ const char* to_string(ReplicaEventKind kind) {
   switch (kind) {
     case ReplicaEventKind::kWorkerJoin: return "worker_join";
     case ReplicaEventKind::kWorkerLeave: return "worker_leave";
-    case ReplicaEventKind::kLeaseGrant: return "lease_grant";
-    case ReplicaEventKind::kLeaseRenew: return "lease_renew";
-    case ReplicaEventKind::kLeaseRelease: return "lease_release";
-    case ReplicaEventKind::kCellTotals: return "cell_totals";
-    case ReplicaEventKind::kStoreRows: return "store_rows";
+    case ReplicaEventKind::kCell: return "cell";
   }
   return "unknown";
 }

@@ -47,8 +47,10 @@ inline constexpr std::uint32_t kWireMagic = 0x4E525357;  // "NRSW"
 /// high availability: replication frames (kStandbyHello /
 /// kReplicaSnapshot / kReplicaEvent / kNotPrimary) and a mandatory
 /// `epoch` term on every lease, heartbeat and report so a deposed
-/// primary is fenced after failover.
-inline constexpr std::uint16_t kWireVersion = 5;
+/// primary is fenced after failover; v6 made each kReplicaEvent carry a
+/// whole replicated entity (a ReplicaWorker or the snapshot's ReplicaCell)
+/// instead of one of seven per-operation field sets.
+inline constexpr std::uint16_t kWireVersion = 6;
 /// Upper bound on a sane payload; a bigger announced length means the
 /// stream is corrupt (or hostile) and the connection should be dropped.
 inline constexpr std::uint32_t kWireMaxPayload = 64u * 1024u * 1024u;
@@ -408,13 +410,14 @@ struct LeaseRevoke {
   [[nodiscard]] bool operator==(const LeaseRevoke&) const = default;
 };
 
-// ---- Coordinator replication (v5) ------------------------------------
+// ---- Coordinator replication (v5; whole-entity events since v6) -------
 //
 // A standby coordinator attaches to the primary with kStandbyHello and
 // receives one kReplicaSnapshot (the full mirrored state) followed by a
-// stream of kReplicaEvent mutations.  On primary death the standby bumps
-// the epoch and takes over; a worker that dials the standby *before* the
-// promotion is answered with kNotPrimary and tries the next address.
+// stream of kReplicaEvents, each carrying the worker or cell a mutation
+// changed.  On primary death the standby bumps the epoch and takes over;
+// a worker that dials the standby *before* the promotion is answered with
+// kNotPrimary and tries the next address.
 
 /// Standby -> primary: attach this connection as a replication tail.
 struct StandbyHello {
@@ -443,7 +446,7 @@ struct ReplicaWorker {
 /// One cell's full replicated state: the spec (so a standby needs no cell
 /// list of its own), the lease binding, the committed lifetime totals and
 /// the live in-flight report.  `live` always has empty rows — history rows
-/// replicate separately (already rebased) via kStoreRows events.
+/// replicate separately (already rebased) in the kCell event's `rows`.
 struct ReplicaCell {
   WireCellSpec spec;
   std::uint8_t lease_state = 0;  ///< raw dist LeaseState
@@ -472,42 +475,28 @@ struct ReplicaSnapshot {
   [[nodiscard]] bool operator==(const ReplicaSnapshot&) const = default;
 };
 
-/// What one kReplicaEvent mutates.  The event payload is a fixed superset
-/// of every kind's fields (unused ones travel as zeros/empties) so the
-/// codec stays a flat read with no kind-dependent branching — the same
-/// every-truncation-fails discipline as the rest of the protocol.
+/// What one kReplicaEvent carries.  Each kind is a whole entity, the same
+/// one the snapshot holds, so the standby restores an event exactly as it
+/// restores a snapshot entry.  The payload is a fixed superset of the kinds
+/// (unused parts travel as zeros/empties), so the codec stays a flat read
+/// with no kind-dependent branching.
 enum class ReplicaEventKind : std::uint8_t {
-  kWorkerJoin = 0,    ///< catalog add: worker_id, worker_name, capacity
-  kWorkerLeave = 1,   ///< catalog remove: worker_id
-  kLeaseGrant = 2,    ///< cell_index, lease_id, worker_id, lease_base_slot
-  kLeaseRenew = 3,    ///< heartbeat renewal / ack: cell_index, lease_state
-  kLeaseRelease = 4,  ///< lease ended: post-fold committed totals, handoffs
-  kCellTotals = 5,    ///< report ingested: committed totals + live report
-  kStoreRows = 6,     ///< history rows, already rebased to global slots
+  kWorkerJoin = 0,   ///< `worker` entered the catalog
+  kWorkerLeave = 1,  ///< `worker.worker_id` left the catalog
+  kCell = 2,         ///< `cell` replaces the mirror's cell; `rows` ingested
 };
 
 const char* to_string(ReplicaEventKind kind);
 
-/// Primary -> standby: one incremental state mutation.
+/// Primary -> standby: one replicated worker or cell.
 struct ReplicaEvent {
-  ReplicaEventKind kind = ReplicaEventKind::kLeaseRenew;
+  ReplicaEventKind kind = ReplicaEventKind::kWorkerJoin;
   std::uint64_t epoch = 0;
-  std::uint32_t cell_index = 0;
-  std::uint64_t lease_id = 0;
-  std::uint64_t worker_id = 0;
-  std::uint8_t lease_state = 0;  ///< raw dist LeaseState
-  std::uint32_t handoffs = 0;
-  std::string worker_name;   ///< kWorkerJoin
-  std::uint32_t capacity = 0;  ///< kWorkerJoin
-  std::uint64_t committed_slots = 0;
-  std::uint64_t committed_dcis = 0;
-  std::uint64_t committed_retx = 0;
-  std::uint64_t committed_restarts = 0;
-  std::uint64_t lease_base_slot = 0;
-  bool has_report = false;
-  CellReport live;  ///< kCellTotals; rows always empty on the wire
-  /// kStoreRows: rows with `slot` already rebased to the cell's global
-  /// lifetime axis (unlike CellReport rows, which are lease-local).
+  ReplicaWorker worker;  ///< kWorkerJoin; kWorkerLeave reads worker_id only
+  ReplicaCell cell;      ///< kCell: the cell's state after the mutation
+  /// kCell: history rows the primary just ingested for the cell, with
+  /// `slot` already on its lifetime axis (unlike CellReport rows, which
+  /// are lease-local).
   std::vector<StoreRowUpdate> rows;
   [[nodiscard]] bool operator==(const ReplicaEvent&) const = default;
 };
@@ -745,7 +734,7 @@ constexpr bool valid_on_wire(QueryStatus s) {
   return s <= QueryStatus::kUnavailable;
 }
 constexpr bool valid_on_wire(ReplicaEventKind k) {
-  return k <= ReplicaEventKind::kStoreRows;
+  return k <= ReplicaEventKind::kCell;
 }
 
 template <class Io>
@@ -1008,10 +997,7 @@ void fields(Io& io, ReplicaSnapshot& s) {
 
 template <class Io>
 void fields(Io& io, ReplicaEvent& e) {
-  io(e.kind, e.epoch, e.cell_index, e.lease_id, e.worker_id, e.lease_state,
-     e.handoffs, e.worker_name, e.capacity, e.committed_slots,
-     e.committed_dcis, e.committed_retx, e.committed_restarts,
-     e.lease_base_slot, e.has_report, e.live, e.rows);
+  io(e.kind, e.epoch, e.worker, e.cell, e.rows);
 }
 
 // ---- Frames ----------------------------------------------------------

@@ -16,6 +16,7 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -24,6 +25,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/metrics.h"
@@ -33,6 +35,7 @@
 #include "dist/worker.h"
 #include "net/socket_io.h"
 #include "net/wire.h"
+#include "store/query.h"
 #include "../net/syn_dropping_listener.h"
 
 namespace nrs {
@@ -58,42 +61,53 @@ bool wait_until(const std::function<bool()>& pred, double timeout_s = 20.0) {
 TEST(WorkerCatalog, AddAssignsUniqueIdsAndFindWorks) {
   WorkerCatalog catalog;
   const auto now = Clock::now();
-  const std::uint64_t a = catalog.add("a", 4, 2, 10, now);
-  const std::uint64_t b = catalog.add("b", 2, 1, 11, now);
+  const std::uint64_t a = catalog.add("a", 4, 10, now);
+  const std::uint64_t b = catalog.add("b", 2, 11, now);
   ASSERT_NE(a, 0u);
   ASSERT_NE(b, 0u);
   EXPECT_NE(a, b);
   ASSERT_NE(catalog.find(a), nullptr);
   EXPECT_EQ(catalog.find(a)->name, "a");
   EXPECT_EQ(catalog.find(a)->capacity, 4u);
-  ASSERT_NE(catalog.find_by_fd(11), nullptr);
-  EXPECT_EQ(catalog.find_by_fd(11)->id, b);
+  ASSERT_NE(catalog.find(b), nullptr);
+  EXPECT_EQ(catalog.find(b)->fd, 11);
   EXPECT_EQ(catalog.find(9999), nullptr);
   EXPECT_EQ(catalog.alive_count(), 2u);
 }
 
 TEST(WorkerCatalog, PickLeastLoadedPrefersFewestCellsThenLowestId) {
   WorkerCatalog catalog;
+  LeaseTable leases(8, LeaseTable::Config{});
   const auto now = Clock::now();
-  const std::uint64_t a = catalog.add("a", 4, 2, 10, now);
-  const std::uint64_t b = catalog.add("b", 4, 2, 11, now);
+  const std::uint64_t a = catalog.add("a", 4, 10, now);
+  const std::uint64_t b = catalog.add("b", 4, 11, now);
+  const auto hold = [&](std::uint64_t worker,
+                        std::initializer_list<std::uint32_t> cells) {
+    for (const std::uint32_t cell : cells) {
+      leases.grant(cell, worker, now);
+    }
+  };
   // Tie at zero cells: deterministic lowest id.
-  ASSERT_EQ(catalog.pick_least_loaded(), std::optional<std::uint64_t>(a));
-  catalog.find(a)->cells = {0, 1};
-  ASSERT_EQ(catalog.pick_least_loaded(), std::optional<std::uint64_t>(b));
+  ASSERT_EQ(catalog.pick_least_loaded(leases),
+            std::optional<std::uint64_t>(a));
+  hold(a, {0, 1});
+  ASSERT_EQ(catalog.pick_least_loaded(leases),
+            std::optional<std::uint64_t>(b));
   // Saturate both: nothing to pick.
-  catalog.find(a)->cells = {0, 1, 2, 3};
-  catalog.find(b)->cells = {4, 5, 6, 7};
-  EXPECT_FALSE(catalog.pick_least_loaded().has_value());
+  hold(a, {2, 3});
+  hold(b, {4, 5, 6, 7});
+  EXPECT_FALSE(catalog.pick_least_loaded(leases).has_value());
 }
 
 TEST(WorkerCatalog, DeadWorkersAreNeverPickedAndSilenceIsDetected) {
   WorkerCatalog catalog;
+  const LeaseTable leases(0, LeaseTable::Config{});
   const auto t0 = Clock::now();
-  const std::uint64_t a = catalog.add("a", 4, 2, 10, t0);
-  const std::uint64_t b = catalog.add("b", 4, 2, 11, t0);
+  const std::uint64_t a = catalog.add("a", 4, 10, t0);
+  const std::uint64_t b = catalog.add("b", 4, 11, t0);
   catalog.mark_dead(a);
-  EXPECT_EQ(catalog.pick_least_loaded(), std::optional<std::uint64_t>(b));
+  EXPECT_EQ(catalog.pick_least_loaded(leases),
+            std::optional<std::uint64_t>(b));
   EXPECT_EQ(catalog.alive_count(), 1u);
 
   // b heartbeats at t0 + 1s; a's silence does not matter (already dead).
@@ -131,7 +145,7 @@ TEST(LeaseTable, GrantAckRenewLifecycle) {
   EXPECT_EQ(table.cell(0).handoffs, 0u);
   ASSERT_NE(table.by_id(id), nullptr);
 
-  ASSERT_TRUE(table.ack(id, /*accepted=*/true, t0));
+  ASSERT_TRUE(table.ack(id, t0));
   EXPECT_EQ(table.cell(0).state, LeaseState::kActive);
   EXPECT_EQ(table.active_count(), 1u);
 
@@ -152,7 +166,7 @@ TEST(LeaseTable, RefusalReleasesWithPenaltyAndBumpsHandoffs) {
   LeaseTable table(1, lease_config());
   const auto t0 = Clock::now();
   const std::uint64_t id = table.grant(0, 7, t0);
-  ASSERT_TRUE(table.ack(id, /*accepted=*/false, t0));
+  table.release(0, /*penalize=*/true, t0);
   EXPECT_EQ(table.cell(0).state, LeaseState::kUnassigned);
   EXPECT_EQ(table.cell(0).handoffs, 1u);
   EXPECT_EQ(table.by_id(id), nullptr);
@@ -498,17 +512,19 @@ TEST(LeaseTable, ResetDropsEverything) {
 
 TEST(WorkerCatalog, RestoredGhostsAreNeverPickedAndTouchAllDefersSilence) {
   WorkerCatalog catalog;
+  const LeaseTable leases(0, LeaseTable::Config{});
   const auto t0 = Clock::now();
   // Mirrored entry: no socket yet (fd -1) — a ghost awaiting reconnect.
   catalog.restore(7, "ghost", 8, t0);
   ASSERT_NE(catalog.find(7), nullptr);
   EXPECT_LT(catalog.find(7)->fd, 0);
   EXPECT_TRUE(catalog.find(7)->alive);
-  EXPECT_FALSE(catalog.pick_least_loaded().has_value())
+  EXPECT_FALSE(catalog.pick_least_loaded(leases).has_value())
       << "a ghost must never receive fresh leases";
 
-  const std::uint64_t live = catalog.add("live", 4, 2, 10, t0);
-  EXPECT_EQ(catalog.pick_least_loaded(), std::optional<std::uint64_t>(live));
+  const std::uint64_t live = catalog.add("live", 4, 10, t0);
+  EXPECT_EQ(catalog.pick_least_loaded(leases),
+            std::optional<std::uint64_t>(live));
 
   // add() ids keep climbing past restored ids (no collision after resync).
   EXPECT_GT(live, 7u);
@@ -646,6 +662,112 @@ TEST(DistE2E, StandbyMirrorsStateAndPromotesWithoutReassignment) {
   w0.stop();
   w1.stop();
   standby.stop();
+}
+
+// The standby's mirror equals the primary at every step of a fleet's life:
+// joins and the rebalance they trigger, an abrupt worker death and the
+// reassignment of its cells, and, once the workers stop, every committed
+// total, the summary and the history rows of each cell.
+TEST(DistE2E, StandbyMirrorEqualsPrimary) {
+  constexpr unsigned kCells = 4;
+  FleetCoordinator primary(coordinator_config(kCells));
+  CoordinatorConfig standby_config;
+  standby_config.standby_of = "127.0.0.1:" + std::to_string(primary.port());
+  FleetCoordinator standby(std::move(standby_config));
+  ASSERT_TRUE(wait_until([&] { return standby.synced(); }, 10.0))
+      << "standby never attached to the primary";
+
+  using Binding = std::tuple<std::uint32_t, LeaseState, std::uint64_t,
+                             std::uint64_t, unsigned>;
+  using Holding = std::tuple<std::uint64_t, std::string, std::uint32_t,
+                             std::vector<std::uint32_t>>;
+  const auto bindings = [](const FleetCoordinator& c) {
+    std::vector<Binding> out;
+    for (const DistCellStatus& cell : c.cells()) {
+      out.emplace_back(cell.cell_index, cell.lease_state, cell.lease_id,
+                       cell.worker_id, cell.handoffs);
+    }
+    return out;
+  };
+  const auto holdings = [](const FleetCoordinator& c) {
+    std::vector<Holding> out;
+    for (const DistWorkerStatus& worker : c.workers()) {
+      out.emplace_back(worker.id, worker.name, worker.capacity, worker.cells);
+    }
+    return out;
+  };
+  const auto mirrored = [&] {
+    return bindings(standby) == bindings(primary) &&
+           holdings(standby) == holdings(primary);
+  };
+
+  // Two workers: the second one's join sheds half the first one's cells.
+  auto w0 = std::make_unique<FleetWorker>(
+      worker_config(primary.port(), "w0", kCells));
+  ASSERT_TRUE(wait_until([&] { return primary.all_cells_active(); }, 30.0))
+      << "fleet never converged on w0";
+  auto w1 = std::make_unique<FleetWorker>(
+      worker_config(primary.port(), "w1", kCells));
+  ASSERT_TRUE(wait_until([&] {
+    const auto workers = primary.workers();
+    return primary.all_cells_active() && workers.size() == 2 &&
+           workers[0].cells.size() == kCells / 2 &&
+           workers[1].cells.size() == kCells / 2;
+  }, 30.0)) << "the join never rebalanced the fleet";
+  EXPECT_TRUE(wait_until(mirrored, 10.0)) << "mirror diverged after rebalance";
+
+  // An abrupt death: the survivor takes every cell.
+  w0->kill();
+  ASSERT_TRUE(wait_until([&] {
+    return primary.worker_count() == 1 && primary.all_cells_active();
+  }, 30.0)) << "orphaned cells were never reassigned";
+  EXPECT_TRUE(wait_until(mirrored, 10.0))
+      << "mirror diverged after reassignment";
+
+  // Quiesce: every lease ends and folds into the committed totals.
+  w1->stop();
+  w0->stop();
+  ASSERT_TRUE(wait_until([&] { return primary.worker_count() == 0; }, 10.0));
+  using Totals = std::tuple<std::uint32_t, std::string, LeaseState,
+                            std::uint64_t, std::uint64_t, unsigned,
+                            std::uint64_t, std::uint64_t, std::uint8_t>;
+  const auto totals = [](const FleetCoordinator& c) {
+    std::vector<Totals> out;
+    for (const DistCellStatus& cell : c.cells()) {
+      out.emplace_back(cell.cell_index, cell.name, cell.lease_state,
+                       cell.lease_id, cell.worker_id, cell.handoffs,
+                       cell.slots, cell.dcis, cell.cell_state);
+    }
+    return out;
+  };
+  const std::array<StoreMetric, 3> cell_metrics = {
+      StoreMetric::kCellDcis, StoreMetric::kCellUsedPrbs,
+      StoreMetric::kCellSparePrbs};
+  const auto history = [&](const FleetCoordinator& c) {
+    std::vector<std::vector<QueryRowWire>> out;
+    for (std::uint32_t cell = 0; cell < kCells; ++cell) {
+      for (const StoreMetric metric : cell_metrics) {
+        QueryRequest range;
+        range.kind = QueryKind::kRange;
+        range.cell = cell;
+        range.rnti = kStoreCellRnti;
+        range.metric = static_cast<std::uint8_t>(metric);
+        range.slot_to = UINT64_MAX;
+        out.push_back(run_query(c.store(), range).rows);
+      }
+    }
+    return out;
+  };
+  EXPECT_TRUE(wait_until([&] {
+    return mirrored() && totals(standby) == totals(primary) &&
+           standby.summary() == primary.summary() &&
+           history(standby) == history(primary);
+  }, 10.0)) << "mirror diverged once the fleet stopped";
+  std::size_t rows = 0;
+  for (const auto& series : history(primary)) {
+    rows += series.size();
+  }
+  EXPECT_GT(rows, 0u) << "no history rows to compare";
 }
 
 TEST(DistE2E, WorkerSkipsStandbyViaNotPrimary) {

@@ -132,11 +132,21 @@ TEST(Stream, DeliversSlotsMetricsAndEndOfStream) {
   // broadcast frames reach it.
   ASSERT_TRUE(wait_until([&] { return collector.hello_count() >= 1; }));
 
+  // The second metrics frame snapshots the registry while slot 19 is
+  // pushed; the sender thread counts a frame only once its send returns,
+  // so push the rest only after the first frame has been counted.
   std::vector<SlotResult> sent;
-  for (std::uint64_t i = 0; i < 25; ++i) {
-    sent.push_back(synthetic_slot(i));
-    server.on_slot(sent.back());
-  }
+  const auto push_until = [&](std::uint64_t end) {
+    for (std::uint64_t i = sent.size(); i < end; ++i) {
+      sent.push_back(synthetic_slot(i));
+      server.on_slot(sent.back());
+    }
+  };
+  push_until(19);
+  ASSERT_TRUE(wait_until([&] {
+    return registry.snapshot().counter_value("net.frames_sent") > 0;
+  }));
+  push_until(25);
   server.on_finish();
 
   ASSERT_TRUE(client.wait_end_of_stream(5.0));
