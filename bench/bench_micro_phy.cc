@@ -2,7 +2,8 @@
 //
 // Every primitive in the KernelTable is timed against realistic per-slot
 // working sizes under each compiled-in backend, reporting ns/op and the
-// scalar-vs-SIMD speedup.
+// scalar-vs-SIMD speedup.  A second table times the polar SC decoder per
+// codeword, one codeword per call against a full lane batch.
 //
 // Usage: bench_micro_phy [--quick]
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "common/types.h"
 #include "phy/conv_code.h"
 #include "phy/kernels/kernels.h"
+#include "phy/polar.h"
 
 namespace nrs {
 namespace {
@@ -184,6 +186,77 @@ std::vector<Case> make_cases() {
   return cases;
 }
 
+/// Polar SC decode, ns per codeword, for the DCI 1_1 size at aggregation
+/// levels 1 and 4: codewords decoded one per call and PolarCode::kMaxLanes
+/// per call, under each backend (kernels::select switches the table the
+/// decoder dispatches through).  The LLRs are noisy BPSK codewords at
+/// -2 to 10 dB, as the blind decode meets noise and real DCIs alike.
+void run_polar(double budget_s, const kernels::KernelTable* simd) {
+  struct Geometry {
+    unsigned k;
+    unsigned e;
+  };
+  constexpr std::size_t kWords = 64;
+  const kernels::Isa dispatch = kernels::active().isa;
+  std::printf("\n== Polar SC decode (ns per codeword) ==\n");
+  std::printf("%-18s %6s %12s %12s %9s\n", "code", "lanes", "scalar ns",
+              simd ? "simd ns" : "-", "speedup");
+  Rng rng(21);
+  for (const Geometry geo : {Geometry{67, 108}, Geometry{67, 432}}) {
+    const PolarCode code(geo.k, geo.e);
+    std::vector<std::vector<float>> words(kWords);
+    for (std::size_t w = 0; w < kWords; ++w) {
+      BitVector info(geo.k);
+      for (auto& bit : info) {
+        bit = rng.chance(0.5) ? 1 : 0;
+      }
+      const BitVector coded = code.encode(info);
+      const double snr = std::pow(10.0, (-2.0 + 4.0 * (w % 4)) / 10.0);
+      const double sigma = std::sqrt(1.0 / (2.0 * snr));
+      for (const std::uint8_t bit : coded) {
+        const double rx = (bit ? -1.0 : 1.0) + rng.gaussian(0.0, sigma);
+        words[w].push_back(static_cast<float>(2.0 * snr * rx));
+      }
+    }
+    std::vector<BitVector> out(kWords, BitVector(geo.k));
+    PolarScratch scratch;
+    double one_lane[2] = {0.0, 0.0};
+    for (const std::size_t lanes : {std::size_t{1}, PolarCode::kMaxLanes}) {
+      const auto decode_all = [&] {
+        const float* in[PolarCode::kMaxLanes];
+        std::uint8_t* bits[PolarCode::kMaxLanes];
+        for (std::size_t w0 = 0; w0 < kWords; w0 += lanes) {
+          for (std::size_t l = 0; l < lanes; ++l) {
+            in[l] = words[w0 + l].data();
+            bits[l] = out[w0 + l].data();
+          }
+          code.decode_lanes(std::span(in, lanes), scratch,
+                            std::span(bits, lanes));
+        }
+      };
+      double ns[2] = {0.0, 0.0};
+      for (int b = 0; b < (simd ? 2 : 1); ++b) {
+        kernels::select(b == 0 ? kernels::Isa::kScalar : simd->isa);
+        ns[b] = time_ns(decode_all, budget_s) / kWords;
+      }
+      const double speedup = ns[1] > 0.0 ? ns[0] / ns[1] : 1.0;
+      char name[32];
+      std::snprintf(name, sizeof name, "polar_sc %u/%u", geo.k, geo.e);
+      std::printf("%-18s %6zu %12.1f %12.1f %8.2fx\n", name, lanes, ns[0],
+                  ns[1], speedup);
+      if (lanes == 1) {
+        one_lane[0] = ns[0];
+        one_lane[1] = ns[1];
+      } else {
+        std::printf("%-18s %6s %11.2fx %11.2fx  (lane gain, 1 vs %zu)\n",
+                    "", "", one_lane[0] / ns[0],
+                    ns[1] > 0.0 ? one_lane[1] / ns[1] : 0.0, lanes);
+      }
+    }
+  }
+  kernels::select(dispatch);
+}
+
 int run(int argc, char** argv) {
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
@@ -229,6 +302,7 @@ int run(int argc, char** argv) {
                 row.n, row.scalar_ns, row.simd_ns, speedup);
   }
 
+  run_polar(budget_s, simd);
   return 0;
 }
 

@@ -274,8 +274,8 @@ void FleetCoordinator::handle_frame(Connection& conn, const Frame& frame) {
       // Workers fold all their leases' reports into one frame; each
       // element goes through the same per-report path.
       if (auto batch = decode_payload<CellReportBatch>(frame.payload)) {
-        for (const CellReport& report : batch->reports) {
-          handle_cell_report(conn, report);
+        for (CellReport& report : batch->reports) {
+          handle_cell_report(conn, std::move(report));
         }
       }
       return;
@@ -409,7 +409,7 @@ void FleetCoordinator::handle_heartbeat(Connection& conn,
 }
 
 void FleetCoordinator::handle_cell_report(Connection& conn,
-                                          const CellReport& report) {
+                                          CellReport report) {
   if (report.epoch > epoch_) {
     fence_self(report.epoch);
     return;
@@ -425,13 +425,17 @@ void FleetCoordinator::handle_cell_report(Connection& conn,
   if (record.has_report && report.slots > record.last.slots) {
     leases_.note_progress(report.cell_index);
   }
-  record.last = report;
-  record.has_report = true;
   const bool mirror = has_replica();
   std::vector<StoreRowUpdate> mirrored_rows;
-  ingest_rows(report.cell_index, record, report.rows, record.lease_base_slot,
+  // The rows live on in the store; the record keeps the report's totals
+  // (a moved-from vector is empty).
+  const std::vector<StoreRowUpdate> rows = std::move(report.rows);
+  const std::uint32_t cell_index = report.cell_index;
+  record.last = std::move(report);
+  record.has_report = true;
+  ingest_rows(cell_index, record, rows, record.lease_base_slot,
               mirror ? &mirrored_rows : nullptr);
-  replicate_cell(report.cell_index, std::move(mirrored_rows));
+  replicate_cell(cell_index, std::move(mirrored_rows));
 }
 
 void FleetCoordinator::handle_prediction(Connection& conn,
@@ -712,8 +716,7 @@ ReplicaCell FleetCoordinator::replica_cell(std::uint32_t cell_index) const {
   cell.committed_restarts = record.committed_restarts;
   cell.lease_base_slot = record.lease_base_slot;
   cell.has_report = record.has_report;
-  cell.live = record.last;
-  cell.live.rows.clear();
+  cell.live = record.last;  // rowless: reports keep only their totals
   return cell;
 }
 

@@ -248,7 +248,7 @@ class FleetCoordinator {
   void handle_worker_hello(Connection& conn, const WorkerHello& hello);
   void handle_lease_ack(Connection& conn, const LeaseAck& ack);
   void handle_heartbeat(Connection& conn, const WorkerHeartbeat& hb);
-  void handle_cell_report(Connection& conn, const CellReport& report);
+  void handle_cell_report(Connection& conn, CellReport report);
   void handle_prediction(Connection& conn, const PredictionSet& set);
   /// Timers: dead-worker scan, lease expiry, assignment of unassigned
   /// cells, rebalancing.

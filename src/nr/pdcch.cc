@@ -1,6 +1,7 @@
 #include "nr/pdcch.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <stdexcept>
@@ -210,12 +211,27 @@ std::size_t decode_pdcch_batch(const CoresetConfig& coreset,
                        b.pilot_rx.size());
 
   // Stage 3: per candidate — REG-mean channel + pooled noise variance +
-  // energy gate, then matched-filter QPSK demap, descramble and polar
-  // decode over the candidate's contiguous slice of the flat arrays.
+  // energy gate, then matched-filter QPSK demap and descramble over the
+  // candidate's contiguous slice of the flat arrays.  Each run of
+  // channel-ok candidates with equal E (callers list locations level by
+  // level) then polar-decodes as one lane batch of up to
+  // PolarCode::kMaxLanes codewords.
   b.data_h.resize(b.data_rx.size());
   b.llrs.resize(2 * b.data_rx.size());
   constexpr unsigned kDataPerReg = kSubcarriersPerPrb - kPdcchDmrsPerReg;
   const float qpsk_a = 1.0f / std::sqrt(2.0f);
+  std::array<const float*, PolarCode::kMaxLanes> run_llrs{};
+  std::array<std::uint8_t*, PolarCode::kMaxLanes> run_bits{};
+  std::size_t run_lanes = 0;
+  std::size_t run_e = 0;
+  const auto decode_run = [&] {
+    if (run_lanes > 0) {
+      cached_polar(scratch, k_bits, static_cast<unsigned>(run_e))
+          .decode_lanes(std::span(run_llrs.data(), run_lanes), scratch.polar,
+                        std::span(run_bits.data(), run_lanes));
+      run_lanes = 0;
+    }
+  };
   std::size_t n_ok = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t p0 = b.pilot_off[i];
@@ -276,13 +292,17 @@ std::size_t decode_pdcch_batch(const CoresetConfig& coreset,
     const auto scr = ensure_scrambling(scratch, coreset.n_id, e);
     kt.descramble(b.llrs.data() + 2 * d0, scr.data(), e);
 
-    const PolarCode& polar =
-        cached_polar(scratch, k_bits, static_cast<unsigned>(e));
-    polar.decode(std::span(b.llrs.data() + 2 * d0, e), scratch.polar,
-                 std::span(b.bits.data() + i * k_bits, k_bits));
+    if (run_lanes == PolarCode::kMaxLanes || (run_lanes > 0 && e != run_e)) {
+      decode_run();
+    }
+    run_e = e;
+    run_llrs[run_lanes] = b.llrs.data() + 2 * d0;
+    run_bits[run_lanes] = b.bits.data() + i * k_bits;
+    ++run_lanes;
     b.ok[i] = 1;
     ++n_ok;
   }
+  decode_run();
   return n_ok;
 }
 

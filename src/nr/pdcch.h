@@ -145,8 +145,10 @@ void encode_pdcch_payload(const CoresetConfig& coreset,
 /// Structure-of-arrays batched blind decode: channel-decode every location
 /// in `locs` (all aggregation levels mixed) for one payload size in one
 /// batched pass — pilot gather and LS estimation run over the whole batch
-/// in single kernel sweeps, then each candidate is equalized, demapped,
-/// descrambled and polar-decoded from the shared flat arrays.  Results are
+/// in single kernel sweeps, then each candidate is equalized, demapped and
+/// descrambled from the shared flat arrays, and the channel-ok candidates
+/// of one E polar-decode together (PolarCode::decode_lanes, up to
+/// PolarCode::kMaxLanes per call; a run ends where E changes).  Results are
 /// left in `scratch.batch`: `ok[i]` says candidate i channel-decoded,
 /// `snr[i]` holds its SNR estimate, and its payload+CRC bits live at
 /// `batch.bits.data() + i * (payload_bits + 24)`.  No CRC verdict is

@@ -89,6 +89,7 @@ NrScope::NrScope(const NrScopeConfig& config)
   m_demod_symbols_ = &metrics_registry_.counter("nrscope.demod_symbols");
   m_blind_decode_us_ =
       &metrics_registry_.histogram("nrscope.blind_decode_us");
+  m_rach_scan_us_ = &metrics_registry_.histogram("nrscope.rach_scan_us");
 }
 
 NrScope::~NrScope() = default;
@@ -413,8 +414,11 @@ void NrScope::track(SlotResult& result) {
   }
 
   // RACH: new-UE discovery in the common search space.
-  rach_.process_slot(rx_, now, slot_index_, air_slot_index(),
-                     pdcch_scratch_, result.dcis, result.new_ues);
+  {
+    ScopedTimer rach_timer(*m_rach_scan_us_);
+    rach_.process_slot(rx_, now, slot_index_, air_slot_index(),
+                       pdcch_scratch_, result.dcis, result.new_ues);
+  }
   for (const auto& ue : result.new_ues) {
     bind_rach_ue(ue.c_rnti, ue.config);
   }

@@ -238,6 +238,7 @@ class NrScope {
   Histogram* m_demod_us_ = nullptr;  ///< one observation per slot
   Counter* m_demod_symbols_ = nullptr;
   Histogram* m_blind_decode_us_ = nullptr;
+  Histogram* m_rach_scan_us_ = nullptr;  ///< one observation per track()
   std::vector<UeSearchContext> ues_;
   std::vector<std::uint64_t> ue_last_seen_;
   SlotScratch scratch_;

@@ -1,6 +1,7 @@
 #include "phy/polar.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -14,10 +15,11 @@ namespace {
 /// LLR value representing a bit known to be zero (shortened positions).
 constexpr float kKnownZeroLlr = 1e9f;
 
-/// Below this node size the per-element helpers beat a kernel dispatch.
-/// The helpers are the exact code every backend's tail uses, so results
-/// are independent of the active ISA.
-constexpr std::size_t kKernelCutover = 8;
+/// Largest channel LLR magnitude a multi-lane batch decodes together.
+/// Below it every tree node's LLR stays finite (a node sums at most N
+/// dematched LLRs, each at most E/N + 1 channel LLRs), so no NaN can
+/// arise; far above the ~1e8 the PDCCH demapper can produce.
+constexpr float kMaxBatchLlr = 1e30f;
 
 }  // namespace
 
@@ -75,13 +77,13 @@ PolarCode::PolarCode(unsigned k, unsigned e) : k_(k), e_(e) {
     throw std::invalid_argument("PolarCode: cannot place info bits");
   }
   std::sort(info_set_.begin(), info_set_.end());
-  is_info_.assign(n_, 0);
+  std::vector<std::uint8_t> is_info(n_, 0);
   for (unsigned idx : info_set_) {
-    is_info_[idx] = 1;
+    is_info[idx] = 1;
   }
   info_prefix_.assign(n_ + 1, 0);
   for (unsigned i = 0; i < n_; ++i) {
-    info_prefix_[i + 1] = info_prefix_[i] + is_info_[i];
+    info_prefix_[i + 1] = info_prefix_[i] + is_info[i];
   }
 }
 
@@ -130,95 +132,215 @@ BitVector PolarCode::encode(std::span<const std::uint8_t> info) const {
 }
 
 void PolarScratch::prepare(std::size_t n) {
-  // Grow-only: a scratch shared across (K, E) instances keeps the largest
-  // geometry's capacity.  The offsets depend on n, so recompute them into
-  // the retained vector (its capacity covers log2(kMaxN)+1 levels after
-  // the first call).
-  if (mother.size() < n) {
-    mother.resize(n);
-    u.resize(n);
+  // Grow-only and sized for the lane cap: a scratch shared across (K, E)
+  // instances keeps the largest geometry's capacity, and a batch of any
+  // width then fits without reallocating.
+  const std::size_t width = n * PolarCode::kMaxLanes;
+  if (u.size() < width) {
+    u.resize(width);
   }
-  if (llr.size() < 2 * n) {
-    llr.resize(2 * n);
-    x.resize(2 * n);
-  }
-  offset.clear();
-  std::size_t off = 0;
-  for (std::size_t len = n; len >= 1; len >>= 1) {
-    offset.push_back(off);
-    off += len;
+  if (llr.size() < 2 * width) {
+    llr.resize(2 * width);
+    x.resize(2 * width);
   }
 }
 
 namespace {
 
-/// Recursive SC over the flat workspace.  `level`'s LLR slice is already
-/// filled; decided codeword bits land in `level`'s x slice, input bits in
-/// `u` (indexed from `base`).  Node operations dispatch through the SIMD
-/// kernel table above the cutover size.
-void sc_decode(PolarScratch& ws, const kernels::KernelTable& kt,
-               std::size_t n, std::size_t level, std::size_t base,
-               std::span<std::uint8_t> u,
-               const std::vector<std::uint8_t>& is_info,
-               const std::vector<unsigned>& info_prefix) {
-  float* llr = ws.llr.data() + ws.offset[level];
-  std::uint8_t* x = ws.x.data() + ws.offset[level];
-  // Rate-0 pruning: a subtree with no info bits decodes to all zeros no
-  // matter what its LLRs say (frozen leaves are 0, XOR-combines of zeros
-  // stay zero), so skip its f/g recursion entirely.  This touches no
-  // floats, so it cannot perturb scalar/SIMD equivalence.
-  if (info_prefix[base + n] == info_prefix[base]) {
-    std::fill(u.begin() + static_cast<std::ptrdiff_t>(base),
-              u.begin() + static_cast<std::ptrdiff_t>(base + n),
-              std::uint8_t{0});
-    std::fill(x, x + n, std::uint8_t{0});
-    return;
+/// Successive cancellation over L lane-interleaved codewords.  A node of
+/// size m at tree level j owns m * L LLRs and partial-sum bits starting at
+/// its level's slice; its children's slice follows it directly (level
+/// j + 1 starts m * L entries later), so the recursion passes pointers.
+/// Every f, g and combine covers all L lanes of a node in one sweep, so a
+/// node's fixed cost is paid once per batch instead of once per codeword.
+class LaneDecoder {
+ public:
+  LaneDecoder(const kernels::KernelTable& kt,
+              const std::vector<unsigned>& info_prefix, std::size_t lanes,
+              std::uint8_t* u)
+      : kt_(kt), info_prefix_(info_prefix), lanes_(lanes), u_(u) {}
+
+  /// Decode the subtree of inputs [base, base + m) from the m * L LLRs at
+  /// `llr`; its codeword bits land in `x`, its input bits in u.  Frozen
+  /// inputs are never written: the caller reads info positions only.
+  void node(float* llr, std::uint8_t* x, std::size_t base,
+            std::size_t m) const {
+    const std::size_t width = m * lanes_;
+    if (m == 1) {  // an info leaf: parents never descend into frozen ones
+      for (std::size_t l = 0; l < lanes_; ++l) {
+        const auto bit = static_cast<std::uint8_t>(llr[l] < 0.0f);
+        x[l] = bit;
+        u_[base * lanes_ + l] = bit;
+      }
+      return;
+    }
+    // Rate-1 shortcut: with no ±0 and no NaN among the LLRs, f keeps a
+    // nonzero magnitude and g adds same-sign values, so by induction the
+    // SC codeword is the hard decision of the node's LLRs and its inputs
+    // are that codeword's polar transform — exactly what the recursion
+    // below would decide.  One dirty lane sends all lanes down the
+    // recursion.
+    if (info_prefix_[base + m] - info_prefix_[base] == m &&
+        hard_decide(llr, x, width)) {
+      std::uint8_t* u = u_ + base * lanes_;
+      std::copy(x, x + width, u);
+      for (std::size_t len = 1; len < m; len <<= 1) {
+        for (std::size_t i = 0; i < m; i += 2 * len) {
+          std::uint8_t* lo = u + i * lanes_;
+          const std::uint8_t* hi = lo + len * lanes_;
+          for (std::size_t j = 0; j < len * lanes_; ++j) {
+            lo[j] = static_cast<std::uint8_t>(lo[j] ^ hi[j]);
+          }
+        }
+      }
+      return;
+    }
+    const std::size_t half = m / 2;
+    const std::size_t hw = half * lanes_;
+    float* child_llr = llr + width;
+    std::uint8_t* child_x = x + width;
+    // Rate-0 pruning: a subtree with no info bits decodes to all zeros no
+    // matter what its LLRs say, so its LLRs are never computed.
+    if (rate0(base, half)) {
+      std::fill(x, x + hw, std::uint8_t{0});
+    } else {
+      f(llr, llr + hw, child_llr, hw);
+      node(child_llr, child_x, base, half);
+      // Stash the left codeword in the left half of this node's x before
+      // the right child overwrites the shared child slice.
+      std::copy(child_x, child_x + hw, x);
+    }
+    if (rate0(base + half, half)) {
+      std::fill(x + hw, x + width, std::uint8_t{0});  // [x_L ^ 0, 0]
+      return;
+    }
+    g(llr, llr + hw, x, child_llr, hw);
+    node(child_llr, child_x, base + half, half);
+    combine(x, child_x, hw);
   }
-  if (n == 1) {
-    const std::uint8_t bit =
-        is_info[base] ? static_cast<std::uint8_t>(llr[0] < 0.0f) : 0;
-    u[base] = bit;
-    x[0] = bit;
-    return;
+
+ private:
+  /// Below this many values the per-element helpers beat a kernel
+  /// dispatch.  The helpers are the exact code every backend's tail uses,
+  /// so results are independent of the active ISA.
+  static constexpr std::size_t kKernelCutover = 8;
+
+  [[nodiscard]] bool rate0(std::size_t base, std::size_t m) const {
+    return info_prefix_[base + m] == info_prefix_[base];
   }
-  const std::size_t half = n / 2;
-  float* child_llr = ws.llr.data() + ws.offset[level + 1];
-  std::uint8_t* child_x = ws.x.data() + ws.offset[level + 1];
-  // Left child: LLRs of x_first XOR x_second (min-sum f).
-  if (half >= kKernelCutover) {
-    kt.polar_f(llr, llr + half, child_llr, half);
-  } else {
-    for (std::size_t i = 0; i < half; ++i) {
-      child_llr[i] = kernels::detail::polar_f_one(llr[i], llr[i + half]);
+
+  /// x[i] = sign bit of llr[i]; true when no value is ±0 or NaN (then the
+  /// sign bit is the SC leaf decision llr < 0).
+  static bool hard_decide(const float* llr, std::uint8_t* x,
+                          std::size_t n) {
+    std::uint32_t dirty = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto bits = std::bit_cast<std::uint32_t>(llr[i]);
+      x[i] = static_cast<std::uint8_t>(bits >> 31);
+      // |v| - 1 wraps for ±0 and exceeds +inf's pattern for NaN.
+      dirty |= static_cast<std::uint32_t>((bits & 0x7FFFFFFFu) - 1u >=
+                                          0x7F800000u);
+    }
+    return dirty == 0;
+  }
+
+  void f(const float* a, const float* b, float* out, std::size_t n) const {
+    if (n >= kKernelCutover) {
+      kt_.polar_f(a, b, out, n);
+      return;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = kernels::detail::polar_f_one(a[i], b[i]);
     }
   }
-  sc_decode(ws, kt, half, level + 1, base, u, is_info, info_prefix);
-  // Stash the left codeword in the left half of this level's x slice
-  // before the right child overwrites the shared child slice.
-  for (std::size_t i = 0; i < half; ++i) {
-    x[i] = child_x[i];
-  }
-  // Right child: combine with the left decision (g node).
-  if (half >= kKernelCutover) {
-    kt.polar_g(llr, llr + half, x, child_llr, half);
-  } else {
-    for (std::size_t i = 0; i < half; ++i) {
-      child_llr[i] =
-          kernels::detail::polar_g_one(llr[i], llr[i + half], x[i]);
+
+  void g(const float* a, const float* b, const std::uint8_t* x, float* out,
+         std::size_t n) const {
+    if (n >= kKernelCutover) {
+      kt_.polar_g(a, b, x, out, n);
+      return;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = kernels::detail::polar_g_one(a[i], b[i], x[i]);
     }
   }
-  sc_decode(ws, kt, half, level + 1, base + half, u, is_info, info_prefix);
-  if (half >= kKernelCutover) {
-    kt.polar_combine(x, child_x, half);
-  } else {
-    for (std::size_t i = 0; i < half; ++i) {
-      x[i] = static_cast<std::uint8_t>(x[i] ^ child_x[i]);
-      x[i + half] = child_x[i];
+
+  void combine(std::uint8_t* x, const std::uint8_t* c, std::size_t n) const {
+    if (n >= kKernelCutover) {
+      kt_.polar_combine(x, c, n);
+      return;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = static_cast<std::uint8_t>(x[i] ^ c[i]);
+      x[i + n] = c[i];
+    }
+  }
+
+  const kernels::KernelTable& kt_;
+  const std::vector<unsigned>& info_prefix_;
+  std::size_t lanes_;
+  std::uint8_t* u_;
+};
+
+}  // namespace
+
+void PolarCode::decode_lanes(std::span<const float* const> llrs,
+                             PolarScratch& scratch,
+                             std::span<std::uint8_t* const> info_out) const {
+  const std::size_t lanes = llrs.size();
+  if (lanes == 0 || lanes > kMaxLanes || info_out.size() != lanes) {
+    throw std::invalid_argument("PolarCode::decode_lanes: bad lane count");
+  }
+  // The kernels equal the per-element helpers on every value but a NaN,
+  // whose sign follows how a compiler orders an addition, and which
+  // nodes take a kernel depends on L.  A batch that could give rise to a
+  // NaN (a NaN, or a magnitude that could sum to ±inf and meet its
+  // opposite) therefore decodes one lane at a time, as each would alone.
+  if (lanes > 1) {
+    std::uint32_t risky = 0;
+    for (const float* in : llrs) {
+      for (unsigned i = 0; i < e_; ++i) {
+        risky |=
+            static_cast<std::uint32_t>(!(std::fabs(in[i]) <= kMaxBatchLlr));
+      }
+    }
+    if (risky != 0) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        decode_lanes(llrs.subspan(l, 1), scratch, info_out.subspan(l, 1));
+      }
+      return;
+    }
+  }
+  scratch.prepare(n_);
+  // Rate dematching straight into the root's interleaved LLR slice.
+  float* root = scratch.llr.data();
+  for (std::size_t l = 0; l < lanes; ++l) {
+    const float* in = llrs[l];
+    if (e_ >= n_) {
+      for (unsigned i = 0; i < n_; ++i) {
+        root[i * lanes + l] = 0.0f;
+      }
+      for (unsigned i = 0; i < e_; ++i) {
+        root[(i & (n_ - 1)) * lanes + l] += in[i];  // combine repetitions
+      }
+    } else {
+      for (unsigned i = 0; i < e_; ++i) {
+        root[i * lanes + l] = in[i];
+      }
+      for (unsigned i = e_; i < n_; ++i) {
+        root[i * lanes + l] = kKnownZeroLlr;  // shortened: known zero
+      }
+    }
+  }
+  const LaneDecoder decoder(kernels::active(), info_prefix_, lanes,
+                            scratch.u.data());
+  decoder.node(root, scratch.x.data(), 0, n_);
+  for (std::size_t l = 0; l < lanes; ++l) {
+    for (unsigned i = 0; i < k_; ++i) {
+      info_out[l][i] = scratch.u[info_set_[i] * lanes + l];
     }
   }
 }
-
-}  // namespace
 
 void PolarCode::decode(std::span<const float> llrs, PolarScratch& scratch,
                        std::span<std::uint8_t> info_out) const {
@@ -228,28 +350,9 @@ void PolarCode::decode(std::span<const float> llrs, PolarScratch& scratch,
   if (info_out.size() != k_) {
     throw std::invalid_argument("PolarCode::decode: wrong output length");
   }
-  scratch.prepare(n_);
-  // Rate dematching into mother-code LLRs.
-  float* mother = scratch.mother.data();
-  if (e_ >= n_) {
-    std::fill(mother, mother + n_, 0.0f);
-    for (unsigned i = 0; i < e_; ++i) {
-      mother[i % n_] += llrs[i];  // combine repetitions
-    }
-  } else {
-    for (unsigned i = 0; i < e_; ++i) {
-      mother[i] = llrs[i];
-    }
-    for (unsigned i = e_; i < n_; ++i) {
-      mother[i] = kKnownZeroLlr;  // shortened bits are known zero
-    }
-  }
-  std::copy(mother, mother + n_, scratch.llr.begin());
-  const std::span<std::uint8_t> u(scratch.u.data(), n_);
-  sc_decode(scratch, kernels::active(), n_, 0, 0, u, is_info_, info_prefix_);
-  for (unsigned i = 0; i < k_; ++i) {
-    info_out[i] = u[info_set_[i]];
-  }
+  const float* in = llrs.data();
+  std::uint8_t* out = info_out.data();
+  decode_lanes(std::span(&in, 1), scratch, std::span(&out, 1));
 }
 
 BitVector PolarCode::decode(std::span<const float> llrs) const {

@@ -23,19 +23,19 @@
 namespace nrs {
 
 /// Reusable successive-cancellation decoder workspace (hot-path memory
-/// discipline, DESIGN.md): level l of the decode tree uses a slice of size
-/// N >> l; slices for all levels fit in 2N entries.  One decode runs per
-/// PDCCH candidate per TTI (paper Fig. 12 profiles exactly this loop), so
-/// the buffers grow once to the largest mother code seen and are then
-/// reused allocation-free.  A scratch belongs to one thread at a time.
+/// discipline, DESIGN.md).  The decoder runs L <= PolarCode::kMaxLanes
+/// codewords of one (K, E) together, element-major: entry i of lane l sits
+/// at [i * L + l].  Tree level j holds (N >> j) * L LLRs and partial-sum
+/// bits, and the slices of all levels fit in 2NL entries.  The buffers
+/// grow once to the largest mother code seen, sized for the lane cap, and
+/// are then reused allocation-free at any lane count.  A scratch belongs
+/// to one thread at a time.
 struct PolarScratch {
-  std::vector<float> mother;    ///< N rate-dematched LLRs
-  std::vector<std::uint8_t> u;  ///< N decided input bits
-  std::vector<float> llr;       ///< 2N floats, sliced per tree level
-  std::vector<std::uint8_t> x;  ///< 2N partial-sum bits, sliced per level
-  std::vector<std::size_t> offset;  ///< per-level slice offsets
+  std::vector<std::uint8_t> u;  ///< N*L decided input bits (encode: N)
+  std::vector<float> llr;       ///< 2NL floats, sliced per tree level
+  std::vector<std::uint8_t> x;  ///< 2NL partial-sum bits, sliced per level
 
-  /// Size every buffer for mother code n (grow-only; recomputes offsets).
+  /// Size every buffer for mother code n at the lane cap (grow-only).
   void prepare(std::size_t n);
 };
 
@@ -56,6 +56,11 @@ class PolarCode {
   void encode(std::span<const std::uint8_t> info, PolarScratch& scratch,
               std::span<std::uint8_t> out) const;
 
+  /// Most codewords one decode_lanes call runs together.  Every tree node
+  /// costs a fixed amount per call whatever its width, so a PDCCH batch
+  /// decodes its candidates of one (K, E) up to this many at a time.
+  static constexpr std::size_t kMaxLanes = 8;
+
   /// Successive-cancellation decode from E channel LLRs
   /// (positive = bit 0).  Always returns K bits; the caller validates them
   /// with the attached CRC — a failed CRC is a "DCI miss" upstream.
@@ -66,6 +71,13 @@ class PolarCode {
   /// into `info_out` (size exactly K) using the caller's workspace.
   void decode(std::span<const float> llrs, PolarScratch& scratch,
               std::span<std::uint8_t> info_out) const;
+
+  /// Decode `llrs.size()` codewords (1 to kMaxLanes) together: lane l reads
+  /// E LLRs at `llrs[l]` and writes K bits to `info_out[l]`.  Each lane's
+  /// bits equal a decode of that lane alone, bit for bit; the overloads
+  /// above are this call with one lane.
+  void decode_lanes(std::span<const float* const> llrs, PolarScratch& scratch,
+                    std::span<std::uint8_t* const> info_out) const;
 
   [[nodiscard]] unsigned k() const { return k_; }
   [[nodiscard]] unsigned e() const { return e_; }
@@ -80,9 +92,8 @@ class PolarCode {
   unsigned e_;
   unsigned n_;                       // mother code size (power of two)
   std::vector<unsigned> info_set_;   // input indices carrying info bits
-  std::vector<std::uint8_t> is_info_;
   // info_prefix_[i] = info bits among inputs [0, i); lets the SC decoder
-  // prune all-frozen (rate-0) subtrees in O(1) per node.
+  // spot all-frozen (rate-0) and all-info (rate-1) subtrees in O(1).
   std::vector<unsigned> info_prefix_;
 
   void polar_transform(std::span<std::uint8_t> x) const;

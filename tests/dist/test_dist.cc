@@ -241,6 +241,17 @@ TEST(DistE2E, KillReassignsLeasesAndTotalsStayMonotonic) {
   auto w1 = std::make_unique<FleetWorker>(
       worker_config(coordinator.port(), "w1", kCells));
 
+  // Either worker can run all four cells alone, so the fleet can turn
+  // active before the second hello lands: wait for the rebalance that
+  // follows that join, not just for the cells.
+  ASSERT_TRUE(wait_until([&] {
+    if (coordinator.worker_count() != 2 || !coordinator.all_cells_active()) {
+      return false;
+    }
+    const auto workers = coordinator.workers();
+    return workers.size() == 2 && !workers[0].cells.empty() &&
+           !workers[1].cells.empty();
+  }, 30.0)) << "the second worker never got a cell";
   ASSERT_TRUE(wait_until([&] { return coordinator.all_cells_active(); }, 30.0))
       << "fleet never converged";
   EXPECT_EQ(coordinator.worker_count(), 2u);

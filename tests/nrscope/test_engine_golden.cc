@@ -7,7 +7,7 @@
 // flush and a second SIB1 wait as well as steady tracking.  The engine
 // demodulates only the OFDM symbols it reads; the pins show that this
 // changes no decoded bit, and EngineDemod pins the FFT count they cannot
-// show.
+// show; EngineTiming pins when the per-step timing histograms observe.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -380,6 +380,33 @@ TEST(EngineDemod, FftsOnlyTheSymbolsItReads) {
   const auto* demod_us = snap.find_histogram("nrscope.demod_us");
   ASSERT_NE(demod_us, nullptr);
   EXPECT_EQ(demod_us->count, 1300u) << "one observation per slot";
+}
+
+TEST(EngineTiming, RachScanIsObservedOncePerTrackingSlot) {
+  // The RACH scan runs in every tracking slot and in no other: its
+  // histogram counts exactly the tracking slots, and the search and SIB1
+  // slots before the lock add nothing.
+  const GoldenCase& c = kSrsranFleetCell;
+  auto gnb = make_gnb(c.cell(), c.seed);
+  add_ues(c, 0, *gnb);
+  VirtualRadio radio(radio_config(c));
+  NrScope scope(scope_config(c));
+  SlotResult result;
+  constexpr unsigned kSlots = 400;
+  for (unsigned slot = 0; slot < kSlots; ++slot) {
+    scope.process_slot(radio.capture(gnb->step()), result);
+  }
+  ASSERT_EQ(scope.state(), NrScope::State::kTracking);
+  const MetricsSnapshot snap = scope.metrics();
+  const std::uint64_t tracking = snap.counter_value("nrscope.slots_tracking");
+  EXPECT_GT(tracking, 0u);
+  EXPECT_LT(tracking, kSlots);
+  const auto* rach_scan = snap.find_histogram("nrscope.rach_scan_us");
+  ASSERT_NE(rach_scan, nullptr);
+  EXPECT_EQ(rach_scan->count, tracking);
+  const auto* blind = snap.find_histogram("nrscope.blind_decode_us");
+  ASSERT_NE(blind, nullptr);
+  EXPECT_EQ(blind->count, tracking);
 }
 
 }  // namespace

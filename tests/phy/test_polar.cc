@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/crc.h"
 #include "common/rng.h"
+#include "phy/kernels/kernels.h"
+#include "phy/kernels/kernels_detail.h"
 
 namespace nrs {
 namespace {
@@ -230,6 +234,278 @@ TEST(Polar, SpanOutDecodeWrongOutputLengthThrows) {
   std::vector<float> llrs(108, 1.0f);
   BitVector out(51);
   EXPECT_THROW(code.decode(llrs, scratch, out), std::invalid_argument);
+}
+
+// ---- Lane decoder vs the per-codeword recursive SC ---------------------
+
+/// The per-codeword recursive SC decoder the lane decoder replaced, kept
+/// as the reference it must match bit for bit: the same information set,
+/// dematching, rate-0 pruning and node arithmetic (kernel table above
+/// eight values per node, the shared per-element helpers below), one
+/// codeword per call and no rate-1 shortcut.
+class ReferenceSc {
+ public:
+  ReferenceSc(unsigned k, unsigned e) : k_(k), e_(e) {
+    while (n_ < e_ && n_ < PolarCode::kMaxN) {
+      n_ <<= 1;
+    }
+    const unsigned shortened = e_ < n_ ? n_ - e_ : 0;
+    const auto order = PolarCode::reliability_order(n_);
+    for (auto it = order.rbegin(); it != order.rend() && info_set_.size() < k_;
+         ++it) {
+      if (*it < n_ - shortened) {
+        info_set_.push_back(*it);
+      }
+    }
+    std::sort(info_set_.begin(), info_set_.end());
+    is_info_.assign(n_, 0);
+    for (unsigned idx : info_set_) {
+      is_info_[idx] = 1;
+    }
+    info_prefix_.assign(n_ + 1, 0);
+    for (unsigned i = 0; i < n_; ++i) {
+      info_prefix_[i + 1] = info_prefix_[i] + is_info_[i];
+    }
+    for (std::size_t len = n_, off = 0; len >= 1; len >>= 1) {
+      offset_.push_back(off);
+      off += len;
+    }
+  }
+
+  BitVector decode(std::span<const float> llrs) {
+    llr_.assign(2 * n_, 0.0f);
+    x_.assign(2 * n_, 0);
+    u_.assign(n_, 0);
+    if (e_ >= n_) {
+      for (unsigned i = 0; i < e_; ++i) {
+        llr_[i % n_] += llrs[i];
+      }
+    } else {
+      std::copy(llrs.begin(), llrs.end(), llr_.begin());
+      std::fill(llr_.begin() + e_, llr_.begin() + n_, 1e9f);
+    }
+    sc(n_, 0, 0);
+    BitVector info(k_);
+    for (unsigned i = 0; i < k_; ++i) {
+      info[i] = u_[info_set_[i]];
+    }
+    return info;
+  }
+
+ private:
+  void sc(std::size_t n, std::size_t level, std::size_t base) {
+    const auto& kt = kernels::active();
+    float* llr = llr_.data() + offset_[level];
+    std::uint8_t* x = x_.data() + offset_[level];
+    if (info_prefix_[base + n] == info_prefix_[base]) {
+      std::fill(x, x + n, std::uint8_t{0});
+      return;
+    }
+    if (n == 1) {
+      const std::uint8_t bit =
+          is_info_[base] ? static_cast<std::uint8_t>(llr[0] < 0.0f) : 0;
+      u_[base] = bit;
+      x[0] = bit;
+      return;
+    }
+    const std::size_t half = n / 2;
+    float* child_llr = llr_.data() + offset_[level + 1];
+    std::uint8_t* child_x = x_.data() + offset_[level + 1];
+    if (half >= 8) {
+      kt.polar_f(llr, llr + half, child_llr, half);
+    } else {
+      for (std::size_t i = 0; i < half; ++i) {
+        child_llr[i] = kernels::detail::polar_f_one(llr[i], llr[i + half]);
+      }
+    }
+    sc(half, level + 1, base);
+    std::copy(child_x, child_x + half, x);
+    if (half >= 8) {
+      kt.polar_g(llr, llr + half, x, child_llr, half);
+    } else {
+      for (std::size_t i = 0; i < half; ++i) {
+        child_llr[i] =
+            kernels::detail::polar_g_one(llr[i], llr[i + half], x[i]);
+      }
+    }
+    sc(half, level + 1, base + half);
+    if (half >= 8) {
+      kt.polar_combine(x, child_x, half);
+    } else {
+      for (std::size_t i = 0; i < half; ++i) {
+        x[i] = static_cast<std::uint8_t>(x[i] ^ child_x[i]);
+        x[i + half] = child_x[i];
+      }
+    }
+  }
+
+  unsigned k_;
+  unsigned e_;
+  unsigned n_ = 32;
+  std::vector<unsigned> info_set_;
+  std::vector<std::uint8_t> is_info_;
+  std::vector<unsigned> info_prefix_;
+  std::vector<std::size_t> offset_;
+  std::vector<float> llr_;
+  std::vector<std::uint8_t> x_;
+  std::vector<std::uint8_t> u_;
+};
+
+/// Every (K, E) the engine decodes — DCI 1_1 (K = 67) at aggregation
+/// levels 1, 2 and 4, DCI 1_0 (K = 61) at 4 and 8 — plus the PBCH
+/// (40-bit MIB + CRC over 4 CCEs) and a repetition-heavy level 16.
+const std::vector<PolarDims>& lane_dims() {
+  static const std::vector<PolarDims> dims = {
+      {67, 108}, {67, 216}, {67, 432}, {61, 432},
+      {61, 864}, {64, 432}, {67, 1728}};
+  return dims;
+}
+
+/// Decode `words` in consecutive batches of every tested lane count and
+/// require each lane's bits to equal the reference decode of that word.
+void expect_lanes_match_reference(const PolarDims& dims,
+                                  const std::vector<std::vector<float>>& words,
+                                  const char* what) {
+  const PolarCode code(dims.k, dims.e);
+  ReferenceSc reference(dims.k, dims.e);
+  std::vector<BitVector> expected;
+  for (const auto& w : words) {
+    expected.push_back(reference.decode(w));
+  }
+  PolarScratch scratch;
+  for (std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                            std::size_t{5}, PolarCode::kMaxLanes}) {
+    std::vector<BitVector> out(words.size(), BitVector(dims.k));
+    for (std::size_t w0 = 0; w0 < words.size(); w0 += lanes) {
+      const std::size_t n = std::min(lanes, words.size() - w0);
+      std::vector<const float*> in;
+      std::vector<std::uint8_t*> bits;
+      for (std::size_t l = 0; l < n; ++l) {
+        in.push_back(words[w0 + l].data());
+        bits.push_back(out[w0 + l].data());
+      }
+      code.decode_lanes(in, scratch, bits);
+    }
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      ASSERT_EQ(out[w], expected[w])
+          << what << ": K=" << dims.k << " E=" << dims.e << " L=" << lanes
+          << " word " << w;
+    }
+  }
+}
+
+std::vector<float> clean_llrs(const BitVector& coded) {
+  std::vector<float> llrs(coded.size());
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    llrs[i] = coded[i] ? -10.0f : 10.0f;
+  }
+  return llrs;
+}
+
+/// LLRs of a codeword quantized to {±1, ±2} with every 7th flipped: f
+/// meets exact magnitude ties and g sums to exact zeros, so ±0 reaches
+/// the rate-1 nodes; ±0 and, when asked, ±inf are also planted at random
+/// positions (two opposite infinities meeting in a sum give NaN).
+std::vector<float> adversarial_llrs(const BitVector& coded, Rng& rng,
+                                    bool infinities) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> llrs(coded.size());
+  for (std::size_t i = 0; i < coded.size(); ++i) {
+    float v = rng.chance(0.5) ? 1.0f : 2.0f;
+    if ((coded[i] != 0) != (i % 7 == 3)) {
+      v = -v;
+    }
+    if (rng.chance(0.05)) {
+      v = rng.chance(0.5) ? 0.0f : -0.0f;
+    } else if (infinities && rng.chance(0.02)) {
+      v = rng.chance(0.5) ? kInf : -kInf;
+    }
+    llrs[i] = v;
+  }
+  return llrs;
+}
+
+TEST(PolarLanes, NoiselessBatchesMatchReference) {
+  Rng rng(2101);
+  for (const PolarDims& dims : lane_dims()) {
+    const PolarCode code(dims.k, dims.e);
+    std::vector<std::vector<float>> words;
+    for (int w = 0; w < 19; ++w) {
+      words.push_back(clean_llrs(code.encode(random_bits(rng, dims.k))));
+    }
+    expect_lanes_match_reference(dims, words, "noiseless");
+  }
+}
+
+TEST(PolarLanes, AwgnBatchesMatchReference) {
+  Rng rng(2102);
+  for (const PolarDims& dims : lane_dims()) {
+    const PolarCode code(dims.k, dims.e);
+    std::vector<std::vector<float>> words;
+    for (double snr_db = -2.0; snr_db <= 10.0; snr_db += 1.0) {
+      for (int w = 0; w < 3; ++w) {
+        words.push_back(
+            to_noisy_llrs(code.encode(random_bits(rng, dims.k)), snr_db, rng));
+      }
+    }
+    expect_lanes_match_reference(dims, words, "awgn");
+  }
+}
+
+TEST(PolarLanes, ZerosInfinitiesAndTiesMatchReference) {
+  // Half the words carry infinities too, so a batch that could meet a
+  // NaN (and decodes one lane at a time) is covered as well.
+  Rng rng(2103);
+  for (const PolarDims& dims : lane_dims()) {
+    const PolarCode code(dims.k, dims.e);
+    std::vector<std::vector<float>> words;
+    for (int w = 0; w < 24; ++w) {
+      words.push_back(adversarial_llrs(code.encode(random_bits(rng, dims.k)),
+                                       rng, /*infinities=*/w % 2 == 0));
+    }
+    expect_lanes_match_reference(dims, words, "adversarial");
+  }
+}
+
+TEST(PolarLanes, OneDirtyLaneMatchesReference) {
+  // Clean high-SNR lanes with one lane of ±0s and ties among them, at
+  // every position of a full batch: the dirty lane sends every lane of a
+  // rate-1 node through the recursion, which must not change the clean
+  // lanes' bits.
+  Rng rng(2104);
+  for (const PolarDims& dims : lane_dims()) {
+    const PolarCode code(dims.k, dims.e);
+    std::vector<std::vector<float>> words;
+    for (std::size_t dirty = 0; dirty < PolarCode::kMaxLanes; ++dirty) {
+      for (std::size_t l = 0; l < PolarCode::kMaxLanes; ++l) {
+        const BitVector coded = code.encode(random_bits(rng, dims.k));
+        words.push_back(l == dirty
+                            ? adversarial_llrs(coded, rng, false)
+                            : to_noisy_llrs(coded, 6.0, rng));
+      }
+    }
+    expect_lanes_match_reference(dims, words, "one dirty lane");
+  }
+}
+
+TEST(PolarLanes, RejectsBadLaneCounts) {
+  const PolarCode code(67, 108);
+  PolarScratch scratch;
+  std::vector<float> llrs(108, 1.0f);
+  std::vector<std::vector<std::uint8_t>> out(PolarCode::kMaxLanes + 1,
+                                             std::vector<std::uint8_t>(67));
+  std::vector<const float*> in(PolarCode::kMaxLanes + 1, llrs.data());
+  std::vector<std::uint8_t*> bits;
+  for (auto& o : out) {
+    bits.push_back(o.data());
+  }
+  EXPECT_THROW(code.decode_lanes(std::span(in).first(0), scratch,
+                                 std::span(bits).first(0)),
+               std::invalid_argument);
+  EXPECT_THROW(code.decode_lanes(in, scratch, bits), std::invalid_argument);
+  EXPECT_THROW(code.decode_lanes(std::span(in).first(2), scratch,
+                                 std::span(bits).first(3)),
+               std::invalid_argument);
 }
 
 }  // namespace
