@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <memory>
+
 #include "common/rng.h"
+#include "gnb/gnb_sim.h"
+#include "gnb/presets.h"
 #include "phy/modulation.h"
+#include "ue/traffic.h"
 
 namespace nrs {
 namespace {
@@ -114,6 +121,71 @@ TEST(VirtualRadio, RecorderStoresSlots) {
   ASSERT_EQ(recorder.n_slots(), 2u);
   EXPECT_EQ(recorder.slot(1)[0], cf32(0.0f, 1.0f));
   EXPECT_THROW((void)recorder.slot(2), std::out_of_range);
+}
+
+/// One seeded cell whose captured IQ bytes are pinned.
+struct PinnedCell {
+  CellConfig (*cell)();
+  unsigned n_ues;
+  ChannelProfile profile;  ///< UE links and the sniffer link alike
+  double sniffer_snr_db;
+  std::uint64_t seed;
+  std::uint64_t hash;  ///< the pin
+};
+
+/// FNV-1a 64 over the IQ bytes of 64 captured slots of `c`'s gNB.
+std::uint64_t capture_hash(const PinnedCell& c) {
+  GnbConfig gnb_cfg;
+  gnb_cfg.cell = c.cell();
+  gnb_cfg.seed = c.seed;
+  GnbSim gnb(std::move(gnb_cfg));
+  for (unsigned u = 0; u < c.n_ues; ++u) {
+    UeConfig ue;
+    ue.id = u;
+    ue.channel.profile = c.profile;
+    ue.channel.snr_db = 18.0 + (u % 4);
+    ue.channel.seed = c.seed * 1000 + u;
+    ue.dl_traffic = std::make_unique<CbrSource>(1e6);
+    ue.ul_traffic = std::make_unique<CbrSource>(0.25e6);
+    ue.seed = c.seed * 2000 + u;
+    gnb.add_ue(std::move(ue));
+  }
+  VirtualRadioConfig radio_cfg;
+  radio_cfg.n_prb = gnb.cell().n_prb;
+  radio_cfg.channel.profile = c.profile;
+  radio_cfg.channel.snr_db = c.sniffer_snr_db;
+  radio_cfg.channel.seed = c.seed * 3000;
+  VirtualRadio radio(radio_cfg);
+
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (int slot = 0; slot < 64; ++slot) {
+    const IqBuffer samples = radio.capture(gnb.step());
+    for (const cf32& s : samples) {
+      unsigned char bytes[sizeof(cf32)];
+      std::memcpy(bytes, &s, sizeof bytes);
+      for (const unsigned char b : bytes) {
+        hash ^= b;
+        hash *= 0x100000001B3ull;
+      }
+    }
+  }
+  return hash;
+}
+
+// The engine golden streams hash decoded fields only; this pins the
+// samples themselves (OFDM modulation, channel, AGC), so a change to the
+// radio's arithmetic shows here even where no decoded bit moves.
+TEST(VirtualRadio, CaptureBytesArePinned) {
+  constexpr PinnedCell kCells[] = {
+      {amarisoft_cell, 16, ChannelProfile::kAwgn, 28.0, 202,
+       0xa4f97e38958c3cc7ull},
+      {srsran_cell, 4, ChannelProfile::kPedestrian, 28.0, 101,
+       0xdca75dcc316b3b5cull},
+  };
+  for (const PinnedCell& c : kCells) {
+    const std::uint64_t hash = capture_hash(c);
+    EXPECT_EQ(hash, c.hash) << std::hex << "0x" << hash;
+  }
 }
 
 }  // namespace
