@@ -2,8 +2,9 @@
 //
 // Every primitive in the KernelTable is timed against realistic per-slot
 // working sizes under each compiled-in backend, reporting ns/op and the
-// scalar-vs-SIMD speedup.  A second table times the polar SC decoder per
-// codeword, one codeword per call against a full lane batch.
+// scalar-vs-SIMD speedup.  A second table times the FFT and the OFDM
+// modulator and demodulator at the 51-PRB carrier, a third the polar SC
+// decoder per codeword, one codeword per call against a full lane batch.
 //
 // Usage: bench_micro_phy [--quick]
 #include <algorithm>
@@ -18,8 +19,11 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "phy/conv_code.h"
+#include "phy/fft.h"
 #include "phy/kernels/kernels.h"
+#include "phy/ofdm.h"
 #include "phy/polar.h"
+#include "phy/resource_grid.h"
 
 namespace nrs {
 namespace {
@@ -110,10 +114,10 @@ struct Case {
 
 std::vector<Case> make_cases() {
   std::vector<Case> cases;
-  // Sizes mirror the real call sites: PSS correlation segments (127),
-  // one 1024-point FFT stage, a CORESET's worth of pilots/REs, an
-  // aggregation-level-4 candidate's LLRs, a polar node, a slice of a
-  // slot's channel noise, one Viterbi step.
+  // Sizes mirror the real call sites: PSS correlation segments (127), a
+  // CORESET's worth of pilots/REs, an aggregation-level-4 candidate's
+  // LLRs, a polar node, a slice of a slot's channel noise, one Viterbi
+  // step.  The FFT has its own table (run_ofdm).
   cases.push_back({"corr_energy_real", 127,
                    [](const kernels::KernelTable& kt, Workload& w) {
                      cf32 corr;
@@ -130,14 +134,6 @@ std::vector<Case> make_cases() {
                    [](const kernels::KernelTable& kt, Workload& w) {
                      kt.cx_mul_conj_scale(w.a.data(), w.b.data(), 1.0f,
                                           w.c.data(), 324);
-                   }});
-  cases.push_back({"cx_scale", 1024,
-                   [](const kernels::KernelTable& kt, Workload& w) {
-                     kt.cx_scale(w.a.data(), 1.0f, 1024);
-                   }});
-  cases.push_back({"fft_stage", 1024,
-                   [](const kernels::KernelTable& kt, Workload& w) {
-                     kt.fft_stage(w.a.data(), w.b.data(), 1024, 512);
                    }});
   cases.push_back({"eq_qpsk_llr", 216,
                    [](const kernels::KernelTable& kt, Workload& w) {
@@ -184,6 +180,61 @@ std::vector<Case> make_cases() {
                                     w.i32.data() + 128);
                    }});
   return cases;
+}
+
+/// The radio's and the sniffer's transforms at the 51-PRB carrier (1024
+/// points): one FFT each way, OfdmModulator::modulate_into of a full slot
+/// and OfdmDemodulator::demodulate_symbol of one symbol, under each
+/// backend (kernels::select switches the table Fft dispatches through).
+void run_ofdm(double budget_s, const kernels::KernelTable* simd) {
+  const OfdmConfig cfg = make_ofdm_config(51);
+  const std::size_t n = cfg.fft_size;
+  Rng rng(22);
+  ResourceGrid grid(cfg.n_prb);
+  for (unsigned sym = 0; sym < grid.n_symbols(); ++sym) {
+    for (cf32& re : grid.symbol(sym)) {
+      re = {rng.chance(0.5) ? 0.7071f : -0.7071f,
+            rng.chance(0.5) ? 0.7071f : -0.7071f};
+    }
+  }
+  Fft fft(n);
+  OfdmModulator modulator(cfg);
+  OfdmDemodulator demodulator(cfg);
+  IqBuffer slot;
+  modulator.modulate_into(grid, slot);
+  std::vector<cf32> spectrum(n);
+  std::vector<cf32> time(n);
+  ResourceGrid rx(cfg.n_prb);
+  const std::span<const cf32> body(slot.data() + cfg.cp_len, n);
+
+  struct OfdmCase {
+    const char* name;
+    std::size_t n;
+    std::function<void()> fn;
+  };
+  const OfdmCase cases[] = {
+      {"fft_forward", n, [&] { fft.forward(body, spectrum); }},
+      {"fft_inverse", n, [&] { fft.inverse(spectrum, time); }},
+      {"ofdm_modulate", cfg.samples_per_slot(),
+       [&] { modulator.modulate_into(grid, slot); }},
+      {"ofdm_demod_symbol", n,
+       [&] { demodulator.demodulate_symbol(slot, 3, rx); }},
+  };
+  const kernels::Isa dispatch = kernels::active().isa;
+  std::printf("\n== FFT and OFDM (51 PRB, %zu points; ns per call) ==\n", n);
+  std::printf("%-18s %6s %12s %12s %9s\n", "op", "n", "scalar ns",
+              simd ? "simd ns" : "-", "speedup");
+  for (const OfdmCase& c : cases) {
+    double ns[2] = {0.0, 0.0};
+    for (int b = 0; b < (simd ? 2 : 1); ++b) {
+      kernels::select(b == 0 ? kernels::Isa::kScalar : simd->isa);
+      ns[b] = time_ns(c.fn, budget_s);
+    }
+    const double speedup = ns[1] > 0.0 ? ns[0] / ns[1] : 1.0;
+    std::printf("%-18s %6zu %12.1f %12.1f %8.2fx\n", c.name, c.n, ns[0],
+                ns[1], speedup);
+  }
+  kernels::select(dispatch);
 }
 
 /// Polar SC decode, ns per codeword, for the DCI 1_1 size at aggregation
@@ -302,6 +353,7 @@ int run(int argc, char** argv) {
                 row.n, row.scalar_ns, row.simd_ns, speedup);
   }
 
+  run_ofdm(budget_s, simd);
   run_polar(budget_s, simd);
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "phy/fft.h"
 
 #include <cmath>
+#include <functional>
 #include <numbers>
 #include <stdexcept>
 
@@ -8,22 +9,9 @@
 
 namespace nrs {
 
-Fft::Fft(std::size_t size) : size_(size) {
+Fft::Fft(std::size_t size) : size_(size), scratch_(size) {
   if (!is_pow2(size)) {
     throw std::invalid_argument("Fft size must be a power of two");
-  }
-  log2_size_ = 0;
-  while ((std::size_t{1} << log2_size_) < size_) {
-    ++log2_size_;
-  }
-  // Bit-reversal permutation table.
-  bit_reverse_.resize(size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    std::size_t rev = 0;
-    for (std::size_t b = 0; b < log2_size_; ++b) {
-      rev |= ((i >> b) & 1) << (log2_size_ - 1 - b);
-    }
-    bit_reverse_[i] = rev;
   }
   // Per-stage contiguous twiddles (kernel-friendly layout): the stage with
   // half-size h needs W_N^(k * N/(2h)) for k in [0, h); packing stages
@@ -46,30 +34,27 @@ Fft::Fft(std::size_t size) : size_(size) {
   }
 }
 
-void Fft::transform(std::span<cf32> data, bool inverse) const {
-  if (data.size() != size_) {
+void Fft::transform(std::span<const cf32> in, std::span<cf32> out,
+                    bool inverse) {
+  if (in.size() != size_ || out.size() != size_) {
     throw std::invalid_argument("Fft: buffer size mismatch");
   }
-  // Bit-reverse reorder.
-  for (std::size_t i = 0; i < size_; ++i) {
-    const std::size_t j = bit_reverse_[i];
-    if (i < j) {
-      std::swap(data[i], data[j]);
-    }
+  const std::less<const cf32*> before;
+  if (before(in.data(), out.data() + size_) &&
+      before(out.data(), in.data() + size_)) {
+    throw std::invalid_argument("Fft: input and output overlap");
   }
-  // Danielson-Lanczos butterflies, one kernel call per stage.
-  const auto& k = kernels::active();
   const std::vector<cf32>& tw = inverse ? inv_twiddles_ : twiddles_;
-  for (std::size_t half = 1; half < size_; half <<= 1) {
-    k.fft_stage(data.data(), tw.data() + (half - 1), size_, half);
-  }
-  if (inverse) {
-    k.cx_scale(data.data(), 1.0f / static_cast<float>(size_), size_);
-  }
+  kernels::active().fft(in.data(), out.data(), scratch_.data(), tw.data(),
+                        size_, inverse);
 }
 
-void Fft::forward(std::span<cf32> data) const { transform(data, false); }
+void Fft::forward(std::span<const cf32> in, std::span<cf32> out) {
+  transform(in, out, false);
+}
 
-void Fft::inverse(std::span<cf32> data) const { transform(data, true); }
+void Fft::inverse(std::span<const cf32> in, std::span<cf32> out) {
+  transform(in, out, true);
+}
 
 }  // namespace nrs

@@ -1,6 +1,6 @@
 // Runtime-dispatched SIMD kernel layer for the per-slot PHY inner loops.
 //
-// Every hot loop in the decode path — FFT butterflies, PSS/SSS correlation,
+// Every hot loop in the decode path — the FFT, PSS/SSS correlation,
 // LS channel estimation, ZF-equalize + QAM soft demap, descrambling, polar
 // SC node operations and Viterbi add-compare-select — funnels through the
 // function-pointer table below, as does the simulated channel's noise
@@ -67,15 +67,19 @@ struct KernelTable {
   void (*cx_mul_conj_scale)(const cf32* a, const cf32* b, float s, cf32* out,
                             std::size_t n);
 
-  /// a[i] *= s (inverse-FFT normalization).
-  void (*cx_scale)(cf32* a, float s, std::size_t n);
+  // --- FFT -------------------------------------------------------------
 
-  /// One radix-2 FFT stage over `n` points with contiguous per-stage
-  /// twiddles `tw` (size `half`): for every block of 2*half points,
-  ///   odd = data[k+half] * tw[k];  even = data[k];
-  ///   data[k] = even + odd;  data[k+half] = even - odd.
-  void (*fft_stage)(cf32* data, const cf32* tw, std::size_t n,
-                    std::size_t half);
+  /// Whole n-point radix-2 DIT FFT (n a power of two), out of place.
+  /// Stockham autosort stages ping-pong between `out` and `scratch` (n
+  /// points each, neither overlapping `in`, which is only read).  The
+  /// stage of half-size h takes twiddles tw[h - 1 + k], k < h (Fft's
+  /// per-stage table), and every butterfly is
+  ///   p = odd * tw (mul_cplx order);  even + p;  even - p
+  /// on the operands of the in-place bit-reversal transform, so the output
+  /// is bit-identical to it.  With `normalize` the last stage's outputs are
+  /// multiplied by 1/n (the inverse's scaling).
+  void (*fft)(const cf32* in, cf32* out, cf32* scratch, const cf32* tw,
+              std::size_t n, bool normalize);
 
   // --- soft demap ------------------------------------------------------
 

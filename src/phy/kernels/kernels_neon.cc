@@ -1,10 +1,10 @@
 // NEON backend (AArch64).  Builds the table from the scalar backend and
 // overrides the elementwise kernels with NEON versions; the blocked
-// reductions and the Viterbi ACS stay scalar (they are already fast there
-// and exactness is what matters most on the portability path).  Same
-// bit-exactness contract as AVX2: addsub lane order for complex products,
-// sign-bit arithmetic, no FMA (-ffp-contract=off; vmulq+vaddq, never
-// vmlaq).
+// reductions, the FFT and the Viterbi ACS stay scalar (exactness is what
+// matters most on the portability path, and no ARM runner checks a NEON
+// Stockham transform yet).  Same bit-exactness contract as AVX2: addsub
+// lane order for complex products, sign-bit arithmetic, no FMA
+// (-ffp-contract=off; vmulq+vaddq, never vmlaq).
 #if defined(__aarch64__) && defined(__ARM_NEON)
 
 #include <arm_neon.h>
@@ -31,12 +31,6 @@ uint32x4_t odd_sign_mask() {
   return vld1q_u32(m);
 }
 
-/// Sign mask on even lanes (real components): [S, 0, S, 0].
-uint32x4_t even_sign_mask() {
-  const std::uint32_t m[4] = {0x80000000u, 0u, 0x80000000u, 0u};
-  return vld1q_u32(m);
-}
-
 /// a * conj(b), two complex lanes.
 float32x4_t mul_conj2(float32x4_t a, float32x4_t b) {
   const float32x4_t br = vtrn1q_f32(b, b);  // [br0 br0 br1 br1]
@@ -45,17 +39,6 @@ float32x4_t mul_conj2(float32x4_t a, float32x4_t b) {
   const float32x4_t t2 = vmulq_f32(vrev64q_f32(a), bi);
   const float32x4_t t2n = vreinterpretq_f32_u32(
       veorq_u32(vreinterpretq_u32_f32(t2), odd_sign_mask()));
-  return vaddq_f32(t1, t2n);
-}
-
-/// a * b, two complex lanes.
-float32x4_t mul_cplx2(float32x4_t a, float32x4_t b) {
-  const float32x4_t br = vtrn1q_f32(b, b);
-  const float32x4_t bi = vtrn2q_f32(b, b);
-  const float32x4_t t1 = vmulq_f32(a, br);
-  const float32x4_t t2 = vmulq_f32(vrev64q_f32(a), bi);
-  const float32x4_t t2n = vreinterpretq_f32_u32(
-      veorq_u32(vreinterpretq_u32_f32(t2), even_sign_mask()));
   return vaddq_f32(t1, t2n);
 }
 
@@ -78,40 +61,6 @@ void cx_mul_conj_scale_neon(const cf32* a, const cf32* b, float s, cf32* out,
   }
   for (; i < n; ++i) {
     out[i] = d::mul_conj_scale(a[i], b[i], s);
-  }
-}
-
-void cx_scale_neon(cf32* a, float s, std::size_t n) {
-  const float32x4_t sv = vdupq_n_f32(s);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f32(fp(a + i), vmulq_f32(vld1q_f32(fp(a + i)), sv));
-  }
-  for (; i < n; ++i) {
-    a[i] = cf32(a[i].real() * s, a[i].imag() * s);
-  }
-}
-
-void fft_stage_neon(cf32* data, const cf32* tw, std::size_t n,
-                    std::size_t half) {
-  const std::size_t len = 2 * half;
-  if (half < 2) {
-    for (std::size_t start = 0; start < n; start += len) {
-      d::butterfly(data[start], data[start + half], tw[0]);
-    }
-    return;
-  }
-  for (std::size_t start = 0; start < n; start += len) {
-    float* even = fp(data + start);
-    float* odd = fp(data + start + half);
-    for (std::size_t k = 0; k < half; k += 2) {
-      const float32x4_t vodd = vld1q_f32(odd + 2 * k);
-      const float32x4_t vtw = vld1q_f32(fp(tw + k));
-      const float32x4_t prod = mul_cplx2(vodd, vtw);
-      const float32x4_t veven = vld1q_f32(even + 2 * k);
-      vst1q_f32(even + 2 * k, vaddq_f32(veven, prod));
-      vst1q_f32(odd + 2 * k, vsubq_f32(veven, prod));
-    }
   }
 }
 
@@ -195,8 +144,6 @@ const KernelTable kNeonTable = [] {
   KernelTable t = *scalar_table();
   t.isa = Isa::kNeon;
   t.cx_mul_conj_scale = cx_mul_conj_scale_neon;
-  t.cx_scale = cx_scale_neon;
-  t.fft_stage = fft_stage_neon;
   t.eq_qpsk_llr = eq_qpsk_llr_neon;
   t.descramble = descramble_neon;
   t.polar_f = polar_f_neon;

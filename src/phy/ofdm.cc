@@ -18,18 +18,10 @@ OfdmConfig make_ofdm_config(unsigned n_prb) {
   return cfg;
 }
 
-namespace {
-// Map subcarrier index (0..N_sc-1) to FFT bin: subcarriers are centered on
-// DC, negative frequencies wrap to the top half of the FFT.
-unsigned bin_for_subcarrier(const OfdmConfig& cfg, unsigned sc) {
-  const int offset =
-      static_cast<int>(sc) - static_cast<int>(cfg.n_subcarriers() / 2);
-  const int bin = offset >= 0
-                      ? offset
-                      : static_cast<int>(cfg.fft_size) + offset;
-  return static_cast<unsigned>(bin);
-}
-}  // namespace
+// Subcarriers are centered on DC: subcarrier n_sc/2 + i sits in bin i, and
+// the n_sc/2 subcarriers below DC wrap to the top bins.  So a grid row maps
+// to the bins as two contiguous runs, and the bins between them (the guard
+// band) carry nothing.
 
 OfdmModulator::OfdmModulator(OfdmConfig config)
     : config_(config), fft_(config.fft_size), freq_(config.fft_size) {
@@ -43,22 +35,21 @@ void OfdmModulator::modulate_into(const ResourceGrid& grid, IqBuffer& out) {
     throw std::invalid_argument("OfdmModulator: grid PRB mismatch");
   }
   out.resize(config_.samples_per_slot());
+  const unsigned below_dc = config_.n_subcarriers() / 2;
+  const unsigned n = config_.fft_size;
+  const unsigned cp = config_.cp_len;
   for (unsigned sym = 0; sym < grid.n_symbols(); ++sym) {
-    std::fill(freq_.begin(), freq_.end(), cf32{});
+    // The guard bins of freq_ are zero since construction: the transform
+    // only reads its input, and only the two occupied runs are written.
     const auto row = grid.symbol(sym);
-    for (unsigned sc = 0; sc < config_.n_subcarriers(); ++sc) {
-      freq_[bin_for_subcarrier(config_, sc)] = row[sc];
-    }
-    fft_.inverse(freq_);
+    std::copy(row.begin() + below_dc, row.end(), freq_.begin());
+    std::copy(row.begin(), row.begin() + below_dc, freq_.end() - below_dc);
     cf32* dst = out.data() +
                 static_cast<std::size_t>(sym) * config_.samples_per_symbol();
-    // Cyclic prefix: last cp_len time samples, then the symbol body.
-    for (unsigned i = 0; i < config_.cp_len; ++i) {
-      dst[i] = freq_[config_.fft_size - config_.cp_len + i];
-    }
-    for (unsigned i = 0; i < config_.fft_size; ++i) {
-      dst[config_.cp_len + i] = freq_[i];
-    }
+    // The symbol body straight into the slot, then the cyclic prefix: a
+    // copy of the body's last cp_len samples.
+    fft_.inverse(freq_, std::span(dst + cp, n));
+    std::copy(dst + n, dst + n + cp, dst);
   }
 }
 
@@ -94,14 +85,14 @@ void OfdmDemodulator::demodulate_symbol(std::span<const cf32> samples,
                     static_cast<std::size_t>(sym) *
                         config_.samples_per_symbol() +
                     config_.cp_len;
-  std::copy(src, src + config_.fft_size, freq_.begin());
-  fft_.forward(freq_);
+  fft_.forward(std::span(src, config_.fft_size), freq_);
   // IFFT/FFT round trip leaves a factor of 1 (inverse normalizes); copy
   // the occupied bins back out.
+  const unsigned below_dc = config_.n_subcarriers() / 2;
   auto row = grid.symbol(sym);
-  for (unsigned sc = 0; sc < config_.n_subcarriers(); ++sc) {
-    row[sc] = freq_[bin_for_subcarrier(config_, sc)];
-  }
+  std::copy(freq_.begin(), freq_.begin() + (row.size() - below_dc),
+            row.begin() + below_dc);
+  std::copy(freq_.end() - below_dc, freq_.end(), row.begin());
 }
 
 ResourceGrid OfdmDemodulator::demodulate(std::span<const cf32> samples) {

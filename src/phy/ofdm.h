@@ -32,12 +32,13 @@ struct OfdmConfig {
 OfdmConfig make_ofdm_config(unsigned n_prb);
 
 /// Grid -> time samples: subcarriers are centered around DC, IFFT per
-/// symbol, cyclic prefix prepended.
+/// symbol straight into the slot buffer, cyclic prefix copied in front.
 ///
-/// The per-symbol frequency-domain staging buffer is a persistent member
-/// sized at construction (hot-path memory discipline, DESIGN.md), so a
-/// modulator is NOT safe to share between threads; give each thread its
-/// own instance (each pipeline's engine thread owns its demodulator).
+/// The per-symbol frequency-domain staging buffer and the FFT's scratch
+/// are persistent members sized at construction (hot-path memory
+/// discipline, DESIGN.md), so a modulator is NOT safe to share between
+/// threads; give each thread its own instance (each pipeline's engine
+/// thread owns its demodulator).
 class OfdmModulator {
  public:
   explicit OfdmModulator(OfdmConfig config);
@@ -54,11 +55,12 @@ class OfdmModulator {
  private:
   OfdmConfig config_;
   Fft fft_;
-  std::vector<cf32> freq_;  ///< per-symbol staging, reused across slots
+  std::vector<cf32> freq_;  ///< per-symbol IFFT input; guard bins stay 0
 };
 
-/// Time samples -> grid: CP removal and forward FFT per symbol.  Same
-/// threading rule as OfdmModulator: one instance per thread.
+/// Time samples -> grid: forward FFT per symbol straight from the samples
+/// after its CP.  Same threading rule as OfdmModulator: one instance per
+/// thread.
 class OfdmDemodulator {
  public:
   explicit OfdmDemodulator(OfdmConfig config);
@@ -81,7 +83,7 @@ class OfdmDemodulator {
  private:
   OfdmConfig config_;
   Fft fft_;
-  std::vector<cf32> freq_;  ///< per-symbol staging, reused across slots
+  std::vector<cf32> freq_;  ///< per-symbol FFT output, reused across slots
 };
 
 /// The sniffer's received slot, demodulated on demand: a row is FFT'd the
