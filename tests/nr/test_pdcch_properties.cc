@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 
 #include "common/rng.h"
 #include "nr/pdcch.h"
@@ -19,6 +20,15 @@ struct ChainParams {
   bool interleaved;
   unsigned agg_level;
 };
+
+// Test IDs embed the printed parameter, so print the fields: gtest's
+// fallback dumps the struct's bytes, padding included, and those change
+// from build to build.
+void PrintTo(const ChainParams& p, std::ostream* os) {
+  *os << "(BWP " << p.n_prb_bwp << ", CORESET " << p.coreset_prb << 'x'
+      << p.duration << (p.interleaved ? ", interleaved" : ", non-interleaved")
+      << ", L" << p.agg_level << ')';
+}
 
 class PdcchChainTest : public ::testing::TestWithParam<ChainParams> {};
 
