@@ -1,7 +1,5 @@
 #include "common/crc.h"
 
-#include <algorithm>
-
 namespace nrs {
 
 std::uint32_t CrcGenerator::compute(
@@ -47,56 +45,17 @@ void CrcGenerator::mask_rnti(BitVector& bits, std::uint16_t rnti) const {
   }
 }
 
-bool CrcGenerator::check_masked(std::span<const std::uint8_t> bits,
-                                std::uint16_t rnti) const {
-  if (bits.size() < length_) {
-    return false;
-  }
-  if (length_ < 16) {
-    // Mask overlaps the payload: unmask a copy and divide the whole thing.
-    BitVector copy(bits.begin(), bits.end());
-    mask_rnti(copy, rnti);
-    return check(copy);
-  }
-  // The 16-bit mask sits entirely inside the CRC field, so the payload CRC
-  // can be computed directly and compared bit-for-bit against the received
-  // CRC with the mask XORed back in — no temporary codeword copy.  This is
-  // the per-candidate hot path of blind PDCCH decoding.
-  const std::size_t payload_len = bits.size() - length_;
-  const std::uint32_t computed = compute(bits.first(payload_len));
-  const std::size_t mask_start = bits.size() - 16;
-  for (unsigned i = 0; i < length_; ++i) {
-    const std::size_t pos = payload_len + i;
-    std::uint8_t expect =
-        static_cast<std::uint8_t>((computed >> (length_ - 1 - i)) & 1);
-    if (pos >= mask_start) {
-      expect ^= static_cast<std::uint8_t>((rnti >> (15 - (pos - mask_start))) & 1);
-    }
-    if ((bits[pos] & 1) != expect) {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::uint16_t CrcGenerator::recover_mask(
+std::uint32_t CrcGenerator::syndrome(
     std::span<const std::uint8_t> bits_with_crc) const {
   if (bits_with_crc.size() < length_) {
-    return 0;
+    return ~0u;
   }
   const std::size_t payload_len = bits_with_crc.size() - length_;
-  const std::uint32_t computed = compute(bits_with_crc.first(payload_len));
-  std::uint16_t mask = 0;
-  // Trailing 16 bits of the received CRC, XORed with the computed CRC.
-  for (unsigned i = 0; i < 16; ++i) {
-    const unsigned crc_bit_index = length_ - 16 + i;  // within the CRC field
-    const std::uint8_t rx =
-        bits_with_crc[payload_len + crc_bit_index] & 1;
-    const std::uint8_t calc = static_cast<std::uint8_t>(
-        (computed >> (length_ - 1 - crc_bit_index)) & 1);
-    mask = static_cast<std::uint16_t>((mask << 1) | (rx ^ calc));
+  std::uint32_t received = 0;
+  for (std::uint8_t b : bits_with_crc.subspan(payload_len)) {
+    received = (received << 1) | (b & 1u);
   }
-  return mask;
+  return received ^ compute(bits_with_crc.first(payload_len));
 }
 
 }  // namespace nrs

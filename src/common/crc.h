@@ -28,18 +28,17 @@ class CrcGenerator {
   /// True when `bits` = payload + CRC is a valid codeword.
   [[nodiscard]] bool check(std::span<const std::uint8_t> bits) const;
 
-  /// Like check(), but the trailing min(16, L) CRC bits are first unmasked
-  /// with `rnti` (3GPP scrambles DCI CRCs with the RNTI; TS 38.212 7.3.2).
-  [[nodiscard]] bool check_masked(std::span<const std::uint8_t> bits,
-                                  std::uint16_t rnti) const;
-
   /// XOR the trailing 16 CRC bits of `bits` with `rnti` in place.
   void mask_rnti(BitVector& bits, std::uint16_t rnti) const;
 
-  /// Recover the mask: XOR of the computed CRC of the payload and the
-  /// received (masked) CRC, restricted to the trailing 16 bits.  This is the
-  /// paper's C-RNTI recovery primitive.
-  [[nodiscard]] std::uint16_t recover_mask(
+  /// The received CRC (the trailing `length()` bits of `bits_with_crc`)
+  /// XOR the CRC computed over the payload before it.  Zero for a valid
+  /// codeword; for one whose trailing 16 CRC bits were masked with an RNTI
+  /// (TS 38.212 7.3.2) and L >= 16, exactly that RNTI.  So one division
+  /// tells which RNTI, if any, a decoded DCI carries: the paper's C-RNTI
+  /// recovery primitive (section 3.1.2) and every masked CRC check at
+  /// once.  Returns ~0u when `bits_with_crc` is shorter than the CRC.
+  [[nodiscard]] std::uint32_t syndrome(
       std::span<const std::uint8_t> bits_with_crc) const;
 
   [[nodiscard]] unsigned length() const { return length_; }

@@ -102,16 +102,15 @@ std::optional<Mib> decode_mib(std::uint16_t pci, const SsbLocation& ssb,
   }
   const unsigned payload_bits = mib_payload_size();
   const PdcchCandidateLoc loc{coreset.n_cce(), 0};
-  if (decode_pdcch_batch(coreset, std::span(&loc, 1), payload_bits, slot,
-                         pbch, scratch) == 0) {
-    return std::nullopt;
+  const PdcchEstimate& estimate =
+      estimate_coreset(coreset, slot, pbch, scratch);
+  decode_pdcch_batch(coreset, std::span(&loc, 1), payload_bits, slot,
+                     estimate, scratch);
+  if (scratch.batch.rnti[0] != Rnti{0}) {
+    return std::nullopt;  // no MIB here: the PBCH CRC carries no mask
   }
-  const std::span<const std::uint8_t> bits(
-      scratch.batch.bits.data(), payload_bits + kCrc24C.length());
-  if (!check_pdcch_crc(bits, /*rnti=*/0)) {
-    return std::nullopt;
-  }
-  return Mib::unpack(bits.first(payload_bits));
+  return Mib::unpack(std::span<const std::uint8_t>(
+      scratch.batch.bits.data(), payload_bits));
 }
 
 }  // namespace nrs

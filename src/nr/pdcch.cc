@@ -34,53 +34,55 @@ std::uint32_t pdcch_dmrs_cinit(std::uint16_t n_id, const SlotPoint& slot,
   return static_cast<std::uint32_t>(v & 0x7FFFFFFFull);
 }
 
-/// Point the scratch's DMRS row pointers at (coreset, slot)'s sequences,
-/// generating them at most once per slot-of-frame.  The c_init depends
-/// only on (n_id, slot index within the frame, symbol), so the cache is
-/// keyed on the CORESET geometry + numerology and indexed by slot; after
-/// one frame period of warm-up every call is a key compare plus two
-/// pointer assignments.
-void ensure_dmrs(PdcchScratch& scratch, const CoresetConfig& coreset,
-                 const SlotPoint& slot) {
-  const std::uint64_t geom_key =
-      (static_cast<std::uint64_t>(coreset.n_id) << 40) ^
-      (static_cast<std::uint64_t>(static_cast<unsigned>(slot.scs)) << 32) ^
-      (static_cast<std::uint64_t>(coreset.rb_start) << 14) ^
-      (static_cast<std::uint64_t>(coreset.n_prb) << 3) ^
-      coreset.duration;
+/// Point the scratch's memo at `coreset` and return the DMRS of `slot`:
+/// 3 symbols per REG, in the memo's CCE-major REG order.  The REG list and
+/// the table are rebuilt only when the CORESET or the numerology changes,
+/// and a slot's DMRS row is generated at most once per slot of the frame
+/// (the c_init depends only on n_id, the slot within the frame and the
+/// symbol), so after one frame period every call is a key compare.
+const cf32* ensure_coreset(PdcchScratch& scratch,
+                          const CoresetConfig& coreset,
+                          const SlotPoint& slot) {
   const unsigned n_slots = slots_per_frame(slot.scs);
-  const std::size_t prb_end = coreset.rb_start + coreset.n_prb;
-  const std::size_t row = prb_end * kPdcchDmrsPerReg;
-  const std::size_t per_slot = row * coreset.duration;
-  if (scratch.dmrs_geom_key != geom_key) {
-    scratch.dmrs_table.assign(per_slot * n_slots, cf32{});
+  if (!scratch.geom_set || scratch.geom_coreset != coreset ||
+      scratch.geom_scs != slot.scs) {
+    scratch.geom_set = false;
+    cce_to_regs(coreset, 0, coreset.n_cce(), scratch.regs);
+    scratch.dmrs_table.assign(
+        scratch.regs.size() * kPdcchDmrsPerReg * n_slots, cf32{});
     scratch.dmrs_slot_filled.assign(n_slots, 0);
-    scratch.dmrs_row_stride = row;
-    scratch.dmrs_geom_key = geom_key;
+    scratch.geom_coreset = coreset;
+    scratch.geom_scs = slot.scs;
+    scratch.geom_set = true;
   }
+  const std::size_t per_slot = scratch.regs.size() * kPdcchDmrsPerReg;
   const unsigned s = slot.slot % n_slots;
-  cf32* base = scratch.dmrs_table.data() + per_slot * s;
+  cf32* dmrs = scratch.dmrs_table.data() + per_slot * s;
   if (!scratch.dmrs_slot_filled[s]) {
+    // The sequence of a symbol runs over every PRB from 0, 3 pilots each;
+    // generate it whole, then pick each REG's three.
+    auto& seq = scratch.dmrs_seq;
+    seq.resize(static_cast<std::size_t>(coreset.rb_start + coreset.n_prb) *
+               kPdcchDmrsPerReg);
     for (unsigned sym = 0; sym < coreset.duration; ++sym) {
       GoldSequence gold(pdcch_dmrs_cinit(coreset.n_id, slot, sym));
-      cf32* out = base + row * sym;
-      for (std::size_t m = 0; m < row; ++m) {
+      for (auto& ref : seq) {
         const float re = gold.next() ? -kInvSqrt2 : kInvSqrt2;
         const float im = gold.next() ? -kInvSqrt2 : kInvSqrt2;
-        out[m] = cf32(re, im);
+        ref = cf32(re, im);
+      }
+      for (std::size_t r = 0; r < scratch.regs.size(); ++r) {
+        if (scratch.regs[r].symbol == sym) {
+          std::copy_n(seq.data() + static_cast<std::size_t>(
+                                       scratch.regs[r].prb) *
+                                       kPdcchDmrsPerReg,
+                      kPdcchDmrsPerReg, dmrs + r * kPdcchDmrsPerReg);
+        }
       }
     }
     scratch.dmrs_slot_filled[s] = 1;
   }
-  scratch.dmrs_row[0] = base;
-  scratch.dmrs_row[1] = coreset.duration > 1 ? base + row : base;
-}
-
-cf32 dmrs_at(const PdcchScratch& scratch, unsigned symbol, unsigned prb,
-             unsigned k_prime) {
-  return scratch.dmrs_row[symbol][static_cast<std::size_t>(prb) *
-                                      kPdcchDmrsPerReg +
-                                  k_prime];
+  return dmrs;
 }
 
 /// The PDCCH scrambling sequence depends only on n_id (n_RNTI = 0 for the
@@ -101,9 +103,9 @@ std::span<const std::uint8_t> ensure_scrambling(PdcchScratch& scratch,
   return {scratch.scramble_bits.data(), scratch.scramble_bits.size()};
 }
 
-/// DMRS subcarrier offsets within a REG (k = 4k' + 1).
-constexpr unsigned dmrs_sc(unsigned k_prime) { return 4 * k_prime + 1; }
+constexpr unsigned kDataPerReg = kSubcarriersPerPrb - kPdcchDmrsPerReg;
 
+/// DMRS subcarriers within a REG: k = 4k' + 1.
 bool is_dmrs_sc(unsigned sc_in_prb) { return sc_in_prb % 4 == 1; }
 
 /// Polar code instances are immutable per (K, E); constructing one sorts
@@ -119,106 +121,104 @@ const PolarCode& cached_polar(PdcchScratch& scratch, unsigned k, unsigned e) {
   return it->second;
 }
 
-/// Memoized cce_to_regs: the mapping is pure CORESET structure, so after
-/// warm-up every candidate's REG list is one map lookup.
-const std::vector<RegLocation>& cached_regs(PdcchScratch& scratch,
-                                            const CoresetConfig& coreset,
-                                            unsigned cce_start,
-                                            unsigned agg_level) {
-  const std::uint64_t geom =
-      (static_cast<std::uint64_t>(coreset.rb_start) << 40) ^
-      (static_cast<std::uint64_t>(coreset.n_prb) << 24) ^
-      (static_cast<std::uint64_t>(coreset.duration) << 21) ^
-      (static_cast<std::uint64_t>(coreset.reg_bundle_size) << 16) ^
-      (static_cast<std::uint64_t>(coreset.interleaver_rows) << 12) ^
-      (static_cast<std::uint64_t>(coreset.shift) << 1) ^
-      (coreset.interleaved ? 1u : 0u);
-  if (geom != scratch.reg_geom_key) {
-    scratch.reg_cache.clear();
-    scratch.reg_geom_key = geom;
-  }
-  const std::uint32_t key = (agg_level << 16) | cce_start;
-  auto [it, fresh] = scratch.reg_cache.try_emplace(key);
-  if (fresh) {
-    cce_to_regs(coreset, cce_start, agg_level, it->second);
-  }
-  return it->second;
-}
-
 }  // namespace
+
+const PdcchEstimate& estimate_coreset(const CoresetConfig& coreset,
+                                      const SlotPoint& slot,
+                                      const ResourceGrid& grid,
+                                      PdcchScratch& scratch) {
+  PdcchEstimate& est = scratch.estimate;
+  est.built = false;
+  est.coreset = coreset;
+  est.slot = slot;
+  est.n_cce = 0;
+  if (coreset.rb_start + coreset.n_prb >
+      grid.n_subcarriers() / kSubcarriersPerPrb) {
+    est.built = true;  // no REG to read: every location fails
+    return est;
+  }
+  const cf32* dmrs = ensure_coreset(scratch, coreset, slot);
+  const auto& regs = scratch.regs;
+  const std::size_t n_reg = regs.size();
+  est.pilot_rx.resize(n_reg * kPdcchDmrsPerReg);
+  est.pilot_ls.resize(n_reg * kPdcchDmrsPerReg);
+  est.resid.resize(n_reg * kPdcchDmrsPerReg);
+  est.power.resize(n_reg);
+  est.data.resize(n_reg * kDataPerReg);
+  est.h.resize(n_reg * kDataPerReg);
+
+  // Split each REG's 12 REs into its 3 pilots and 9 data REs; the REs of
+  // a REG are contiguous within the symbol row.
+  for (std::size_t r = 0; r < n_reg; ++r) {
+    const cf32* re =
+        grid.symbol(regs[r].symbol).data() +
+        static_cast<std::size_t>(regs[r].prb) * kSubcarriersPerPrb;
+    cf32* pilot = est.pilot_rx.data() + r * kPdcchDmrsPerReg;
+    cf32* data = est.data.data() + r * kDataPerReg;
+    for (unsigned sc = 0; sc < kSubcarriersPerPrb; ++sc) {
+      if (is_dmrs_sc(sc)) {
+        *pilot++ = re[sc];
+      } else {
+        *data++ = re[sc];
+      }
+    }
+  }
+
+  // One LS kernel sweep across every pilot (the DMRS power is one shared
+  // constant, so the normalization is a scale folded into the kernel).
+  const auto& kt = kernels::active();
+  kt.cx_mul_conj_scale(est.pilot_rx.data(), dmrs, 1.0f / kDmrsNorm,
+                       est.pilot_ls.data(), est.pilot_ls.size());
+
+  // Per REG: the pilot mean is the REG's channel; the residual norms and
+  // the mean's norm are kept separately, so a location sums them in the
+  // same order a per-location estimate would.
+  for (std::size_t r = 0; r < n_reg; ++r) {
+    const cf32* ls = est.pilot_ls.data() + r * kPdcchDmrsPerReg;
+    cf32 acc{};
+    for (unsigned k = 0; k < kPdcchDmrsPerReg; ++k) {
+      acc += ls[k];
+    }
+    const cf32 mean = acc / static_cast<float>(kPdcchDmrsPerReg);
+    for (unsigned k = 0; k < kPdcchDmrsPerReg; ++k) {
+      est.resid[r * kPdcchDmrsPerReg + k] = std::norm(ls[k] - mean);
+    }
+    est.power[r] = std::norm(mean);
+    std::fill_n(est.h.data() + r * kDataPerReg, kDataPerReg, mean);
+  }
+  est.n_cce = coreset.n_cce();
+  est.built = true;
+  return est;
+}
 
 std::size_t decode_pdcch_batch(const CoresetConfig& coreset,
                                std::span<const PdcchCandidateLoc> locs,
                                unsigned payload_bits, const SlotPoint& slot,
-                               const ResourceGrid& grid,
+                               const PdcchEstimate& estimate,
                                PdcchScratch& scratch) {
+  if (!estimate.built || estimate.coreset != coreset ||
+      estimate.slot != slot) {
+    throw std::invalid_argument(
+        "decode_pdcch_batch: no estimate of this CORESET at this slot");
+  }
   auto& b = scratch.batch;
   const std::size_t n = locs.size();
   const unsigned k_bits = payload_bits + kCrc24C.length();
-  b.pilot_rx.clear();
-  b.pilot_ref.clear();
-  b.data_rx.clear();
-  b.pilot_off.clear();
-  b.data_off.clear();
   b.ok.assign(n, 0);
   b.snr.assign(n, 0.0f);
+  b.rnti.assign(n, std::nullopt);
   b.bits.resize(n * k_bits);
-  const bool grid_ok = coreset.rb_start + coreset.n_prb <=
-                       grid.n_subcarriers() / kSubcarriersPerPrb;
-  if (grid_ok) {
-    ensure_dmrs(scratch, coreset, slot);
-  }
+  // A run's codewords each take one lane of the largest E in the CORESET.
+  const std::size_t lane_stride =
+      static_cast<std::size_t>(kBitsPerCce) * estimate.n_cce;
+  b.llrs.resize(PolarCode::kMaxLanes * lane_stride);
 
-  // Stage 1: gather.  Walk each candidate's REGs once, splitting its REs
-  // into the pilot arrays (3 per REG, with the matching DMRS reference)
-  // and the data array (9 per REG) — the structure-of-arrays layout every
-  // later stage sweeps linearly.
-  for (std::size_t i = 0; i < n; ++i) {
-    b.pilot_off.push_back(b.pilot_rx.size());
-    b.data_off.push_back(b.data_rx.size());
-    if (!grid_ok ||
-        locs[i].cce_start + locs[i].agg_level > coreset.n_cce()) {
-      continue;  // out-of-grid location: empty ranges, ok[i] stays 0
-    }
-    const auto& regs =
-        cached_regs(scratch, coreset, locs[i].cce_start, locs[i].agg_level);
-    for (const auto& reg : regs) {
-      // One bounds-checked span lookup per REG; the 12 REs of the REG are
-      // contiguous within the symbol row.
-      const cf32* re = grid.symbol(reg.symbol).data() +
-                       static_cast<std::size_t>(reg.prb) * kSubcarriersPerPrb;
-      for (unsigned k = 0; k < kPdcchDmrsPerReg; ++k) {
-        b.pilot_rx.push_back(re[dmrs_sc(k)]);
-        b.pilot_ref.push_back(dmrs_at(scratch, reg.symbol, reg.prb, k));
-      }
-      for (unsigned sc = 0; sc < kSubcarriersPerPrb; ++sc) {
-        if (!is_dmrs_sc(sc)) {
-          b.data_rx.push_back(re[sc]);
-        }
-      }
-    }
-  }
-  b.pilot_off.push_back(b.pilot_rx.size());
-  b.data_off.push_back(b.data_rx.size());
-
-  // Stage 2: one LS kernel sweep across every pilot of every candidate
-  // (the DMRS power is one shared constant, so the normalization is a
-  // scale folded into the kernel call).
+  // Per candidate: REG-mean channel + pooled noise variance + energy gate
+  // over its REG slice of the estimate, then matched-filter QPSK demap and
+  // descramble into the next lane.  Each run of channel-ok candidates with
+  // equal E (callers list locations level by level) then polar-decodes as
+  // one lane batch of up to PolarCode::kMaxLanes codewords.
   const auto& kt = kernels::active();
-  b.pilot_ls.resize(b.pilot_rx.size());
-  kt.cx_mul_conj_scale(b.pilot_rx.data(), b.pilot_ref.data(),
-                       1.0f / kDmrsNorm, b.pilot_ls.data(),
-                       b.pilot_rx.size());
-
-  // Stage 3: per candidate — REG-mean channel + pooled noise variance +
-  // energy gate, then matched-filter QPSK demap and descramble over the
-  // candidate's contiguous slice of the flat arrays.  Each run of
-  // channel-ok candidates with equal E (callers list locations level by
-  // level) then polar-decodes as one lane batch of up to
-  // PolarCode::kMaxLanes codewords.
-  b.data_h.resize(b.data_rx.size());
-  b.llrs.resize(2 * b.data_rx.size());
-  constexpr unsigned kDataPerReg = kSubcarriersPerPrb - kPdcchDmrsPerReg;
   const float qpsk_a = 1.0f / std::sqrt(2.0f);
   std::array<const float*, PolarCode::kMaxLanes> run_llrs{};
   std::array<std::uint8_t*, PolarCode::kMaxLanes> run_bits{};
@@ -234,30 +234,21 @@ std::size_t decode_pdcch_batch(const CoresetConfig& coreset,
   };
   std::size_t n_ok = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t p0 = b.pilot_off[i];
-    const std::size_t p1 = b.pilot_off[i + 1];
-    if (p1 == p0) {
-      continue;
+    const unsigned level = locs[i].agg_level;
+    if (level == 0 || locs[i].cce_start + level > estimate.n_cce) {
+      continue;  // no REG of this location was read: ok[i] stays 0
     }
-    const std::size_t n_regs = (p1 - p0) / kPdcchDmrsPerReg;
-    const std::size_t d0 = b.data_off[i];
+    const std::size_t r0 =
+        static_cast<std::size_t>(kRegsPerCce) * locs[i].cce_start;
+    const std::size_t n_regs = static_cast<std::size_t>(kRegsPerCce) * level;
     float resid = 0.0f;
     float pilot_power = 0.0f;
-    for (std::size_t r = 0; r < n_regs; ++r) {
-      const cf32* ls = b.pilot_ls.data() + p0 + r * kPdcchDmrsPerReg;
-      cf32 acc{};
+    for (std::size_t r = r0; r < r0 + n_regs; ++r) {
+      const float* norms = estimate.resid.data() + r * kPdcchDmrsPerReg;
       for (unsigned k = 0; k < kPdcchDmrsPerReg; ++k) {
-        acc += ls[k];
+        resid += norms[k];
       }
-      const cf32 mean = acc / static_cast<float>(kPdcchDmrsPerReg);
-      for (unsigned k = 0; k < kPdcchDmrsPerReg; ++k) {
-        resid += std::norm(ls[k] - mean);
-      }
-      pilot_power += std::norm(mean);
-      cf32* h = b.data_h.data() + d0 + r * kDataPerReg;
-      for (unsigned k = 0; k < kDataPerReg; ++k) {
-        h[k] = mean;
-      }
+      pilot_power += estimate.power[r];
     }
     // The deviation of LS points around the REG mean carries ~2/3 of the
     // noise power (3-point mean removes 1/3).
@@ -277,43 +268,46 @@ std::size_t decode_pdcch_batch(const CoresetConfig& coreset,
     b.snr[i] = 10.0f * std::log10(
                    std::max(pilot_power / (regs_f * noise_var), 1e-6f));
 
-    // Fused ZF-equalize + max-log QPSK demap: the ZF division by |h|^2
-    // cancels against the effective-noise scaling of the LLR, leaving the
-    // matched filter scaled by 4a/noise_var.
-    const std::size_t d1 = b.data_off[i + 1];
-    const float llr_scale = 4.0f * qpsk_a / noise_var;
-    kt.eq_qpsk_llr(b.data_rx.data() + d0, b.data_h.data() + d0, llr_scale,
-                   b.llrs.data() + 2 * d0, d1 - d0);
-
-    const std::size_t e = 2 * (d1 - d0);
+    const std::size_t e = static_cast<std::size_t>(kBitsPerCce) * level;
     if (k_bits + 1 >= e) {
       continue;  // cannot carry this payload at this level
     }
-    const auto scr = ensure_scrambling(scratch, coreset.n_id, e);
-    kt.descramble(b.llrs.data() + 2 * d0, scr.data(), e);
-
     if (run_lanes == PolarCode::kMaxLanes || (run_lanes > 0 && e != run_e)) {
       decode_run();
     }
+    // Fused ZF-equalize + max-log QPSK demap: the ZF division by |h|^2
+    // cancels against the effective-noise scaling of the LLR, leaving the
+    // matched filter scaled by 4a/noise_var.
+    float* llrs = b.llrs.data() + run_lanes * lane_stride;
+    const float llr_scale = 4.0f * qpsk_a / noise_var;
+    kt.eq_qpsk_llr(estimate.data.data() + r0 * kDataPerReg,
+                   estimate.h.data() + r0 * kDataPerReg, llr_scale, llrs,
+                   e / 2);
+    const auto scr = ensure_scrambling(scratch, coreset.n_id, e);
+    kt.descramble(llrs, scr.data(), e);
+
     run_e = e;
-    run_llrs[run_lanes] = b.llrs.data() + 2 * d0;
+    run_llrs[run_lanes] = llrs;
     run_bits[run_lanes] = b.bits.data() + i * k_bits;
     ++run_lanes;
     b.ok[i] = 1;
     ++n_ok;
   }
   decode_run();
-  return n_ok;
-}
 
-cf32 pdcch_dmrs_symbol(std::uint16_t n_id, const SlotPoint& slot,
-                       unsigned symbol, unsigned prb, unsigned k_prime) {
-  GoldSequence gold(pdcch_dmrs_cinit(n_id, slot, symbol));
-  gold.advance(2ull * (static_cast<std::uint64_t>(prb) * kPdcchDmrsPerReg +
-                       k_prime));
-  const float re = gold.next() ? -kInvSqrt2 : kInvSqrt2;
-  const float im = gold.next() ? -kInvSqrt2 : kInvSqrt2;
-  return {re, im};
+  // One CRC24C division per decoded location: its syndrome is the RNTI
+  // that masked it, when the 8 unmasked CRC bits agree (a noise decode
+  // passes that test 1 time in 256).
+  for (std::size_t i = 0; i < n; ++i) {
+    if (b.ok[i] != 0) {
+      const std::uint32_t syndrome = kCrc24C.syndrome(
+          std::span<const std::uint8_t>(b.bits.data() + i * k_bits, k_bits));
+      if ((syndrome >> 16) == 0) {
+        b.rnti[i] = static_cast<Rnti>(syndrome);
+      }
+    }
+  }
+  return n_ok;
 }
 
 void encode_pdcch(const CoresetConfig& coreset, const PdcchAllocation& alloc,
@@ -333,7 +327,7 @@ void encode_pdcch_payload(const CoresetConfig& coreset,
   }
   if (coreset.n_prb % 6 != 0 ||
       alloc.cce_start + alloc.agg_level > coreset.n_cce()) {
-    // Checked before the REG-map memo caches an entry for the location.
+    // Checked before the memo is built for the CORESET.
     throw std::invalid_argument("encode_pdcch_payload: CCE range outside "
                                 "CORESET");
   }
@@ -352,18 +346,21 @@ void encode_pdcch_payload(const CoresetConfig& coreset,
   scratch.symbols.resize(e / 2);
   modulate(scratch.coded, Modulation::kQpsk, scratch.symbols);
 
-  ensure_dmrs(scratch.memo, coreset, slot);
-  const auto& regs =
-      cached_regs(scratch.memo, coreset, alloc.cce_start, alloc.agg_level);
+  const cf32* dmrs = ensure_coreset(scratch.memo, coreset, slot);
+  const std::size_t r0 =
+      static_cast<std::size_t>(kRegsPerCce) * alloc.cce_start;
+  const std::size_t r1 = r0 + static_cast<std::size_t>(kRegsPerCce) *
+                                  alloc.agg_level;
   const cf32* symbol = scratch.symbols.data();
   const cf32* const symbols_end = symbol + scratch.symbols.size();
-  for (const auto& reg : regs) {
+  for (std::size_t r = r0; r < r1; ++r) {
+    const RegLocation& reg = scratch.memo.regs[r];
     cf32* re = grid.symbol(reg.symbol).data() +
                static_cast<std::size_t>(reg.prb) * kSubcarriersPerPrb;
-    unsigned k_prime = 0;
+    const cf32* ref = dmrs + r * kPdcchDmrsPerReg;
     for (unsigned sc = 0; sc < kSubcarriersPerPrb; ++sc) {
       if (is_dmrs_sc(sc)) {
-        re[sc] = dmrs_at(scratch.memo, reg.symbol, reg.prb, k_prime++);
+        re[sc] = *ref++;
       } else {
         if (symbol == symbols_end) {
           throw std::out_of_range("encode_pdcch_payload: REG overrun");
@@ -372,11 +369,6 @@ void encode_pdcch_payload(const CoresetConfig& coreset,
       }
     }
   }
-}
-
-bool check_pdcch_crc(std::span<const std::uint8_t> bits_with_crc,
-                     Rnti rnti) {
-  return kCrc24C.check_masked(bits_with_crc, rnti);
 }
 
 }  // namespace nrs

@@ -18,6 +18,40 @@ namespace {
 constexpr unsigned kSyncScOffset =
     (SsbLocation::kNPrb * kSubcarriersPerPrb - kPssLength) / 2;
 
+/// A blind-decode candidate packed into one sort key, 16 bits per field,
+/// most significant first: (payload_bits, level, cce, ue_index).  One
+/// integer compare orders candidates as the tuple would, and equal
+/// (payload, level, cce) prefixes mark one shared location.  Every field
+/// fits: DCI sizes are tens of bits; a level with candidates is at most
+/// the CORESET's CCE count and every CCE index is below it, and the MIB
+/// and SIB1 fields cap that count at 255 * 6 PRBs * 3 symbols / 6 = 765;
+/// tracked UEs have distinct 16-bit RNTIs.
+constexpr unsigned kKeyFieldBits = 16;
+static_assert(255 * 6 * 3 / kRegsPerCce < (1u << kKeyFieldBits));
+static_assert(sizeof(Rnti) * 8 <= kKeyFieldBits);
+
+std::uint64_t candidate_key(unsigned payload_bits, unsigned level,
+                            unsigned cce, std::size_t ue_index) {
+  if ((payload_bits | level | cce | ue_index) >> kKeyFieldBits != 0) {
+    throw std::out_of_range("blind-decode candidate overflows its sort key");
+  }
+  return static_cast<std::uint64_t>(payload_bits) << (3 * kKeyFieldBits) |
+         static_cast<std::uint64_t>(level) << (2 * kKeyFieldBits) |
+         static_cast<std::uint64_t>(cce) << kKeyFieldBits | ue_index;
+}
+
+unsigned key_field(std::uint64_t key, unsigned field) {
+  return static_cast<unsigned>(key >> (field * kKeyFieldBits)) & 0xFFFFu;
+}
+unsigned key_payload_bits(std::uint64_t key) { return key_field(key, 3); }
+unsigned key_level(std::uint64_t key) { return key_field(key, 2); }
+unsigned key_cce(std::uint64_t key) { return key_field(key, 1); }
+std::size_t key_ue_index(std::uint64_t key) { return key_field(key, 0); }
+/// The key without its UE: equal for every watcher of one location.
+std::uint64_t key_location(std::uint64_t key) {
+  return key >> kKeyFieldBits;
+}
+
 /// Throw-on-invalid wrapper so the config is checked before any other
 /// member (the demodulator in particular) is built from it.
 const NrScopeConfig& validated(const NrScopeConfig& config) {
@@ -87,6 +121,8 @@ NrScope::NrScope(const NrScopeConfig& config)
       &metrics_registry_.counter("nrscope.dedupe_locations");
   m_demod_us_ = &metrics_registry_.histogram("nrscope.demod_us");
   m_demod_symbols_ = &metrics_registry_.counter("nrscope.demod_symbols");
+  m_pdcch_estimate_us_ =
+      &metrics_registry_.histogram("nrscope.pdcch_estimate_us");
   m_blind_decode_us_ =
       &metrics_registry_.histogram("nrscope.blind_decode_us");
   m_rach_scan_us_ = &metrics_registry_.histogram("nrscope.rach_scan_us");
@@ -267,17 +303,20 @@ void NrScope::wait_sib1(SlotResult& result) {
   const unsigned payload_bits =
       dci_payload_size(DciFormat::kDl1_0, cell_.n_prb);
   const unsigned k_bits = payload_bits + kCrc24C.length();
-  decode_pdcch_batch(cell_.coreset, locs, payload_bits, now,
-                     rx_.symbols(0, cell_.coreset.duration), pdcch_scratch_);
+  const PdcchEstimate& estimate =
+      estimate_coreset(cell_.coreset, now,
+                       rx_.symbols(0, cell_.coreset.duration), pdcch_scratch_);
+  decode_pdcch_batch(cell_.coreset, locs, payload_bits, now, estimate,
+                     pdcch_scratch_);
   const auto& batch = pdcch_scratch_.batch;
   for (std::size_t j = 0; j < locs.size(); ++j) {
-    const std::span<const std::uint8_t> bits(batch.bits.data() + j * k_bits,
-                                             k_bits);
-    if (!batch.ok[j] || !check_pdcch_crc(bits, kSiRnti)) {
+    if (batch.rnti[j] != kSiRnti) {
       continue;
     }
-    const Dci dci = Dci::unpack(DciFormat::kDl1_0, cell_.n_prb,
-                                bits.first(payload_bits));
+    const Dci dci = Dci::unpack(
+        DciFormat::kDl1_0, cell_.n_prb,
+        std::span<const std::uint8_t>(batch.bits.data() + j * k_bits,
+                                      payload_bits));
     const Grant grant = translate_dci(dci, kSiRnti, cell_);
     const auto payload =
         decode_pdsch(pdsch_allocation(grant, pci_), now, grant.tbs,
@@ -379,7 +418,10 @@ void NrScope::resync(SlotResult& result) {
     if (!pci_changed && sib1_seen_ &&
         resync_cause_ == SyncLossCause::kSsbQuality) {
       // Same cell, configuration intact (the fault was channel-level):
-      // resume full telemetry on the retained UE state immediately.
+      // resume full telemetry on the retained UE state immediately.  The
+      // RACH scan decodes from this slot's estimate of cell_.coreset, which
+      // the new MIB just rewrote.
+      rach_.set_cell(cell_);
       state_ = State::kTracking;
       sync_.on_lock();
     } else {
@@ -413,10 +455,20 @@ void NrScope::track(SlotResult& result) {
     sync_.observe_ssb(measure_ssb_quality());
   }
 
+  // One channel estimate of the CORESET serves every PDCCH decode of the
+  // slot: the RACH scan's and the blind decode's.  Its rows are the only
+  // FFTs of a steady tracking slot.
+  const ResourceGrid& coreset_rows = rx_.symbols(0, cell_.coreset.duration);
+  {
+    ScopedTimer estimate_timer(*m_pdcch_estimate_us_);
+    estimate_coreset(cell_.coreset, now, coreset_rows, pdcch_scratch_);
+  }
+  const PdcchEstimate& estimate = pdcch_scratch_.estimate;
+
   // RACH: new-UE discovery in the common search space.
   {
     ScopedTimer rach_timer(*m_rach_scan_us_);
-    rach_.process_slot(rx_, now, slot_index_, air_slot_index(),
+    rach_.process_slot(rx_, now, slot_index_, air_slot_index(), estimate,
                        pdcch_scratch_, result.dcis, result.new_ues);
   }
   for (const auto& ue : result.new_ues) {
@@ -433,7 +485,7 @@ void NrScope::track(SlotResult& result) {
   }
   {
     ScopedTimer blind_timer(*m_blind_decode_us_);
-    blind_decode(now);
+    blind_decode(now, estimate);
   }
   for (std::size_t i = 0; i < ues_.size(); ++i) {
     if (!per_ue[i].empty()) {
@@ -499,12 +551,14 @@ void NrScope::track(SlotResult& result) {
   }
 }
 
-void NrScope::blind_decode(const SlotPoint& now) {
+void NrScope::blind_decode(const SlotPoint& now,
+                           const PdcchEstimate& estimate) {
   // Group candidate locations across UEs: the polar decode of a location
-  // is RNTI-independent, so one channel decode serves every UE that
-  // monitors it (only the CRC mask differs per UE).  The grouping runs
-  // over a flat sorted candidate list instead of a node-based map so the
-  // per-slot setup reuses the scratch buffers allocation-free.
+  // and its CRC are RNTI-independent, so one channel decode serves every
+  // UE that monitors it (a UE's DCI is a location whose CRC names its
+  // RNTI).  The grouping runs over a flat sorted list of packed keys
+  // instead of a node-based map so the per-slot setup reuses the scratch
+  // buffers allocation-free.
   auto& cands = scratch_.cands;
   cands.clear();
   for (std::size_t i = 0; i < ues_.size(); ++i) {
@@ -517,20 +571,13 @@ void NrScope::blind_decode(const SlotPoint& now) {
       pdcch_candidates(cell_.coreset, ue.config.ue_ss, level, now, ue.rnti,
                        pdcch_scratch_.cand_cces);
       for (unsigned cce : pdcch_scratch_.cand_cces) {
-        cands.push_back(
-            SlotScratch::CandidateRef{level, cce, payload_bits, i});
+        cands.push_back(candidate_key(payload_bits, level, cce, i));
       }
     }
   }
   // Payload-major order keeps every location of one payload size
-  // contiguous, so each run channel-decodes as one structure-of-arrays
-  // batch.
-  std::sort(cands.begin(), cands.end(),
-            [](const SlotScratch::CandidateRef& a,
-               const SlotScratch::CandidateRef& b) {
-              return std::tie(a.payload_bits, a.level, a.cce, a.ue_index) <
-                     std::tie(b.payload_bits, b.level, b.cce, b.ue_index);
-            });
+  // contiguous, so each run channel-decodes as one batch.
+  std::sort(cands.begin(), cands.end());
   m_candidates_->inc(cands.size());
 
   auto& locs = scratch_.batch_locs;
@@ -539,15 +586,15 @@ void NrScope::blind_decode(const SlotPoint& now) {
   while (c0 < cands.size()) {
     // Carve one payload run into distinct (level, cce) locations, each
     // with its watcher range [first[j], first[j + 1]) in `cands`.
-    const unsigned payload_bits = cands[c0].payload_bits;
+    const unsigned payload_bits = key_payload_bits(cands[c0]);
     locs.clear();
     first.clear();
     std::size_t c1 = c0;
-    for (; c1 < cands.size() && cands[c1].payload_bits == payload_bits;
+    for (; c1 < cands.size() && key_payload_bits(cands[c1]) == payload_bits;
          ++c1) {
-      if (c1 == c0 || cands[c1].level != cands[c1 - 1].level ||
-          cands[c1].cce != cands[c1 - 1].cce) {
-        locs.push_back({cands[c1].level, cands[c1].cce});
+      if (c1 == c0 ||
+          key_location(cands[c1]) != key_location(cands[c1 - 1])) {
+        locs.push_back({key_level(cands[c1]), key_cce(cands[c1])});
         first.push_back(c1);
       }
     }
@@ -556,24 +603,21 @@ void NrScope::blind_decode(const SlotPoint& now) {
     // (every watcher beyond the first reuses an already-decoded location).
     m_candidate_locations_->inc(locs.size());
 
-    // Every aggregation level's candidates demapped and rate-recovered in
-    // a single batched pass, then each UE's CRC tested against the shared
-    // bits.
-    decode_pdcch_batch(cell_.coreset, locs, payload_bits, now,
-                       rx_.symbols(0, cell_.coreset.duration),
+    // Every aggregation level's candidates decoded in a single batch from
+    // the slot's estimate; a watcher's DCI is a location whose CRC names
+    // the watcher's RNTI.
+    decode_pdcch_batch(cell_.coreset, locs, payload_bits, now, estimate,
                        pdcch_scratch_);
     const auto& b = pdcch_scratch_.batch;
     const unsigned k_bits = payload_bits + kCrc24C.length();
     for (std::size_t j = 0; j < locs.size(); ++j) {
-      if (!b.ok[j]) {
+      if (!b.rnti[j]) {
         continue;
       }
-      const std::span<const std::uint8_t> bits(b.bits.data() + j * k_bits,
-                                               k_bits);
       for (std::size_t c = first[j]; c < first[j + 1]; ++c) {
-        const std::size_t i = cands[c].ue_index;
+        const std::size_t i = key_ue_index(cands[c]);
         const auto& ue = ues_[i];
-        if (!check_pdcch_crc(bits, ue.rnti)) {
+        if (*b.rnti[j] != ue.rnti) {
           continue;
         }
         const DciFormat hint = ue.config.dl_format == DciFormat::kDl1_1
@@ -582,7 +626,9 @@ void NrScope::blind_decode(const SlotPoint& now) {
         DecodedDci dci;
         dci.slot = slot_index_;
         dci.rnti = ue.rnti;
-        dci.dci = Dci::unpack(hint, cell_.n_prb, bits.first(payload_bits));
+        dci.dci = Dci::unpack(hint, cell_.n_prb,
+                              std::span<const std::uint8_t>(
+                                  b.bits.data() + j * k_bits, payload_bits));
         dci.grant = translate_dci(dci.dci, ue.rnti, cell_.n_prb, cell_.pdsch,
                                   ue.config.mcs_table,
                                   ue.config.max_mimo_layers);

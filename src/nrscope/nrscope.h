@@ -2,8 +2,9 @@
 // Feed it one slot of IQ samples at a time; it synchronizes to the cell
 // (PSS/SSS -> MIB), learns the configuration (SIB1), tracks UE
 // associations through the RACH, blind-decodes every known UE's DCIs each
-// TTI — one channel decode per PDCCH candidate location, shared by every
-// UE that monitors it — and maintains per-UE and cell-wide telemetry.
+// TTI — one CORESET channel estimate per slot, and one channel decode and
+// one CRC per PDCCH candidate location, shared by every UE that monitors
+// it — and maintains per-UE and cell-wide telemetry.
 #pragma once
 
 #include <cstdint>
@@ -164,18 +165,12 @@ class NrScope {
   /// allocation-free after warm-up.  Every vector is cleared (capacity
   /// kept) or grown-only at the top of each slot.
   struct SlotScratch {
-    /// One candidate a UE monitors this slot.
-    struct CandidateRef {
-      unsigned level;
-      unsigned cce;
-      unsigned payload_bits;
-      std::size_t ue_index;
-    };
-
     std::vector<std::vector<DecodedDci>> per_ue;
     std::vector<DecodedDci> user_dcis;
     std::vector<std::size_t> user_dci_index;  ///< into SlotResult::dcis
-    std::vector<CandidateRef> cands;
+    /// The candidates UEs monitor this slot, one packed key each (see
+    /// candidate_key in nrscope.cc), sorted payload size first.
+    std::vector<std::uint64_t> cands;
     /// Distinct locations of one payload size, handed to
     /// decode_pdcch_batch, and where each one's watchers start in `cands`
     /// (plus one past the last).
@@ -201,7 +196,7 @@ class NrScope {
   void flush_tracked_state();
   [[nodiscard]] float measure_ssb_quality();
   [[nodiscard]] bool ssb_expected(const SlotPoint& now) const;
-  void blind_decode(const SlotPoint& now);
+  void blind_decode(const SlotPoint& now, const PdcchEstimate& estimate);
   void cleanup_stale_ues();
   [[nodiscard]] SlotPoint slot_point() const;
   /// The cell's own slot clock, reconstructed from the locked frame phase
@@ -237,6 +232,7 @@ class NrScope {
   Counter* m_candidate_locations_ = nullptr;
   Histogram* m_demod_us_ = nullptr;  ///< one observation per slot
   Counter* m_demod_symbols_ = nullptr;
+  Histogram* m_pdcch_estimate_us_ = nullptr;  ///< one per track()
   Histogram* m_blind_decode_us_ = nullptr;
   Histogram* m_rach_scan_us_ = nullptr;  ///< one observation per track()
   std::vector<UeSearchContext> ues_;

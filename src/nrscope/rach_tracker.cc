@@ -1,5 +1,7 @@
 #include "nrscope/rach_tracker.h"
 
+#include <algorithm>
+
 #include "nr/grant.h"
 #include "nr/pdsch.h"
 #include "nr/rach.h"
@@ -67,6 +69,7 @@ void RachTracker::process_slot(SlotGrid& grid,
                                const SlotPoint& slot,
                                std::uint64_t slot_index,
                                std::uint64_t air_slot,
+                               const PdcchEstimate& estimate,
                                PdcchScratch& scratch,
                                std::vector<DecodedDci>& decoded,
                                std::vector<NewUe>& new_ues) {
@@ -76,7 +79,7 @@ void RachTracker::process_slot(SlotGrid& grid,
   }
 
   // Prune TC-RNTIs whose MSG4 never showed up (failed RACHes); a stale
-  // entry costs one CRC test per candidate forever otherwise.
+  // entry would otherwise wait forever for a DCI its RNTI names.
   const std::uint64_t ttl = 4ull * std::max<std::uint64_t>(
                                         cell_.rach.prach_period_slots, 40);
   std::erase_if(pending_tc_, [&](const auto& entry) {
@@ -99,13 +102,12 @@ void RachTracker::process_slot(SlotGrid& grid,
     }
   }
 
-  // One structure-of-arrays batch channel-decodes every common-SS
-  // candidate of every aggregation level (the polar decode is
-  // RNTI-independent); each RNTI hypothesis below is then only a CRC test
-  // against the shared payload+CRC bits instead of a fresh channel decode.
+  // One batch channel-decodes every common-SS candidate of every
+  // aggregation level (the polar decode is RNTI-independent) and reads
+  // each one's RNTI off its CRC; each RNTI hypothesis below is then only a
+  // compare.
   const unsigned payload_bits =
       dci_payload_size(DciFormat::kDl1_0, cell_.n_prb);
-  const unsigned k_bits = payload_bits + kCrc24C.length();
   auto& locs = scratch.cand_locs;
   locs.clear();
   for (unsigned level : cell_.common_ss.agg_levels) {
@@ -115,43 +117,44 @@ void RachTracker::process_slot(SlotGrid& grid,
       locs.push_back({level, cce});
     }
   }
-  decode_pdcch_batch(cell_.coreset, locs, payload_bits, slot,
-                     grid.symbols(0, cell_.coreset.duration), scratch);
+  decode_pdcch_batch(cell_.coreset, locs, payload_bits, slot, estimate,
+                     scratch);
   const auto& batch = scratch.batch;
+  const unsigned k_bits = payload_bits + kCrc24C.length();
   for (std::size_t j = 0; j < locs.size(); ++j) {
-    if (!batch.ok[j]) {
-      continue;
+    if (!batch.rnti[j]) {
+      continue;  // not decoded, or no RNTI's mask makes the CRC pass
     }
-    const unsigned level = locs[j].agg_level;
-    const unsigned cce = locs[j].cce_start;
-    const std::span<const std::uint8_t> bits(
-        batch.bits.data() + j * k_bits, k_bits);
-    // 1) MSG2: RA-RNTI-masked DCIs (computable without any secret).
-    bool matched = false;
-    for (Rnti ra : ra_rntis_) {
-      if (!check_pdcch_crc(bits, ra)) {
-        continue;
-      }
-      matched = true;
+    const Rnti rnti = *batch.rnti[j];
+    const Dci dci =
+        Dci::unpack(DciFormat::kDl1_0, cell_.n_prb,
+                    std::span<const std::uint8_t>(
+                        batch.bits.data() + j * k_bits, payload_bits));
+    const auto decoded_dci = [&] {
       DecodedDci out;
       out.slot = slot_index;
-      out.rnti = ra;
-      out.dci =
-          Dci::unpack(DciFormat::kDl1_0, cell_.n_prb,
-                      bits.first(payload_bits));
-      out.grant = translate_dci(out.dci, ra, cell_);
-      out.agg_level = level;
-      out.cce_start = cce;
+      out.rnti = rnti;
+      out.dci = dci;
+      out.grant = translate_dci(dci, rnti, cell_);
+      out.agg_level = locs[j].agg_level;
+      out.cce_start = locs[j].cce_start;
+      return out;
+    };
+
+    // 1) MSG2: RA-RNTI-masked DCIs (computable without any secret).
+    if (std::find(ra_rntis_.begin(), ra_rntis_.end(), rnti) !=
+        ra_rntis_.end()) {
+      const DecodedDci out = decoded_dci();
       decoded.push_back(out);
       if (config_.mode == RachTrackMode::kMsg2Assisted) {
         // Decode the RAR to learn the TC-RNTI.
         ++pdsch_decodes_;
         count(metric_pdsch_);
-        const auto payload = decode_pdsch(
+        const auto rar_payload = decode_pdsch(
             pdsch_allocation(out.grant, cell_.pci), slot, out.grant.tbs,
             grid.symbols(out.grant.start_symbol, out.grant.n_symbols));
-        if (payload) {
-          const auto rar = Rar::unpack(*payload);
+        if (rar_payload) {
+          const auto rar = Rar::unpack(*rar_payload);
           if (rar && is_plausible_crnti(rar->tc_rnti)) {
             pending_tc_[rar->tc_rnti] = slot_index;
             ++msg2_decoded_;
@@ -159,67 +162,33 @@ void RachTracker::process_slot(SlotGrid& grid,
           }
         }
       }
-      break;
-    }
-    if (matched) {
       continue;
     }
 
     // 2) MSG4 via pending TC-RNTIs (MSG2-assisted mode).
     if (config_.mode == RachTrackMode::kMsg2Assisted) {
-      for (auto it = pending_tc_.begin(); it != pending_tc_.end(); ++it) {
-        if (!check_pdcch_crc(bits, it->first)) {
-          continue;
-        }
-        DecodedDci out;
-        out.slot = slot_index;
-        out.rnti = it->first;
-        out.dci = Dci::unpack(DciFormat::kDl1_0, cell_.n_prb,
-                              bits.first(payload_bits));
-        out.grant = translate_dci(out.dci, it->first, cell_);
-        out.agg_level = level;
-        out.cce_start = cce;
+      if (const auto it = pending_tc_.find(rnti); it != pending_tc_.end()) {
+        const DecodedDci out = decoded_dci();
         decoded.push_back(out);
-        if (auto ue = handle_msg4(it->first, out.dci, grid, slot,
-                                  slot_index)) {
+        if (auto ue = handle_msg4(rnti, dci, grid, slot, slot_index)) {
           new_ues.push_back(*ue);
         }
         pending_tc_.erase(it);
-        matched = true;
-        break;
       }
-      if (matched) {
-        continue;
-      }
+      continue;
     }
 
-    // 3) XOR recovery: recover the mask from the shared bits, validate.
-    if (config_.mode == RachTrackMode::kXorRecovery) {
-      const Rnti mask = kCrc24C.recover_mask(bits);
-      // With the mask applied the full 24-bit CRC must check out; the
-      // upper 8 CRC bits are unmasked, so this rejects 255/256 noise
-      // decodes.
-      if (!kCrc24C.check_masked(bits, mask)) {
-        continue;
-      }
-      const Dci dci = Dci::unpack(DciFormat::kDl1_0, cell_.n_prb,
-                                  bits.first(payload_bits));
-      if (!is_plausible_crnti(mask) || !is_downlink(dci.format)) {
-        ++rejected_recoveries_;
-        count(metric_rejected_);
-        continue;
-      }
-      if (auto ue = handle_msg4(mask, dci, grid, slot, slot_index)) {
-        DecodedDci out;
-        out.slot = slot_index;
-        out.rnti = mask;
-        out.dci = dci;
-        out.grant = translate_dci(dci, mask, cell_);
-        out.agg_level = level;
-        out.cce_start = cce;
-        decoded.push_back(out);
-        new_ues.push_back(*ue);
-      }
+    // 3) XOR recovery: the CRC named the masking RNTI (the full 24-bit CRC
+    // checks under it; the upper 8 CRC bits are unmasked, so this rejects
+    // 255/256 noise decodes); validate it.
+    if (!is_plausible_crnti(rnti) || !is_downlink(dci.format)) {
+      ++rejected_recoveries_;
+      count(metric_rejected_);
+      continue;
+    }
+    if (auto ue = handle_msg4(rnti, dci, grid, slot, slot_index)) {
+      decoded.push_back(decoded_dci());
+      new_ues.push_back(*ue);
     }
   }
   if (metric_crnti_ != nullptr && new_ues.size() > new_ues_before) {

@@ -64,12 +64,13 @@ class RachTracker {
   /// (msg2/msg4 matches, C-RNTI discoveries, PDSCH decodes, rejections).
   void bind_metrics(MetricsRegistry& registry);
 
-  /// Scan one slot's common search space.  Decoded MSG2/MSG4 DCIs are
-  /// appended to `decoded` and completed associations to `new_ues`; all
-  /// intermediate buffers live in `scratch` or the tracker, so the
-  /// steady-state no-RACH path performs no heap allocation.  `grid`
-  /// demodulates the CORESET rows, and a RAR or MSG4 grant's rows only
-  /// when that PDSCH is decoded.
+  /// Scan one slot's common search space, decoding from `estimate` (the
+  /// slot's estimate of this cell's CORESET, shared with the blind
+  /// decode).  Decoded MSG2/MSG4 DCIs are appended to `decoded` and
+  /// completed associations to `new_ues`; all intermediate buffers live in
+  /// `scratch` or the tracker, so the steady-state no-RACH path performs
+  /// no heap allocation.  `grid` demodulates a RAR or MSG4 grant's rows
+  /// only when that PDSCH is decoded.
   /// `slot_index` is the sniffer's feed clock (stamps and bookkeeping);
   /// `air_slot` is the cell's own slot clock, reconstructed from the MIB
   /// SFN and the locked frame phase.  PRACH occasions and RA-RNTIs follow
@@ -77,7 +78,8 @@ class RachTracker {
   /// diverge, and the gNB derives RA-RNTIs from its own.
   void process_slot(SlotGrid& grid, const SlotPoint& slot,
                     std::uint64_t slot_index, std::uint64_t air_slot,
-                    PdcchScratch& scratch, std::vector<DecodedDci>& decoded,
+                    const PdcchEstimate& estimate, PdcchScratch& scratch,
+                    std::vector<DecodedDci>& decoded,
                     std::vector<NewUe>& new_ues);
 
   [[nodiscard]] const std::optional<RrcSetup>& cached_rrc() const {

@@ -5,7 +5,10 @@
 // handling, lane assignment of blocked reductions — is written exactly
 // once.  All functions are branch-light plain-float code; the backend TUs
 // are compiled with -ffp-contract=off so no FMA contraction can make one
-// backend differ from another.
+// backend differ from another.  Everything here has internal linkage (an
+// unnamed namespace): the header is compiled into the scalar TU and into
+// the -mavx2 TU, and an out-of-line copy with external linkage would be a
+// weak symbol in each, of which the linker keeps one for both backends.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +20,7 @@
 #include "common/types.h"
 
 namespace nrs::kernels::detail {
+namespace {
 
 /// Accumulator state for the blocked (4 complex lane) reductions: 8 floats
 /// of interleaved re/im lane sums plus 8 floats of per-component energy
@@ -362,4 +366,5 @@ inline void awgn_add_range(cf32* x, std::size_t n, std::uint64_t key,
   }
 }
 
+}  // namespace
 }  // namespace nrs::kernels::detail

@@ -50,14 +50,16 @@ TEST(Crc, CheckTooShortFails) {
 }
 
 TEST(Crc, RntiMaskRoundTrip) {
+  // A masked CRC fails the plain check and passes under its own RNTI's
+  // mask only: its syndrome is that RNTI.
   Rng rng(3);
   BitVector bits = random_bits(rng, 40);
   kCrc24C.attach(bits);
   const Rnti rnti = 0x4601;
   kCrc24C.mask_rnti(bits, rnti);
   EXPECT_FALSE(kCrc24C.check(bits)) << "masked CRC must not check plain";
-  EXPECT_TRUE(kCrc24C.check_masked(bits, rnti));
-  EXPECT_FALSE(kCrc24C.check_masked(bits, 0x4602));
+  EXPECT_EQ(kCrc24C.syndrome(bits), rnti);
+  EXPECT_NE(kCrc24C.syndrome(bits), 0x4602u);
 }
 
 TEST(Crc, RecoverMaskFindsRnti) {
@@ -67,7 +69,7 @@ TEST(Crc, RecoverMaskFindsRnti) {
     BitVector bits = random_bits(rng, 44);
     kCrc24C.attach(bits);
     kCrc24C.mask_rnti(bits, rnti);
-    EXPECT_EQ(kCrc24C.recover_mask(bits), rnti);
+    EXPECT_EQ(kCrc24C.syndrome(bits), rnti);
   }
 }
 
@@ -77,8 +79,52 @@ TEST(Crc, RecoveredMaskSatisfiesFullCheck) {
   BitVector bits = random_bits(rng, 44);
   kCrc24C.attach(bits);
   kCrc24C.mask_rnti(bits, 0xABCD);
-  const Rnti mask = kCrc24C.recover_mask(bits);
-  EXPECT_TRUE(kCrc24C.check_masked(bits, mask));
+  const auto mask = static_cast<Rnti>(kCrc24C.syndrome(bits));
+  kCrc24C.mask_rnti(bits, mask);
+  EXPECT_TRUE(kCrc24C.check(bits));
+}
+
+/// The masked CRC check by definition: unmask a copy's trailing 16 bits
+/// and divide the whole codeword.
+bool masked_check(const CrcGenerator& crc, const BitVector& bits, Rnti rnti) {
+  BitVector copy = bits;
+  crc.mask_rnti(copy, rnti);
+  return crc.check(copy);
+}
+
+TEST(Crc, SyndromeNamesTheOneRntiWhoseMaskPasses) {
+  // The decoder's one CRC division per location stands for every masked
+  // check: a codeword passes under RNTI r exactly when its syndrome is r.
+  Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 140));
+    const auto rnti = static_cast<Rnti>(rng.uniform_int(0, 0xFFFF));
+    BitVector bits = random_bits(rng, n);
+    kCrc24C.attach(bits);
+    kCrc24C.mask_rnti(bits, rnti);
+    ASSERT_EQ(kCrc24C.syndrome(bits), rnti) << "payload bits " << n;
+    EXPECT_TRUE(masked_check(kCrc24C, bits, rnti));
+    const auto other =
+        static_cast<Rnti>(rnti ^ rng.uniform_int(1, 0xFFFF));
+    EXPECT_FALSE(masked_check(kCrc24C, bits, other));
+  }
+  // Noise words: almost always the upper 8 syndrome bits are set, and then
+  // no RNTI's mask passes, not even the one in the low 16 bits.
+  int upper_set = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const BitVector bits =
+        random_bits(rng, static_cast<std::size_t>(rng.uniform_int(25, 164)));
+    const std::uint32_t s = kCrc24C.syndrome(bits);
+    ASSERT_LT(s, 1u << 24);
+    const auto low = static_cast<Rnti>(s);
+    EXPECT_EQ(masked_check(kCrc24C, bits, low), (s >> 16) == 0);
+    const auto random_rnti = static_cast<Rnti>(rng.uniform_int(0, 0xFFFF));
+    EXPECT_EQ(masked_check(kCrc24C, bits, random_rnti), s == random_rnti);
+    upper_set += (s >> 16) != 0 ? 1 : 0;
+  }
+  EXPECT_GT(upper_set, 150) << "noise words should mostly name no RNTI";
+  EXPECT_GE(kCrc24C.syndrome(BitVector(10, 0)), 1u << 24)
+      << "a word shorter than the CRC names no RNTI";
 }
 
 TEST(Crc, Crc16KnownVector) {

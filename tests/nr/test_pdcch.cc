@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
@@ -242,10 +243,11 @@ TEST(Pdcch, SnrEstimateIsSane) {
 }
 
 TEST(PdcchChain, BatchMatchesBatchesOfOne) {
-  // One batch mixing every aggregation level must decode each location
-  // exactly as a batch of one at that location would: the MIB and the SIB1
-  // wait decode through batches too, and the engine's blind decode mixes
-  // levels in one batch.
+  // One batch mixing every aggregation level, decoded from one shared
+  // CORESET estimate, must decode each location exactly as a batch of one
+  // at that location would from a fresh estimate of its own: the engine's
+  // RACH scan and blind decode share one estimate per slot and mix levels
+  // in one batch, and the MIB and the SIB1 wait decode through batches too.
   const CoresetConfig coreset = make_coreset();  // 16 CCEs
   const SlotPoint slot{Scs::kHz30, 2, 7};
   ResourceGrid grid(kNPrbBwp);
@@ -253,54 +255,101 @@ TEST(PdcchChain, BatchMatchesBatchesOfOne) {
   Dci dci_b = make_dci();
   dci_b.mcs = 3;
   dci_b.harq_id = 9;
+  Dci dci_c = make_dci();  // the common search space's format
+  dci_c.format = DciFormat::kDl1_0;
+  dci_c.mcs = 7;
   PdcchEncodeScratch enc;
   encode_pdcch(coreset, {0x4601, 2, 4}, dci_a, kNPrbBwp, slot, grid, enc);
   encode_pdcch(coreset, {0x4602, 8, 8}, dci_b, kNPrbBwp, slot, grid, enc);
+  encode_pdcch(coreset, {0x4603, 4, 0}, dci_c, kNPrbBwp, slot, grid, enc);
   Rng rng(55);
   add_noise(grid, 0.01f, rng);  // 20 dB
 
-  // DCI A at (2, 4), DCI B at (8, 8), the other levels on top of them or
-  // on empty CCEs, and (2, 15) running past the last CCE.
-  const std::vector<PdcchCandidateLoc> locs = {
-      {1, 0}, {2, 4}, {4, 12}, {8, 8}, {16, 0}, {2, 15}, {1, 5}};
-  const unsigned payload = dci_payload_size(DciFormat::kDl1_1, kNPrbBwp);
-  const unsigned k_bits = payload + kCrc24C.length();
-  PdcchScratch batch_scratch;
-  decode_pdcch_batch(coreset, locs, payload, slot, grid, batch_scratch);
-  const auto& batch = batch_scratch.batch;
-  PdcchScratch one_scratch;
-  for (std::size_t i = 0; i < locs.size(); ++i) {
-    decode_pdcch_batch(coreset, std::span(&locs[i], 1), payload, slot, grid,
-                       one_scratch);
-    const auto& one = one_scratch.batch;
-    SCOPED_TRACE(testing::Message() << "level " << locs[i].agg_level
-                                    << " cce " << locs[i].cce_start);
-    EXPECT_EQ(batch.ok[i], one.ok[0]);
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(batch.snr[i]),
-              std::bit_cast<std::uint32_t>(one.snr[0]));
-    if (batch.ok[i] != 0 && one.ok[0] != 0) {
-      EXPECT_TRUE(std::equal(one.bits.begin(), one.bits.begin() + k_bits,
-                             batch.bits.begin() + i * k_bits));
-    }
-  }
-  EXPECT_EQ(batch.ok[5], 0) << "a location past the last CCE is skipped";
-
-  const auto bits_at = [&](std::size_t i) {
-    return std::span<const std::uint8_t>(batch.bits.data() + i * k_bits,
-                                         k_bits);
+  PdcchScratch shared;
+  const PdcchEstimate& estimate =
+      estimate_coreset(coreset, slot, grid, shared);
+  // Decode `locs` at `format`'s size from the shared estimate, and check
+  // every location against a batch of one from a fresh estimate.
+  const auto decode_and_compare =
+      [&](const std::vector<PdcchCandidateLoc>& locs, DciFormat format) {
+        const unsigned payload = dci_payload_size(format, kNPrbBwp);
+        const unsigned k_bits = payload + kCrc24C.length();
+        decode_pdcch_batch(coreset, locs, payload, slot, estimate, shared);
+        const auto& batch = shared.batch;
+        for (std::size_t i = 0; i < locs.size(); ++i) {
+          PdcchScratch own;
+          decode_pdcch_batch(coreset, std::span(&locs[i], 1), payload, slot,
+                             estimate_coreset(coreset, slot, grid, own), own);
+          const auto& one = own.batch;
+          SCOPED_TRACE(testing::Message()
+                       << "format " << static_cast<int>(format) << " level "
+                       << locs[i].agg_level << " cce " << locs[i].cce_start);
+          EXPECT_EQ(batch.ok[i], one.ok[0]);
+          EXPECT_EQ(std::bit_cast<std::uint32_t>(batch.snr[i]),
+                    std::bit_cast<std::uint32_t>(one.snr[0]));
+          EXPECT_EQ(batch.rnti[i], one.rnti[0]);
+          if (batch.ok[i] != 0 && one.ok[0] != 0) {
+            EXPECT_TRUE(std::equal(one.bits.begin(),
+                                   one.bits.begin() + k_bits,
+                                   batch.bits.begin() + i * k_bits));
+          }
+        }
+      };
+  const auto payload_at = [&](std::size_t i, DciFormat format) {
+    const unsigned payload = dci_payload_size(format, kNPrbBwp);
+    return std::span<const std::uint8_t>(
+        shared.batch.bits.data() + i * (payload + kCrc24C.length()),
+        payload);
   };
+
+  // DCI A at (2, 4), DCI B at (8, 8), the other levels on top of them or
+  // on the other DCIs, and (2, 15) running past the last CCE.
+  decode_and_compare({{1, 0}, {2, 4}, {4, 12}, {8, 8}, {16, 0}, {2, 15},
+                      {1, 5}},
+                     DciFormat::kDl1_1);
+  const auto& batch = shared.batch;
+  EXPECT_EQ(batch.ok[5], 0) << "a location past the last CCE is skipped";
   ASSERT_EQ(batch.ok[1], 1);
   ASSERT_EQ(batch.ok[3], 1);
-  EXPECT_TRUE(check_pdcch_crc(bits_at(1), 0x4601));
-  EXPECT_FALSE(check_pdcch_crc(bits_at(1), 0x4602));
-  EXPECT_TRUE(check_pdcch_crc(bits_at(3), 0x4602));
-  EXPECT_FALSE(check_pdcch_crc(bits_at(3), 0x4601));
-  EXPECT_EQ(
-      Dci::unpack(DciFormat::kDl1_1, kNPrbBwp, bits_at(1).first(payload)),
-      dci_a);
-  EXPECT_EQ(
-      Dci::unpack(DciFormat::kDl1_1, kNPrbBwp, bits_at(3).first(payload)),
-      dci_b);
+  // Each DCI's CRC names its own RNTI, and so passes for no other.
+  EXPECT_EQ(batch.rnti[1], Rnti{0x4601});
+  EXPECT_NE(batch.rnti[1], Rnti{0x4602});
+  EXPECT_EQ(batch.rnti[3], Rnti{0x4602});
+  EXPECT_NE(batch.rnti[3], Rnti{0x4601});
+  EXPECT_EQ(Dci::unpack(DciFormat::kDl1_1, kNPrbBwp,
+                        payload_at(1, DciFormat::kDl1_1)),
+            dci_a);
+  EXPECT_EQ(Dci::unpack(DciFormat::kDl1_1, kNPrbBwp,
+                        payload_at(3, DciFormat::kDl1_1)),
+            dci_b);
+
+  // The same estimate serves the other payload size: DCI C (1_0) at (4, 0).
+  ASSERT_NE(dci_payload_size(DciFormat::kDl1_0, kNPrbBwp),
+            dci_payload_size(DciFormat::kDl1_1, kNPrbBwp));
+  decode_and_compare({{4, 0}, {2, 4}, {8, 8}, {1, 3}}, DciFormat::kDl1_0);
+  ASSERT_EQ(batch.ok[0], 1);
+  EXPECT_EQ(batch.rnti[0], Rnti{0x4603});
+  EXPECT_EQ(Dci::unpack(DciFormat::kDl1_0, kNPrbBwp,
+                        payload_at(0, DciFormat::kDl1_0)),
+            dci_c);
+
+  // An estimate is valid only for the CORESET and slot it was built from.
+  const std::vector<PdcchCandidateLoc> locs = {{2, 4}};
+  const unsigned payload = dci_payload_size(DciFormat::kDl1_1, kNPrbBwp);
+  const PdcchEstimate missing;
+  EXPECT_THROW(
+      decode_pdcch_batch(coreset, locs, payload, slot, missing, shared),
+      std::invalid_argument);
+  CoresetConfig other = coreset;
+  other.n_id = 8;
+  EXPECT_THROW(
+      decode_pdcch_batch(other, locs, payload, slot, estimate, shared),
+      std::invalid_argument);
+  SlotPoint next = slot;
+  next.advance();
+  EXPECT_THROW(
+      decode_pdcch_batch(coreset, locs, payload, next, estimate, shared),
+      std::invalid_argument);
 }
 
 }  // namespace

