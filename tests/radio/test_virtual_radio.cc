@@ -181,6 +181,10 @@ TEST(VirtualRadio, CaptureBytesArePinned) {
        0xa4f97e38958c3cc7ull},
       {srsran_cell, 4, ChannelProfile::kPedestrian, 28.0, 101,
        0xdca75dcc316b3b5cull},
+      // Nine taps up to 154 samples late: the FIR's long reach across its
+      // blocks and the buffer's start.
+      {amarisoft_cell, 8, ChannelProfile::kUrban, 28.0, 303,
+       0x033e3d9dd4f69ab1ull},
   };
   for (const PinnedCell& c : kCells) {
     const std::uint64_t hash = capture_hash(c);
