@@ -14,10 +14,12 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "phy/channel.h"
 #include "phy/conv_code.h"
 #include "phy/fft.h"
 #include "phy/kernels/kernels.h"
@@ -73,6 +75,7 @@ struct Row {
 struct Workload {
   Rng rng{42};
   std::vector<cf32> a, b, c;
+  std::vector<cf32> slot, pristine;  ///< one 51-PRB slot of samples
   std::vector<float> fa, fb, fc;
   std::vector<std::uint8_t> u8a, u8b;
   std::vector<std::int32_t> i32;
@@ -100,6 +103,11 @@ struct Workload {
       fb[i] = static_cast<float>(rng.gaussian());
       u8a[i] = rng.chance(0.5) ? 1 : 0;
     }
+    pristine.resize(make_ofdm_config(51).samples_per_slot());
+    for (cf32& v : pristine) {
+      v = rc();
+    }
+    slot = pristine;
   }
 };
 
@@ -116,8 +124,9 @@ std::vector<Case> make_cases() {
   std::vector<Case> cases;
   // Sizes mirror the real call sites: PSS correlation segments (127), a
   // CORESET's worth of pilots/REs, an aggregation-level-4 candidate's
-  // LLRs, a polar node, a slice of a slot's channel noise, one Viterbi
-  // step.  The FFT has its own table (run_ofdm).
+  // LLRs, a polar node, a slice of a slot's channel noise, a slot through
+  // a fading link, one Viterbi step.  The FFT has its own table
+  // (run_ofdm).
   cases.push_back({"corr_energy_real", 127,
                    [](const kernels::KernelTable& kt, Workload& w) {
                      cf32 corr;
@@ -169,6 +178,34 @@ std::vector<Case> make_cases() {
                      // 30 kHz slot; sigma as at 28 dB with a 1024 FFT.
                      kt.awgn_add(w.a.data(), 2048, 42, 7, 0, 8.8e-4f);
                    }});
+  // The fading channel's FIR over one 51-PRB slot with a profile's delays
+  // at 30.72 MHz, rounded as ChannelModel rounds them.  The kernel works in
+  // place, so each call first restores the slot (a 123 kB copy that both
+  // columns pay).
+  Rng rng(23);
+  const std::size_t slot_len = make_ofdm_config(51).samples_per_slot();
+  for (const auto& [name, profile] :
+       {std::pair{"multipath_ped", ChannelProfile::kPedestrian},
+        std::pair{"multipath_urban", ChannelProfile::kUrban}}) {
+    std::vector<cf32> gains;
+    std::vector<unsigned> delays;
+    for (const auto& [delay_ns, power_db] : profile_taps_ns_db(profile)) {
+      const auto amp = static_cast<float>(std::pow(10.0, power_db / 20.0));
+      gains.emplace_back(amp * static_cast<float>(rng.gaussian()),
+                         amp * static_cast<float>(rng.gaussian()));
+      delays.push_back(static_cast<unsigned>(
+          std::lround(delay_ns * 1e-9 * ChannelConfig{}.sample_rate)));
+    }
+    cases.push_back({name, slot_len,
+                     [gains, delays](const kernels::KernelTable& kt,
+                                     Workload& w) {
+                       std::copy(w.pristine.begin(), w.pristine.end(),
+                                 w.slot.begin());
+                       kt.multipath(w.slot.data(), w.slot.size(),
+                                    gains.data(), delays.data(),
+                                    gains.size());
+                     }});
+  }
   cases.push_back({"viterbi_acs", kernels::kViterbiStates,
                    [](const kernels::KernelTable& kt, Workload& w) {
                      // Constant branch tables are fine for timing; the

@@ -97,25 +97,18 @@ std::optional<std::string> ChannelConfig::validate() const {
 
 void apply_multipath(std::span<cf32> samples,
                      std::span<const FadingTap> taps) {
-  // Blocks are walked from the end of the buffer towards its start, so
-  // every input a block reads (indices up to its own) is still unmodified
-  // when the block is written back.  Within a sample the taps accumulate
-  // from zero in tap order, as a separate-output FIR would.
-  constexpr std::size_t kBlock = 256;
-  std::array<cf32, kBlock> acc;
-  for (std::size_t end = samples.size(); end > 0;) {
-    const std::size_t begin = end > kBlock ? end - kBlock : 0;
-    std::fill(acc.begin(), acc.begin() + (end - begin), cf32{});
-    for (const auto& tap : taps) {
-      const std::size_t d = tap.delay_samples;
-      for (std::size_t i = std::max(begin, d); i < end; ++i) {
-        acc[i - begin] += tap.gain * samples[i - d];
-      }
-    }
-    std::copy(acc.begin(), acc.begin() + (end - begin),
-              samples.begin() + static_cast<std::ptrdiff_t>(begin));
-    end = begin;
+  if (taps.size() > kMaxFadingTaps) {
+    throw std::invalid_argument("apply_multipath: more than " +
+                                std::to_string(kMaxFadingTaps) + " taps");
   }
+  std::array<cf32, kMaxFadingTaps> gains;
+  std::array<unsigned, kMaxFadingTaps> delays;
+  for (std::size_t t = 0; t < taps.size(); ++t) {
+    gains[t] = taps[t].gain;
+    delays[t] = taps[t].delay_samples;
+  }
+  kernels::active().multipath(samples.data(), samples.size(), gains.data(),
+                              delays.data(), taps.size());
 }
 
 ChannelModel::ChannelModel(const ChannelConfig& config)

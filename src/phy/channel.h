@@ -10,6 +10,7 @@
 // demodulation with FFT size `fft_size`.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -56,10 +57,14 @@ struct FadingTap {
   cf32 gain;           ///< current complex gain
 };
 
+/// Most taps apply_multipath takes; every profile has at most 9.
+inline constexpr std::size_t kMaxFadingTaps = 16;
+
 /// Multipath FIR in place: x[i] <- sum over taps, in the given order, of
-/// gain * x[i - delay] (terms with i < delay omitted).  Allocation-free;
-/// the result is bit-identical to accumulating into a separate zeroed
-/// output buffer.
+/// gain * x[i - delay] (terms with i < delay omitted), through the kernel
+/// layer's multipath entry.  Allocation-free; the result is bit-identical
+/// to accumulating into a separate zeroed output buffer, and on every
+/// backend.  Throws std::invalid_argument beyond kMaxFadingTaps taps.
 void apply_multipath(std::span<cf32> samples,
                      std::span<const FadingTap> taps);
 

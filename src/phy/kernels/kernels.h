@@ -3,12 +3,12 @@
 // Every hot loop in the decode path — the FFT, PSS/SSS correlation,
 // LS channel estimation, ZF-equalize + QAM soft demap, descrambling, polar
 // SC node operations and Viterbi add-compare-select — funnels through the
-// function-pointer table below, as does the simulated channel's noise
-// (counter-based AWGN).  One implementation table exists per ISA
-// (scalar always; AVX2 on x86 when compiled in; NEON on ARM) and the active
-// table is chosen exactly once at startup from CPUID, overridable with the
-// `NRS_SIMD=off|avx2|neon|auto` environment variable and the `select()`
-// testing hook.
+// function-pointer table below, as does the simulated channel (the fading
+// links' multipath FIR and the counter-based AWGN).  One implementation
+// table exists per ISA (scalar always; AVX2 on x86 when compiled in; NEON on
+// ARM) and the active table is chosen exactly once at startup from CPUID,
+// overridable with the `NRS_SIMD=off|avx2|neon|auto` environment variable
+// and the `select()` testing hook.
 //
 // Equivalence contract (CI-guarded, see tests/phy/test_kernels.cc): for the
 // same inputs every backend produces *bit-identical* outputs.  This is
@@ -18,7 +18,9 @@
 //     both reduce the lane accumulators in the same fixed order
 //     (kernels_detail.h);
 //   - elementwise kernels use the exact same operation sequence with FMA
-//     contraction disabled (-ffp-contract=off on every backend TU);
+//     contraction disabled (-ffp-contract=off on every backend TU); the
+//     multipath FIR sums each sample's taps from +0 in tap order in every
+//     backend;
 //   - sign manipulation (min-sum, descrambling) is done with IEEE sign-bit
 //     arithmetic in all backends, so ±0 behaves identically;
 //   - the AWGN kernel's log, sine and cosine are the same polynomial
@@ -113,7 +115,17 @@ struct KernelTable {
   void (*polar_combine)(std::uint8_t* x, const std::uint8_t* c,
                         std::size_t n);
 
-  // --- noise -------------------------------------------------------------
+  // --- simulated channel -------------------------------------------------
+
+  /// Multipath FIR in place over x[0, n):
+  ///   x[i] <- sum over t < n_taps, in tap order from +0, of
+  ///           gains[t] * x[i - delays[t]]   (terms with i < delays[t] omitted)
+  /// where every x on the right is an input value.  Each product is
+  /// (gr*xr - gi*xi, gr*xi + gi*xr), rounded after every operation
+  /// (mul_cplx's order, no FMA): what GCC's std::complex<float> product
+  /// gives for finite operands, without its __mulsc3 fallback.
+  void (*multipath)(cf32* x, std::size_t n, const cf32* gains,
+                    const unsigned* delays, std::size_t n_taps);
 
   /// Counter-based complex AWGN for the simulated channel:
   /// x[i] += sigma * (g_re, g_im), where (g_re, g_im) is the Box-Muller pair

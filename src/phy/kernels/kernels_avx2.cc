@@ -8,6 +8,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -39,12 +40,18 @@ const __m256 kAbsMask =
     _mm256_castsi256_ps(_mm256_set1_epi32(0x7FFFFFFF));
 
 /// a * b, four complex lanes (addsub order: re = ar*br - ai*bi,
-/// im = ai*br + ar*bi).
-__m256 mul_cplx4(__m256 a, __m256 b) {
-  const __m256 t1 = _mm256_mul_ps(a, _mm256_moveldup_ps(b));
+/// im = ai*br + ar*bi), with b's real and imaginary parts each spread over
+/// both floats of a lane.
+__m256 mul_cplx4_parts(__m256 a, __m256 br, __m256 bi) {
+  const __m256 t1 = _mm256_mul_ps(a, br);
   const __m256 swapped = _mm256_permute_ps(a, 0xB1);
-  const __m256 t2 = _mm256_mul_ps(swapped, _mm256_movehdup_ps(b));
+  const __m256 t2 = _mm256_mul_ps(swapped, bi);
   return _mm256_addsub_ps(t1, t2);
+}
+
+/// a * b, four complex lanes.
+__m256 mul_cplx4(__m256 a, __m256 b) {
+  return mul_cplx4_parts(a, _mm256_moveldup_ps(b), _mm256_movehdup_ps(b));
 }
 
 /// a * conj(b): re = ar*br + ai*bi, im = ai*br - ar*bi.
@@ -362,6 +369,49 @@ void polar_combine_avx2(std::uint8_t* x, const std::uint8_t* c,
   }
 }
 
+/// The multipath FIR (see kernels_detail.h), sixteen outputs per step from
+/// the buffer's end while every tap reaches inside the buffer: the step's
+/// four accumulators take each tap's product in tap order and are stored
+/// after the last tap, so the step reads only unmodified inputs.  The
+/// first outputs, where some taps would reach before x[0], run scalar.
+void multipath_avx2(cf32* x, std::size_t n, const cf32* gains,
+                    const unsigned* delays, std::size_t n_taps) {
+  constexpr std::size_t kStep = 16;
+  std::size_t reach = 0;
+  for (std::size_t t = 0; t < n_taps; ++t) {
+    reach = std::max<std::size_t>(reach, delays[t]);
+  }
+  std::size_t i = n;
+  for (; i >= reach + kStep; i -= kStep) {
+    float* out = fp(x + i - kStep);
+    // Four named accumulators, not an array: GCC at -O2 keeps an array on
+    // the stack and chains every add through a store.
+    __m256 acc0 = _mm256_setzero_ps();
+    __m256 acc1 = _mm256_setzero_ps();
+    __m256 acc2 = _mm256_setzero_ps();
+    __m256 acc3 = _mm256_setzero_ps();
+    for (std::size_t t = 0; t < n_taps; ++t) {
+      const float* g = fp(gains + t);
+      const __m256 gr = _mm256_broadcast_ss(g);
+      const __m256 gi = _mm256_broadcast_ss(g + 1);
+      const float* in = out - 2 * std::size_t{delays[t]};
+      acc0 = _mm256_add_ps(acc0,
+                           mul_cplx4_parts(_mm256_loadu_ps(in), gr, gi));
+      acc1 = _mm256_add_ps(acc1,
+                           mul_cplx4_parts(_mm256_loadu_ps(in + 8), gr, gi));
+      acc2 = _mm256_add_ps(acc2,
+                           mul_cplx4_parts(_mm256_loadu_ps(in + 16), gr, gi));
+      acc3 = _mm256_add_ps(acc3,
+                           mul_cplx4_parts(_mm256_loadu_ps(in + 24), gr, gi));
+    }
+    _mm256_storeu_ps(out, acc0);
+    _mm256_storeu_ps(out + 8, acc1);
+    _mm256_storeu_ps(out + 16, acc2);
+    _mm256_storeu_ps(out + 24, acc3);
+  }
+  d::multipath_fir(x, i, gains, delays, n_taps);
+}
+
 // --- counter-based AWGN: eight Philox blocks (sixteen samples) per step,
 // each operation a lane-wise copy of the shared scalar sequence.
 
@@ -575,6 +625,7 @@ const KernelTable kAvx2Table = {
     .polar_f = polar_f_avx2,
     .polar_g = polar_g_avx2,
     .polar_combine = polar_combine_avx2,
+    .multipath = multipath_avx2,
     .awgn_add = awgn_add_avx2,
     .viterbi_acs = viterbi_acs_avx2,
 };

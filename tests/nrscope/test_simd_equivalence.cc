@@ -2,7 +2,7 @@
 // an *identical* SlotResult stream whether the kernels dispatch to the
 // scalar reference or to the CPU's SIMD backend (the bit-exactness
 // contract in phy/kernels/kernels.h, lifted from per-kernel outputs to the
-// full decode pipeline).
+// full decode pipeline, the simulated channel included).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -10,6 +10,7 @@
 #include "gnb/gnb_sim.h"
 #include "gnb/presets.h"
 #include "nrscope/nrscope.h"
+#include "phy/channel.h"
 #include "phy/kernels/kernels.h"
 #include "radio/virtual_radio.h"
 #include "slot_streams.h"
@@ -17,7 +18,8 @@
 namespace nrs {
 namespace {
 
-std::vector<SlotResult> run_scope(kernels::Isa isa, unsigned n_slots) {
+std::vector<SlotResult> run_scope(kernels::Isa isa, unsigned n_slots,
+                                  ChannelProfile sniffer_link) {
   EXPECT_TRUE(kernels::select(isa));
   GnbConfig gnb_cfg;
   gnb_cfg.cell = srsran_cell();
@@ -33,6 +35,7 @@ std::vector<SlotResult> run_scope(kernels::Isa isa, unsigned n_slots) {
   }
   VirtualRadioConfig radio_cfg;
   radio_cfg.n_prb = gnb.cell().n_prb;
+  radio_cfg.channel.profile = sniffer_link;
   radio_cfg.channel.snr_db = 24.0;
   radio_cfg.channel.seed = 11;
   VirtualRadio radio(radio_cfg);
@@ -70,15 +73,20 @@ class SimdEquivalence : public ::testing::Test {
 };
 
 TEST_F(SimdEquivalence, DedupedSlotStreamIsIdentical) {
-  const auto scalar_run = run_scope(kernels::Isa::kScalar, 400);
-  const auto simd_run = run_scope(simd_, 400);
-  expect_streams_identical(scalar_run, simd_run);
-  // The run must have decoded real traffic, or the test proves nothing.
-  std::size_t n_dcis = 0;
-  for (const auto& r : scalar_run) {
-    n_dcis += r.dcis.size();
+  // The Pedestrian link runs the channel's multipath kernel too.
+  for (const ChannelProfile link :
+       {ChannelProfile::kAwgn, ChannelProfile::kPedestrian}) {
+    SCOPED_TRACE(to_string(link));
+    const auto scalar_run = run_scope(kernels::Isa::kScalar, 400, link);
+    const auto simd_run = run_scope(simd_, 400, link);
+    expect_streams_identical(scalar_run, simd_run);
+    // The run must have decoded real traffic, or the test proves nothing.
+    std::size_t n_dcis = 0;
+    for (const auto& r : scalar_run) {
+      n_dcis += r.dcis.size();
+    }
+    EXPECT_GT(n_dcis, 50u);
   }
-  EXPECT_GT(n_dcis, 50u);
 }
 
 }  // namespace
