@@ -52,6 +52,17 @@ std::uint64_t key_location(std::uint64_t key) {
   return key >> kKeyFieldBits;
 }
 
+/// CORESET 0's fields that the MIB and the PCI define: the MIB's position,
+/// width and duration, and the PCI's REG shift and DMRS/scrambling
+/// identity.
+void set_coreset0(const Mib& mib, std::uint16_t pci, CoresetConfig& coreset) {
+  coreset.rb_start = mib.coreset0_rb_start;
+  coreset.n_prb = mib.coreset0_n_prb6 * 6u;
+  coreset.duration = mib.coreset0_duration;
+  coreset.shift = pci;
+  coreset.n_id = pci;
+}
+
 /// Throw-on-invalid wrapper so the config is checked before any other
 /// member (the demodulator in particular) is built from it.
 const NrScopeConfig& validated(const NrScopeConfig& config) {
@@ -270,11 +281,7 @@ void NrScope::apply_acquisition(const Acquisition& acq, SlotResult& result) {
   frame_phase_ = static_cast<std::int64_t>(slot_index_);
   phase_locked_ = true;
   cell_.pci = acq.pci;
-  cell_.coreset.rb_start = acq.mib.coreset0_rb_start;
-  cell_.coreset.n_prb = acq.mib.coreset0_n_prb6 * 6u;
-  cell_.coreset.duration = acq.mib.coreset0_duration;
-  cell_.coreset.shift = acq.pci;
-  cell_.coreset.n_id = acq.pci;
+  set_coreset0(acq.mib, acq.pci, cell_.coreset);
   cell_.scs = acq.mib.scs_common;
   result.mib = acq.mib;
 }
@@ -328,9 +335,10 @@ void NrScope::wait_sib1(SlotResult& result) {
     if (!sib) {
       continue;
     }
-    // Learn the full cell configuration; the PCI-derived fields were
-    // already set from the MIB and must win over SIB defaults.
+    // Learn the full cell configuration; CORESET 0's MIB- and PCI-derived
+    // fields were set at acquisition and win over SIB1's copy of them.
     sib->apply_to(cell_);
+    set_coreset0(*mib_, pci_, cell_.coreset);
     rach_.set_cell(cell_);
     result.sib1_decoded = true;
     sib1_seen_ = true;

@@ -1,7 +1,8 @@
 // SyncMonitor unit tests (verdict logic in isolation) plus engine-level
 // resynchronization paths: the backward kTracking -> kResync edges, the
 // grace window, telemetry retention across a same-PCI recovery, and the
-// flush on a PCI change (DESIGN.md "Failure model and recovery").
+// flush on a PCI change (DESIGN.md "Failure model and recovery"), and the
+// MIB's CORESET 0 surviving a SIB1 that disagrees with it.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,6 +11,9 @@
 
 #include "gnb/gnb_sim.h"
 #include "gnb/presets.h"
+#include "nr/grant.h"
+#include "nr/pdsch.h"
+#include "nr/sib1.h"
 #include "nrscope/nrscope.h"
 #include "nrscope/sync_monitor.h"
 #include "radio/virtual_radio.h"
@@ -359,6 +363,46 @@ TEST(EngineResync, RestartedCellRelearnsLateAttachingUes) {
   }
   EXPECT_EQ(rig.scope->known_ues().size(), kUes);
   EXPECT_GT(dcis_after_attach, 100u);
+}
+
+TEST(EngineSib1, MibCoresetFieldsWinOverSib1) {
+  // A SIB1 whose CORESET names another REG shift and scrambling identity
+  // than the PCI.  CORESET 0's position, width and duration come from the
+  // MIB and its shift and n_id from the PCI, after SIB1 as after every
+  // acquisition, so the engine decodes the gNB's DCIs straight after SIB1.
+  EngineRig rig(engine_config());
+  rig.rebuild_gnb(rig.cell, /*seed=*/5, /*with_ues=*/false);
+  const std::uint16_t pci = rig.cell.pci;
+  Sib1 forged = Sib1::from_cell(rig.cell);
+  forged.coreset.shift = pci + 1u;
+  forged.coreset.n_id = static_cast<std::uint16_t>(pci + 1);
+  VirtualRadio radio(clean_radio_config(rig.cell));
+  SlotResult result;
+  for (std::uint64_t k = 0; k < 2000 && !result.sib1_decoded; ++k) {
+    const SlotPoint now = rig.gnb->clock().now();
+    ResourceGrid grid = rig.gnb->step();
+    for (const TruthDci& dci : rig.gnb->truth().slots().back().dcis) {
+      if (dci.kind == DciKind::kSib) {  // same grant, forged payload
+        BitVector payload = forged.pack();
+        payload.resize(dci.grant.tbs, 0);
+        encode_pdsch(pdsch_allocation(dci.grant, pci), now, payload, grid);
+      }
+    }
+    rig.scope->process_slot(radio.capture(grid), result);
+  }
+  ASSERT_TRUE(result.sib1_decoded);
+  EXPECT_EQ(rig.scope->cell().coreset.shift, pci);
+  EXPECT_EQ(rig.scope->cell().coreset.n_id, pci);
+  EXPECT_EQ(rig.scope->cell().coreset, rig.cell.coreset);
+
+  rig.attach_ues();
+  std::uint64_t dcis = 0;
+  for (std::uint64_t k = 0; k < 400; ++k) {
+    rig.scope->process_slot(radio.capture(rig.gnb->step()), result);
+    dcis += result.dcis.size();
+  }
+  EXPECT_EQ(rig.scope->known_ues().size(), kUes);
+  EXPECT_GT(dcis, 100u);
 }
 
 TEST(EngineResync, GraceExpiryFallsBackToSearching) {
