@@ -100,7 +100,12 @@ void polar_f_neon(const float* a, const float* b, float* out,
     const uint32x4_t sign = vandq_u32(
         veorq_u32(vreinterpretq_u32_f32(va), vreinterpretq_u32_f32(vb)),
         sign_all);
-    const float32x4_t m = vminq_f32(vabsq_f32(va), vabsq_f32(vb));
+    // The scalar std::min(|a|, |b|) as a select: |a| unless |b| < |a|, so a
+    // NaN in b yields |a| (FMIN would yield NaN).
+    const float32x4_t abs_a = vabsq_f32(va);
+    const float32x4_t abs_b = vabsq_f32(vb);
+    const float32x4_t m =
+        vbslq_f32(vcltq_f32(abs_b, abs_a), abs_b, abs_a);
     vst1q_f32(out + i, vreinterpretq_f32_u32(
                            vorrq_u32(vreinterpretq_u32_f32(m), sign)));
   }
