@@ -83,9 +83,6 @@ void SyncMonitor::observe_slot(std::size_t n_user_dcis, bool have_ues) {
 }
 
 SyncHealth SyncMonitor::health() const {
-  if (!config_.enabled) {
-    return SyncHealth::kHealthy;
-  }
   if (weak_run_ >= config_.ssb_fail_limit ||
       empty_run_ >= config_.empty_slot_limit) {
     return SyncHealth::kLost;

@@ -27,7 +27,6 @@
 namespace nrs {
 
 struct SyncMonitorConfig {
-  bool enabled = true;
   /// EMA weight of a new SSB observation in the quality score.
   double ssb_alpha = 0.4;
   /// A single SSB whose PSS correlation falls below this is "weak".

@@ -129,19 +129,6 @@ TEST(SyncMonitorUnit, OnLockResets) {
   EXPECT_DOUBLE_EQ(monitor.quality(), 1.0);
 }
 
-TEST(SyncMonitorUnit, DisabledMonitorNeverTrips) {
-  MetricsRegistry registry;
-  auto cfg = tight_config();
-  cfg.enabled = false;
-  SyncMonitor monitor(cfg, registry);
-  monitor.on_lock();
-  for (unsigned i = 0; i < 20; ++i) {
-    monitor.observe_ssb(0.0f);
-    monitor.observe_slot(0, true);
-  }
-  EXPECT_EQ(monitor.health(), SyncHealth::kHealthy);
-}
-
 TEST(SyncMonitorUnit, ResyncLifecycleCounters) {
   MetricsRegistry registry;
   SyncMonitor monitor(tight_config(), registry);
