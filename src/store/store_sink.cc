@@ -6,6 +6,23 @@
 
 namespace nrs {
 
+std::optional<CellSlotRows> cell_slot_rows(const SlotResult& result,
+                                           unsigned n_prb) {
+  if (result.sync_state != SyncState::kTracking) {
+    return std::nullopt;
+  }
+  unsigned used = 0;
+  for (const DecodedDci& dci : result.dcis) {
+    if (is_downlink(dci.grant.format)) {
+      used += dci.grant.prb_len;
+    }
+  }
+  used = std::min(used, n_prb);
+  return CellSlotRows{static_cast<double>(result.dcis.size()),
+                      static_cast<double>(used),
+                      static_cast<double>(n_prb - used)};
+}
+
 HistoryStoreSink::HistoryStoreSink(HistoryStore& store,
                                    const StoreSinkConfig& config)
     : store_(&store), config_(config) {
@@ -45,22 +62,15 @@ HistoryStoreSink::UeSeries* HistoryStoreSink::ue_series(Rnti rnti) {
 
 void HistoryStoreSink::on_slot(const SlotResult& result) {
   std::uint64_t rows = 0;
-  unsigned used_prbs = 0;
   for (const DecodedDci& dci : result.dcis) {
     UeSeries* ue = ue_series(dci.rnti);
     if (ue == nullptr) {
       continue;
     }
-    const bool dl = is_downlink(dci.grant.format);
-    if (dl) {
-      used_prbs += dci.grant.prb_len;
-      if (!dci.is_retx) {
-        ue->dl_bits->append(result.slot,
-                            static_cast<double>(dci.grant.tbs));
-        ++rows;
-      }
-    } else if (!dci.is_retx) {
-      ue->ul_bits->append(result.slot, static_cast<double>(dci.grant.tbs));
+    if (!dci.is_retx) {
+      StoreSeries* bits =
+          is_downlink(dci.grant.format) ? ue->dl_bits : ue->ul_bits;
+      bits->append(result.slot, static_cast<double>(dci.grant.tbs));
       ++rows;
     }
     ue->mcs->append(result.slot, static_cast<double>(dci.grant.mcs));
@@ -68,17 +78,10 @@ void HistoryStoreSink::on_slot(const SlotResult& result) {
     ue->prbs->append(result.slot, static_cast<double>(dci.grant.prb_len));
     rows += 3;
   }
-  // The three cell-level series (kCellDcis / kCellUsedPrbs /
-  // kCellSparePrbs) are written only while the engine is tracking, so a
-  // resyncing cell does not record its blindness as spare capacity.
-  if (result.sync_state == SyncState::kTracking) {
-    const double spare = static_cast<double>(
-        config_.n_prb > used_prbs ? config_.n_prb - used_prbs : 0);
-    cell_dcis_->append(result.slot,
-                       static_cast<double>(result.dcis.size()));
-    cell_used_->append(result.slot, static_cast<double>(
-                                        std::min(used_prbs, config_.n_prb)));
-    cell_spare_->append(result.slot, spare);
+  if (const auto cell = cell_slot_rows(result, config_.n_prb)) {
+    cell_dcis_->append(result.slot, cell->dcis);
+    cell_used_->append(result.slot, cell->used_prbs);
+    cell_spare_->append(result.slot, cell->spare_prbs);
     rows += 3;
   }
   rows_written_ += rows;

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "nrscope/slot_sink.h"
@@ -22,6 +23,20 @@ struct StoreSinkConfig {
   /// approximation of the paper's section 5.4.1 RE accounting.
   unsigned n_prb = 51;
 };
+
+/// One slot's three cell-level values, the kCellDcis, kCellUsedPrbs and
+/// kCellSparePrbs rows at kStoreCellRnti.
+struct CellSlotRows {
+  double dcis = 0.0;
+  double used_prbs = 0.0;   ///< granted downlink PRBs, capped at n_prb
+  double spare_prbs = 0.0;  ///< n_prb - used_prbs
+};
+
+/// The cell-level rows of `result` for an `n_prb` carrier, or nothing when
+/// the engine is not tracking: a resyncing cell must not record its
+/// blindness as spare capacity.
+[[nodiscard]] std::optional<CellSlotRows> cell_slot_rows(
+    const SlotResult& result, unsigned n_prb);
 
 class HistoryStoreSink : public SlotSink {
  public:
