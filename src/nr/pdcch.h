@@ -97,9 +97,9 @@ struct PdcchScratch {
   std::uint32_t scramble_n_id = ~0u;
   BitVector scramble_bits;
 
-  // Candidate-CCE list for the caller's search-space sweep (see
-  // pdcch_candidates' allocation-free overload in nr/coreset.h), and the
-  // location list callers assemble for decode_pdcch_batch.
+  // Candidate-CCE list for a search-space sweep (see pdcch_candidates'
+  // allocation-free overload in nr/coreset.h), and the location list
+  // handed to decode_pdcch_batch.
   std::vector<unsigned> cand_cces;
   std::vector<PdcchCandidateLoc> cand_locs;
 
@@ -191,5 +191,17 @@ std::size_t decode_pdcch_batch(const CoresetConfig& coreset,
                                unsigned payload_bits, const SlotPoint& slot,
                                const PdcchEstimate& estimate,
                                PdcchScratch& scratch);
+
+/// The common-search-space batch (the SIB1 wait and the RACH scan): gather
+/// every location of `search_space` in `coreset` at `slot`, level by level
+/// and CCE by CCE, into `scratch.cand_locs`, and decode them with
+/// decode_pdcch_batch at the DCI 1_0 size of an `n_prb_bwp` bandwidth
+/// part.  Returns that payload size in bits; location i's results sit at
+/// index i of `scratch.batch`.  Allocation-free in steady state.
+unsigned decode_common_search_space(const CoresetConfig& coreset,
+                                    const SearchSpaceConfig& search_space,
+                                    unsigned n_prb_bwp, const SlotPoint& slot,
+                                    const PdcchEstimate& estimate,
+                                    PdcchScratch& scratch);
 
 }  // namespace nrs

@@ -298,23 +298,14 @@ void NrScope::wait_sib1(SlotResult& result) {
   // One batch channel-decodes every common-search-space location at the
   // DCI 1_0 size; the locations are visited level by level, CCE by CCE,
   // and the first SI-RNTI grant whose PDSCH carries a SIB1 wins.
-  auto& locs = pdcch_scratch_.cand_locs;
-  locs.clear();
-  for (unsigned level : cell_.common_ss.agg_levels) {
-    pdcch_candidates(cell_.coreset, cell_.common_ss, level, now, 0,
-                     pdcch_scratch_.cand_cces);
-    for (unsigned cce : pdcch_scratch_.cand_cces) {
-      locs.push_back({level, cce});
-    }
-  }
-  const unsigned payload_bits =
-      dci_payload_size(DciFormat::kDl1_0, cell_.n_prb);
-  const unsigned k_bits = payload_bits + kCrc24C.length();
   const PdcchEstimate& estimate =
       estimate_coreset(cell_.coreset, now,
                        rx_.symbols(0, cell_.coreset.duration), pdcch_scratch_);
-  decode_pdcch_batch(cell_.coreset, locs, payload_bits, now, estimate,
-                     pdcch_scratch_);
+  const unsigned payload_bits =
+      decode_common_search_space(cell_.coreset, cell_.common_ss, cell_.n_prb,
+                                 now, estimate, pdcch_scratch_);
+  const unsigned k_bits = payload_bits + kCrc24C.length();
+  const auto& locs = pdcch_scratch_.cand_locs;
   const auto& batch = pdcch_scratch_.batch;
   for (std::size_t j = 0; j < locs.size(); ++j) {
     if (batch.rnti[j] != kSiRnti) {

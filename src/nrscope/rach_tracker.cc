@@ -106,21 +106,11 @@ void RachTracker::process_slot(SlotGrid& grid,
   // aggregation level (the polar decode is RNTI-independent) and reads
   // each one's RNTI off its CRC; each RNTI hypothesis below is then only a
   // compare.
-  const unsigned payload_bits =
-      dci_payload_size(DciFormat::kDl1_0, cell_.n_prb);
-  auto& locs = scratch.cand_locs;
-  locs.clear();
-  for (unsigned level : cell_.common_ss.agg_levels) {
-    pdcch_candidates(cell_.coreset, cell_.common_ss, level, slot, 0,
-                     scratch.cand_cces);
-    for (unsigned cce : scratch.cand_cces) {
-      locs.push_back({level, cce});
-    }
-  }
-  decode_pdcch_batch(cell_.coreset, locs, payload_bits, slot, estimate,
-                     scratch);
-  const auto& batch = scratch.batch;
+  const unsigned payload_bits = decode_common_search_space(
+      cell_.coreset, cell_.common_ss, cell_.n_prb, slot, estimate, scratch);
   const unsigned k_bits = payload_bits + kCrc24C.length();
+  const auto& locs = scratch.cand_locs;
+  const auto& batch = scratch.batch;
   for (std::size_t j = 0; j < locs.size(); ++j) {
     if (!batch.rnti[j]) {
       continue;  // not decoded, or no RNTI's mask makes the CRC pass
