@@ -125,12 +125,12 @@ void print_table(const FleetCoordinator& coordinator) {
   }
   const FleetSummary s = coordinator.summary();
   std::printf("fleet: role=%s epoch=%llu slot=%llu dcis=%llu dl=%.2f Mbps "
-              "ul=%.2f Mbps reassignments=%llu  spare ranking:",
+              "ul=%.2f Mbps retx=%.2f%% reassignments=%llu  spare ranking:",
               to_string(coordinator.role()),
               static_cast<unsigned long long>(coordinator.epoch()),
               static_cast<unsigned long long>(s.slot),
-              static_cast<unsigned long long>(s.dcis_total), s.dl_mbps_total,
-              s.ul_mbps_total,
+              static_cast<unsigned long long>(s.totals.dcis), s.dl_mbps_total,
+              s.ul_mbps_total, 100.0 * s.retx_rate,
               static_cast<unsigned long long>(coordinator.reassignments()));
   for (const std::uint32_t idx : s.spare_ranking) {
     std::printf(" %u", idx);

@@ -92,30 +92,31 @@ Options parse_args(int argc, char** argv) {
 }
 
 void print_table(const FleetOrchestrator& fleet) {
-  const FleetRollup roll = fleet.rollup();
+  const FleetSummary summary = fleet.summary();
   std::printf("%5s %-8s %-8s %9s %8s %5s %9s %8s %7s %6s %8s %7s %7s\n",
               "cell", "name", "state", "slots", "dcis", "ues", "dl Mbps",
               "ul Mbps", "retx%", "util%", "restarts", "resync", "degr");
-  for (const CellRollup& c : roll.cells) {
+  for (const CellSummary& c : summary.cells) {
     std::printf("%5u %-8s %-8s %9llu %8llu %5u %9.2f %8.2f %7.2f %6.1f "
                 "%8llu %7llu %7llu\n",
                 c.cell_index, c.name.c_str(),
-                to_string(fleet.cell_state(c.cell_index)),
-                static_cast<unsigned long long>(c.slots),
-                static_cast<unsigned long long>(c.dcis), c.active_ues,
+                to_string(static_cast<FleetCellState>(c.state)),
+                static_cast<unsigned long long>(c.counters.slots),
+                static_cast<unsigned long long>(c.counters.dcis), c.active_ues,
                 c.dl_mbps, c.ul_mbps, 100.0 * c.retx_rate,
                 100.0 * c.utilization,
-                static_cast<unsigned long long>(c.restarts),
-                static_cast<unsigned long long>(c.resync_slots),
-                static_cast<unsigned long long>(c.degraded_slots));
+                static_cast<unsigned long long>(c.counters.restarts),
+                static_cast<unsigned long long>(c.counters.resync_slots),
+                static_cast<unsigned long long>(c.counters.degraded_slots));
   }
   std::printf("fleet: slot=%llu dcis=%llu dl=%.2f Mbps ul=%.2f Mbps "
               "retx=%.2f%% restarts=%llu  spare ranking:",
-              static_cast<unsigned long long>(roll.slot),
-              static_cast<unsigned long long>(roll.dcis_total),
-              roll.dl_mbps_total, roll.ul_mbps_total, 100.0 * roll.retx_rate,
-              static_cast<unsigned long long>(roll.restarts_total));
-  for (const std::uint32_t idx : roll.spare_ranking) {
+              static_cast<unsigned long long>(summary.slot),
+              static_cast<unsigned long long>(summary.totals.dcis),
+              summary.dl_mbps_total, summary.ul_mbps_total,
+              100.0 * summary.retx_rate,
+              static_cast<unsigned long long>(summary.totals.restarts));
+  for (const std::uint32_t idx : summary.spare_ranking) {
     std::printf(" %u", idx);
   }
   std::printf("\n\n");

@@ -275,7 +275,6 @@ int run_demo() {
     agg.slot_from = 0;
     agg.slot_to = n_slots;
     agg.bucket_slots = 500;
-    agg.op = AggregateOp::kAvg;
     if (const auto response = client.query(agg, 5.0);
         response && response->status == QueryStatus::kOk) {
       std::printf("\n[query] avg spare PRBs per 500-slot bucket:\n");

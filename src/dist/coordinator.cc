@@ -378,8 +378,8 @@ void FleetCoordinator::handle_heartbeat(Connection& conn,
   if (deposed_) {
     return;  // fenced: stop renewing, the new primary owns these leases
   }
-  for (const LeaseStatus& status : hb.leases) {
-    Lease* lease = leases_.by_id(status.lease_id);
+  for (const std::uint64_t lease_id : hb.leases) {
+    Lease* lease = leases_.by_id(lease_id);
     if (lease == nullptr) {
       continue;  // stale lease (already reassigned); the worker will learn
     }
@@ -393,7 +393,7 @@ void FleetCoordinator::handle_heartbeat(Connection& conn,
       if (holder != nullptr && holder->alive && holder->fd >= 0) {
         continue;  // live holder elsewhere: a stale claim, ignore it
       }
-      leases_.rebind(status.lease_id, conn.worker_id);
+      leases_.rebind(lease_id, conn.worker_id);
       ++reconfirmations_;
       m_reconfirmed_->inc();
       replicate_cell(lease->cell_index);
@@ -401,7 +401,7 @@ void FleetCoordinator::handle_heartbeat(Connection& conn,
         forget_worker(ghost_id);
       }
     }
-    leases_.renew(status.lease_id, now);
+    leases_.renew(lease_id, now);
     // Renewal grant: restart the worker-side TTL clock (and teach a
     // re-confirmed worker the current epoch).
     send_grant(*lease);
@@ -414,26 +414,26 @@ void FleetCoordinator::handle_cell_report(Connection& conn,
     fence_self(report.epoch);
     return;
   }
+  const std::uint32_t cell_index = report.cell.cell_index;
   Lease* lease = leases_.by_id(report.lease_id);
   if (lease == nullptr || lease->worker_id != conn.worker_id ||
-      lease->cell_index != report.cell_index ||
-      report.cell_index >= records_.size()) {
+      lease->cell_index != cell_index || cell_index >= records_.size()) {
     m_stale_reports_->inc();
     return;
   }
-  CellRecord& record = records_[report.cell_index];
-  if (record.has_report && report.slots > record.last.slots) {
-    leases_.note_progress(report.cell_index);
+  CellRecord& record = records_[cell_index];
+  if (record.has_report &&
+      report.cell.counters.slots > record.last.cell.counters.slots) {
+    leases_.note_progress(cell_index);
   }
   const bool mirror = has_replica();
   std::vector<StoreRowUpdate> mirrored_rows;
-  // The rows live on in the store; the record keeps the report's totals
+  // The rows live on in the store; the record keeps the report's summary
   // (a moved-from vector is empty).
   const std::vector<StoreRowUpdate> rows = std::move(report.rows);
-  const std::uint32_t cell_index = report.cell_index;
   record.last = std::move(report);
   record.has_report = true;
-  ingest_rows(cell_index, record, rows, record.lease_base_slot,
+  ingest_rows(cell_index, record, rows, record.committed.slots,
               mirror ? &mirrored_rows : nullptr);
   replicate_cell(cell_index, std::move(mirrored_rows));
 }
@@ -517,7 +517,7 @@ void FleetCoordinator::run_timers(Clock::time_point now) {
       end_lease(cell, /*penalize=*/true, now);
       m_reassignments_->inc();
       send_to_worker(expired.worker_id,
-                     encode_frame(LeaseRevoke{expired.lease_id, cell,
+                     encode_frame(LeaseRevoke{expired.lease_id,
                                               "lease expired", epoch_}));
     }
     // Assignment scan: place unassigned cells whose backoff has elapsed.
@@ -567,12 +567,9 @@ void FleetCoordinator::end_lease(std::uint32_t cell_index, bool penalize,
                                  Clock::time_point now) {
   CellRecord& record = records_[cell_index];
   if (record.has_report) {
-    // Fold the lease's final report into the committed totals: this is
+    // Fold the lease's final report into the committed counters: this is
     // what keeps the lifetime view monotonic across the handoff.
-    record.committed_slots += record.last.slots;
-    record.committed_dcis += record.last.dcis;
-    record.committed_retx += record.last.retx_dcis;
-    record.committed_restarts += record.last.restarts;
+    record.committed += record.last.cell.counters;
   }
   record.last = CellReport{};
   record.has_report = false;
@@ -586,9 +583,7 @@ void FleetCoordinator::try_assign(std::uint32_t cell_index,
   if (!worker_id) {
     return;  // fleet saturated or empty; retry next timer pass
   }
-  CellRecord& record = records_[cell_index];
-  record.lease_base_slot = record.committed_slots;
-  record.spec.incarnation = leases_.cell(cell_index).handoffs;
+  records_[cell_index].spec.incarnation = leases_.cell(cell_index).handoffs;
   leases_.grant(cell_index, *worker_id, now);
   m_leases_granted_->inc();
   replicate_cell(cell_index);
@@ -599,8 +594,7 @@ void FleetCoordinator::send_grant(const Lease& lease) {
   const CellRecord& record = records_[lease.cell_index];
   send_to_worker(lease.worker_id,
                  encode_frame(LeaseGrant{lease.lease_id, config_.lease_ttl_ms,
-                                         record.lease_base_slot, epoch_,
-                                         record.spec}));
+                                         epoch_, record.spec}));
 }
 
 void FleetCoordinator::rebalance(Clock::time_point now) {
@@ -628,8 +622,8 @@ void FleetCoordinator::rebalance(Clock::time_point now) {
       const std::uint64_t lease_id = leases_.cell(cell).lease_id;
       m_revokes_->inc();
       end_lease(cell, /*penalize=*/false, now);
-      if (!send_to_worker(id, encode_frame(LeaseRevoke{lease_id, cell,
-                                                       "rebalance", epoch_}))) {
+      if (!send_to_worker(id, encode_frame(LeaseRevoke{lease_id, "rebalance",
+                                                       epoch_}))) {
         break;  // worker died mid-shed; its leases are already released
       }
     }
@@ -710,13 +704,9 @@ ReplicaCell FleetCoordinator::replica_cell(std::uint32_t cell_index) const {
   cell.lease_id = lease.lease_id;
   cell.worker_id = lease.worker_id;
   cell.handoffs = lease.handoffs;
-  cell.committed_slots = record.committed_slots;
-  cell.committed_dcis = record.committed_dcis;
-  cell.committed_retx = record.committed_retx;
-  cell.committed_restarts = record.committed_restarts;
-  cell.lease_base_slot = record.lease_base_slot;
+  cell.committed = record.committed;
   cell.has_report = record.has_report;
-  cell.live = record.last;  // rowless: reports keep only their totals
+  cell.live = record.last;  // rowless: reports keep only their summary
   return cell;
 }
 
@@ -888,11 +878,7 @@ FleetCoordinator::CellRecord* FleetCoordinator::restore_cell(
   }
   CellRecord& record = records_[i];
   record.spec = cell.spec;
-  record.committed_slots = cell.committed_slots;
-  record.committed_dcis = cell.committed_dcis;
-  record.committed_retx = cell.committed_retx;
-  record.committed_restarts = cell.committed_restarts;
-  record.lease_base_slot = cell.lease_base_slot;
+  record.committed = cell.committed;
   record.last = cell.live;
   record.has_report = cell.has_report;
   leases_.restore(i, to_lease_state(cell.lease_state), cell.lease_id,
@@ -968,25 +954,44 @@ std::vector<DistWorkerStatus> FleetCoordinator::workers() const {
   return out;
 }
 
+CellSummary FleetCoordinator::cell_summary(std::uint32_t cell_index) const {
+  const CellRecord& record = records_[cell_index];
+  const Lease& lease = leases_.cell(cell_index);
+  CellSummary cell;
+  if (lease.state == LeaseState::kActive && record.has_report) {
+    cell = record.last.cell;
+  } else {
+    // kBackoff is the honest description of an unassigned cell: down now,
+    // the supervisor (here: the lease table) intends to bring it back.
+    cell.state = 1;
+  }
+  cell.cell_index = cell_index;
+  cell.name = record.spec.name;
+  cell.counters = record.committed;
+  if (record.has_report) {
+    cell.counters += record.last.cell.counters;
+  }
+  cell.counters.restarts += lease.handoffs;
+  return cell;
+}
+
 std::vector<DistCellStatus> FleetCoordinator::cells() const {
   std::lock_guard lock(state_mutex_);
   std::vector<DistCellStatus> out;
   out.reserve(records_.size());
   for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    const CellRecord& record = records_[i];
+    const CellSummary cell = cell_summary(i);
     const Lease& lease = leases_.cell(i);
     DistCellStatus status;
     status.cell_index = i;
-    status.name = record.spec.name;
+    status.name = cell.name;
     status.lease_state = lease.state;
     status.lease_id = lease.lease_id;
     status.worker_id = lease.worker_id;
     status.handoffs = lease.handoffs;
-    status.slots = record.committed_slots +
-                   (record.has_report ? record.last.slots : 0);
-    status.dcis =
-        record.committed_dcis + (record.has_report ? record.last.dcis : 0);
-    status.cell_state = record.has_report ? record.last.cell_state : 1;
+    status.slots = cell.counters.slots;
+    status.dcis = cell.counters.dcis;
+    status.cell_state = cell.state;
     out.push_back(std::move(status));
   }
   return out;
@@ -994,56 +999,12 @@ std::vector<DistCellStatus> FleetCoordinator::cells() const {
 
 FleetSummary FleetCoordinator::summary() const {
   std::lock_guard lock(state_mutex_);
-  FleetSummary s;
-  std::vector<std::pair<double, std::uint32_t>> spare;
-  spare.reserve(records_.size());
-  s.cells.reserve(records_.size());
+  std::vector<CellSummary> cells;
+  cells.reserve(records_.size());
   for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    const CellRecord& record = records_[i];
-    const Lease& lease = leases_.cell(i);
-    const bool live =
-        lease.state == LeaseState::kActive && record.has_report;
-    CellSummary cs;
-    cs.cell_index = i;
-    cs.name = record.spec.name;
-    // kBackoff is the honest description of an unassigned cell: down now,
-    // the supervisor (here: the lease table) intends to bring it back.
-    cs.state = live ? record.last.cell_state : 1;
-    cs.slots = record.committed_slots +
-               (record.has_report ? record.last.slots : 0);
-    cs.dcis =
-        record.committed_dcis + (record.has_report ? record.last.dcis : 0);
-    cs.restarts = record.committed_restarts + lease.handoffs +
-                  (record.has_report ? record.last.restarts : 0);
-    cs.active_ues = live ? record.last.active_ues : 0;
-    cs.dl_mbps = live ? record.last.dl_mbps : 0.0;
-    cs.ul_mbps = live ? record.last.ul_mbps : 0.0;
-    cs.retx_rate = live ? record.last.retx_rate : 0.0;
-    cs.utilization = live ? record.last.utilization : 0.0;
-    s.slot = std::max(s.slot, cs.slots);
-    s.dcis_total += cs.dcis;
-    s.restarts_total += cs.restarts;
-    s.dl_mbps_total += cs.dl_mbps;
-    s.ul_mbps_total += cs.ul_mbps;
-    spare.emplace_back(live ? record.last.spare_prb_rate : 0.0, i);
-    s.cells.push_back(std::move(cs));
+    cells.push_back(cell_summary(i));
   }
-  double retx_sum = 0.0;
-  std::uint64_t dcis = 0;
-  for (const CellSummary& cs : s.cells) {
-    retx_sum += cs.retx_rate * static_cast<double>(cs.dcis);
-    dcis += cs.dcis;
-  }
-  s.retx_rate = dcis > 0 ? retx_sum / static_cast<double>(dcis) : 0.0;
-  std::stable_sort(spare.begin(), spare.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first > b.first;
-                   });
-  s.spare_ranking.reserve(spare.size());
-  for (const auto& [rate, index] : spare) {
-    s.spare_ranking.push_back(index);
-  }
-  return s;
+  return summarize_fleet(std::move(cells));
 }
 
 std::uint64_t FleetCoordinator::reassignments() const {
@@ -1056,7 +1017,7 @@ bool FleetCoordinator::all_cells_active() const {
     if (leases_.cell(i).state != LeaseState::kActive) {
       return false;
     }
-    if (!records_[i].has_report || records_[i].last.cell_state != 0) {
+    if (!records_[i].has_report || records_[i].last.cell.state != 0) {
       return false;
     }
   }

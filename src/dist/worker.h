@@ -3,9 +3,10 @@
 // cells it is leased (kLease) on an embedded FleetOrchestrator — the same
 // supervised multi-cell runtime the single-host fleet_monitor uses, grown
 // and shrunk at runtime as leases arrive and go.  For every held lease it
-// sends kWorkerHeartbeat (liveness + lease renewal) and a CellReport
-// (lease-local telemetry totals plus forwarded history-store rows), all
-// leases' reports folded into one kCellReportBatch per interval.
+// sends kWorkerHeartbeat (liveness + lease renewal: the ids of the leases
+// it holds) and a CellReport (the cell's CellSummary with lease-local
+// counters, plus forwarded history-store rows), all leases' reports folded
+// into one kCellReportBatch per interval.
 //
 // Lease discipline: a lease the coordinator stops renewing expires
 // locally too — the worker tears the cell down rather than keep running a

@@ -1,7 +1,6 @@
 #include "fleet/aggregator.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "common/timing.h"
@@ -44,7 +43,8 @@ void FleetAggregator::on_cell_slot(std::uint32_t cell_index,
                                    const SlotResult& result) {
   std::lock_guard lock(mutex_);
   CellAgg& agg = *cells_.at(cell_index);
-  ++agg.lifetime_slots;
+  CellCounters& counters = agg.counters;
+  const std::uint64_t slot = ++counters.slots;
   const TddPattern& tdd = agg.cell.tdd;
   agg.offered_prb_slots += static_cast<double>(agg.cell.n_prb) *
                            static_cast<double>(tdd.n_dl) /
@@ -52,10 +52,9 @@ void FleetAggregator::on_cell_slot(std::uint32_t cell_index,
 
   std::uint64_t slot_retx = 0;
   for (const DecodedDci& dci : result.dcis) {
-    ++agg.dcis;
     FleetUeTotals& ue = agg.ues[dci.rnti];
     ++ue.dcis;
-    ue.last_seen_slot = agg.lifetime_slots;
+    ue.last_seen_slot = slot;
     if (dci.is_retx) {
       ++slot_retx;
       ++ue.retx_dcis;
@@ -63,21 +62,22 @@ void FleetAggregator::on_cell_slot(std::uint32_t cell_index,
     if (is_downlink(dci.dci.format)) {
       agg.used_prb_slots += static_cast<double>(dci.grant.prb_len);
       if (!dci.is_retx) {
-        agg.dl_rate.add(agg.lifetime_slots, dci.grant.tbs);
+        agg.dl_rate.add(slot, dci.grant.tbs);
         ue.dl_bits += dci.grant.tbs;
       }
     } else if (!dci.is_retx) {
-      agg.ul_rate.add(agg.lifetime_slots, dci.grant.tbs);
+      agg.ul_rate.add(slot, dci.grant.tbs);
       ue.ul_bits += dci.grant.tbs;
     }
   }
-  agg.retx_dcis += slot_retx;
+  counters.dcis += result.dcis.size();
+  counters.retx_dcis += slot_retx;
   if (result.degraded) {
-    ++agg.degraded_slots;
+    ++counters.degraded_slots;
     agg.m_degraded->inc();
   }
   if (result.sync_state == SyncState::kResync) {
-    ++agg.resync_slots;
+    ++counters.resync_slots;
     agg.m_resync->inc();
   }
 
@@ -95,51 +95,44 @@ void FleetAggregator::on_cell_slot(std::uint32_t cell_index,
 void FleetAggregator::on_cell_restart(std::uint32_t cell_index) {
   std::lock_guard lock(mutex_);
   CellAgg& agg = *cells_.at(cell_index);
-  ++agg.restarts;
+  ++agg.counters.restarts;
   agg.m_restarts->inc();
   m_restarts_total_->inc();
 }
 
 std::uint64_t FleetAggregator::cell_slots(std::uint32_t cell_index) const {
   std::lock_guard lock(mutex_);
-  return cells_.at(cell_index)->lifetime_slots;
+  return cells_.at(cell_index)->counters.slots;
 }
 
 std::uint32_t FleetAggregator::active_ues_locked(const CellAgg& agg) const {
   std::uint32_t active = 0;
   for (const auto& [rnti, ue] : agg.ues) {
-    if (agg.lifetime_slots - ue.last_seen_slot < rate_window_slots_) {
+    if (agg.counters.slots - ue.last_seen_slot < rate_window_slots_) {
       ++active;
     }
   }
   return active;
 }
 
-FleetRollup FleetAggregator::rollup() const {
+FleetSummary FleetAggregator::summary() const {
   std::lock_guard lock(mutex_);
-  FleetRollup roll;
-  std::uint64_t retx_total = 0;
+  std::vector<CellSummary> cells;
+  cells.reserve(cells_.size());
   for (std::uint32_t i = 0; i < cells_.size(); ++i) {
     if (cells_[i] == nullptr) {
       continue;
     }
     const CellAgg& agg = *cells_[i];
-    CellRollup c;
+    CellSummary c;
     c.cell_index = i;
     c.name = agg.cell.name;
-    c.slots = agg.lifetime_slots;
-    c.dcis = agg.dcis;
-    c.restarts = agg.restarts;
-    c.degraded_slots = agg.degraded_slots;
-    c.resync_slots = agg.resync_slots;
+    c.counters = agg.counters;
     c.active_ues = active_ues_locked(agg);
     agg.m_active_ues->set(c.active_ues);
     const double slot_s = slot_duration_s(agg.cell.scs);
-    c.dl_mbps = agg.dl_rate.rate_bps(agg.lifetime_slots, slot_s) / 1e6;
-    c.ul_mbps = agg.ul_rate.rate_bps(agg.lifetime_slots, slot_s) / 1e6;
-    c.retx_rate = agg.dcis > 0 ? static_cast<double>(agg.retx_dcis) /
-                                     static_cast<double>(agg.dcis)
-                               : 0.0;
+    c.dl_mbps = agg.dl_rate.rate_bps(agg.counters.slots, slot_s) / 1e6;
+    c.ul_mbps = agg.ul_rate.rate_bps(agg.counters.slots, slot_s) / 1e6;
     c.utilization =
         agg.offered_prb_slots > 0.0
             ? std::min(1.0, agg.used_prb_slots / agg.offered_prb_slots)
@@ -149,31 +142,9 @@ FleetRollup FleetAggregator::rollup() const {
     c.spare_prb_rate =
         (1.0 - c.utilization) * static_cast<double>(agg.cell.n_prb) *
         dl_fraction;
-
-    roll.slot = std::max(roll.slot, c.slots);
-    roll.dcis_total += c.dcis;
-    roll.restarts_total += c.restarts;
-    roll.dl_mbps_total += c.dl_mbps;
-    roll.ul_mbps_total += c.ul_mbps;
-    retx_total += agg.retx_dcis;
-    roll.cells.push_back(std::move(c));
+    cells.push_back(std::move(c));
   }
-  roll.retx_rate = roll.dcis_total > 0
-                       ? static_cast<double>(retx_total) /
-                             static_cast<double>(roll.dcis_total)
-                       : 0.0;
-  roll.spare_ranking.resize(roll.cells.size());
-  std::iota(roll.spare_ranking.begin(), roll.spare_ranking.end(), 0u);
-  std::stable_sort(roll.spare_ranking.begin(), roll.spare_ranking.end(),
-                   [&roll](std::uint32_t a, std::uint32_t b) {
-                     return roll.cells[a].spare_prb_rate >
-                            roll.cells[b].spare_prb_rate;
-                   });
-  // Rank entries name cell indices, not positions in roll.cells.
-  for (std::uint32_t& r : roll.spare_ranking) {
-    r = roll.cells[r].cell_index;
-  }
-  return roll;
+  return summarize_fleet(std::move(cells));
 }
 
 std::map<FleetUeKey, FleetUeTotals> FleetAggregator::ue_totals() const {

@@ -1,12 +1,13 @@
 // Cross-cell telemetry fan-in for the fleet orchestrator: every cell's
 // pipeline pushes its in-order SlotResults here (from that cell's engine
 // thread), and the aggregator maintains restart-surviving lifetime totals —
-// per-cell slot/DCI counts, new-data throughput windows, retransmission
-// rates, PRB utilization — plus per-UE totals keyed by (cell, RNTI), since
-// the same C-RNTI can legitimately exist in two cells at once.  rollup()
-// renders a point-in-time FleetRollup with the spare-capacity ranking the
-// paper's section 5.4.1 use case asks for, fleet-wide.  All per-cell
-// counters also land in the registry under the fleet.cell<N>.* namespace.
+// per-cell CellCounters, new-data throughput windows, PRB utilization —
+// plus per-UE totals keyed by (cell, RNTI), since the same C-RNTI can
+// legitimately exist in two cells at once.  summary() renders a
+// point-in-time FleetSummary (through summarize_fleet) with the
+// spare-capacity ranking the paper's section 5.4.1 use case asks for,
+// fleet-wide.  All per-cell counters also land in the registry under the
+// fleet.cell<N>.* namespace.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +19,7 @@
 
 #include "common/metrics.h"
 #include "common/types.h"
+#include "net/wire.h"
 #include "nr/cell_config.h"
 #include "nrscope/nrscope.h"
 #include "nrscope/telemetry.h"
@@ -41,39 +43,6 @@ struct FleetUeTotals {
   std::uint64_t last_seen_slot = 0;  ///< cell lifetime slot of the last DCI
 };
 
-/// One cell's slice of a FleetRollup.
-struct CellRollup {
-  std::uint32_t cell_index = 0;
-  std::string name;
-  std::uint64_t slots = 0;  ///< lifetime slots delivered (across restarts)
-  std::uint64_t dcis = 0;
-  std::uint64_t restarts = 0;
-  /// Robustness accounting: slots the engine flagged degraded (marginal
-  /// sync health) and slots spent in kResync hunting for the cell.
-  std::uint64_t degraded_slots = 0;
-  std::uint64_t resync_slots = 0;
-  std::uint32_t active_ues = 0;  ///< UEs with a DCI inside the rate window
-  double dl_mbps = 0.0;
-  double ul_mbps = 0.0;
-  double retx_rate = 0.0;       ///< retransmission fraction of all DCIs
-  double utilization = 0.0;     ///< granted / offered DL PRB fraction
-  double spare_prb_rate = 0.0;  ///< unused DL PRBs per slot (ranking key)
-};
-
-/// Point-in-time fleet aggregate (what the kFleet wire frame carries).
-struct FleetRollup {
-  std::uint64_t slot = 0;  ///< max lifetime slot across cells
-  std::uint64_t dcis_total = 0;
-  std::uint64_t restarts_total = 0;
-  double dl_mbps_total = 0.0;
-  double ul_mbps_total = 0.0;
-  double retx_rate = 0.0;
-  /// Cell indices ordered by spare DL capacity, most spare first — the
-  /// fleet-level answer to "which cell should the next flow land on?".
-  std::vector<std::uint32_t> spare_ranking;
-  std::vector<CellRollup> cells;
-};
-
 class FleetAggregator {
  public:
   /// `registry` receives fleet.slots / fleet.dcis / fleet.cell.restarts
@@ -95,14 +64,16 @@ class FleetAggregator {
   /// every cell's engine thread calls in concurrently.
   void on_cell_slot(std::uint32_t cell_index, const SlotResult& result);
 
-  /// The supervisor restarted this cell (counted, surfaced in rollups and
-  /// the fleet.cell.restarts metric; lifetime totals are NOT reset).
+  /// The supervisor restarted this cell (counted, surfaced in summaries
+  /// and the fleet.cell.restarts metric; lifetime totals are NOT reset).
   void on_cell_restart(std::uint32_t cell_index);
 
   /// Lifetime slots delivered by one cell (across restarts).
   [[nodiscard]] std::uint64_t cell_slots(std::uint32_t cell_index) const;
 
-  [[nodiscard]] FleetRollup rollup() const;
+  /// Every registered cell's counters and live values (each cell's state
+  /// is left 0: supervision is the orchestrator's).
+  [[nodiscard]] FleetSummary summary() const;
 
   /// Per-UE lifetime totals keyed by (cell, RNTI).
   [[nodiscard]] std::map<FleetUeKey, FleetUeTotals> ue_totals() const;
@@ -114,12 +85,7 @@ class FleetAggregator {
           ul_rate(window_slots) {}
 
     CellConfig cell;
-    std::uint64_t lifetime_slots = 0;
-    std::uint64_t dcis = 0;
-    std::uint64_t retx_dcis = 0;
-    std::uint64_t restarts = 0;
-    std::uint64_t degraded_slots = 0;
-    std::uint64_t resync_slots = 0;
+    CellCounters counters;
     /// PRB-slot accounting for utilization: offered accumulates the cell's
     /// average DL capacity per slot (n_prb * n_dl / period — a fractional
     /// model so it stays correct across restart-induced TDD phase shifts),

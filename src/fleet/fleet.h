@@ -237,8 +237,8 @@ class FleetOrchestrator {
   [[nodiscard]] const FleetAggregator& aggregator() const {
     return aggregator_;
   }
-  [[nodiscard]] FleetRollup rollup() const { return aggregator_.rollup(); }
-  /// Wire-ready aggregate: rollup() plus each cell's supervision state.
+  /// Every cell's counters and live values with its supervision state
+  /// (what the kFleet frame carries).
   [[nodiscard]] FleetSummary summary() const;
 
  private:

@@ -347,6 +347,35 @@ TEST(DistE2E, KillReassignsLeasesAndTotalsStayMonotonic) {
   coordinator.stop();
 }
 
+// A cell's retransmission rate is its lifetime rate, retransmitted over
+// observed DCIs of the counters the coordinator serves, while its lease
+// reports and after the lease ends.
+TEST(DistE2E, RetxRateOutlivesItsLease) {
+  CoordinatorConfig config = coordinator_config(1);
+  config.cells[0].ue_snr_db = 12.0;  // a UE link that retransmits
+  FleetCoordinator coordinator(std::move(config));
+  FleetWorker worker(worker_config(coordinator.port(), "w0", 1));
+  ASSERT_TRUE(wait_until([&] {
+    const CellSummary cell = coordinator.summary().cells.at(0);
+    return cell.counters.dcis > 0 && cell.retx_rate > 0.0;
+  }, 30.0)) << "the cell never reported a retransmission";
+
+  worker.stop();
+  ASSERT_TRUE(wait_until([&] {
+    return coordinator.cells().at(0).lease_state == LeaseState::kUnassigned;
+  }, 10.0)) << "the lease outlived its worker";
+  const FleetSummary summary = coordinator.summary();
+  const CellSummary& cell = summary.cells.at(0);
+  EXPECT_GT(cell.retx_rate, 0.0);
+  EXPECT_GT(summary.retx_rate, 0.0);
+  ASSERT_GT(cell.counters.dcis, 0u);
+  const double lifetime = static_cast<double>(cell.counters.retx_dcis) /
+                          static_cast<double>(cell.counters.dcis);
+  EXPECT_DOUBLE_EQ(cell.retx_rate, lifetime);
+  EXPECT_DOUBLE_EQ(summary.retx_rate, lifetime);
+  coordinator.stop();
+}
+
 TEST(DistE2E, SilentWorkerIsDeclaredDeadWithoutEof) {
   // The worker keeps its socket open but never heartbeats (the stalled-
   // process case): only the silence scan can catch it.
@@ -1095,7 +1124,6 @@ TEST(DistE2E, StaleEpochRevokeIsIgnored) {
   // A lower-term revoke must not tear the cell down...
   LeaseRevoke stale;
   stale.lease_id = 1;
-  stale.cell_index = 0;
   stale.reason = "imposter";
   stale.epoch = 3;
   ASSERT_TRUE(fake.send(encode_frame(stale)));

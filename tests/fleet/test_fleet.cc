@@ -52,14 +52,17 @@ TEST(Fleet, ConcurrentCellsProduceTelemetryAndRollups) {
   fleet.run_until(500);
   fleet.stop();
 
-  const FleetRollup roll = fleet.rollup();
+  const FleetSummary roll = fleet.summary();
   ASSERT_EQ(roll.cells.size(), 3u);
   ASSERT_EQ(roll.spare_ranking.size(), 3u);
-  EXPECT_EQ(roll.restarts_total, 0u);
-  EXPECT_GT(roll.dcis_total, 0u);
+  EXPECT_EQ(roll.totals.restarts, 0u);
+  EXPECT_GT(roll.totals.dcis, 0u);
   EXPECT_GT(roll.dl_mbps_total, 0.0);
   EXPECT_GE(roll.retx_rate, 0.0);
   EXPECT_LE(roll.retx_rate, 1.0);
+  EXPECT_DOUBLE_EQ(roll.retx_rate,
+                   static_cast<double>(roll.totals.retx_dcis) /
+                       static_cast<double>(roll.totals.dcis));
   EXPECT_GE(roll.slot, 500u);
 
   std::vector<bool> ranked(3, false);
@@ -69,10 +72,12 @@ TEST(Fleet, ConcurrentCellsProduceTelemetryAndRollups) {
     ranked[idx] = true;
   }
 
-  for (const CellRollup& cell : roll.cells) {
+  for (const CellSummary& cell : roll.cells) {
     EXPECT_EQ(fleet.cell_state(cell.cell_index), FleetCellState::kRunning);
-    EXPECT_GE(cell.slots, 500u) << cell.name;
-    EXPECT_GT(cell.dcis, 0u) << cell.name;
+    EXPECT_EQ(cell.state,
+              static_cast<std::uint8_t>(FleetCellState::kRunning));
+    EXPECT_GE(cell.counters.slots, 500u) << cell.name;
+    EXPECT_GT(cell.counters.dcis, 0u) << cell.name;
     EXPECT_GT(cell.dl_mbps, 0.0) << cell.name;
     EXPECT_GE(cell.utilization, 0.0);
     EXPECT_LE(cell.utilization, 1.0);
@@ -91,9 +96,12 @@ TEST(Fleet, ConcurrentCellsProduceTelemetryAndRollups) {
     EXPECT_GT(cell_dl_bits[i], 0u) << "cell " << i;
   }
 
-  // The namespaced per-cell metrics mirror the rollup.
+  // The namespaced per-cell metrics mirror the summary.
   const MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counter_value("fleet.cell0.slots"), roll.cells[0].slots);
+  EXPECT_EQ(snap.counter_value("fleet.cell0.slots"),
+            roll.cells[0].counters.slots);
+  EXPECT_EQ(snap.counter_value("fleet.cell0.retx_dcis"),
+            roll.cells[0].counters.retx_dcis);
   EXPECT_EQ(snap.counter_value("fleet.cell.restarts"), 0u);
   const MetricsSnapshot cell1 = snap.filter("fleet.cell1.");
   EXPECT_NE(cell1.find_counter("fleet.cell1.dcis"), nullptr);
@@ -210,18 +218,20 @@ TEST(Fleet, SyncLossHealsInPlaceWithoutRestart) {
   EXPECT_EQ(fleet.cell_state(0), FleetCellState::kRunning);
   EXPECT_GE(fleet.cell_slots(0), 1200u);
 
-  const FleetRollup roll = fleet.rollup();
+  const FleetSummary roll = fleet.summary();
   ASSERT_EQ(roll.cells.size(), 1u);
-  EXPECT_GT(roll.cells[0].resync_slots, 0u) << "the outage must trip sync";
-  EXPECT_EQ(roll.cells[0].restarts, 0u);
-  EXPECT_GT(roll.cells[0].dcis, 0u) << "telemetry resumed after recovery";
+  EXPECT_GT(roll.cells[0].counters.resync_slots, 0u)
+      << "the outage must trip sync";
+  EXPECT_EQ(roll.cells[0].counters.restarts, 0u);
+  EXPECT_GT(roll.cells[0].counters.dcis, 0u)
+      << "telemetry resumed after recovery";
   EXPECT_GT(roll.cells[0].active_ues, 0u) << "tracked UEs survived in place";
 
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.counter_value("fleet.resync_escalations"), 0u);
   EXPECT_EQ(snap.counter_value("fleet.cell.restarts"), 0u);
   EXPECT_EQ(snap.counter_value("fleet.cell0.resync_slots"),
-            roll.cells[0].resync_slots);
+            roll.cells[0].counters.resync_slots);
 }
 
 TEST(Fleet, ResyncPastDeadlineEscalatesToTeardown) {
@@ -246,10 +256,11 @@ TEST(Fleet, ResyncPastDeadlineEscalatesToTeardown) {
   EXPECT_NE(fleet.cell_state(0), FleetCellState::kFailed);
   EXPECT_GE(fleet.cell_slots(0), 1200u) << "restarts kept the cell feeding";
 
-  const FleetRollup roll = fleet.rollup();
+  const FleetSummary roll = fleet.summary();
   ASSERT_EQ(roll.cells.size(), 1u);
-  EXPECT_GT(roll.cells[0].dcis, 0u) << "each incarnation tracks until 500";
-  EXPECT_GT(roll.cells[0].resync_slots, 0u);
+  EXPECT_GT(roll.cells[0].counters.dcis, 0u)
+      << "each incarnation tracks until 500";
+  EXPECT_GT(roll.cells[0].counters.resync_slots, 0u);
 
   const MetricsSnapshot snap = registry.snapshot();
   EXPECT_GE(snap.counter_value("fleet.resync_escalations"), 1u);
@@ -277,7 +288,7 @@ TEST(Fleet, SameSeedReproducesIdenticalTelemetry) {
     }
   }
 
-  std::optional<FleetRollup> first_roll;
+  std::optional<FleetSummary> first_roll;
   std::map<FleetUeKey, FleetUeTotals> first_ues;
   for (const unsigned pool_threads : {1u, 4u}) {
     SCOPED_TRACE(::testing::Message() << pool_threads << " pool threads");
@@ -307,7 +318,7 @@ TEST(Fleet, SameSeedReproducesIdenticalTelemetry) {
       expect_streams_identical(sinks[cell]->results_, expected[cell]);
     }
 
-    const FleetRollup roll = fleet.rollup();
+    const FleetSummary roll = fleet.summary();
     const auto ues = fleet.aggregator().ue_totals();
     if (!first_roll) {
       first_roll = roll;
@@ -316,10 +327,10 @@ TEST(Fleet, SameSeedReproducesIdenticalTelemetry) {
     }
     ASSERT_EQ(roll.cells.size(), first_roll->cells.size());
     for (std::size_t i = 0; i < roll.cells.size(); ++i) {
-      const CellRollup& a = first_roll->cells[i];
-      const CellRollup& b = roll.cells[i];
-      EXPECT_EQ(a.slots, b.slots) << "cell " << i;
-      EXPECT_EQ(a.dcis, b.dcis) << "cell " << i;
+      const CellSummary& a = first_roll->cells[i];
+      const CellSummary& b = roll.cells[i];
+      EXPECT_EQ(a.counters.slots, b.counters.slots) << "cell " << i;
+      EXPECT_EQ(a.counters.dcis, b.counters.dcis) << "cell " << i;
       EXPECT_DOUBLE_EQ(a.dl_mbps, b.dl_mbps);
       EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
     }

@@ -464,7 +464,7 @@ TEST(AllocSteadyState, WireCountCannotForceAllocation) {
   expect_count_cannot_force_allocation(&QueryResponse::ranking, TopKEntry{},
                                        "QueryResponse::ranking");
   expect_count_cannot_force_allocation(&WorkerHeartbeat::leases,
-                                       LeaseStatus{},
+                                       std::uint64_t{0},
                                        "WorkerHeartbeat::leases");
   expect_count_cannot_force_allocation(&CellReportBatch::reports,
                                        CellReport{},
