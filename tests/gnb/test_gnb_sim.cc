@@ -222,5 +222,98 @@ TEST(GnbSim, SsbSlotsCarryExactPssWithManyUes) {
   EXPECT_GT(ssb_slot_dcis, 0u);
 }
 
+/// One seeded cell whose every grid byte is pinned.
+struct PinnedGnb {
+  CellConfig (*cell)();
+  unsigned n_ues;
+  std::uint64_t seed;
+  std::uint64_t hash;  ///< the pin
+};
+
+/// What the truth log says a pinned run sent.
+struct GridCoverage {
+  std::set<unsigned> qms;      ///< Qm of user-data grants
+  std::set<unsigned> symbols;  ///< n_symbols of user-data grants
+  std::set<DciKind> kinds;
+};
+
+/// FNV-1a 64 over every grid of 500 slots of `c`'s gNB.  The UE links
+/// spread from 4 to 26 dB, so link adaptation picks every modulation of
+/// the cell's MCS table, and the traffic mixes short packets, 1200-byte
+/// CBR and full buffers, so user grants take the 4-, 7- and 12-symbol
+/// TDRA rows.
+std::uint64_t grid_hash(const PinnedGnb& c, GridCoverage& coverage) {
+  GnbConfig cfg;
+  cfg.cell = c.cell();
+  cfg.seed = c.seed;
+  GnbSim gnb(std::move(cfg));
+  for (unsigned u = 0; u < c.n_ues; ++u) {
+    UeConfig ue;
+    ue.id = u;
+    ue.channel.snr_db = 4.0 + 22.0 * u / (c.n_ues - 1);
+    ue.channel.seed = c.seed * 1000 + u;
+    switch (u % 3) {
+      case 0:
+        ue.dl_traffic = std::make_unique<CbrSource>(2e5, 200);
+        break;
+      case 1:
+        ue.dl_traffic = std::make_unique<CbrSource>(2e6);
+        break;
+      default:
+        ue.dl_traffic = std::make_unique<FullBufferSource>();
+        break;
+    }
+    ue.ul_traffic = std::make_unique<CbrSource>(0.25e6);
+    ue.seed = c.seed * 2000 + u;
+    gnb.add_ue(std::move(ue));
+  }
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (int slot = 0; slot < 500; ++slot) {
+    const ResourceGrid& grid = gnb.step();
+    for (unsigned sym = 0; sym < grid.n_symbols(); ++sym) {
+      const auto row = grid.symbol(sym);
+      const auto* bytes = reinterpret_cast<const unsigned char*>(row.data());
+      for (std::size_t i = 0; i < row.size_bytes(); ++i) {
+        hash ^= bytes[i];
+        hash *= 0x100000001B3ull;
+      }
+    }
+  }
+  for (const SlotTruth& slot : gnb.truth().slots()) {
+    for (const TruthDci& d : slot.dcis) {
+      coverage.kinds.insert(d.kind);
+      if (d.kind == DciKind::kData) {
+        coverage.qms.insert(bits_per_symbol(d.grant.modulation));
+        coverage.symbols.insert(d.grant.n_symbols);
+      }
+    }
+  }
+  return hash;
+}
+
+// VirtualRadio.CaptureBytesArePinned hashes 64 slots, mostly acquisition;
+// this pins the gNB's own grids (every PDCCH, PDSCH and DMRS byte) through
+// steady user traffic at every modulation.
+TEST(GnbSim, GridBytesArePinned) {
+  constexpr PinnedGnb kCells[] = {
+      {amarisoft_cell, 16, 404, 0x980c9b02b3e774f4ull},  // 256QAM table
+      {srsran_cell, 6, 505, 0xe2285a2a2d98f9c8ull},  // 64QAM table
+  };
+  for (const PinnedGnb& c : kCells) {
+    GridCoverage coverage;
+    const std::uint64_t hash = grid_hash(c, coverage);
+    EXPECT_EQ(hash, c.hash) << std::hex << "0x" << hash;
+    const std::set<unsigned> all_qm =
+        c.cell().pdsch.mcs_table == McsTable::kQam256
+            ? std::set<unsigned>{2, 4, 6, 8}
+            : std::set<unsigned>{2, 4, 6};
+    EXPECT_EQ(coverage.qms, all_qm);
+    EXPECT_EQ(coverage.symbols, (std::set<unsigned>{4, 7, 12}));
+    for (const DciKind kind : {DciKind::kSib, DciKind::kRar, DciKind::kMsg4}) {
+      EXPECT_TRUE(coverage.kinds.contains(kind)) << to_string(kind);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nrs
