@@ -318,11 +318,11 @@ void GnbSim::transmit_dl_grant(UeContext& ue_ctx, DlProcess& process,
   encode_pdcch(cell.coreset, {ue_ctx.rnti, agg, cce}, dci, cell.n_prb, now,
                grid_, pdcch_scratch_);
 
-  // PDSCH payload content is opaque to the sniffer; zeros keep it cheap
-  // (scrambling randomizes the on-air bits anyway).
-  payload_scratch_.assign(process.grant.tbs, 0);
-  encode_pdsch(pdsch_allocation(process.grant, cell.pci), now,
-               payload_scratch_, grid_, pdsch_scratch_);
+  // PDSCH payload content is opaque to the sniffer, so user data is the
+  // all-zero block, passed empty (scrambling randomizes the on-air bits
+  // anyway).
+  encode_pdsch(pdsch_allocation(process.grant, cell.pci), now, {}, grid_,
+               pdsch_scratch_);
 
   const bool is_retx = process.tx_count > 0;
   const bool acked = ue_ctx.emulator->decide_ack(process.grant);

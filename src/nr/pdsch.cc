@@ -56,25 +56,29 @@ void encode_pdsch(const PdschAllocation& alloc, const SlotPoint& slot,
                   std::span<const std::uint8_t> payload, ResourceGrid& grid,
                   PdschEncodeScratch& scratch) {
   validate(alloc, grid);
-  // Transport block CRC + FEC + rate matching to the allocation, each
-  // stage sized up front in the caller's scratch.  An all-zero block (the
-  // gNB's user payloads) has a zero CRC, codeword and rate-matched output,
-  // so it skips straight to scrambling.
-  scratch.matched.resize(alloc.coded_bits());
-  if (std::all_of(payload.begin(), payload.end(),
-                  [](std::uint8_t b) { return (b & 1) == 0; })) {
-    std::fill(scratch.matched.begin(), scratch.matched.end(),
-              std::uint8_t{0});
-  } else {
+  // The scrambled codeword as words (bit k of word w is bit 32w + k), with
+  // a spare word for the mapper's window.  An all-zero block has a zero
+  // CRC, codeword and rate-matched output, so its scrambled words are the
+  // Gold words themselves; any other block runs CRC24A, FEC and rate
+  // matching in the caller's scratch and XORs its bits in.
+  const std::size_t e = alloc.coded_bits();
+  scratch.words.resize((e + 31) / 32 + 1);
+  GoldSequence scrambling(pdsch_scrambling_cinit(alloc.rnti, alloc.n_id));
+  for (auto& word : scratch.words) {
+    word = scrambling.next_word();
+  }
+  if (!std::all_of(payload.begin(), payload.end(),
+                   [](std::uint8_t b) { return (b & 1) == 0; })) {
     scratch.tb.assign(payload.begin(), payload.end());
     kCrc24A.attach(scratch.tb);
     scratch.coded.resize(ConvolutionalCode::coded_size(scratch.tb.size()));
     ConvolutionalCode::encode(scratch.tb, scratch.coded);
+    scratch.matched.resize(e);
     rate_match(scratch.coded, scratch.matched);
+    for (std::size_t i = 0; i < e; ++i) {
+      scratch.words[i / 32] ^= std::uint32_t{scratch.matched[i]} << (i % 32);
+    }
   }
-  scramble(scratch.matched, pdsch_scrambling_cinit(alloc.rnti, alloc.n_id));
-  scratch.symbols.resize(alloc.data_res());
-  modulate(scratch.matched, alloc.modulation, scratch.symbols);
 
   // Front-loaded DMRS symbol, straight from the Gold words.
   const unsigned sc0 = alloc.prb_start * kSubcarriersPerPrb;
@@ -91,12 +95,13 @@ void encode_pdsch(const PdschAllocation& alloc, const SlotPoint& slot,
       dmrs[i + k] = cf32(re, im);
     }
   }
-  // Data symbols.
-  const cf32* symbol = scratch.symbols.data();
+  // Data REs, each row mapped straight from its share of the words.
+  std::size_t first_bit = 0;
   for (unsigned sym = alloc.start_symbol + 1;
        sym < alloc.start_symbol + alloc.n_symbols; ++sym) {
-    std::copy(symbol, symbol + n_sc, grid.symbol(sym).data() + sc0);
-    symbol += n_sc;
+    modulate_words(scratch.words, first_bit, alloc.modulation,
+                   grid.symbol(sym).subspan(sc0, n_sc));
+    first_bit += std::size_t{n_sc} * bits_per_symbol(alloc.modulation);
   }
 }
 

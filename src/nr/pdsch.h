@@ -40,13 +40,16 @@ struct PdschAllocation {
 /// keeps one).  Each stage's output is sized up front and every buffer is
 /// grow-only, so a warm encode allocates nothing.
 struct PdschEncodeScratch {
-  BitVector tb;        ///< payload + CRC24A
-  BitVector coded;     ///< convolutional code output
-  BitVector matched;   ///< rate-matched, scrambled bits
-  std::vector<cf32> symbols;
+  BitVector tb;       ///< payload + CRC24A
+  BitVector coded;    ///< convolutional code output
+  BitVector matched;  ///< rate-matched bits of a non-zero block
+  std::vector<std::uint32_t> words;  ///< scrambled bits, 32 to a word
 };
 
-/// Encode `payload` (exactly `tbs` bits) into the grid.
+/// Encode `payload` (exactly `tbs` bits) into the grid.  An all-zero
+/// block's codeword is zero whatever its size, so its grid depends only
+/// on the allocation, and an empty `payload` stands for it: the gNB sends
+/// every user payload that way.
 void encode_pdsch(const PdschAllocation& alloc, const SlotPoint& slot,
                   std::span<const std::uint8_t> payload, ResourceGrid& grid,
                   PdschEncodeScratch& scratch);

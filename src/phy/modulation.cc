@@ -39,9 +39,10 @@ float pam_amplitude(std::span<const std::uint8_t> axis_bits) {
   return sign * magnitude;
 }
 
-/// One square-QAM constellation (QPSK and up) indexed by its Qm bits read
-/// MSB first: b0 b1 ... b_{Qm-1}.  Even bits drive the I axis and odd bits
-/// the Q axis; each point is a * pam_amplitude(axis bits).
+/// One constellation indexed by its Qm bits in stream order: bit k of the
+/// index is b_k, the k-th bit the symbol carries.  BPSK puts b0 on both
+/// axes.  From QPSK up, even bits drive the I axis and odd bits the Q
+/// axis; each point is a * pam_amplitude(axis bits).
 struct Constellation {
   std::array<cf32, 256> points{};
 };
@@ -51,12 +52,17 @@ Constellation build_constellation(Modulation m) {
   const unsigned per_axis = qm / 2;
   const float a = axis_scale(m);
   Constellation c;
+  if (m == Modulation::kBpsk) {
+    c.points[0] = cf32(a, a);
+    c.points[1] = cf32(-a, -a);
+    return c;
+  }
   std::array<std::uint8_t, 4> ibits{};
   std::array<std::uint8_t, 4> qbits{};
   for (unsigned index = 0; index < (1u << qm); ++index) {
     for (unsigned k = 0; k < per_axis; ++k) {
-      ibits[k] = static_cast<std::uint8_t>((index >> (qm - 1 - 2 * k)) & 1u);
-      qbits[k] = static_cast<std::uint8_t>((index >> (qm - 2 - 2 * k)) & 1u);
+      ibits[k] = static_cast<std::uint8_t>((index >> (2 * k)) & 1u);
+      qbits[k] = static_cast<std::uint8_t>((index >> (2 * k + 1)) & 1u);
     }
     c.points[index] = cf32(a * pam_amplitude({ibits.data(), per_axis}),
                            a * pam_amplitude({qbits.data(), per_axis}));
@@ -65,13 +71,14 @@ Constellation build_constellation(Modulation m) {
 }
 
 std::span<const cf32> constellation(Modulation m) {
-  static const std::array<Constellation, 4> kTables = {
+  static const std::array<Constellation, 5> kTables = {
+      build_constellation(Modulation::kBpsk),
       build_constellation(Modulation::kQpsk),
       build_constellation(Modulation::kQam16),
       build_constellation(Modulation::kQam64),
       build_constellation(Modulation::kQam256)};
   const unsigned qm = bits_per_symbol(m);
-  return {kTables[qm / 2 - 1].points.data(), std::size_t{1} << qm};
+  return {kTables[qm / 2].points.data(), std::size_t{1} << qm};
 }
 
 }  // namespace
@@ -98,23 +105,34 @@ void modulate(std::span<const std::uint8_t> bits, Modulation m,
   if (bits.size() % qm != 0 || out.size() != bits.size() / qm) {
     throw std::invalid_argument("modulate: bits not a multiple of Qm");
   }
-  if (m == Modulation::kBpsk) {
-    const float a = axis_scale(m);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      const float v = bits[i] ? -a : a;
-      out[i] = cf32(v, v);
-    }
-    return;
-  }
   const std::span<const cf32> table = constellation(m);
   const std::uint8_t* b = bits.data();
   for (auto& symbol : out) {
     unsigned index = 0;
     for (unsigned k = 0; k < qm; ++k) {
-      index = (index << 1) | (b[k] != 0 ? 1u : 0u);
+      index |= (b[k] != 0 ? 1u : 0u) << k;
     }
     symbol = table[index];
     b += qm;
+  }
+}
+
+void modulate_words(std::span<const std::uint32_t> words,
+                    std::size_t first_bit, Modulation m,
+                    std::span<cf32> out) {
+  const unsigned qm = bits_per_symbol(m);
+  const std::size_t end = first_bit + out.size() * qm;
+  if (!out.empty() && words.size() < (end + 31) / 32 + 1) {
+    throw std::invalid_argument("modulate_words: no spare word past the end");
+  }
+  const std::span<const cf32> table = constellation(m);
+  const std::uint32_t mask = (1u << qm) - 1;
+  std::size_t bit = first_bit;
+  for (auto& symbol : out) {
+    const std::uint32_t* w = words.data() + bit / 32;
+    const std::uint64_t window = w[0] | std::uint64_t{w[1]} << 32;
+    symbol = table[(window >> (bit % 32)) & mask];
+    bit += qm;
   }
 }
 

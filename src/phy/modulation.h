@@ -29,13 +29,20 @@ constexpr unsigned bits_per_symbol(Modulation m) {
 const char* to_string(Modulation m);
 
 /// Map bits to unit-average-power constellation symbols.  `bits.size()`
-/// must be a multiple of bits_per_symbol(m).  QPSK and up map through a
-/// per-scheme table of the 2^Qm constellation points.
+/// must be a multiple of bits_per_symbol(m).  Every scheme maps through a
+/// per-scheme table of its 2^Qm constellation points.
 std::vector<cf32> modulate(std::span<const std::uint8_t> bits, Modulation m);
 
 /// Allocation-free variant: `out.size()` must be bits.size() / Qm.
 void modulate(std::span<const std::uint8_t> bits, Modulation m,
               std::span<cf32> out);
+
+/// Same mapping from bits packed in words: bit k of `words[w]` is stream
+/// bit 32w + k, and out[i] takes stream bits [first_bit + i*Qm,
+/// first_bit + (i+1)*Qm) through a 64-bit window, so `words` must hold
+/// one spare word past the word with the last of those bits.
+void modulate_words(std::span<const std::uint32_t> words,
+                    std::size_t first_bit, Modulation m, std::span<cf32> out);
 
 /// Soft demap: per transmitted bit, an LLR with positive = bit 0 (matching
 /// the convention of the decoders in this repo).  `noise_var` is the

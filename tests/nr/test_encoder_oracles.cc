@@ -285,6 +285,27 @@ TEST(EncoderOracles, PdschGridMatchesOracle) {
     encode_pdsch_oracle(alloc, slot, payload, expected);
     expect_grids_identical(got, expected);
   }
+  // The largest allocation at every Qm, with the empty payload the gNB
+  // sends for user data (the oracle runs it through CRC24A and the FEC)
+  // and with random bits.
+  for (Modulation m : {Modulation::kQpsk, Modulation::kQam16,
+                       Modulation::kQam64, Modulation::kQam256}) {
+    PdschAllocation alloc;
+    alloc.rnti = 0x4601;
+    alloc.prb_len = 51;
+    alloc.start_symbol = 2;
+    alloc.n_symbols = 12;
+    alloc.modulation = m;
+    alloc.n_id = 500;
+    const SlotPoint slot{Scs::kHz30, 77, 13};
+    for (const BitVector& payload : {BitVector{}, random_bits(rng, 3000)}) {
+      ResourceGrid got(51);
+      ResourceGrid expected(51);
+      encode_pdsch(alloc, slot, payload, got, scratch);
+      encode_pdsch_oracle(alloc, slot, payload, expected);
+      expect_grids_identical(got, expected);
+    }
+  }
 }
 
 TEST(EncoderOracles, PdcchGridMatchesOracle) {
