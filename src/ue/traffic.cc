@@ -13,14 +13,6 @@ void TrafficSource::advance(double now_s) {
   last_time_ = now_s;
 }
 
-std::size_t TrafficSource::backlog_bytes() const {
-  std::size_t total = 0;
-  for (const auto& p : queue_) {
-    total += p.remaining_bytes;
-  }
-  return total;
-}
-
 DrainResult TrafficSource::drain(std::size_t max_bytes) {
   DrainResult result;
   while (max_bytes > 0 && !queue_.empty()) {
@@ -34,11 +26,13 @@ DrainResult TrafficSource::drain(std::size_t max_bytes) {
       queue_.pop_front();
     }
   }
+  backlog_bytes_ -= result.bytes;
   return result;
 }
 
 void TrafficSource::enqueue(std::size_t size_bytes, double arrival_s) {
   queue_.push_back(AppPacket{size_bytes, size_bytes, arrival_s});
+  backlog_bytes_ += size_bytes;
 }
 
 FullBufferSource::FullBufferSource() : TrafficSource("full-buffer") {}

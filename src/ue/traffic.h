@@ -37,8 +37,8 @@ class TrafficSource {
   /// Advance simulated time, enqueueing any packets that arrive by `now_s`.
   void advance(double now_s);
 
-  /// Bytes waiting in the queue.
-  [[nodiscard]] std::size_t backlog_bytes() const;
+  /// Bytes waiting in the queue, kept as a running count.
+  [[nodiscard]] std::size_t backlog_bytes() const { return backlog_bytes_; }
 
   /// True for sources that always have data (full-buffer).
   [[nodiscard]] virtual bool is_full_buffer() const { return false; }
@@ -60,6 +60,7 @@ class TrafficSource {
  private:
   std::string name_;
   std::deque<AppPacket> queue_;
+  std::size_t backlog_bytes_ = 0;  ///< sum of the queue's remaining_bytes
   double last_time_ = 0.0;
 };
 

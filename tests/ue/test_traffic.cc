@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace nrs {
 namespace {
 
@@ -80,6 +86,38 @@ TEST(Traffic, PoissonDeterministicPerSeed) {
   a.advance(1.0);
   b.advance(1.0);
   EXPECT_EQ(a.backlog_bytes(), b.backlog_bytes());
+}
+
+TEST(Traffic, BacklogFollowsEnqueueAndDrain) {
+  std::vector<std::unique_ptr<TrafficSource>> sources;
+  sources.push_back(std::make_unique<FullBufferSource>());
+  sources.push_back(std::make_unique<CbrSource>(4e6, 700));
+  sources.push_back(std::make_unique<VideoSource>(6e6, 3));
+  sources.push_back(std::make_unique<FileDownloadSource>(300000, 0.05, 4));
+  sources.push_back(std::make_unique<PoissonSource>(800.0, 900, 5));
+  Rng rng(17);
+  for (auto& source : sources) {
+    double now = 0.0;
+    for (int step = 0; step < 400; ++step) {
+      const std::size_t before_advance = source->backlog_bytes();
+      now += rng.uniform(0.0, 0.01);
+      source->advance(now);
+      ASSERT_GE(source->backlog_bytes(), before_advance) << source->name();
+      for (int k = 0; k < 3; ++k) {
+        const std::size_t before = source->backlog_bytes();
+        const auto ask = static_cast<std::size_t>(rng.uniform_int(0, 20000));
+        const DrainResult r = source->drain(ask);
+        ASSERT_EQ(r.bytes, std::min(ask, before)) << source->name();
+        ASSERT_EQ(source->backlog_bytes(), before - r.bytes)
+            << source->name();
+      }
+    }
+    // The running count is what the queue holds: draining it all takes
+    // exactly that many bytes and leaves nothing.
+    const std::size_t backlog = source->backlog_bytes();
+    EXPECT_EQ(source->drain(backlog + 12345).bytes, backlog) << source->name();
+    EXPECT_EQ(source->backlog_bytes(), 0u) << source->name();
+  }
 }
 
 }  // namespace
