@@ -312,58 +312,6 @@ TEST(Wire, MetricsDecodeRederivesSortFlag) {
   EXPECT_EQ(decoded->counter_value("a.first"), 2u);
 }
 
-FleetSummary sample_fleet_summary() {
-  FleetSummary summary;
-  summary.slot = 48000;
-  summary.totals = {48300, 9003, 270, 3, 12, 40};
-  summary.dl_mbps_total = 87.25;
-  summary.ul_mbps_total = 12.5;
-  summary.retx_rate = 0.04;
-  summary.spare_ranking = {2, 0, 1};
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    CellSummary cell;
-    cell.cell_index = i;
-    cell.name = "cell" + std::to_string(i);
-    cell.state = static_cast<std::uint8_t>(i == 2 ? 2 : 1);
-    cell.counters = {16000 + 100 * i, 3000 + i, 90, i, 4 * i, 13 + i};
-    cell.active_ues = 4 - i;
-    cell.dl_mbps = 30.0 - i;
-    cell.ul_mbps = 4.0 + i;
-    cell.retx_rate = 0.01 * i;
-    cell.utilization = 0.25 * (i + 1);
-    cell.spare_prb_rate = 10.0 * i;
-    summary.cells.push_back(std::move(cell));
-  }
-  return summary;
-}
-
-TEST(Wire, FleetSummaryRoundTrip) {
-  const FleetSummary summary = sample_fleet_summary();
-  const auto decoded = decode_payload<FleetSummary>(payload_of(summary));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, summary);
-}
-
-TEST(Wire, FleetFrameRoundTripsThroughParser) {
-  const FleetSummary summary = sample_fleet_summary();
-  FrameParser parser;
-  parser.feed(encode_frame(summary));
-  const auto frame = parser.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->type, FrameType::kFleet);
-  const auto decoded = decode_payload<FleetSummary>(frame->payload);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, summary);
-}
-
-TEST(Wire, FleetSummaryTruncationFailsCleanly) {
-  expect_every_truncation_fails(sample_fleet_summary());
-}
-
-TEST(Wire, FleetSummaryRejectsTrailingGarbage) {
-  expect_trailing_byte_rejected(sample_fleet_summary(), 0xAB);
-}
-
 QueryRequest sample_query_request() {
   QueryRequest request;
   request.correlation_id = 0x1122334455667788ull;
