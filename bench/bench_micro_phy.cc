@@ -4,7 +4,8 @@
 // working sizes under each compiled-in backend, reporting ns/op and the
 // scalar-vs-SIMD speedup.  A second table times the FFT and the OFDM
 // modulator and demodulator at the 51-PRB carrier, a third the polar SC
-// decoder per codeword, one codeword per call against a full lane batch.
+// decoder per codeword, one codeword per call against lane batches, and a
+// last one the CRC24C syndrome of a decoded DCI word.
 //
 // Usage: bench_micro_phy [--quick]
 #include <algorithm>
@@ -14,9 +15,11 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/crc.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "phy/channel.h"
@@ -172,6 +175,25 @@ std::vector<Case> make_cases() {
                    [](const kernels::KernelTable& kt, Workload& w) {
                      kt.polar_combine(w.u8a.data(), w.u8b.data(), 256);
                    }});
+  // The polar decoder's root at the engine's lane counts: DCI 1_1 at
+  // aggregation level 4 (E = 432, shortened to N = 512), and 8 lanes of
+  // DCI 1_0 at level 8 (E = 864, repeated).
+  for (const auto& [name, lanes, e] :
+       {std::tuple{"polar_interleave/2", 2, 432},
+        std::tuple{"polar_interleave/4", 4, 432},
+        std::tuple{"polar_interleave/6", 6, 432},
+        std::tuple{"polar_interleave/8", 8, 432},
+        std::tuple{"polar_ilv/8 864", 8, 864}}) {
+    cases.push_back({name, static_cast<std::size_t>(lanes * 512),
+                     [lanes, e](const kernels::KernelTable& kt, Workload& w) {
+                       const float* in[8];
+                       for (int l = 0; l < lanes; ++l) {
+                         in[l] = w.fa.data() + l * e;
+                       }
+                       (void)kt.polar_interleave(in, lanes, e, 512, 1e9f,
+                                                 1e30f, w.fc.data());
+                     }});
+  }
   cases.push_back({"awgn_add", 2048,
                    [](const kernels::KernelTable& kt, Workload& w) {
                      // A slice of the ~15 k samples the channel noises per
@@ -275,10 +297,12 @@ void run_ofdm(double budget_s, const kernels::KernelTable* simd) {
 }
 
 /// Polar SC decode, ns per codeword, for the DCI 1_1 size at aggregation
-/// levels 1 and 4: codewords decoded one per call and PolarCode::kMaxLanes
-/// per call, under each backend (kernels::select switches the table the
-/// decoder dispatches through).  The LLRs are noisy BPSK codewords at
-/// -2 to 10 dB, as the blind decode meets noise and real DCIs alike.
+/// levels 1 and 4 and the DCI 1_0 size at level 8 (repeated): codewords
+/// decoded one per call and 2, 4 and PolarCode::kMaxLanes per call (the
+/// engine's run lengths), under each backend (kernels::select switches the
+/// table the decoder dispatches through).  The LLRs are noisy BPSK
+/// codewords at -2 to 10 dB, as the blind decode meets noise and real
+/// DCIs alike.
 void run_polar(double budget_s, const kernels::KernelTable* simd) {
   struct Geometry {
     unsigned k;
@@ -290,7 +314,8 @@ void run_polar(double budget_s, const kernels::KernelTable* simd) {
   std::printf("%-18s %6s %12s %12s %9s\n", "code", "lanes", "scalar ns",
               simd ? "simd ns" : "-", "speedup");
   Rng rng(21);
-  for (const Geometry geo : {Geometry{67, 108}, Geometry{67, 432}}) {
+  for (const Geometry geo :
+       {Geometry{67, 108}, Geometry{67, 432}, Geometry{61, 864}}) {
     const PolarCode code(geo.k, geo.e);
     std::vector<std::vector<float>> words(kWords);
     for (std::size_t w = 0; w < kWords; ++w) {
@@ -309,7 +334,8 @@ void run_polar(double budget_s, const kernels::KernelTable* simd) {
     std::vector<BitVector> out(kWords, BitVector(geo.k));
     PolarScratch scratch;
     double one_lane[2] = {0.0, 0.0};
-    for (const std::size_t lanes : {std::size_t{1}, PolarCode::kMaxLanes}) {
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}, PolarCode::kMaxLanes}) {
       const auto decode_all = [&] {
         const float* in[PolarCode::kMaxLanes];
         std::uint8_t* bits[PolarCode::kMaxLanes];
@@ -335,7 +361,7 @@ void run_polar(double budget_s, const kernels::KernelTable* simd) {
       if (lanes == 1) {
         one_lane[0] = ns[0];
         one_lane[1] = ns[1];
-      } else {
+      } else if (lanes == PolarCode::kMaxLanes) {
         std::printf("%-18s %6s %11.2fx %11.2fx  (lane gain, 1 vs %zu)\n",
                     "", "", one_lane[0] / ns[0],
                     ns[1] > 0.0 ? one_lane[1] / ns[1] : 0.0, lanes);
@@ -343,6 +369,32 @@ void run_polar(double budget_s, const kernels::KernelTable* simd) {
     }
   }
   kernels::select(dispatch);
+}
+
+/// CRC24C syndrome of a decoded DCI 1_1 word (43 payload + 24 CRC bits),
+/// ns per word.  Each call takes the next of 4096 random words: one word
+/// repeated lets the branch predictor learn a bitwise division's branches,
+/// which a decoder's fresh words never do.
+void run_crc(double budget_s) {
+  constexpr std::size_t kWords = 4096;
+  constexpr std::size_t kBits = 67;
+  Rng rng(24);
+  std::vector<std::uint8_t> words(kWords * kBits);
+  for (auto& bit : words) {
+    bit = rng.chance(0.5) ? 1 : 0;
+  }
+  std::size_t next = 0;
+  std::uint32_t sink = 0;
+  const double ns = time_ns(
+      [&] {
+        sink ^= kCrc24C.syndrome(
+            std::span(words.data() + next * kBits, kBits));
+        next = (next + 1) % kWords;
+      },
+      budget_s);
+  std::printf("\n== CRC (ns per word, fresh random words) ==\n");
+  std::printf("%-18s %6zu %12.1f   (xor %06x)\n", "crc24c_syndrome", kBits,
+              ns, sink & 0xFFFFFFu);
 }
 
 int run(int argc, char** argv) {
@@ -375,7 +427,7 @@ int run(int argc, char** argv) {
               simd ? "simd ns" : "-", "speedup");
 
   Workload w;
-  w.resize(2048);
+  w.resize(4096);  // room for 8 lanes of 864 polar LLRs
   for (const auto& c : make_cases()) {
     Row row;
     row.name = c.name;
@@ -392,6 +444,7 @@ int run(int argc, char** argv) {
 
   run_ofdm(budget_s, simd);
   run_polar(budget_s, simd);
+  run_crc(budget_s);
   return 0;
 }
 

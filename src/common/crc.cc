@@ -1,21 +1,48 @@
 #include "common/crc.h"
 
+#include <bit>
+#include <cstring>
+
 namespace nrs {
+namespace {
+
+/// The low bits of p[0, 8) as one byte, p[0]'s in the top bit.
+std::uint32_t pack8(const std::uint8_t* p) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, p, sizeof v);
+    // Byte j's low bit lands in bit 63 - j of the product, and no two
+    // partial products share a bit, so nothing carries.
+    return static_cast<std::uint32_t>(
+        ((v & 0x0101010101010101ull) * 0x8040201008040201ull) >> 56);
+  } else {
+    std::uint32_t byte = 0;
+    for (int j = 0; j < 8; ++j) {
+      byte = (byte << 1) | (p[j] & 1u);
+    }
+    return byte;
+  }
+}
+
+}  // namespace
 
 std::uint32_t CrcGenerator::compute(
     std::span<const std::uint8_t> bits) const {
-  // Bitwise long division; the register holds the current remainder in the
-  // low `length_` bits.
+  // Long division; the register holds the current remainder in the low
+  // `length_` bits.  Eight message bits at a time: the register's top
+  // byte XOR those bits picks what eight bitwise steps feed back
+  // (table_), and the rest of the register shifts up by eight, which
+  // leaves the bitwise division's remainder.
   std::uint32_t reg = 0;
-  const std::uint32_t top = 1u << (length_ - 1);
-  const std::uint32_t mask = (length_ == 32) ? 0xFFFFFFFFu
-                                             : ((1u << length_) - 1u);
-  for (std::uint8_t b : bits) {
-    const bool feedback = ((reg & top) != 0) != ((b & 1) != 0);
-    reg = (reg << 1) & mask;
-    if (feedback) {
-      reg ^= poly_ & mask;
+  std::size_t i = 0;
+  if (length_ >= 8) {
+    for (; i + 8 <= bits.size(); i += 8) {
+      const std::uint32_t top = (reg >> (length_ - 8)) ^ pack8(&bits[i]);
+      reg = ((reg << 8) & mask_) ^ table_[top];
     }
+  }
+  for (; i < bits.size(); ++i) {
+    reg = shift_in(reg, bits[i]);
   }
   return reg;
 }

@@ -4,6 +4,7 @@
 // 3.1.2), so the implementation works directly on bit vectors.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -12,11 +13,29 @@
 namespace nrs {
 
 /// A cyclic code defined by its generator polynomial (without the leading
-/// x^L term) and length L.  Stateless; one instance per polynomial.
+/// x^L term) and length L.  Immutable; one instance per polynomial.  A
+/// generator of L >= 8 bits divides eight message bits per step through a
+/// 256-entry remainder table built at compile time, so the `kCrc*`
+/// constants below are constant-initialized.
 class CrcGenerator {
  public:
   constexpr CrcGenerator(std::uint32_t poly, unsigned length)
-      : poly_(poly), length_(length) {}
+      : poly_(poly),
+        length_(length),
+        mask_(length == 32 ? 0xFFFFFFFFu : (1u << length) - 1u) {
+    if (length_ < 8) {
+      return;
+    }
+    // table_[t]: the register after shifting t, placed in its top eight
+    // bits, through eight zero message bits.
+    for (std::uint32_t t = 0; t < 256; ++t) {
+      std::uint32_t reg = t << (length_ - 8);
+      for (int bit = 0; bit < 8; ++bit) {
+        reg = shift_in(reg, 0);
+      }
+      table_[t] = reg;
+    }
+  }
 
   /// Compute the CRC remainder of `bits`, returned in the low `length()`
   /// bits of the result.
@@ -44,8 +63,18 @@ class CrcGenerator {
   [[nodiscard]] unsigned length() const { return length_; }
 
  private:
+  /// One step of the bitwise long division: shift message bit `bit` into
+  /// the remainder `reg`, with no data-dependent branch.
+  [[nodiscard]] constexpr std::uint32_t shift_in(std::uint32_t reg,
+                                                 std::uint32_t bit) const {
+    const std::uint32_t feedback = ((reg >> (length_ - 1)) ^ bit) & 1u;
+    return ((reg << 1) & mask_) ^ (poly_ & mask_ & (0u - feedback));
+  }
+
   std::uint32_t poly_;
   unsigned length_;
+  std::uint32_t mask_;
+  std::array<std::uint32_t, 256> table_{};  ///< unused when length_ < 8
 };
 
 // Generator polynomials from TS 38.212 5.1.

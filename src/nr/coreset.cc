@@ -1,5 +1,7 @@
 #include "nr/coreset.h"
 
+#include <array>
+#include <cstdint>
 #include <stdexcept>
 
 namespace nrs {
@@ -61,19 +63,39 @@ std::vector<RegLocation> cce_to_regs(const CoresetConfig& coreset,
   return regs;
 }
 
+namespace {
+
+// TS 38.213 10.1: Y_{p,-1} = n_RNTI, Y_{p,ns} = (A_p * Y_{p,ns-1}) mod D,
+// so Y_{p,ns} = n_RNTI * A_p^(ns + 1) mod D.
+constexpr std::uint64_t kHashD = 65537;
+constexpr std::uint64_t kHashA[3] = {39827, 39829, 39839};
+/// Slot indices the power table covers: a frame's slots at 60 kHz, the
+/// largest numerology.
+constexpr unsigned kHashSlots = slots_per_frame(Scs::kHz60);
+
+/// kHashPow[p][ns] = A_p^(ns + 1) mod D.
+constexpr auto kHashPow = [] {
+  std::array<std::array<std::uint32_t, kHashSlots>, 3> pow{};
+  for (std::size_t p = 0; p < 3; ++p) {
+    std::uint64_t y = 1;
+    for (unsigned ns = 0; ns < kHashSlots; ++ns) {
+      y = (kHashA[p] * y) % kHashD;
+      pow[p][ns] = static_cast<std::uint32_t>(y);
+    }
+  }
+  return pow;
+}();
+
+}  // namespace
+
 unsigned pdcch_hash_y(unsigned coreset_id, const SlotPoint& slot, Rnti rnti) {
-  // TS 38.213 10.1: Y_{p,-1} = n_RNTI, Y_{p,ns} = (A_p * Y_{p,ns-1}) mod D.
-  constexpr unsigned kD = 65537;
-  constexpr unsigned kA[3] = {39827, 39829, 39839};
-  const unsigned a = kA[coreset_id % 3];
-  std::uint64_t y = rnti == 0 ? 0 : rnti;
-  if (y == 0) {
-    return 0;  // common search space
+  if (slot.slot >= kHashSlots) {
+    throw std::invalid_argument("pdcch_hash_y: slot index beyond a frame");
   }
-  for (unsigned ns = 0; ns <= slot.slot; ++ns) {
-    y = (a * y) % kD;
-  }
-  return static_cast<unsigned>(y);
+  // Exact in integers: n_RNTI < 2^16 and A_p^(ns + 1) mod D < 2^17.
+  // n_RNTI = 0 (a common search space) hashes to 0.
+  return static_cast<unsigned>(std::uint64_t{rnti} *
+                               kHashPow[coreset_id % 3][slot.slot] % kHashD);
 }
 
 void pdcch_candidates(const CoresetConfig& coreset,

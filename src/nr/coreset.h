@@ -71,7 +71,9 @@ void pdcch_candidates(const CoresetConfig& coreset,
                       std::vector<unsigned>& out);
 
 /// The TS 38.213 10.1 hashing value Y_{p,ns} for a UE-specific search
-/// space.  Exposed for tests.
+/// space, in closed form (n_RNTI * A_p^(ns + 1) mod 65537).  Throws
+/// std::invalid_argument for a slot index past the 40 slots of a 60 kHz
+/// frame.  Exposed for tests.
 unsigned pdcch_hash_y(unsigned coreset_id, const SlotPoint& slot, Rnti rnti);
 
 }  // namespace nrs

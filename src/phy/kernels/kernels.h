@@ -2,9 +2,10 @@
 //
 // Every hot loop in the decode path — the FFT, PSS/SSS correlation,
 // LS channel estimation, ZF-equalize + QAM soft demap, descrambling, polar
-// SC node operations and Viterbi add-compare-select — funnels through the
-// function-pointer table below, as does the simulated channel (the fading
-// links' multipath FIR and the counter-based AWGN).  One implementation
+// rate dematching, polar SC node operations and Viterbi add-compare-select
+// — funnels through the function-pointer table below, as does the
+// simulated channel (the fading links' multipath FIR and the counter-based
+// AWGN).  One implementation
 // table exists per ISA (scalar always; AVX2 on x86 when compiled in; NEON on
 // ARM) and the active table is chosen exactly once at startup from CPUID,
 // overridable with the `NRS_SIMD=off|avx2|neon|auto` environment variable
@@ -114,6 +115,20 @@ struct KernelTable {
   /// Partial-sum combine: x[i] ^= c[i]; x[n+i] = c[i] for i < n.
   void (*polar_combine)(std::uint8_t* x, const std::uint8_t* c,
                         std::size_t n);
+
+  /// Polar rate dematching of `lanes` codewords (1 to 8) into the
+  /// lane-interleaved root of the SC tree: lane l reads e LLRs at in[l],
+  /// and for every position i < n (n a power of two, at least 8)
+  ///   root[i * lanes + l] = +0 + in[l][i] + in[l][i + n] + ... over the
+  ///                         indices below e, in index order, when e >= n
+  ///                         (repetition; +0 + -0 is +0);
+  ///                       = in[l][i] for i < e, `shortened` for i >= e,
+  ///                         when e < n.
+  /// Returns true when every root value v has |v| <= bound (so none is
+  /// NaN).  The root is written one position row (all lanes) at a time.
+  bool (*polar_interleave)(const float* const* in, std::size_t lanes,
+                           std::size_t e, std::size_t n, float shortened,
+                           float bound, float* root);
 
   // --- simulated channel -------------------------------------------------
 

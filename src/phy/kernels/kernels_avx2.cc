@@ -369,6 +369,133 @@ void polar_combine_avx2(std::uint8_t* x, const std::uint8_t* c,
   }
 }
 
+/// Lanes below k (k < 8) set, the rest clear.
+__m256i first_lanes(std::size_t k) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(k)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// Lane input `in`'s root values at positions [i, i + 8) (see
+/// KernelTable::polar_interleave), each as d::polar_root_one computes it.
+/// A copy that ends past e is read under a mask and adds +0 where it has
+/// no value, which leaves the sum as it was: a sum started from +0 is
+/// never -0, and a NaN stays the same NaN.
+__m256 polar_root8(const float* in, std::size_t e, std::size_t n,
+                   __m256 shortened, std::size_t i) {
+  if (e >= n) {
+    __m256 v = _mm256_setzero_ps();
+    for (std::size_t j = i; j < e; j += n) {
+      const __m256 copy = j + 8 <= e
+                              ? _mm256_loadu_ps(in + j)
+                              : _mm256_maskload_ps(in + j, first_lanes(e - j));
+      v = _mm256_add_ps(v, copy);
+    }
+    return v;
+  }
+  if (i + 8 <= e) {
+    return _mm256_loadu_ps(in + i);
+  }
+  if (i >= e) {
+    return shortened;
+  }
+  const __m256i mask = first_lanes(e - i);
+  return _mm256_blendv_ps(shortened, _mm256_maskload_ps(in + i, mask),
+                          _mm256_castsi256_ps(mask));
+}
+
+/// Lanes first to first + 3 of the root block at positions [i, i + 8)
+/// (zero rows past `lanes`), transposed: s[j] holds positions i + j and
+/// i + j + 4, four lanes each.  `ok` keeps the positions whose values are
+/// all within +-bound (an ordered compare, so a NaN clears them).
+void polar_rows4(const float* const* in, std::size_t lanes, std::size_t first,
+                 std::size_t e, std::size_t n, __m256 shortened, __m256 bound,
+                 std::size_t i, __m256& ok, __m256 s[4]) {
+  __m256 r[4];
+  for (std::size_t k = 0; k < 4; ++k) {
+    if (first + k < lanes) {
+      r[k] = polar_root8(in[first + k], e, n, shortened, i);
+      ok = _mm256_and_ps(ok, _mm256_cmp_ps(_mm256_and_ps(r[k], kAbsMask),
+                                           bound, _CMP_LE_OQ));
+    } else {
+      r[k] = _mm256_setzero_ps();
+    }
+  }
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  s[0] = _mm256_shuffle_ps(t0, t2, 0x44);
+  s[1] = _mm256_shuffle_ps(t0, t2, 0xEE);
+  s[2] = _mm256_shuffle_ps(t1, t3, 0x44);
+  s[3] = _mm256_shuffle_ps(t1, t3, 0xEE);
+}
+
+/// The rows of positions [i, i + 8) at dst, `lanes` floats per position.
+/// Each position is stored as four floats (kWide: eight) from the first of
+/// its lanes, in position order, so a store's values past its lanes are
+/// overwritten by the next position's; the last one spills past the block.
+template <bool kWide>
+void polar_block8(const float* const* in, std::size_t lanes, std::size_t e,
+                  std::size_t n, __m256 shortened, __m256 bound,
+                  std::size_t i, __m256& ok, float* dst) {
+  __m256 s[4];
+  polar_rows4(in, lanes, 0, e, n, shortened, bound, i, ok, s);
+  if constexpr (kWide) {
+    __m256 t[4];
+    polar_rows4(in, lanes, 4, e, n, shortened, bound, i, ok, t);
+    for (std::size_t p = 0; p < 4; ++p) {
+      _mm256_storeu_ps(dst + p * lanes,
+                       _mm256_permute2f128_ps(s[p], t[p], 0x20));
+    }
+    for (std::size_t p = 0; p < 4; ++p) {
+      _mm256_storeu_ps(dst + (p + 4) * lanes,
+                       _mm256_permute2f128_ps(s[p], t[p], 0x31));
+    }
+  } else {
+    for (std::size_t p = 0; p < 4; ++p) {
+      _mm_storeu_ps(dst + p * lanes, _mm256_castps256_ps128(s[p]));
+    }
+    for (std::size_t p = 0; p < 4; ++p) {
+      _mm_storeu_ps(dst + (p + 4) * lanes, _mm256_extractf128_ps(s[p], 1));
+    }
+  }
+}
+
+/// Eight positions per step, the lanes' rows transposed in registers (two
+/// 4 x 8 transposes above four lanes).  The last block goes through a
+/// local buffer when its final store would spill past the root.
+template <bool kWide>
+bool polar_interleave_blocks(const float* const* in, std::size_t lanes,
+                             std::size_t e, std::size_t n, float shortened,
+                             float bound, float* root) {
+  constexpr std::size_t kStore = kWide ? 8 : 4;
+  const __m256 fill = _mm256_set1_ps(shortened);
+  const __m256 limit = _mm256_set1_ps(bound);
+  __m256 ok = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+  for (std::size_t i = 0; i < n; i += 8) {
+    if (i + 8 < n || kStore == lanes) {
+      polar_block8<kWide>(in, lanes, e, n, fill, limit, i, ok,
+                          root + i * lanes);
+    } else {
+      float last[7 * 8 + kStore];
+      polar_block8<kWide>(in, lanes, e, n, fill, limit, i, ok, last);
+      std::copy(last, last + 8 * lanes, root + i * lanes);
+    }
+  }
+  const bool all_ok = _mm256_movemask_ps(ok) == 0xFF;
+  _mm256_zeroupper();
+  return all_ok;
+}
+
+bool polar_interleave_avx2(const float* const* in, std::size_t lanes,
+                           std::size_t e, std::size_t n, float shortened,
+                           float bound, float* root) {
+  return lanes > 4 ? polar_interleave_blocks<true>(in, lanes, e, n,
+                                                   shortened, bound, root)
+                   : polar_interleave_blocks<false>(in, lanes, e, n,
+                                                    shortened, bound, root);
+}
+
 /// The multipath FIR (see kernels_detail.h), sixteen outputs per step from
 /// the buffer's end while every tap reaches inside the buffer: the step's
 /// four accumulators take each tap's product in tap order and are stored
@@ -675,6 +802,7 @@ const KernelTable kAvx2Table = {
     .polar_f = polar_f_avx2,
     .polar_g = polar_g_avx2,
     .polar_combine = polar_combine_avx2,
+    .polar_interleave = polar_interleave_avx2,
     .multipath = multipath_avx2,
     .awgn_add = awgn_add_avx2,
     .viterbi_acs = viterbi_acs_avx2,

@@ -177,6 +177,37 @@ inline float polar_g_one(float a, float b, std::uint8_t x) {
   return b + std::bit_cast<float>(flipped);
 }
 
+/// Lane input `in`'s root value at position i (see
+/// KernelTable::polar_interleave).
+inline float polar_root_one(const float* in, std::size_t e, std::size_t n,
+                            float shortened, std::size_t i) {
+  if (e < n) {
+    return i < e ? in[i] : shortened;
+  }
+  float v = 0.0f;
+  for (std::size_t j = i; j < e; j += n) {
+    v += in[j];
+  }
+  return v;
+}
+
+/// The scalar dematch (KernelTable::polar_interleave), one position row
+/// of all lanes after another.
+inline bool polar_interleave_rows(const float* const* in, std::size_t lanes,
+                                  std::size_t e, std::size_t n,
+                                  float shortened, float bound,
+                                  float* root) {
+  bool ok = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const float v = polar_root_one(in[l], e, n, shortened, i);
+      root[i * lanes + l] = v;
+      ok &= std::fabs(v) <= bound;
+    }
+  }
+  return ok;
+}
+
 /// Descramble one LLR: flip the sign bit when the scramble bit is 1.
 inline float descramble_one(float llr, std::uint8_t bit) {
   const auto u = std::bit_cast<std::uint32_t>(llr);

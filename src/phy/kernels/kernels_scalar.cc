@@ -118,6 +118,7 @@ constexpr KernelTable kScalarTable = {
     .polar_f = polar_f_scalar,
     .polar_g = polar_g_scalar,
     .polar_combine = polar_combine_scalar,
+    .polar_interleave = d::polar_interleave_rows,
     .multipath = d::multipath_fir,
     .awgn_add = awgn_add_scalar,
     .viterbi_acs = viterbi_acs_scalar,

@@ -15,11 +15,15 @@ namespace {
 /// LLR value representing a bit known to be zero (shortened positions).
 constexpr float kKnownZeroLlr = 1e9f;
 
-/// Largest channel LLR magnitude a multi-lane batch decodes together.
-/// Below it every tree node's LLR stays finite (a node sums at most N
-/// dematched LLRs, each at most E/N + 1 channel LLRs), so no NaN can
-/// arise; far above the ~1e8 the PDCCH demapper can produce.
+/// Largest root LLR magnitude a multi-lane batch decodes together.  Below
+/// it every tree node's LLR stays finite (a node's LLR is at most the sum
+/// of N = 512 root magnitudes, far below FLT_MAX), so no inf - inf and no
+/// NaN can arise; far above the ~1e8 the PDCCH demapper can produce.
 constexpr float kMaxBatchLlr = 1e30f;
+
+/// The partial sums a repetition node's g runs over: all zero.
+constexpr std::uint8_t kZeroBits[PolarCode::kMaxN / 2 *
+                                 PolarCode::kMaxLanes] = {};
 
 }  // namespace
 
@@ -174,6 +178,29 @@ class LaneDecoder {
       }
       return;
     }
+    // Repetition node: its only info input is its last.  The recursion
+    // fills each left half of the partial sums with zeros, runs g (b + a,
+    // as x = 0) down to one value per lane, decides that value and
+    // combines the bit into every codeword position.  Run the same g calls
+    // and decisions without it.
+    if (repetition(base, m)) {
+      float* level = llr;
+      for (std::size_t size = m; size > 1; size /= 2) {
+        const std::size_t hw = size / 2 * lanes_;
+        g(level, level + hw, kZeroBits, level + size * lanes_, hw);
+        level += size * lanes_;
+      }
+      std::uint8_t* u = u_ + (base + m - 1) * lanes_;
+      for (std::size_t l = 0; l < lanes_; ++l) {
+        const auto bit = static_cast<std::uint8_t>(level[l] < 0.0f);
+        x[l] = bit;
+        u[l] = bit;
+      }
+      for (std::size_t done = lanes_; done < width; done *= 2) {
+        std::copy(x, x + done, x + done);
+      }
+      return;
+    }
     // Rate-1 shortcut: with no ±0 and no NaN among the LLRs, f keeps a
     // nonzero magnitude and g adds same-sign values, so by induction the
     // SC codeword is the hard decision of the node's LLRs and its inputs
@@ -227,6 +254,12 @@ class LaneDecoder {
 
   [[nodiscard]] bool rate0(std::size_t base, std::size_t m) const {
     return info_prefix_[base + m] == info_prefix_[base];
+  }
+
+  /// Inputs [base, base + m) hold one info bit, the last.
+  [[nodiscard]] bool repetition(std::size_t base, std::size_t m) const {
+    return info_prefix_[base + m] - info_prefix_[base] == 1 &&
+           info_prefix_[base + m - 1] == info_prefix_[base];
   }
 
   /// x[i] = sign bit of llr[i]; true when no value is ±0 or NaN (then the
@@ -291,49 +324,24 @@ void PolarCode::decode_lanes(std::span<const float* const> llrs,
   if (lanes == 0 || lanes > kMaxLanes || info_out.size() != lanes) {
     throw std::invalid_argument("PolarCode::decode_lanes: bad lane count");
   }
+  // Rate dematching straight into the root's interleaved LLR slice.
+  scratch.prepare(n_);
+  float* root = scratch.llr.data();
+  const kernels::KernelTable& kt = kernels::active();
+  const bool finite = kt.polar_interleave(llrs.data(), lanes, e_, n_,
+                                          kKnownZeroLlr, kMaxBatchLlr, root);
   // The kernels equal the per-element helpers on every value but a NaN,
   // whose sign follows how a compiler orders an addition, and which
-  // nodes take a kernel depends on L.  A batch that could give rise to a
-  // NaN (a NaN, or a magnitude that could sum to ±inf and meet its
+  // nodes take a kernel depends on L.  A batch whose root could give rise
+  // to a NaN (a NaN, or a magnitude that could sum to ±inf and meet its
   // opposite) therefore decodes one lane at a time, as each would alone.
-  if (lanes > 1) {
-    std::uint32_t risky = 0;
-    for (const float* in : llrs) {
-      for (unsigned i = 0; i < e_; ++i) {
-        risky |=
-            static_cast<std::uint32_t>(!(std::fabs(in[i]) <= kMaxBatchLlr));
-      }
+  if (lanes > 1 && !finite) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      decode_lanes(llrs.subspan(l, 1), scratch, info_out.subspan(l, 1));
     }
-    if (risky != 0) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        decode_lanes(llrs.subspan(l, 1), scratch, info_out.subspan(l, 1));
-      }
-      return;
-    }
+    return;
   }
-  scratch.prepare(n_);
-  // Rate dematching straight into the root's interleaved LLR slice.
-  float* root = scratch.llr.data();
-  for (std::size_t l = 0; l < lanes; ++l) {
-    const float* in = llrs[l];
-    if (e_ >= n_) {
-      for (unsigned i = 0; i < n_; ++i) {
-        root[i * lanes + l] = 0.0f;
-      }
-      for (unsigned i = 0; i < e_; ++i) {
-        root[(i & (n_ - 1)) * lanes + l] += in[i];  // combine repetitions
-      }
-    } else {
-      for (unsigned i = 0; i < e_; ++i) {
-        root[i * lanes + l] = in[i];
-      }
-      for (unsigned i = e_; i < n_; ++i) {
-        root[i * lanes + l] = kKnownZeroLlr;  // shortened: known zero
-      }
-    }
-  }
-  const LaneDecoder decoder(kernels::active(), info_prefix_, lanes,
-                            scratch.u.data());
+  const LaneDecoder decoder(kt, info_prefix_, lanes, scratch.u.data());
   decoder.node(root, scratch.x.data(), 0, n_);
   for (std::size_t l = 0; l < lanes; ++l) {
     for (unsigned i = 0; i < k_; ++i) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
@@ -152,6 +153,7 @@ struct CrcLengthCase {
   const char* name;
   const CrcGenerator* crc;
   unsigned length;
+  std::uint32_t poly;  ///< TS 38.212 5.1, without the x^L term
 };
 
 // Test IDs embed the printed parameter, so print the polynomial's name:
@@ -166,14 +168,48 @@ TEST_P(CrcLengthTest, LengthsMatch) {
   EXPECT_EQ(GetParam().crc->length(), GetParam().length);
 }
 
+/// Bitwise long division, one branch per message bit.
+std::uint32_t bitwise_remainder(std::uint32_t poly, unsigned length,
+                                const BitVector& bits) {
+  std::uint32_t reg = 0;
+  const std::uint32_t top = 1u << (length - 1);
+  const std::uint32_t mask = (1u << length) - 1u;
+  for (std::uint8_t b : bits) {
+    const bool feedback = ((reg & top) != 0) != ((b & 1) != 0);
+    reg = (reg << 1) & mask;
+    if (feedback) {
+      reg ^= poly;
+    }
+  }
+  return reg;
+}
+
+TEST_P(CrcLengthTest, ComputeMatchesBitwiseDivision) {
+  const CrcGenerator& crc = *GetParam().crc;
+  const unsigned length = GetParam().length;
+  const std::uint32_t poly = GetParam().poly;
+  Rng rng(8);
+  for (std::size_t n = 0; n <= 300; ++n) {
+    std::vector<BitVector> words = {random_bits(rng, n), BitVector(n, 1)};
+    for (std::size_t one = 0; one < n; one += 1 + n / 5) {
+      words.emplace_back(n, 0);
+      words.back()[one] = 1;
+    }
+    for (const BitVector& w : words) {
+      ASSERT_EQ(crc.compute(w), bitwise_remainder(poly, length, w))
+          << GetParam().name << ", " << n << " bits";
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllPolys, CrcLengthTest,
-    ::testing::Values(CrcLengthCase{"CRC24A", &kCrc24A, 24u},
-                      CrcLengthCase{"CRC24B", &kCrc24B, 24u},
-                      CrcLengthCase{"CRC24C", &kCrc24C, 24u},
-                      CrcLengthCase{"CRC16", &kCrc16, 16u},
-                      CrcLengthCase{"CRC11", &kCrc11, 11u},
-                      CrcLengthCase{"CRC6", &kCrc6, 6u}));
+    ::testing::Values(CrcLengthCase{"CRC24A", &kCrc24A, 24u, 0x864CFB},
+                      CrcLengthCase{"CRC24B", &kCrc24B, 24u, 0x800063},
+                      CrcLengthCase{"CRC24C", &kCrc24C, 24u, 0xB2B117},
+                      CrcLengthCase{"CRC16", &kCrc16, 16u, 0x1021},
+                      CrcLengthCase{"CRC11", &kCrc11, 11u, 0x621},
+                      CrcLengthCase{"CRC6", &kCrc6, 6u, 0x21}));
 
 }  // namespace
 }  // namespace nrs

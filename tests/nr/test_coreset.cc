@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace nrs {
 namespace {
@@ -126,14 +130,29 @@ TEST(SearchSpace, OversizedLevelYieldsNothing) {
 }
 
 TEST(SearchSpace, HashMatchesRecurrence) {
-  // Y_ns = (A * Y_{ns-1}) mod 65537 with Y_{-1} = RNTI (TS 38.213 10.1).
-  const Rnti rnti = 0x4601;
-  const SlotPoint slot{Scs::kHz30, 0, 2};
-  std::uint64_t y = rnti;
-  for (unsigned ns = 0; ns <= slot.slot; ++ns) {
-    y = (39829ull * y) % 65537ull;  // coreset id 1 -> A index 1
+  // Y_ns = (A_p * Y_{ns-1}) mod 65537 with Y_{-1} = RNTI (TS 38.213 10.1),
+  // A_p = 39827, 39829, 39839 for p = id mod 3, at every slot of every
+  // numerology's frame.
+  constexpr std::uint64_t kA[3] = {39827, 39829, 39839};
+  Rng rng(128);
+  std::vector<Rnti> rntis = {1, 0x4601, 0xFFFF};
+  for (int r = 0; r < 8; ++r) {
+    rntis.push_back(static_cast<Rnti>(rng.uniform_int(1, 0xFFFF)));
   }
-  EXPECT_EQ(pdcch_hash_y(1, slot, rnti), y);
+  for (const Scs scs : {Scs::kHz15, Scs::kHz30, Scs::kHz60}) {
+    for (unsigned id = 0; id < 3; ++id) {
+      for (const Rnti rnti : rntis) {
+        std::uint64_t y = rnti;
+        for (std::uint32_t ns = 0; ns < slots_per_frame(scs); ++ns) {
+          y = (kA[id] * y) % 65537ull;
+          const SlotPoint slot{scs, 7, ns};
+          ASSERT_EQ(pdcch_hash_y(id, slot, rnti), y)
+              << to_string(scs) << " p=" << id << " RNTI " << rnti
+              << " slot " << ns;
+        }
+      }
+    }
+  }
 }
 
 TEST(SearchSpace, ZeroRntiHashIsZero) {

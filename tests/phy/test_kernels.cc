@@ -355,6 +355,89 @@ TEST(Kernels, PolarNodeOpsBitExact) {
   }
 }
 
+TEST(Kernels, PolarInterleaveBitExact) {
+  // Every lane count and the (E, N) pairs of the PDCCH and PBCH codes,
+  // shortened and repeated, plus E - N and E < N off the vector width.
+  // Inputs mix gaussians with ±0, ±inf, NaN of both signs and values
+  // around ±1e30, where the bound check flips.
+  struct Dims {
+    std::size_t e;
+    std::size_t n;
+  };
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kBound = 1e30f;
+  const float specials[] = {0.0f,  -0.0f, kInf,   -kInf,   kNan,
+                            -kNan, 1e30f, -1e30f, 1.1e30f, -9e29f};
+  Rng rng(607);
+  for (const auto* simd : simd_tables()) {
+    for (const Dims dims : {Dims{108, 128}, Dims{216, 256}, Dims{432, 512},
+                            Dims{864, 512}, Dims{1728, 512}, Dims{50, 64},
+                            Dims{13, 32}, Dims{32, 32}, Dims{93, 32},
+                            Dims{557, 512}}) {
+      for (std::size_t lanes = 1; lanes <= 8; ++lanes) {
+        for (int mix = 0; mix < 3; ++mix) {
+          // mix 0: finite and small; 1: one special per ~20 values; 2:
+          // values near the bound only, so repeated copies can cross it.
+          std::vector<std::vector<float>> words(lanes,
+                                                std::vector<float>(dims.e));
+          for (auto& w : words) {
+            for (float& v : w) {
+              v = static_cast<float>(rng.gaussian());
+              if (mix == 1 && rng.chance(0.05)) {
+                v = specials[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(std::size(specials)) - 1))];
+              } else if (mix == 2) {
+                v = (rng.chance(0.5) ? 6e29f : -6e29f) * (1.0f + v * 0.1f);
+              }
+            }
+          }
+          std::vector<const float*> in;
+          for (const auto& w : words) {
+            in.push_back(w.data());
+          }
+          // One spare row past the root: nothing may be written there.
+          const std::size_t size = (dims.n + 1) * lanes;
+          std::vector<float> r0(size, 7.0f);
+          std::vector<float> r1(size, 7.0f);
+          const bool ok0 = scalar().polar_interleave(
+              in.data(), lanes, dims.e, dims.n, 1e9f, kBound, r0.data());
+          const bool ok1 = simd->polar_interleave(
+              in.data(), lanes, dims.e, dims.n, 1e9f, kBound, r1.data());
+          SCOPED_TRACE(::testing::Message()
+                       << to_string(simd->isa) << " E=" << dims.e
+                       << " N=" << dims.n << " lanes=" << lanes
+                       << " mix=" << mix);
+          expect_bits_equal(r0.data(), r1.data(), size, "polar_interleave");
+          ASSERT_EQ(ok0, ok1);
+          // The scalar root is the definition: copies summed from +0 in
+          // index order, or shortened positions set to the fill.
+          bool ok = true;
+          for (std::size_t i = 0; i < dims.n; ++i) {
+            for (std::size_t l = 0; l < lanes; ++l) {
+              float v = 1e9f;
+              if (dims.e >= dims.n) {
+                v = 0.0f;
+                for (std::size_t j = i; j < dims.e; j += dims.n) {
+                  v += words[l][j];
+                }
+              } else if (i < dims.e) {
+                v = words[l][i];
+              }
+              ok = ok && std::fabs(v) <= kBound;
+              expect_bits_equal(&v, &r0[i * lanes + l], 1, "definition");
+            }
+          }
+          ASSERT_EQ(ok0, ok);
+          for (std::size_t i = dims.n * lanes; i < size; ++i) {
+            ASSERT_EQ(r1[i], 7.0f) << "wrote past the root at " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Kernels, ViterbiAcsBitExact) {
   Rng rng(707);
   constexpr std::size_t kStates = kernels::kViterbiStates;
@@ -669,6 +752,15 @@ TEST(Kernels, Avx2EntriesReturnWithUpperYmmClear) {
   });
   expect_clean("polar_combine", [&](std::size_t n) {
     k.polar_combine(partial_sums.data(), bits.data(), n);
+  });
+  expect_clean("polar_interleave", [&](std::size_t n) {
+    const float* in[8];
+    for (std::size_t l = 0; l < 8; ++l) {
+      in[l] = fa.data() + l * (kN / 8);
+    }
+    const std::size_t lanes = n % 8 + 1;
+    (void)k.polar_interleave(in, lanes, kN / 8, 64, 1e9f, 1e30f,
+                             fout.data());
   });
   expect_clean("multipath", [&](std::size_t n) {
     k.multipath(out.data(), n, gains, delays, 2);

@@ -373,8 +373,9 @@ void expect_lanes_match_reference(const PolarDims& dims,
     expected.push_back(reference.decode(w));
   }
   PolarScratch scratch;
-  for (std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                            std::size_t{5}, PolarCode::kMaxLanes}) {
+  for (std::size_t lanes :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+        std::size_t{5}, std::size_t{6}, PolarCode::kMaxLanes}) {
     std::vector<BitVector> out(words.size(), BitVector(dims.k));
     for (std::size_t w0 = 0; w0 < words.size(); w0 += lanes) {
       const std::size_t n = std::min(lanes, words.size() - w0);
@@ -485,6 +486,36 @@ TEST(PolarLanes, OneDirtyLaneMatchesReference) {
       }
     }
     expect_lanes_match_reference(dims, words, "one dirty lane");
+  }
+}
+
+TEST(PolarLanes, RootPastTheBoundMatchesReference) {
+  // Every input stays below the 1e30 batch bound, but two repeated copies
+  // of one sign sum past it, so a batch holding such a word decodes one
+  // lane at a time; the tree's sums stay finite either way.
+  Rng rng(2105);
+  for (const PolarDims& dims : lane_dims()) {
+    if (dims.e <= PolarCode::kMaxN) {
+      continue;  // no position gets two copies
+    }
+    const PolarCode code(dims.k, dims.e);
+    std::vector<std::vector<float>> words;
+    for (int w = 0; w < 16; ++w) {
+      std::vector<float> llrs =
+          to_noisy_llrs(code.encode(random_bits(rng, dims.k)), 4.0, rng);
+      if (w % 3 == 0) {
+        for (float& v : llrs) {
+          v = std::clamp(v * 1e29f, -9e29f, 9e29f);
+        }
+      }
+      words.push_back(std::move(llrs));
+    }
+    const float* in[3] = {words[0].data(), words[1].data(), words[2].data()};
+    std::vector<float> root(code.n() * 3);
+    ASSERT_FALSE(kernels::active().polar_interleave(
+        in, 3, dims.e, code.n(), 1e9f, 1e30f, root.data()))
+        << "the word set must cross the bound";
+    expect_lanes_match_reference(dims, words, "root past the bound");
   }
 }
 
