@@ -338,13 +338,6 @@ QueryResponse sample_query_response() {
   return response;
 }
 
-TEST(Wire, QueryRequestRoundTrip) {
-  const QueryRequest request = sample_query_request();
-  const auto decoded = decode_payload<QueryRequest>(payload_of(request));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, request);
-}
-
 TEST(Wire, QueryResponseRoundTrip) {
   QueryResponse response = sample_query_response();
   response.error = "bucket too small";
@@ -352,10 +345,6 @@ TEST(Wire, QueryResponseRoundTrip) {
   const auto decoded = decode_payload<QueryResponse>(payload_of(response));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, response);
-}
-
-TEST(Wire, QueryRequestEveryTruncationFailsCleanly) {
-  expect_every_truncation_fails(sample_query_request());
 }
 
 TEST(Wire, QueryResponseEveryTruncationFailsCleanly) {
@@ -524,24 +513,6 @@ TEST(Wire, VersionRejectRoundTrip) {
   EXPECT_EQ(decoded->max_version, kWireVersion);
 }
 
-TEST(Wire, LeaseGrantEveryTruncationFailsCleanly) {
-  LeaseGrant grant;
-  grant.lease_id = 9;
-  grant.ttl_ms = 500;
-  grant.spec = sample_cell_spec();
-  expect_every_truncation_fails(grant);
-}
-
-// CellReport is no longer a frame of its own, but its description is what
-// every CellReportBatch element, ReplicaCell and ReplicaEvent carries.
-TEST(Wire, CellReportEveryTruncationFailsCleanly) {
-  expect_every_truncation_fails(sample_cell_report());
-}
-
-TEST(Wire, CellReportRejectsTrailingGarbage) {
-  expect_trailing_byte_rejected(sample_cell_report(), 0x00);
-}
-
 // ---- Prediction frames (protocol v4) ----------------------------------
 
 PredictionSet sample_prediction_set() {
@@ -621,22 +592,11 @@ TEST(Wire, PredictionSetRejectsTrailingGarbage) {
   expect_trailing_byte_rejected(sample_prediction_set(), 0x01);
 }
 
-TEST(Wire, CellReportBatchRoundTrip) {
-  const CellReportBatch batch = sample_cell_report_batch();
-  const auto decoded = decode_payload<CellReportBatch>(payload_of(batch));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, batch);
-}
-
 TEST(Wire, CellReportBatchEmptyRoundTrip) {
   const CellReportBatch batch;
   const auto decoded = decode_payload<CellReportBatch>(payload_of(batch));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(decoded->reports.empty());
-}
-
-TEST(Wire, CellReportBatchEveryTruncationFailsCleanly) {
-  expect_every_truncation_fails(sample_cell_report_batch());
 }
 
 TEST(Wire, PredictionFramesRoundTripThroughParser) {
@@ -959,6 +919,31 @@ CellReportBatch sample<CellReportBatch>() {
   return CellReportBatch{{golden_cell_report(2), golden_cell_report(5)}};
 }
 
+/// Cases a payload's golden sample lacks, which the typed suite runs
+/// beside it (the golden sample's bytes are pinned, so it cannot grow).
+template <class T>
+std::vector<T> extra_samples() {
+  return {};
+}
+
+// A CellReport is no frame of its own; its description is what every
+// CellReportBatch element, ReplicaCell and ReplicaEvent carries.
+template <>
+std::vector<CellReportBatch> extra_samples<CellReportBatch>() {
+  CellReport bare = golden_cell_report(5);
+  bare.epoch = 0;
+  bare.rows.clear();
+  return {CellReportBatch{{golden_cell_report(2), bare}}};
+}
+
+/// The golden sample, then the extra cases.
+template <class T>
+std::vector<T> samples() {
+  std::vector<T> all = extra_samples<T>();
+  all.insert(all.begin(), sample<T>());
+  return all;
+}
+
 template <>
 PredictionSet sample<PredictionSet>() {
   PredictionSet p;
@@ -1121,23 +1106,28 @@ struct PayloadName {
 TYPED_TEST_SUITE(WireCodec, Payloads, PayloadName);
 
 TYPED_TEST(WireCodec, RoundTrip) {
-  const TypeParam value = sample<TypeParam>();
-  const auto decoded = decode_payload<TypeParam>(payload_of(value));
-  ASSERT_TRUE(decoded.has_value());
-  // Re-encoding reproduces the bytes, which also covers MetricsSnapshot
-  // (no operator==).
-  EXPECT_EQ(payload_of(*decoded), payload_of(value));
-  if constexpr (std::equality_comparable<TypeParam>) {
-    EXPECT_EQ(*decoded, value);
+  for (const TypeParam& value : samples<TypeParam>()) {
+    const auto decoded = decode_payload<TypeParam>(payload_of(value));
+    ASSERT_TRUE(decoded.has_value());
+    // Re-encoding reproduces the bytes, which also covers MetricsSnapshot
+    // (no operator==).
+    EXPECT_EQ(payload_of(*decoded), payload_of(value));
+    if constexpr (std::equality_comparable<TypeParam>) {
+      EXPECT_EQ(*decoded, value);
+    }
   }
 }
 
 TYPED_TEST(WireCodec, EveryTruncationFails) {
-  expect_every_truncation_fails(sample<TypeParam>());
+  for (const TypeParam& value : samples<TypeParam>()) {
+    expect_every_truncation_fails(value);
+  }
 }
 
 TYPED_TEST(WireCodec, TrailingByteIsRejected) {
-  expect_trailing_byte_rejected(sample<TypeParam>(), 0x00);
+  for (const TypeParam& value : samples<TypeParam>()) {
+    expect_trailing_byte_rejected(value, 0x00);
+  }
 }
 
 // Random byte strings, and the sample with one byte overwritten, decode to
