@@ -4,7 +4,8 @@
 // throughput, retransmission health, utilization, restarts — plus the
 // spare-capacity ranking.  Optionally injects a fault into one cell:
 // crash/stall demonstrate the supervisor tearing the cell down and
-// restarting it with exponential backoff, while outage/cfo/restart script
+// restarting it with exponential backoff (a stall is declared kStallSlots,
+// 2 000 dark feed slots, after --fault-slot), while outage/cfo/restart script
 // a FaultSchedule the cell heals from *in place* — the engine drops to
 // kResync, re-acquires the cell and resumes without a teardown (watch the
 // resync column move while restarts stays put).
@@ -180,7 +181,7 @@ int main(int argc, char** argv) {
               throw std::runtime_error("injected crash");
             }
             if (incarnation == 0 && !crash && slot >= fault_slot) {
-              return FaultAction::kMute;  // dark radio -> stall detector
+              return FaultAction::kMute;  // dark radio: kStallSlots -> stall
             }
             return FaultAction::kNone;
           };
@@ -248,16 +249,13 @@ int main(int argc, char** argv) {
   const MetricsSnapshot snap = registry.snapshot();
   const auto* latency = snap.find_histogram("fleet.slot_latency_us");
   std::printf("restarts=%llu crashes=%llu stalls=%llu "
-              "resync_escalations=%llu slot latency p50=%.0f us "
-              "p99=%.0f us\n",
+              "slot latency p50=%.0f us p99=%.0f us\n",
               static_cast<unsigned long long>(
                   snap.counter_value("fleet.cell.restarts")),
               static_cast<unsigned long long>(
                   snap.counter_value("fleet.crashes")),
               static_cast<unsigned long long>(
                   snap.counter_value("fleet.stalls")),
-              static_cast<unsigned long long>(
-                  snap.counter_value("fleet.resync_escalations")),
               latency != nullptr ? latency->p50() : 0.0,
               latency != nullptr ? latency->p99() : 0.0);
 

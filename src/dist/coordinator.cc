@@ -43,9 +43,7 @@ FleetCoordinator::FleetCoordinator(CoordinatorConfig config,
       own_registry_(registry == nullptr ? std::make_unique<MetricsRegistry>()
                                         : nullptr),
       registry_(registry != nullptr ? registry : own_registry_.get()),
-      leases_(config_.cells.size(),
-              LeaseTable::Config{config_.lease_ttl_ms / 1000.0,
-                                 kLeaseBackoffInitialS, kLeaseBackoffMaxS}),
+      leases_(config_.cells.size(), config_.lease_ttl_ms / 1000.0),
       store_(config_.store, registry_) {
   if (!config_.standby_of.empty()) {
     role_ = CoordinatorRole::kStandby;

@@ -22,8 +22,8 @@ const char* to_string(LeaseState state) {
   return "unknown";
 }
 
-LeaseTable::LeaseTable(std::size_t n_cells, Config config)
-    : config_(config), leases_(n_cells) {
+LeaseTable::LeaseTable(std::size_t n_cells, double ttl_s)
+    : ttl_s_(ttl_s), leases_(n_cells) {
   for (std::size_t i = 0; i < leases_.size(); ++i) {
     leases_[i].cell_index = static_cast<std::uint32_t>(i);
   }
@@ -35,7 +35,7 @@ std::uint64_t LeaseTable::grant(std::uint32_t cell_index,
   lease.lease_id = ++next_lease_id_;
   lease.worker_id = worker_id;
   lease.state = LeaseState::kPending;
-  lease.expires_at = after(now, config_.ttl_s);
+  lease.expires_at = after(now, ttl_s_);
   return lease.lease_id;
 }
 
@@ -58,7 +58,7 @@ bool LeaseTable::ack(std::uint64_t lease_id, TimePoint now) {
     return false;
   }
   lease->state = LeaseState::kActive;
-  lease->expires_at = after(now, config_.ttl_s);
+  lease->expires_at = after(now, ttl_s_);
   return true;
 }
 
@@ -67,7 +67,7 @@ bool LeaseTable::renew(std::uint64_t lease_id, TimePoint now) {
   if (lease == nullptr) {
     return false;
   }
-  lease->expires_at = after(now, config_.ttl_s);
+  lease->expires_at = after(now, ttl_s_);
   return true;
 }
 
@@ -81,19 +81,14 @@ void LeaseTable::release(std::uint32_t cell_index, bool penalize,
   lease.lease_id = 0;
   lease.worker_id = 0;
   ++lease.handoffs;
-  if (penalize) {
-    lease.backoff_s = lease.backoff_s <= 0.0
-                          ? config_.backoff_initial_s
-                          : std::min(config_.backoff_max_s,
-                                     lease.backoff_s * kLeaseBackoffFactor);
-    lease.retry_at = after(now, lease.backoff_s);
-  } else {
-    lease.retry_at = now;
-  }
+  lease.retry_at =
+      penalize
+          ? after(now, backoff_base_delay(kLeaseBackoff, lease.failures++))
+          : now;
 }
 
 void LeaseTable::note_progress(std::uint32_t cell_index) {
-  leases_[cell_index].backoff_s = 0.0;
+  leases_[cell_index].failures = 0;
 }
 
 void LeaseTable::reset(std::size_t n_cells) {
@@ -111,7 +106,7 @@ void LeaseTable::restore(std::uint32_t cell_index, LeaseState state,
   lease.lease_id = lease_id;
   lease.worker_id = worker_id;
   lease.handoffs = handoffs;
-  lease.expires_at = after(now, config_.ttl_s);
+  lease.expires_at = after(now, ttl_s_);
   lease.retry_at = now;
 }
 
@@ -122,7 +117,7 @@ void LeaseTable::set_next_lease_id(std::uint64_t next) {
 void LeaseTable::extend_all(TimePoint now) {
   for (Lease& lease : leases_) {
     if (lease.state != LeaseState::kUnassigned) {
-      lease.expires_at = after(now, config_.ttl_s);
+      lease.expires_at = after(now, ttl_s_);
     }
   }
 }

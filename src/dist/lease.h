@@ -1,7 +1,7 @@
 // Lease table for the distributed fleet: one lease per cell, granted to
 // one worker at a time with a TTL.  Heartbeats renew a lease; a lease that
-// expires (or whose worker dies) is released back to the unassigned pool
-// with the supervisor-style bounded exponential backoff, and its handoff
+// expires (or whose worker dies) is released back to the unassigned pool,
+// held out of placement for the kLeaseBackoff wait, and its handoff
 // counter bumps — the next grant carries a higher incarnation, so the
 // receiving worker draws a fresh but reproducible stream for the cell.
 // Like the catalog, this is a plain data structure mutated only on the
@@ -11,6 +11,8 @@
 #include <chrono>
 #include <cstdint>
 #include <vector>
+
+#include "common/backoff.h"
 
 namespace nrs {
 
@@ -23,12 +25,9 @@ enum class LeaseState : std::uint8_t {
 const char* to_string(LeaseState state);
 
 /// The coordinator's per-cell reassignment backoff: the first penalized
-/// release holds the cell out of placement for kLeaseBackoffInitialS, and
-/// each further one multiplies the hold by kLeaseBackoffFactor, up to
-/// kLeaseBackoffMaxS (the table's Config defaults).
-inline constexpr double kLeaseBackoffInitialS = 0.05;
-inline constexpr double kLeaseBackoffMaxS = 1.0;
-inline constexpr double kLeaseBackoffFactor = 2.0;
+/// release holds the cell out of placement for 0.05 s, and each further
+/// one doubles the hold, up to 1 s.
+inline constexpr BackoffPolicy kLeaseBackoff{0.05, 1.0, 2.0, 0.0};
 
 struct Lease {
   std::uint32_t cell_index = 0;
@@ -40,20 +39,17 @@ struct Lease {
   unsigned handoffs = 0;
   std::chrono::steady_clock::time_point expires_at{};
   std::chrono::steady_clock::time_point retry_at{};
-  double backoff_s = 0.0;  ///< 0 = healthy; next release starts at initial
+  /// Penalized releases since the cell last made progress: the next one
+  /// holds the cell out for backoff_base_delay(kLeaseBackoff, failures).
+  unsigned failures = 0;
 };
 
 class LeaseTable {
  public:
   using TimePoint = std::chrono::steady_clock::time_point;
 
-  struct Config {
-    double ttl_s = 1.5;
-    double backoff_initial_s = kLeaseBackoffInitialS;
-    double backoff_max_s = kLeaseBackoffMaxS;
-  };
-
-  LeaseTable(std::size_t n_cells, Config config);
+  /// `ttl_s` is how long a grant, an ack or a renewal keeps a lease live.
+  LeaseTable(std::size_t n_cells, double ttl_s);
 
   /// Grant cell `cell_index` to `worker_id`: a fresh lease id, state
   /// kPending, TTL clock running.  The grant's incarnation is the cell's
@@ -71,13 +67,14 @@ class LeaseTable {
   bool renew(std::uint64_t lease_id, TimePoint now);
 
   /// Release the cell's current lease back to kUnassigned and bump its
-  /// handoff counter.  `penalize` applies (and escalates) the backoff
-  /// before the cell becomes assignable; a deliberate release (rebalance)
-  /// passes false and reassigns immediately.
+  /// handoff counter.  `penalize` holds the cell out of placement for the
+  /// next kLeaseBackoff delay; a deliberate release (rebalance) passes
+  /// false and reassigns immediately.
   void release(std::uint32_t cell_index, bool penalize, TimePoint now);
 
-  /// The cell made real progress under its current lease: reset the
-  /// backoff escalation, like the fleet supervisor's kHealthySlots rule.
+  /// The cell made real progress under its current lease: its next
+  /// penalized release waits the initial delay again, like the fleet
+  /// supervisor's kHealthySlots rule.
   void note_progress(std::uint32_t cell_index);
 
   // -- Replication / failover support ----------------------------------
@@ -132,10 +129,8 @@ class LeaseTable {
   [[nodiscard]] std::vector<std::uint32_t> assignable(TimePoint now) const;
   [[nodiscard]] std::size_t active_count() const;
 
-  [[nodiscard]] const Config& config() const { return config_; }
-
  private:
-  Config config_;
+  double ttl_s_;
   std::vector<Lease> leases_;  ///< indexed by cell_index
   std::uint64_t next_lease_id_ = 0;
 };

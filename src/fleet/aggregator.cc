@@ -8,9 +8,8 @@
 
 namespace nrs {
 
-FleetAggregator::FleetAggregator(MetricsRegistry& registry,
-                                 std::uint64_t rate_window_slots)
-    : registry_(&registry), rate_window_slots_(rate_window_slots),
+FleetAggregator::FleetAggregator(MetricsRegistry& registry)
+    : registry_(&registry),
       m_slots_total_(&registry.counter("fleet.slots")),
       m_dcis_total_(&registry.counter("fleet.dcis")),
       m_restarts_total_(&registry.counter("fleet.cell.restarts")) {}
@@ -26,7 +25,7 @@ void FleetAggregator::add_cell(std::uint32_t cell_index,
                                 std::to_string(cell_index) +
                                 " registered twice");
   }
-  auto agg = std::make_unique<CellAgg>(cell, rate_window_slots_);
+  auto agg = std::make_unique<CellAgg>(cell);
   MetricsNamespace ns =
       registry_->with_prefix("fleet.cell" + std::to_string(cell_index) + ".");
   agg->m_slots = &ns.counter("slots");
@@ -52,22 +51,17 @@ void FleetAggregator::on_cell_slot(std::uint32_t cell_index,
 
   std::uint64_t slot_retx = 0;
   for (const DecodedDci& dci : result.dcis) {
-    FleetUeTotals& ue = agg.ues[dci.rnti];
-    ++ue.dcis;
-    ue.last_seen_slot = slot;
+    agg.last_seen[dci.rnti] = slot;
     if (dci.is_retx) {
       ++slot_retx;
-      ++ue.retx_dcis;
     }
     if (is_downlink(dci.dci.format)) {
       agg.used_prb_slots += static_cast<double>(dci.grant.prb_len);
       if (!dci.is_retx) {
         agg.dl_rate.add(slot, dci.grant.tbs);
-        ue.dl_bits += dci.grant.tbs;
       }
     } else if (!dci.is_retx) {
       agg.ul_rate.add(slot, dci.grant.tbs);
-      ue.ul_bits += dci.grant.tbs;
     }
   }
   counters.dcis += result.dcis.size();
@@ -107,8 +101,8 @@ std::uint64_t FleetAggregator::cell_slots(std::uint32_t cell_index) const {
 
 std::uint32_t FleetAggregator::active_ues_locked(const CellAgg& agg) const {
   std::uint32_t active = 0;
-  for (const auto& [rnti, ue] : agg.ues) {
-    if (agg.counters.slots - ue.last_seen_slot < rate_window_slots_) {
+  for (const auto& [rnti, last_seen] : agg.last_seen) {
+    if (agg.counters.slots - last_seen < kFleetRateWindowSlots) {
       ++active;
     }
   }
@@ -145,20 +139,6 @@ FleetSummary FleetAggregator::summary() const {
     cells.push_back(std::move(c));
   }
   return summarize_fleet(std::move(cells));
-}
-
-std::map<FleetUeKey, FleetUeTotals> FleetAggregator::ue_totals() const {
-  std::lock_guard lock(mutex_);
-  std::map<FleetUeKey, FleetUeTotals> totals;
-  for (std::uint32_t i = 0; i < cells_.size(); ++i) {
-    if (cells_[i] == nullptr) {
-      continue;
-    }
-    for (const auto& [rnti, ue] : cells_[i]->ues) {
-      totals[FleetUeKey{i, rnti}] = ue;
-    }
-  }
-  return totals;
 }
 
 }  // namespace nrs

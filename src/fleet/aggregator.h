@@ -2,12 +2,11 @@
 // pipeline pushes its in-order SlotResults here (from that cell's engine
 // thread), and the aggregator maintains restart-surviving lifetime totals —
 // per-cell CellCounters, new-data throughput windows, PRB utilization —
-// plus per-UE totals keyed by (cell, RNTI), since the same C-RNTI can
-// legitimately exist in two cells at once.  summary() renders a
-// point-in-time FleetSummary (through summarize_fleet) with the
-// spare-capacity ranking the paper's section 5.4.1 use case asks for,
-// fleet-wide.  All per-cell counters also land in the registry under the
-// fleet.cell<N>.* namespace.
+// plus each cell's last-seen slot per RNTI for the active-UE count.
+// summary() renders a point-in-time FleetSummary (through
+// summarize_fleet) with the spare-capacity ranking the paper's section
+// 5.4.1 use case asks for, fleet-wide.  All per-cell counters also land in
+// the registry under the fleet.cell<N>.* namespace.
 #pragma once
 
 #include <cstdint>
@@ -26,31 +25,16 @@
 
 namespace nrs {
 
-/// Fleet-wide UE identity: (cell, C-RNTI).
-struct FleetUeKey {
-  std::uint32_t cell_index = 0;
-  Rnti rnti = kInvalidRnti;
-  [[nodiscard]] auto operator<=>(const FleetUeKey&) const = default;
-};
-
-/// Lifetime totals for one UE (restart-surviving; a UE that re-RACHes into
-/// a different C-RNTI after a cell restart starts a new key).
-struct FleetUeTotals {
-  std::uint64_t dl_bits = 0;  ///< new-data bits only (retx excluded)
-  std::uint64_t ul_bits = 0;
-  std::uint64_t dcis = 0;
-  std::uint64_t retx_dcis = 0;
-  std::uint64_t last_seen_slot = 0;  ///< cell lifetime slot of the last DCI
-};
+/// Span of a cell's throughput windows, and how recently a UE must have
+/// had a DCI to count as active: one second of air at 30 kHz SCS.
+inline constexpr std::uint64_t kFleetRateWindowSlots = 2000;
 
 class FleetAggregator {
  public:
   /// `registry` receives fleet.slots / fleet.dcis / fleet.cell.restarts
   /// plus per-cell fleet.cell<N>.{slots,dcis,retx_dcis,restarts} counters
-  /// and the fleet.cell<N>.active_ues gauge.  `rate_window_slots` sizes
-  /// the throughput windows and the active-UE horizon.
-  explicit FleetAggregator(MetricsRegistry& registry,
-                           std::uint64_t rate_window_slots = 2000);
+  /// and the fleet.cell<N>.active_ues gauge.
+  explicit FleetAggregator(MetricsRegistry& registry);
 
   FleetAggregator(const FleetAggregator&) = delete;
   FleetAggregator& operator=(const FleetAggregator&) = delete;
@@ -75,14 +59,11 @@ class FleetAggregator {
   /// is left 0: supervision is the orchestrator's).
   [[nodiscard]] FleetSummary summary() const;
 
-  /// Per-UE lifetime totals keyed by (cell, RNTI).
-  [[nodiscard]] std::map<FleetUeKey, FleetUeTotals> ue_totals() const;
-
  private:
   struct CellAgg {
-    CellAgg(CellConfig cell_config, std::uint64_t window_slots)
-        : cell(std::move(cell_config)), dl_rate(window_slots),
-          ul_rate(window_slots) {}
+    explicit CellAgg(CellConfig cell_config)
+        : cell(std::move(cell_config)), dl_rate(kFleetRateWindowSlots),
+          ul_rate(kFleetRateWindowSlots) {}
 
     CellConfig cell;
     CellCounters counters;
@@ -94,7 +75,9 @@ class FleetAggregator {
     double offered_prb_slots = 0.0;
     RateWindow dl_rate;  ///< fed with lifetime slots, so restarts don't
     RateWindow ul_rate;  ///< rewind the window clock
-    std::map<Rnti, FleetUeTotals> ues;
+    /// Cell lifetime slot of each RNTI's last DCI.  A UE that re-RACHes
+    /// into a new C-RNTI after a restart is a new entry.
+    std::map<Rnti, std::uint64_t> last_seen;
 
     Counter* m_slots = nullptr;
     Counter* m_dcis = nullptr;
@@ -108,7 +91,6 @@ class FleetAggregator {
   [[nodiscard]] std::uint32_t active_ues_locked(const CellAgg& agg) const;
 
   MetricsRegistry* registry_;
-  std::uint64_t rate_window_slots_;
   Counter* m_slots_total_;
   Counter* m_dcis_total_;
   Counter* m_restarts_total_;

@@ -125,21 +125,14 @@ struct FleetFeedState {
     }
   }
 
-  std::atomic<std::uint64_t> slots_delivered{0};
-  std::atomic<std::int64_t> last_progress_us{0};
-  // Sync health, mirrored from each delivered SlotResult so the
-  // supervisor can tell "resyncing in place" from "making no progress".
-  std::atomic<std::uint8_t> sync_state{0};
-  /// Wall-clock when the current resync spell began; 0 = not resyncing.
-  std::atomic<std::int64_t> resync_since_us{0};
   std::size_t ring_size;
   std::unique_ptr<std::atomic<std::int64_t>[]> push_us;
 };
 
 namespace {
 
-/// Per-cell pipeline sink: runs on that cell's engine thread.  Feeds
-/// the aggregator, stamps the heartbeat, and records slot latency.
+/// Per-cell pipeline sink: runs on that cell's engine thread.  Feeds the
+/// aggregator and records slot latency.
 class FleetCellSink : public SlotSink {
  public:
   FleetCellSink(std::uint32_t cell_index, std::shared_ptr<FleetFeedState> feed,
@@ -160,18 +153,6 @@ class FleetCellSink : public SlotSink {
       cell_latency_->observe(latency);
     }
     aggregator_->on_cell_slot(cell_index_, result);
-    feed_->sync_state.store(static_cast<std::uint8_t>(result.sync_state),
-                            std::memory_order_release);
-    if (result.sync_state == SyncState::kResync) {
-      // Stamp only on entry, so the supervisor measures the whole spell.
-      std::int64_t expected = 0;
-      feed_->resync_since_us.compare_exchange_strong(
-          expected, now, std::memory_order_acq_rel);
-    } else {
-      feed_->resync_since_us.store(0, std::memory_order_release);
-    }
-    feed_->slots_delivered.fetch_add(1, std::memory_order_release);
-    feed_->last_progress_us.store(now, std::memory_order_release);
   }
 
  private:
@@ -187,12 +168,11 @@ class FleetCellSink : public SlotSink {
 FleetOrchestrator::FleetOrchestrator(FleetConfig config,
                                      MetricsRegistry& registry)
     : config_(std::move(config)), registry_(&registry),
-      aggregator_(registry, config_.rate_window_slots),
+      aggregator_(registry),
       pool_(config_.pool_threads),
       m_latency_(&registry.histogram("fleet.slot_latency_us")),
       m_crashes_(&registry.counter("fleet.crashes")),
-      m_stalls_(&registry.counter("fleet.stalls")),
-      m_resync_escalations_(&registry.counter("fleet.resync_escalations")) {
+      m_stalls_(&registry.counter("fleet.stalls")) {
   std::vector<FleetCellSpec> specs = std::move(config_.cells);
   config_.cells.clear();
   cells_.reserve(specs.size());
@@ -255,26 +235,22 @@ void FleetOrchestrator::start_cell(CellRunner& runner) {
   const std::size_t ring =
       std::max<std::size_t>(4 * runner.spec.queue_depth, 256);
   runner.feed = std::make_shared<FleetFeedState>(ring);
-  runner.feed->last_progress_us.store(steady_now_us(),
-                                      std::memory_order_release);
-  // The orchestrator's own aggregator/heartbeat sink rides the same named
-  // SinkChain surface as user sinks; a throwing user sink can never take
-  // the supervision heartbeat down with it.
+  // The orchestrator's own aggregator sink rides the same named SinkChain
+  // surface as user sinks; a throwing user sink never takes it down.
   runner.pipeline->add_sink("fleet", std::make_shared<FleetCellSink>(
                                          runner.index, runner.feed,
                                          &aggregator_, m_latency_,
                                          runner.m_latency));
   for (const SinkSpec& spec : sink_specs_) {
     if (auto sink = spec.factory(runner.index)) {
-      runner.pipeline->add_sink(spec.name, std::move(sink),
-                                spec.error_limit);
+      runner.pipeline->add_sink(spec.name, std::move(sink));
     }
   }
 
   runner.feed_slot = 0;
+  runner.muted_slots = 0;
   runner.readd_ues_at = 0;
   runner.pushes = 0;
-  runner.slots_at_start = aggregator_.cell_slots(runner.index);
   set_state(runner, FleetCellState::kRunning);
 }
 
@@ -352,7 +328,10 @@ void FleetOrchestrator::advance_cell(CellRunner& runner) {
     }
     ++runner.feed_slot;
     if (action == FaultAction::kMute) {
-      continue;  // dark radio: the gNB ran, the sniffer saw nothing
+      // Dark radio: the gNB ran, the sniffer saw nothing.  tick() reads
+      // the run after this task ends.
+      ++runner.muted_slots;
+      continue;
     }
     // Pooled feed path (hot-path memory discipline): borrow a recycled
     // sample buffer from the pipeline, capture into it, and hand it back —
@@ -367,6 +346,7 @@ void FleetOrchestrator::advance_cell(CellRunner& runner) {
     runner.feed->push_us[runner.pushes % runner.feed->ring_size].store(
         steady_now_us(), std::memory_order_release);
     runner.pipeline->push_slot_wait(std::move(samples));
+    runner.muted_slots = 0;
     ++runner.pushes;
     ++runner.pushed_lifetime;
   }
@@ -384,19 +364,17 @@ void FleetOrchestrator::fail_cell(CellRunner& runner, bool crashed) {
   ++runner.restarts;
   ++runner.incarnation;
   aggregator_.on_cell_restart(runner.index);
-  if (config_.max_restarts >= 0 &&
-      runner.restarts > static_cast<unsigned>(config_.max_restarts)) {
+  if (runner.restarts > kMaxCellRestarts) {
     set_state(runner, FleetCellState::kFailed);
     return;
   }
-  runner.backoff_s =
-      runner.backoff_s <= 0.0
-          ? config_.backoff_initial_s
-          : std::min(config_.backoff_max_s,
-                     runner.backoff_s * kCellBackoffFactor);
+  if (runner.pushes >= kHealthySlots) {
+    runner.failures = 0;  // it ran healthy before failing
+  }
+  const std::chrono::duration<double> wait(
+      backoff_base_delay(kCellBackoff, runner.failures++));
   runner.restart_at =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(runner.backoff_s));
+      Clock::now() + std::chrono::duration_cast<Clock::duration>(wait);
   set_state(runner, FleetCellState::kBackoff);
 }
 
@@ -423,37 +401,10 @@ void FleetOrchestrator::tick() {
       fut.get();
     } catch (...) {
       fail_cell(*runner, /*crashed=*/true);
-    }
-  }
-
-  const std::int64_t now_us = steady_now_us();
-  const auto stall_us =
-      static_cast<std::int64_t>(config_.stall_timeout_s * 1e6);
-  const auto resync_deadline_us =
-      static_cast<std::int64_t>(config_.resync_deadline_s * 1e6);
-  for (auto& cp : cells_) {
-    CellRunner& runner = *cp;
-    if (runner.state != FleetCellState::kRunning) {
       continue;
     }
-    if (aggregator_.cell_slots(runner.index) - runner.slots_at_start >=
-        kHealthySlots) {
-      runner.backoff_s = 0.0;  // healthy again: backoff restarts from initial
-    }
-    // A resyncing engine still delivers slots, so it never looks stalled;
-    // in-place recovery is the preferred outcome and gets the whole
-    // deadline.  Escalate to teardown only once the deadline passes.
-    const std::int64_t resync_since =
-        runner.feed->resync_since_us.load(std::memory_order_acquire);
-    if (resync_since > 0 && now_us - resync_since > resync_deadline_us) {
-      m_resync_escalations_->inc();
-      fail_cell(runner, /*crashed=*/false);
-      continue;  // fail_cell released runner.feed
-    }
-    if (now_us - runner.feed->last_progress_us.load(
-                     std::memory_order_acquire) >
-        stall_us) {
-      fail_cell(runner, /*crashed=*/false);
+    if (runner->muted_slots >= kStallSlots) {
+      fail_cell(*runner, /*crashed=*/false);
     }
   }
 
@@ -492,18 +443,16 @@ void FleetOrchestrator::run_until(std::uint64_t target_slots) {
 }
 
 void FleetOrchestrator::add_sink(const std::string& name,
-                                 SinkFactory factory,
-                                 std::uint64_t error_limit) {
+                                 SinkFactory factory) {
   if (!factory) {
     return;
   }
-  sink_specs_.push_back(SinkSpec{name, std::move(factory), error_limit});
+  sink_specs_.push_back(SinkSpec{name, std::move(factory)});
   const SinkSpec& spec = sink_specs_.back();
   for (auto& cp : cells_) {
     if (cp->state == FleetCellState::kRunning && cp->pipeline != nullptr) {
       if (auto sink = spec.factory(cp->index)) {
-        cp->pipeline->add_sink(spec.name, std::move(sink),
-                               spec.error_limit);
+        cp->pipeline->add_sink(spec.name, std::move(sink));
       }
     }
   }

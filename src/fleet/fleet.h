@@ -13,26 +13,29 @@
 // NrScope produces from build_fleet_cell(), whatever the pool size or
 // queue depth.
 //
-// Supervision: every cell carries a heartbeat (slots delivered, wall-clock
-// of last progress).  A cell whose advance task throws has crashed; a cell
-// whose heartbeat goes quiet for stall_timeout_s has stalled: it is being
-// fed, but nothing reaches its sniffer (a dark radio).  A wedged engine
-// thread is not a stall the detector can see: it holds the cell's advance
-// task inside push_slot_wait(), and with it the tick, just as it would
-// hold the stop() inside a teardown.  Either way the supervisor tears the
-// triple down (pipeline.stop() drains what was accepted), waits out a bounded
-// exponential backoff, and rebuilds the triple from scratch with a fresh
-// deterministic seed derived from (fleet seed, cell index, incarnation) —
-// so the restarted sniffer re-syncs and re-acquires C-RNTIs through the
-// RACH exactly like a restarted real deployment.  A cell that exceeds
-// max_restarts is declared failed and the rest of the fleet carries on.
+// Supervision counts slots, not wall time, so every verdict is a function
+// of the seed and the injected faults.  A cell whose advance task throws
+// has crashed; a cell whose last kStallSlots feed slots never reached its
+// radio (FaultAction::kMute) has stalled: it is being fed, but nothing
+// reaches its sniffer (a dark radio).  A slow or wedged engine thread is
+// neither: it holds its cell's advance task inside push_slot_wait(), and
+// with it the tick, just as it would hold the stop() inside a teardown.
+// Either verdict tears the triple down (pipeline.stop() drains what was
+// accepted), waits out the kCellBackoff schedule, and rebuilds the triple
+// from scratch with a fresh deterministic seed derived from (fleet seed,
+// cell index, incarnation) — so the restarted sniffer re-syncs and
+// re-acquires C-RNTIs through the RACH exactly like a restarted real
+// deployment.  The wait is wall-clock but changes no stream: the
+// restarted stream depends on the incarnation alone.  A cell torn down
+// more than kMaxCellRestarts times is declared failed and the rest of the
+// fleet carries on.
 //
 // Sync loss is deliberately NOT a teardown trigger: a resyncing engine
-// still delivers (empty) slots, so the stall detector stays quiet and the
-// cell heals in place through the engine's kResync path, keeping its
-// tracked-UE state.  Only a cell stuck in kResync past resync_deadline_s
-// is escalated to the full teardown/backoff/rebuild cycle (counted in
-// fleet.resync_escalations).
+// still delivers (empty) slots and heals in place through the engine's
+// kResync path, keeping its tracked-UE state.  The engine's own
+// resync_grace_slots is the only resync deadline: a cell that cannot
+// re-find its cell falls back to a cold search, exactly as a standalone
+// pipeline does (nrscope.resyncs_abandoned).
 //
 // Fault injection: each cell can carry a FaultSchedule.  Its IQ-level
 // kinds (outage, sample gap, glitch, CFO) ride inside the cell's
@@ -49,6 +52,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/backoff.h"
 #include "common/metrics.h"
 #include "common/worker_pool.h"
 #include "fleet/aggregator.h"
@@ -65,24 +69,29 @@ namespace nrs {
 enum class FleetCellState : std::uint8_t {
   kRunning = 0,
   kBackoff = 1,   ///< torn down, waiting for the restart deadline
-  kFailed = 2,    ///< exceeded max_restarts; permanently down
+  kFailed = 2,    ///< exceeded kMaxCellRestarts; permanently down
   kDetached = 3,  ///< removed at runtime (remove_cell); never restarted
 };
 
 const char* to_string(FleetCellState state);
 
-/// Each restart of a cell multiplies its backoff by this, up to
-/// FleetConfig::backoff_max_s.
-inline constexpr double kCellBackoffFactor = 2.0;
-/// A cell that delivers this many slots in one incarnation is healthy
-/// again: its backoff resets to the initial value.
+/// Consecutive feed slots kept from the radio (FaultAction::kMute) after
+/// which a cell is stalled: one second of air at 30 kHz SCS.
+inline constexpr std::uint64_t kStallSlots = 2000;
+/// A cell torn down more often than this is declared kFailed.
+inline constexpr unsigned kMaxCellRestarts = 8;
+/// Wait before rebuilding a torn-down cell: 0.02 s after its first
+/// failure, doubling with each consecutive one up to 0.5 s.
+inline constexpr BackoffPolicy kCellBackoff{0.02, 0.5, 2.0, 0.0};
+/// A cell that feeds this many slots to its pipeline in one incarnation is
+/// healthy again: its next failure waits the initial delay.
 inline constexpr std::uint64_t kHealthySlots = 200;
 
 /// Fault-injection verdict for one feed slot (tests and demos).
 enum class FaultAction : std::uint8_t {
   kNone,  ///< feed the slot normally
-  kMute,  ///< drop it before the radio: the sniffer sees a dark cell and
-          ///< the supervisor's stall detector eventually fires
+  kMute,  ///< drop it before the radio: the sniffer sees a dark cell, and
+          ///< kStallSlots of them in a row are a stall
 };
 
 /// Called once per gNB slot on the advance task's pool thread with the
@@ -119,23 +128,6 @@ struct FleetConfig {
   std::uint64_t seed = 1;     ///< fleet seed; per-cell seeds derive from it
   std::uint64_t slots_per_tick = 20;
 
-  // Supervision policy.  The stall timeout must absorb benign scheduling
-  // delay: when cells outnumber pool threads a healthy cell can sit a few
-  // tick rounds without delivering, and a false stall verdict costs a full
-  // teardown + re-sync.
-  double stall_timeout_s = 1.0;  ///< heartbeat silence -> stall
-  double backoff_initial_s = 0.02;
-  double backoff_max_s = 0.5;
-  /// Give up on a cell after this many restarts (-1 = never).
-  int max_restarts = 8;
-  /// Sync loss heals in place (the engine's kResync path) — but a cell
-  /// still resyncing after this much wall-clock is escalated to a full
-  /// teardown/rebuild.  Must be long enough for the engine's grace window
-  /// (resync_grace_slots) to play out at the fleet's feed rate.
-  double resync_deadline_s = 3.0;
-
-  std::uint64_t rate_window_slots = 2000;
-
   /// Optional: broadcast a kFleet aggregate frame on this stream server
   /// every `aggregate_period_ticks` ticks (the fan-in counterpart of the
   /// per-cell slot streams).  Not owned; must outlive the orchestrator.
@@ -160,9 +152,8 @@ FleetCellSim build_fleet_cell(const FleetCellSpec& spec,
                               std::uint32_t cell_index,
                               unsigned incarnation = 0);
 
-/// Heartbeat + push-timestamp ring shared between a cell's advance task
-/// (producer side) and its pipeline sink (engine thread).  Defined in
-/// fleet.cc.
+/// Push-timestamp ring shared between a cell's advance task (producer
+/// side) and its pipeline sink (engine thread).  Defined in fleet.cc.
 struct FleetFeedState;
 
 class FleetOrchestrator {
@@ -178,8 +169,9 @@ class FleetOrchestrator {
   FleetOrchestrator& operator=(const FleetOrchestrator&) = delete;
 
   /// One supervision round: restart cells whose backoff expired, advance
-  /// every running cell by slots_per_tick slots on the shared pool, then
-  /// check heartbeats and emit the periodic aggregate frame.
+  /// every running cell by slots_per_tick slots on the shared pool, tear
+  /// down the cells that crashed or stalled, and emit the periodic
+  /// aggregate frame.
   void tick();
 
   /// Tick until every non-failed cell has fed at least `target_slots`
@@ -198,11 +190,11 @@ class FleetOrchestrator {
   /// Fleet-wide counterpart of NrScopePipeline::add_sink: register a named
   /// sink factory, applied to every live cell pipeline now and re-applied
   /// on every restart.  Fault isolation is per cell via the pipeline's
-  /// SinkChain (same name, same error_limit semantics).  The orchestrator's
-  /// own aggregator sink goes through this path too (name "fleet").
-  /// Not thread-safe with tick(); call from the supervising thread.
-  void add_sink(const std::string& name, SinkFactory factory,
-                std::uint64_t error_limit = 1);
+  /// SinkChain: a throwing sink is detached from its cell's pipeline until
+  /// the next restart.  The orchestrator's own aggregator sink rides the
+  /// same chain (name "fleet").  Not thread-safe with tick(); call from
+  /// the supervising thread.
+  void add_sink(const std::string& name, SinkFactory factory);
 
   /// Unregister the factory and detach the sink from every live cell.
   /// False when no factory of that name was registered.
@@ -229,10 +221,6 @@ class FleetOrchestrator {
   [[nodiscard]] unsigned cell_restarts(std::uint32_t cell_index) const;
   /// Lifetime slots delivered by the cell's pipelines (across restarts).
   [[nodiscard]] std::uint64_t cell_slots(std::uint32_t cell_index) const;
-  /// Cells torn down because they were stuck in kResync past the deadline.
-  [[nodiscard]] std::uint64_t resync_escalations() const {
-    return m_resync_escalations_->value();
-  }
 
   [[nodiscard]] const FleetAggregator& aggregator() const {
     return aggregator_;
@@ -248,12 +236,14 @@ class FleetOrchestrator {
     FleetCellState state = FleetCellState::kBackoff;
     unsigned incarnation = 0;
     unsigned restarts = 0;
-    double backoff_s = 0.0;  ///< 0 = healthy (next failure starts initial)
+    /// Failures since the cell last ran kHealthySlots: the next restart
+    /// waits backoff_base_delay(kCellBackoff, failures).
+    unsigned failures = 0;
     std::chrono::steady_clock::time_point restart_at{};
     std::uint64_t feed_slot = 0;        ///< gNB slots this incarnation
+    std::uint64_t muted_slots = 0;      ///< kMute verdicts since the last push
     std::uint64_t pushes = 0;           ///< slots pushed this incarnation
     std::uint64_t pushed_lifetime = 0;  ///< pushes across incarnations
-    std::uint64_t slots_at_start = 0;   ///< aggregator slots at (re)start
     std::uint64_t readd_ues_at = 0;  ///< feed slot to re-attach UEs (0=none)
     std::uint64_t readd_seed = 0;    ///< seed base for the re-attach
     std::unique_ptr<GnbSim> gnb;
@@ -277,7 +267,6 @@ class FleetOrchestrator {
   struct SinkSpec {
     std::string name;
     SinkFactory factory;
-    std::uint64_t error_limit = 1;
   };
 
   FleetConfig config_;
@@ -292,7 +281,6 @@ class FleetOrchestrator {
   Histogram* m_latency_;  ///< fleet.slot_latency_us (push -> delivery)
   Counter* m_crashes_;
   Counter* m_stalls_;
-  Counter* m_resync_escalations_;
 };
 
 }  // namespace nrs

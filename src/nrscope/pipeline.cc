@@ -52,9 +52,8 @@ void NrScopePipeline::stop() {
 }
 
 std::string NrScopePipeline::add_sink(std::string name,
-                                      std::shared_ptr<SlotSink> sink,
-                                      std::uint64_t error_limit) {
-  return sinks_.add(std::move(name), std::move(sink), error_limit);
+                                      std::shared_ptr<SlotSink> sink) {
+  return sinks_.add(std::move(name), std::move(sink));
 }
 
 BufferPool<IqBuffer>::Handle NrScopePipeline::acquire_samples() {
@@ -127,7 +126,7 @@ void NrScopePipeline::engine_loop() {
     }
     job->samples.release();
     // Fault isolation is the chain's: a throwing sink is counted and
-    // (once its error budget is spent) detached, and the run continues.
+    // detached, and the run continues.
     sinks_.deliver_slot(result);
     if (alloc::hooks_active()) {
       const alloc::Totals t = alloc::totals();

@@ -60,14 +60,13 @@ class NrScopePipeline {
   NrScopePipeline& operator=(const NrScopePipeline&) = delete;
 
   /// Attach a result consumer under `name`.  Attach sinks before the first
-  /// push: a slot completed while no sink is attached reaches
-  /// nobody (the engine's telemetry still sees it).  Fault isolation is the SinkChain's: a sink
-  /// whose on_slot()/on_finish() throws is counted (pipeline.sink_errors
-  /// and pipeline.sink.<name>.errors) and detached once its error budget
-  /// — `error_limit` throws, default 1 — is spent, and the run continues.
-  /// Returns the registered name (uniquified when `name` collides).
-  std::string add_sink(std::string name, std::shared_ptr<SlotSink> sink,
-                       std::uint64_t error_limit = 1);
+  /// push: a slot completed while no sink is attached reaches nobody (the
+  /// engine's telemetry still sees it).  Fault isolation is the
+  /// SinkChain's: a sink whose on_slot()/on_finish() throws is counted
+  /// (pipeline.sink_errors and pipeline.sink.<name>.errors) and detached at
+  /// that first throw, and the run continues.  Returns the registered name
+  /// (uniquified when `name` collides).
+  std::string add_sink(std::string name, std::shared_ptr<SlotSink> sink);
 
   /// Anonymous attach: auto-names the sink ("sink0", "sink1", ...).
   std::string add_sink(std::shared_ptr<SlotSink> sink) {

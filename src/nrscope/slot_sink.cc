@@ -14,8 +14,7 @@ SinkChain::SinkChain(MetricsRegistry* registry, std::string metric_prefix)
   }
 }
 
-std::string SinkChain::add(std::string name, std::shared_ptr<SlotSink> sink,
-                           std::uint64_t error_limit) {
+std::string SinkChain::add(std::string name, std::shared_ptr<SlotSink> sink) {
   if (!sink) {
     return {};
   }
@@ -39,7 +38,6 @@ std::string SinkChain::add(std::string name, std::shared_ptr<SlotSink> sink,
   Entry entry;
   entry.name = unique;
   entry.sink = std::move(sink);
-  entry.error_limit = error_limit;
   if (registry_ != nullptr) {
     entry.errors = &registry_->counter(prefix_ + "sink." + unique +
                                        ".errors");
@@ -79,16 +77,14 @@ std::vector<std::string> SinkChain::names() const {
   return out;
 }
 
-bool SinkChain::note_error_locked(std::size_t i) {
-  Entry& entry = entries_[i];
-  ++entry.error_count;
+void SinkChain::drop_failed_locked(std::size_t i) {
   if (total_errors_ != nullptr) {
     total_errors_->inc();
   }
-  if (entry.errors != nullptr) {
-    entry.errors->inc();
+  if (entries_[i].errors != nullptr) {
+    entries_[i].errors->inc();
   }
-  return entry.error_limit > 0 && entry.error_count >= entry.error_limit;
+  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
 }
 
 void SinkChain::deliver_slot(const SlotResult& result) {
@@ -98,11 +94,7 @@ void SinkChain::deliver_slot(const SlotResult& result) {
       entries_[i].sink->on_slot(result);
       ++i;
     } catch (...) {
-      if (note_error_locked(i)) {
-        entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
+      drop_failed_locked(i);
     }
   }
 }
@@ -114,11 +106,7 @@ void SinkChain::deliver_finish() {
       entries_[i].sink->on_finish();
       ++i;
     } catch (...) {
-      if (note_error_locked(i)) {
-        entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
+      drop_failed_locked(i);
     }
   }
 }

@@ -34,24 +34,22 @@ class SlotSink {
 /// orchestrator: named sinks with uniform fault isolation.  A sink whose
 /// on_slot()/on_finish() throws has the error counted — in the chain-wide
 /// total (`<prefix>sink_errors`) and in its own per-sink counter
-/// (`<prefix>sink.<name>.errors`) — and is detached once its error budget
-/// (default 1) is spent; the run and the other sinks continue.
+/// (`<prefix>sink.<name>.errors`) — and is detached at that first throw;
+/// the run and the other sinks continue.
 ///
 /// deliver_slot()/deliver_finish() are called by exactly one thread (the
 /// pipeline's engine thread); add()/detach() are safe from any thread.
 class SinkChain {
  public:
-  /// `registry` receives the error counters; nullptr skips per-sink
-  /// metrics (errors are still counted internally for detachment).
+  /// `registry` receives the error counters; nullptr skips them (a
+  /// throwing sink is still detached).
   explicit SinkChain(MetricsRegistry* registry = nullptr,
                      std::string metric_prefix = "pipeline.");
 
   /// Attach a sink under `name` (replaces nothing: duplicate names get a
-  /// numeric suffix so per-sink metrics stay distinct).  `error_limit` is
-  /// the number of throws tolerated before auto-detach; 0 means detach is
-  /// disabled (errors are only counted).  Returns the registered name.
-  std::string add(std::string name, std::shared_ptr<SlotSink> sink,
-                  std::uint64_t error_limit = 1);
+  /// numeric suffix so per-sink metrics stay distinct).  Returns the
+  /// registered name.
+  std::string add(std::string name, std::shared_ptr<SlotSink> sink);
 
   /// Detach by name; false when no such sink is attached.
   bool detach(std::string_view name);
@@ -70,13 +68,10 @@ class SinkChain {
     std::string name;
     std::shared_ptr<SlotSink> sink;
     Counter* errors = nullptr;  ///< per-sink counter (may be null)
-    std::uint64_t error_count = 0;
-    std::uint64_t error_limit = 1;
   };
 
-  /// Count one error against entries_[i]; returns true when the sink must
-  /// be detached.  Caller holds mutex_.
-  bool note_error_locked(std::size_t i);
+  /// Count the throw of entries_[i] and detach it.  Caller holds mutex_.
+  void drop_failed_locked(std::size_t i);
 
   MetricsRegistry* registry_;
   std::string prefix_;

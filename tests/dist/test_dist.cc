@@ -43,6 +43,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Lease TTL of the table unit tests.
+constexpr double kTtlS = 1.0;
+
+/// `s` seconds on the steady clock, rounded as the lease table rounds.
+Clock::duration seconds(double s) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(s));
+}
+
 bool wait_until(const std::function<bool()>& pred, double timeout_s = 20.0) {
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
@@ -77,7 +86,7 @@ TEST(WorkerCatalog, AddAssignsUniqueIdsAndFindWorks) {
 
 TEST(WorkerCatalog, PickLeastLoadedPrefersFewestCellsThenLowestId) {
   WorkerCatalog catalog;
-  LeaseTable leases(8, LeaseTable::Config{});
+  LeaseTable leases(8, kTtlS);
   const auto now = Clock::now();
   const std::uint64_t a = catalog.add("a", 4, 10, now);
   const std::uint64_t b = catalog.add("b", 4, 11, now);
@@ -101,7 +110,7 @@ TEST(WorkerCatalog, PickLeastLoadedPrefersFewestCellsThenLowestId) {
 
 TEST(WorkerCatalog, DeadWorkersAreNeverPickedAndSilenceIsDetected) {
   WorkerCatalog catalog;
-  const LeaseTable leases(0, LeaseTable::Config{});
+  const LeaseTable leases(0, kTtlS);
   const auto t0 = Clock::now();
   const std::uint64_t a = catalog.add("a", 4, 10, t0);
   const std::uint64_t b = catalog.add("b", 4, 11, t0);
@@ -127,16 +136,8 @@ TEST(WorkerCatalog, DeadWorkersAreNeverPickedAndSilenceIsDetected) {
 
 // ---- LeaseTable ------------------------------------------------------
 
-LeaseTable::Config lease_config() {
-  LeaseTable::Config cfg;
-  cfg.ttl_s = 1.0;
-  cfg.backoff_initial_s = 0.05;
-  cfg.backoff_max_s = 0.4;
-  return cfg;
-}
-
 TEST(LeaseTable, GrantAckRenewLifecycle) {
-  LeaseTable table(2, lease_config());
+  LeaseTable table(2, kTtlS);
   const auto t0 = Clock::now();
   const std::uint64_t id = table.grant(0, /*worker_id=*/7, t0);
   ASSERT_NE(id, 0u);
@@ -163,7 +164,7 @@ TEST(LeaseTable, GrantAckRenewLifecycle) {
 }
 
 TEST(LeaseTable, RefusalReleasesWithPenaltyAndBumpsHandoffs) {
-  LeaseTable table(1, lease_config());
+  LeaseTable table(1, kTtlS);
   const auto t0 = Clock::now();
   const std::uint64_t id = table.grant(0, 7, t0);
   table.release(0, /*penalize=*/true, t0);
@@ -179,25 +180,29 @@ TEST(LeaseTable, RefusalReleasesWithPenaltyAndBumpsHandoffs) {
 }
 
 TEST(LeaseTable, BackoffEscalatesToCapAndProgressResetsIt) {
-  LeaseTable table(1, lease_config());
+  LeaseTable table(1, kTtlS);
   auto now = Clock::now();
-  // 0.05 -> 0.1 -> 0.2 -> 0.4 (cap) -> 0.4.
-  const double expected[] = {0.05, 0.1, 0.2, 0.4, 0.4};
-  for (const double backoff : expected) {
+  const auto hold_after_penalty = [&table, &now] {
     table.grant(0, 7, now);
     table.release(0, /*penalize=*/true, now);
-    EXPECT_DOUBLE_EQ(table.cell(0).backoff_s, backoff);
-    now += std::chrono::seconds(1);
+    return table.cell(0).retry_at - now;
+  };
+  // 0.05 -> 0.1 -> ... -> 0.8 -> 1.0 (cap) -> 1.0.
+  const double expected[] = {0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0};
+  for (unsigned i = 0; i < std::size(expected); ++i) {
+    EXPECT_EQ(hold_after_penalty(), seconds(expected[i])) << "release " << i;
+    EXPECT_DOUBLE_EQ(expected[i], backoff_base_delay(kLeaseBackoff, i));
+    now += std::chrono::seconds(2);
   }
   // Real progress under a fresh lease resets the escalation.
   table.grant(0, 7, now);
   table.note_progress(0);
   table.release(0, /*penalize=*/true, now);
-  EXPECT_DOUBLE_EQ(table.cell(0).backoff_s, 0.05);
+  EXPECT_EQ(table.cell(0).retry_at - now, seconds(0.05));
 }
 
 TEST(LeaseTable, DeliberateReleaseIsImmediatelyAssignable) {
-  LeaseTable table(1, lease_config());
+  LeaseTable table(1, kTtlS);
   const auto t0 = Clock::now();
   table.grant(0, 7, t0);
   table.release(0, /*penalize=*/false, t0);
@@ -500,7 +505,7 @@ TEST(DistE2E, PredictionSetsFlowToCoordinator) {
 // ---- Replication / failover primitives -------------------------------
 
 TEST(LeaseTable, RestoreMirrorsBindingAndRebindKeepsIdentity) {
-  LeaseTable table(2, lease_config());
+  LeaseTable table(2, kTtlS);
   const auto t0 = Clock::now();
   table.restore(0, LeaseState::kActive, /*lease_id=*/41, /*worker_id=*/7,
                 /*handoffs=*/2, t0);
@@ -519,7 +524,7 @@ TEST(LeaseTable, RestoreMirrorsBindingAndRebindKeepsIdentity) {
 }
 
 TEST(LeaseTable, NextLeaseIdRatchetsAndNeverReusesReplicatedIds) {
-  LeaseTable table(2, lease_config());
+  LeaseTable table(2, kTtlS);
   table.set_next_lease_id(41);
   EXPECT_EQ(table.next_lease_id(), 41u);
   table.set_next_lease_id(10);  // backward: ignored
@@ -529,7 +534,7 @@ TEST(LeaseTable, NextLeaseIdRatchetsAndNeverReusesReplicatedIds) {
 }
 
 TEST(LeaseTable, ExtendAllRestartsEveryTtlClock) {
-  LeaseTable table(2, lease_config());  // ttl 1s
+  LeaseTable table(2, kTtlS);
   const auto t0 = Clock::now();
   table.restore(0, LeaseState::kActive, 41, 7, 0, t0);
   table.restore(1, LeaseState::kPending, 42, 7, 0, t0);
@@ -542,7 +547,7 @@ TEST(LeaseTable, ExtendAllRestartsEveryTtlClock) {
 }
 
 TEST(LeaseTable, ResetDropsEverything) {
-  LeaseTable table(1, lease_config());
+  LeaseTable table(1, kTtlS);
   table.restore(0, LeaseState::kActive, 41, 7, 1, Clock::now());
   table.reset(3);
   EXPECT_EQ(table.n_cells(), 3u);
@@ -552,7 +557,7 @@ TEST(LeaseTable, ResetDropsEverything) {
 
 TEST(WorkerCatalog, RestoredGhostsAreNeverPickedAndTouchAllDefersSilence) {
   WorkerCatalog catalog;
-  const LeaseTable leases(0, LeaseTable::Config{});
+  const LeaseTable leases(0, kTtlS);
   const auto t0 = Clock::now();
   // Mirrored entry: no socket yet (fd -1) — a ghost awaiting reconnect.
   catalog.restore(7, "ghost", 8, t0);

@@ -345,25 +345,6 @@ TEST(Pipeline, PerSinkErrorCountersNameTheFailingSink) {
             std::vector<std::string>{"healthy"});
 }
 
-TEST(Pipeline, ErrorLimitZeroCountsButNeverDetaches) {
-  const CapturedRun& run = captured_run();
-  NrScopePipeline pipeline(scope_config(run.cell));
-  // error_limit 0: the sink stays attached no matter how often it throws.
-  pipeline.add_sink("hopeless", std::make_shared<ThrowingSink>(0),
-                    /*error_limit=*/0);
-  for (int i = 0; i < 10; ++i) {
-    pipeline.push_slot_wait(
-        pooled_copy(pipeline, run.slots[static_cast<std::size_t>(i)]));
-  }
-  pipeline.stop();
-  EXPECT_EQ(pipeline.sink_count(), 1u);
-  const MetricsSnapshot snap = pipeline.metrics();
-  // Every delivered slot threw, plus the throwing on_finish.
-  EXPECT_GE(snap.counter_value("pipeline.sink.hopeless.errors"), 10u);
-  EXPECT_EQ(snap.counter_value("pipeline.sink.hopeless.errors"),
-            snap.counter_value("pipeline.sink_errors"));
-}
-
 TEST(Pipeline, MetricsSnapshotCoversEveryStage) {
   const CapturedRun& run = captured_run();
   NrScopePipeline pipeline(scope_config(run.cell));
