@@ -1,14 +1,14 @@
 // Streaming-sink overhead bench: how fast can the collector thread push
 // slot results through the TelemetryStreamServer, and what does a slow
-// consumer cost under each backpressure policy?
+// consumer cost?
 //
 // Two questions, two tables:
 //   1. slots/sec vs. number of (fast, draining) loopback clients — the
 //      fan-out cost of serializing once and enqueueing per client.
-//   2. a deliberately stuck client (connects, never reads) under each
-//      BackpressurePolicy — the feed rate must stay within noise of the
-//      no-server baseline, with the configured policy shedding frames
-//      (drops show up in the net.* metrics, never as collector stalls).
+//   2. a deliberately stuck client (connects, never reads) — the feed
+//      rate must stay within noise of the one-client row, with its full
+//      queue shedding the oldest frames (net.frames_dropped.drop_oldest,
+//      never a collector stall).
 //
 // Run:  ./build/bench/bench_stream_throughput
 #include <unistd.h>
@@ -79,16 +79,12 @@ struct BenchResult {
 
 /// Feed kSlots pre-built results into a server sink with `n_fast` draining
 /// clients and optionally one stuck client; time only the on_slot calls.
-BenchResult run_case(unsigned n_fast, BackpressurePolicy policy,
-                     bool with_stuck,
+BenchResult run_case(unsigned n_fast, bool with_stuck,
                      const std::vector<SlotResult>& pool) {
   BenchResult out;
   MetricsRegistry registry;
-  StreamServerConfig server_cfg;
-  server_cfg.policy = policy;
-  server_cfg.client_queue_frames = 256;
-  auto server =
-      std::make_unique<TelemetryStreamServer>(server_cfg, &registry);
+  auto server = std::make_unique<TelemetryStreamServer>(StreamServerConfig{},
+                                                        &registry);
 
   std::atomic<std::uint64_t> received{0};
   std::vector<std::unique_ptr<TelemetryStreamClient>> clients;
@@ -163,8 +159,7 @@ int main() {
   std::printf("%8s %12s %14s %14s %14s\n", "clients", "slots/s",
               "on_slot ns", "frames rx", "MB sent");
   for (const unsigned n : {0u, 1u, 2u, 4u}) {
-    const BenchResult r =
-        run_case(n, BackpressurePolicy::kDropOldest, false, pool);
+    const BenchResult r = run_case(n, false, pool);
     std::printf("%8u %12.0f %14.0f %14llu %14.2f\n", n, kSlots / r.wall_s,
                 r.mean_on_slot_ns,
                 static_cast<unsigned long long>(r.frames_received),
@@ -173,25 +168,16 @@ int main() {
                     1e6);
   }
 
-  std::printf("\n-- one stuck consumer (never reads) per policy --\n");
-  std::printf("%-18s %12s %12s %12s %12s %12s\n", "policy", "slots/s",
-              "on_slot ns", "dropped", "coalesced", "kicked");
-  for (const BackpressurePolicy policy :
-       {BackpressurePolicy::kDropOldest, BackpressurePolicy::kCoalesceLatest,
-        BackpressurePolicy::kDisconnectSlow}) {
-    const BenchResult r = run_case(0, policy, true, pool);
-    std::printf("%-18s %12.0f %12.0f %12llu %12llu %12llu\n",
-                to_string(policy), kSlots / r.wall_s, r.mean_on_slot_ns,
-                static_cast<unsigned long long>(r.snapshot.counter_value(
-                    "net.frames_dropped.drop_oldest")),
-                static_cast<unsigned long long>(
-                    r.snapshot.counter_value("net.frames_dropped.coalesced")),
-                static_cast<unsigned long long>(r.snapshot.counter_value(
-                    "net.clients_disconnected_slow")));
-  }
+  std::printf("\n-- one stuck consumer (never reads) --\n");
+  std::printf("%12s %12s %12s\n", "slots/s", "on_slot ns", "dropped");
+  const BenchResult r = run_case(0, true, pool);
+  std::printf("%12.0f %12.0f %12llu\n", kSlots / r.wall_s, r.mean_on_slot_ns,
+              static_cast<unsigned long long>(r.snapshot.counter_value(
+                  "net.frames_dropped.drop_oldest")));
   std::printf("\nreading the table: a stuck client must never stall the\n"
               "collector -- on_slot ns stays near the 1-fast-client row\n"
               "(microseconds, i.e. noise next to the ~100 us slot pipeline),\n"
-              "and the shed frames appear in the policy's drop counter.\n");
+              "and the shed frames appear in the drop counter.  A consumer\n"
+              "that accepts no byte for kSendTimeout is then dropped.\n");
   return 0;
 }

@@ -213,7 +213,6 @@ int run_demo() {
 
   StreamClientConfig client_config;
   client_config.port = server->port();
-  client_config.backoff_initial_s = 0.02;
   TelemetryStreamClient client(client_config, handlers);
   if (!client.wait_connected(5.0)) {
     std::fprintf(stderr, "client failed to connect\n");
@@ -326,7 +325,7 @@ int run_demo() {
 
   const MetricsSnapshot snap = pipeline.metrics();
   std::printf("\n[net] frames_sent=%llu bytes_sent=%llu connects=%llu "
-              "drops(drop_oldest=%llu coalesced=%llu)\n",
+              "dropped=%llu\n",
               static_cast<unsigned long long>(
                   snap.counter_value("net.frames_sent")),
               static_cast<unsigned long long>(
@@ -334,9 +333,7 @@ int run_demo() {
               static_cast<unsigned long long>(
                   snap.counter_value("net.client_connects")),
               static_cast<unsigned long long>(
-                  snap.counter_value("net.frames_dropped.drop_oldest")),
-              static_cast<unsigned long long>(
-                  snap.counter_value("net.frames_dropped.coalesced")));
+                  snap.counter_value("net.frames_dropped.drop_oldest")));
 
   const bool identical = files_identical(local_path, remote_path);
   std::printf("remote CSV %s local TelemetryLogWriter CSV (%s vs %s)\n",

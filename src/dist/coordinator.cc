@@ -185,9 +185,9 @@ void FleetCoordinator::io_loop() {
 }
 
 void FleetCoordinator::handle_accept() {
-  // Bound synchronous sends: a worker that stops draining its socket
+  // The send bound matters here: a worker that stops draining its socket
   // fails the send and is declared dead, instead of wedging the io thread.
-  const int fd = accept_tcp(listen_fd_, SendBound::kBounded);
+  const int fd = accept_tcp(listen_fd_);
   if (fd < 0) {
     return;
   }

@@ -26,14 +26,12 @@ bool ipv4_address(const std::string& host, std::uint16_t port,
   return ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1;
 }
 
-void set_link_options(int fd, SendBound bound) {
+void set_link_options(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  if (bound == SendBound::kBounded) {
-    timeval timeout{};
-    timeout.tv_sec = kSendTimeout.count();
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
-  }
+  timeval timeout{};
+  timeout.tv_sec = kSendTimeout.count();
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
 }
 
 }  // namespace
@@ -62,12 +60,12 @@ TcpListener listen_tcp(const std::string& address, std::uint16_t port) {
   return TcpListener{fd, ntohs(bound.sin_port)};
 }
 
-int accept_tcp(int listen_fd, SendBound bound) {
+int accept_tcp(int listen_fd) {
   const int fd = ::accept(listen_fd, nullptr, nullptr);
   if (fd < 0) {
     return -1;
   }
-  set_link_options(fd, bound);
+  set_link_options(fd);
   return fd;
 }
 
@@ -100,7 +98,7 @@ int dial_tcp(const std::string& host, std::uint16_t port) {
     return -1;
   }
   ::fcntl(fd, F_SETFL, flags);
-  set_link_options(fd, SendBound::kBounded);
+  set_link_options(fd);
   return fd;
 }
 

@@ -32,13 +32,17 @@ inline constexpr int kListenBacklog = 16;
 inline constexpr std::chrono::milliseconds kDialTimeout{250};
 /// How long one blocking send may wait on a peer that stopped reading
 /// before it fails (SO_SNDTIMEO) instead of wedging the sending thread.
+/// Every dialed and every accepted socket carries it.
 inline constexpr std::chrono::seconds kSendTimeout{2};
 
-/// Whether an accepted socket's sends carry the kSendTimeout bound.
-enum class SendBound : std::uint8_t {
-  kNone,     ///< sends may block (a sender thread that can afford to wait)
-  kBounded,  ///< SO_SNDTIMEO = kSendTimeout
-};
+/// A telemetry stream server heartbeats a client after this long without
+/// a frame for it, so the client can tell a quiet cell from a dead server.
+inline constexpr std::chrono::milliseconds kStreamHeartbeat{500};
+/// A stream client that reads no frame (not even a heartbeat) for this
+/// long declares the connection dead and redials.
+inline constexpr std::chrono::seconds kStreamReadTimeout{2};
+static_assert(kStreamReadTimeout >= 4 * kStreamHeartbeat,
+              "a stream client must outwait several missed heartbeats");
 
 /// A listening socket and the port it is bound to.
 struct TcpListener {
@@ -52,8 +56,8 @@ struct TcpListener {
 TcpListener listen_tcp(const std::string& address, std::uint16_t port);
 
 /// Accept one pending connection (blocking on a blocking listener) with
-/// TCP_NODELAY set; -1 when accept() fails.
-int accept_tcp(int listen_fd, SendBound bound);
+/// TCP_NODELAY and the kSendTimeout bound; -1 when accept() fails.
+int accept_tcp(int listen_fd);
 
 /// Connect to `host:port`, giving up after kDialTimeout.  The returned
 /// socket is blocking, with TCP_NODELAY and the kSendTimeout bound; -1 on

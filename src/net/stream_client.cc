@@ -1,6 +1,5 @@
 #include "net/stream_client.h"
 
-#include "common/backoff.h"
 #include "net/socket_io.h"
 
 #include <poll.h>
@@ -133,7 +132,7 @@ bool TelemetryStreamClient::wait_connected(double timeout_s) {
 }
 
 void TelemetryStreamClient::run() {
-  RedialSchedule redial({config_.backoff_initial_s, config_.backoff_max_s});
+  RedialSchedule redial(kStreamRedial);
   bool first_attempt = true;
   while (!stopping_.load()) {
     // Jittered exponential backoff, sliced so stop() stays responsive.
@@ -185,7 +184,6 @@ void TelemetryStreamClient::run() {
 bool TelemetryStreamClient::serve_connection(int fd) {
   FrameParser parser;
   auto last_frame = Clock::now();
-  const auto timeout = std::chrono::duration<double>(config_.read_timeout_s);
   while (!stopping_.load()) {
     pollfd pfd{fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, /*timeout_ms=*/50);
@@ -212,7 +210,7 @@ bool TelemetryStreamClient::serve_connection(int fd) {
         return false;  // protocol mismatch: drop and reconnect
       }
     }
-    if (Clock::now() - last_frame > timeout) {
+    if (Clock::now() - last_frame > kStreamReadTimeout) {
       return false;  // silent peer: heartbeats stopped, declare it dead
     }
   }

@@ -1,11 +1,12 @@
 // Reconnecting consumer of the telemetry wire protocol.  Owns one reader
 // thread: it connects to a TelemetryStreamServer, parses frames, and hands
 // decoded SlotResults / MetricsSnapshots to user callbacks.  Liveness is
-// watched with a read timeout (the server heartbeats when idle, so a quiet
-// socket means a dead peer, not a quiet cell); a lost connection is retried
-// forever with jittered exponential backoff (common/backoff.h), which makes
-// the client survive mid-stream server restarts: it simply resubscribes
-// and resumes with the server's hello frame.
+// watched with kStreamReadTimeout (the server heartbeats every
+// kStreamHeartbeat when idle, so a quiet socket means a dead peer, not a
+// quiet cell); a lost connection is redialed forever on the kStreamRedial
+// schedule (common/backoff.h), which makes the client survive mid-stream
+// server restarts: it simply resubscribes and resumes with the server's
+// hello frame.
 //
 // The connection is also request/response-capable: query() sends a kQuery
 // frame tagged with a fresh correlation ID and blocks the *calling* thread
@@ -30,23 +31,20 @@
 #include <thread>
 #include <unordered_map>
 
+#include "common/backoff.h"
 #include "common/metrics.h"
 #include "net/wire.h"
 
 namespace nrs {
 
+/// A stream client's redial schedule: 0.05 s doubling to 1 s, each delay
+/// jittered per instance, so many clients losing one server together do
+/// not redial it in lockstep.
+inline constexpr BackoffPolicy kStreamRedial{};
+
 struct StreamClientConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;
-  /// No frame (not even a heartbeat) for this long -> the connection is
-  /// declared dead and the reconnect loop takes over.  Must be comfortably
-  /// larger than the server's heartbeat_period_s.
-  double read_timeout_s = 2.0;
-  /// First reconnect delay and the exponential backoff ceiling; every
-  /// delay is jittered per instance (common/backoff.h), so many clients
-  /// losing one server together do not redial it in lockstep.
-  double backoff_initial_s = 0.05;
-  double backoff_max_s = 1.0;
   /// Stop the reader thread once an end-of-stream frame arrives (a
   /// finished run); switch off to keep listening across runs.
   bool stop_on_end_of_stream = true;

@@ -6,28 +6,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
-#include <chrono>
-#include <stdexcept>
+#include <exception>
 
 namespace nrs {
-
-const char* to_string(BackpressurePolicy policy) {
-  switch (policy) {
-    case BackpressurePolicy::kDropOldest: return "drop-oldest";
-    case BackpressurePolicy::kCoalesceLatest: return "coalesce-latest";
-    case BackpressurePolicy::kDisconnectSlow: return "disconnect-slow";
-  }
-  return "unknown";
-}
 
 TelemetryStreamServer::TelemetryStreamServer(
     const StreamServerConfig& config, MetricsRegistry* registry)
     : config_(config) {
-  if (config_.client_queue_frames == 0) {
-    throw std::invalid_argument(
-        "TelemetryStreamServer: client_queue_frames must be > 0");
-  }
   if (registry != nullptr) {
     registry_ = registry;
     send_metrics_frames_ = config_.metrics_period_slots > 0;
@@ -39,9 +24,6 @@ TelemetryStreamServer::TelemetryStreamServer(
   m_frames_sent_ = &registry_->counter("net.frames_sent");
   m_heartbeats_sent_ = &registry_->counter("net.heartbeats_sent");
   m_drop_oldest_ = &registry_->counter("net.frames_dropped.drop_oldest");
-  m_drop_coalesced_ = &registry_->counter("net.frames_dropped.coalesced");
-  m_disconnect_slow_ =
-      &registry_->counter("net.clients_disconnected_slow");
   m_connects_ = &registry_->counter("net.client_connects");
   m_disconnects_ = &registry_->counter("net.client_disconnects");
   m_send_errors_ = &registry_->counter("net.send_errors");
@@ -53,8 +35,7 @@ TelemetryStreamServer::TelemetryStreamServer(
   m_query_latency_us_ = &registry_->histogram("query.latency_us");
   m_query_inflight_ = &registry_->gauge("query.inflight");
   if (config_.query_handler) {
-    query_pool_ =
-        std::make_unique<WorkerPool>(std::max(1u, config_.query_threads));
+    query_pool_ = std::make_unique<WorkerPool>(kStreamQueryThreads);
   }
 
   const TcpListener listener = listen_tcp(config_.bind_address, config_.port);
@@ -138,9 +119,7 @@ void TelemetryStreamServer::accept_loop() {
     if ((pfds[0].revents & POLLIN) == 0) {
       continue;
     }
-    // Unbounded sends: the client's own sender thread may block while the
-    // backpressure policy sheds frames on its queue.
-    const int fd = accept_tcp(listen_fd_, SendBound::kNone);
+    const int fd = accept_tcp(listen_fd_);
     if (fd < 0) {
       continue;
     }
@@ -150,7 +129,7 @@ void TelemetryStreamServer::accept_loop() {
       ::close(fd);
       continue;
     }
-    auto client = std::make_shared<Client>(config_.client_queue_frames);
+    auto client = std::make_shared<Client>();
     client->fd = fd;
     // Greeting first, before the client is visible to broadcast(), so the
     // hello frame is always the first thing on the wire.
@@ -283,13 +262,11 @@ void TelemetryStreamServer::dispatch_query(
 }
 
 void TelemetryStreamServer::sender_loop(Client& client) {
-  const auto heartbeat_after = std::chrono::duration<double>(
-      config_.heartbeat_period_s > 0 ? config_.heartbeat_period_s : 3600.0);
   const std::vector<std::uint8_t> beat =
       encode_frame(FrameType::kHeartbeat, {});
   while (!client.dead.load()) {
     const std::optional<FramePtr> frame =
-        client.queue.pop_for(heartbeat_after);
+        client.queue.pop_for(kStreamHeartbeat);
     if (!frame && client.queue.closed()) {
       break;
     }
@@ -297,6 +274,7 @@ void TelemetryStreamServer::sender_loop(Client& client) {
     const std::vector<std::uint8_t>& bytes = frame ? **frame : beat;
     bool sent = false;
     {
+      // A consumer that accepts no byte for kSendTimeout fails the send.
       std::lock_guard lock(client.send_mutex);
       sent = send_all(client.fd, bytes.data(), bytes.size());
     }
@@ -311,31 +289,10 @@ void TelemetryStreamServer::sender_loop(Client& client) {
 }
 
 void TelemetryStreamServer::enqueue(Client& client, const FramePtr& frame) {
-  while (true) {
-    switch (client.queue.try_push_result(frame)) {
-      case QueuePushResult::kOk:
-      case QueuePushResult::kClosed:
-        return;
-      case QueuePushResult::kFull:
-        break;
-    }
-    switch (config_.policy) {
-      case BackpressurePolicy::kDropOldest:
-        if (client.queue.try_pop()) {
-          m_drop_oldest_->inc();
-        }
-        break;
-      case BackpressurePolicy::kCoalesceLatest:
-        while (client.queue.try_pop()) {
-          m_drop_coalesced_->inc();
-        }
-        break;
-      case BackpressurePolicy::kDisconnectSlow:
-        m_disconnect_slow_->inc();
-        client.dead.store(true);
-        client.queue.close();
-        ::shutdown(client.fd, SHUT_RDWR);
-        return;
+  // A full queue sheds its oldest frame, so the stream stays fresh.
+  while (client.queue.try_push_result(frame) == QueuePushResult::kFull) {
+    if (client.queue.try_pop()) {
+      m_drop_oldest_->inc();
     }
   }
 }

@@ -2,9 +2,10 @@
 // each SlotResult once and fans the frame out to every connected TCP
 // client.  The engine thread (the pipeline hot loop) only ever touches
 // per-client bounded queues — a slow or dead consumer can never block the
-// sniffer; what happens when a client falls behind is the configured
-// BackpressurePolicy, and every shed frame is counted in the metrics
-// registry (net.frames_dropped.*).
+// sniffer.  One overload rule: a client whose queue is full sheds its
+// oldest frame (net.frames_dropped.drop_oldest), and a client that accepts
+// no byte for kSendTimeout fails its sender's send and is dropped
+// (net.send_errors), which releases its sender thread and its slot.
 //
 // The stream is also request/response-capable: clients may send kQuery
 // frames, which the accept/housekeeping thread parses and hands to a
@@ -37,37 +38,23 @@
 
 namespace nrs {
 
-/// What to do with a client whose send queue is full when a new frame
-/// arrives (i.e. the consumer is slower than the cell).
-enum class BackpressurePolicy : std::uint8_t {
-  kDropOldest,       ///< shed the oldest queued frame, keep the stream fresh
-  kCoalesceLatest,   ///< drop everything queued; deliver only the newest
-  kDisconnectSlow,   ///< drop the client instead of any frame
-};
-
-const char* to_string(BackpressurePolicy policy);
-
 /// Connections a server holds at once; further accepts are closed.
 inline constexpr std::size_t kMaxStreamClients = 64;
+/// Frames queued per client; a full queue sheds its oldest frame.
+inline constexpr std::size_t kStreamQueueFrames = 256;
+/// Query pool threads (spawned only when a query_handler is set).
+inline constexpr unsigned kStreamQueryThreads = 2;
 
 struct StreamServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = pick an ephemeral port (see port())
-  BackpressurePolicy policy = BackpressurePolicy::kDropOldest;
-  std::size_t client_queue_frames = 256;  ///< per-client send queue bound
   /// Send a MetricsSnapshot frame every N slots (0 disables).  Requires a
   /// registry to snapshot (the one passed to the constructor).
   std::uint64_t metrics_period_slots = 0;
-  /// Idle keep-alive: a heartbeat frame when nothing was queued for this
-  /// long, so clients can tell "quiet cell" from "dead server".
-  double heartbeat_period_s = 0.5;
-
   /// Answers kQuery frames (see src/store's history_query_handler).  Runs
   /// on the query pool threads; must be thread-safe.  When unset, queries
   /// are answered with status kUnavailable.
   std::function<QueryResponse(const QueryRequest&)> query_handler;
-  /// Query pool size (only spawned when query_handler is set).
-  unsigned query_threads = 2;
 };
 
 class TelemetryStreamServer : public SlotSink {
@@ -87,10 +74,9 @@ class TelemetryStreamServer : public SlotSink {
   void on_slot(const SlotResult& result) override;
   void on_finish() override;
 
-  /// Broadcast an arbitrary pre-encoded frame — e.g. the fleet
-  /// orchestrator's periodic aggregate rollup (encode_frame(summary)) — to
-  /// every connected client.  Thread-safe; a slow client sheds it under the
-  /// same backpressure policy as slot frames.
+  /// Broadcast an arbitrary pre-encoded frame — e.g. a fleet's aggregate
+  /// rollup (encode_frame(summary)) — to every connected client.
+  /// Thread-safe; a slow client sheds it like a slot frame.
   void broadcast_frame(std::vector<std::uint8_t> frame);
 
   /// The actual listening port (resolves config.port == 0).
@@ -109,9 +95,8 @@ class TelemetryStreamServer : public SlotSink {
   using FramePtr = std::shared_ptr<const std::vector<std::uint8_t>>;
 
   struct Client {
-    explicit Client(std::size_t queue_frames) : queue(queue_frames) {}
     int fd = -1;
-    BoundedQueue<FramePtr> queue;
+    BoundedQueue<FramePtr> queue{kStreamQueueFrames};
     std::thread sender;
     std::atomic<bool> dead{false};
     /// Inbound request parser; touched only by the accept/housekeeping
@@ -151,8 +136,8 @@ class TelemetryStreamServer : public SlotSink {
   // reap, so a response for a vanished consumer is dropped, not a crash.
   std::vector<std::shared_ptr<Client>> clients_;
 
-  /// Lazily spawned on the first constructor that carries a
-  /// query_handler; destroyed (joined) in stop() before the clients.
+  /// Spawned when the config carries a query_handler; destroyed (joined)
+  /// in stop() before the clients.
   std::unique_ptr<WorkerPool> query_pool_;
 
   std::atomic<std::uint64_t> next_slot_{0};  ///< for HelloInfo on accept
@@ -162,8 +147,6 @@ class TelemetryStreamServer : public SlotSink {
   Counter* m_frames_sent_ = nullptr;
   Counter* m_heartbeats_sent_ = nullptr;
   Counter* m_drop_oldest_ = nullptr;
-  Counter* m_drop_coalesced_ = nullptr;
-  Counter* m_disconnect_slow_ = nullptr;
   Counter* m_connects_ = nullptr;
   Counter* m_disconnects_ = nullptr;
   Counter* m_send_errors_ = nullptr;

@@ -1013,7 +1013,7 @@ class FakeCoordinator {
   [[nodiscard]] std::uint16_t port() const { return listener_.port; }
 
   bool accept_worker() {
-    conn_fd_ = accept_tcp(listener_.fd, SendBound::kBounded);
+    conn_fd_ = accept_tcp(listener_.fd);
     return conn_fd_ >= 0;
   }
 

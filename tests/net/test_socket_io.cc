@@ -151,19 +151,11 @@ TEST(SocketIo, DialAndAcceptCarryTheLinkOptions) {
   // The dialed socket is blocking again once the handshake is done.
   EXPECT_EQ(::fcntl(dialed, F_GETFL, 0) & O_NONBLOCK, 0);
 
-  const int bounded = accept_tcp(listener.fd, SendBound::kBounded);
-  ASSERT_GE(bounded, 0);
-  EXPECT_TRUE(no_delay(bounded));
-  EXPECT_EQ(send_timeout(bounded).tv_sec, kSendTimeout.count());
-
-  const int second = dial_tcp("127.0.0.1", listener.port);
-  ASSERT_GE(second, 0);
-  const int unbounded = accept_tcp(listener.fd, SendBound::kNone);
-  ASSERT_GE(unbounded, 0);
-  EXPECT_TRUE(no_delay(unbounded));
-  EXPECT_EQ(send_timeout(unbounded).tv_sec, 0);
-  EXPECT_EQ(send_timeout(unbounded).tv_usec, 0);
-  for (const int fd : {dialed, bounded, second, unbounded, listener.fd}) {
+  const int accepted = accept_tcp(listener.fd);
+  ASSERT_GE(accepted, 0);
+  EXPECT_TRUE(no_delay(accepted));
+  EXPECT_EQ(send_timeout(accepted).tv_sec, kSendTimeout.count());
+  for (const int fd : {dialed, accepted, listener.fd}) {
     ::close(fd);
   }
 }
