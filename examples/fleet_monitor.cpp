@@ -156,8 +156,6 @@ int main(int argc, char** argv) {
   FleetConfig config;
   config.seed = opt.seed;
   config.pool_threads = 4;
-  config.stream = server.get();
-  config.aggregate_period_ticks = 10;
   for (unsigned i = 0; i < opt.cells; ++i) {
     FleetCellSpec spec;
     spec.cell = *preset;
@@ -224,13 +222,17 @@ int main(int argc, char** argv) {
 
   // Advance in short chunks so SIGINT/SIGTERM can interrupt between them:
   // the fleet then drains its pipelines (sinks flush into the aggregator
-  // and the history store) instead of dying mid-slot.
+  // and the history store) instead of dying mid-slot.  Each chunk's fleet
+  // summary goes out to stream clients as one kFleet frame.
   const std::uint64_t chunk = std::min<std::uint64_t>(opt.report_every, 100);
   std::uint64_t next_report = opt.report_every;
   for (std::uint64_t target = chunk;
        target < opt.slots && !nrs_examples::stop_requested();
        target += chunk) {
     fleet.run_until(target);
+    if (server != nullptr) {
+      server->broadcast_frame(encode_frame(fleet.summary()));
+    }
     if (target >= next_report) {
       print_table(fleet);
       next_report += opt.report_every;

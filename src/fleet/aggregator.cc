@@ -5,6 +5,7 @@
 
 #include "common/timing.h"
 #include "nr/dci.h"
+#include "nr/rach.h"
 
 namespace nrs {
 
@@ -51,16 +52,21 @@ void FleetAggregator::on_cell_slot(std::uint32_t cell_index,
 
   std::uint64_t slot_retx = 0;
   for (const DecodedDci& dci : result.dcis) {
-    agg.last_seen[dci.rnti] = slot;
+    // UEs and their rates count C-RNTIs only (SI/RA broadcasts are not
+    // user telemetry); the DCI counters and utilization count every DCI.
+    const bool user = is_plausible_crnti(dci.rnti);
+    if (user) {
+      agg.last_seen[dci.rnti] = slot;
+    }
     if (dci.is_retx) {
       ++slot_retx;
     }
     if (is_downlink(dci.dci.format)) {
       agg.used_prb_slots += static_cast<double>(dci.grant.prb_len);
-      if (!dci.is_retx) {
+      if (user && !dci.is_retx) {
         agg.dl_rate.add(slot, dci.grant.tbs);
       }
-    } else if (!dci.is_retx) {
+    } else if (user && !dci.is_retx) {
       agg.ul_rate.add(slot, dci.grant.tbs);
     }
   }

@@ -2,7 +2,9 @@
 // pipeline pushes its in-order SlotResults here (from that cell's engine
 // thread), and the aggregator maintains restart-surviving lifetime totals —
 // per-cell CellCounters, new-data throughput windows, PRB utilization —
-// plus each cell's last-seen slot per RNTI for the active-UE count.
+// plus each cell's last-seen slot per C-RNTI for the active-UE count.  UEs
+// and throughput count plausible C-RNTIs only, as the engine's telemetry
+// does; the DCI counters and utilization count every DCI.
 // summary() renders a point-in-time FleetSummary (through
 // summarize_fleet) with the spare-capacity ranking the paper's section
 // 5.4.1 use case asks for, fleet-wide.  All per-cell counters also land in

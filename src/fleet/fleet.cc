@@ -308,8 +308,10 @@ void FleetOrchestrator::apply_feeder_event(CellRunner& runner,
   }
 }
 
-void FleetOrchestrator::advance_cell(CellRunner& runner) {
-  for (std::uint64_t k = 0; k < config_.slots_per_tick; ++k) {
+void FleetOrchestrator::advance_cell(CellRunner& runner,
+                                     std::uint64_t target) {
+  for (std::uint64_t k = 0;
+       k < config_.slots_per_tick && runner.pushed_lifetime < target; ++k) {
     if (const FaultEvent* event =
             runner.spec.faults.feeder_event_at(runner.feed_slot)) {
       apply_feeder_event(runner, *event);
@@ -323,12 +325,12 @@ void FleetOrchestrator::advance_cell(CellRunner& runner) {
     FaultAction action = FaultAction::kNone;
     if (runner.spec.fault_hook) {
       // May throw: that is the crash-injection path, and it surfaces to
-      // tick() through the pool task's future.
+      // supervise() through the pool task's future.
       action = runner.spec.fault_hook(runner.feed_slot, runner.incarnation);
     }
     ++runner.feed_slot;
     if (action == FaultAction::kMute) {
-      // Dark radio: the gNB ran, the sniffer saw nothing.  tick() reads
+      // Dark radio: the gNB ran, the sniffer saw nothing.  supervise() reads
       // the run after this task ends.
       ++runner.muted_slots;
       continue;
@@ -378,7 +380,9 @@ void FleetOrchestrator::fail_cell(CellRunner& runner, bool crashed) {
   set_state(runner, FleetCellState::kBackoff);
 }
 
-void FleetOrchestrator::tick() {
+void FleetOrchestrator::tick() { supervise(kNoTarget); }
+
+void FleetOrchestrator::supervise(std::uint64_t target) {
   const auto now = Clock::now();
   for (auto& cp : cells_) {
     if (cp->state == FleetCellState::kBackoff && now >= cp->restart_at) {
@@ -389,12 +393,14 @@ void FleetOrchestrator::tick() {
   std::vector<std::pair<CellRunner*, std::future<void>>> inflight;
   inflight.reserve(cells_.size());
   for (auto& cp : cells_) {
-    if (cp->state != FleetCellState::kRunning) {
+    if (cp->state != FleetCellState::kRunning ||
+        cp->pushed_lifetime >= target) {
       continue;
     }
     CellRunner* runner = cp.get();
-    inflight.emplace_back(
-        runner, pool_.submit([this, runner] { advance_cell(*runner); }));
+    inflight.emplace_back(runner, pool_.submit([this, runner, target] {
+      advance_cell(*runner, target);
+    }));
   }
   for (auto& [runner, fut] : inflight) {
     try {
@@ -409,15 +415,9 @@ void FleetOrchestrator::tick() {
   }
 
   if (inflight.empty()) {
-    // Every cell is in backoff (or failed): don't spin while waiting for
-    // a restart deadline.
+    // Every cell left to feed is in backoff (or failed): don't spin while
+    // waiting for a restart deadline.
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  ++tick_count_;
-  if (config_.stream != nullptr && config_.aggregate_period_ticks > 0 &&
-      tick_count_ % config_.aggregate_period_ticks == 0) {
-    config_.stream->broadcast_frame(encode_frame(summary()));
   }
 }
 
@@ -438,7 +438,7 @@ void FleetOrchestrator::run_until(std::uint64_t target_slots) {
     if (!any_live || all_done) {
       return;
     }
-    tick();
+    supervise(target_slots);
   }
 }
 

@@ -57,7 +57,6 @@
 #include "common/worker_pool.h"
 #include "fleet/aggregator.h"
 #include "gnb/gnb_sim.h"
-#include "net/stream_server.h"
 #include "net/wire.h"
 #include "nr/cell_config.h"
 #include "nrscope/pipeline.h"
@@ -127,12 +126,6 @@ struct FleetConfig {
   unsigned pool_threads = 4;  ///< shared advance pool (the scale knob)
   std::uint64_t seed = 1;     ///< fleet seed; per-cell seeds derive from it
   std::uint64_t slots_per_tick = 20;
-
-  /// Optional: broadcast a kFleet aggregate frame on this stream server
-  /// every `aggregate_period_ticks` ticks (the fan-in counterpart of the
-  /// per-cell slot streams).  Not owned; must outlive the orchestrator.
-  TelemetryStreamServer* stream = nullptr;
-  std::uint64_t aggregate_period_ticks = 1;
 };
 
 /// One fleet cell's simulated air (gNB with its UE population, and the
@@ -169,13 +162,13 @@ class FleetOrchestrator {
   FleetOrchestrator& operator=(const FleetOrchestrator&) = delete;
 
   /// One supervision round: restart cells whose backoff expired, advance
-  /// every running cell by slots_per_tick slots on the shared pool, tear
-  /// down the cells that crashed or stalled, and emit the periodic
-  /// aggregate frame.
+  /// every running cell by slots_per_tick slots on the shared pool, and
+  /// tear down the cells that crashed or stalled.
   void tick();
 
-  /// Tick until every non-failed cell has fed at least `target_slots`
-  /// lifetime slots (restarts included), or every cell has failed.
+  /// Supervise until every non-failed cell has fed exactly `target_slots`
+  /// lifetime slots (restarts included), or every cell has failed.  A
+  /// round advances only the cells below the target, and none past it.
   void run_until(std::uint64_t target_slots);
 
   /// Tear down every cell: pipelines drain their accepted slots into the
@@ -254,10 +247,17 @@ class FleetOrchestrator {
     Gauge* m_state = nullptr;        ///< fleet.cell<N>.state
   };
 
+  /// tick()'s target: no cell is held back.
+  static constexpr std::uint64_t kNoTarget = UINT64_MAX;
+
+  /// One supervision round over the cells that pushed fewer than `target`
+  /// lifetime slots: restart what is due, advance, judge.
+  void supervise(std::uint64_t target);
   void start_cell(CellRunner& runner);
-  /// The per-tick pool task: step the gNB, consult the fault hook, capture
-  /// and push slots_per_tick slots.  Exceptions propagate to tick().
-  void advance_cell(CellRunner& runner);
+  /// The per-round pool task: step the gNB, consult the fault hook, capture
+  /// and push up to slots_per_tick slots, stopping at `target` lifetime
+  /// pushes.  Exceptions propagate to supervise().
+  void advance_cell(CellRunner& runner, std::uint64_t target);
   /// Feeder-level fault (timing jump / gNB restart / SIB1 change) firing
   /// at the current feed slot.  Runs on the advance task's pool thread.
   void apply_feeder_event(CellRunner& runner, const FaultEvent& event);
@@ -275,7 +275,6 @@ class FleetOrchestrator {
   WorkerPool pool_;
   std::vector<std::unique_ptr<CellRunner>> cells_;
   std::vector<SinkSpec> sink_specs_;
-  std::uint64_t tick_count_ = 0;
   bool stopped_ = false;
 
   Histogram* m_latency_;  ///< fleet.slot_latency_us (push -> delivery)

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "nr/dci.h"
+#include "nr/rach.h"
 
 namespace nrs {
 
@@ -63,7 +64,10 @@ HistoryStoreSink::UeSeries* HistoryStoreSink::ue_series(Rnti rnti) {
 void HistoryStoreSink::on_slot(const SlotResult& result) {
   std::uint64_t rows = 0;
   for (const DecodedDci& dci : result.dcis) {
-    UeSeries* ue = ue_series(dci.rnti);
+    // Per-UE series for C-RNTIs only: SI/RA broadcasts are not user
+    // telemetry (the cell rows below still count them).
+    UeSeries* ue =
+        is_plausible_crnti(dci.rnti) ? ue_series(dci.rnti) : nullptr;
     if (ue == nullptr) {
       continue;
     }

@@ -48,7 +48,8 @@ class HistoryStoreSink : public SlotSink {
   [[nodiscard]] std::uint64_t rows_written() const { return rows_written_; }
 
  private:
-  /// Cached per-UE series pointers, one entry per RNTI seen.  Linear scan:
+  /// Cached per-UE series pointers, one entry per C-RNTI seen (SI and RA
+  /// RNTIs get no per-UE series).  Linear scan:
   /// a cell tracks at most a few dozen UEs, and the hit path allocates
   /// nothing.
   struct UeSeries {

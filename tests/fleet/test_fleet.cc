@@ -1,8 +1,8 @@
 // Fleet orchestration tests: concurrent supervised cells, crash/stall
 // restart with backoff, permanent failure after the restart budget,
 // supervision verdicts that follow the seed rather than the host (a slow
-// neighbour, an endless outage), deterministic seeding, and the aggregate
-// kFleet frame on the wire.
+// neighbour, an endless outage), deterministic seeding, run_until's exact
+// target, the active-UE count, and the aggregate kFleet frame on the wire.
 #include "fleet/fleet.h"
 
 #include <gtest/gtest.h>
@@ -168,6 +168,42 @@ TEST(Fleet, CrashedCellRestartsWhileOthersKeepProducing) {
   EXPECT_EQ(snap.counter_value("fleet.cell.restarts"), 1u);
   EXPECT_EQ(snap.counter_value("fleet.cell1.restarts"), 1u);
   EXPECT_EQ(snap.counter_value("fleet.cell0.restarts"), 0u);
+}
+
+TEST(Fleet, RunUntilStopsEachCellAtTheTarget) {
+  // While a crashed neighbour waits out its backoff and catches up, the
+  // healthy cell is held at the target instead of being fed past it, and
+  // neither is fed past a target inside a 20-slot round.
+  MetricsRegistry registry;
+  FleetConfig config = make_config(2);
+  config.cells[1].fault_hook = [](std::uint64_t slot, unsigned incarnation) {
+    if (incarnation == 0 && slot == 100) {
+      throw std::runtime_error("injected cell crash");
+    }
+    return FaultAction::kNone;
+  };
+  FleetOrchestrator fleet(std::move(config), registry);
+
+  fleet.run_until(410);
+  fleet.stop();
+
+  EXPECT_EQ(fleet.cell_restarts(1), 1u);
+  EXPECT_EQ(fleet.cell_slots(0), 410u);
+  EXPECT_EQ(fleet.cell_slots(1), 410u);
+}
+
+TEST(Fleet, ActiveUesCountOnlyUserRntis) {
+  // A 2-UE cell also carries its SIB1 DCI (SI-RNTI) and RAR DCIs
+  // (RA-RNTI); those are cell traffic, not UEs.
+  MetricsRegistry registry;
+  FleetOrchestrator fleet(make_config(1), registry);
+  fleet.run_until(1200);
+  fleet.stop();
+
+  const FleetSummary roll = fleet.summary();
+  ASSERT_EQ(roll.cells.size(), 1u);
+  EXPECT_EQ(roll.cells[0].active_ues, 2u);
+  EXPECT_GT(roll.cells[0].dl_mbps, 0.0);
 }
 
 TEST(Fleet, StalledCellIsDetectedAndRestarted) {
@@ -432,22 +468,28 @@ TEST(Fleet, AggregateFramesReachAStreamClient) {
 
   std::mutex mutex;
   std::vector<FleetSummary> received;
+  std::atomic<bool> greeted{false};
   StreamClientConfig client_config;
   client_config.port = server.port();
   client_config.stop_on_end_of_stream = false;
   StreamClientHandlers handlers;
+  handlers.on_connected = [&greeted](const HelloInfo&) { greeted = true; };
   handlers.on_fleet = [&mutex, &received](const FleetSummary& summary) {
     std::lock_guard lock(mutex);
     received.push_back(summary);
   };
   TelemetryStreamClient client(client_config, std::move(handlers));
   ASSERT_TRUE(client.wait_connected(5.0));
+  // The hello proves the server registered the client, so a broadcast
+  // reaches it.
+  for (int i = 0; i < 500 && !greeted.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(greeted.load());
 
-  FleetConfig config = make_config(2);
-  config.stream = &server;
-  config.aggregate_period_ticks = 1;
-  FleetOrchestrator fleet(std::move(config), registry);
+  FleetOrchestrator fleet(make_config(2), registry);
   fleet.run_until(200);
+  server.broadcast_frame(encode_frame(fleet.summary()));
   fleet.stop();
 
   // The reader thread may still be draining; wait for a frame with data.

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 
 #include "gnb/gnb_sim.h"
 #include "gnb/presets.h"
+#include "nr/rach.h"
 #include "nrscope/log_writer.h"
 #include "nrscope/pipeline.h"
 #include "radio/virtual_radio.h"
@@ -377,14 +379,18 @@ TEST(StoreSink, RangeScanAgreesRowExactlyWithCsv) {
     pipeline.stop();  // all slots delivered to both sinks
   }
 
-  // CSV ground truth: per RNTI, the (slot, mcs) and (slot, prb_len) rows.
+  // CSV ground truth: per C-RNTI, the (slot, mcs) and (slot, prb_len)
+  // rows.  The CSV also lists the SI/RA broadcasts, which get no per-UE
+  // series but count in the cell rows.
   std::map<Rnti, std::vector<StoreRow>> csv_mcs;
   std::map<Rnti, std::vector<StoreRow>> csv_prbs;
+  std::set<Rnti> csv_broadcasts;
   std::ifstream in(csv_path);
   ASSERT_TRUE(in.good());
   std::string line;
   std::getline(in, line);  // header
   std::size_t csv_rows = 0;
+  std::size_t csv_ue_rows = 0;
   while (std::getline(in, line)) {
     std::stringstream row(line);
     std::vector<std::string> cols;
@@ -395,9 +401,14 @@ TEST(StoreSink, RangeScanAgreesRowExactlyWithCsv) {
     ASSERT_GE(cols.size(), 16u) << line;
     const auto slot = static_cast<std::uint64_t>(std::stoull(cols[0]));
     const auto rnti = static_cast<Rnti>(std::stoul(cols[1]));
+    ++csv_rows;
+    if (!is_plausible_crnti(rnti)) {
+      csv_broadcasts.insert(rnti);
+      continue;
+    }
     csv_mcs[rnti].push_back({slot, std::stod(cols[7])});
     csv_prbs[rnti].push_back({slot, std::stod(cols[4])});
-    ++csv_rows;
+    ++csv_ue_rows;
   }
   ASSERT_GT(csv_rows, 100u) << "run produced too little telemetry";
 
@@ -430,7 +441,12 @@ TEST(StoreSink, RangeScanAgreesRowExactlyWithCsv) {
     sort_rows(expected);
     EXPECT_EQ(got, expected) << "prb rows diverge for rnti " << rnti;
   }
-  EXPECT_EQ(store_rows, csv_rows);
+  EXPECT_EQ(store_rows, csv_ue_rows);
+  for (const Rnti rnti : csv_broadcasts) {
+    EXPECT_EQ(store.find_series(make_key(0, rnti, StoreMetric::kMcs)),
+              nullptr)
+        << "rnti 0x" << std::hex << rnti;
+  }
 
   // Cell-level accounting: one kCellDcis row per tracking slot, whose
   // values sum to exactly the number of CSV rows.
@@ -440,6 +456,41 @@ TEST(StoreSink, RangeScanAgreesRowExactlyWithCsv) {
   const StoreSeries::Fold fold = cell_dcis->fold_range(0, kSlots);
   EXPECT_EQ(static_cast<std::size_t>(fold.sum), csv_rows);
   std::remove(csv_path.c_str());
+}
+
+TEST(StoreSink, BroadcastRntisGetNoUeSeries) {
+  // The SIB1 DCI (SI-RNTI) and a RAR DCI (RA-RNTI) are cell traffic, not a
+  // UE: they count in the cell rows but file no per-UE series.
+  HistoryStore store;
+  StoreSinkConfig config;
+  config.n_prb = 51;
+  HistoryStoreSink sink(store, config);
+  SlotResult result;
+  result.slot = 7;
+  result.sync_state = SyncState::kTracking;
+  for (const Rnti rnti : {Rnti{0xFFFF}, Rnti{0x0001}, Rnti{0x4601}}) {
+    DecodedDci dci;
+    dci.slot = result.slot;
+    dci.rnti = rnti;
+    dci.grant.rnti = rnti;
+    dci.grant.prb_len = 4;
+    dci.grant.tbs = 1024;
+    result.dcis.push_back(dci);
+  }
+  sink.on_slot(result);
+
+  for (const Rnti rnti : {Rnti{0xFFFF}, Rnti{0x0001}}) {
+    EXPECT_EQ(store.find_series(make_key(0, rnti, StoreMetric::kDlBits)),
+              nullptr)
+        << "rnti 0x" << std::hex << rnti;
+  }
+  EXPECT_NE(store.find_series(make_key(0, 0x4601, StoreMetric::kDlBits)),
+            nullptr);
+  EXPECT_EQ(store.series_count(), 3u + 5u) << "three cell series, one UE";
+  const StoreSeries* cell_dcis =
+      store.find_series(make_key(0, kStoreCellRnti, StoreMetric::kCellDcis));
+  ASSERT_NE(cell_dcis, nullptr);
+  EXPECT_EQ(cell_dcis->fold_range(0, 8).sum, 3.0);
 }
 
 }  // namespace
