@@ -63,12 +63,6 @@ WorkerConfig parse_args(int argc, char** argv) {
       config.pool_threads = static_cast<unsigned>(std::stoul(value()));
     } else if (arg == "--slots-per-tick") {
       config.slots_per_tick = std::stoull(value());
-    } else if (arg == "--max-reconnects") {
-      config.max_reconnect_attempts = std::stoi(value());
-    } else if (arg == "--predict") {
-      config.enable_prediction = true;
-    } else if (arg == "--weights") {
-      config.predictor_weights_path = value();
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
@@ -77,8 +71,7 @@ WorkerConfig parse_args(int argc, char** argv) {
                    "[--capacity N]\n"
                    "                    [--coordinators H:P,H:P,...] "
                    "[--threads N] [--slots-per-tick N]\n"
-                   "                    [--max-reconnects N] [--predict] "
-                   "[--weights PATH] [--quiet]\n");
+                   "                    [--quiet]\n");
       std::exit(arg == "--help" || arg == "-h" ? 0 : 1);
     }
   }

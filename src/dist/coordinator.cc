@@ -86,7 +86,6 @@ FleetCoordinator::FleetCoordinator(CoordinatorConfig config,
   m_reassignments_ = &registry_->counter("dist.reassignments");
   m_workers_dead_ = &registry_->counter("dist.workers_dead");
   m_stale_reports_ = &registry_->counter("dist.stale_reports");
-  m_predictions_rx_ = &registry_->counter("dist.predictions_received");
   m_version_rejects_ = &registry_->counter("dist.version_rejects");
   m_revokes_ = &registry_->counter("dist.lease_revokes");
   m_promotions_ctr_ = &registry_->counter("dist.promotions");
@@ -278,14 +277,10 @@ void FleetCoordinator::handle_frame(Connection& conn, const Frame& frame) {
       }
       return;
     }
-    case FrameType::kPrediction: {
-      if (auto set = decode_payload<PredictionSet>(frame.payload)) {
-        handle_prediction(conn, *set);
-      }
-      return;
-    }
     default:
-      return;  // well-framed but not part of the coordination protocol
+      // Well-framed but not part of the coordination protocol; a worker's
+      // kPrediction lands here too.
+      return;
   }
 }
 
@@ -434,21 +429,6 @@ void FleetCoordinator::handle_cell_report(Connection& conn,
   ingest_rows(cell_index, record, rows, record.committed.slots,
               mirror ? &mirrored_rows : nullptr);
   replicate_cell(cell_index, std::move(mirrored_rows));
-}
-
-void FleetCoordinator::handle_prediction(Connection& conn,
-                                         const PredictionSet& set) {
-  if (conn.worker_id == 0 || set.cell_index >= records_.size()) {
-    m_stale_reports_->inc();
-    return;  // never greeted, or a cell this fleet does not run
-  }
-  predictions_[set.cell_index] = set;
-  m_predictions_rx_->inc();
-}
-
-std::map<std::uint32_t, PredictionSet> FleetCoordinator::predictions() const {
-  std::lock_guard lock(state_mutex_);
-  return predictions_;
 }
 
 void FleetCoordinator::ingest_rows(

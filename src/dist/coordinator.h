@@ -202,11 +202,6 @@ class FleetCoordinator {
   /// through it as long as the coordinator is alive.
   [[nodiscard]] const HistoryStore& store() const { return store_; }
 
-  /// Latest per-UE throughput PredictionSet forwarded by each cell's
-  /// worker (empty until a v4 worker with prediction enabled reports).
-  /// Keyed by fleet-global cell index — the fleet-wide prediction view.
-  [[nodiscard]] std::map<std::uint32_t, PredictionSet> predictions() const;
-
  private:
   using Clock = std::chrono::steady_clock;
 
@@ -248,7 +243,6 @@ class FleetCoordinator {
   void handle_lease_ack(Connection& conn, const LeaseAck& ack);
   void handle_heartbeat(Connection& conn, const WorkerHeartbeat& hb);
   void handle_cell_report(Connection& conn, CellReport report);
-  void handle_prediction(Connection& conn, const PredictionSet& set);
   /// Timers: dead-worker scan, lease expiry, assignment of unassigned
   /// cells, rebalancing.
   void run_timers(Clock::time_point now);
@@ -343,7 +337,6 @@ class FleetCoordinator {
   LeaseTable leases_;
   std::vector<CellRecord> records_;
   std::vector<std::unique_ptr<Connection>> connections_;
-  std::map<std::uint32_t, PredictionSet> predictions_;  ///< by cell index
 
   // -- High-availability state (same locking rules) --
   CoordinatorRole role_ = CoordinatorRole::kPrimary;
@@ -372,7 +365,6 @@ class FleetCoordinator {
   Counter* m_reassignments_ = nullptr;
   Counter* m_workers_dead_ = nullptr;
   Counter* m_stale_reports_ = nullptr;
-  Counter* m_predictions_rx_ = nullptr;
   Counter* m_version_rejects_ = nullptr;
   Counter* m_revokes_ = nullptr;
   Counter* m_promotions_ctr_ = nullptr;

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "analysis/prediction_sink.h"
 #include "common/backoff.h"
 #include "gnb/presets.h"
 #include "net/socket_io.h"
@@ -74,15 +73,6 @@ class FleetWorker::RowCollector : public SlotSink {
   std::vector<StoreRowUpdate> rows_;
 };
 
-// The PredictionSink's emitter copies each emitted set here (engine
-// thread); send_reports() forwards the freshest one per report interval
-// (run thread) — latest-wins, like the heartbeat's lease status.
-struct FleetWorker::PredictionBuffer {
-  std::mutex mutex;
-  PredictionSet latest;
-  bool fresh = false;
-};
-
 FleetWorker::FleetWorker(WorkerConfig config, MetricsRegistry* registry)
     : config_(std::move(config)),
       own_registry_(registry == nullptr ? std::make_unique<MetricsRegistry>()
@@ -96,7 +86,6 @@ FleetWorker::FleetWorker(WorkerConfig config, MetricsRegistry* registry)
   m_heartbeats_ = &registry_->counter("dist.worker.heartbeats");
   m_reports_ = &registry_->counter("dist.worker.reports");
   m_report_batches_ = &registry_->counter("dist.worker.report_batches");
-  m_predictions_sent_ = &registry_->counter("dist.worker.predictions_sent");
   m_report_bytes_ = &registry_->counter("dist.worker.report_bytes");
   m_stale_epoch_ =
       &registry_->counter("dist.worker.stale_epoch_rejected");
@@ -111,17 +100,6 @@ FleetWorker::FleetWorker(WorkerConfig config, MetricsRegistry* registry)
   }
   if (endpoints_.empty()) {
     endpoints_.emplace_back(config_.host, config_.port);
-  }
-  if (config_.enable_prediction) {
-    PredictorWeights weights =
-        PredictorWeights::baseline(config_.prediction_horizon_slots);
-    if (!config_.predictor_weights_path.empty()) {
-      if (auto loaded =
-              PredictorWeights::load(config_.predictor_weights_path)) {
-        weights = std::move(*loaded);
-      }
-    }
-    predictor_ = std::make_shared<const ThroughputPredictor>(weights);
   }
   thread_ = std::thread([this] { run(); });
 }
@@ -166,13 +144,6 @@ void FleetWorker::setup_orchestrator() {
     const HeldLease* lease = lease_at(local_index);
     return lease == nullptr ? nullptr : lease->collector;
   });
-  if (config_.enable_prediction) {
-    orch_->add_sink("dist-predict", [this](std::uint32_t local_index)
-                                        -> std::shared_ptr<SlotSink> {
-      const HeldLease* lease = lease_at(local_index);
-      return lease == nullptr ? nullptr : lease->prediction_sink;
-    });
-  }
 }
 
 void FleetWorker::teardown_orchestrator() {
@@ -378,27 +349,11 @@ void FleetWorker::handle_lease(const LeaseGrant& grant) {
   lease.lease_id = grant.lease_id;
   lease.cell_index = grant.spec.cell_index;
   lease.expires_at = now + secs(grant.ttl_ms / 1000.0);
-  // The sink factories find the lease by its local index, so it must be
+  // The sink factory finds the lease by its local index, so it must be
   // in leases_ before add_cell builds the cell's pipeline; new cells land
   // at index n_cells().
   lease.local_index = static_cast<std::uint32_t>(orch_->n_cells());
   lease.collector = std::make_shared<RowCollector>(spec.cell.n_prb);
-  if (config_.enable_prediction && predictor_ != nullptr) {
-    auto buffer = std::make_shared<PredictionBuffer>();
-    PredictionSinkConfig pcfg;
-    pcfg.cell_index = grant.spec.cell_index;
-    pcfg.features.scs = spec.cell.scs;
-    pcfg.features.n_prb = spec.cell.n_prb;
-    pcfg.period_slots = config_.prediction_period_slots;
-    lease.prediction_sink = std::make_shared<PredictionSink>(
-        predictor_, pcfg, registry_,
-        [buffer](const PredictionSet& set) {
-          std::lock_guard lock(buffer->mutex);
-          buffer->latest = set;
-          buffer->fresh = true;
-        });
-    lease.prediction_buffer = std::move(buffer);
-  }
   leases_[grant.lease_id] = std::move(lease);
   orch_->add_cell(std::move(spec), grant.spec.incarnation);
   n_cells_.store(leases_.size());
@@ -528,28 +483,6 @@ void FleetWorker::send_reports() {
   m_report_batches_->inc();
   m_reports_->inc(n_reports);
   m_report_bytes_->inc(static_cast<std::uint64_t>(frame_bytes));
-
-  // Forward each cell's freshest prediction set (when the sink produced
-  // one since the last interval).
-  for (const auto& [id, lease] : leases_) {
-    if (lease.prediction_buffer == nullptr) {
-      continue;
-    }
-    PredictionSet set;
-    {
-      std::lock_guard lock(lease.prediction_buffer->mutex);
-      if (!lease.prediction_buffer->fresh) {
-        continue;
-      }
-      set = lease.prediction_buffer->latest;
-      lease.prediction_buffer->fresh = false;
-    }
-    if (!send_frame(encode_frame(set))) {
-      disconnect();
-      return;
-    }
-    m_predictions_sent_->inc();
-  }
 }
 
 void FleetWorker::run() {
@@ -561,11 +494,6 @@ void FleetWorker::run() {
   auto next_report = Clock::now();
   while (!stop_.load()) {
     if (fd_.load() < 0 && redial.due(Clock::now())) {
-      if (config_.max_reconnect_attempts >= 0 &&
-          redial.failures() >
-              static_cast<unsigned>(config_.max_reconnect_attempts)) {
-        break;
-      }
       if (connect_once()) {
         redial.reset();
         m_reconnects_->inc();

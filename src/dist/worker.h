@@ -48,7 +48,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/predictor.h"
 #include "common/metrics.h"
 #include "fleet/fleet.h"
 #include "net/wire.h"
@@ -89,24 +88,8 @@ struct WorkerConfig {
   /// consecutive failures escalate exponentially up to
   /// kReconnectBackoffMaxS, and every delay is jittered per instance
   /// (common/backoff.h) so a fleet-wide failover does not stampede the
-  /// new primary.
+  /// new primary.  The worker redials until stop().
   double reconnect_backoff_s = 0.2;
-  /// Consecutive failed connect attempts before giving up (-1 = retry
-  /// forever).
-  int max_reconnect_attempts = -1;
-
-  /// Run the online throughput predictor on every leased cell and forward
-  /// each cell's latest PredictionSet (kPrediction) alongside the reports,
-  /// so the coordinator holds the fleet-wide prediction view.
-  bool enable_prediction = false;
-  /// Trained weights file for the predictor; empty (or unloadable) falls
-  /// back to the built-in persistence baseline (model_version 0).
-  std::string predictor_weights_path;
-  /// Forecast cadence inside each cell's PredictionSink.
-  std::uint64_t prediction_period_slots = 40;
-  /// Horizon for the baseline predictor when no weights file is given (a
-  /// loaded weights file carries its own horizon).
-  std::uint64_t prediction_horizon_slots = 200;
 };
 
 class FleetWorker {
@@ -159,19 +142,12 @@ class FleetWorker {
   /// restarts.  Defined in worker.cc.
   class RowCollector;
 
-  /// Latest PredictionSet produced by one leased cell's PredictionSink
-  /// (written on the cell's engine thread, drained by the run thread
-  /// with the next report batch).  Defined in worker.cc.
-  struct PredictionBuffer;
-
   struct HeldLease {
     std::uint64_t lease_id = 0;
     std::uint32_t cell_index = 0;  ///< fleet-global index
     std::uint32_t local_index = 0; ///< index inside the orchestrator
     Clock::time_point expires_at{};
     std::shared_ptr<RowCollector> collector;
-    std::shared_ptr<SlotSink> prediction_sink;  ///< null unless enabled
-    std::shared_ptr<PredictionBuffer> prediction_buffer;
   };
 
   void run();
@@ -189,7 +165,7 @@ class FleetWorker {
   void handle_not_primary(const NotPrimary& info);
   void drop_lease(std::uint64_t lease_id);
   /// The held lease running at orchestrator-local `local_index` (the sink
-  /// factories' lookup); nullptr when none does.
+  /// factory's lookup); nullptr when none does.
   [[nodiscard]] const HeldLease* lease_at(std::uint32_t local_index) const;
   void expire_leases(Clock::time_point now);
   void send_heartbeat();
@@ -219,9 +195,6 @@ class FleetWorker {
   std::unique_ptr<FleetOrchestrator> orch_;
   std::unique_ptr<FrameParser> parser_;
   std::map<std::uint64_t, HeldLease> leases_;  ///< by lease_id
-  /// One predictor shared by every leased cell's sink (weights are
-  /// immutable after load).
-  std::shared_ptr<const ThroughputPredictor> predictor_;
   std::uint64_t heartbeat_seq_ = 0;
   /// Slots delivered by leases this worker has already let go.
   std::uint64_t released_lease_slots_ = 0;
@@ -239,7 +212,6 @@ class FleetWorker {
   Counter* m_heartbeats_ = nullptr;
   Counter* m_reports_ = nullptr;
   Counter* m_report_batches_ = nullptr;
-  Counter* m_predictions_sent_ = nullptr;
   Counter* m_report_bytes_ = nullptr;
   Counter* m_stale_epoch_ = nullptr;
   Counter* m_not_primary_rx_ = nullptr;

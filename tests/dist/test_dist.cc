@@ -437,68 +437,78 @@ TEST(DistE2E, OverCapacityGrantsAreRefusedAndLandElsewhere) {
   coordinator.stop();
 }
 
-TEST(DistE2E, PredictionSetsFlowToCoordinator) {
-  // A prediction-enabled worker forwards its per-cell forecast sets over
-  // the same socket as the batched reports; the coordinator keeps the
-  // freshest set per cell.  No weights file is given, so the worker falls
-  // back to the persistence baseline (model_version 0).
+TEST(DistE2E, WorkerPredictionFramesAreIgnored) {
+  // kPrediction is a frame of this wire version (the stream server sends
+  // it), so a worker may send one to its coordinator.  The coordinator
+  // skips it like any other frame outside the coordination protocol: the
+  // peer stays registered, is granted its lease, and nothing is counted
+  // stale.
   MetricsRegistry registry;
-  FleetCoordinator coordinator(coordinator_config(2), &registry);
-  ASSERT_GT(coordinator.port(), 0);
+  FleetCoordinator coordinator(coordinator_config(1), &registry);
 
-  WorkerConfig wc = worker_config(coordinator.port(), "oracle", 2);
-  wc.enable_prediction = true;
-  wc.prediction_period_slots = 20;   // forecast often
-  wc.prediction_horizon_slots = 100;  // ...and mature quickly
-  auto worker = std::make_unique<FleetWorker>(wc);
+  const int fd = dial_tcp("127.0.0.1", coordinator.port());
+  ASSERT_GE(fd, 0);
+  const auto send = [fd](const std::vector<std::uint8_t>& frame) {
+    return send_all(fd, frame.data(), frame.size());
+  };
+  WorkerHello hello;
+  hello.name = "forecaster";
+  hello.capacity = 1;
+  ASSERT_TRUE(send(encode_frame(hello)));
+  PredictionSet set;
+  set.cell_index = 0;
+  set.slot = 240;
+  set.horizon_slots = 200;
+  set.entries.push_back({0x4601, false, false, 2.5e6, 0.0, 0.0});
+  ASSERT_TRUE(send(prediction_frame(set)));
 
-  ASSERT_TRUE(wait_until([&] { return coordinator.all_cells_active(); }, 30.0))
-      << "fleet never converged";
-  ASSERT_TRUE(wait_until([&] { return coordinator.predictions().size() == 2; },
-                         30.0))
-      << "prediction sets never reached the coordinator";
-
-  for (const auto& [cell_index, set] : coordinator.predictions()) {
-    EXPECT_LT(cell_index, 2u);
-    EXPECT_EQ(set.cell_index, cell_index);
-    EXPECT_EQ(set.horizon_slots, 100u);
-    EXPECT_EQ(set.model_version, 0u) << "baseline fallback expected";
-  }
-  EXPECT_GE(registry.snapshot().counter_value("dist.predictions_received"),
-            2u);
-
-  // The sim cells carry UEs, so entries show up once the trackers lock.
-  ASSERT_TRUE(wait_until([&] {
-    for (const auto& [cell_index, set] : coordinator.predictions()) {
-      if (!set.entries.empty()) {
-        return true;
+  // A live worker's loop: heartbeat every 50 ms (well inside
+  // heartbeat_timeout_s), listing the lease once it holds one, and read
+  // the coordinator's grants.
+  FrameParser parser;
+  std::optional<LeaseGrant> grant;
+  bool closed = false;
+  auto next_heartbeat = Clock::now();
+  const auto pump = [&] {
+    if (Clock::now() >= next_heartbeat) {
+      WorkerHeartbeat hb;
+      if (grant) {
+        hb.leases.push_back(grant->lease_id);
+      }
+      send(encode_frame(hb));
+      next_heartbeat = Clock::now() + std::chrono::milliseconds(50);
+    }
+    closed = closed || recv_frames(fd, parser) == RecvStatus::kClosed;
+    while (const auto frame = parser.next()) {
+      if (frame->type == FrameType::kLease) {
+        grant = decode_payload<LeaseGrant>(frame->payload);
       }
     }
-    return false;
-  }, 30.0)) << "no per-UE forecast entries ever arrived";
-
-  // Sets keep refreshing: the stamped slot advances across intervals.
-  std::map<std::uint32_t, std::uint64_t> first_slots;
-  for (const auto& [cell_index, set] : coordinator.predictions()) {
-    first_slots[cell_index] = set.slot;
-  }
+  };
   ASSERT_TRUE(wait_until([&] {
-    for (const auto& [cell_index, set] : coordinator.predictions()) {
-      if (set.slot > first_slots[cell_index]) {
-        return true;
-      }
-    }
-    return false;
-  }, 30.0)) << "prediction sets went stale";
+    pump();
+    return closed || grant.has_value();
+  }, 10.0));
+  ASSERT_TRUE(grant.has_value()) << "the peer was dropped before its grant";
+  EXPECT_EQ(grant->spec.cell_index, 0u);
 
-  // Report flow rode along in batch frames the whole time.
-  std::uint64_t total_slots = 0;
-  for (const DistCellStatus& cell : coordinator.cells()) {
-    total_slots += cell.slots;
-  }
-  EXPECT_GT(total_slots, 0u) << "batched cell reports never landed";
-
-  worker->stop();
+  // The ack follows the prediction frame on the same link, so once the
+  // lease is active the coordinator has read past that frame.
+  LeaseAck ack;
+  ack.lease_id = grant->lease_id;
+  ack.accepted = true;
+  ack.epoch = grant->epoch;
+  ASSERT_TRUE(send(encode_frame(ack)));
+  EXPECT_TRUE(wait_until([&] {
+    pump();
+    return coordinator.cells()[0].lease_state == LeaseState::kActive;
+  }, 10.0));
+  EXPECT_FALSE(closed);
+  EXPECT_EQ(coordinator.worker_count(), 1u);
+  EXPECT_EQ(coordinator.cells()[0].worker_id,
+            coordinator.workers().at(0).id);
+  EXPECT_EQ(registry.snapshot().counter_value("dist.stale_reports"), 0u);
+  ::close(fd);
   coordinator.stop();
 }
 
