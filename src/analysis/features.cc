@@ -31,18 +31,6 @@ std::optional<std::string> FeatureConfig::validate() const {
   if (n_prb == 0) {
     return "n_prb must be positive";
   }
-  if (max_ues == 0) {
-    return "max_ues must be positive";
-  }
-  if (!(short_window_s > 0.0)) {
-    return "short_window_s must be positive";
-  }
-  if (!(mid_window_s >= short_window_s)) {
-    return "mid_window_s must be >= short_window_s";
-  }
-  if (!(long_window_s >= mid_window_s)) {
-    return "long_window_s must be >= mid_window_s";
-  }
   return std::nullopt;
 }
 
@@ -56,10 +44,10 @@ FeatureExtractor::FeatureExtractor(const FeatureConfig& config)
     return std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(std::llround(seconds / slot_s_)));
   };
-  windows_ = {to_slots(config_.short_window_s), to_slots(config_.mid_window_s),
-              to_slots(config_.long_window_s)};
-  ues_.reserve(config_.max_ues);
-  staged_.reserve(config_.max_ues);
+  windows_ = {to_slots(kFeatureShortWindowS), to_slots(kFeatureMidWindowS),
+              to_slots(kFeatureLongWindowS)};
+  ues_.reserve(kFeatureMaxUes);
+  staged_.reserve(kFeatureMaxUes);
   cell_ring_.assign(windows_[2], CellSample{});
 }
 
@@ -77,7 +65,7 @@ FeatureExtractor::UeState* FeatureExtractor::ue_slot(Rnti rnti) {
   if (i != npos) {
     return &ues_[i];
   }
-  if (ues_.size() < config_.max_ues) {
+  if (ues_.size() < kFeatureMaxUes) {
     // Warm-up path: first DCI from this RNTI allocates its ring once.
     UeState ue;
     ue.rnti = rnti;

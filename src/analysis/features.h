@@ -11,8 +11,8 @@
 // Memory discipline matches HistoryStoreSink: the first slot that sees a
 // new RNTI allocates that UE's rings (warm-up work), after which
 // observe_slot() is allocation-free.  The UE table is bounded at
-// `max_ues`; when full, the UE silent the longest is evicted and its rings
-// are reused in place, so churny cells cannot grow the extractor.
+// kFeatureMaxUes; when full, the UE silent the longest is evicted and its
+// rings are reused in place, so churny cells cannot grow the extractor.
 #pragma once
 
 #include <array>
@@ -31,6 +31,15 @@ namespace nrs {
 /// Number of entries in a FeatureVector (see feature_name for the layout).
 inline constexpr std::size_t kPredictionFeatureCount = 20;
 
+/// The feature windows are part of the model: tools/train_predictor fits
+/// its weights on these, so they are not a setting.  Burst, scheduling and
+/// trend scale; the long window is also the ring length.
+inline constexpr double kFeatureShortWindowS = 0.1;
+inline constexpr double kFeatureMidWindowS = 0.5;
+inline constexpr double kFeatureLongWindowS = 2.0;
+/// UE table bound; beyond it the UE silent the longest is evicted.
+inline constexpr std::size_t kFeatureMaxUes = 64;
+
 /// One UE's model input at one slot.  Fixed-size so predictors can take it
 /// by reference with no allocation anywhere.
 using FeatureVector = std::array<double, kPredictionFeatureCount>;
@@ -45,11 +54,7 @@ const char* feature_name(std::size_t i);
 
 struct FeatureConfig {
   Scs scs = Scs::kHz30;
-  unsigned n_prb = 51;           ///< cell bandwidth, for spare capacity
-  double short_window_s = 0.1;   ///< burst-scale window
-  double mid_window_s = 0.5;     ///< scheduling-scale window
-  double long_window_s = 2.0;    ///< trend-scale window (also ring length)
-  std::size_t max_ues = 64;      ///< UE table bound; oldest evicted beyond
+  unsigned n_prb = 51;  ///< cell bandwidth, for spare capacity
 
   /// Error message when the config is unusable, nullopt when fine.
   [[nodiscard]] std::optional<std::string> validate() const;
@@ -144,7 +149,7 @@ class FeatureExtractor {
   std::uint64_t evictions_ = 0;
   std::uint64_t generation_ = 0;
 
-  std::vector<UeState> ues_;  ///< linear scan; bounded by max_ues
+  std::vector<UeState> ues_;  ///< linear scan; bounded by kFeatureMaxUes
   std::vector<CellSample> cell_ring_;
   std::array<CellSums, 3> cell_sums_{};
 

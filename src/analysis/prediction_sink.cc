@@ -34,19 +34,15 @@ PredictionSink::PredictionSink(
   horizon_slots_ = predictor_->weights().horizon_slots;
   horizon_s_ = static_cast<double>(horizon_slots_) *
                slot_duration_s(config_.features.scs);
-  if (config_.warmup_slots == 0) {
-    config_.warmup_slots = extractor_.window_slots()[0];
-  }
   // Worst case forecasts in flight: every UE forecast each period across
   // one horizon, plus one period of slack.
   const std::size_t capacity =
-      config_.features.max_ues *
+      kFeatureMaxUes *
       (static_cast<std::size_t>(horizon_slots_ / config_.period_slots) + 2);
   pending_.assign(capacity, PendingForecast{});
-  set_.cell_index = config_.cell_index;
   set_.horizon_slots = static_cast<std::uint32_t>(horizon_slots_);
   set_.model_version = predictor_->weights().model_version;
-  set_.entries.reserve(2 * config_.features.max_ues);
+  set_.entries.reserve(2 * kFeatureMaxUes);
   if (registry != nullptr) {
     m_made_ = &registry->counter("analysis.predictions");
     m_matured_ = &registry->counter("analysis.predictions_matured");
@@ -167,7 +163,9 @@ void PredictionSink::on_slot(const SlotResult& result) {
   const std::uint64_t now = extractor_.slots_observed();
   set_.entries.clear();
   mature_pending(now);
-  if (now >= config_.warmup_slots && now % config_.period_slots == 0) {
+  // Warm-up: no forecast until the short window has filled.
+  if (now >= extractor_.window_slots()[0] &&
+      now % config_.period_slots == 0) {
     forecast(result, now);
   }
   if (!set_.entries.empty() && emitter_) {

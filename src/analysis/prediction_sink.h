@@ -30,12 +30,10 @@
 namespace nrs {
 
 struct PredictionSinkConfig {
-  std::uint32_t cell_index = 0;
   FeatureConfig features;
-  /// Forecast every this many slots (40 slots = 20 ms at 30 kHz SCS).
+  /// Forecast every this many slots (40 slots = 20 ms at 30 kHz SCS), once
+  /// the short feature window has filled.
   std::uint64_t period_slots = 40;
-  /// Skip forecasting until the short window has filled once.
-  std::uint64_t warmup_slots = 0;
 
   [[nodiscard]] std::optional<std::string> validate() const;
 };

@@ -381,9 +381,9 @@ struct PredictionEntry {
 /// (FrameType::kPrediction): fresh per-UE throughput forecasts plus the
 /// predicted-vs-actual scoring of forecasts whose horizon just matured.
 /// `model_version` stamps which trained weights produced the numbers so
-/// fleet-wide consumers can tell cells running stale models apart.
+/// consumers can tell a stale model's forecasts apart.
 struct PredictionSet {
-  std::uint32_t cell_index = 0;
+  std::uint32_t cell_index = 0;  ///< no sink sets it: reads 0
   std::uint64_t slot = 0;  ///< sink-local slot the set was emitted at
   std::uint32_t horizon_slots = 0;
   std::uint32_t model_version = 0;

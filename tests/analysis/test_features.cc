@@ -3,6 +3,7 @@
 // rules (C-RNTI plausibility, downlink-only, retx excluded from bits).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -12,18 +13,16 @@
 namespace nrs {
 namespace {
 
-// Small windows so the tests cover the rolled-over steady state quickly:
-// at 30 kHz SCS one slot is 0.5 ms, so 2/4/8 ms = 4/8/16 slots.
-FeatureConfig small_config(std::size_t max_ues = 8) {
+// At 30 kHz SCS one slot is 0.5 ms, so the 0.1 / 0.5 / 2 s feature windows
+// are 200 / 1000 / 4000 slots.
+FeatureConfig cell_config() {
   FeatureConfig cfg;
   cfg.scs = Scs::kHz30;
   cfg.n_prb = 51;
-  cfg.short_window_s = 0.002;
-  cfg.mid_window_s = 0.004;
-  cfg.long_window_s = 0.008;
-  cfg.max_ues = max_ues;
   return cfg;
 }
+
+constexpr std::uint64_t kLongWindowSlots = 4000;
 
 DecodedDci make_dci(Rnti rnti, unsigned tbs_bits, unsigned prbs = 4,
                     unsigned mcs = 10, bool retx = false,
@@ -50,8 +49,11 @@ SlotResult make_slot(std::vector<DecodedDci> dcis,
 }
 
 TEST(FeatureExtractor, WindowSumsMatchNaiveRecompute) {
-  const FeatureConfig cfg = small_config();
+  const FeatureConfig cfg = cell_config();
   FeatureExtractor ex(cfg);
+  const auto windows = ex.window_slots();
+  ASSERT_EQ(windows,
+            (std::array<std::uint64_t, 3>{200, 1000, kLongWindowSlots}));
   const Rnti rnti = kFirstTcRnti;
   const double slot_s = slot_duration_s(cfg.scs);
 
@@ -61,7 +63,8 @@ TEST(FeatureExtractor, WindowSumsMatchNaiveRecompute) {
     std::uint64_t bits = 0, prbs = 0, mcs = 0, dcis = 0;
   };
   std::vector<Naive> per_slot;
-  for (std::uint64_t slot = 0; slot < 60; ++slot) {
+  // Past the long window, so every window has rolled over.
+  for (std::uint64_t slot = 0; slot < kLongWindowSlots + 200; ++slot) {
     Naive n;
     if (slot % 3 != 2) {
       const unsigned tbs = 1000 + 100 * static_cast<unsigned>(slot % 7);
@@ -80,7 +83,6 @@ TEST(FeatureExtractor, WindowSumsMatchNaiveRecompute) {
     }
     FeatureVector x{};
     ex.features(i, x);
-    const auto windows = ex.window_slots();
     for (std::size_t k = 0; k < 3; ++k) {
       Naive sum;
       const std::uint64_t n_slots =
@@ -113,7 +115,7 @@ TEST(FeatureExtractor, WindowSumsMatchNaiveRecompute) {
 }
 
 TEST(FeatureExtractor, RetxCountedButExcludedFromBits) {
-  FeatureExtractor ex(small_config());
+  FeatureExtractor ex(cell_config());
   const Rnti rnti = kFirstTcRnti;
   ex.observe_slot(make_slot({make_dci(rnti, 1000)}));
   ex.observe_slot(make_slot({make_dci(rnti, 1000, 4, 10, /*retx=*/true)}));
@@ -127,7 +129,7 @@ TEST(FeatureExtractor, RetxCountedButExcludedFromBits) {
 }
 
 TEST(FeatureExtractor, IgnoresBroadcastAndUplink) {
-  FeatureExtractor ex(small_config());
+  FeatureExtractor ex(cell_config());
   // SI-RNTI-style (below the TC-RNTI range) and an uplink grant: neither
   // creates a UE.
   ex.observe_slot(make_slot({
@@ -139,21 +141,26 @@ TEST(FeatureExtractor, IgnoresBroadcastAndUplink) {
 }
 
 TEST(FeatureExtractor, EvictsLongestSilentAndBumpsGeneration) {
-  FeatureExtractor ex(small_config(/*max_ues=*/2));
+  FeatureExtractor ex(cell_config());
   const Rnti a = kFirstTcRnti;
-  const Rnti b = kFirstTcRnti + 1;
-  const Rnti c = kFirstTcRnti + 2;
+  const Rnti c = static_cast<Rnti>(kFirstTcRnti + kFeatureMaxUes);
 
+  // a, then the other 63 UEs of a full table, each heard after a.
   ex.observe_slot(make_slot({make_dci(a, 1000)}));
-  ex.observe_slot(make_slot({make_dci(b, 2000)}));
-  ex.observe_slot(make_slot({make_dci(b, 2000)}));
-  ASSERT_EQ(ex.n_ues(), 2u);
+  std::vector<DecodedDci> others;
+  for (Rnti r = a + 1; r < c; ++r) {
+    others.push_back(make_dci(r, 2000));
+  }
+  ex.observe_slot(make_slot(others));
+  ex.observe_slot(make_slot(others));
+  ASSERT_EQ(ex.n_ues(), kFeatureMaxUes);
+  EXPECT_EQ(ex.evictions(), 0u);
   const std::size_t slot_a = ex.find(a);
   const std::uint64_t gen_a = ex.generation_at(slot_a);
 
   // Table full; c arrives; a (silent longest) is evicted in place.
   ex.observe_slot(make_slot({make_dci(c, 3000)}));
-  EXPECT_EQ(ex.n_ues(), 2u);
+  EXPECT_EQ(ex.n_ues(), kFeatureMaxUes);
   EXPECT_EQ(ex.evictions(), 1u);
   EXPECT_EQ(ex.find(a), FeatureExtractor::npos);
   const std::size_t slot_c = ex.find(c);
@@ -170,7 +177,7 @@ TEST(FeatureExtractor, EvictsLongestSilentAndBumpsGeneration) {
 }
 
 TEST(FeatureExtractor, BlindFractionTracksSyncState) {
-  FeatureExtractor ex(small_config());
+  FeatureExtractor ex(cell_config());
   const Rnti rnti = kFirstTcRnti;
   ex.observe_slot(make_slot({make_dci(rnti, 1000)}));
   ex.observe_slot(make_slot({}, SyncState::kResync));
@@ -180,7 +187,8 @@ TEST(FeatureExtractor, BlindFractionTracksSyncState) {
   ASSERT_NE(i, FeatureExtractor::npos);
   FeatureVector x{};
   ex.features(i, x);
-  // 2 blind slots (resync + degraded) of the 4 observed (short window 4).
+  // 2 blind slots (resync + degraded) of the 4 observed, all inside the
+  // short window.
   EXPECT_NEAR(x[19], 0.5, 1e-9);
   // slots_since_dci counts from the next slot to observe: the DCI landed
   // on slot 0 and 4 slots have been folded in since.
@@ -188,14 +196,11 @@ TEST(FeatureExtractor, BlindFractionTracksSyncState) {
 }
 
 TEST(FeatureExtractor, ConfigValidation) {
-  FeatureConfig cfg = small_config();
-  cfg.max_ues = 0;
+  FeatureConfig cfg = cell_config();
+  cfg.n_prb = 0;
   EXPECT_TRUE(cfg.validate().has_value());
   EXPECT_THROW(FeatureExtractor{cfg}, std::invalid_argument);
-  cfg = small_config();
-  cfg.mid_window_s = cfg.short_window_s / 2;
-  EXPECT_TRUE(cfg.validate().has_value());
-  EXPECT_FALSE(small_config().validate().has_value());
+  EXPECT_FALSE(cell_config().validate().has_value());
 }
 
 }  // namespace

@@ -166,8 +166,9 @@ TEST(Predictor, PinnedWeightsFileLoads) {
 
 // ---------------------------------------------------------------------------
 // PredictionSink on a synthetic constant-rate stream: with the persistence
-// baseline, predicted == realized once the windows are full, so every
-// matured forecast scores within tolerance.
+// baseline, predicted == realized, so every matured forecast scores within
+// tolerance.  At 30 kHz SCS the short feature window, which is also the
+// sink's warm-up, is 200 slots.
 
 DecodedDci constant_dci(Rnti rnti, unsigned tbs_bits) {
   DecodedDci dci;
@@ -184,9 +185,6 @@ PredictionSinkConfig sink_config() {
   PredictionSinkConfig cfg;
   cfg.features.scs = Scs::kHz30;
   cfg.features.n_prb = 51;
-  cfg.features.short_window_s = 0.008;  // 16 slots
-  cfg.features.mid_window_s = 0.016;    // 32 slots
-  cfg.features.long_window_s = 0.032;   // 64 slots
   cfg.period_slots = 16;
   return cfg;
 }
@@ -208,10 +206,16 @@ TEST(PredictionSink, ForecastsMatureAndScoreOnSteadyStream) {
   SlotResult result;
   result.sync_state = SyncState::kTracking;
   result.dcis.push_back(constant_dci(rnti, 1000));
-  for (int i = 0; i < 400; ++i) {
+  for (int i = 0; i < 207; ++i) {
     sink.on_slot(result);
   }
-  EXPECT_GT(sink.predictions_made(), 0u);
+  EXPECT_EQ(sink.predictions_made(), 0u)
+      << "no forecast before the short window has filled and a period ends";
+  sink.on_slot(result);  // slot 208: the first period end past warm-up
+  EXPECT_EQ(sink.predictions_made(), 1u);
+  for (int i = 208; i < 400; ++i) {
+    sink.on_slot(result);
+  }
   EXPECT_GT(sink.predictions_matured(), 0u);
   EXPECT_EQ(sink.predictions_dropped(), 0u);
   EXPECT_EQ(sink.degraded_predictions(), 0u);
@@ -235,10 +239,11 @@ TEST(PredictionSink, DegradedSlotsAreFlaggedNotDropped) {
   SlotResult blind;
   blind.sync_state = SyncState::kResync;
 
-  for (int i = 0; i < 100; ++i) {
+  for (int i = 0; i < 300; ++i) {
     sink.on_slot(clean);
   }
   const std::uint64_t made_clean = sink.predictions_made();
+  EXPECT_EQ(sink.degraded_predictions(), 0u);
   for (int i = 0; i < 64; ++i) {
     sink.on_slot(blind);  // forecasting continues right through the resync
   }
@@ -255,25 +260,32 @@ TEST(PredictionSink, DegradedSlotsAreFlaggedNotDropped) {
 TEST(PredictionSink, EvictedUeForecastsAreDroppedNotMisscored) {
   auto predictor = std::make_shared<const ThroughputPredictor>(
       PredictorWeights::baseline(/*horizon_slots=*/64));
-  PredictionSinkConfig cfg = sink_config();
-  cfg.features.max_ues = 1;  // any second UE evicts the first
-  PredictionSink sink(predictor, cfg, nullptr);
+  PredictionSink sink(predictor, sink_config(), nullptr);
 
-  SlotResult a;
-  a.sync_state = SyncState::kTracking;
-  a.dcis.push_back(constant_dci(kFirstTcRnti, 1000));
-  for (int i = 0; i < 40; ++i) {
-    sink.on_slot(a);  // past warmup: forecasts for UE a are outstanding
+  const Rnti a = kFirstTcRnti;
+  SlotResult alone;
+  alone.sync_state = SyncState::kTracking;
+  alone.dcis.push_back(constant_dci(a, 1000));
+  for (int i = 0; i < 210; ++i) {
+    sink.on_slot(alone);  // past warm-up: UE a's forecast is outstanding
   }
-  ASSERT_GT(sink.predictions_made(), 0u);
+  ASSERT_EQ(sink.predictions_made(), 1u);
 
-  SlotResult b;
-  b.sync_state = SyncState::kTracking;
-  b.dcis.push_back(constant_dci(kFirstTcRnti + 1, 2000));
+  // A full table's worth of newcomers, all heard after a: the last one
+  // evicts a at the 64-UE bound and takes over its table slot.
+  SlotResult crowd;
+  crowd.sync_state = SyncState::kTracking;
+  for (std::size_t k = 1; k <= kFeatureMaxUes; ++k) {
+    crowd.dcis.push_back(constant_dci(static_cast<Rnti>(a + k), 2000));
+  }
   for (int i = 0; i < 200; ++i) {
-    sink.on_slot(b);  // a's slot is reused; its forecasts must not score
+    sink.on_slot(crowd);  // a's slot is reused; its forecast must not score
   }
-  EXPECT_GT(sink.predictions_dropped(), 0u);
+  EXPECT_EQ(sink.extractor().find(a), FeatureExtractor::npos);
+  EXPECT_EQ(sink.extractor().evictions(), 1u);
+  EXPECT_EQ(sink.predictions_dropped(), 1u)
+      << "exactly a's forecast is dropped; the newcomers' all score";
+  EXPECT_GT(sink.predictions_matured(), 0u);
 }
 
 TEST(PredictionSink, RejectsBadConfig) {
