@@ -53,10 +53,6 @@ class Rng {
   /// Bernoulli draw.
   bool chance(double p) { return uniform() < p; }
 
-  /// Derive a child RNG (e.g. per-UE) that is independent of draws made on
-  /// this one afterwards.
-  Rng fork() { return Rng(engine_() ^ 0x9E3779B97F4A7C15ull); }
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

@@ -26,11 +26,6 @@ constexpr unsigned slots_per_frame(Scs scs) {
   return 10u * (1u << static_cast<unsigned>(scs));
 }
 
-/// Slots per 1 ms subframe: 2^mu.
-constexpr unsigned slots_per_subframe(Scs scs) {
-  return 1u << static_cast<unsigned>(scs);
-}
-
 /// TTI (slot) duration in seconds: 1 ms / 2^mu.
 constexpr double slot_duration_s(Scs scs) {
   return 1e-3 / static_cast<double>(1u << static_cast<unsigned>(scs));

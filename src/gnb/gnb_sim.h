@@ -53,7 +53,6 @@ class GnbSim {
   [[nodiscard]] const SlotClock& clock() const { return clock_; }
   [[nodiscard]] const CellConfig& cell() const { return config_.cell; }
   [[nodiscard]] const GroundTruthLog& truth() const { return truth_; }
-  [[nodiscard]] const ResourceGrid& current_grid() const { return grid_; }
 
   /// The UE emulator (for traces / SNR); nullptr if departed.
   [[nodiscard]] const UeEmulator* ue(unsigned ue_id) const;

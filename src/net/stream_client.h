@@ -100,8 +100,6 @@ class TelemetryStreamClient {
                                      double timeout_s = 2.0);
 
   [[nodiscard]] bool connected() const { return connected_.load(); }
-  /// True once an end-of-stream frame has been received.
-  [[nodiscard]] bool end_of_stream() const { return saw_end_.load(); }
   /// Set when the server answered with kUnsupportedVersion: a
   /// human-readable description of the version mismatch.  Empty when no
   /// protocol error has occurred.  The reader thread has stopped (no
@@ -111,7 +109,8 @@ class TelemetryStreamClient {
   /// version reject).
   [[nodiscard]] bool finished() const { return finished_.load(); }
 
-  /// Block until end_of_stream() (or the thread exits); false on timeout.
+  /// Block until an end-of-stream frame has been received (or the thread
+  /// exits); false on timeout.
   bool wait_end_of_stream(double timeout_s);
   /// Block until connected() is true; false on timeout.
   bool wait_connected(double timeout_s);

@@ -95,8 +95,6 @@ class ChannelModel {
   /// Effective per-RE SNR right now (set-point shifted by the fade), dB.
   [[nodiscard]] double effective_snr_db() const;
 
-  /// Change the SNR set-point (e.g. UE movement, paper Fig. 9c/13).
-  void set_snr_db(double snr_db) { config_.snr_db = snr_db; }
   [[nodiscard]] const ChannelConfig& config() const { return config_; }
 
  private:

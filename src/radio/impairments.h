@@ -101,9 +101,6 @@ class ImpairmentInjector {
 
   [[nodiscard]] std::uint64_t current_slot() const { return slot_; }
   [[nodiscard]] const FaultSchedule& schedule() const { return schedule_; }
-  [[nodiscard]] bool any_active() const {
-    return schedule_.any_iq_active(slot_);
-  }
 
  private:
   void apply_outage(const FaultEvent& ev, IqBuffer& samples);
