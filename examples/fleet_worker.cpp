@@ -24,7 +24,6 @@ using namespace nrs;
 
 WorkerConfig parse_args(int argc, char** argv) {
   WorkerConfig config;
-  bool quiet = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&]() -> std::string {
@@ -63,15 +62,12 @@ WorkerConfig parse_args(int argc, char** argv) {
       config.pool_threads = static_cast<unsigned>(std::stoul(value()));
     } else if (arg == "--slots-per-tick") {
       config.slots_per_tick = std::stoull(value());
-    } else if (arg == "--quiet") {
-      quiet = true;
     } else {
       std::fprintf(stderr,
                    "usage: fleet_worker --port P [--host H] [--name NAME] "
                    "[--capacity N]\n"
                    "                    [--coordinators H:P,H:P,...] "
-                   "[--threads N] [--slots-per-tick N]\n"
-                   "                    [--quiet]\n");
+                   "[--threads N] [--slots-per-tick N]\n");
       std::exit(arg == "--help" || arg == "-h" ? 0 : 1);
     }
   }
@@ -79,7 +75,6 @@ WorkerConfig parse_args(int argc, char** argv) {
     std::fprintf(stderr, "--port or --coordinators is required\n");
     std::exit(1);
   }
-  (void)quiet;
   return config;
 }
 

@@ -46,7 +46,10 @@ std::uint8_t choose_tdra(std::size_t backlog_bytes) {
   return 0;  // full slot, 12 symbols
 }
 
-constexpr unsigned kRvSequence[4] = {0, 2, 3, 1};
+/// Transmissions of one transport block before the gNB gives up on it,
+/// and the redundancy version of each.
+constexpr unsigned kMaxHarqTx = 4;
+constexpr unsigned kRvSequence[kMaxHarqTx] = {0, 2, 3, 1};
 
 }  // namespace
 
@@ -59,9 +62,9 @@ GnbSim::GnbSim(GnbConfig config)
   }
   // The RRC Setup handed out in MSG4 must describe how this cell actually
   // schedules, or every UE (and the sniffer) would compute a wrong TBS.
-  config_.rrc_setup.mcs_table = config_.cell.pdsch.mcs_table;
-  config_.rrc_setup.max_mimo_layers = config_.cell.pdsch.max_mimo_layers;
-  config_.rrc_setup.ue_ss = config_.cell.ue_ss;
+  rrc_setup_.mcs_table = config_.cell.pdsch.mcs_table;
+  rrc_setup_.max_mimo_layers = config_.cell.pdsch.max_mimo_layers;
+  rrc_setup_.ue_ss = config_.cell.ue_ss;
   used_cce_.resize(config_.cell.coreset.n_cce(), false);
   // CCEs with a REG inside the SS/PBCH block's PRBs and symbols; they are
   // off limits in SSB slots (TS 38.213 10.1 drops PDCCH candidates that
@@ -175,7 +178,6 @@ void GnbSim::broadcast(bool& has_ssb) {
 
 void GnbSim::run_rach(bool allow_tx) {
   const std::uint64_t slot = clock_.count();
-  const SlotPoint& now = clock_.now();
   const CellConfig& cell = config_.cell;
   // MSG2/MSG4 need a clean downlink slot; state transitions (MSG1 on the
   // PRACH, MSG3 on the PUSCH) happen regardless.
@@ -208,26 +210,7 @@ void GnbSim::run_rach(bool allow_tx) {
         rar.tc_rnti = ctx.rnti;
         rar.timing_advance = static_cast<unsigned>(rng_.uniform_int(0, 63));
         rar.msg3_grant = 0xA5;
-        const BitVector payload = rar.pack();
-        Dci dci;
-        dci.format = DciFormat::kDl1_0;
-        dci.time_alloc = 2;
-        dci.mcs = 2;
-        const unsigned n_sym = tdra_entry(dci.time_alloc).n_symbols;
-        const unsigned len =
-            prbs_for_bits(static_cast<unsigned>(payload.size()), dci.mcs,
-                          McsTable::kQam64, cell.pdsch, n_sym, cell.n_prb);
-        dci.freq_alloc_riv = riv_encode(prb_cursor_, len, cell.n_prb);
-        prb_cursor_ += len;
-        encode_pdcch(cell.coreset, {ra_rnti, cell.rach.msg4_agg_level, cce},
-                     dci, cell.n_prb, now, grid_, pdcch_scratch_);
-        const Grant grant = translate_dci(dci, ra_rnti, cell);
-        payload_scratch_.assign(payload.begin(), payload.end());
-        payload_scratch_.resize(grant.tbs, 0);
-        encode_pdsch(pdsch_allocation(grant, cell.pci), now, payload_scratch_,
-                     grid_, pdsch_scratch_);
-        truth_.add_dci(TruthDci{slot, ra_rnti, DciKind::kRar, dci, grant,
-                                false, true, cell.rach.msg4_agg_level, cce});
+        transmit_common_pdsch(ra_rnti, DciKind::kRar, cce, rar.pack());
         ctx.stage = RachStage::kMsg2Sent;
         ctx.stage_slot = slot;
         break;
@@ -250,26 +233,8 @@ void GnbSim::run_rach(bool allow_tx) {
                             cell.rach.msg4_agg_level, cce)) {
           break;
         }
-        const BitVector payload = config_.rrc_setup.pack();
-        Dci dci;
-        dci.format = DciFormat::kDl1_0;
-        dci.time_alloc = 2;
-        dci.mcs = 2;
-        const unsigned n_sym = tdra_entry(dci.time_alloc).n_symbols;
-        const unsigned len =
-            prbs_for_bits(static_cast<unsigned>(payload.size()), dci.mcs,
-                          McsTable::kQam64, cell.pdsch, n_sym, cell.n_prb);
-        dci.freq_alloc_riv = riv_encode(prb_cursor_, len, cell.n_prb);
-        prb_cursor_ += len;
-        encode_pdcch(cell.coreset, {ctx.rnti, cell.rach.msg4_agg_level, cce},
-                     dci, cell.n_prb, now, grid_, pdcch_scratch_);
-        const Grant grant = translate_dci(dci, ctx.rnti, cell);
-        payload_scratch_.assign(payload.begin(), payload.end());
-        payload_scratch_.resize(grant.tbs, 0);
-        encode_pdsch(pdsch_allocation(grant, cell.pci), now, payload_scratch_,
-                     grid_, pdsch_scratch_);
-        truth_.add_dci(TruthDci{slot, ctx.rnti, DciKind::kMsg4, dci, grant,
-                                false, true, cell.rach.msg4_agg_level, cce});
+        transmit_common_pdsch(ctx.rnti, DciKind::kMsg4, cce,
+                              rrc_setup_.pack());
         ctx.stage = RachStage::kConnected;
         ctx.stage_slot = slot;
         ctx.emulator->set_rnti(ctx.rnti);
@@ -279,6 +244,31 @@ void GnbSim::run_rach(bool allow_tx) {
         break;
     }
   }
+}
+
+void GnbSim::transmit_common_pdsch(Rnti rnti, DciKind kind, unsigned cce,
+                                   const BitVector& payload) {
+  const CellConfig& cell = config_.cell;
+  const SlotPoint& now = clock_.now();
+  Dci dci;
+  dci.format = DciFormat::kDl1_0;
+  dci.time_alloc = 2;
+  dci.mcs = 2;
+  const unsigned n_sym = tdra_entry(dci.time_alloc).n_symbols;
+  const unsigned len =
+      prbs_for_bits(static_cast<unsigned>(payload.size()), dci.mcs,
+                    McsTable::kQam64, cell.pdsch, n_sym, cell.n_prb);
+  dci.freq_alloc_riv = riv_encode(prb_cursor_, len, cell.n_prb);
+  prb_cursor_ += len;
+  encode_pdcch(cell.coreset, {rnti, cell.rach.msg4_agg_level, cce}, dci,
+               cell.n_prb, now, grid_, pdcch_scratch_);
+  const Grant grant = translate_dci(dci, rnti, cell);
+  payload_scratch_.assign(payload.begin(), payload.end());
+  payload_scratch_.resize(grant.tbs, 0);
+  encode_pdsch(pdsch_allocation(grant, cell.pci), now, payload_scratch_,
+               grid_, pdsch_scratch_);
+  truth_.add_dci(TruthDci{clock_.count(), rnti, kind, dci, grant, false, true,
+                          cell.rach.msg4_agg_level, cce});
 }
 
 unsigned GnbSim::agg_level_for(unsigned prb_len) {
@@ -298,7 +288,7 @@ void GnbSim::transmit_dl_grant(UeContext& ue_ctx, DlProcess& process,
   const std::uint64_t slot = clock_.count();
 
   Dci dci;
-  dci.format = config_.rrc_setup.dl_format;
+  dci.format = rrc_setup_.dl_format;
   dci.freq_alloc_riv =
       riv_encode(process.grant.prb_start, process.grant.prb_len, cell.n_prb);
   // Recover the TDRA row from the grant's symbol count.
@@ -312,8 +302,7 @@ void GnbSim::transmit_dl_grant(UeContext& ue_ctx, DlProcess& process,
   }
   dci.mcs = static_cast<std::uint8_t>(process.grant.mcs);
   dci.ndi = process.ndi;
-  dci.rv = static_cast<std::uint8_t>(
-      kRvSequence[std::min(process.tx_count, 3u)]);
+  dci.rv = static_cast<std::uint8_t>(kRvSequence[process.tx_count]);
   dci.harq_id = static_cast<std::uint8_t>(harq_id);
   encode_pdcch(cell.coreset, {ue_ctx.rnti, agg, cce}, dci, cell.n_prb, now,
                grid_, pdcch_scratch_);
@@ -336,7 +325,7 @@ void GnbSim::transmit_dl_grant(UeContext& ue_ctx, DlProcess& process,
     process.awaiting_retx = false;
   } else {
     ue_ctx.olla_db = std::max(-6.0, ue_ctx.olla_db - 0.45);
-    if (process.tx_count >= config_.max_harq_tx) {
+    if (process.tx_count >= kMaxHarqTx) {
       process.active = false;  // give up; bytes lost
       process.awaiting_retx = false;
     } else {
@@ -355,7 +344,6 @@ void GnbSim::transmit_dl_grant(UeContext& ue_ctx, DlProcess& process,
 
 void GnbSim::schedule_downlink() {
   const CellConfig& cell = config_.cell;
-  const std::uint64_t slot = clock_.count();
   const unsigned n_prb = cell.n_prb;
   if (prb_cursor_ >= n_prb) {
     return;
@@ -375,7 +363,7 @@ void GnbSim::schedule_downlink() {
         }
         const unsigned agg = agg_level_for(p.grant.prb_len);
         unsigned cce = 0;
-        if (!allocate_pdcch(ctx.rnti, config_.rrc_setup.ue_ss, agg, cce)) {
+        if (!allocate_pdcch(ctx.rnti, rrc_setup_.ue_ss, agg, cce)) {
           continue;  // PDCCH blocked; the retransmission waits a TTI
         }
         p.grant.prb_start = prb_cursor_;
@@ -389,7 +377,7 @@ void GnbSim::schedule_downlink() {
     return;
   }
 
-  // 2) New transmissions via the scheduler policy.
+  // 2) New transmissions via the round-robin scheduler.
   std::vector<SchedRequest>& requests = sched_requests_;
   std::vector<UeContext*>& request_ctx = sched_ctx_;
   requests.clear();
@@ -418,7 +406,6 @@ void GnbSim::schedule_downlink() {
     req.backlog_bytes = traffic->backlog_bytes();
     req.full_buffer = traffic->is_full_buffer();
     req.snr_db = ctx.emulator->reported_snr_db() + ctx.olla_db;
-    req.avg_rate_bps = ctx.avg_rate_bps;
     requests.push_back(req);
     request_ctx.push_back(&ctx);
   }
@@ -427,8 +414,8 @@ void GnbSim::schedule_downlink() {
   }
 
   const unsigned data_prbs = n_prb - prb_cursor_;
-  schedule_tti(requests, data_prbs, cell.pdsch.mcs_table, config_.policy,
-               rr_cursor_++, n_data_symbols(), cell.pdsch.dmrs_re_per_prb,
+  schedule_tti(requests, data_prbs, cell.pdsch.mcs_table, rr_cursor_++,
+               n_data_symbols(), cell.pdsch.dmrs_re_per_prb,
                cell.pdsch.xoverhead, sched_scratch_, sched_decisions_);
   const std::vector<SchedDecision>& decisions = sched_decisions_;
 
@@ -460,7 +447,7 @@ void GnbSim::schedule_downlink() {
         choose_tdra(traffic->is_full_buffer() ? 1u << 20
                                               : traffic->backlog_bytes());
     Dci probe;
-    probe.format = config_.rrc_setup.dl_format;
+    probe.format = rrc_setup_.dl_format;
     probe.freq_alloc_riv =
         riv_encode(prb_cursor_ + d.prb_start, d.prb_len, cell.n_prb);
     probe.time_alloc = tdra;
@@ -473,7 +460,7 @@ void GnbSim::schedule_downlink() {
     }
     const unsigned agg = agg_level_for(grant.prb_len);
     unsigned cce = 0;
-    if (!allocate_pdcch(ctx->rnti, config_.rrc_setup.ue_ss, agg, cce)) {
+    if (!allocate_pdcch(ctx->rnti, rrc_setup_.ue_ss, agg, cce)) {
       continue;  // PDCCH blocked; the data stays queued
     }
     const DrainResult drained = traffic->drain(grant.tbs / 8);
@@ -487,12 +474,6 @@ void GnbSim::schedule_downlink() {
     p.packets = drained.packets_completed;
     p.tx_count = 0;
     transmit_dl_grant(*ctx, p, harq_id, DciKind::kData, agg, cce);
-
-    // PF average-rate bookkeeping.
-    const double slot_s = slot_duration_s(cell.scs);
-    ctx->avg_rate_bps = 0.995 * ctx->avg_rate_bps +
-                        0.005 * (static_cast<double>(grant.tbs) / slot_s);
-    (void)slot;
   }
 }
 
@@ -537,13 +518,12 @@ void GnbSim::schedule_uplink() {
     const unsigned len = std::min({want, share, cell.n_prb - prb});
     // Uplink grants ride on AL1 to leave CCEs for the data DCIs.
     unsigned cce = 0;
-    if (!allocate_pdcch(ctx->rnti, config_.rrc_setup.ue_ss, 1, cce)) {
+    if (!allocate_pdcch(ctx->rnti, rrc_setup_.ue_ss, 1, cce)) {
       continue;
     }
     Dci dci;
-    dci.format = config_.rrc_setup.dl_format == DciFormat::kDl1_1
-                     ? DciFormat::kUl0_1
-                     : DciFormat::kUl0_0;
+    dci.format = rrc_setup_.dl_format == DciFormat::kDl1_1 ? DciFormat::kUl0_1
+                                                            : DciFormat::kUl0_0;
     dci.freq_alloc_riv = riv_encode(prb, len, cell.n_prb);
     dci.time_alloc = 0;
     dci.mcs = static_cast<std::uint8_t>(ul_mcs);
@@ -598,27 +578,7 @@ const ResourceGrid& GnbSim::step() {
         if (sib1_payload_.empty()) {
           sib1_payload_ = Sib1::from_cell(cell).pack();
         }
-        const BitVector& payload = sib1_payload_;
-        Dci dci;
-        dci.format = DciFormat::kDl1_0;
-        dci.time_alloc = 2;
-        dci.mcs = 2;
-        const unsigned n_sym = tdra_entry(dci.time_alloc).n_symbols;
-        const unsigned len =
-            prbs_for_bits(static_cast<unsigned>(payload.size()), dci.mcs,
-                          McsTable::kQam64, cell.pdsch, n_sym, cell.n_prb);
-        dci.freq_alloc_riv = riv_encode(prb_cursor_, len, cell.n_prb);
-        prb_cursor_ += len;
-        encode_pdcch(cell.coreset,
-                     {kSiRnti, cell.rach.msg4_agg_level, cce}, dci,
-                     cell.n_prb, now, grid_, pdcch_scratch_);
-        const Grant grant = translate_dci(dci, kSiRnti, cell);
-        payload_scratch_.assign(payload.begin(), payload.end());
-        payload_scratch_.resize(grant.tbs, 0);
-        encode_pdsch(pdsch_allocation(grant, cell.pci), now, payload_scratch_,
-                     grid_, pdsch_scratch_);
-        truth_.add_dci(TruthDci{slot, kSiRnti, DciKind::kSib, dci, grant,
-                                false, true, cell.rach.msg4_agg_level, cce});
+        transmit_common_pdsch(kSiRnti, DciKind::kSib, cce, sib1_payload_);
       }
     }
     schedule_downlink();

@@ -31,9 +31,6 @@ namespace nrs {
 
 struct GnbConfig {
   CellConfig cell;
-  SchedulerPolicy policy = SchedulerPolicy::kRoundRobin;
-  RrcSetup rrc_setup;  ///< dedicated config handed to every UE in MSG4
-  unsigned max_harq_tx = 4;
   std::uint64_t seed = 1;
 };
 
@@ -86,7 +83,6 @@ class GnbSim {
     Rnti rnti = kInvalidRnti;
     std::uint64_t stage_slot = 0;  ///< slot of the last RACH transition
     double olla_db = 0.0;          ///< outer-loop link adaptation offset
-    double avg_rate_bps = 1.0;     ///< PF average
     std::array<DlProcess, kMaxHarqProcesses> dl_harq{};
     std::array<std::uint8_t, kMaxHarqProcesses> ul_ndi{};
     unsigned ul_harq_cursor = 0;
@@ -95,6 +91,11 @@ class GnbSim {
   /// Slot-build helpers.
   void broadcast(bool& has_ssb);
   void run_rach(bool allow_tx);
+  /// A DCI 1_0 on the common search space at the cell's MSG4 aggregation
+  /// level plus the PDSCH it schedules (SIB1, RAR, MSG4), at the PRB
+  /// cursor.  The caller has already won the PDCCH candidate at `cce`.
+  void transmit_common_pdsch(Rnti rnti, DciKind kind, unsigned cce,
+                             const BitVector& payload);
   void schedule_downlink();
   void schedule_uplink();
   bool allocate_pdcch(Rnti rnti, const SearchSpaceConfig& ss,
@@ -106,6 +107,7 @@ class GnbSim {
   unsigned n_data_symbols() const;
 
   GnbConfig config_;
+  RrcSetup rrc_setup_;  ///< dedicated config handed to every UE in MSG4
   SlotClock clock_;
   Rng rng_;
   ResourceGrid grid_;

@@ -31,34 +31,22 @@ unsigned prbs_for_backlog(std::size_t bytes, unsigned mcs, McsTable table,
 
 }  // namespace
 
-const char* to_string(SchedulerPolicy policy) {
-  switch (policy) {
-    case SchedulerPolicy::kRoundRobin:
-      return "round-robin";
-    case SchedulerPolicy::kProportionalFair:
-      return "proportional-fair";
-  }
-  return "?";
-}
-
 std::vector<SchedDecision> schedule_tti(std::span<const SchedRequest> requests,
                                         unsigned n_prb, McsTable table,
-                                        SchedulerPolicy policy,
                                         std::uint64_t round_robin_cursor,
                                         unsigned n_symbols, unsigned dmrs_re,
                                         unsigned overhead) {
   SchedScratch scratch;
   std::vector<SchedDecision> decisions;
-  schedule_tti(requests, n_prb, table, policy, round_robin_cursor, n_symbols,
-               dmrs_re, overhead, scratch, decisions);
+  schedule_tti(requests, n_prb, table, round_robin_cursor, n_symbols, dmrs_re,
+               overhead, scratch, decisions);
   return decisions;
 }
 
 void schedule_tti(std::span<const SchedRequest> requests, unsigned n_prb,
-                  McsTable table, SchedulerPolicy policy,
-                  std::uint64_t round_robin_cursor, unsigned n_symbols,
-                  unsigned dmrs_re, unsigned overhead, SchedScratch& scratch,
-                  std::vector<SchedDecision>& out) {
+                  McsTable table, std::uint64_t round_robin_cursor,
+                  unsigned n_symbols, unsigned dmrs_re, unsigned overhead,
+                  SchedScratch& scratch, std::vector<SchedDecision>& out) {
   out.clear();
   // Candidates: anyone with data.
   std::vector<std::size_t>& order = scratch.order;
@@ -72,23 +60,10 @@ void schedule_tti(std::span<const SchedRequest> requests, unsigned n_prb,
     return;
   }
 
-  if (policy == SchedulerPolicy::kRoundRobin) {
-    // Rotate the start position so leftover-PRB advantage moves around.
-    std::rotate(order.begin(),
-                order.begin() + (round_robin_cursor % order.size()),
-                order.end());
-  } else {
-    // Proportional fair: serve highest instantaneous-rate / average-rate
-    // first.
-    std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
-                                                     std::size_t b) {
-      auto metric = [&](const SchedRequest& r) {
-        const double inst = std::log2(1.0 + std::pow(10.0, r.snr_db / 10.0));
-        return inst / std::max(1.0, r.avg_rate_bps);
-      };
-      return metric(requests[a]) > metric(requests[b]);
-    });
-  }
+  // Rotate the start position so leftover-PRB advantage moves around.
+  std::rotate(order.begin(),
+              order.begin() + (round_robin_cursor % order.size()),
+              order.end());
 
   unsigned next_prb = 0;
   // Equal-share baseline so full-buffer UEs split the band, like the

@@ -1,9 +1,9 @@
 // MAC downlink scheduler: splits the PDSCH PRBs of one TTI among the UEs
 // with pending data, picks each UE's MCS from link adaptation, and sizes
-// allocations to their backlog.  Round-robin and proportional-fair
-// policies are provided; the paper's lab gNBs (srsRAN, Amarisoft) default
-// to proportional fair with full-buffer iperf traffic behaving like the
-// round-robin equal split visible in its Fig. 14.
+// allocations to their backlog.  The order is round-robin: the paper's lab
+// gNBs (srsRAN, Amarisoft) default to proportional fair, which with its
+// full-buffer iperf traffic behaves like the round-robin equal split
+// visible in its Fig. 14.
 #pragma once
 
 #include <cstdint>
@@ -15,20 +15,12 @@
 
 namespace nrs {
 
-enum class SchedulerPolicy : std::uint8_t {
-  kRoundRobin,
-  kProportionalFair,
-};
-
-const char* to_string(SchedulerPolicy policy);
-
 /// One UE's scheduling input for a TTI.
 struct SchedRequest {
   Rnti rnti = kInvalidRnti;
   std::size_t backlog_bytes = 0;
   bool full_buffer = false;
-  double snr_db = 20.0;       ///< link-adaptation SNR (CQI + OLLA offset)
-  double avg_rate_bps = 1.0;  ///< long-term served rate (PF metric)
+  double snr_db = 20.0;  ///< link-adaptation SNR (CQI + OLLA offset)
 };
 
 /// One UE's allocation decision.
@@ -49,10 +41,11 @@ struct SchedScratch {
 /// Allocate `n_prb` PRBs among `requests` for one TTI.
 /// Contiguous (type-1) allocations; UEs with empty backlog get nothing;
 /// allocations shrink to the backlog so small flows don't waste PRBs.
+/// The candidates are served in request order rotated by
+/// `round_robin_cursor`.
 /// `n_symbols`/`dmrs_re`/`overhead` size the per-PRB capacity estimate.
 std::vector<SchedDecision> schedule_tti(std::span<const SchedRequest> requests,
                                         unsigned n_prb, McsTable table,
-                                        SchedulerPolicy policy,
                                         std::uint64_t round_robin_cursor,
                                         unsigned n_symbols = 12,
                                         unsigned dmrs_re = 12,
@@ -61,9 +54,8 @@ std::vector<SchedDecision> schedule_tti(std::span<const SchedRequest> requests,
 /// Same, clearing and filling caller-owned `out` (capacity reused across
 /// TTIs; allocation-free once warm).
 void schedule_tti(std::span<const SchedRequest> requests, unsigned n_prb,
-                  McsTable table, SchedulerPolicy policy,
-                  std::uint64_t round_robin_cursor, unsigned n_symbols,
-                  unsigned dmrs_re, unsigned overhead, SchedScratch& scratch,
-                  std::vector<SchedDecision>& out);
+                  McsTable table, std::uint64_t round_robin_cursor,
+                  unsigned n_symbols, unsigned dmrs_re, unsigned overhead,
+                  SchedScratch& scratch, std::vector<SchedDecision>& out);
 
 }  // namespace nrs

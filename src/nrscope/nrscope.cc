@@ -92,11 +92,6 @@ std::optional<std::string> NrScopeConfig::validate() const {
   if (n_prb < SsbLocation::kNPrb || n_prb > 275) {
     return "n_prb must be in [12, 275], got " + std::to_string(n_prb);
   }
-  if (ssb.prb_start + SsbLocation::kNPrb > n_prb) {
-    return "ssb.prb_start " + std::to_string(ssb.prb_start) +
-           " leaves no room for the 12-PRB SSB window in " +
-           std::to_string(n_prb) + " PRBs";
-  }
   if (rate_window_slots == 0) {
     return "rate_window_slots must be > 0";
   }
@@ -277,7 +272,7 @@ void NrScope::apply_acquisition(const Acquisition& acq, SlotResult& result) {
   // Synchronized: SSBs are sent in slot 0 of a frame.
   pci_ = acq.pci;
   mib_ = acq.mib;
-  config_.ssb = SsbLocation{acq.prb_start};
+  ssb_ = SsbLocation{acq.prb_start};
   frame_phase_ = static_cast<std::int64_t>(slot_index_);
   phase_locked_ = true;
   cell_.pci = acq.pci;
@@ -356,8 +351,7 @@ float NrScope::measure_ssb_quality() {
   // PSS correlation at the locked SSB location — stack buffers only, so
   // the per-SSB health check stays on the zero-allocation slot path.
   const ResourceGrid& grid = rx_.symbols(SsbLocation::kPssSymbol, 1);
-  const unsigned sc =
-      config_.ssb.prb_start * kSubcarriersPerPrb + kSyncScOffset;
+  const unsigned sc = ssb_.prb_start * kSubcarriersPerPrb + kSyncScOffset;
   if (sc + kPssLength > grid.n_subcarriers()) {
     return 0.0f;
   }

@@ -55,8 +55,7 @@ struct NrScopeConfig {
   std::uint64_t ue_inactivity_slots = 40000;
   std::uint64_t rate_window_slots = 1000;
   bool keep_capacity_history = false;  ///< per-slot RE accounting (Fig. 14)
-  SsbLocation ssb{0};
-  /// Sync-health thresholds and the resync grace window.
+  /// Blind-decode loss limit and the resync grace window.
   SyncMonitorConfig sync;
 
   /// Sanity-check the configuration; returns a descriptive error for the
@@ -213,6 +212,7 @@ class NrScope {
   CellConfig cell_;
   std::optional<Mib> mib_;
   std::uint16_t pci_ = 0;
+  SsbLocation ssb_{0};  ///< where the last acquisition found the SSB
   RachTracker rach_;
   CellTelemetry telemetry_;
   SyncMonitor sync_;

@@ -1,7 +1,5 @@
 #include "nrscope/sync_monitor.h"
 
-#include <cmath>
-
 namespace nrs {
 
 const char* to_string(SyncLossCause cause) {
@@ -17,23 +15,6 @@ const char* to_string(SyncLossCause cause) {
 }
 
 std::optional<std::string> SyncMonitorConfig::validate() const {
-  if (std::isnan(ssb_alpha) || ssb_alpha <= 0.0 || ssb_alpha > 1.0) {
-    return "sync.ssb_alpha must be in (0, 1], got " +
-           std::to_string(ssb_alpha);
-  }
-  if (std::isnan(ssb_weak_threshold) || ssb_weak_threshold < 0.0f ||
-      ssb_weak_threshold > 1.0f) {
-    return "sync.ssb_weak_threshold must be in [0, 1], got " +
-           std::to_string(ssb_weak_threshold);
-  }
-  if (ssb_fail_limit == 0) {
-    return "sync.ssb_fail_limit must be > 0";
-  }
-  if (std::isnan(degraded_threshold) || degraded_threshold < 0.0 ||
-      degraded_threshold > 1.0) {
-    return "sync.degraded_threshold must be in [0, 1], got " +
-           std::to_string(degraded_threshold);
-  }
   if (empty_slot_limit == 0) {
     return "sync.empty_slot_limit must be > 0";
   }
@@ -64,9 +45,9 @@ void SyncMonitor::on_lock() {
 }
 
 void SyncMonitor::observe_ssb(float correlation) {
-  quality_ = (1.0 - config_.ssb_alpha) * quality_ +
-             config_.ssb_alpha * static_cast<double>(correlation);
-  if (correlation < config_.ssb_weak_threshold) {
+  quality_ = (1.0 - kSsbAlpha) * quality_ +
+             kSsbAlpha * static_cast<double>(correlation);
+  if (correlation < kSsbWeakThreshold) {
     ++weak_run_;
   } else {
     weak_run_ = 0;
@@ -83,11 +64,10 @@ void SyncMonitor::observe_slot(std::size_t n_user_dcis, bool have_ues) {
 }
 
 SyncHealth SyncMonitor::health() const {
-  if (weak_run_ >= config_.ssb_fail_limit ||
-      empty_run_ >= config_.empty_slot_limit) {
+  if (weak_run_ >= kSsbFailLimit || empty_run_ >= config_.empty_slot_limit) {
     return SyncHealth::kLost;
   }
-  if (quality_ < config_.degraded_threshold ||
+  if (quality_ < kDegradedThreshold ||
       empty_run_ >= config_.empty_slot_limit / 2) {
     return SyncHealth::kDegraded;
   }
@@ -95,7 +75,7 @@ SyncHealth SyncMonitor::health() const {
 }
 
 SyncLossCause SyncMonitor::loss_cause() const {
-  if (weak_run_ >= config_.ssb_fail_limit) {
+  if (weak_run_ >= kSsbFailLimit) {
     return SyncLossCause::kSsbQuality;
   }
   if (empty_run_ >= config_.empty_slot_limit) {
@@ -106,24 +86,20 @@ SyncLossCause SyncMonitor::loss_cause() const {
 
 void SyncMonitor::resync_started(std::uint64_t slot) {
   resync_started_slot_ = slot;
-  ++sync_losses_;
   m_sync_losses_->inc();
   m_health_->set(0);
 }
 
 void SyncMonitor::resync_finished(std::uint64_t slot, bool pci_changed) {
-  ++resyncs_;
   m_resyncs_->inc();
   m_resync_duration_->observe(
       static_cast<double>(slot - resync_started_slot_));
   if (pci_changed) {
-    ++pci_changes_;
     m_pci_changes_->inc();
   }
 }
 
 void SyncMonitor::resync_abandoned(std::uint64_t slot) {
-  ++abandoned_;
   m_abandoned_->inc();
   m_resync_duration_->observe(
       static_cast<double>(slot - resync_started_slot_));

@@ -26,15 +26,16 @@
 
 namespace nrs {
 
+/// EMA weight of a new SSB observation in the quality score.
+inline constexpr double kSsbAlpha = 0.4;
+/// A single SSB whose PSS correlation falls below this is "weak".
+inline constexpr float kSsbWeakThreshold = 0.25f;
+/// Consecutive weak SSBs before sync is declared lost.
+inline constexpr unsigned kSsbFailLimit = 3;
+/// Quality EMA below this flags the slot degraded (still tracking).
+inline constexpr double kDegradedThreshold = 0.5;
+
 struct SyncMonitorConfig {
-  /// EMA weight of a new SSB observation in the quality score.
-  double ssb_alpha = 0.4;
-  /// A single SSB whose PSS correlation falls below this is "weak".
-  float ssb_weak_threshold = 0.25f;
-  /// Consecutive weak SSBs before sync is declared lost.
-  unsigned ssb_fail_limit = 3;
-  /// Quality EMA below this flags the slot degraded (still tracking).
-  double degraded_threshold = 0.5;
   /// Consecutive slots with tracked UEs but zero decoded user DCIs
   /// before sync is declared lost (blind decoding: the cell moved on).
   std::uint64_t empty_slot_limit = 2000;
@@ -83,10 +84,16 @@ class SyncMonitor {
   [[nodiscard]] double quality() const { return quality_; }
   [[nodiscard]] unsigned weak_ssb_run() const { return weak_run_; }
   [[nodiscard]] std::uint64_t empty_slot_run() const { return empty_run_; }
-  [[nodiscard]] std::uint64_t sync_losses() const { return sync_losses_; }
-  [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
-  [[nodiscard]] std::uint64_t pci_changes() const { return pci_changes_; }
-  [[nodiscard]] std::uint64_t abandoned() const { return abandoned_; }
+  [[nodiscard]] std::uint64_t sync_losses() const {
+    return m_sync_losses_->value();
+  }
+  [[nodiscard]] std::uint64_t resyncs() const { return m_resyncs_->value(); }
+  [[nodiscard]] std::uint64_t pci_changes() const {
+    return m_pci_changes_->value();
+  }
+  [[nodiscard]] std::uint64_t abandoned() const {
+    return m_abandoned_->value();
+  }
 
  private:
   SyncMonitorConfig config_;
@@ -94,10 +101,6 @@ class SyncMonitor {
   unsigned weak_run_ = 0;
   std::uint64_t empty_run_ = 0;
   std::uint64_t resync_started_slot_ = 0;
-  std::uint64_t sync_losses_ = 0;
-  std::uint64_t resyncs_ = 0;
-  std::uint64_t pci_changes_ = 0;
-  std::uint64_t abandoned_ = 0;
   Counter* m_sync_losses_ = nullptr;
   Counter* m_resyncs_ = nullptr;
   Counter* m_pci_changes_ = nullptr;

@@ -82,13 +82,6 @@ std::optional<std::string> ChannelConfig::validate() const {
     return "sample_rate must be a positive number, got " +
            std::to_string(sample_rate);
   }
-  if (std::isnan(doppler_hz) || doppler_hz < 0.0) {
-    return "doppler_hz must be >= 0, got " + std::to_string(doppler_hz);
-  }
-  if (std::isnan(cfo_hz) || std::abs(cfo_hz) >= sample_rate / 2.0) {
-    return "cfo_hz must satisfy |cfo| < sample_rate / 2, got " +
-           std::to_string(cfo_hz);
-  }
   if (fft_size == 0) {
     return "fft_size must be > 0";
   }
@@ -140,9 +133,7 @@ ChannelModel::ChannelModel(const ChannelConfig& config)
   // AR(1) fading: correlation over one slot from the Clarke model,
   // rho ~= J0(2*pi*fd*T_slot); use the small-angle expansion clamped to
   // [0, 1) so high Doppler still decorrelates monotonically.
-  const double fd = config_.doppler_hz > 0.0
-                        ? config_.doppler_hz
-                        : profile_default_doppler_hz(config_.profile);
+  const double fd = profile_default_doppler_hz(config_.profile);
   // Slot duration from the sample rate and a 14-symbol slot is not known
   // here; use 0.5 ms (30 kHz SCS) as the evolution step, which is the TTI
   // the paper's experiments run at.
@@ -194,20 +185,6 @@ void ChannelModel::apply(IqBuffer& samples) {
   if (taps_.size() > 1 || taps_[0].delay_samples != 0 ||
       taps_[0].gain != cf32(1.0f, 0.0f)) {
     apply_multipath(samples, taps_);
-  }
-
-  // Residual carrier frequency offset.
-  if (config_.cfo_hz != 0.0) {
-    const double step =
-        2.0 * std::numbers::pi * config_.cfo_hz / config_.sample_rate;
-    for (auto& s : samples) {
-      s *= cf32(static_cast<float>(std::cos(phase_)),
-                static_cast<float>(std::sin(phase_)));
-      phase_ += step;
-      if (phase_ > 2.0 * std::numbers::pi) {
-        phase_ -= 2.0 * std::numbers::pi;
-      }
-    }
   }
 
   // AWGN sized so that the post-FFT per-RE SNR equals the set-point for a

@@ -2,8 +2,9 @@
 // the sniffer (or a UE).  The paper evaluates under real indoor/outdoor/
 // moving conditions and under Amarisoft's emulated AWGN / Pedestrian /
 // Vehicle / Urban channels (sections 5.2-5.4); these models reproduce that
-// set: AWGN plus tapped-delay-line Rayleigh fading with Doppler, optional
-// carrier frequency offset, and an SNR set-point.
+// set: AWGN plus tapped-delay-line Rayleigh fading with each profile's
+// Doppler, and an SNR set-point.  Carrier frequency offset is the fault
+// harness's impairment (radio/impairments.h).
 //
 // SNR convention: `snr_db` is the post-FFT per-resource-element SNR for a
 // unit-power constellation symbol, i.e. what the demapper sees after OFDM
@@ -36,9 +37,7 @@ ChannelProfile channel_profile_from_string(const std::string& name);
 
 struct ChannelConfig {
   ChannelProfile profile = ChannelProfile::kAwgn;
-  double snr_db = 30.0;       ///< post-FFT per-RE SNR set-point
-  double doppler_hz = 0.0;    ///< 0 = use the profile default
-  double cfo_hz = 0.0;        ///< residual carrier frequency offset
+  double snr_db = 30.0;  ///< post-FFT per-RE SNR set-point
   double sample_rate = 30.72e6;
   unsigned fft_size = 1024;
   std::uint64_t seed = 1;
@@ -74,7 +73,7 @@ class ChannelModel {
  public:
   explicit ChannelModel(const ChannelConfig& config);
 
-  /// Apply fading + CFO + AWGN to one slot of samples, in place and
+  /// Apply fading + AWGN to one slot of samples, in place and
   /// without allocating.  The noise of sample i in the n-th call (n from
   /// 0) is a pure function of (seed, n, i): Philox4x32-10 through the
   /// kernel layer's awgn_add, bit-identical across SIMD backends.
@@ -103,8 +102,7 @@ class ChannelModel {
   ChannelConfig config_;
   Rng rng_;  ///< fading evolution only; noise comes from the awgn_add kernel
   std::vector<FadingTap> taps_;
-  double rho_ = 1.0;        // AR(1) fading coefficient per slot
-  double phase_ = 0.0;      // CFO phase accumulator
+  double rho_ = 1.0;  // AR(1) fading coefficient per slot
   std::uint64_t slots_ = 0;
 };
 

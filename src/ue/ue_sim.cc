@@ -67,9 +67,7 @@ double UeEmulator::reported_snr_db() const {
 bool UeEmulator::decide_ack(const Grant& grant) {
   const double eff =
       grant.code_rate * static_cast<double>(bits_per_symbol(grant.modulation));
-  const double bler = block_error_probability(
-      snr_db(), eff, config_.bler_target_gap_db + 2.0);
-  return !rng_.chance(bler);
+  return !rng_.chance(block_error_probability(snr_db(), eff));
 }
 
 void UeEmulator::deliver(std::uint64_t slot, std::size_t bytes,

@@ -51,7 +51,6 @@ struct UeConfig {
   ChannelConfig channel;                    ///< UE <-> gNB link
   std::unique_ptr<TrafficSource> dl_traffic;
   std::unique_ptr<TrafficSource> ul_traffic;  ///< may be null
-  double bler_target_gap_db = 1.0;  ///< SNR margin in the BLER model
   std::uint64_t seed = 1;
 };
 

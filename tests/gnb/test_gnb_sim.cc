@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
+#include <utility>
 
 #include "gnb/presets.h"
 #include "nr/mib.h"
@@ -157,6 +160,47 @@ TEST(GnbSim, RetransmissionsForWeakUe) {
   EXPECT_GT(retx, 0u);
   // NDI semantics: a retransmission repeats the previous NDI.
   EXPECT_LT(static_cast<double>(retx) / static_cast<double>(data), 0.6);
+}
+
+TEST(GnbSim, HarqRetransmitsABlockAtMostFourTimes) {
+  // A link far below MCS 0's threshold NACKs nearly every transmission, so
+  // blocks run into the gNB's limit of four transmissions per block.
+  GnbSim gnb(config_with_cell(srsran_cell()));
+  UeConfig weak = simple_ue(3);
+  weak.channel.snr_db = -5.0;
+  gnb.add_ue(std::move(weak));
+  for (int i = 0; i < 2000; ++i) {
+    gnb.step();
+  }
+  // A chain is one block: the DL data DCIs of one (RNTI, HARQ id) between
+  // NDI toggles.
+  struct Chain {
+    std::uint8_t ndi = 0;
+    unsigned tx = 0;
+  };
+  constexpr unsigned kRv[] = {0, 2, 3, 1};
+  std::map<std::pair<Rnti, unsigned>, Chain> chains;
+  std::uint64_t data = 0;
+  unsigned longest = 0;
+  for (const auto& slot : gnb.truth().slots()) {
+    for (const auto& d : slot.dcis) {
+      if (d.kind != DciKind::kData) {
+        continue;
+      }
+      ++data;
+      Chain& chain = chains[{d.rnti, d.dci.harq_id}];
+      if (chain.tx == 0 || chain.ndi != d.dci.ndi) {
+        chain = Chain{d.dci.ndi, 0};
+      }
+      ++chain.tx;
+      ASSERT_LE(chain.tx, 4u) << "slot " << d.slot;
+      EXPECT_EQ(d.is_retx, chain.tx > 1) << "slot " << d.slot;
+      EXPECT_EQ(d.dci.rv, kRv[chain.tx - 1]) << "slot " << d.slot;
+      longest = std::max(longest, chain.tx);
+    }
+  }
+  EXPECT_GT(data, 100u);
+  EXPECT_EQ(longest, 4u);
 }
 
 TEST(GnbSim, RemoveUeStopsScheduling) {

@@ -16,15 +16,12 @@ SchedRequest request(Rnti rnti, std::size_t backlog, double snr = 20.0,
 }
 
 TEST(Scheduler, EmptyRequestsYieldNothing) {
-  EXPECT_TRUE(schedule_tti({}, 51, McsTable::kQam64,
-                           SchedulerPolicy::kRoundRobin, 0)
-                  .empty());
+  EXPECT_TRUE(schedule_tti({}, 51, McsTable::kQam64, 0).empty());
 }
 
 TEST(Scheduler, IdleUesSkipped) {
   std::vector<SchedRequest> reqs = {request(1, 0), request(2, 5000)};
-  const auto d = schedule_tti(reqs, 51, McsTable::kQam64,
-                              SchedulerPolicy::kRoundRobin, 0);
+  const auto d = schedule_tti(reqs, 51, McsTable::kQam64, 0);
   ASSERT_EQ(d.size(), 1u);
   EXPECT_EQ(d[0].rnti, 2u);
 }
@@ -34,8 +31,7 @@ TEST(Scheduler, AllocationsAreDisjointAndInRange) {
   for (Rnti r = 1; r <= 6; ++r) {
     reqs.push_back(request(r, 100000));
   }
-  const auto d = schedule_tti(reqs, 51, McsTable::kQam64,
-                              SchedulerPolicy::kRoundRobin, 3);
+  const auto d = schedule_tti(reqs, 51, McsTable::kQam64, 3);
   ASSERT_EQ(d.size(), 6u);
   unsigned total = 0;
   unsigned expected_start = 0;
@@ -49,16 +45,14 @@ TEST(Scheduler, AllocationsAreDisjointAndInRange) {
 
 TEST(Scheduler, SmallBacklogGetsSmallAllocation) {
   std::vector<SchedRequest> reqs = {request(1, 200, 25.0)};
-  const auto d = schedule_tti(reqs, 51, McsTable::kQam64,
-                              SchedulerPolicy::kRoundRobin, 0);
+  const auto d = schedule_tti(reqs, 51, McsTable::kQam64, 0);
   ASSERT_EQ(d.size(), 1u);
   EXPECT_LE(d[0].prb_len, 3u);
 }
 
 TEST(Scheduler, FullBufferTakesWholeBandAlone) {
   std::vector<SchedRequest> reqs = {request(1, 0, 20.0, true)};
-  const auto d = schedule_tti(reqs, 51, McsTable::kQam64,
-                              SchedulerPolicy::kRoundRobin, 0);
+  const auto d = schedule_tti(reqs, 51, McsTable::kQam64, 0);
   ASSERT_EQ(d.size(), 1u);
   EXPECT_EQ(d[0].prb_len, 51u);
 }
@@ -67,8 +61,7 @@ TEST(Scheduler, TwoFullBuffersSplitEvenly) {
   // The paper's Fig. 14 premise: two saturating UEs get equal shares.
   std::vector<SchedRequest> reqs = {request(1, 0, 20.0, true),
                                     request(2, 0, 20.0, true)};
-  const auto d = schedule_tti(reqs, 50, McsTable::kQam64,
-                              SchedulerPolicy::kRoundRobin, 0);
+  const auto d = schedule_tti(reqs, 50, McsTable::kQam64, 0);
   ASSERT_EQ(d.size(), 2u);
   EXPECT_EQ(d[0].prb_len, 25u);
   EXPECT_EQ(d[1].prb_len, 25u);
@@ -78,31 +71,17 @@ TEST(Scheduler, RoundRobinRotates) {
   std::vector<SchedRequest> reqs = {request(1, 1u << 20),
                                     request(2, 1u << 20),
                                     request(3, 1u << 20)};
-  const auto d0 = schedule_tti(reqs, 51, McsTable::kQam64,
-                               SchedulerPolicy::kRoundRobin, 0);
-  const auto d1 = schedule_tti(reqs, 51, McsTable::kQam64,
-                               SchedulerPolicy::kRoundRobin, 1);
+  const auto d0 = schedule_tti(reqs, 51, McsTable::kQam64, 0);
+  const auto d1 = schedule_tti(reqs, 51, McsTable::kQam64, 1);
   ASSERT_FALSE(d0.empty());
   ASSERT_FALSE(d1.empty());
   EXPECT_NE(d0[0].rnti, d1[0].rnti);
 }
 
-TEST(Scheduler, ProportionalFairPrefersUnderserved) {
-  std::vector<SchedRequest> reqs = {request(1, 1u << 20, 20.0),
-                                    request(2, 1u << 20, 20.0)};
-  reqs[0].avg_rate_bps = 1e7;  // well served
-  reqs[1].avg_rate_bps = 1e5;  // starved
-  const auto d = schedule_tti(reqs, 51, McsTable::kQam64,
-                              SchedulerPolicy::kProportionalFair, 0);
-  ASSERT_EQ(d.size(), 2u);
-  EXPECT_EQ(d[0].rnti, 2u) << "starved UE scheduled first";
-}
-
 TEST(Scheduler, McsTracksSnr) {
   std::vector<SchedRequest> reqs = {request(1, 1u << 20, 2.0),
                                     request(2, 1u << 20, 28.0)};
-  const auto d = schedule_tti(reqs, 51, McsTable::kQam64,
-                              SchedulerPolicy::kRoundRobin, 0);
+  const auto d = schedule_tti(reqs, 51, McsTable::kQam64, 0);
   ASSERT_EQ(d.size(), 2u);
   unsigned mcs_low = 0;
   unsigned mcs_high = 0;
@@ -110,12 +89,6 @@ TEST(Scheduler, McsTracksSnr) {
     (dec.rnti == 1 ? mcs_low : mcs_high) = dec.mcs;
   }
   EXPECT_LT(mcs_low, mcs_high);
-}
-
-TEST(Scheduler, PolicyNames) {
-  EXPECT_STREQ(to_string(SchedulerPolicy::kRoundRobin), "round-robin");
-  EXPECT_STREQ(to_string(SchedulerPolicy::kProportionalFair),
-               "proportional-fair");
 }
 
 }  // namespace

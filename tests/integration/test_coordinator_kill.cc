@@ -155,7 +155,7 @@ TEST(CoordinatorKill, StandbyPromotesReconfirmsAndFencesTheGhost) {
                                     "--coordinators", coordinators,
                                     "--name", name,
                                     "--capacity", std::to_string(kCells),
-                                    "--slots-per-tick", "5", "--quiet"};
+                                    "--slots-per-tick", "5"};
   };
   ChildProc proc_a(worker_args("procA"));
   ChildProc proc_b(worker_args("procB"));

@@ -77,8 +77,7 @@ class WorkerProc {
       // ticks, so tick length bounds heartbeat latency).
       execl(NRS_FLEET_WORKER_BIN, "fleet_worker", "--port", port_arg.c_str(),
             "--name", name.c_str(), "--capacity", cap_arg.c_str(),
-            "--slots-per-tick", "5", "--quiet",
-            static_cast<char*>(nullptr));
+            "--slots-per-tick", "5", static_cast<char*>(nullptr));
       _exit(127);
     }
   }

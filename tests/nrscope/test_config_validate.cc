@@ -5,7 +5,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <stdexcept>
 
 #include "nrscope/pipeline.h"
@@ -37,14 +36,6 @@ TEST(ConfigValidate, RejectsBadPrbCount) {
   EXPECT_TRUE(cfg.validate().has_value());
 }
 
-TEST(ConfigValidate, RejectsSsbOutsideBand) {
-  auto cfg = valid_config();
-  cfg.ssb.prb_start = cfg.n_prb - 4;  // SSB window would overrun the band
-  auto err = cfg.validate();
-  ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("ssb"), std::string::npos);
-}
-
 TEST(ConfigValidate, RejectsZeroWindows) {
   auto cfg = valid_config();
   cfg.rate_window_slots = 0;
@@ -54,40 +45,8 @@ TEST(ConfigValidate, RejectsZeroWindows) {
   ASSERT_TRUE(cfg.validate().has_value());
 }
 
-TEST(ConfigValidate, RejectsBadSyncMonitorThresholds) {
-  auto cfg = valid_config();
-  cfg.sync.ssb_alpha = 0.0;  // EMA would never incorporate observations
-  auto err = cfg.validate();
-  ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("ssb_alpha"), std::string::npos);
-
-  cfg = valid_config();
-  cfg.sync.ssb_alpha = 1.5;
-  EXPECT_TRUE(cfg.validate().has_value());
-
-  cfg = valid_config();
-  cfg.sync.ssb_weak_threshold = -0.1f;
-  err = cfg.validate();
-  ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("ssb_weak_threshold"), std::string::npos);
-
-  cfg = valid_config();
-  cfg.sync.ssb_weak_threshold = 1.5f;
-  EXPECT_TRUE(cfg.validate().has_value());
-
-  cfg = valid_config();
-  cfg.sync.degraded_threshold = 1.5;
-  err = cfg.validate();
-  ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("degraded_threshold"), std::string::npos);
-}
-
 TEST(ConfigValidate, RejectsZeroSyncMonitorWindows) {
   auto cfg = valid_config();
-  cfg.sync.ssb_fail_limit = 0;
-  ASSERT_TRUE(cfg.validate().has_value());
-
-  cfg = valid_config();
   cfg.sync.empty_slot_limit = 0;
   ASSERT_TRUE(cfg.validate().has_value());
 
@@ -96,15 +55,6 @@ TEST(ConfigValidate, RejectsZeroSyncMonitorWindows) {
   auto err = cfg.validate();
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("resync_grace_slots"), std::string::npos);
-}
-
-TEST(ConfigValidate, SyncMonitorNanRejected) {
-  SyncMonitorConfig sync;
-  sync.ssb_alpha = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_TRUE(sync.validate().has_value());
-  sync = SyncMonitorConfig{};
-  sync.degraded_threshold = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_TRUE(sync.validate().has_value());
 }
 
 TEST(ConfigValidate, ScopeConstructorThrowsOnInvalid) {

@@ -24,7 +24,6 @@ namespace {
 
 SyncMonitorConfig tight_config() {
   SyncMonitorConfig cfg;
-  cfg.ssb_fail_limit = 3;
   cfg.empty_slot_limit = 10;
   return cfg;
 }
@@ -105,12 +104,18 @@ TEST(SyncMonitorUnit, HalfEmptyLimitIsDegraded) {
 }
 
 TEST(SyncMonitorUnit, QualityEmaBelowThresholdIsDegraded) {
+  // SSBs at 0.3 are above weak (0.25) but pull the EMA (weight 0.4,
+  // from 1.0 at lock) under degraded (0.5) on the third: 0.72, 0.552,
+  // 0.4512.
   MetricsRegistry registry;
-  auto cfg = tight_config();
-  cfg.ssb_alpha = 1.0;  // quality == the last observation
-  SyncMonitor monitor(cfg, registry);
+  SyncMonitor monitor(tight_config(), registry);
   monitor.on_lock();
-  monitor.observe_ssb(0.3f);  // above weak (0.25), below degraded (0.5)
+  monitor.observe_ssb(0.3f);
+  monitor.observe_ssb(0.3f);
+  EXPECT_NEAR(monitor.quality(), 0.552, 1e-6);
+  EXPECT_EQ(monitor.health(), SyncHealth::kHealthy);
+  monitor.observe_ssb(0.3f);
+  EXPECT_NEAR(monitor.quality(), 0.4512, 1e-6);
   EXPECT_EQ(monitor.health(), SyncHealth::kDegraded);
   EXPECT_EQ(monitor.weak_ssb_run(), 0u);
 }

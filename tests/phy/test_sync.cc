@@ -85,11 +85,12 @@ TEST(Pss, ShortBufferRejected) {
 
 // Sweep the detector across falling per-RE SNR and characterize where the
 // correlation statistic lands.  This anchors the sync monitor's
-// ssb_weak_threshold default (0.25): a healthy channel scores far above
-// it, and a deep fade / outage scores below it, so consecutive weak SSBs
-// are a trustworthy loss signal rather than threshold noise.
+// kSsbWeakThreshold (0.25, nrscope/sync_monitor.h): a healthy channel
+// scores far above it, and a deep fade / outage scores below it, so
+// consecutive weak SSBs are a trustworthy loss signal rather than
+// threshold noise.
 TEST(Pss, CorrelationSweepSeparatesHealthyFromOutage) {
-  constexpr float kWeakThreshold = 0.25f;  // SyncMonitorConfig default
+  constexpr float kWeakThreshold = 0.25f;  // the sync monitor's constant
   constexpr int kTrials = 20;
   constexpr unsigned kNid2 = 2;
   const auto seq = pss_sequence(kNid2);
